@@ -1097,7 +1097,7 @@ def _step_discrete_smith(
 
 
 def _signnorm(s: Scalar) -> Scalar:
-    return -s if str(s).startswith("-") else s
+    return -s if s.rat < 0 and s.is_polynomial() else s
 
 
 def _gen_sort_key(s: Scalar) -> Tuple[bool, int, str]:

@@ -63,7 +63,7 @@ class SymbolTable:
     ValueError: "1" is not a valid symbol name
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_unit", "_zero", "_one")
 
     def __init__(self, names: Iterable[str] = ()) -> None:
         names = tuple(names)
@@ -76,6 +76,9 @@ class SymbolTable:
             raise ValueError("symbol names must be distinct")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._unit = _p_unit(len(names))
+        self._zero: Optional[Scalar] = None  # filled by Scalar.zero
+        self._one: Optional[Scalar] = None  # filled by Scalar.one
 
     def index(self, name: str) -> int:
         if name not in self._index:
@@ -111,20 +114,27 @@ class SymbolTable:
 
 _Poly = Dict[Tuple[int, ...], Fraction]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_UNITS: Dict[int, _Poly] = {}
 
-def _p_zero() -> _Poly:
-    return {}
+
+def _p_unit(width: int) -> _Poly:
+    """The constant polynomial 1 of the given width, shared: never mutate it."""
+    unit = _UNITS.get(width)
+    if unit is None:
+        unit = _UNITS[width] = {(0,) * width: _ONE}
+    return unit
 
 
-def _p_const(width: int, c: Fraction) -> _Poly:
-    if c == 0:
-        return {}
-    return {(0,) * width: Fraction(c)}
+def _p_is_const(a: _Poly) -> bool:
+    """True for a nonzero constant polynomial."""
+    return len(a) == 1 and not any(next(iter(a)))
 
 
 def _p_sym(width: int, i: int) -> _Poly:
     mono = tuple(1 if j == i else 0 for j in range(width))
-    return {mono: Fraction(1)}
+    return {mono: _ONE}
 
 
 def _grlex_key(mono: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
@@ -139,7 +149,7 @@ def _p_leading(p: _Poly) -> Tuple[Tuple[int, ...], Fraction]:
 def _p_add(a: _Poly, b: _Poly) -> _Poly:
     out = dict(a)
     for mono, c in b.items():
-        s = out.get(mono, Fraction(0)) + c
+        s = out.get(mono, _ZERO) + c
         if s:
             out[mono] = s
         else:
@@ -166,7 +176,7 @@ def _p_mul(a: _Poly, b: _Poly) -> _Poly:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             mono = tuple(x + y for x, y in zip(m1, m2))
-            s = out.get(mono, Fraction(0)) + c1 * c2
+            s = out.get(mono, _ZERO) + c1 * c2
             if s:
                 out[mono] = s
             else:
@@ -184,8 +194,8 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 def _p_content(a: _Poly) -> Fraction:
     """Positive rational content, signed by the graded-lex leading coefficient."""
     if not a:
-        return Fraction(0)
-    c = Fraction(0)
+        return _ZERO
+    c = _ZERO
     for v in a.values():
         c = _frac_gcd(c, abs(v))
     if _p_leading(a)[1] < 0:
@@ -194,10 +204,15 @@ def _p_content(a: _Poly) -> Fraction:
 
 
 def _p_primitive(a: _Poly) -> Tuple[Fraction, _Poly]:
-    """Split ``a = content * primitive`` with a positive-leading primitive part."""
+    """Split ``a = content * primitive`` with a positive-leading primitive part.
+
+    A polynomial that is already primitive is returned as it is, not copied.
+    """
     if not a:
-        return Fraction(0), {}
+        return _ZERO, {}
     c = _p_content(a)
+    if c == 1:
+        return c, a
     return c, {m: v / c for m, v in a.items()}
 
 
@@ -214,7 +229,7 @@ def _p_div_exact(a: _Poly, b: _Poly) -> _Poly:
         if any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
         c = lc_r / lc_b
-        q[mono] = q.get(mono, Fraction(0)) + c
+        q[mono] = q.get(mono, _ZERO) + c
         r = _p_sub(r, _p_mul({mono: c}, b))
     return q
 
@@ -230,7 +245,7 @@ def _p_coeffs_in(a: _Poly, v: int) -> Dict[int, _Poly]:
         d = mono[v]
         rest = mono[:v] + (0,) + mono[v + 1:]
         coeff = out.setdefault(d, {})
-        coeff[rest] = coeff.get(rest, Fraction(0)) + c
+        coeff[rest] = coeff.get(rest, _ZERO) + c
     return {d: {m: c for m, c in coeff.items() if c} for d, coeff in out.items()}
 
 
@@ -267,7 +282,7 @@ def _p_gcd(a: _Poly, b: _Poly) -> _Poly:
     width = len(next(iter(a)))
     vs = [v for v in range(width) if _p_deg_in(a, v) > 0 or _p_deg_in(b, v) > 0]
     if not vs:
-        return _p_const(width, Fraction(1))
+        return _p_unit(width)
     v = vs[-1]
     ca, pa = _p_content_in(a, v), None
     cb, pb = _p_content_in(b, v), None
@@ -338,6 +353,17 @@ class Scalar:
     graded-lex leading coefficients (``num = den = 1`` for plain rationals,
     and ``rat = 0, num = den = 1`` for zero).  Equality is structural.
 
+    Normalization and arithmetic skip the polynomial work whenever a side is
+    constant, and rational operands combine their ``rat`` alone.  Two
+    invariants make that safe and cheap:
+
+    - a constant ``num`` or ``den`` is always the one unit polynomial shared
+      by every table of the same width, so rationals are told apart by
+      identity;
+    - no code mutates a Scalar's ``num`` or ``den`` in place: Scalars share
+      these dicts with each other, with the inputs they were built from and
+      with the unit polynomial.
+
     >>> t = SymbolTable(["mu"])
     >>> mu = Scalar.symbol(t, "mu")
     >>> half = Scalar.rational(t, 1, 2)
@@ -347,6 +373,8 @@ class Scalar:
     mu - 1
     >>> Scalar.rational(t, 6, 4) == Scalar.rational(t, 3, 2)
     True
+    >>> print(Scalar.rational(t, -3, 6) - half, Scalar.rational(t, 2) / mu)
+    -1 (2)/(mu)
     >>> mu.as_fraction()  # doctest: +IGNORE_EXCEPTION_DETAIL
     Traceback (most recent call last):
         ...
@@ -359,20 +387,30 @@ class Scalar:
         # Normalization happens here so every constructed Scalar is canonical.
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        width = len(table)
-        if rat == 0 or not num:
-            rat, num, den = Fraction(0), _p_const(width, Fraction(1)), _p_const(width, Fraction(1))
+        unit = table._unit
+        if not rat or not num:
+            rat, num, den = _ZERO, unit, unit
+        elif num is unit and den is unit:
+            if type(rat) is not Fraction:
+                rat = Fraction(rat)
+        elif _p_is_const(num) and _p_is_const(den):
+            rat = Fraction(rat) * next(iter(num.values())) / next(iter(den.values()))
+            num = den = unit
         else:
             cn, num = _p_primitive(num)
             cd, den = _p_primitive(den)
             rat = Fraction(rat) * cn / cd
-            g = _p_gcd(num, den)
-            if _p_leading(g)[0] != (0,) * width or g[(0,) * width] != 1:
-                num = _p_div_exact(num, g)
-                den = _p_div_exact(den, g)
-                cn, num = _p_primitive(num)
-                cd, den = _p_primitive(den)
-                rat = rat * cn / cd
+            # The gcd of a constant and anything is 1.
+            if not (_p_is_const(num) or _p_is_const(den)):
+                g = _p_gcd(num, den)
+                if not _p_is_const(g):
+                    cn, num = _p_primitive(_p_div_exact(num, g))
+                    cd, den = _p_primitive(_p_div_exact(den, g))
+                    rat = rat * cn / cd
+            if _p_is_const(num):
+                num = unit
+            if _p_is_const(den):
+                den = unit
         self.table = table
         self.rat = rat
         self.num = num
@@ -382,26 +420,24 @@ class Scalar:
 
     @classmethod
     def zero(cls, table: SymbolTable) -> "Scalar":
-        return cls(table, Fraction(0), {}, _p_const(len(table), Fraction(1)))
+        if table._zero is None:
+            table._zero = cls(table, _ZERO, {}, table._unit)
+        return table._zero
 
     @classmethod
     def one(cls, table: SymbolTable) -> "Scalar":
-        return cls.rational(table, 1)
+        if table._one is None:
+            table._one = cls.rational(table, 1)
+        return table._one
 
     @classmethod
     def rational(cls, table: SymbolTable, p: int | Fraction, q: int = 1) -> "Scalar":
-        one = _p_const(len(table), Fraction(1))
-        return cls(table, Fraction(p, q) if q != 1 else Fraction(p), one, one)
+        unit = table._unit
+        return cls(table, Fraction(p, q) if q != 1 else Fraction(p), unit, unit)
 
     @classmethod
     def symbol(cls, table: SymbolTable, name: str) -> "Scalar":
-        width = len(table)
-        return cls(
-            table,
-            Fraction(1),
-            _p_sym(width, table.index(name)),
-            _p_const(width, Fraction(1)),
-        )
+        return cls(table, _ONE, _p_sym(len(table), table.index(name)), table._unit)
 
     # -- predicates and coercions -----------------------------------------
 
@@ -409,9 +445,8 @@ class Scalar:
         return self.rat == 0
 
     def is_rational(self) -> bool:
-        width = len(self.table)
-        one = _p_const(width, Fraction(1))
-        return self.num == one and self.den == one
+        unit = self.table._unit
+        return self.num == unit and self.den == unit
 
     def is_polynomial(self) -> bool:
         """True when the denominator is trivial (rationals count).
@@ -423,7 +458,7 @@ class Scalar:
         >>> (Scalar.one(t) / mu).is_polynomial()
         False
         """
-        return self.den == _p_const(len(self.table), Fraction(1))
+        return self.den == self.table._unit
 
     def total_degree(self) -> int:
         """Total degree of numerator plus denominator (0 for rationals).
@@ -450,29 +485,39 @@ class Scalar:
         return not self.is_zero()
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # ``x.num is x.den`` holds exactly for rationals (both are the shared unit
+    # polynomial); two rational operands combine their ``rat`` alone.
 
     def _check(self, other: "Scalar") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise SymbolTableMismatch(
                 "cannot combine scalars over different symbol tables"
             )
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        if self.num is self.den and other.num is other.den:
+            return Scalar(self.table, self.rat + other.rat, self.num, self.den)
         num = _p_add(
             _p_scale(_p_mul(self.num, other.den), self.rat),
             _p_scale(_p_mul(other.num, self.den), other.rat),
         )
-        return Scalar(self.table, Fraction(1), num, _p_mul(self.den, other.den))
+        return Scalar(self.table, _ONE, num, _p_mul(self.den, other.den))
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.table, -self.rat, self.num, self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        if self.num is self.den and other.num is other.den:
+            self._check(other)
+            return Scalar(self.table, self.rat - other.rat, self.num, self.den)
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        if self.num is self.den and other.num is other.den:
+            return Scalar(self.table, self.rat * other.rat, self.num, self.den)
         return Scalar(
             self.table,
             self.rat * other.rat,
@@ -484,6 +529,8 @@ class Scalar:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
+        if self.num is self.den and other.num is other.den:
+            return Scalar(self.table, self.rat / other.rat, self.num, self.den)
         return Scalar(
             self.table,
             self.rat / other.rat,
@@ -512,7 +559,7 @@ class Scalar:
         if self.is_rational():
             return str(self.rat)
         shown = _p_scale(self.num, self.rat)
-        if self.den == _p_const(len(self.table), Fraction(1)):
+        if self.den == self.table._unit:
             return _p_str(shown, self.table.names)
         return f"({_p_str(shown, self.table.names)})/({_p_str(self.den, self.table.names)})"
 
@@ -584,19 +631,29 @@ def monomial_expansion(
     if not scalars:
         return [], []
     table = scalars[0].table
-    width = len(table)
-    den: _Poly = _p_const(width, Fraction(1))
+    unit = table._unit
+    den = unit
     for s in scalars:
         if s.table != table:
             raise SymbolTableMismatch("monomial expansion over mixed symbol tables")
-        g = _p_gcd(den, s.den)
-        den = _p_mul(den, _p_div_exact(s.den, g))
-    vectors: List[_Poly] = [
-        _p_scale(_p_mul(s.num, _p_div_exact(den, s.den)), s.rat) for s in scalars
-    ]
+        if s.den is unit:
+            continue
+        if den is unit:
+            den = s.den
+        else:
+            den = _p_mul(den, _p_div_exact(s.den, _p_gcd(den, s.den)))
+    vectors: List[_Poly] = []
+    for s in scalars:
+        if s.den is den:
+            cofactor = s.num
+        elif s.den is unit:
+            cofactor = _p_mul(s.num, den)
+        else:
+            cofactor = _p_mul(s.num, _p_div_exact(den, s.den))
+        vectors.append(_p_scale(cofactor, s.rat))
     monos = sorted({m for v in vectors for m in v})
-    basis = [Scalar(table, Fraction(1), {m: Fraction(1)}, den) for m in monos]
-    return [[v.get(m, Fraction(0)) for m in monos] for v in vectors], basis
+    basis = [Scalar(table, _ONE, {m: _ONE}, den) for m in monos]
+    return [[v.get(m, _ZERO) for m in monos] for v in vectors], basis
 
 
 def monomial_vectors(scalars: Sequence[Scalar]) -> List[List[Fraction]]:
@@ -699,6 +756,13 @@ class IntMatrix:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         self.rows = rows
+
+    @classmethod
+    def _of_int_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        """Wrap rows already known to be rectangular and made of Python ints."""
+        m = cls.__new__(cls)
+        m.rows = tuple(map(tuple, rows))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -863,7 +927,7 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
-    return IntMatrix(u), IntMatrix(m), IntMatrix(v)
+    return IntMatrix._of_int_rows(u), IntMatrix._of_int_rows(m), IntMatrix._of_int_rows(v)
 
 
 def _selftest() -> None:  # pragma: no cover

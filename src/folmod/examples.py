@@ -18,7 +18,8 @@ example   configuration
 4         Cremer corners (non-resonant, non-linearizable); the moduli
           group carries two opaque atom factors
 5         a geodesic of four rigid joints connected by three resonant
-          length-two chains; the moduli group is C* + Z/4 + Z/6
+          length-two chains; the moduli group is C* + Z/4 + Z/6, which
+          reports print in invariant-factor form as ``C* (+) Z/2 (+) Z/12``
 6         two rigid components joined through a dicritical component; the
           red parts are single vertices and the moduli group is trivial
 ========  ==================================================================

@@ -7,8 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from folmod.abgroup import _signnorm
 from folmod.exactnum import (
     IntMatrix,
     NotRationalError,
@@ -253,3 +255,106 @@ class TestMonomialVectors:
         assert len(vecs[0]) == len(vecs[1]) == 3
         assert sum(1 for x in vecs[0] if x) == 2
         assert sum(1 for x in vecs[1] if x) == 1
+
+
+# Raw Scalar inputs ``(rat, num, den)``: the polynomials are the internal
+# ``{exponent tuple: Fraction}`` dicts that ``Scalar.__init__`` normalizes.
+# Numerators and denominators are constant about half the time, so both the
+# rational fast path and the general polynomial path run.
+RAW_TABLES = {0: SymbolTable([]), 1: SymbolTable(["mu"]), 2: TABLE}
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def raw_polys(draw, width: int, nonzero: bool = False) -> dict:
+    if width == 0 or draw(st.booleans()):
+        c = draw(coefficients.filter(bool) if nonzero else coefficients)
+        return {(0,) * width: c} if c else {}
+    monos = draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * width), min_size=1, max_size=3, unique=True)
+    )
+    out = {m: c for m in monos if (c := draw(coefficients))}
+    if nonzero and not out:
+        out[monos[0]] = Fraction(1)
+    return out
+
+
+@st.composite
+def raw_scalar_lists(draw, max_size: int) -> tuple:
+    """``(table, [(rat, num, den), ...])`` over one table, ``den`` nonzero."""
+    width = draw(st.sampled_from(sorted(RAW_TABLES)))
+    raw = st.tuples(coefficients, raw_polys(width), raw_polys(width, nonzero=True))
+    return RAW_TABLES[width], draw(st.lists(raw, min_size=1, max_size=max_size))
+
+
+def _to_sympy(poly: dict, table: SymbolTable):
+    syms = sympy.symbols(table.names) if len(table) else ()
+    total = sympy.Integer(0)
+    for mono, c in poly.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for x, e in zip(syms, mono):
+            term *= x**e
+        total += term
+    return total
+
+
+def _scalar_to_sympy(s: Scalar):
+    rat = sympy.Rational(s.rat.numerator, s.rat.denominator)
+    return rat * _to_sympy(s.num, s.table) / _to_sympy(s.den, s.table)
+
+
+def _is_primitive_positive(poly: dict) -> bool:
+    """Integer coefficients with gcd 1 and a positive graded-lex leading one."""
+    if any(c.denominator != 1 for c in poly.values()):
+        return False
+    if math.gcd(*(c.numerator for c in poly.values())) != 1:
+        return False
+    leading = max(poly, key=lambda m: (sum(m), m))
+    return poly[leading] > 0
+
+
+class TestNormalForm:
+    """``Scalar(table, rat, num, den)`` against ``sympy.cancel``."""
+
+    @settings(deadline=None)
+    @given(raw_scalar_lists(max_size=1))
+    def test_matches_sympy_cancel(self, data: tuple) -> None:
+        table, [(r, num, den)] = data
+        s = Scalar(table, r, num, den)
+        expected = sympy.cancel(
+            sympy.Rational(r.numerator, r.denominator)
+            * _to_sympy(num, table)
+            / _to_sympy(den, table)
+        )
+        assert sympy.cancel(_scalar_to_sympy(s) - expected) == 0
+        assert _is_primitive_positive(s.num) and _is_primitive_positive(s.den)
+        assert sympy.gcd(_to_sympy(s.num, table), _to_sympy(s.den, table)) == 1
+        unit = {(0,) * len(table): Fraction(1)}
+        if expected.is_Rational:
+            assert s.num == s.den == unit
+            assert s.rat == Fraction(int(expected.p), int(expected.q))
+            assert s.is_rational()
+        else:
+            assert not s.is_rational()
+        assert s.is_polynomial() == (s.den == unit)
+
+    @settings(deadline=None)
+    @given(raw_scalar_lists(max_size=4))
+    def test_monomial_expansion_recomposes_mixed_denominators(self, data: tuple) -> None:
+        table, raws = data
+        sc = [Scalar(table, r, num, den) for r, num, den in raws]
+        vectors, basis = monomial_expansion(sc)
+        shown = [_scalar_to_sympy(b) for b in basis]
+        for s, vec in zip(sc, vectors):
+            acc = sum(sympy.Rational(f.numerator, f.denominator) * b for f, b in zip(vec, shown))
+            assert sympy.cancel(acc - _scalar_to_sympy(s)) == 0
+
+    # the structural sign rule of the lattice display agrees with the
+    # rendered-text rule it replaced
+    @settings(deadline=None)
+    @given(raw_scalar_lists(max_size=1))
+    def test_signnorm_matches_rendered_sign(self, data: tuple) -> None:
+        table, [(r, num, den)] = data
+        s = Scalar(table, r, num, den)
+        assert _signnorm(s) == (-s if str(s).startswith("-") else s)
