@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import (
     Iterable,
@@ -272,7 +273,7 @@ def _int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]
     rows = [r for r in rows if any(r)]
     if not rows:
         return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    u, d, v = smith_normal_form(IntMatrix(rows))
+    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
     diag = d.diagonal()
     basis = []
     for i in range(ncols):
@@ -289,7 +290,7 @@ def _int_solve(
         return [0] * ncols
     if ncols == 0:
         return [] if all(x == 0 for x in b) else None
-    u, d, v = smith_normal_form(IntMatrix(rows))
+    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
     ub = [sum(u.rows[i][k] * b[k] for k in range(len(b))) for i in range(len(rows))]
     diag = d.diagonal()
     y = [0] * ncols
@@ -398,9 +399,21 @@ class PresentedAbelianGroup:
     'Z/2 (+) Z/4'
     >>> classify(PresentedAbelianGroup.trivial(t)).text()
     '0'
+
+    Groups are values: equality and hashing are structural, the normal form
+    behind :func:`classify`, :func:`cokernel` and :func:`normalize_with_maps`
+    is memoized on them, and :func:`kernel` on homs between them.  Two
+    invariants make that safe:
+
+    - no code assigns to a group's attributes after construction, except
+      that the hash is computed on first use and kept; the relations, atoms
+      and their Scalars are immutable;
+    - a memoized result is shared by every caller that passes an equal
+      group, so its maps may have an equal but not identical domain or
+      codomain; nothing compares groups by identity.
     """
 
-    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms")
+    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash")
 
     def __init__(
         self,
@@ -433,6 +446,7 @@ class PresentedAbelianGroup:
         self.disc_rank = int(disc_rank)
         self.relations = relations
         self.atoms = atoms
+        self._hash: Optional[int] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -491,9 +505,11 @@ class PresentedAbelianGroup:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.table, self.cont_rank, self.disc_rank, self.relations, self.atoms)
-        )
+        if self._hash is None:
+            self._hash = hash(
+                (self.table, self.cont_rank, self.disc_rank, self.relations, self.atoms)
+            )
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -551,9 +567,15 @@ class GroupHom:
     >>> check_hom(f)
     >>> classify(kernel(f).group).text()
     'Z/2'
+
+    Homomorphisms are values like groups: equality and hashing are
+    structural (the hash is kept after first use), :func:`kernel` memoizes
+    on them, and no code assigns to a hom's other attributes after
+    construction.  The images are tuples of immutable Scalars and ints, so
+    a hom held by a memoized result can be shared by every caller.
     """
 
-    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images")
+    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash")
 
     def __init__(
         self,
@@ -588,6 +610,7 @@ class GroupHom:
         self.cont_images = cont_images
         self.disc_images = disc_images
         self.atom_images = atom_images
+        self._hash: Optional[int] = None
 
     def apply(
         self, cont: Sequence[Scalar], disc: Sequence[int]
@@ -614,6 +637,13 @@ class GroupHom:
             and self.disc_images == other.disc_images
             and self.atom_images == other.atom_images
         )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(
+                (self.dom, self.cod, self.cont_images, self.disc_images, self.atom_images)
+            )
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<GroupHom {self.dom!r} -> {self.cod!r}>"
@@ -673,7 +703,7 @@ def _int_rows_from_scalar_columns(
             denom = 1
             for f in fracs:
                 denom = lcm(denom, f.denominator)
-            ints = [int(f * denom) for f in fracs]
+            ints = [f.numerator * (denom // f.denominator) for f in fracs]
             rows.append(ints[:-1])
             rhs.append(ints[-1])
     return rows, rhs
@@ -1019,7 +1049,7 @@ def _step_discrete_smith(
         s = GroupHom(g2, g, ident.cont_images, ident.disc_images, ident.atom_images)
         return g2, t, s
 
-    u, dmat, v = smith_normal_form(IntMatrix([d for _, d in rows]))
+    u, dmat, v = smith_normal_form(IntMatrix._of_int_rows([d for _, d in rows]))
     vrows = [list(r) for r in v.rows]
     vinv = _int_inverse(vrows)
     nrel = len(rows)
@@ -1219,6 +1249,12 @@ def _split_cont_blocks(
     return blocks
 
 
+# Bound of the normal form memo shared by classify, cokernel and
+# normalize_with_maps.
+NORMALIZE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
 def _normalize_full(
     g: PresentedAbelianGroup,
 ) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom, "NormalFormReport"]:
@@ -1471,7 +1507,15 @@ def kernel(h: GroupHom) -> KernelResult:
     collapse to zero (they enter the kernel whole) or map by identity (they
     avoid it); the quotient map on an atom has a kernel this model cannot
     present, raising :class:`UnsupportedAtomMap`.
+
+    The result is memoized on ``h`` in a bounded cache of
+    ``KERNEL_CACHE_SIZE`` entries and shared between equal homs; its group
+    and inclusion are immutable values (see :class:`PresentedAbelianGroup`).
     """
+    return _kernel_cached(h)
+
+
+def _kernel(h: GroupHom) -> KernelResult:
     table = h.dom.table
     zero = Scalar.zero(table)
     kernel_atoms: List[AtomFactor] = []
@@ -1598,6 +1642,10 @@ def kernel(h: GroupHom) -> KernelResult:
         tuple(kernel_atom_indices),
     )
     return KernelResult(kg, inclusion)
+
+
+KERNEL_CACHE_SIZE = 32
+_kernel_cached = lru_cache(maxsize=KERNEL_CACHE_SIZE)(_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -553,6 +554,10 @@ class Scalar:
         )
 
     def __hash__(self) -> int:
+        # Equal Scalars are both rational or both not (shared unit invariant).
+        unit = self.table._unit
+        if self.num is unit and self.den is unit:
+            return hash(self.rat)
         return hash((self.table, self.rat, _p_key(self.num), _p_key(self.den)))
 
     def __str__(self) -> str:
@@ -843,6 +848,9 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     ``u`` and ``v`` are unimodular, ``d = u * a * v`` is diagonal with
     nonnegative entries satisfying ``d[0] | d[1] | ...``.
 
+    Results are memoized on the (immutable) matrix in a bounded cache of
+    ``SNF_CACHE_SIZE`` entries, so a repeated matrix shares one result.
+
     >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> d.diagonal()
     [2, 4]
@@ -851,6 +859,10 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     >>> abs(u.det()), abs(v.det())
     (1, 1)
     """
+    return _snf_cached(a)
+
+
+def _smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     nrows, ncols = a.nrows, a.ncols
     m = [list(r) for r in a.rows]
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
@@ -876,15 +888,25 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[i], row[j] = row[j], row[i]
 
+    def pivot(t: int) -> Optional[Tuple[int, int]]:
+        # The first entry of minimal nonzero magnitude in the trailing block,
+        # row-major; nothing beats a unit, so the scan stops at the first one.
+        best, best_abs = None, 0
+        for i in range(t, nrows):
+            row = m[i]
+            for j in range(t, ncols):
+                if row[j]:
+                    a = abs(row[j])
+                    if best is None or a < best_abs:
+                        best, best_abs = (i, j), a
+                        if a == 1:
+                            return best
+        return best
+
     def diagonalize() -> None:
         t = 0
         while t < min(nrows, ncols):
-            # Pivot: entry of minimal nonzero magnitude in the trailing block.
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
+            best = pivot(t)
             if best is None:
                 return
             i, j = best
@@ -892,22 +914,22 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                 swap_rows(i, t)
             if j != t:
                 swap_cols(j, t)
+            # Row operations never touch row t and column operations never
+            # touch column t, so a clean pass leaves both cleared.
             dirty = False
+            p = m[t][t]
             for i in range(nrows):
                 if i != t and m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
+                    row_op(i, t, m[i][t] // p)
                     if m[i][t] != 0:
                         dirty = True
+            mt = m[t]
             for j in range(ncols):
-                if m[t][j] != 0 and j != t:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j] != 0:
+                if mt[j] != 0 and j != t:
+                    col_op(j, t, mt[j] // p)
+                    if mt[j] != 0:
                         dirty = True
-            if not dirty and all(m[i][t] == 0 for i in range(nrows) if i != t) and all(
-                m[t][j] == 0 for j in range(ncols) if j != t
-            ):
+            if not dirty:
                 t += 1
 
     diagonalize()
@@ -928,6 +950,12 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
     return IntMatrix._of_int_rows(u), IntMatrix._of_int_rows(m), IntMatrix._of_int_rows(v)
+
+
+# Bound of the Smith form memo: enough for the distinct matrices one
+# cohomology computation revisits, small enough to keep memory flat.
+SNF_CACHE_SIZE = 128
+_snf_cached = lru_cache(maxsize=SNF_CACHE_SIZE)(_smith_normal_form)
 
 
 def _selftest() -> None:  # pragma: no cover

@@ -1623,28 +1623,32 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
         gv = G.vertex_group(v)
         generators.extend((v, x) for x in gv.elements() if x != gv.identity)
 
+    # Each generator permutes the values of the edges it touches; tabulate
+    # those permutations once so the search only looks values up.
     ends = [g.endpoints(e) for e in eids]
-    rho_imgs: Dict[Tuple[Id, Id], Tuple[int, ...]] = {}
-    for i, e in enumerate(eids):
-        for v in set(ends[i]):
-            rho_imgs[(v, e)] = G.rho(v, e).images
-
-    def act(z: Tuple[int, ...], v: Id, x: int) -> Tuple[int, ...]:
-        out = list(z)
+    tables: List[List[Tuple[int, Tuple[int, ...]]]] = []
+    for v, x in generators:
+        table: List[Tuple[int, Tuple[int, ...]]] = []
         for i, e in enumerate(eids):
             t, h = ends[i]
             if v != t and v != h:
                 continue
             ge = egroups[i]
-            r = rho_imgs[(v, e)][x]
-            val = out[i]
+            r = G.rho(v, e).images[x]
+            ri = ge.inv(r)
             if t == v and h == v:
-                val = ge.mul(ge.inv(r), ge.mul(val, r))
+                perm = tuple(ge.mul(ri, ge.mul(val, r)) for val in range(ge.order))
             elif t == v:
-                val = ge.mul(ge.inv(r), val)
+                perm = tuple(ge.mul(ri, val) for val in range(ge.order))
             else:
-                val = ge.mul(val, r)
-            out[i] = val
+                perm = tuple(ge.mul(val, r) for val in range(ge.order))
+            table.append((i, perm))
+        tables.append(table)
+
+    def act(z: Tuple[int, ...], table: List[Tuple[int, Tuple[int, ...]]]) -> Tuple[int, ...]:
+        out = list(z)
+        for i, perm in table:
+            out[i] = perm[out[i]]
         return tuple(out)
 
     seen: Dict[Tuple[int, ...], bool] = {}
@@ -1659,8 +1663,8 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
         while qi < len(orbit):
             cur = orbit[qi]
             qi += 1
-            for v, x in generators:
-                nxt = act(cur, v, x)
+            for table in tables:
+                nxt = act(cur, table)
                 if nxt not in seen:
                     seen[nxt] = True
                     orbit.append(nxt)

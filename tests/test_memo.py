@@ -1,0 +1,265 @@
+"""Memoized algebra: Smith forms, normal forms and kernels are computed once.
+
+`smith_normal_form`, the normal form behind `classify`/`cokernel` and
+`kernel` keep bounded caches keyed on immutable values.  These tests pin
+down that a cached answer is the answer a fresh computation gives, that
+the caches stay within their bounds, and that the public functions stay
+plain functions (profilers and doctest discovery rely on that).
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import inspect
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from folmod import abgroup, cli, exactnum, foliation, gg, oracle
+from folmod.abgroup import (
+    GroupHom,
+    PresentedAbelianGroup,
+    Relation,
+    classify,
+    cokernel,
+    kernel,
+)
+from folmod.exactnum import IntMatrix, Scalar, SymbolTable, smith_normal_form
+
+TABLE = SymbolTable(["mu"])
+ONE = Scalar.one(TABLE)
+MU = Scalar.symbol(TABLE, "mu")
+
+CACHES = (
+    (exactnum._snf_cached, exactnum.SNF_CACHE_SIZE),
+    (abgroup._normalize_full, abgroup.NORMALIZE_CACHE_SIZE),
+    (abgroup._kernel_cached, abgroup.KERNEL_CACHE_SIZE),
+)
+
+
+def clear_caches() -> None:
+    for cache, _ in CACHES:
+        cache.cache_clear()
+
+
+def reference_snf(a: IntMatrix):
+    """The Smith normal form algorithm as it was before memoization."""
+    nrows, ncols = a.nrows, a.ncols
+    m = [list(r) for r in a.rows]
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i, j, q):
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        for row in m:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def diagonalize():
+        t = 0
+        while t < min(nrows, ncols):
+            best = None
+            for i in range(t, nrows):
+                for j in range(t, ncols):
+                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                return
+            i, j = best
+            if i != t:
+                swap_rows(i, t)
+            if j != t:
+                swap_cols(j, t)
+            dirty = False
+            for i in range(nrows):
+                if i != t and m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    row_op(i, t, q)
+                    if m[i][t] != 0:
+                        dirty = True
+            for j in range(ncols):
+                if m[t][j] != 0 and j != t:
+                    q = m[t][j] // m[t][t]
+                    col_op(j, t, q)
+                    if m[t][j] != 0:
+                        dirty = True
+            if not dirty and all(m[i][t] == 0 for i in range(nrows) if i != t) and all(
+                m[t][j] == 0 for j in range(ncols) if j != t
+            ):
+                t += 1
+
+    diagonalize()
+    while True:
+        rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i] != 0)
+        offender = None
+        for i in range(rank - 1):
+            if m[i + 1][i + 1] % m[i][i] != 0:
+                offender = i
+                break
+        if offender is None:
+            break
+        row_op(offender, offender + 1, -1)
+        diagonalize()
+    for i in range(min(nrows, ncols)):
+        if m[i][i] < 0:
+            m[i] = [-x for x in m[i]]
+            u[i] = [-x for x in u[i]]
+    return IntMatrix(u), IntMatrix(m), IntMatrix(v)
+
+
+@st.composite
+def int_matrices(draw) -> IntMatrix:
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6)) if nrows else 0
+    # Mostly small entries with many zeros and units, as cohomology makes.
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-40, 40))
+    return IntMatrix([[draw(entry) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def scalar(draw) -> Scalar:
+    c = draw(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), 3]))
+    return Scalar.rational(TABLE, c) * (MU if draw(st.booleans()) else ONE)
+
+
+@st.composite
+def homs(draw) -> GroupHom:
+    """A hom from a free group onto a quotient of ``C^c (+) Z^d``.
+
+    A free domain makes any choice of images a homomorphism.
+    """
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    c, d = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    relations = []
+    for _ in range(draw(st.integers(0, 2))):
+        relations.append(
+            Relation(
+                tuple(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c)),
+                tuple(draw(st.integers(-6, 6)) for _ in range(d)),
+                "Z",
+            )
+        )
+    cod = PresentedAbelianGroup(TABLE, c, d, relations)
+    dom = PresentedAbelianGroup(TABLE, a, b)
+    cont = [tuple(scalar(draw) for _ in range(c)) for _ in range(a)]
+    disc = [
+        (
+            tuple(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c)),
+            tuple(draw(st.integers(-6, 6)) for _ in range(d)),
+        )
+        for _ in range(b)
+    ]
+    return GroupHom(dom, cod, cont, disc)
+
+
+def copy_hom(h: GroupHom) -> GroupHom:
+    """An equal hom built from scratch, sharing no object with ``h``."""
+    dom = PresentedAbelianGroup.from_json(json.loads(json.dumps(h.dom.to_json())))
+    cod = PresentedAbelianGroup.from_json(json.loads(json.dumps(h.cod.to_json())))
+    return GroupHom.from_json(dom, cod, json.loads(json.dumps(h.to_json())))
+
+
+class TestSmithNormalForm:
+    @settings(deadline=None, max_examples=300)
+    @given(int_matrices())
+    def test_matches_reference_algorithm(self, a: IntMatrix) -> None:
+        clear_caches()
+        got = smith_normal_form(a)
+        assert got == reference_snf(a)
+        assert smith_normal_form(IntMatrix(a.rows)) is got
+
+    def test_matches_reference_on_a_divisibility_repair(self) -> None:
+        a = IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+        assert smith_normal_form(a) == reference_snf(a)
+        assert smith_normal_form(a)[1].diagonal() == [1, 1, 30]
+
+
+class TestMemoizedResults:
+    @settings(deadline=None, max_examples=60)
+    @given(homs())
+    def test_cached_equals_recomputed(self, h: GroupHom) -> None:
+        ker, cok, rep = kernel(h), cokernel(h), classify(h.cod)
+        same = copy_hom(h)
+        assert kernel(same) is ker
+        assert classify(same.cod) is rep
+        clear_caches()
+        ker2, cok2, rep2 = kernel(h), cokernel(h), classify(h.cod)
+        assert ker2 is not ker
+        assert (ker2, cok2) == (ker, cok)
+        assert rep2 == rep and rep2.group == rep.group
+
+    def test_symbolic_kernel(self) -> None:
+        torus = PresentedAbelianGroup.lattice_quotient(TABLE, [ONE, MU])
+        h = GroupHom(PresentedAbelianGroup.free_cont(TABLE, 1), torus, [(ONE,)])
+        ker = kernel(h)
+        clear_caches()
+        assert kernel(copy_hom(h)) == ker
+        assert classify(ker.group).text() == "Z^2"
+
+    @settings(deadline=None, max_examples=60)
+    @given(homs())
+    def test_equal_homs_hash_equal(self, h: GroupHom) -> None:
+        same = copy_hom(h)
+        assert same == h and same is not h
+        assert hash(same) == hash(h)
+        assert hash(same.dom) == hash(h.dom) and hash(same.cod) == hash(h.cod)
+
+    def test_equal_scalars_hash_equal(self) -> None:
+        half = Scalar.rational(TABLE, 1, 2)
+        assert hash(MU / (MU + MU)) == hash(half)
+        assert hash((MU * MU - ONE) / (MU + ONE)) == hash(MU - ONE)
+
+
+def test_caches_stay_bounded_after_the_oracle() -> None:
+    assert oracle.run_oracle(seed=0).ok
+    for cache, bound in CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert 0 < info.currsize <= bound
+
+
+@pytest.mark.parametrize("module", [exactnum, abgroup, gg, foliation, oracle, cli])
+def test_public_callables_are_plain_functions(module) -> None:
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj) and not isinstance(obj, type):
+            assert inspect.isfunction(obj), f"{module.__name__}.{name}"
+
+
+def _geodesic_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "geodesic.py"
+    spec = importlib.util.spec_from_file_location("perfbench_geodesic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_k17_geodesic_moduli(tmp_path, capsys) -> None:
+    geo = _geodesic_module()
+    periods = geo.chain_periods(17, random.Random("geodesic-0-17"))
+    path = tmp_path / "k17.json"
+    path.write_text(json.dumps(geo.geodesic_doc(periods)), encoding="utf-8")
+    code = cli.main(["moduli", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    want = geo.expected_moduli_text(periods)
+    assert payload["agree"] is True
+    assert [p["moduli"]["text"] for p in payload["pipelines"]] == [want, want]
