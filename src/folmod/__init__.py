@@ -26,6 +26,7 @@ from .foliation import (
     PipelineError,
     TCviolated,
     check_tc,
+    compute_moduli,
     compute_moduli_finite_type,
     compute_moduli_nondegenerate,
     dump_input,
@@ -46,6 +47,7 @@ __all__ = [
     "PipelineError",
     "TCviolated",
     "check_tc",
+    "compute_moduli",
     "compute_moduli_finite_type",
     "compute_moduli_nondegenerate",
     "dump_input",

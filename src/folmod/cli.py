@@ -29,9 +29,7 @@ from .foliation import (
     FoliationError,
     PipelineError,
     check_tc,
-    compute_moduli_finite_type,
-    compute_moduli_nondegenerate,
-    is_non_degenerate,
+    compute_moduli,
     load_input,
     validate,
 )
@@ -69,7 +67,7 @@ def _parse_input(path: str):
     doc = _load_json(path)
     try:
         return load_input(doc)
-    except (FoliationError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         raise SystemExit(_fail(f"{path}: {err}", EXIT_PARSE))
 
 
@@ -102,16 +100,8 @@ def run_moduli(path: str, fmt: str = "text") -> int:
         for line in violations:
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_VIOLATIONS
-    reports = []
     try:
-        if is_non_degenerate(inp.divisor, inp.singularities, inp.holonomies):
-            reports.append(compute_moduli_nondegenerate(inp.divisor, inp.singularities, inp.holonomies))
-        reports.append(compute_moduli_finite_type(inp.divisor, inp.singularities, inp.holonomies))
-        if len(reports) == 2 and reports[0].moduli != reports[1].moduli:
-            raise PipelineError(
-                "pipelines disagree: "
-                f"{reports[0].moduli.text()} vs {reports[1].moduli.text()}"
-            )
+        reports = compute_moduli(inp.divisor, inp.singularities, inp.holonomies)
     except FoliationError as err:
         return _fail(f"{type(err).__name__}: {err}", EXIT_PIPELINE)
     except PipelineError as err:

@@ -21,11 +21,13 @@ The computation runs in stages, each exposed as its own operation:
    — the sheaf of transverse symmetries on ``R``, its flow part, and the
    totally discontinuous quotient, tied together by an elementwise short
    exact sequence.
-5. :func:`compute_moduli_nondegenerate` / :func:`compute_moduli_finite_type`
-   — the two pipelines assembling ``H^1(R, Sym)`` into a
-   :class:`ModuliReport`, either through singular chains (non-degenerate
-   case) or through zones and a four-term exact sequence
-   ``Z^p -> C^tau -> Mod -> D -> 0`` (finite-type case).
+5. :func:`compute_moduli` — the two pipelines assembling ``H^1(R, Sym)``
+   into a :class:`ModuliReport`, either through singular chains
+   (non-degenerate case) or through zones and a four-term exact sequence
+   ``Z^p -> C^tau -> Mod -> D -> 0`` (finite-type case).  It builds one SES
+   and one LES, and both reports are views of them;
+   :func:`compute_moduli_nondegenerate` / :func:`compute_moduli_finite_type`
+   return one report each.
 
 Inputs are plain data (:class:`MarkedDivisor`, :class:`SingularityData`,
 :class:`VertexHolonomy`) and can be read from and written to a JSON document
@@ -77,6 +79,7 @@ from .gg import (
     mayer_vietoris,
     prune_all,
     _chain1,
+    _check_id,
     _id_key,
 )
 
@@ -111,7 +114,6 @@ __all__ = [
     "check_tc",
     "build_cut_graph",
     "color",
-    "prune_green_branches",
     "singular_chains",
     "chain_counts",
     "tau",
@@ -120,6 +122,7 @@ __all__ = [
     "build_sym_graph",
     "build_exp_graph",
     "build_dis_graph",
+    "compute_moduli",
     "compute_moduli_nondegenerate",
     "compute_moduli_finite_type",
     "validate",
@@ -135,6 +138,10 @@ SCHEMA_VERSION = 1
 #: Symbol name reserved for the imaginary period of a linearizable local
 #: flow; every input table that declares linearizable corners must carry it.
 TAU_SYMBOL = "tau_i"
+
+#: Largest ``^`` exponent :func:`parse_scalar` accepts.  ``str(scalar)`` of
+#: the bundled examples prints exponents up to 4.
+MAX_EXPONENT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +179,13 @@ class UnsupportedSideData(FoliationError):
     incompatible parameters across a corner, failed transports)."""
 
 
+def _int(value: object, name: str) -> int:
+    """``value`` itself when it is an int; a bool, float or string raises."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FoliationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class PipelineError(RuntimeError):
     """An internal cross-check backed by a structure theorem failed."""
 
@@ -204,8 +218,9 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     """Parse an exact scalar expression over the given symbol table.
 
     The grammar covers integers, registered symbol names, ``+ - * /``,
-    integer powers with ``^`` and parentheses; it accepts everything
-    ``str(scalar)`` prints, so scalars round-trip through text.
+    integer powers with ``^`` (exponents up to :data:`MAX_EXPONENT`) and
+    parentheses; it accepts everything ``str(scalar)`` prints, so scalars
+    round-trip through text.
 
     >>> t = SymbolTable(["alpha_t"])
     >>> str(parse_scalar(t, "-2*alpha_t"))
@@ -218,6 +233,10 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     Traceback (most recent call last):
         ...
     folmod.foliation.FoliationError: unknown symbol 'beta' in scalar expression
+    >>> parse_scalar(t, "alpha_t^65")
+    Traceback (most recent call last):
+        ...
+    folmod.foliation.FoliationError: exponent 65 exceeds 64 in scalar expression
     """
     tokens = _tokenize(text)
     pos = 0
@@ -257,8 +276,11 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
             kind, value = take()
             if kind != "int":
                 raise FoliationError("exponent must be a literal integer")
+            n = int(value)
+            if n > MAX_EXPONENT:
+                raise FoliationError(f"exponent {n} exceeds {MAX_EXPONENT} in scalar expression")
             out = Scalar.one(table)
-            for _ in range(int(value)):
+            for _ in range(n):
                 out = out * base
             return out
         return base
@@ -369,9 +391,9 @@ class SideType:
 
     @classmethod
     def periodic(cls, q: int = 1) -> "SideType":
-        if q < 1:
+        if _int(q, "q") < 1:
             raise FoliationError("a periodic local holonomy has order >= 1")
-        return cls("P", q=int(q))
+        return cls("P", q=q)
 
     @classmethod
     def linearizable(cls) -> "SideType":
@@ -385,22 +407,22 @@ class SideType:
 
     @classmethod
     def resonant_normalizable(cls, p: int, r: int) -> "SideType":
-        if p < 1 or r < 0:
+        if _int(p, "p") < 1 or _int(r, "r") < 0:
             raise FoliationError("resonant invariants need p >= 1 and r >= 0")
-        return cls("R1", p=int(p), r=int(r))
+        return cls("R1", p=p, r=r)
 
     @classmethod
     def resonant_non_normalizable(
         cls, p: int, r: int, m: int, beta_image_order: Optional[int] = None
     ) -> "SideType":
-        if p < 1 or r < 0 or m < 1:
+        if _int(p, "p") < 1 or _int(r, "r") < 0 or _int(m, "m") < 1:
             raise FoliationError("resonant invariants need p >= 1, r >= 0, m >= 1")
-        q = p if beta_image_order is None else int(beta_image_order)
+        q = p if beta_image_order is None else _int(beta_image_order, "beta_image_order")
         if q < 1 or p % q != 0 or r % (p // q) != 0:
             raise FoliationError(
                 "beta_image_order must divide p, with p/beta_image_order dividing r"
             )
-        return cls("R0", p=int(p), r=int(r), m=int(m), beta_image_order=q)
+        return cls("R0", p=p, r=r, m=m, beta_image_order=q)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SideType) and self._key() == other._key()
@@ -435,7 +457,7 @@ class SideType:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SideType":
-        kind = data.get("kind")
+        kind = _object(data, "a local type").get("kind")
         if kind == "P":
             return cls.periodic(data.get("q", 1))
         if kind == "L1":
@@ -498,6 +520,8 @@ class SingularityData:
         self.table = table
         items: Dict[Tuple[Id, Id], SideData] = {}
         for (point, comp), data in sides.items():
+            for x in (point, comp):
+                _check_id(x)
             if not isinstance(data, SideData):
                 raise FoliationError(f"side ({point!r}, {comp!r}) is not SideData")
             if data.cs is not None and data.cs.table != table:
@@ -538,9 +562,12 @@ class Component:
         self_intersection: Optional[int] = None,
         topologically_rigid: bool = False,
     ):
+        _check_id(id)
         self.id = id
         self.dicritical = bool(dicritical)
-        self.self_intersection = self_intersection
+        self.self_intersection = (
+            None if self_intersection is None else _int(self_intersection, "self_intersection")
+        )
         self.topologically_rigid = bool(topologically_rigid)
 
     def __repr__(self) -> str:
@@ -559,6 +586,8 @@ class Corner:
 
     def __init__(self, id: Id, components: Sequence[Id], *, in_sigma: bool = True):
         comps = tuple(components)
+        for x in (id, *comps):
+            _check_id(x)
         if len(comps) != 2 or comps[0] == comps[1]:
             raise FoliationError(f"corner {id!r} must join two distinct components")
         self.id = id
@@ -576,6 +605,8 @@ class Attachment:
     __slots__ = ("id", "component", "in_sigma")
 
     def __init__(self, id: Id, component: Id, *, in_sigma: bool = True):
+        for x in (id, component):
+            _check_id(x)
         self.id = id
         self.component = component
         self.in_sigma = bool(in_sigma)
@@ -671,12 +702,12 @@ class FiniteHolonomy:
     kind = "finite"
 
     def __init__(self, n: int, orders: Optional[Mapping[Id, int]] = None):
-        if n < 1:
+        if _int(n, "n") < 1:
             raise FoliationError("a finite holonomy group has order >= 1")
-        self.n = int(n)
+        self.n = n
         self.orders = dict(orders or {})
         for point, order in self.orders.items():
-            if order < 1:
+            if _int(order, f"local holonomy order at {point!r}") < 1:
                 raise FoliationError(f"local holonomy order at {point!r} must be >= 1")
 
     def __repr__(self) -> str:
@@ -704,7 +735,7 @@ class NonabelianHolonomy:
     kind = "nonabelian"
 
     def __init__(self, invariant_factors: Sequence[int] = ()):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = tuple(_int(d, "each invariant factor") for d in invariant_factors)
         if any(d < 1 for d in factors):
             raise FoliationError("invariant factors must be >= 1")
         self.invariant_factors = factors
@@ -731,6 +762,7 @@ class VertexHolonomy:
     def __init__(self, classes: Mapping[Id, HolonomyClass]):
         self._classes = dict(classes)
         for comp, cls in self._classes.items():
+            _check_id(comp)
             if not isinstance(
                 cls, (FiniteHolonomy, AbelianInfiniteHolonomy, NonabelianHolonomy)
             ):
@@ -1014,15 +1046,6 @@ class Coloring:
         self.r0_vertices = frozenset(r0_vertices)
         self.r0_edges = frozenset(r0_edges)
 
-    def r1_graph(self) -> Graph:
-        """The completion of ``R`` minus ``R^0``: its non-rigid edges with
-        both endpoints, plus the non-rigid vertices."""
-        edges = [e for e in self.red.edges if e not in self.r0_edges]
-        vertices = {v for v in self.red.vertices if v not in self.r0_vertices}
-        for e in edges:
-            vertices.update(self.red.endpoints(e))
-        return self.red.subgraph(sorted(vertices, key=_id_key), edges)
-
     def __repr__(self) -> str:
         return (
             f"<Coloring red={len(self.red.vertices)}v/{len(self.red.edges)}e "
@@ -1078,52 +1101,6 @@ def color(
                     f"corner {e!r} is rigid but its endpoint {v!r} is not"
                 )
     return Coloring(cut, vertex_color, edge_color, red, frozenset(r0_vertices), frozenset(r0_edges))
-
-
-# ---------------------------------------------------------------------------
-# Green pruning
-# ---------------------------------------------------------------------------
-
-
-def _finite_orders(vh: VertexHolonomy, v: Id) -> Tuple[int, Dict[Id, int]]:
-    cls = vh.cls(v)
-    if cls.kind != "finite":
-        raise UnsupportedSideData(f"component {v!r} is not green")
-    return cls.n, cls.orders
-
-
-def _green_leaf_prunable(cut: Graph, sing: SingularityData, vh: VertexHolonomy, v: Id) -> bool:
-    (e,) = cut.incident(v)
-    n, orders = _finite_orders(vh, v)
-    if e not in orders:
-        raise UnsupportedSideData(
-            f"component {v!r}: no local holonomy order given at point {e!r}"
-        )
-    return orders[e] == n
-
-
-def prune_green_branches(cut: Graph, sing: SingularityData, vh: VertexHolonomy) -> Graph:
-    """Iteratively remove green leaves whose local holonomy at the stalk
-    generates the whole component holonomy (``n_{v,e} = n_v``).
-
-    Removing such a leaf does not change ``H^1`` of any sheaf of symmetries
-    on the ambient graph, so the result carries the same moduli data.
-    """
-    current = cut
-    while True:
-        for v in current.vertices:
-            if current.valency(v) != 1:
-                continue
-            if vh.cls(v).kind != "finite":
-                continue
-            (e,) = current.incident(v)
-            if _green_leaf_prunable(current, sing, vh, v):
-                keep_v = [u for u in current.vertices if u != v]
-                keep_e = [f for f in current.edges if f != e]
-                current = current.subgraph(keep_v, keep_e)
-                break
-        else:
-            return current
 
 
 # ---------------------------------------------------------------------------
@@ -2437,6 +2414,85 @@ def _trivial_report(c: _Common, table: SymbolTable, pipeline: str) -> ModuliRepo
     return _make_report(c, seq, nf, pipeline)
 
 
+def _reports(
+    c: _Common, divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
+) -> List[ModuliReport]:
+    """The report of every pipeline that applies, from one SES and one LES:
+    the non-degenerate report first (on non-degenerate input), then the
+    finite-type report.  Each theorem-backed check runs once."""
+    if not c.ft.ok:
+        if c.nd.ok:
+            raise PipelineError(
+                "non-degenerate input fails the finite-type certificate: "
+                f"{c.ft.witness}"
+            )
+        raise NotFiniteType(c.ft.witness or "not of finite type")
+    pipelines = ("non_degenerate", "finite_type") if c.nd.ok else ("finite_type",)
+    if not c.coloring.red.vertices:
+        return [_trivial_report(c, sing.table, name) for name in pipelines]
+    ses = _build_ses(c.coloring.red, sing, vh, divisor)
+    _assert_dis_shapes(ses, sing, vh, divisor)
+    les = long_exact_sequence(ses.inclusion, ses.projection)
+    if not c.nd.ok:
+        seq, moduli_nf = _four_term(sing, c.coloring, ses, les, c.tau)
+        return [_make_report(c, seq, moduli_nf, "finite_type")]
+
+    pruned = prune_all(ses.sym)
+    chain_edges = {e for chain in c.chains for e in chain.edges}
+    chain_vertices = {v for chain in c.chains for v in chain.vertices}
+    if set(pruned.graph.edges) != chain_edges:
+        raise PipelineError(
+            f"pruning left edges {sorted(map(str, pruned.graph.edges))}, expected "
+            f"the chain union {sorted(map(str, chain_edges))}"
+        )
+    for v in pruned.graph.vertices:
+        if v not in chain_vertices and pruned.graph.valency(v) != 0:
+            raise PipelineError(f"pruned vertex {v!r} outside the chain union")
+    moduli_nf = classify(h1(pruned))
+
+    counts = c.counts
+    for found, factor, expected, chain_kind in (
+        (len(moduli_nf.lattices), "lattice", counts.linearizable, "linearizable"),
+        (moduli_nf.cstar_count, "C*", counts.resonant_normalizable, "resonant normalizable"),
+        (len(moduli_nf.atoms), "atom", counts.non_resonant_non_linearizable, "non-linearizable"),
+    ):
+        if found != expected:
+            raise PipelineError(f"{found} {factor} factors for {expected} {chain_kind} chains")
+    if moduli_nf.free_cont_rank or moduli_nf.free_disc_rank or moduli_nf.has_nondiscrete:
+        raise PipelineError(f"unexpected free factors in {moduli_nf.text()}")
+    if counts.linearizable + counts.resonant_normalizable != c.tau:
+        raise PipelineError(
+            f"lambda + nu = {counts.linearizable + counts.resonant_normalizable} "
+            f"differs from tau = {c.tau}"
+        )
+
+    seq, moduli_ft = _four_term(sing, c.coloring, ses, les, c.tau)
+    if moduli_ft != moduli_nf:
+        raise PipelineError(
+            f"chain classification {moduli_nf.text()} differs from the sequence "
+            f"classification {moduli_ft.text()}"
+        )
+    return [
+        _make_report(c, seq, moduli_nf, "non_degenerate"),
+        _make_report(c, seq, moduli_ft, "finite_type"),
+    ]
+
+
+def compute_moduli(
+    divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
+) -> List[ModuliReport]:
+    """The moduli reports of every pipeline that applies to the input.
+
+    One SES and one long exact sequence are built; the non-degenerate
+    report (first, on non-degenerate input) and the finite-type report are
+    both read from them, and their classified moduli are verified equal.
+    Raises :class:`NotFiniteType` on input without the repulsivity
+    certificate, :class:`TCviolated` when the position condition fails, and
+    :class:`PipelineError` when a theorem-backed internal check fails.
+    """
+    return _reports(_common(divisor, sing, vh), divisor, sing, vh)
+
+
 def compute_moduli_nondegenerate(
     divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
 ) -> ModuliReport:
@@ -2452,64 +2508,7 @@ def compute_moduli_nondegenerate(
     c = _common(divisor, sing, vh)
     if not c.nd.ok:
         raise NotNonDegenerate(c.nd.witness or "degenerate input")
-    if not c.ft.ok:
-        raise PipelineError(
-            "non-degenerate input fails the finite-type certificate: "
-            f"{c.ft.witness}"
-        )
-    if not c.coloring.red.vertices:
-        return _trivial_report(c, sing.table, "non_degenerate")
-    ses = _build_ses(c.coloring.red, sing, vh, divisor)
-    _assert_dis_shapes(ses, sing, vh, divisor)
-    les = long_exact_sequence(ses.inclusion, ses.projection)
-
-    pruned = prune_all(ses.sym)
-    chain_edges: Set[Id] = set()
-    chain_vertices: Set[Id] = set()
-    for chain in c.chains:
-        chain_edges.update(chain.edges)
-        chain_vertices.update(chain.vertices)
-    if set(pruned.graph.edges) != chain_edges:
-        raise PipelineError(
-            f"pruning left edges {sorted(map(str, pruned.graph.edges))}, expected "
-            f"the chain union {sorted(map(str, chain_edges))}"
-        )
-    for v in pruned.graph.vertices:
-        if v not in chain_vertices and pruned.graph.valency(v) != 0:
-            raise PipelineError(f"pruned vertex {v!r} outside the chain union")
-    moduli_nf = classify(h1(pruned))
-
-    counts = c.counts
-    if len(moduli_nf.lattices) != counts.linearizable:
-        raise PipelineError(
-            f"{len(moduli_nf.lattices)} lattice factors for {counts.linearizable} "
-            "linearizable chains"
-        )
-    if moduli_nf.cstar_count != counts.resonant_normalizable:
-        raise PipelineError(
-            f"{moduli_nf.cstar_count} C* factors for {counts.resonant_normalizable} "
-            "resonant normalizable chains"
-        )
-    if len(moduli_nf.atoms) != counts.non_resonant_non_linearizable:
-        raise PipelineError(
-            f"{len(moduli_nf.atoms)} atom factors for "
-            f"{counts.non_resonant_non_linearizable} non-linearizable chains"
-        )
-    if moduli_nf.free_cont_rank or moduli_nf.free_disc_rank or moduli_nf.has_nondiscrete:
-        raise PipelineError(f"unexpected free factors in {moduli_nf.text()}")
-    if counts.linearizable + counts.resonant_normalizable != c.tau:
-        raise PipelineError(
-            f"lambda + nu = {counts.linearizable + counts.resonant_normalizable} "
-            f"differs from tau = {c.tau}"
-        )
-
-    seq, moduli_ft = _four_term(sing, c.coloring, ses, les, c.tau)
-    if moduli_ft != moduli_nf:
-        raise PipelineError(
-            f"chain classification {moduli_nf.text()} differs from the sequence "
-            f"classification {moduli_ft.text()}"
-        )
-    return _make_report(c, seq, moduli_nf, "non_degenerate")
+    return _reports(c, divisor, sing, vh)[0]
 
 
 def compute_moduli_finite_type(
@@ -2527,20 +2526,7 @@ def compute_moduli_finite_type(
     c = _common(divisor, sing, vh)
     if not c.ft.ok:
         raise NotFiniteType(c.ft.witness or "not of finite type")
-    if not c.coloring.red.vertices:
-        return _trivial_report(c, sing.table, "finite_type")
-    ses = _build_ses(c.coloring.red, sing, vh, divisor)
-    _assert_dis_shapes(ses, sing, vh, divisor)
-    les = long_exact_sequence(ses.inclusion, ses.projection)
-    seq, moduli_nf = _four_term(sing, c.coloring, ses, les, c.tau)
-    if c.nd.ok:
-        pruned_nf = classify(h1(prune_all(ses.sym)))
-        if pruned_nf != moduli_nf:
-            raise PipelineError(
-                f"pruned classification {pruned_nf.text()} differs from "
-                f"{moduli_nf.text()}"
-            )
-    return _make_report(c, seq, moduli_nf, "finite_type")
+    return _reports(c, divisor, sing, vh)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -2720,6 +2706,17 @@ def validate(
 # ---------------------------------------------------------------------------
 
 
+def _object(value: object, what: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise FoliationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _objects(doc: Mapping, key: str) -> List[Mapping]:
+    """The objects listed under ``key`` of an input document."""
+    return [_object(item, f"each entry of {key!r}") for item in doc.get(key, ())]
+
+
 class FoliationInput(NamedTuple):
     """A parsed input document: the marked divisor, the per-side singularity
     data, the holonomy classes, and the shared symbol table."""
@@ -2752,7 +2749,7 @@ def load_input(doc: Mapping) -> FoliationInput:
     >>> inp.divisor.val_sigma()
     {0: 1, 1: 1}
     """
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if _object(doc, "the input document").get("schema_version") != SCHEMA_VERSION:
         raise FoliationError(
             f"unsupported schema_version {doc.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION}"
@@ -2765,21 +2762,21 @@ def load_input(doc: Mapping) -> FoliationInput:
             self_intersection=item.get("self_intersection"),
             topologically_rigid=item.get("topologically_rigid", False),
         )
-        for item in doc.get("components", ())
+        for item in _objects(doc, "components")
     ]
     corners = [
         Corner(item["id"], tuple(item["components"]), in_sigma=item.get("in_sigma", True))
-        for item in doc.get("corners", ())
+        for item in _objects(doc, "corners")
     ]
     attachments = [
         Attachment(item["id"], item["component"], in_sigma=item.get("in_sigma", True))
-        for item in doc.get("attachments", ())
+        for item in _objects(doc, "attachments")
     ]
     divisor = MarkedDivisor(
         components=components, corners=corners, attachments=attachments
     )
     sides: Dict[Tuple[Id, Id], SideData] = {}
-    for item in doc.get("singularities", ()):
+    for item in _objects(doc, "singularities"):
         key = (item["point"], item["component"])
         if key in sides:
             raise FoliationError(f"duplicate side data for {key!r}")
@@ -2791,7 +2788,7 @@ def load_input(doc: Mapping) -> FoliationInput:
         )
     sing = SingularityData(table, sides)
     classes: Dict[Id, HolonomyClass] = {}
-    for item in doc.get("holonomies", ()):
+    for item in _objects(doc, "holonomies"):
         comp = item["component"]
         if comp in classes:
             raise FoliationError(f"duplicate holonomy class for component {comp!r}")

@@ -1216,15 +1216,21 @@ def long_exact_sequence(
 ) -> LongExactSequenceResult:
     """The six-term sequence of ``0 -> F -> G -> J -> 0``.
 
-    The two morphisms must share the middle group-graph, and the triple
-    must be short exact at every vertex and edge (checked; raises
-    :class:`NotShortExact`).  The connecting map lifts a 0-cocycle of the
-    quotient through ``pi``, applies the middle coboundary and pulls the
-    result back through ``iota``.
+    The two morphisms must share the middle group-graph (the same object,
+    or the same graph with equal restriction maps at every incidence;
+    raises :class:`ValueError` otherwise), and the triple must be short
+    exact at every vertex and edge (checked; raises :class:`NotShortExact`).
+    The connecting map lifts a 0-cocycle of the quotient through ``pi``,
+    applies the middle coboundary and pulls the result back through
+    ``iota``.
     """
-    if iota.cod is not pi.dom and iota.cod.graph != pi.dom.graph:
-        raise ValueError("the morphisms do not share the middle group-graph")
     F, Gmid, J = iota.dom, iota.cod, pi.cod
+    mid = Gmid.graph
+    if Gmid is not pi.dom and (
+        mid != pi.dom.graph
+        or any(Gmid.rho(v, e) != pi.dom.rho(v, e) for e in mid.edges for v in set(mid.endpoints(e)))
+    ):
+        raise ValueError("the morphisms do not share the middle group-graph")
     g = F.graph
     for a in list(g.vertices) + list(g.edges):
         is_vertex = a in set(g.vertices)

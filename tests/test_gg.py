@@ -551,6 +551,26 @@ class TestLongExactSequence:
         assert les.exact, les.failures
         assert classify(les.groups[1]).text() == "Z/6"
 
+    def test_rejects_a_middle_graph_with_other_restrictions(self):
+        # pi starts from a copy of the middle group-graph whose restriction
+        # at (1, "e") is multiplication by 3 instead of the identity
+        graph = Graph([0, 1], [("e", 0, 1)])
+        iota, pi = self.mod_tower(graph)
+        assert long_exact_sequence(iota, pi).exact
+        mid = iota.cod
+        rhos = {(v, "e"): mid.rho(v, "e") for v in (0, 1)}
+        z = mid.vertex_group(1)
+        rhos[(1, "e")] = GroupHom(z, z, [], [((), (3,))], ())
+        other = GroupGraph(graph, {0: z, 1: z}, {"e": z}, rhos)
+        pi_other = GroupGraphMorphism(
+            other,
+            pi.cod,
+            {v: pi.vertex_map(v) for v in graph.vertices},
+            {"e": pi.edge_map("e")},
+        )
+        with pytest.raises(ValueError, match="do not share the middle group-graph"):
+            long_exact_sequence(iota, pi_other)
+
     def test_rejects_non_exact_triple(self):
         graph = Graph([0, 1], [("e", 0, 1)])
         z2 = z_mod(2)

@@ -1,0 +1,225 @@
+"""The moduli pipelines: one analysis per input, and a hardened input boundary.
+
+`compute_moduli` builds the short exact sequence of symmetry sheaves and
+its long exact sequence once; the non-degenerate and finite-type reports
+are both read from them.  These tests pin down that the expensive stages
+run once per `folmod moduli` call, that the two public views give the
+reports the CLI prints, that the gates raise what they raised before, and
+that malformed documents end in exit code 2 with a message naming the
+file instead of a traceback.
+"""
+
+from __future__ import annotations
+
+import copy
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from folmod import cli, foliation
+from folmod.examples import EXAMPLES, example_doc, example_input
+from folmod.foliation import (
+    NotFiniteType,
+    NotNonDegenerate,
+    compute_moduli,
+    compute_moduli_finite_type,
+    compute_moduli_nondegenerate,
+)
+
+
+def _geodesic_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "geodesic.py"
+    spec = importlib.util.spec_from_file_location("perfbench_geodesic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(tmp_path, doc, name: str = "input.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
+    return str(path)
+
+
+def _moduli_code(argv) -> int:
+    """The exit code of `folmod moduli`; unreadable input exits through
+    ``SystemExit``, every other outcome is returned."""
+    try:
+        return cli.main(argv)
+    except SystemExit as done:
+        return done.code
+
+
+COUNTED = (
+    "long_exact_sequence",
+    "build_sym_graph",
+    "mayer_vietoris",
+    "is_exact_at",
+    "check_hom",
+    "prune_all",
+)
+
+
+def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -> None:
+    geo = _geodesic_module()
+    periods = geo.chain_periods(5, random.Random("geodesic-0-5"))
+    path = _write(tmp_path, geo.geodesic_doc(periods))
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(name):
+        inner = getattr(foliation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in COUNTED:
+        monkeypatch.setattr(foliation, name, counting(name))
+    assert cli.main(["moduli", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["pipeline"] for p in payload["pipelines"]] == ["non_degenerate", "finite_type"]
+    assert payload["pipelines"][0]["moduli"]["text"] == geo.expected_moduli_text(periods)
+    assert calls["long_exact_sequence"] == 1
+    assert calls["build_sym_graph"] == 1
+    for name in ("mayer_vietoris", "is_exact_at", "check_hom", "prune_all"):
+        assert calls[name] >= 1, name
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6])
+def test_public_views_equal_the_cli_reports(n: int, tmp_path, capsys) -> None:
+    assert cli.main(["moduli", _write(tmp_path, example_doc(n)), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    inp = example_input(n)
+    args = (inp.divisor, inp.singularities, inp.holonomies)
+    views = [compute_moduli_nondegenerate(*args), compute_moduli_finite_type(*args)]
+    assert payload["pipelines"] == [json.loads(json.dumps(r.to_json())) for r in views]
+    assert payload["agree"] is True
+    assert [r.to_json() for r in compute_moduli(*args)] == [r.to_json() for r in views]
+
+
+def test_example3_is_not_of_finite_type() -> None:
+    inp = example_input(3)
+    args = (inp.divisor, inp.singularities, inp.holonomies)
+    message = "cut component containing 0: red part disconnected"
+    with pytest.raises(NotFiniteType, match=message):
+        compute_moduli(*args)
+    with pytest.raises(NotFiniteType, match=message):
+        compute_moduli_finite_type(*args)
+
+
+def test_example2_is_degenerate() -> None:
+    inp = example_input(2)
+    args = (inp.divisor, inp.singularities, inp.holonomies)
+    with pytest.raises(NotNonDegenerate) as raised:
+        compute_moduli_nondegenerate(*args)
+    assert str(raised.value) == "component 0 has singular valency 3 but abelian_infinite holonomy"
+    assert [r.pipeline for r in compute_moduli(*args)] == ["finite_type"]
+
+
+def _with_side_field(doc: dict, field: str, value) -> dict:
+    for side in doc["singularities"]:
+        if field in side["type"]:
+            side["type"][field] = value
+            return doc
+    raise AssertionError(f"no side type carries {field!r}")
+
+
+def _with_factors(doc: dict, factors) -> dict:
+    for item in doc["holonomies"]:
+        if item["class"] == "nonabelian":
+            item["invariant_factors"] = factors
+            return doc
+    raise AssertionError("no nonabelian holonomy")
+
+
+def _with_cs(doc: dict, text: str) -> dict:
+    for side in doc["singularities"]:
+        if "cs" in side:
+            side["cs"] = text
+            return doc
+    raise AssertionError("no Camacho-Sad index")
+
+
+MALFORMED = {
+    "top-level list": lambda: [example_doc(1)],
+    "factor string": lambda: _with_factors(example_doc(1), ["x"]),
+    "p true": lambda: _with_side_field(example_doc(5), "p", True),
+    "p float": lambda: _with_side_field(example_doc(5), "p", 1.5),
+    "huge exponent": lambda: _with_cs(example_doc(1), "alpha_t^99999999"),
+    "type string": lambda: dict(example_doc(5), singularities=[{"point": "s", "component": 0, "type": "R1"}]),
+    "components object": lambda: dict(example_doc(1), components={"id": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_2(case: str, tmp_path, capsys) -> None:
+    path = _write(tmp_path, MALFORMED[case]())
+    assert _moduli_code(["moduli", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}: ") and "Traceback" not in err
+
+
+def test_exponents_up_to_the_bound_parse() -> None:
+    table = foliation.SymbolTable(["mu"])
+    power = foliation.Scalar.one(table)
+    for _ in range(foliation.MAX_EXPONENT):
+        power = power * foliation.Scalar.symbol(table, "mu")
+    assert foliation.parse_scalar(table, f"mu^{foliation.MAX_EXPONENT}") == power
+    with pytest.raises(foliation.FoliationError, match="exceeds"):
+        foliation.parse_scalar(table, f"mu^{foliation.MAX_EXPONENT + 1}")
+
+
+# -- fuzzed documents -------------------------------------------------------
+
+SWAPS = st.sampled_from([None, True, 0, -1, 2, 1.5, "", "x", "1/0", [], [0], {}, {"kind": "R1"}])
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix, key
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = example_doc(draw(st.sampled_from([n for n in EXAMPLES if n != 1])))
+    for _ in range(draw(st.integers(1, 2))):
+        places = list(_paths(doc))
+        prefix, key = draw(st.sampled_from(places))
+        parent = doc
+        for step in prefix:
+            parent = parent[step]
+        how = draw(st.sampled_from(["swap", "drop", "listify"]))
+        if how == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif how == "listify" and isinstance(parent[key], dict):
+            parent[key] = list(parent[key].values())
+        else:
+            parent[key] = copy.deepcopy(draw(SWAPS))
+    return doc
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(mutated_documents())
+def test_fuzzed_documents_never_raise(tmp_path, capsys, doc) -> None:
+    code = _moduli_code(["moduli", _write(tmp_path, doc)])
+    assert code in {0, 1, 2, 3}
+    capsys.readouterr()
