@@ -6,10 +6,11 @@ The package is layered bottom-up:
   matrices, Smith normal form, Q-linear rank.
 - :mod:`folmod.abgroup` -- finitely presented topological abelian groups
   (free complex, free discrete and opaque atom factors) with homomorphisms,
-  kernels, cokernels and classification into a normal form.
-- :mod:`folmod.gg` -- group-graphs over finite graphs: the two-term cochain
-  complex, H0/H1, pruning of dead branches, Mayer-Vietoris and long exact
-  sequences, and a brute-force nonabelian H1 for cross-checking.
+  kernels, cokernels, classification into a normal form, and direct sums
+  with the one block-hom builder for maps between them.
+- :mod:`folmod.gg` -- group-graphs over finite graphs: the degree-0
+  coboundary and H0/H1, pruning of dead branches, Mayer-Vietoris and long
+  exact sequences, and a brute-force nonabelian H1 for cross-checking.
 - :mod:`folmod.foliation` -- marked divisors, symmetry/exponential/discrete
   group-graphs, coloring, finite-type and non-degeneracy tests, and the two
   moduli pipelines.

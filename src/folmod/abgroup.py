@@ -72,7 +72,7 @@ __all__ = [
     "zero_hom",
     "negate_hom",
     "direct_sum",
-    "direct_sum_with_maps",
+    "block_hom",
     "kernel",
     "KernelResult",
     "cokernel",
@@ -891,35 +891,39 @@ def _strip_atoms_group(g: PresentedAbelianGroup) -> PresentedAbelianGroup:
     )
 
 
+Offsets = List[Tuple[int, int, int]]
+
+
 def direct_sum(
     groups: Sequence[PresentedAbelianGroup], table: Optional[SymbolTable] = None
-) -> PresentedAbelianGroup:
-    return direct_sum_with_maps(groups, table)[0]
+) -> Tuple[PresentedAbelianGroup, Offsets]:
+    """Direct sum with the block offsets of its summands.
 
+    Returns ``(total, offsets)`` where ``offsets[i]`` is the
+    ``(cont, disc, atom)`` offset triple of the i-th summand inside the sum;
+    :func:`block_hom` builds every map into or out of it.  An empty family
+    needs an explicit ``table`` and yields the trivial group.
 
-def direct_sum_with_maps(
-    groups: Sequence[PresentedAbelianGroup], table: Optional[SymbolTable] = None
-) -> Tuple[PresentedAbelianGroup, List[GroupHom], List[Tuple[int, int, int]]]:
-    """Direct sum with injections and block offsets.
-
-    Returns ``(total, injections, offsets)`` where ``offsets[i]`` is the
-    ``(cont, disc, atom)`` offset triple of the i-th summand inside the sum.
-    An empty family needs an explicit ``table`` and yields the trivial group.
+    >>> t = SymbolTable([])
+    >>> z2 = PresentedAbelianGroup.from_invariant_factors(t, [2])
+    >>> total, offsets = direct_sum([z2, PresentedAbelianGroup.free_cont(t, 1), z2])
+    >>> classify(total).text(), offsets
+    ('C (+) Z/2 (+) Z/2', [(0, 0, 0), (0, 1, 0), (1, 1, 0)])
     """
     if not groups:
         if table is None:
             raise ValueError("direct sum of an empty family needs a symbol table")
-        return PresentedAbelianGroup.trivial(table), [], []
+        return PresentedAbelianGroup.trivial(table), []
     table = groups[0].table
     for g in groups:
         if g.table != table:
             raise ValueError("direct sum over mixed symbol tables")
-    zero, one = Scalar.zero(table), Scalar.one(table)
+    zero = Scalar.zero(table)
     cont = sum(g.cont_rank for g in groups)
     disc = sum(g.disc_rank for g in groups)
     relations: List[Relation] = []
     atoms: List[AtomFactor] = []
-    offsets: List[Tuple[int, int, int]] = []
+    offsets: Offsets = []
     co = do = ao = 0
     for g in groups:
         offsets.append((co, do, ao))
@@ -933,24 +937,87 @@ def direct_sum_with_maps(
         co += g.cont_rank
         do += g.disc_rank
         ao += len(g.atoms)
-    total = PresentedAbelianGroup(table, cont, disc, relations, atoms)
-    injections = []
-    for g, (co, do, ao) in zip(groups, offsets):
-        ci = [
-            tuple(one if j == co + i else zero for j in range(cont))
-            for i in range(g.cont_rank)
-        ]
-        di = [
-            (
-                tuple(zero for _ in range(cont)),
-                tuple(1 if j == do + i else 0 for j in range(disc)),
-            )
-            for i in range(g.disc_rank)
-        ]
-        injections.append(
-            GroupHom(g, total, ci, di, tuple(ao + i for i in range(len(g.atoms))))
-        )
-    return total, injections, offsets
+    return PresentedAbelianGroup(table, cont, disc, relations, atoms), offsets
+
+
+def _shape(g: PresentedAbelianGroup) -> Tuple[int, int, int]:
+    return (g.cont_rank, g.disc_rank, len(g.atoms))
+
+
+def _summand_shape(
+    total: PresentedAbelianGroup, offsets: Sequence[Tuple[int, int, int]], i: int
+) -> Tuple[int, int, int]:
+    end = offsets[i + 1] if i + 1 < len(offsets) else _shape(total)
+    return tuple(b - a for a, b in zip(offsets[i], end))  # type: ignore[return-value]
+
+
+def _add_into(row: List[Scalar], at: int, vec: Sequence[Scalar], sign: int) -> None:
+    for c, x in enumerate(vec):
+        if x.is_zero():
+            continue
+        if sign < 0:
+            x = -x
+        cur = row[at + c]
+        row[at + c] = x if cur.is_zero() else cur + x
+
+
+def block_hom(
+    dom: PresentedAbelianGroup,
+    dom_offsets: Sequence[Tuple[int, int, int]],
+    cod: PresentedAbelianGroup,
+    cod_offsets: Sequence[Tuple[int, int, int]],
+    blocks: Iterable[Tuple[int, int, GroupHom, int]],
+) -> GroupHom:
+    """The hom between direct sums assembled from blocks.
+
+    Each block ``(i, j, h, sign)`` adds ``sign * h`` (``sign`` is ``1`` or
+    ``-1``) into the rows of domain summand ``i`` and the columns of
+    codomain summand ``j``; a group that is not a sum is its own single
+    summand with offsets ``[(0, 0, 0)]``.  A block must have the shape of
+    its two summands, or :class:`ValueError` is raised.  Atoms are opaque:
+    only the image subgroup matters, so the sign does not touch them, and a
+    domain atom may be sent to a codomain atom by one block only; a second
+    assignment raises :class:`UnsupportedAtomMap`.
+
+    >>> t = SymbolTable([])
+    >>> z2 = PresentedAbelianGroup.from_invariant_factors(t, [2])
+    >>> total, offsets = direct_sum([z2, z2])
+    >>> one = identity_hom(z2)
+    >>> diagonal = block_hom(z2, [(0, 0, 0)], total, offsets, [(0, 0, one, 1), (0, 1, one, 1)])
+    >>> diagonal.disc_images
+    (((), (1, 1)),)
+    >>> block_hom(total, offsets, z2, [(0, 0, 0)], [(0, 0, one, 1), (1, 0, one, -1)]).disc_images
+    (((), (1,)), ((), (-1,)))
+    """
+    zero = Scalar.zero(dom.table)
+    cont = [[zero] * cod.cont_rank for _ in range(dom.cont_rank)]
+    disc_c = [[zero] * cod.cont_rank for _ in range(dom.disc_rank)]
+    disc_d = [[0] * cod.disc_rank for _ in range(dom.disc_rank)]
+    atoms: List[Optional[int]] = [None] * len(dom.atoms)
+    for i, j, h, sign in blocks:
+        if _shape(h.dom) != _summand_shape(dom, dom_offsets, i) or _shape(
+            h.cod
+        ) != _summand_shape(cod, cod_offsets, j):
+            raise ValueError(f"block ({i}, {j}) does not have the shape of its summands")
+        dc, dd, da = dom_offsets[i]
+        cc, cd, ca = cod_offsets[j]
+        for a, vec in enumerate(h.cont_images):
+            _add_into(cont[dc + a], cc, vec, sign)
+        for a, (cvec, dvec) in enumerate(h.disc_images):
+            _add_into(disc_c[dd + a], cc, cvec, sign)
+            row = disc_d[dd + a]
+            for c, n in enumerate(dvec):
+                row[cd + c] += sign * n
+        for a, tgt in enumerate(h.atom_images):
+            if tgt is None:
+                continue
+            if atoms[da + a] is not None:
+                raise UnsupportedAtomMap(
+                    f"atom {dom.atoms[da + a].label()} of domain summand {i} "
+                    "maps onto more than one codomain atom"
+                )
+            atoms[da + a] = ca + tgt
+    return GroupHom(dom, cod, cont, list(zip(disc_c, disc_d)), atoms)
 
 
 # ---------------------------------------------------------------------------

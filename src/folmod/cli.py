@@ -9,7 +9,8 @@ Five subcommands drive the package end to end::
     folmod oracle                run the randomized cross-check suites
 
 Exit codes: 0 success, 1 validation or oracle failure, 2 unreadable or
-malformed input, 3 pipeline precondition failure (with the witness on
+malformed input (a non-integer ``FOLMOD_BOUND`` included), 3 pipeline
+precondition failure or an unsupported atom map (with the witness on
 stderr).  The environment variable ``FOLMOD_BOUND`` overrides the default
 brute-force bound of the oracle; the ``--bound`` flag wins over both.
 Reports are deterministic: identical inputs (and seeds) produce identical
@@ -34,7 +35,7 @@ from .foliation import (
     validate,
 )
 from .gg import GroupGraph, cohomology
-from .abgroup import classify
+from .abgroup import UnsupportedAtomMap, classify
 from .oracle import DEFAULT_BOUND, run_oracle
 
 __all__ = ["main", "run_check", "run_moduli", "run_cohomology"]
@@ -126,7 +127,10 @@ def run_cohomology(path: str, fmt: str = "text") -> int:
         ggraph = GroupGraph.from_json(doc)
     except (KeyError, TypeError, ValueError) as err:
         raise SystemExit(_fail(f"{path}: {err}", EXIT_PARSE))
-    result = cohomology(ggraph)
+    try:
+        result = cohomology(ggraph)
+    except UnsupportedAtomMap as err:
+        return _fail(f"UnsupportedAtomMap: {err}", EXIT_PIPELINE)
     h0_nf, h1_nf = classify(result.h0), classify(result.h1)
     if fmt == "json":
         payload = {"h0": h0_nf.text(), "h1": h1_nf.text()}
@@ -146,7 +150,10 @@ def _run_examples(number: int) -> int:
 def _run_oracle(seed: int, bound: Optional[int]) -> int:
     if bound is None:
         env = os.environ.get("FOLMOD_BOUND")
-        bound = int(env) if env else DEFAULT_BOUND
+        try:
+            bound = int(env) if env else DEFAULT_BOUND
+        except ValueError:
+            return _fail(f"FOLMOD_BOUND must be an integer, got {env!r}", EXIT_PARSE)
     report = run_oracle(seed=seed, bound=bound)
     print(report.text())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS

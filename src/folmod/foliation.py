@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -59,6 +60,7 @@ from .abgroup import (
     PresentedAbelianGroup,
     Relation,
     NormalFormReport,
+    block_hom,
     check_hom,
     classify,
     cokernel,
@@ -73,13 +75,12 @@ from .gg import (
     Graph,
     GroupGraph,
     GroupGraphMorphism,
-    cohomology,
     h1,
     long_exact_sequence,
     mayer_vietoris,
     prune_all,
-    _chain1,
     _check_id,
+    _cochains,
     _id_key,
 )
 
@@ -142,6 +143,13 @@ TAU_SYMBOL = "tau_i"
 #: Largest ``^`` exponent :func:`parse_scalar` accepts.  ``str(scalar)`` of
 #: the bundled examples prints exponents up to 4.
 MAX_EXPONENT = 64
+
+#: Largest product of operand term counts :func:`parse_scalar` multiplies
+#: out in one ``*``, ``/`` or ``^`` step; a term count is that of the larger
+#: of numerator and denominator.  The bundled examples never exceed 1, and
+#: ``(a+b+c+d+e)^6``, the highest power of a five-symbol sum that passes,
+#: expands in milliseconds.
+MAX_TERMS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,8 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     The grammar covers integers, registered symbol names, ``+ - * /``,
     integer powers with ``^`` (exponents up to :data:`MAX_EXPONENT`) and
     parentheses; it accepts everything ``str(scalar)`` prints, so scalars
-    round-trip through text.
+    round-trip through text.  A ``*``, ``/`` or ``^`` step whose operands'
+    term counts multiply past :data:`MAX_TERMS` is refused.
 
     >>> t = SymbolTable(["alpha_t"])
     >>> str(parse_scalar(t, "-2*alpha_t"))
@@ -240,6 +249,11 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     """
     tokens = _tokenize(text)
     pos = 0
+
+    def bounded(a: Scalar, b: Scalar) -> None:
+        terms = max(len(a.num), len(a.den)) * max(len(b.num), len(b.den))
+        if terms > MAX_TERMS:
+            raise FoliationError(f"{terms} terms exceed {MAX_TERMS} in scalar expression")
 
     def peek() -> Optional[Tuple[str, str]]:
         return tokens[pos] if pos < len(tokens) else None
@@ -281,6 +295,7 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
                 raise FoliationError(f"exponent {n} exceeds {MAX_EXPONENT} in scalar expression")
             out = Scalar.one(table)
             for _ in range(n):
+                bounded(out, base)
                 out = out * base
             return out
         return base
@@ -298,6 +313,7 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
         while peek() is not None and peek()[1] in ("*", "/"):
             op = take()[1]
             rhs = parse_signed()
+            bounded(value, rhs)
             if op == "*":
                 value = value * rhs
             else:
@@ -1284,6 +1300,18 @@ def is_non_degenerate(
     """
     cut = build_cut_graph(divisor, sing)
     val = divisor.val_sigma()
+    return _non_degenerate(divisor, vh, cut, val, lambda: singular_chains(cut, val, sing))
+
+
+def _non_degenerate(
+    divisor: MarkedDivisor,
+    vh: VertexHolonomy,
+    cut: Graph,
+    val: Mapping[Id, int],
+    chains: Callable[[], Tuple[SingularChain, ...]],
+) -> PredicateResult:
+    """The body of :func:`is_non_degenerate` on a built cut graph; the
+    chains are asked for only once conditions (i) and (ii) hold."""
     for piece in cut.connected_components():
         if not any(val[v] >= 3 for v in piece):
             continue
@@ -1300,7 +1328,7 @@ def is_non_degenerate(
                 f"component {v!r} has singular valency {val[v]} but "
                 f"{vh.cls(v).kind} holonomy",
             )
-    for chain in singular_chains(cut, val, sing):
+    for chain in chains():
         if chain.kind == "periodic":
             return PredicateResult(
                 False, f"chain through {chain.edges!r} is periodic"
@@ -1355,7 +1383,13 @@ def is_finite_type(
     is entirely green — some vertex sees every other vertex repulsively.
     """
     cut = build_cut_graph(divisor, sing)
-    coloring = color(cut, sing, vh, divisor)
+    return _finite_type(sing, vh, cut, color(cut, sing, vh, divisor))
+
+
+def _finite_type(
+    sing: SingularityData, vh: VertexHolonomy, cut: Graph, coloring: Coloring
+) -> PredicateResult:
+    """The body of :func:`is_finite_type` on a built and colored cut graph."""
     red_v = set(coloring.red.vertices)
     for piece in cut.connected_components():
         piece_set = set(piece)
@@ -2155,7 +2189,7 @@ def _four_term(
         actives.extend(analysis.actives)
         zone_h1s.append(analysis.h1_group)
     if zone_h1s:
-        glued = classify(direct_sum(zone_h1s, table))
+        glued = classify(direct_sum(zone_h1s, table)[0])
         if glued != h1_exp_nf:
             raise PipelineError(
                 f"zonewise flow cohomology {glued.text()} differs from the global "
@@ -2166,12 +2200,15 @@ def _four_term(
     if len(actives) != t:
         raise PipelineError(f"active vertex count {len(actives)} differs from tau {t}")
 
-    coh = cohomology(ses.sym)
-    _, injections, _ = _chain1(ses.sym)
+    coh = les.middle
+    c1 = _cochains(ses.sym, 1)
     rows: List[Sequence[Scalar]] = []
     for _, s in actives:
-        idx = ses.sym.graph.edges.index(s)
-        hom_s = compose(coh.h1_projection, compose(injections[idx], ses.inclusion.edge_map(s)))
+        flow = ses.inclusion.edge_map(s)
+        into = block_hom(
+            flow.dom, [(0, 0, 0)], c1.total, c1.offsets, [(0, c1.ids.index(s), flow, 1)]
+        )
+        hom_s = compose(coh.h1_projection, into)
         if hom_s.dom.cont_rank != 1:  # pragma: no cover - defensive
             raise PipelineError(f"active edge {s!r} has no flow line")
         rows.append(hom_s.cont_images[0])
@@ -2381,8 +2418,8 @@ def _common(divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy) -
     chains = singular_chains(cut, val, sing)
     counts = chain_counts(chains)
     t = tau(coloring.red, coloring.r0_vertices, coloring.r0_edges)
-    nd = is_non_degenerate(divisor, sing, vh)
-    ft = is_finite_type(divisor, sing, vh)
+    nd = _non_degenerate(divisor, vh, cut, val, lambda: chains)
+    ft = _finite_type(sing, vh, cut, coloring)
     return _Common(cut, val, coloring, chains, counts, t, nd, ft)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -55,12 +56,12 @@ from .exactnum import Scalar, SymbolTable
 from .abgroup import (
     GroupHom,
     PresentedAbelianGroup,
-    UnsupportedAtomMap,
+    block_hom,
     check_hom,
     classify,
     cokernel,
     compose,
-    direct_sum_with_maps,
+    direct_sum,
     factor_through,
     hom_equal,
     identity_hom,
@@ -90,11 +91,9 @@ __all__ = [
     "LongExactSequenceResult",
     "BruteForceResult",
     "coboundary0",
-    "cochain_complex",
     "cohomology",
     "h0",
     "h1",
-    "h1_components",
     "find_partial_dead_branches",
     "is_repulsive",
     "prune",
@@ -475,18 +474,41 @@ class GroupGraphMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Cochain complex and cohomology
+# Cochains and cohomology
 # ---------------------------------------------------------------------------
 
 
-def _chain0(G: GroupGraph):
-    groups = [G.vertex_group(v) for v in G.graph.vertices]
-    return direct_sum_with_maps(groups, G.table)
+class _Cochains(NamedTuple):
+    """The cochain group ``(+)_x G_x`` of one degree, with its summand ids,
+    summand groups and block offsets."""
+
+    ids: Tuple[Id, ...]
+    groups: Tuple[PresentedAbelianGroup, ...]
+    total: PresentedAbelianGroup
+    offsets: List[Tuple[int, int, int]]
 
 
-def _chain1(G: GroupGraph):
-    groups = [G.edge_group(e) for e in G.graph.edges]
-    return direct_sum_with_maps(groups, G.table)
+def _cochains(G: GroupGraph, degree: int) -> _Cochains:
+    """The 0-cochains (vertex groups) or 1-cochains (edge groups) of ``G``."""
+    ids = G.graph.vertices if degree == 0 else G.graph.edges
+    groups = tuple(map(G.vertex_group if degree == 0 else G.edge_group, ids))
+    total, offsets = direct_sum(groups, G.table)
+    return _Cochains(ids, groups, total, offsets)
+
+
+def _by_id(
+    src: _Cochains, dst: _Cochains, hom_of: Optional[Callable[[Id], GroupHom]] = None
+) -> GroupHom:
+    """The block hom sending summand ``x`` of ``src`` to summand ``x`` of
+    ``dst`` by ``hom_of(x)`` (the identity by default), for every id the
+    two sums share; the other summands of ``src`` map to zero."""
+    where = {x: k for k, x in enumerate(dst.ids)}
+    blocks = [
+        (k, where[x], identity_hom(g) if hom_of is None else hom_of(x), 1)
+        for k, (x, g) in enumerate(zip(src.ids, src.groups))
+        if x in where
+    ]
+    return block_hom(src.total, src.offsets, dst.total, dst.offsets, blocks)
 
 
 def coboundary0(G: GroupGraph) -> GroupHom:
@@ -494,7 +516,8 @@ def coboundary0(G: GroupGraph) -> GroupHom:
 
     The block at an incidence is ``+rho`` when the vertex is the head of
     the edge and ``-rho`` when it is the tail; for a loop both signs hit
-    the same map and the block vanishes.
+    the same map and the block vanishes.  A vertex atom restricting onto
+    two edge atoms raises :class:`~folmod.abgroup.UnsupportedAtomMap`.
 
     >>> t = SymbolTable([])
     >>> z2 = PresentedAbelianGroup.from_invariant_factors(t, [2])
@@ -504,140 +527,15 @@ def coboundary0(G: GroupGraph) -> GroupHom:
     >>> [d for _, d in coboundary0(gg).disc_images]  # (a, b) -> b - a
     [(-1,), (1,)]
     """
-    verts = G.graph.vertices
-    eids = G.graph.edges
-    dom, _, voff = _chain0(G)
-    cod, _, eoff = _chain1(G)
-    zero = Scalar.zero(G.table)
-    cont_rows = [[zero] * cod.cont_rank for _ in range(dom.cont_rank)]
-    disc_rows = [
-        ([zero] * cod.cont_rank, [0] * cod.disc_rank) for _ in range(dom.disc_rank)
-    ]
-    atom_targets: List[Optional[int]] = [None] * len(dom.atoms)
-    vindex = {v: i for i, v in enumerate(verts)}
-    for ei, e in enumerate(eids):
+    c0, c1 = _cochains(G, 0), _cochains(G, 1)
+    vindex = {v: i for i, v in enumerate(c0.ids)}
+    blocks = []
+    for ei, e in enumerate(c1.ids):
         tail, head = G.graph.endpoints(e)
-        if tail == head:
-            continue  # the two signed blocks cancel
-        eco, edo, eao = eoff[ei]
-        for v, sign in ((head, 1), (tail, -1)):
-            vi = vindex[v]
-            gv = G.vertex_group(v)
-            vco, vdo, vao = voff[vi]
-            r = G.rho(v, e)
-            for i in range(gv.cont_rank):
-                row = cont_rows[vco + i]
-                for c, x in enumerate(r.cont_images[i]):
-                    row[eco + c] = row[eco + c] + (x if sign > 0 else -x)
-            for j in range(gv.disc_rank):
-                cpart, dpart = r.disc_images[j]
-                crow, drow = disc_rows[vdo + j]
-                for c, x in enumerate(cpart):
-                    crow[eco + c] = crow[eco + c] + (x if sign > 0 else -x)
-                for c, n in enumerate(dpart):
-                    drow[edo + c] += sign * n
-            for k, tgt in enumerate(r.atom_images):
-                if tgt is None:
-                    continue
-                slot = vao + k
-                if atom_targets[slot] is not None:
-                    raise UnsupportedAtomMap(
-                        f"vertex atom at {v!r} restricts onto more than one edge atom"
-                    )
-                # Atoms are opaque: only the image subgroup matters, so the
-                # sign is immaterial and is dropped.
-                atom_targets[slot] = eao + tgt
-    return GroupHom(
-        dom,
-        cod,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
-        tuple(atom_targets),
-    )
-
-
-def cochain_complex(G: GroupGraph) -> Tuple[GroupHom, GroupHom]:
-    """The two-step complex on orientation-doubled 1-cochains.
-
-    Returns ``(d0, d1)`` where the middle term carries one copy of each
-    edge group per orientation; ``d1`` adds the two copies, so its kernel
-    is the inverse-paired 1-cocycles and ``d1 . d0`` is the zero map.
-    Vertex atoms with nonzero edge images are rejected (the doubled block
-    would need two targets).
-    """
-    verts = G.graph.vertices
-    eids = G.graph.edges
-    dom, _, voff = _chain0(G)
-    mid_groups: List[PresentedAbelianGroup] = []
-    for e in eids:
-        mid_groups.extend((G.edge_group(e), G.edge_group(e)))
-    mid, _, moff = direct_sum_with_maps(mid_groups, G.table)
-    cod, _, eoff = _chain1(G)
-    zero = Scalar.zero(G.table)
-    one = Scalar.one(G.table)
-
-    cont_rows = [[zero] * mid.cont_rank for _ in range(dom.cont_rank)]
-    disc_rows = [([zero] * mid.cont_rank, [0] * mid.disc_rank) for _ in range(dom.disc_rank)]
-    atom_targets: List[Optional[int]] = [None] * len(dom.atoms)
-    vindex = {v: i for i, v in enumerate(verts)}
-    for ei, e in enumerate(eids):
-        tail, head = G.graph.endpoints(e)
-        if tail == head:
-            continue
-        for copy, (plus, minus) in enumerate(((head, tail), (tail, head))):
-            mco, mdo, mao = moff[2 * ei + copy]
-            for v, sign in ((plus, 1), (minus, -1)):
-                vi = vindex[v]
-                gv = G.vertex_group(v)
-                vco, vdo, vao = voff[vi]
-                r = G.rho(v, e)
-                for i in range(gv.cont_rank):
-                    row = cont_rows[vco + i]
-                    for c, x in enumerate(r.cont_images[i]):
-                        row[mco + c] = row[mco + c] + (x if sign > 0 else -x)
-                for j in range(gv.disc_rank):
-                    cpart, dpart = r.disc_images[j]
-                    crow, drow = disc_rows[vdo + j]
-                    for c, x in enumerate(cpart):
-                        crow[mco + c] = crow[mco + c] + (x if sign > 0 else -x)
-                    for c, n in enumerate(dpart):
-                        drow[mdo + c] += sign * n
-                for k, tgt in enumerate(r.atom_images):
-                    if tgt is not None:
-                        raise UnsupportedAtomMap(
-                            "the doubled complex cannot carry vertex atoms with "
-                            "nonzero edge images"
-                        )
-    d0 = GroupHom(
-        dom,
-        mid,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
-        tuple(atom_targets),
-    )
-
-    cont_rows1 = [[zero] * cod.cont_rank for _ in range(mid.cont_rank)]
-    disc_rows1 = [([zero] * cod.cont_rank, [0] * cod.disc_rank) for _ in range(mid.disc_rank)]
-    atom_targets1: List[Optional[int]] = [None] * len(mid.atoms)
-    for ei, e in enumerate(eids):
-        ge = G.edge_group(e)
-        eco, edo, eao = eoff[ei]
-        for copy in (0, 1):
-            mco, mdo, mao = moff[2 * ei + copy]
-            for i in range(ge.cont_rank):
-                cont_rows1[mco + i][eco + i] = one
-            for j in range(ge.disc_rank):
-                disc_rows1[mdo + j][1][edo + j] = 1
-            for k in range(len(ge.atoms)):
-                atom_targets1[mao + k] = eao + k
-    d1 = GroupHom(
-        mid,
-        cod,
-        [tuple(r) for r in cont_rows1],
-        [(tuple(c), tuple(d)) for c, d in disc_rows1],
-        tuple(atom_targets1),
-    )
-    return d0, d1
+        if tail != head:  # on a loop the two signed blocks cancel
+            blocks.append((vindex[head], ei, G.rho(head, e), 1))
+            blocks.append((vindex[tail], ei, G.rho(tail, e), -1))
+    return block_hom(c0.total, c0.offsets, c1.total, c1.offsets, blocks)
 
 
 @dataclass(frozen=True)
@@ -676,13 +574,6 @@ def h0(G: GroupGraph) -> PresentedAbelianGroup:
 
 def h1(G: GroupGraph) -> PresentedAbelianGroup:
     return cokernel(coboundary0(G)).group
-
-
-def h1_components(G: GroupGraph) -> List[Tuple[Tuple[Id, ...], PresentedAbelianGroup]]:
-    """``h1`` of each connected component; their sum is ``h1`` of the whole."""
-    return [
-        (comp, h1(G.restrict(comp))) for comp in G.graph.connected_components()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -852,154 +743,8 @@ def prune_all(G: Union[GroupGraph, "FiniteGroupGraph"]):
 
 
 # ---------------------------------------------------------------------------
-# Hom assembly helpers
+# Sections
 # ---------------------------------------------------------------------------
-
-
-def _coord_map(
-    table: SymbolTable,
-    src_ids: Sequence[Id],
-    src_groups: Sequence[PresentedAbelianGroup],
-    src_sum: PresentedAbelianGroup,
-    src_off: Sequence[Tuple[int, int, int]],
-    dst_ids: Sequence[Id],
-    dst_sum: PresentedAbelianGroup,
-    dst_off: Sequence[Tuple[int, int, int]],
-) -> GroupHom:
-    """Block-identity map between direct sums sharing some summand ids."""
-    zero = Scalar.zero(table)
-    one = Scalar.one(table)
-    cont_rows = [[zero] * dst_sum.cont_rank for _ in range(src_sum.cont_rank)]
-    disc_rows = [
-        ([zero] * dst_sum.cont_rank, [0] * dst_sum.disc_rank)
-        for _ in range(src_sum.disc_rank)
-    ]
-    atoms: List[Optional[int]] = [None] * len(src_sum.atoms)
-    dst_index = {i: k for k, i in enumerate(dst_ids)}
-    for k, i in enumerate(src_ids):
-        kk = dst_index.get(i)
-        if kk is None:
-            continue
-        g = src_groups[k]
-        sc, sd, sa = src_off[k]
-        dc, dd, da = dst_off[kk]
-        for a in range(g.cont_rank):
-            cont_rows[sc + a][dc + a] = one
-        for a in range(g.disc_rank):
-            disc_rows[sd + a][1][dd + a] = 1
-        for a in range(len(g.atoms)):
-            atoms[sa + a] = da + a
-    return GroupHom(
-        src_sum,
-        dst_sum,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
-        tuple(atoms),
-    )
-
-
-def _pair_hom(
-    f0: GroupHom,
-    f1: GroupHom,
-    cod_sum: PresentedAbelianGroup,
-    off0: Tuple[int, int, int],
-    off1: Tuple[int, int, int],
-) -> GroupHom:
-    """``x -> (f0(x), f1(x))`` into the direct sum of the two codomains."""
-    if f0.dom != f1.dom:
-        raise ValueError("paired homs must share a domain")
-    table = f0.dom.table
-    zero = Scalar.zero(table)
-
-    def place(vec0, vec1):
-        out = [zero] * cod_sum.cont_rank
-        for c, x in enumerate(vec0):
-            out[off0[0] + c] = x
-        for c, x in enumerate(vec1):
-            out[off1[0] + c] = x
-        return tuple(out)
-
-    cont = [place(v0, v1) for v0, v1 in zip(f0.cont_images, f1.cont_images)]
-    disc = []
-    for (c0, d0), (c1, d1) in zip(f0.disc_images, f1.disc_images):
-        dvec = [0] * cod_sum.disc_rank
-        for c, n in enumerate(d0):
-            dvec[off0[1] + c] = n
-        for c, n in enumerate(d1):
-            dvec[off1[1] + c] = n
-        disc.append((place(c0, c1), tuple(dvec)))
-    atoms: List[Optional[int]] = []
-    for j0, j1 in zip(f0.atom_images, f1.atom_images):
-        if j0 is not None and j1 is not None:
-            raise UnsupportedAtomMap("an atom cannot map into both cover pieces")
-        if j0 is not None:
-            atoms.append(off0[2] + j0)
-        elif j1 is not None:
-            atoms.append(off1[2] + j1)
-        else:
-            atoms.append(None)
-    return GroupHom(f0.dom, cod_sum, cont, disc, tuple(atoms))
-
-
-def _from_sum_hom(
-    blocks: Sequence[GroupHom],
-    dom_sum: PresentedAbelianGroup,
-    offsets: Sequence[Tuple[int, int, int]],
-    cod: PresentedAbelianGroup,
-) -> GroupHom:
-    """The hom on a direct sum given by one hom per summand."""
-    cont: List[Tuple[Scalar, ...]] = [()] * dom_sum.cont_rank
-    disc: List[Tuple[Tuple[Scalar, ...], Tuple[int, ...]]] = [()] * dom_sum.disc_rank  # type: ignore[list-item]
-    atoms: List[Optional[int]] = [None] * len(dom_sum.atoms)
-    for blk, (co, do, ao) in zip(blocks, offsets):
-        for i, v in enumerate(blk.cont_images):
-            cont[co + i] = tuple(v)
-        for j, (c, d) in enumerate(blk.disc_images):
-            disc[do + j] = (tuple(c), tuple(d))
-        for k, tgt in enumerate(blk.atom_images):
-            atoms[ao + k] = tgt
-    return GroupHom(dom_sum, cod, cont, disc, tuple(atoms))
-
-
-def _block_diag_hom(
-    ids: Sequence[Id],
-    maps: Mapping[Id, GroupHom],
-    dom_sum: PresentedAbelianGroup,
-    dom_off: Sequence[Tuple[int, int, int]],
-    cod_sum: PresentedAbelianGroup,
-    cod_off: Sequence[Tuple[int, int, int]],
-) -> GroupHom:
-    """Diagonal hom between two sums indexed by the same ids."""
-    table = dom_sum.table
-    zero = Scalar.zero(table)
-    cont_rows = [[zero] * cod_sum.cont_rank for _ in range(dom_sum.cont_rank)]
-    disc_rows = [
-        ([zero] * cod_sum.cont_rank, [0] * cod_sum.disc_rank)
-        for _ in range(dom_sum.disc_rank)
-    ]
-    atoms: List[Optional[int]] = [None] * len(dom_sum.atoms)
-    for k, i in enumerate(ids):
-        m = maps[i]
-        dc, dd, da = dom_off[k]
-        cc, cd, ca = cod_off[k]
-        for a, v in enumerate(m.cont_images):
-            for c, x in enumerate(v):
-                cont_rows[dc + a][cc + c] = x
-        for a, (cvec, dvec) in enumerate(m.disc_images):
-            crow, drow = disc_rows[dd + a]
-            for c, x in enumerate(cvec):
-                crow[cc + c] = x
-            for c, n in enumerate(dvec):
-                drow[cd + c] = n
-        for a, tgt in enumerate(m.atom_images):
-            atoms[da + a] = None if tgt is None else ca + tgt
-    return GroupHom(
-        dom_sum,
-        cod_sum,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
-        tuple(atoms),
-    )
 
 
 def _pseudo_section(h: GroupHom) -> GroupHom:
@@ -1073,12 +818,12 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
     0-cochain on the overlap by zero outside it and applies the coboundary
     of the whole graph.  Exactness is verified at every node.
     """
-    v0, e0 = _cover_part(G, cover0)
-    v1, e1 = _cover_part(G, cover1)
+    vs0, es0 = _cover_part(G, cover0)
+    vs1, es1 = _cover_part(G, cover1)
     g = G.graph
-    if set(v0) | set(v1) != set(g.vertices) or set(e0) | set(e1) != set(g.edges):
+    if set(vs0) | set(vs1) != set(g.vertices) or set(es0) | set(es1) != set(g.edges):
         raise CoverMismatch("the two pieces do not cover the graph")
-    for vs, es in ((v0, e0), (v1, e1)):
+    for vs, es in ((vs0, es0), (vs1, es1)):
         vset = set(vs)
         if not vset <= set(g.vertices) or not set(es) <= set(g.edges):
             raise CoverMismatch("cover piece is not a subgraph")
@@ -1086,61 +831,37 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
             t, h = g.endpoints(e)
             if t not in vset or h not in vset:
                 raise CoverMismatch(f"edge {e!r} leaves its cover piece")
-    v01 = tuple(sorted(set(v0) & set(v1), key=_id_key))
-    e01 = tuple(sorted(set(e0) & set(e1), key=_id_key))
+    vs01 = tuple(sorted(set(vs0) & set(vs1), key=_id_key))
+    es01 = tuple(sorted(set(es0) & set(es1), key=_id_key))
 
     GA = G
-    G0 = G.restrict(v0, e0)
-    G1 = G.restrict(v1, e1)
-    G01 = G.restrict(v01, e01)
+    G0 = G.restrict(vs0, es0)
+    G1 = G.restrict(vs1, es1)
+    G01 = G.restrict(vs01, es01)
     cA, c0, c1, c01 = cohomology(GA), cohomology(G0), cohomology(G1), cohomology(G01)
-
-    def c0_info(H: GroupGraph):
-        total, _, off = _chain0(H)
-        return H.graph.vertices, [H.vertex_group(v) for v in H.graph.vertices], total, off
-
-    def c1_info(H: GroupGraph):
-        total, _, off = _chain1(H)
-        return H.graph.edges, [H.edge_group(e) for e in H.graph.edges], total, off
-
+    vA, v0, v1, v01 = (_cochains(H, 0) for H in (GA, G0, G1, G01))
+    eA, e0, e1, e01 = (_cochains(H, 1) for H in (GA, G0, G1, G01))
     table = G.table
-    idsA, grpsA, sumA, offA = c0_info(GA)
-    ids0, grps0, sum0, off0 = c0_info(G0)
-    ids1, grps1, sum1, off1 = c0_info(G1)
-    ids01, grps01, sum01, off01 = c0_info(G01)
-    eidsA, egrpsA, esumA, eoffA = c1_info(GA)
-    eids0, egrps0, esum0, eoff0 = c1_info(G0)
-    eids1, egrps1, esum1, eoff1 = c1_info(G1)
-    eids01, egrps01, esum01, eoff01 = c1_info(G01)
+    point = [(0, 0, 0)]  # the block offsets of a group that is not a sum
 
     # H0(A) -> H0(A0) + H0(A1)
-    rest0 = factor_through(
-        compose(_coord_map(table, idsA, grpsA, sumA, offA, ids0, sum0, off0), cA.h0_inclusion),
-        c0.h0_inclusion,
-    )
-    rest1 = factor_through(
-        compose(_coord_map(table, idsA, grpsA, sumA, offA, ids1, sum1, off1), cA.h0_inclusion),
-        c1.h0_inclusion,
-    )
-    h0sum, _, h0offs = direct_sum_with_maps([c0.h0, c1.h0], table)
-    alpha = _pair_hom(rest0, rest1, h0sum, h0offs[0], h0offs[1])
+    rest0 = factor_through(compose(_by_id(vA, v0), cA.h0_inclusion), c0.h0_inclusion)
+    rest1 = factor_through(compose(_by_id(vA, v1), cA.h0_inclusion), c1.h0_inclusion)
+    h0sum, h0offs = direct_sum([c0.h0, c1.h0], table)
+    alpha = block_hom(cA.h0, point, h0sum, h0offs, [(0, 0, rest0, 1), (0, 1, rest1, 1)])
 
     # H0(A0) + H0(A1) -> H0(A01), difference of the overlaps
-    d0_ = factor_through(
-        compose(_coord_map(table, ids0, grps0, sum0, off0, ids01, sum01, off01), c0.h0_inclusion),
-        c01.h0_inclusion,
+    d0_ = factor_through(compose(_by_id(v0, v01), c0.h0_inclusion), c01.h0_inclusion)
+    d1_ = factor_through(compose(_by_id(v1, v01), c1.h0_inclusion), c01.h0_inclusion)
+    beta = block_hom(
+        h0sum, h0offs, c01.h0, point, [(0, 0, d0_, 1), (1, 0, negate_hom(d1_), 1)]
     )
-    d1_ = factor_through(
-        compose(_coord_map(table, ids1, grps1, sum1, off1, ids01, sum01, off01), c1.h0_inclusion),
-        c01.h0_inclusion,
-    )
-    beta = _from_sum_hom([d0_, negate_hom(d1_)], h0sum, h0offs, c01.h0)
 
     # connecting map: lift a 0-cocycle on the overlap by (zero-extension, 0)
     # into piece 0, apply that piece's coboundary, and view the resulting
     # 1-cochain (zero on the piece-1-only edges) on the whole graph
-    ext01_to0 = _coord_map(table, ids01, grps01, sum01, off01, ids0, sum0, off0)
-    ext0_toA = _coord_map(table, eids0, egrps0, esum0, eoff0, eidsA, esumA, eoffA)
+    ext01_to0 = _by_id(v01, v0)
+    ext0_toA = _by_id(e0, eA)
     delta = compose(
         cA.h1_projection,
         compose(ext0_toA, compose(c0.witnesses, compose(ext01_to0, c01.h0_inclusion))),
@@ -1148,31 +869,21 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
     check_hom(delta)
 
     # H1(A) -> H1(A0) + H1(A1)
-    gma0 = compose(
-        c0.h1_projection,
-        compose(_coord_map(table, eidsA, egrpsA, esumA, eoffA, eids0, esum0, eoff0), cA.h1_section),
-    )
+    gma0 = compose(c0.h1_projection, compose(_by_id(eA, e0), cA.h1_section))
     check_hom(gma0)
-    gma1 = compose(
-        c1.h1_projection,
-        compose(_coord_map(table, eidsA, egrpsA, esumA, eoffA, eids1, esum1, eoff1), cA.h1_section),
-    )
+    gma1 = compose(c1.h1_projection, compose(_by_id(eA, e1), cA.h1_section))
     check_hom(gma1)
-    h1sum, _, h1offs = direct_sum_with_maps([c0.h1, c1.h1], table)
-    gamma = _pair_hom(gma0, gma1, h1sum, h1offs[0], h1offs[1])
+    h1sum, h1offs = direct_sum([c0.h1, c1.h1], table)
+    gamma = block_hom(cA.h1, point, h1sum, h1offs, [(0, 0, gma0, 1), (0, 1, gma1, 1)])
 
     # H1(A0) + H1(A1) -> H1(A01)
-    eps0 = compose(
-        c01.h1_projection,
-        compose(_coord_map(table, eids0, egrps0, esum0, eoff0, eids01, esum01, eoff01), c0.h1_section),
-    )
+    eps0 = compose(c01.h1_projection, compose(_by_id(e0, e01), c0.h1_section))
     check_hom(eps0)
-    eps1 = compose(
-        c01.h1_projection,
-        compose(_coord_map(table, eids1, egrps1, esum1, eoff1, eids01, esum01, eoff01), c1.h1_section),
-    )
+    eps1 = compose(c01.h1_projection, compose(_by_id(e1, e01), c1.h1_section))
     check_hom(eps1)
-    epsilon = _from_sum_hom([eps0, negate_hom(eps1)], h1sum, h1offs, c01.h1)
+    epsilon = block_hom(
+        h1sum, h1offs, c01.h1, point, [(0, 0, eps0, 1), (1, 0, negate_hom(eps1), 1)]
+    )
 
     checks = [
         ("H0(whole)", is_injective(alpha)),
@@ -1202,13 +913,15 @@ class LongExactSequenceResult:
 
     ``groups`` runs ``H0(sub), H0(total), H0(quotient), H1(sub),
     H1(total), H1(quotient)``; ``maps`` holds the five arrows including
-    the connecting map at position 2.
+    the connecting map at position 2.  ``middle`` is the cohomology of the
+    middle group-graph, with the coboundary and maps that witness it.
     """
 
     groups: Tuple[PresentedAbelianGroup, ...]
     maps: Tuple[GroupHom, ...]
     exact: bool
     failures: Tuple[str, ...]
+    middle: CohomologyResult
 
 
 def long_exact_sequence(
@@ -1246,27 +959,11 @@ def long_exact_sequence(
             raise NotShortExact(f"triple is not exact at {a!r}")
 
     cF, cG, cJ = cohomology(F), cohomology(Gmid), cohomology(J)
-    table = F.table
-
-    sumF0, _, offF0 = _chain0(F)
-    sumG0, _, offG0 = _chain0(Gmid)
-    sumJ0, _, offJ0 = _chain0(J)
-    sumF1, _, offF1 = _chain1(F)
-    sumG1, _, offG1 = _chain1(Gmid)
-    sumJ1, _, offJ1 = _chain1(J)
-
-    iota_c0 = _block_diag_hom(
-        g.vertices, {v: iota.vertex_map(v) for v in g.vertices}, sumF0, offF0, sumG0, offG0
-    )
-    pi_c0 = _block_diag_hom(
-        g.vertices, {v: pi.vertex_map(v) for v in g.vertices}, sumG0, offG0, sumJ0, offJ0
-    )
-    iota_c1 = _block_diag_hom(
-        g.edges, {e: iota.edge_map(e) for e in g.edges}, sumF1, offF1, sumG1, offG1
-    )
-    pi_c1 = _block_diag_hom(
-        g.edges, {e: pi.edge_map(e) for e in g.edges}, sumG1, offG1, sumJ1, offJ1
-    )
+    (F0, F1), (G0, G1), (J0, J1) = ((_cochains(H, 0), _cochains(H, 1)) for H in (F, Gmid, J))
+    iota_c0 = _by_id(F0, G0, iota.vertex_map)
+    pi_c0 = _by_id(G0, J0, pi.vertex_map)
+    iota_c1 = _by_id(F1, G1, iota.edge_map)
+    pi_c1 = _by_id(G1, J1, pi.edge_map)
 
     f0 = factor_through(compose(iota_c0, cF.h0_inclusion), cG.h0_inclusion)
     g0 = factor_through(compose(pi_c0, cG.h0_inclusion), cJ.h0_inclusion)
@@ -1296,6 +993,7 @@ def long_exact_sequence(
         maps=(f0, g0, delta, f1, g1),
         exact=not failures,
         failures=failures,
+        middle=cG,
     )
 
 

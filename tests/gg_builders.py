@@ -3,7 +3,8 @@
 Produces matched pairs of exact (:class:`~folmod.gg.GroupGraph`) and
 table-based (:class:`~folmod.gg.FiniteGroupGraph`) group-graphs over
 cyclic groups, so the symbolic cohomology and the brute-force orbit count
-can be compared on identical data.
+can be compared on identical data, and exact group-graphs whose groups may
+also carry an opaque atom factor.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from typing import Dict, List, Tuple
 
 from hypothesis import strategies as st
 
-from folmod.abgroup import GroupHom, PresentedAbelianGroup
+from folmod.abgroup import GroupHom, PresentedAbelianGroup, direct_sum
 from folmod.exactnum import SymbolTable
 from folmod.gg import FiniteGroup, FiniteGroupGraph, FiniteHom, Graph, GroupGraph
 
 TABLE = SymbolTable([])
+ATOM = PresentedAbelianGroup.atom_group(TABLE, "cremer")
 
 
 def cyclic_group(order: int) -> PresentedAbelianGroup:
@@ -156,3 +158,42 @@ def prunable_group_graphs(draw) -> GroupGraph:
         multipliers=multipliers,
     )
     return exact
+
+
+@st.composite
+def atom_group_graphs(
+    draw, max_vertices: int = 3, max_edges: int = 4, max_order: int = 3
+) -> GroupGraph:
+    """Cyclic group-graphs whose vertex and edge groups mostly carry the atom
+    ``cremer`` too; a restriction mostly sends a vertex atom onto the edge
+    atom, else to zero, so a vertex atom may land on several edge atoms.
+    There are at least two edges; they join distinct vertices first, loops
+    last."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)] + [(v, v) for v in range(n)]
+    ends = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=max_edges))
+    graph = Graph(range(n), [(f"e{i}", u, w) for i, (u, w) in enumerate(ends)])
+    orders = st.integers(1, max_order)
+
+    def group(order: int, atom: bool) -> PresentedAbelianGroup:
+        base = cyclic_group(order)
+        return direct_sum([base, ATOM])[0] if atom else base
+
+    vertex_orders = {v: draw(orders) for v in graph.vertices}
+    edge_orders = {e: draw(orders) for e in graph.edges}
+    mostly = st.sampled_from([True, True, False])
+    vgroups = {v: group(order, draw(mostly)) for v, order in vertex_orders.items()}
+    egroups = {e: group(order, draw(mostly)) for e, order in edge_orders.items()}
+    rhos = {}
+    for e in graph.edges:
+        for v in set(graph.endpoints(e)):
+            k = draw(st.sampled_from(hom_multipliers(vertex_orders[v], edge_orders[e])))
+            onto_atom = bool(egroups[e].atoms) and draw(mostly)
+            rhos[(v, e)] = GroupHom(
+                vgroups[v],
+                egroups[e],
+                [],
+                [((), (k,))],
+                [0 if onto_atom else None] * len(vgroups[v].atoms),
+            )
+    return GroupGraph(graph, vgroups, egroups, rhos, table=TABLE)

@@ -18,12 +18,12 @@ from folmod.abgroup import (
     PresentedAbelianGroup,
     Relation,
     UnsupportedAtomMap,
+    block_hom,
     check_hom,
     classify,
     cokernel,
     compose,
     direct_sum,
-    direct_sum_with_maps,
     hom_is_zero,
     identity_hom,
     induced_cokernel_map,
@@ -48,6 +48,16 @@ def make_finite(*, factors: list) -> PresentedAbelianGroup:
 
 def make_lattice(*, gens: list) -> PresentedAbelianGroup:
     return PresentedAbelianGroup.lattice_quotient(TABLE, gens)
+
+
+def sum_with_injections(groups: list):
+    """The direct sum and its summand injections, each one block."""
+    total, offsets = direct_sum(groups)
+    injections = [
+        block_hom(g, [(0, 0, 0)], total, offsets, [(0, i, identity_hom(g), 1)])
+        for i, g in enumerate(groups)
+    ]
+    return total, injections, offsets
 
 
 def hom_equal(a: GroupHom, b: GroupHom) -> bool:
@@ -220,7 +230,7 @@ class TestClassify:
         assert classify(g).text() == "(C*)^2"
 
     def test_mixed_group_text(self) -> None:
-        g = direct_sum(
+        g, _ = direct_sum(
             [
                 PresentedAbelianGroup.free_cont(TABLE, 1),
                 make_lattice(gens=[ONE, MU]),
@@ -286,7 +296,7 @@ class TestHoms:
             check_hom(GroupHom(g2, g3, disc_images=[((), (1,))]))
 
     def test_zero_hom_is_zero(self) -> None:
-        g = direct_sum(
+        g, _ = direct_sum(
             [make_finite(factors=[4]), PresentedAbelianGroup.atom_group(TABLE, "D")]
         )
         h = zero_hom(g, make_finite(factors=[2]))
@@ -361,7 +371,7 @@ class TestCokernel:
 
     def test_cokernel_of_injection_kills_summand(self) -> None:
         a = PresentedAbelianGroup.atom_group(TABLE, "D")
-        total, (inj1, inj2), _ = direct_sum_with_maps([make_finite(factors=[4]), a])
+        total, (inj1, inj2), _ = sum_with_injections([make_finite(factors=[4]), a])
         ck = cokernel(inj1)
         assert classify(ck.group).text() == "D"
         ck2 = cokernel(inj2)
@@ -395,7 +405,7 @@ class TestExactness:
 
     def test_sum_injection_projection_exact(self) -> None:
         z2, z3 = make_finite(factors=[2]), make_finite(factors=[3])
-        total, (inj1, inj2), _ = direct_sum_with_maps([z2, z3])
+        total, (inj1, inj2), _ = sum_with_injections([z2, z3])
         proj2 = GroupHom(total, z3, disc_images=[((), (0,)), ((), (1,))])
         check_hom(proj2)
         assert is_exact_at(inj1, proj2)
@@ -404,7 +414,7 @@ class TestExactness:
     def test_atom_coverage(self) -> None:
         a = PresentedAbelianGroup.atom_group(TABLE, "D")
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
-        total, (inj_a, inj_z), _ = direct_sum_with_maps([a, z])
+        total, (inj_a, inj_z), _ = sum_with_injections([a, z])
         proj_z = GroupHom(
             total, z, disc_images=[((), (1,))], atom_images=[None]
         )
@@ -449,13 +459,56 @@ class TestDirectSum:
     def test_offsets_and_injections(self) -> None:
         g1 = make_finite(factors=[2])
         g2 = make_lattice(gens=[TAU])
-        total, injections, offsets = direct_sum_with_maps([g1, g2])
+        total, injections, offsets = sum_with_injections([g1, g2])
         assert offsets == [(0, 0, 0), (0, 1, 0)]
         for inj in injections:
             check_hom(inj)
             assert is_injective(inj)
+        assert injections[1].cont_images == ((ONE,),)
+        assert injections[0].disc_images == (((ZERO,), (1,)),)
 
     def test_empty_sum_needs_table(self) -> None:
         with pytest.raises(ValueError):
             direct_sum([])
-        assert classify(direct_sum([], TABLE)).is_trivial
+        total, offsets = direct_sum([], TABLE)
+        assert classify(total).is_trivial and offsets == []
+
+
+class TestBlockHom:
+    def test_blocks_into_one_summand_add_with_their_signs(self) -> None:
+        z = PresentedAbelianGroup.free_disc(TABLE, 1)
+        line = PresentedAbelianGroup.free_cont(TABLE, 1)
+        total, offsets = direct_sum([z, line])
+        by3 = GroupHom(z, z, disc_images=[((), (3,))])
+        mu = GroupHom(line, line, cont_images=[(MU,)])
+        h = block_hom(
+            total,
+            offsets,
+            total,
+            offsets,
+            [
+                (0, 0, by3, 1),
+                (0, 0, identity_hom(z), -1),
+                (1, 1, mu, -1),
+                (1, 1, identity_hom(line), 1),
+            ],
+        )
+        assert h.disc_images == (((ZERO,), (2,)),)
+        assert h.cont_images == ((ONE - MU,),)
+
+    def test_block_of_the_wrong_shape_is_refused(self) -> None:
+        z2 = make_finite(factors=[2])
+        total, offsets = direct_sum([z2, PresentedAbelianGroup.free_cont(TABLE, 1)])
+        with pytest.raises(ValueError):
+            block_hom(total, offsets, z2, [(0, 0, 0)], [(1, 0, identity_hom(z2), 1)])
+
+    def test_an_atom_slot_is_assigned_once(self) -> None:
+        a = PresentedAbelianGroup.atom_group(TABLE, "D")
+        total, offsets = direct_sum([a, a])
+        one = identity_hom(a)
+        pair = [(0, 0, one, 1), (0, 1, one, 1)]
+        with pytest.raises(UnsupportedAtomMap):
+            block_hom(a, [(0, 0, 0)], total, offsets, pair)
+        # the sign never touches an atom
+        h = block_hom(total, offsets, a, [(0, 0, 0)], [(1, 0, one, -1)])
+        assert h.atom_images == (None, 0)

@@ -15,6 +15,7 @@ import copy
 import importlib.util
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,25 @@ def test_exponents_up_to_the_bound_parse() -> None:
     assert foliation.parse_scalar(table, f"mu^{foliation.MAX_EXPONENT}") == power
     with pytest.raises(foliation.FoliationError, match="exceeds"):
         foliation.parse_scalar(table, f"mu^{foliation.MAX_EXPONENT + 1}")
+
+
+def test_an_expansion_past_the_term_bound_exits_2_at_once(tmp_path, capsys) -> None:
+    # (a+b+c+d+e)^64 passes the exponent bound but would expand to 814,385
+    # terms; the refusal comes after the 210 terms of the sixth power
+    doc = _with_cs(example_doc(1), "(a+b+c+d+e)^64")
+    doc["symbols"] = doc["symbols"] + ["a", "b", "c", "d", "e"]
+    path = _write(tmp_path, doc)
+    started = time.perf_counter()
+    assert _moduli_code(["moduli", path]) == 2
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}: ") and f"exceed {foliation.MAX_TERMS}" in err
+
+
+def test_the_bundled_examples_stay_within_the_term_bound() -> None:
+    for n in EXAMPLES:
+        example_input(n)
 
 
 # -- fuzzed documents -------------------------------------------------------
