@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import (
+    Dict,
     Iterable,
     List,
     Mapping,
@@ -120,147 +121,173 @@ class Relation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra over vectors of Scalars
+# Field linear algebra over sparse rows of Scalars
+#
+# A row is a dict from column index to a nonzero Scalar: absent columns are
+# zero, and no stored entry is ever zero, so no arithmetic touches a zero.
+# Elimination visits columns in their given order and never reorders them.
+# The reduced row echelon form of a row space with pivots in column order is
+# unique, so every reduced form, nullspace basis and solution below is the
+# canonical one, whatever order the rows were eliminated in.
 # ---------------------------------------------------------------------------
 
-
-def _vzero(table: SymbolTable, n: int) -> List[Scalar]:
-    z = Scalar.zero(table)
-    return [z] * n
+Row = Dict[int, Scalar]
 
 
-def _vadd(u: Sequence[Scalar], v: Sequence[Scalar]) -> List[Scalar]:
-    return [a + b for a, b in zip(u, v)]
+def _sparse(v: Sequence[Scalar]) -> Row:
+    return {j: x for j, x in enumerate(v) if not x.is_zero()}
 
 
-def _vsub(u: Sequence[Scalar], v: Sequence[Scalar]) -> List[Scalar]:
-    return [a - b for a, b in zip(u, v)]
+def _dense(row: Mapping[int, Scalar], n: int, table: SymbolTable) -> List[Scalar]:
+    out = [Scalar.zero(table)] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
-def _vscale(u: Sequence[Scalar], c: Scalar) -> List[Scalar]:
-    return [c * a for a in u]
+def _addmul(acc: Row, c: Scalar, row: Mapping[int, Scalar]) -> None:
+    """``acc += c * row`` in place for a nonzero ``c``; cancelled entries go."""
+    for j, x in row.items():
+        y = c * x
+        cur = acc.get(j)
+        if cur is not None:
+            y = cur + y
+            if y.is_zero():
+                del acc[j]
+                continue
+        acc[j] = y
 
 
-def _vq(u: Sequence[Scalar], q: "Fraction | int") -> List[Scalar]:
-    return [a.scale(q) for a in u]
+def _addq(acc: Row, q: "Fraction | int", row: Mapping[int, Scalar]) -> None:
+    """``acc += q * row`` in place for a nonzero rational ``q``."""
+    for j, x in row.items():
+        y = x.scale(q)
+        cur = acc.get(j)
+        if cur is not None:
+            y = cur + y
+            if y.is_zero():
+                del acc[j]
+                continue
+        acc[j] = y
 
 
-def _viszero(u: Sequence[Scalar]) -> bool:
-    return all(a.is_zero() for a in u)
+def _row_times(row: Mapping[int, Scalar], m: Sequence[Mapping[int, Scalar]]) -> Row:
+    """The row vector ``row`` times the matrix with rows ``m``."""
+    out: Row = {}
+    for j, x in row.items():
+        _addmul(out, x, m[j])
+    return out
 
 
-def _vdot(u: Sequence[Scalar], v: Sequence[Scalar], table: SymbolTable) -> Scalar:
+def _vdot(u: Mapping[int, Scalar], v: Mapping[int, Scalar], table: SymbolTable) -> Scalar:
+    if len(v) < len(u):
+        u, v = v, u
     acc = Scalar.zero(table)
-    for a, b in zip(u, v):
-        if not (a.is_zero() or b.is_zero()):
+    for j, a in u.items():
+        b = v.get(j)
+        if b is not None:
             acc = acc + a * b
     return acc
 
 
-def _field_rref(
-    rows: Sequence[Sequence[Scalar]],
-) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form over Q(symbols); returns (rows, pivot cols)."""
-    work = [list(r) for r in rows if not _viszero(r)]
-    pivots: List[int] = []
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][col].is_zero():
-                work[i] = _vsub(work[i], _vscale(work[r], work[i][col]))
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+class _Elimination:
+    """Gauss-Jordan elimination of sparse vectors, inserted in order, done once.
+
+    ``rows[p]`` is the reduced row with pivot column ``p``: it is 1 at ``p``
+    and 0 at every other pivot and every column before ``p``, so the rows
+    sorted by pivot are the reduced row echelon form of the vectors.  With
+    ``track``, ``combos[p]`` writes ``rows[p]`` as a combination of the
+    vectors (keyed by insertion index), and ``dependencies`` holds, for each
+    vector ``j`` that reduced to zero, the relation ``e_j - x`` whose ``x``
+    writes vector ``j`` through the earlier independent vectors.  The
+    vectors are the columns of a system ``sum_j x_j v_j = b``, so
+    :meth:`express` solves it and ``dependencies`` is its nullspace basis.
+    """
+
+    __slots__ = ("table", "rows", "combos", "dependencies")
+
+    def __init__(
+        self, vectors: Iterable[Mapping[int, Scalar]], table: SymbolTable, track: bool = False
+    ):
+        self.table = table
+        self.rows: Dict[int, Row] = {}
+        self.combos: Dict[int, Row] = {}
+        self.dependencies: List[Row] = []
+        one = Scalar.one(table)
+        for j, v in enumerate(vectors):
+            row, x = self._reduce(v, track)
+            if track:
+                combo = {k: -c for k, c in x.items()}
+                combo[j] = one
+            if not row:
+                if track:
+                    self.dependencies.append(combo)
+                continue
+            p = min(row)
+            lead = row[p]
+            if lead != one:
+                row = {k: y / lead for k, y in row.items()}
+                if track:
+                    combo = {k: y / lead for k, y in combo.items()}
+            for q, other in self.rows.items():
+                c = other.get(p)
+                if c is not None:
+                    c = -c
+                    _addmul(other, c, row)
+                    if track:
+                        _addmul(self.combos[q], c, combo)
+            self.rows[p] = row
+            if track:
+                self.combos[p] = combo
+
+    def _reduce(self, v: Mapping[int, Scalar], track: bool) -> Tuple[Row, Row]:
+        # Each reduced row is 0 at every other pivot, so v's entry at a pivot
+        # is still the original one when that pivot's turn comes.
+        out = dict(v)
+        x: Row = {}
+        for p in [p for p in v if p in self.rows]:
+            c = out[p]
+            _addmul(out, -c, self.rows[p])
+            if track:
+                _addmul(x, c, self.combos[p])
+        return out, x
+
+    def reduce(self, v: Mapping[int, Scalar]) -> Row:
+        """``v`` minus its component in the span, canonical."""
+        return self._reduce(v, False)[0]
+
+    def express(self, b: Mapping[int, Scalar]) -> Optional[Row]:
+        """Coefficients over the independent vectors summing to ``b``, or None."""
+        out, x = self._reduce(b, True)
+        return None if out else x
+
+    def rref(self) -> Tuple[List[Row], List[int]]:
+        pivots = sorted(self.rows)
+        return [self.rows[p] for p in pivots], pivots
+
+    def nullspace(self, ncols: int) -> List[Row]:
+        """Basis of ``{x : v . x = 0}`` over the vectors, one per free column."""
+        above: Dict[int, Row] = {}
+        for p, row in self.rows.items():
+            for f, y in row.items():
+                if f != p:
+                    above.setdefault(f, {})[p] = -y
+        one = Scalar.one(self.table)
+        basis = []
+        for f in range(ncols):
+            if f not in self.rows:
+                vec = dict(above.get(f, {}))
+                vec[f] = one
+                basis.append(vec)
+        return basis
 
 
-def _field_reduce(
-    rref: Sequence[Sequence[Scalar]], pivots: Sequence[int], v: Sequence[Scalar]
-) -> List[Scalar]:
-    out = list(v)
-    for row, p in zip(rref, pivots):
-        if not out[p].is_zero():
-            out = _vsub(out, _vscale(row, out[p]))
-    return out
-
-
-def _field_solve(
-    rows: Sequence[Sequence[Scalar]],
-    b: Sequence[Scalar],
-    ncols: int,
-    table: SymbolTable,
-) -> Optional[List[Scalar]]:
-    """One solution of ``A x = b`` (rows of ``A`` given), free variables 0."""
-    aug = [list(rows[i]) + [b[i]] for i in range(len(rows))]
-    rref, pivots = _field_rref(aug)
-    if ncols in pivots:
-        return None
-    x = _vzero(table, ncols)
-    for row, p in zip(rref, pivots):
-        x[p] = row[ncols]
-    return x
-
-
-def _field_nullspace(
-    rows: Sequence[Sequence[Scalar]], ncols: int, table: SymbolTable
-) -> List[List[Scalar]]:
-    """Basis of ``{x : A x = 0}`` with the rows of ``A`` given."""
-    rref, pivots = _field_rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis: List[List[Scalar]] = []
-    one = Scalar.one(table)
-    for f in free:
-        vec = _vzero(table, ncols)
-        vec[f] = one
-        for row, p in zip(rref, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
-
-
-def _field_inverse(
-    rows: Sequence[Sequence[Scalar]], table: SymbolTable
-) -> List[List[Scalar]]:
-    n = len(rows)
-    one = Scalar.one(table)
-    zero = Scalar.zero(table)
-    aug = [list(rows[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rref, pivots = _field_rref(aug)
-    if pivots[:n] != list(range(n)):
+def _field_inverse(rows: Sequence[Mapping[int, Scalar]], table: SymbolTable) -> List[Row]:
+    """Rows of the inverse of a square matrix given by its rows."""
+    elim = _Elimination(rows, table, track=True)
+    if sorted(elim.rows) != list(range(len(rows))):
         raise ValueError("singular matrix")
-    return [row[n:] for row in rref]
-
-
-def _mat_mul(
-    a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], table: SymbolTable
-) -> List[List[Scalar]]:
-    n = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = _vzero(table, n)
-        for x, brow in zip(row, b):
-            if not x.is_zero():
-                acc = _vadd(acc, _vscale(brow, x))
-        out.append(acc)
-    return out
-
-
-def _mat_row(
-    v: Sequence[Scalar], m: Sequence[Sequence[Scalar]], table: SymbolTable
-) -> List[Scalar]:
-    out = _vzero(table, len(m[0]) if m else 0)
-    for x, row in zip(v, m):
-        if not x.is_zero():
-            out = _vadd(out, _vscale(row, x))
-    return out
+    return [elim.combos[p] for p in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +318,21 @@ def _int_solve(
     if ncols == 0:
         return [] if all(x == 0 for x in b) else None
     u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
-    ub = [sum(u.rows[i][k] * b[k] for k in range(len(b))) for i in range(len(rows))]
+    # b and y are mostly zero: the products run over their nonzero entries.
+    bnz = [(k, x) for k, x in enumerate(b) if x]
     diag = d.diagonal()
-    y = [0] * ncols
-    for i in range(len(rows)):
+    ynz: List[Tuple[int, int]] = []
+    for i, urow in enumerate(u.rows):
+        ub = sum(urow[k] * x for k, x in bnz)
         di = diag[i] if i < len(diag) else 0
         if di == 0:
-            if ub[i] != 0:
+            if ub != 0:
                 return None
-        elif ub[i] % di != 0:
+        elif ub % di != 0:
             return None
-        else:
-            y[i] = ub[i] // di
-    return [sum(v.rows[r][k] * y[k] for k in range(ncols)) for r in range(ncols)]
+        elif ub:
+            ynz.append((i, ub // di))
+    return [sum(vrow[k] * y for k, y in ynz) for vrow in v.rows]
 
 
 def _int_inverse(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -424,7 +453,7 @@ class PresentedAbelianGroup:
         atoms: Iterable[AtomFactor] = (),
     ):
         relations = tuple(
-            Relation(tuple(r.cont), tuple(int(x) for x in r.disc), r.span)
+            Relation(tuple(r.cont), tuple(map(int, r.disc)), r.span)
             for r in relations
         )
         for r in relations:
@@ -435,7 +464,7 @@ class PresentedAbelianGroup:
             if r.span == "C" and any(r.disc):
                 raise ValueError("C-span relations cannot touch discrete generators")
             for s in r.cont:
-                if s.table != table:
+                if s.table is not table and s.table != table:
                     raise ValueError("relation scalar over a different symbol table")
         atoms = tuple(AtomFactor(a.name, a.mod_order) for a in atoms)
         for a in atoms:
@@ -487,9 +516,6 @@ class PresentedAbelianGroup:
         return cls(table, 0, 0, (), (AtomFactor(name, mod_order),))
 
     # -- views ----------------------------------------------------------------
-
-    def crows(self) -> List[List[Scalar]]:
-        return [list(r.cont) for r in self.relations if r.span == "C"]
 
     def zrows(self) -> List[Relation]:
         return [r for r in self.relations if r.span == "Z"]
@@ -587,8 +613,8 @@ class GroupHom:
     ):
         if dom.table != cod.table:
             raise ValueError("homomorphism across different symbol tables")
-        cont_images = tuple(tuple(v) for v in cont_images)
-        disc_images = tuple((tuple(c), tuple(int(x) for x in d)) for c, d in disc_images)
+        cont_images = tuple(map(tuple, cont_images))
+        disc_images = tuple((tuple(c), tuple(map(int, d))) for c, d in disc_images)
         atom_images = tuple(None if x is None else int(x) for x in atom_images)
         if len(cont_images) != dom.cont_rank:
             raise ValueError("wrong number of continuous generator images")
@@ -616,17 +642,8 @@ class GroupHom:
         self, cont: Sequence[Scalar], disc: Sequence[int]
     ) -> Tuple[List[Scalar], List[int]]:
         """Image of the element with the given generator coordinates."""
-        table = self.dom.table
-        out_c = _vzero(table, self.cod.cont_rank)
-        out_d = [0] * self.cod.disc_rank
-        for x, v in zip(cont, self.cont_images):
-            if not x.is_zero():
-                out_c = _vadd(out_c, _vscale(v, x))
-        for n, (c, d) in zip(disc, self.disc_images):
-            if n:
-                out_c = _vadd(out_c, _vq(c, n))
-                out_d = [a + n * b for a, b in zip(out_d, d)]
-        return out_c, out_d
+        out_c, out_d = _SparseHom.of(self).apply(_sparse(cont), disc)
+        return _dense(out_c, self.cod.cont_rank, self.dom.table), out_d
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -679,91 +696,133 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows_from_scalar_columns(
-    columns: Sequence[Sequence[Scalar]],
-    targets: Sequence[Scalar],
-) -> Tuple[List[List[int]], List[int]]:
-    """Expand ``sum n_j columns[j] = targets`` coordinate-wise over monomials.
+class _SparseHom(NamedTuple):
+    """The generator images of a hom as sparse rows, for repeated use."""
 
-    Each coordinate contributes one integer row per monomial appearing there,
-    with denominators cleared row by row; returns ``(rows, rhs)``.
+    cont: List[Row]
+    disc: List[Tuple[Row, Tuple[int, ...]]]
+    disc_rank: int
+
+    @classmethod
+    def of(cls, h: GroupHom) -> "_SparseHom":
+        return cls(
+            [_sparse(v) for v in h.cont_images],
+            [(_sparse(c), d) for c, d in h.disc_images],
+            h.cod.disc_rank,
+        )
+
+    def apply(self, cont: Mapping[int, Scalar], disc: Sequence[int]) -> Tuple[Row, List[int]]:
+        out_c = _row_times(cont, self.cont)
+        out_d = [0] * self.disc_rank
+        for n, (c, d) in zip(disc, self.disc):
+            if n:
+                _addq(out_c, n, c)
+                for k, m in enumerate(d):
+                    if m:
+                        out_d[k] += n * m
+        return out_c, out_d
+
+
+def _by_coordinate(columns: Sequence[Mapping[int, Scalar]]) -> Dict[int, Row]:
+    """The entries of sparse columns grouped by coordinate: ``{coord: {j: x}}``."""
+    at: Dict[int, Row] = {}
+    for j, col in enumerate(columns):
+        for coord, x in col.items():
+            at.setdefault(coord, {})[j] = x
+    return at
+
+
+def _int_rows_from_scalar_columns(
+    at: Mapping[int, Mapping[int, Scalar]], ncols: int, target: Mapping[int, Scalar]
+) -> Tuple[List[List[int]], List[int]]:
+    """Expand ``sum n_j columns[j] = target`` coordinate-wise over monomials.
+
+    The ``ncols`` columns come grouped by coordinate, ``at[coord][j]`` (see
+    :func:`_by_coordinate`), and ``target`` is sparse over the coordinates.
+    Each coordinate where some entry is nonzero contributes, in coordinate
+    order, one integer row per monomial appearing there, with denominators
+    cleared row by row; returns ``(rows, rhs)``.  A coordinate whose entries
+    are all rational is one monomial and skips the expansion.
     """
     rows: List[List[int]] = []
     rhs: List[int] = []
-    for coord in range(len(targets)):
-        scalars = [col[coord] for col in columns] + [targets[coord]]
-        if all(s.is_zero() for s in scalars):
-            continue
-        vectors = monomial_vectors(scalars)
-        nmono = len(vectors[0]) if vectors else 0
-        for m in range(nmono):
+    for coord in sorted(at.keys() | target.keys()):
+        entries = at.get(coord, {})
+        t = target.get(coord)
+        scalars = list(entries.values()) if t is None else [*entries.values(), t]
+        if all(x.is_rational() for x in scalars):
+            vectors = [[x.rat] for x in scalars]
+        else:
+            vectors = monomial_vectors(scalars)
+        for m in range(len(vectors[0])):
             fracs = [vec[m] for vec in vectors]
-            if all(f == 0 for f in fracs):
+            if not any(fracs):
                 continue
             denom = 1
             for f in fracs:
                 denom = lcm(denom, f.denominator)
             ints = [f.numerator * (denom // f.denominator) for f in fracs]
-            rows.append(ints[:-1])
-            rhs.append(ints[-1])
+            row = [0] * ncols
+            for j, n in zip(entries, ints):
+                row[j] = n
+            rows.append(row)
+            rhs.append(ints[-1] if t is not None else 0)
     return rows, rhs
 
 
-def _member(
-    cod: PresentedAbelianGroup,
-    vcont: Sequence[Scalar],
-    vdisc: Sequence[int],
-    extra_c: Sequence[Sequence[Scalar]] = (),
-    extra_z: Sequence[Tuple[Sequence[Scalar], Sequence[int]]] = (),
-) -> Optional[List[int]]:
-    """Certificate that ``(vcont, vdisc)`` lies in the span of the codomain's
-    relations plus the extra rows, or None.
+class _Span:
+    """The relation span of a group, plus extra rows, eliminated once.
 
-    The certificate is the vector of integer coefficients over the Z-rows
-    (the codomain's own first, then ``extra_z``); C-rows are eliminated over
-    the field first, which preserves membership exactly.
+    The C-rows are brought to reduced echelon form and the continuous part
+    of every Z-row is reduced against them, which preserves membership
+    exactly; a membership test then reduces only the vector in question.
     """
-    crows = [list(r) for r in cod.crows()] + [list(r) for r in extra_c]
-    crows = [r for r in crows if not _viszero(r)]
-    zrows = [(list(r.cont), list(r.disc)) for r in cod.zrows()] + [
-        (list(c), list(d)) for c, d in extra_z
-    ]
-    if crows:
-        rref, pivots = _field_rref(crows)
-        v = _field_reduce(rref, pivots, list(vcont))
-        cont_cols = [_field_reduce(rref, pivots, c) for c, _ in zrows]
-    else:
-        v = list(vcont)
-        cont_cols = [c for c, _ in zrows]
-    rows, rhs = _int_rows_from_scalar_columns(cont_cols, v)
-    for coord in range(cod.disc_rank):
-        row = [d[coord] for _, d in zrows]
-        b = vdisc[coord]
-        if any(row) or b:
-            rows.append(row)
-            rhs.append(b)
-    if not rows:
-        return [0] * len(zrows)
-    return _int_solve(rows, rhs, len(zrows))
+
+    __slots__ = ("elim", "zcols", "zcoords", "zdisc")
+
+    def __init__(
+        self,
+        g: PresentedAbelianGroup,
+        extra_c: Sequence[Sequence[Scalar]] = (),
+        extra_z: Sequence[Tuple[Sequence[Scalar], Sequence[int]]] = (),
+    ):
+        crows = [_sparse(r.cont) for r in g.relations if r.span == "C"]
+        crows += [_sparse(v) for v in extra_c]
+        self.elim = _Elimination((r for r in crows if r), g.table)
+        zrows = [(r.cont, r.disc) for r in g.relations if r.span == "Z"] + list(extra_z)
+        self.zcols = [self.elim.reduce(_sparse(c)) for c, _ in zrows]
+        self.zcoords = _by_coordinate(self.zcols)
+        self.zdisc = [[d[coord] for _, d in zrows] for coord in range(g.disc_rank)]
+
+    def has_line(self, vcont: Mapping[int, Scalar]) -> bool:
+        """Whether the whole complex line through ``vcont`` lies in the span.
+
+        True iff the vector reduces to zero against the C-rows: a finitely
+        generated Z-span can absorb a line only if the line is zero, so the
+        Z-rows never help.
+        """
+        return not self.elim.reduce(vcont)
+
+    def member(self, vcont: Mapping[int, Scalar], vdisc: Sequence[int]) -> Optional[List[int]]:
+        """Certificate that ``(vcont, vdisc)`` lies in the span, or None.
+
+        The certificate is the vector of integer coefficients over the
+        Z-rows (the group's own first, then the extra ones).
+        """
+        reduced = self.elim.reduce(vcont)
+        rows, rhs = _int_rows_from_scalar_columns(self.zcoords, len(self.zcols), reduced)
+        for row, b in zip(self.zdisc, vdisc):
+            if b or any(row):
+                rows.append(row)
+                rhs.append(b)
+        if not rows:
+            return [0] * len(self.zcols)
+        return _int_solve(rows, rhs, len(self.zcols))
 
 
-def _line_in_span(
-    cod: PresentedAbelianGroup,
-    vcont: Sequence[Scalar],
-    extra_c: Sequence[Sequence[Scalar]] = (),
-) -> bool:
-    """Whether the whole complex line through ``vcont`` lies in the span.
-
-    True iff the vector reduces to zero against the C-rows: a finitely
-    generated Z-span can absorb a line only if the line is zero, so the
-    Z-rows never help.
-    """
-    crows = [list(r) for r in cod.crows()] + [list(r) for r in extra_c]
-    crows = [r for r in crows if not _viszero(r)]
-    if not crows:
-        return _viszero(vcont)
-    rref, pivots = _field_rref(crows)
-    return _viszero(_field_reduce(rref, pivots, list(vcont)))
+# Bound of the memo of relation spans, one per codomain group.
+SPAN_CACHE_SIZE = 64
+_span = lru_cache(maxsize=SPAN_CACHE_SIZE)(_Span)
 
 
 def check_hom(h: GroupHom) -> None:
@@ -783,25 +842,32 @@ def check_hom(h: GroupHom) -> None:
             )
         if da.mod_order != ca.mod_order and da.mod_order is not None:
             raise UnsupportedAtomMap(f"no canonical map {da.label()} -> {ca.label()}")
+    if not h.dom.relations:
+        return
+    span = _span(h.cod)
+    sh = _SparseHom.of(h)
     for idx, r in enumerate(h.dom.relations):
-        img_c, img_d = h.apply(r.cont, r.disc)
+        img_c, img_d = sh.apply(_sparse(r.cont), r.disc)
         if r.span == "C":
-            if not _line_in_span(h.cod, img_c):
+            if not span.has_line(img_c):
                 raise HomError(f"relation {idx} (C-span) maps outside the codomain span")
-        elif any(img_d) or not _viszero(img_c):
-            if _member(h.cod, img_c, img_d) is None:
-                raise HomError(f"relation {idx} maps outside the codomain span")
+        elif (img_c or any(img_d)) and span.member(img_c, img_d) is None:
+            raise HomError(f"relation {idx} maps outside the codomain span")
 
 
 def hom_is_zero(h: GroupHom) -> bool:
     """Whether ``h`` is the zero map (every generator image dies in the cod)."""
     if any(j is not None for j in h.atom_images):
         return False
-    for v in h.cont_images:
-        if not _line_in_span(h.cod, v):
+    sh = _SparseHom.of(h)
+    if not any(sh.cont) and not any(c or any(d) for c, d in sh.disc):
+        return True
+    span = _span(h.cod)
+    for v in sh.cont:
+        if not span.has_line(v):
             return False
-    for c, d in h.disc_images:
-        if (any(d) or not _viszero(c)) and _member(h.cod, c, d) is None:
+    for c, d in sh.disc:
+        if (c or any(d)) and span.member(c, d) is None:
             return False
     return True
 
@@ -810,15 +876,13 @@ def compose(g: GroupHom, f: GroupHom) -> GroupHom:
     """``g`` after ``f``."""
     if f.cod != g.dom:
         raise ValueError("compose: middle groups differ")
-    table = f.dom.table
-    cont_images = []
-    for v in f.cont_images:
-        out = _vzero(table, g.cod.cont_rank)
-        for x, w in zip(v, g.cont_images):
-            if not x.is_zero():
-                out = _vadd(out, _vscale(w, x))
-        cont_images.append(tuple(out))
-    disc_images = [tuple(map(tuple, g.apply(c, d))) for c, d in f.disc_images]
+    table, width = f.dom.table, g.cod.cont_rank
+    sg = _SparseHom.of(g)
+    cont_images = [_dense(_row_times(_sparse(v), sg.cont), width, table) for v in f.cont_images]
+    disc_images = []
+    for c, d in f.disc_images:
+        out_c, out_d = sg.apply(_sparse(c), d)
+        disc_images.append((_dense(out_c, width, table), out_d))
     atom_images = tuple(None if j is None else g.atom_images[j] for j in f.atom_images)
     return GroupHom(f.dom, g.cod, cont_images, disc_images, atom_images)
 
@@ -1037,24 +1101,28 @@ def _step_eliminate_crows(
     """
     table = g.table
     zero, one = Scalar.zero(table), Scalar.one(table)
-    crows = [list(r.cont) for r in g.relations if r.span == "C" and not _viszero(r.cont)]
+    crows = [_sparse(r.cont) for r in g.relations if r.span == "C"]
+    crows = [r for r in crows if r]
     if not crows:
         g2 = PresentedAbelianGroup(table, g.cont_rank, g.disc_rank, g.zrows(), g.atoms)
         ident = identity_hom(g2)
         t = GroupHom(g, g2, ident.cont_images, ident.disc_images, ident.atom_images)
         s = GroupHom(g2, g, ident.cont_images, ident.disc_images, ident.atom_images)
         return g2, t, s
-    rref, pivots = _field_rref(crows)
-    keep = [j for j in range(g.cont_rank) if j not in pivots]
+    elim = _Elimination(crows, table)
+    keep = [j for j in range(g.cont_rank) if j not in elim.rows]
+    position = {j: i for i, j in enumerate(keep)}
 
-    def project(v: Sequence[Scalar]) -> List[Scalar]:
-        red = _field_reduce(rref, pivots, list(v))
-        return [red[j] for j in keep]
+    def project(v: Mapping[int, Scalar]) -> List[Scalar]:
+        out = [zero] * len(keep)
+        for j, x in elim.reduce(v).items():
+            out[position[j]] = x
+        return out
 
     relations = []
     for r in g.zrows():
-        c2 = project(r.cont)
-        if _viszero(c2) and not any(r.disc):
+        c2 = project(_sparse(r.cont))
+        if all(x.is_zero() for x in c2) and not any(r.disc):
             continue
         relations.append(Relation(tuple(c2), r.disc, "Z"))
     g2 = PresentedAbelianGroup(table, len(keep), g.disc_rank, relations, g.atoms)
@@ -1069,10 +1137,7 @@ def _step_eliminate_crows(
     t = GroupHom(
         g,
         g2,
-        [
-            tuple(project([one if j == i else zero for j in range(g.cont_rank)]))
-            for i in range(g.cont_rank)
-        ],
+        [project({i: one}) for i in range(g.cont_rank)],
         disc_ident_new,
         tuple(range(len(g.atoms))),
     )
@@ -1102,14 +1167,10 @@ def _step_discrete_smith(
     table = g.table
     zero, one = Scalar.zero(table), Scalar.one(table)
     assert all(r.span == "Z" for r in g.relations), "run after C-row elimination"
-    rows = [(list(r.cont), list(r.disc)) for r in g.relations]
+    rows = [(_sparse(r.cont), r.disc) for r in g.relations]
     cc, dc = g.cont_rank, g.disc_rank
     if not rows or dc == 0 or not any(any(d) for _, d in rows):
-        relations = [
-            Relation(tuple(c), tuple(d), "Z")
-            for c, d in rows
-            if not _viszero(c) or any(d)
-        ]
+        relations = [r for r, (c, d) in zip(g.relations, rows) if c or any(d)]
         g2 = PresentedAbelianGroup(table, cc, dc, relations, g.atoms)
         ident = identity_hom(g2)
         t = GroupHom(g, g2, ident.cont_images, ident.disc_images, ident.atom_images)
@@ -1120,39 +1181,36 @@ def _step_discrete_smith(
     vrows = [list(r) for r in v.rows]
     vinv = _int_inverse(vrows)
     nrel = len(rows)
-    new_rows: List[Tuple[List[Scalar], List[int]]] = []
+    new_rows: List[Tuple[Row, Tuple[int, ...]]] = []
     for i in range(nrel):
-        c = [zero] * cc
-        for k in range(nrel):
-            coef = u.rows[i][k]
+        c: Row = {}
+        for k, coef in enumerate(u.rows[i]):
             if coef:
-                c = _vadd(c, _vq(rows[k][0], coef))
-        new_rows.append((c, list(dmat.rows[i])))
+                _addq(c, coef, rows[k][0])
+        new_rows.append((c, dmat.rows[i]))
 
     # Per-coordinate bookkeeping in the V-transformed discrete coordinates.
     diag_order = [0] * dc  # 0 = free, 1 = eliminated, d >= 2 = torsion
-    corr: List[Optional[List[Scalar]]] = [None] * dc  # c / d of a mixed row
-    cont_rows: List[List[Scalar]] = []
+    corr: List[Optional[Row]] = [None] * dc  # c / d of a mixed row
+    cont_rows: List[Row] = []
     for c, d in new_rows:
         nz = [k for k in range(dc) if d[k]]
         if not nz:
-            if not _viszero(c):
+            if c:
                 cont_rows.append(c)
             continue
         if len(nz) != 1:
             raise NonFiniteTypeKernel("Smith form left a non-diagonal row")
         k = nz[0]
         dk = abs(d[k])
-        if d[k] < 0:
-            c = _vq(c, -1)
         diag_order[k] = 1 if dk == 1 else dk
-        if not _viszero(c):
-            corr[k] = _vq(c, Fraction(1, dk))
+        if c:
+            corr[k] = {j: x.scale(Fraction(-1 if d[k] < 0 else 1, dk)) for j, x in c.items()}
 
     survivors = [k for k in range(dc) if diag_order[k] != 1]
     new_index = {k: i for i, k in enumerate(survivors)}
     nd = len(survivors)
-    relations = [Relation(tuple(c), (0,) * nd, "Z") for c in cont_rows]
+    relations = [Relation(tuple(_dense(c, cc, table)), (0,) * nd, "Z") for c in cont_rows]
     for k in survivors:
         if diag_order[k] >= 2:
             relations.append(
@@ -1170,22 +1228,22 @@ def _step_discrete_smith(
     t_disc = []
     for j in range(dc):
         nv = vrows[j]  # coordinates of the old generator e_j after V
-        acc = [zero] * cc
+        acc: Row = {}
         disc_part = [0] * nd
         for k in range(dc):
             if not nv[k]:
                 continue
             if corr[k] is not None:
-                acc = _vadd(acc, _vq(corr[k], -nv[k]))
+                _addq(acc, -nv[k], corr[k])
             if diag_order[k] != 1:
                 disc_part[new_index[k]] = nv[k]
-        t_disc.append((tuple(acc), tuple(disc_part)))
+        t_disc.append((_dense(acc, cc, table), disc_part))
     t = GroupHom(g, g2, cont_ident, t_disc, tuple(range(len(g.atoms))))
 
     s_disc = []
     for k in survivors:
         if corr[k] is not None and diag_order[k] >= 2:
-            c_part = tuple(corr[k])
+            c_part = tuple(_dense(corr[k], cc, table))
         else:
             c_part = (zero,) * cc
         s_disc.append((c_part, tuple(vinv[k])))
@@ -1237,7 +1295,7 @@ class _ContBlock(NamedTuple):
 
 
 def _split_cont_blocks(
-    rows_t: List[List[Scalar]], d_c: int, table: SymbolTable
+    rows_t: List[Row], d_c: int, table: SymbolTable
 ) -> List[_ContBlock]:
     """Split the continuous relation rows into independent coordinate blocks
     and canonicalize each block's lattice."""
@@ -1250,7 +1308,7 @@ def _split_cont_blocks(
         return a
 
     for row in rows_t:
-        support = [q for q in range(d_c) if not row[q].is_zero()]
+        support = sorted(row)
         for q in support[1:]:
             parent[find(q)] = find(support[0])
     groups: dict = {}
@@ -1261,11 +1319,8 @@ def _split_cont_blocks(
     blocks: List[_ContBlock] = []
     for root in sorted(groups, key=lambda r: min(groups[r])):
         coords = sorted(groups[root])
-        rows_q = []
-        for row in rows_t:
-            restricted = [row[q] for q in coords]
-            if not _viszero(restricted):
-                rows_q.append(restricted)
+        in_block = set(coords)
+        rows_q = [[row.get(q, zero) for q in coords] for row in rows_t if not in_block.isdisjoint(row)]
         # Joint monomial expansion: one slice of coefficients per coordinate.
         joint: List[List[Fraction]] = [[] for _ in rows_q]
         slices: List[Tuple[int, int]] = []
@@ -1307,7 +1362,7 @@ def _split_cont_blocks(
                 )
         elif rank == k:
             gmat = [list(gvec) for gvec in gens]
-            ginv = _field_inverse(gmat, table)
+            ginv = [_dense(r, k, table) for r in _field_inverse([_sparse(g) for g in gmat], table)]
             ident = [[one if i == j else zero for j in range(k)] for i in range(k)]
             blocks.append(_ContBlock("cstar", coords, ident, ginv, gmat))
         else:
@@ -1333,10 +1388,10 @@ def _normalize_full(
     s12 = compose(s1, s2)
 
     cc = g2.cont_rank
-    cont_rows = [list(r.cont) for r in g2.relations if not _viszero(r.cont)]
+    cont_rows = [c for c in (_sparse(r.cont) for r in g2.relations) if c]
     torsion: List[Tuple[int, int]] = []
     for r in g2.relations:
-        if _viszero(r.cont):
+        if all(x.is_zero() for x in r.cont):
             nz = [k for k, x in enumerate(r.disc) if x]
             if nz:
                 torsion.append((nz[0], r.disc[nz[0]]))
@@ -1344,36 +1399,37 @@ def _normalize_full(
     invariant_factors = tuple(d for _, d in torsion)
     free_disc = g2.disc_rank - len(torsion)
 
+    unit_rows: List[Row] = [{q: one} for q in range(cc)]
     if cont_rows:
-        rref, pivots = _field_rref(cont_rows)
+        rref, pivots = _Elimination(cont_rows, table).rref()
         d_c = len(rref)
         nonpivots = [q for q in range(cc) if q not in pivots]
-        bmat = [list(r) for r in rref] + [
-            [one if j == q else zero for j in range(cc)] for q in nonpivots
-        ]
+        bmat = rref + [unit_rows[q] for q in nonpivots]
         pmat = _field_inverse(bmat, table)
-        rows_t = [_mat_row(row, pmat, table) for row in cont_rows]
+        rows_t = [_row_times(row, pmat) for row in cont_rows]
         for row in rows_t:
-            assert _viszero(row[d_c:]), "relation escaped its field span"
-        blocks = _split_cont_blocks([row[:d_c] for row in rows_t], d_c, table)
+            assert all(q < d_c for q in row), "relation escaped its field span"
+        blocks = _split_cont_blocks(rows_t, d_c, table)
         free_cont = cc - d_c
     else:
         d_c = 0
-        bmat = pmat = [[one if j == i else zero for j in range(cc)] for i in range(cc)]
+        bmat = pmat = unit_rows
         blocks = []
         free_cont = cc
 
     # Final coordinate order: block coordinates first, then free ones.
-    wmat = [[zero] * cc for _ in range(cc)]
-    winv = [[zero] * cc for _ in range(cc)]
+    wmat: List[Row] = [{} for _ in range(cc)]
+    winv: List[Row] = [{} for _ in range(cc)]
     final = 0
     block_spans: List[Tuple[_ContBlock, int]] = []
     for block in blocks:
         k = len(block.coords)
         for i, q in enumerate(block.coords):
             for j in range(k):
-                wmat[q][final + j] = block.fwd[i][j]
-                winv[final + j][q] = block.back[j][i]
+                if not block.fwd[i][j].is_zero():
+                    wmat[q][final + j] = block.fwd[i][j]
+                if not block.back[j][i].is_zero():
+                    winv[final + j][q] = block.back[j][i]
         block_spans.append((block, final))
         final += k
     for q in range(d_c, cc):
@@ -1382,8 +1438,8 @@ def _normalize_full(
         final += 1
     assert final == cc
 
-    tmat = _mat_mul(pmat, wmat, table) if cc else []
-    smat = _mat_mul(winv, bmat, table) if cc else []
+    tmat = [_dense(_row_times(row, wmat), cc, table) for row in pmat]
+    smat = [_dense(_row_times(row, bmat), cc, table) for row in winv]
 
     relations: List[Relation] = []
     lattices: List[Tuple[Scalar, ...]] = []
@@ -1582,9 +1638,109 @@ def kernel(h: GroupHom) -> KernelResult:
     return _kernel_cached(h)
 
 
+def _neg(row: Mapping[int, Scalar]) -> Row:
+    return {j: -x for j, x in row.items()}
+
+
+class _PreimageSystem:
+    """The mixed field/integer system of a hom, eliminated once.
+
+    ``(x, n)`` maps onto ``(t_c, t_d)`` modulo the codomain's relations iff
+    some field coefficients ``lambda`` over the C-rows and integers ``m``
+    over the Z-rows give ``sum x_j h(c_j) - sum lambda_k C_k = t_c +
+    sum y_i ycols_i`` on the continuous part, with ``y = (n, m)`` and
+    ``ycols`` the negated continuous parts of the discrete images followed
+    by the Z-rows' continuous parts, and the discrete parts agree.  The
+    field part is solvable iff every left-null functional ``eta`` of the
+    columns ``(h(c_j), -C_k)`` kills the right side, which is a Q-linear,
+    hence integer, condition on ``y``.  The columns are eliminated and the
+    ``eta . ycols`` coefficients formed once per hom; :func:`kernel`,
+    :func:`preimage_element` and :func:`factor_through` then solve it for
+    any number of targets.
+    """
+
+    __slots__ = ("table", "gc", "gd", "elim", "etas", "ycols", "coeffs", "disc_rows")
+
+    def __init__(self, h: GroupHom):
+        table = self.table = h.dom.table
+        self.gc, self.gd = h.dom.cont_rank, h.dom.disc_rank
+        crows = [c for c in (_sparse(r.cont) for r in h.cod.relations if r.span == "C") if c]
+        zrows = h.cod.zrows()
+        columns = [_sparse(v) for v in h.cont_images] + [_neg(r) for r in crows]
+        self.elim = _Elimination(columns, table, track=True)
+        self.etas = self.elim.nullspace(h.cod.cont_rank)
+        self.ycols = [_neg(_sparse(c)) for c, _ in h.disc_images]
+        self.ycols += [_sparse(r.cont) for r in zrows]
+        self.coeffs = [_eta_coefficients(eta, self.ycols, table) for eta in self.etas]
+        self.disc_rows = [
+            [d[coord] for _, d in h.disc_images] + [-r.disc[coord] for r in zrows]
+            for coord in range(h.cod.disc_rank)
+        ]
+
+    def int_system(
+        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
+    ) -> Tuple[List[List[int]], List[int]]:
+        """Integer rows and right side of the conditions on ``y``."""
+        rows: List[List[int]] = []
+        rhs: List[int] = []
+        for eta, at in zip(self.etas, self.coeffs):
+            t = _vdot(eta, target_cont, self.table)
+            target = {} if t.is_zero() else {0: -t}
+            r, b = _int_rows_from_scalar_columns(at, len(self.ycols), target)
+            rows += r
+            rhs += b
+        for row, b in zip(self.disc_rows, target_disc):
+            if b or any(row):
+                rows.append(row)
+                rhs.append(int(b))
+        return rows, rhs
+
+    def field_part(self, y: Sequence[int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
+        """Field coefficients ``(x, lambda)`` for an admissible ``y``, or None."""
+        rem = dict(target_cont)
+        for val, col in zip(y, self.ycols):
+            if val:
+                _addq(rem, val, col)
+        return self.elim.express(rem)
+
+    def preimage(
+        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
+    ) -> Optional[Tuple[List[Scalar], List[int]]]:
+        rows, rhs = self.int_system(target_cont, target_disc)
+        y = _int_solve(rows, rhs, len(self.ycols))
+        if y is None:
+            return None
+        x = self.field_part(y, target_cont)
+        if x is None:
+            return None
+        return _dense(_head(x, self.gc), self.gc, self.table), list(y[: self.gd])
+
+
+def _eta_coefficients(
+    eta: Mapping[int, Scalar], cols: Sequence[Mapping[int, Scalar]], table: SymbolTable
+) -> Dict[int, Row]:
+    """``eta . cols[j]`` for every ``j``, grouped as the one coordinate of
+    an integer system (see :func:`_int_rows_from_scalar_columns`)."""
+    row = {}
+    for j, col in enumerate(cols):
+        c = _vdot(eta, col, table)
+        if not c.is_zero():
+            row[j] = c
+    return {0: row} if row else {}
+
+
+def _head(row: Mapping[int, Scalar], n: int) -> Row:
+    """The entries of ``row`` before column ``n``."""
+    return {j: x for j, x in row.items() if j < n}
+
+
+# Bound of the memo of preimage systems, one per hom.
+PREIMAGE_CACHE_SIZE = 32
+_preimage_system = lru_cache(maxsize=PREIMAGE_CACHE_SIZE)(_PreimageSystem)
+
+
 def _kernel(h: GroupHom) -> KernelResult:
     table = h.dom.table
-    zero = Scalar.zero(table)
     kernel_atoms: List[AtomFactor] = []
     kernel_atom_indices: List[int] = []
     for k, j in enumerate(h.atom_images):
@@ -1597,115 +1753,89 @@ def _kernel(h: GroupHom) -> KernelResult:
                 "is not finitely presented"
             )
     gc, gd = h.dom.cont_rank, h.dom.disc_rank
-    hc, hd = h.cod.cont_rank, h.cod.disc_rank
-    crows = [r for r in h.cod.crows() if not _viszero(r)]
-    zrows = [(list(r.cont), list(r.disc)) for r in h.cod.zrows()]
-    nz = len(zrows)
+    system = _preimage_system(h)
 
-    # Field unknowns (x, lambda), one column each; the system demands that
-    # the continuous image minus a C-row combination equals the Z-row side.
-    columns = [list(v) for v in h.cont_images] + [_vq(r, -1) for r in crows]
-    nf = len(columns)
-    mf_rows = [[columns[j][coord] for j in range(nf)] for coord in range(hc)]
+    # Integer unknowns y = (n, m) are admissible iff the field system is
+    # solvable for the right side they give.
+    int_rows, _ = system.int_system({}, (0,) * len(system.disc_rows))
+    ybasis = _int_nullspace(int_rows, len(system.ycols))
 
-    # Integer unknowns y = (n, m); y is admissible iff the field system is
-    # solvable, i.e. iff every left-null functional kills the right side.
-    etas = _field_nullspace(columns, hc, table)
-    ycols = [_vq(c, -1) for c, _ in h.disc_images] + [list(c) for c, _ in zrows]
-    int_rows: List[List[int]] = []
-    for eta in etas:
-        coeffs = [_vdot(eta, col, table) for col in ycols]
-        rows, _ = _int_rows_from_scalar_columns([[c] for c in coeffs], [zero])
-        int_rows.extend(rows)
-    for coord in range(hd):
-        row = [d[coord] for _, d in h.disc_images] + [-d[coord] for _, d in zrows]
-        if any(row):
-            int_rows.append(row)
-    ybasis = _int_nullspace(int_rows, gd + nz)
-
-    def rhs_of(y: Sequence[int]) -> List[Scalar]:
-        acc = _vzero(table, hc)
-        for val, col in zip(y, ycols):
-            if val:
-                acc = _vadd(acc, _vq(col, val))
-        return acc
-
-    disc_gens: List[Tuple[List[Scalar], List[int]]] = []  # (x, n) in the domain
+    disc_gens: List[Tuple[Row, List[int]]] = []  # (x, n) in the domain
     for y in ybasis:
-        xi = _field_solve(mf_rows, rhs_of(y), nf, table)
+        xi = system.field_part(y, {})
         if xi is None:
             raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
-        disc_gens.append((xi[:gc], list(y[:gd])))
+        disc_gens.append((_head(xi, gc), list(y[:gd])))
 
     # Continuous kernel directions: the field nullspace, projected to x.
-    xparts = [xi[:gc] for xi in _field_nullspace(mf_rows, nf, table)]
-    vbasis, _ = _field_rref(xparts)
+    xparts = [_head(dep, gc) for dep in system.elim.dependencies]
+    vbasis, _ = _Elimination(xparts, table).rref()
+    vspan = _Elimination(vbasis, table, track=True)
 
-    def cont_coords(vec: Sequence[Scalar]) -> Optional[List[Scalar]]:
-        if not vbasis:
-            return [] if _viszero(vec) else None
-        rows = [[v[coord] for v in vbasis] for coord in range(gc)]
-        return _field_solve(rows, list(vec), len(vbasis), table)
+    def cont_coords(vec: Mapping[int, Scalar]) -> Optional[List[Scalar]]:
+        b = vspan.express(vec)
+        return None if b is None else _dense(b, len(vbasis), table)
 
     # Relations: syzygies among the chosen generators, then the domain's own
     # relations expressed in kernel coordinates.
     relations: List[Relation] = []
     syz_rows: List[List[int]] = []
-    etas2 = _field_nullspace(vbasis, gc, table) if gc else []
-    xcols = [list(x) for x, _ in disc_gens]
-    for eta in etas2:
-        coeffs = [_vdot(eta, col, table) for col in xcols]
-        rows, _ = _int_rows_from_scalar_columns([[c] for c in coeffs], [zero])
+    xcols = [x for x, _ in disc_gens]
+    for eta in vspan.nullspace(gc):
+        at = _eta_coefficients(eta, xcols, table)
+        rows, _ = _int_rows_from_scalar_columns(at, len(xcols), {})
         syz_rows.extend(rows)
     for coord in range(gd):
         row = [n[coord] for _, n in disc_gens]
         if any(row):
             syz_rows.append(row)
+
+    def residual(cont: Mapping[int, Scalar], a: Sequence[int]) -> Row:
+        resid = dict(cont)
+        for val, (x, _) in zip(a, disc_gens):
+            if val:
+                _addq(resid, -val, x)
+        return resid
+
     for a in _int_nullspace(syz_rows, len(disc_gens)):
         if not any(a):
             continue
-        resid = _vzero(table, gc)
-        for val, (x, _) in zip(a, disc_gens):
-            if val:
-                resid = _vsub(resid, _vq(x, val))
-        b = cont_coords(resid)
+        b = cont_coords(residual({}, a))
         if b is None:
             raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
         relations.append(Relation(tuple(b), tuple(a), "Z"))
 
+    span = _span(h.cod)
+    sh = _SparseHom.of(h)
+    arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
     for r in h.dom.relations:
+        cont = _sparse(r.cont)
         if r.span == "C":
-            b = cont_coords(list(r.cont))
+            b = cont_coords(cont)
             if b is None:
                 raise NonFiniteTypeKernel("domain line relation escaped the kernel")
-            if not _viszero(b):
+            if any(not x.is_zero() for x in b):
                 relations.append(Relation(tuple(b), (0,) * len(disc_gens), "C"))
             continue
-        img_c, img_d = h.apply(r.cont, r.disc)
-        m = _member(h.cod, img_c, img_d)
+        img_c, img_d = sh.apply(cont, r.disc)
+        m = span.member(img_c, img_d)
         if m is None:
             raise HomError("domain relation has no image certificate")
-        y_rho = list(r.disc) + m
-        arows = [[y[kk] for y in ybasis] for kk in range(gd + nz)]
-        a = _int_solve(arows, y_rho, len(ybasis))
+        a = _int_solve(arows, list(r.disc) + m, len(ybasis))
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
-        resid = list(r.cont)
-        for val, (x, _) in zip(a, disc_gens):
-            if val:
-                resid = _vsub(resid, _vq(x, val))
-        b = cont_coords(resid)
+        b = cont_coords(residual(cont, a))
         if b is None:
             raise NonFiniteTypeKernel("domain relation residual escaped the kernel")
-        if any(a) or not _viszero(b):
+        if any(a) or any(not x.is_zero() for x in b):
             relations.append(Relation(tuple(b), tuple(a), "Z"))
 
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
     inclusion = GroupHom(
         kg,
         h.dom,
-        [tuple(v) for v in vbasis],
-        [(tuple(x), tuple(n)) for x, n in disc_gens],
+        [_dense(v, gc, table) for v in vbasis],
+        [(_dense(x, gc, table), n) for x, n in disc_gens],
         tuple(kernel_atom_indices),
     )
     return KernelResult(kg, inclusion)
@@ -1799,43 +1929,7 @@ def preimage_element(
     >>> preimage_element(h, [], [1])[1]
     [1]
     """
-    table = h.dom.table
-    gc, gd = h.dom.cont_rank, h.dom.disc_rank
-    hc, hd = h.cod.cont_rank, h.cod.disc_rank
-    crows = [r for r in h.cod.crows() if not _viszero(r)]
-    zrows = [(list(r.cont), list(r.disc)) for r in h.cod.zrows()]
-    nz = len(zrows)
-
-    # Same mixed system as :func:`kernel`, made inhomogeneous by the target.
-    columns = [list(v) for v in h.cont_images] + [_vq(r, -1) for r in crows]
-    nf = len(columns)
-    mf_rows = [[columns[j][coord] for j in range(nf)] for coord in range(hc)]
-    etas = _field_nullspace(columns, hc, table)
-    ycols = [_vq(c, -1) for c, _ in h.disc_images] + [list(c) for c, _ in zrows]
-    int_rows: List[List[int]] = []
-    int_rhs: List[int] = []
-    for eta in etas:
-        coeffs = [_vdot(eta, col, table) for col in ycols]
-        target = -_vdot(eta, list(target_cont), table)
-        rows, rhs = _int_rows_from_scalar_columns([[c] for c in coeffs], [target])
-        int_rows.extend(rows)
-        int_rhs.extend(rhs)
-    for coord in range(hd):
-        row = [d[coord] for _, d in h.disc_images] + [-d[coord] for _, d in zrows]
-        if any(row) or target_disc[coord]:
-            int_rows.append(row)
-            int_rhs.append(int(target_disc[coord]))
-    y = _int_solve(int_rows, int_rhs, gd + nz)
-    if y is None:
-        return None
-    rem = list(target_cont)
-    for val, col in zip(y, ycols):
-        if val:
-            rem = _vadd(rem, _vq(col, val))
-    x = _field_solve(mf_rows, rem, nf, table)
-    if x is None:
-        return None
-    return x[:gc], list(y[:gd])
+    return _preimage_system(h).preimage(_sparse(target_cont), target_disc)
 
 
 def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
@@ -1866,22 +1960,22 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
         if t is None:
             raise HomError(f"atom {f.dom.atoms[k].label()} does not factor")
         atom_images.append(t)
-    crows = [r for r in mono.cod.crows() if not _viszero(r)]
-    cols = [list(v) for v in mono.cont_images] + [list(r) for r in crows]
-    rows = [[cols[j][coord] for j in range(len(cols))] for coord in range(mono.cod.cont_rank)]
+    # One system serves every generator; the C-rows enter it negated, which
+    # leaves the coefficients of mono's continuous images unchanged.
+    system = _preimage_system(mono)
     nb = len(mono.cont_images)
     cont_images = []
     for v in f.cont_images:
-        sol = _field_solve(rows, list(v), len(cols), table)
+        sol = system.elim.express(_sparse(v))
         if sol is None:
             raise HomError("continuous generator does not factor")
-        cont_images.append(tuple(sol[:nb]))
+        cont_images.append(_dense(_head(sol, nb), nb, table))
     disc_images = []
     for c, d in f.disc_images:
-        pre = preimage_element(mono, list(c), list(d))
+        pre = system.preimage(_sparse(c), d)
         if pre is None:
             raise HomError("discrete generator does not factor")
-        disc_images.append((tuple(pre[0]), tuple(pre[1])))
+        disc_images.append(pre)
     g = GroupHom(f.dom, mono.dom, cont_images, disc_images, tuple(atom_images))
     if check:
         check_hom(g)
@@ -1936,13 +2030,13 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
                 "exactness against a genuine atom quotient cannot be verified"
             )
     k_res = kernel(_strip_atoms(g))
-    extra_c = [list(v) for v in f.cont_images]
-    extra_z = [(list(c), list(d)) for c, d in f.disc_images]
+    span = _Span(g.dom, f.cont_images, f.disc_images)
     for v in k_res.inclusion.cont_images:
-        if not _line_in_span(g.dom, v, extra_c):
+        if not span.has_line(_sparse(v)):
             return False
     for c, d in k_res.inclusion.disc_images:
-        if (any(d) or not _viszero(c)) and _member(g.dom, c, d, extra_c, extra_z) is None:
+        cs = _sparse(c)
+        if (cs or any(d)) and span.member(cs, d) is None:
             return False
     return True
 

@@ -331,13 +331,41 @@ def _p_to_json(a: _Poly) -> list:
     ]
 
 
-def _p_from_json(data: Sequence, width: int) -> _Poly:
+def _is_int(x: object) -> bool:
+    return type(x) is int
+
+
+def _fraction_from_json(data: object, what: str) -> Fraction:
+    """A ``[numerator, denominator]`` pair of ints with a nonzero denominator."""
+    if not (isinstance(data, list) and len(data) == 2 and all(map(_is_int, data))):
+        raise ValueError(f"{what} must be a pair of integers, got {data!r}")
+    if data[1] == 0:
+        raise ValueError(f"{what} has a zero denominator")
+    return Fraction(data[0], data[1])
+
+
+def _p_from_json(data: object, width: int) -> _Poly:
+    """A polynomial from ``[[exponents, [p, q]], ...]``; zero terms are dropped.
+
+    Exponents are non-negative ints, one per symbol of the table, and no
+    monomial repeats; anything else raises :class:`ValueError`.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"polynomial must be a list of terms, got {data!r}")
     out: _Poly = {}
-    for mono, (p, q) in data:
-        mono = tuple(int(e) for e in mono)
+    for term in data:
+        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], list)):
+            raise ValueError(f"polynomial term must be [exponents, coefficient], got {term!r}")
+        mono = tuple(term[0])
         if len(mono) != width:
             raise ValueError("monomial width does not match symbol table")
-        out[mono] = Fraction(int(p), int(q))
+        if not all(_is_int(e) and e >= 0 for e in mono):
+            raise ValueError(f"monomial exponents must be non-negative ints, got {term[0]!r}")
+        if mono in out:
+            raise ValueError(f"monomial {term[0]!r} repeats")
+        c = _fraction_from_json(term[1], "polynomial coefficient")
+        if c:
+            out[mono] = c
     return out
 
 
@@ -355,9 +383,12 @@ class Scalar:
     and ``rat = 0, num = den = 1`` for zero).  Equality is structural.
 
     Normalization and arithmetic skip the polynomial work whenever a side is
-    constant, and rational operands combine their ``rat`` alone.  Two
-    invariants make that safe and cheap:
+    constant, rational operands combine their ``rat`` alone, and a zero
+    operand returns at once.  Three invariants make that safe and cheap:
 
+    - every zero Scalar holds the one interned ``Fraction(0)`` as its
+      ``rat`` (``__init__`` replaces any zero value by it), so
+      :meth:`is_zero` is an identity test;
     - a constant ``num`` or ``den`` is always the one unit polynomial shared
       by every table of the same width, so rationals are told apart by
       identity;
@@ -443,11 +474,10 @@ class Scalar:
     # -- predicates and coercions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return self.rat == 0
+        return self.rat is _ZERO
 
     def is_rational(self) -> bool:
-        unit = self.table._unit
-        return self.num == unit and self.den == unit
+        return self.num is self.den
 
     def is_polynomial(self) -> bool:
         """True when the denominator is trivial (rationals count).
@@ -488,7 +518,9 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
     #
     # ``x.num is x.den`` holds exactly for rationals (both are the shared unit
-    # polynomial); two rational operands combine their ``rat`` alone.
+    # polynomial); two rational operands combine their ``rat`` alone.  A zero
+    # operand (``x.rat is _ZERO``) returns an operand or its negation without
+    # any arithmetic: Scalars are immutable, so sharing one is safe.
 
     def _check(self, other: "Scalar") -> None:
         if self.table is not other.table and self.table != other.table:
@@ -498,6 +530,10 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        if other.rat is _ZERO:
+            return self
+        if self.rat is _ZERO:
+            return other
         if self.num is self.den and other.num is other.den:
             return Scalar(self.table, self.rat + other.rat, self.num, self.den)
         num = _p_add(
@@ -510,13 +546,19 @@ class Scalar:
         return Scalar(self.table, -self.rat, self.num, self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        self._check(other)
+        if other.rat is _ZERO:
+            return self
         if self.num is self.den and other.num is other.den:
-            self._check(other)
             return Scalar(self.table, self.rat - other.rat, self.num, self.den)
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        if self.rat is _ZERO:
+            return self
+        if other.rat is _ZERO:
+            return other
         if self.num is self.den and other.num is other.den:
             return Scalar(self.table, self.rat * other.rat, self.num, self.den)
         return Scalar(
@@ -528,8 +570,10 @@ class Scalar:
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if other.is_zero():
+        if other.rat is _ZERO:
             raise ZeroDivisionError("scalar division by zero")
+        if self.rat is _ZERO:
+            return self
         if self.num is self.den and other.num is other.den:
             return Scalar(self.table, self.rat / other.rat, self.num, self.den)
         return Scalar(
@@ -540,6 +584,10 @@ class Scalar:
         )
 
     def scale(self, c: int | Fraction) -> "Scalar":
+        if self.rat is _ZERO:
+            return self
+        if not c:
+            return Scalar.zero(self.table)
         return Scalar(self.table, self.rat * Fraction(c), self.num, self.den)
 
     # -- comparisons, hashing, display --------------------------------------
@@ -554,9 +602,11 @@ class Scalar:
         )
 
     def __hash__(self) -> int:
-        # Equal Scalars are both rational or both not (shared unit invariant).
-        unit = self.table._unit
-        if self.num is unit and self.den is unit:
+        # Equal Scalars are both rational or both not (shared unit invariant);
+        # zero, the common case, hashes like Fraction(0) without computing it.
+        if self.rat is _ZERO:
+            return 0
+        if self.num is self.den:
             return hash(self.rat)
         return hash((self.table, self.rat, _p_key(self.num), _p_key(self.den)))
 
@@ -582,13 +632,29 @@ class Scalar:
 
     @classmethod
     def from_json(cls, table: SymbolTable, data: Mapping) -> "Scalar":
+        """The Scalar of :meth:`to_json`; malformed data raises ValueError.
+
+        ``rat`` and every coefficient are ``[p, q]`` pairs of ints with
+        ``q != 0``, exponents are non-negative ints of the table's width, and
+        the denominator polynomial is nonzero.
+
+        >>> t = SymbolTable(["mu"])
+        >>> print(Scalar.from_json(t, {"rat": [1, 2], "num": [[[1], [1, 1]]], "den": [[[0], [1, 1]]]}))
+        1/2*mu
+        >>> Scalar.from_json(t, {"rat": [1, 0], "num": [], "den": []})
+        Traceback (most recent call last):
+            ...
+        ValueError: scalar rat has a zero denominator
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"scalar must be an object, got {data!r}")
         width = len(table)
-        return cls(
-            table,
-            Fraction(int(data["rat"][0]), int(data["rat"][1])),
-            _p_from_json(data["num"], width),
-            _p_from_json(data["den"], width),
-        )
+        rat = _fraction_from_json(data["rat"], "scalar rat")
+        num = _p_from_json(data["num"], width)
+        den = _p_from_json(data["den"], width)
+        if not den:
+            raise ValueError("scalar has a zero denominator polynomial")
+        return cls(table, rat, num, den)
 
     # -- diagnostics only ----------------------------------------------------
 

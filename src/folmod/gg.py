@@ -280,10 +280,15 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Graph":
-        return cls(
-            data["vertices"],
-            [(e["id"], e["ends"][0], e["ends"][1]) for e in data.get("edges", ())],
-        )
+        if not isinstance(data, Mapping):
+            raise ValueError(f"graph must be an object, got {data!r}")
+        edges = []
+        for e in data.get("edges", ()):
+            ends = e["ends"]
+            if not (isinstance(ends, list) and len(ends) == 2):
+                raise ValueError(f"edge {e['id']!r} must have a list of two ends, got {ends!r}")
+            edges.append((e["id"], ends[0], ends[1]))
+        return cls(data["vertices"], edges)
 
 
 # ---------------------------------------------------------------------------

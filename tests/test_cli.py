@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from folmod import cli
-from folmod.abgroup import PresentedAbelianGroup, identity_hom
-from folmod.exactnum import SymbolTable
+from folmod.abgroup import PresentedAbelianGroup, direct_sum, identity_hom
+from folmod.exactnum import Scalar, SymbolTable
 from folmod.gg import Graph, GroupGraph
 
 
@@ -41,3 +45,102 @@ def test_a_non_integer_oracle_bound_exits_2(monkeypatch, capsys) -> None:
     out, err = capsys.readouterr()
     assert out == ""
     assert "FOLMOD_BOUND" in err and "'abc'" in err
+
+
+def _two_vertex_doc() -> dict:
+    """A group-graph on one edge whose groups are ``C/(Z + mu Z) (+) Z/2``."""
+    table = SymbolTable(["mu"])
+    torus = PresentedAbelianGroup.lattice_quotient(
+        table, [Scalar.one(table), Scalar.symbol(table, "mu")]
+    )
+    group, _ = direct_sum([torus, PresentedAbelianGroup.from_invariant_factors(table, [2])])
+    graph = Graph([0, 1], [("e", 0, 1)])
+    return GroupGraph(
+        graph,
+        {0: group, 1: group},
+        {"e": group},
+        {(0, "e"): identity_hom(group), (1, "e"): identity_hom(group)},
+        table=table,
+    ).to_json()
+
+
+def _write(tmp_path, doc: dict) -> str:
+    path = tmp_path / "gg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _first_scalar(doc: dict) -> dict:
+    return doc["vertex_groups"][0]["group"]["relations"][0]["cont"][0]
+
+
+def test_the_two_vertex_document_runs(tmp_path, capsys) -> None:
+    assert _exit_code(["cohomology", _write(tmp_path, _two_vertex_doc())]) == 0
+    assert capsys.readouterr().out == "H0: C/(Z + (mu)Z) (+) Z/2\nH1: 0\n"
+
+
+MALFORMED_SCALARS = {
+    "rat with zero denominator": lambda s: s.update(rat=[1, 0]),
+    "short rat": lambda s: s.update(rat=[1]),
+    "coefficient with zero denominator": lambda s: s["num"][0].__setitem__(1, [1, 0]),
+    "negative exponent": lambda s: s["num"][0].__setitem__(0, [-1]),
+    "exponent of the wrong width": lambda s: s["num"][0].__setitem__(0, [0, 0]),
+    "zero denominator polynomial": lambda s: s.update(den=[]),
+    "float coefficient": lambda s: s["den"][0].__setitem__(1, [1.5, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCALARS))
+def test_malformed_scalars_exit_2(case: str, tmp_path, capsys) -> None:
+    doc = _two_vertex_doc()
+    MALFORMED_SCALARS[case](_first_scalar(doc))
+    path = _write(tmp_path, doc)
+    assert _exit_code(["cohomology", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}: ") and "Traceback" not in err
+
+
+SWAPS = st.sampled_from(
+    [None, True, 0, -1, 2, 1.5, "x", [], [0], [1, 0], [0, 0], [-1], [[-1], [1, 1]], {}]
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix, key
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_group_graphs(draw):
+    doc = _two_vertex_doc()
+    for _ in range(draw(st.integers(1, 2))):
+        prefix, key = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for step in prefix:
+            parent = parent[step]
+        how = draw(st.sampled_from(["swap", "drop"]))
+        if how == "drop":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(SWAPS))
+    return doc
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(mutated_group_graphs())
+def test_fuzzed_group_graphs_never_raise(tmp_path, capsys, doc) -> None:
+    assert _exit_code(["cohomology", _write(tmp_path, doc)]) in {0, 1, 2, 3}
+    capsys.readouterr()

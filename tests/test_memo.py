@@ -1,10 +1,12 @@
 """Memoized algebra: Smith forms, normal forms and kernels are computed once.
 
-`smith_normal_form`, the normal form behind `classify`/`cokernel` and
-`kernel` keep bounded caches keyed on immutable values.  These tests pin
-down that a cached answer is the answer a fresh computation gives, that
-the caches stay within their bounds, and that the public functions stay
-plain functions (profilers and doctest discovery rely on that).
+`smith_normal_form`, the normal form behind `classify`/`cokernel`,
+`kernel`, and the relation spans and preimage systems behind membership
+tests and preimages keep bounded caches keyed on immutable values.  These
+tests pin down that a cached answer is the answer a fresh computation
+gives, that the caches stay within their bounds, and that the public
+functions stay plain functions (profilers and doctest discovery rely on
+that).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ CACHES = (
     (exactnum._snf_cached, exactnum.SNF_CACHE_SIZE),
     (abgroup._normalize_full, abgroup.NORMALIZE_CACHE_SIZE),
     (abgroup._kernel_cached, abgroup.KERNEL_CACHE_SIZE),
+    (abgroup._span, abgroup.SPAN_CACHE_SIZE),
+    (abgroup._preimage_system, abgroup.PREIMAGE_CACHE_SIZE),
 )
 
 

@@ -191,6 +191,21 @@ def test_an_expansion_past_the_term_bound_exits_2_at_once(tmp_path, capsys) -> N
     assert err.startswith(f"{path}: ") and f"exceed {foliation.MAX_TERMS}" in err
 
 
+def test_a_sum_past_the_term_bound_exits_2_quickly(tmp_path, capsys) -> None:
+    # Each + multiplies the denominators out: summed in full, these eight
+    # reciprocals are a 792/1287-term fraction and took 3.9 s to parse
+    text = "+".join(f"1/(a+b+c+d+e+{i})" for i in range(1, 9))
+    doc = _with_cs(example_doc(1), text)
+    doc["symbols"] = doc["symbols"] + ["a", "b", "c", "d", "e"]
+    path = _write(tmp_path, doc)
+    started = time.perf_counter()
+    assert _moduli_code(["moduli", path]) == 2
+    assert time.perf_counter() - started < 1.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}: ") and f"exceed {foliation.MAX_TERMS}" in err
+
+
 def test_the_bundled_examples_stay_within_the_term_bound() -> None:
     for n in EXAMPLES:
         example_input(n)
