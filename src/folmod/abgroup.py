@@ -128,7 +128,10 @@ class Relation(NamedTuple):
 # Elimination visits columns in their given order and never reorders them.
 # The reduced row echelon form of a row space with pivots in column order is
 # unique, so every reduced form, nullspace basis and solution below is the
-# canonical one, whatever order the rows were eliminated in.
+# canonical one, whatever order the rows were eliminated in.  Groups and homs
+# keep their public fields dense; each converts its relations or images to
+# sparse rows once, on first use, and keeps them, so no code mutates a row it
+# did not build itself.
 # ---------------------------------------------------------------------------
 
 Row = Dict[int, Scalar]
@@ -145,23 +148,12 @@ def _dense(row: Mapping[int, Scalar], n: int, table: SymbolTable) -> List[Scalar
     return out
 
 
-def _addmul(acc: Row, c: Scalar, row: Mapping[int, Scalar]) -> None:
-    """``acc += c * row`` in place for a nonzero ``c``; cancelled entries go."""
+def _addmul(acc: Row, c: "Scalar | Fraction | int", row: Mapping[int, Scalar]) -> None:
+    """``acc += c * row`` in place for a nonzero Scalar or rational ``c``;
+    cancelled entries go."""
+    rational = not isinstance(c, Scalar)
     for j, x in row.items():
-        y = c * x
-        cur = acc.get(j)
-        if cur is not None:
-            y = cur + y
-            if y.is_zero():
-                del acc[j]
-                continue
-        acc[j] = y
-
-
-def _addq(acc: Row, q: "Fraction | int", row: Mapping[int, Scalar]) -> None:
-    """``acc += q * row`` in place for a nonzero rational ``q``."""
-    for j, x in row.items():
-        y = x.scale(q)
+        y = x.scale(c) if rational else c * x
         cur = acc.get(j)
         if cur is not None:
             y = cur + y
@@ -435,14 +427,17 @@ class PresentedAbelianGroup:
     invariants make that safe:
 
     - no code assigns to a group's attributes after construction, except
-      that the hash is computed on first use and kept; the relations, atoms
-      and their Scalars are immutable;
+      that the hash, the relations as sparse rows and the eliminated
+      relation span are computed on first use and kept; the relations,
+      atoms and their Scalars are immutable;
     - a memoized result is shared by every caller that passes an equal
       group, so its maps may have an equal but not identical domain or
       codomain; nothing compares groups by identity.
     """
 
-    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash")
+    __slots__ = (
+        "table", "cont_rank", "disc_rank", "relations", "atoms", "_hash", "_rows", "_span"
+    )
 
     def __init__(
         self,
@@ -476,6 +471,8 @@ class PresentedAbelianGroup:
         self.relations = relations
         self.atoms = atoms
         self._hash: Optional[int] = None
+        self._rows: Optional[List[Tuple[Row, Tuple[int, ...], str]]] = None
+        self._span: Optional[_Span] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -595,13 +592,16 @@ class GroupHom:
     'Z/2'
 
     Homomorphisms are values like groups: equality and hashing are
-    structural (the hash is kept after first use), :func:`kernel` memoizes
-    on them, and no code assigns to a hom's other attributes after
-    construction.  The images are tuples of immutable Scalars and ints, so
+    structural, :func:`kernel` memoizes on them, and no code assigns to a
+    hom's attributes after construction, except that the hash, the images
+    as sparse rows and the preimage system are computed on first use and
+    kept.  The images are tuples of immutable Scalars and ints, so
     a hom held by a memoized result can be shared by every caller.
     """
 
-    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash")
+    __slots__ = (
+        "dom", "cod", "cont_images", "disc_images", "atom_images", "_hash", "_view", "_system"
+    )
 
     def __init__(
         self,
@@ -637,12 +637,14 @@ class GroupHom:
         self.disc_images = disc_images
         self.atom_images = atom_images
         self._hash: Optional[int] = None
+        self._view: Optional[_SparseHom] = None
+        self._system: Optional[_PreimageSystem] = None
 
     def apply(
         self, cont: Sequence[Scalar], disc: Sequence[int]
     ) -> Tuple[List[Scalar], List[int]]:
         """Image of the element with the given generator coordinates."""
-        out_c, out_d = _SparseHom.of(self).apply(_sparse(cont), disc)
+        out_c, out_d = _view_of(self).apply(_sparse(cont), disc)
         return _dense(out_c, self.cod.cont_rank, self.dom.table), out_d
 
     def __eq__(self, other: object) -> bool:
@@ -696,31 +698,41 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 
 
+def _rows_of(g: PresentedAbelianGroup) -> List[Tuple[Row, Tuple[int, ...], str]]:
+    """The relations of ``g`` as ``(sparse cont, disc, span)``, kept on ``g``."""
+    if g._rows is None:
+        g._rows = [(_sparse(r.cont), r.disc, r.span) for r in g.relations]
+    return g._rows
+
+
 class _SparseHom(NamedTuple):
-    """The generator images of a hom as sparse rows, for repeated use."""
+    """The generator images of a hom as sparse rows (see :func:`_view_of`)."""
 
     cont: List[Row]
     disc: List[Tuple[Row, Tuple[int, ...]]]
     disc_rank: int
-
-    @classmethod
-    def of(cls, h: GroupHom) -> "_SparseHom":
-        return cls(
-            [_sparse(v) for v in h.cont_images],
-            [(_sparse(c), d) for c, d in h.disc_images],
-            h.cod.disc_rank,
-        )
 
     def apply(self, cont: Mapping[int, Scalar], disc: Sequence[int]) -> Tuple[Row, List[int]]:
         out_c = _row_times(cont, self.cont)
         out_d = [0] * self.disc_rank
         for n, (c, d) in zip(disc, self.disc):
             if n:
-                _addq(out_c, n, c)
+                _addmul(out_c, n, c)
                 for k, m in enumerate(d):
                     if m:
                         out_d[k] += n * m
         return out_c, out_d
+
+
+def _view_of(h: GroupHom) -> _SparseHom:
+    """The generator images of ``h`` as sparse rows, kept on ``h``."""
+    if h._view is None:
+        h._view = _SparseHom(
+            [_sparse(v) for v in h.cont_images],
+            [(_sparse(c), d) for c, d in h.disc_images],
+            h.cod.disc_rank,
+        )
+    return h._view
 
 
 def _by_coordinate(columns: Sequence[Mapping[int, Scalar]]) -> Dict[int, Row]:
@@ -776,6 +788,7 @@ class _Span:
     The C-rows are brought to reduced echelon form and the continuous part
     of every Z-row is reduced against them, which preserves membership
     exactly; a membership test then reduces only the vector in question.
+    A group's own span is kept on the group (see :func:`_span_of`).
     """
 
     __slots__ = ("elim", "zcols", "zcoords", "zdisc")
@@ -783,14 +796,14 @@ class _Span:
     def __init__(
         self,
         g: PresentedAbelianGroup,
-        extra_c: Sequence[Sequence[Scalar]] = (),
-        extra_z: Sequence[Tuple[Sequence[Scalar], Sequence[int]]] = (),
+        extra_c: Sequence[Row] = (),
+        extra_z: Sequence[Tuple[Row, Sequence[int]]] = (),
     ):
-        crows = [_sparse(r.cont) for r in g.relations if r.span == "C"]
-        crows += [_sparse(v) for v in extra_c]
+        rows = _rows_of(g)
+        crows = [c for c, _, span in rows if span == "C"] + list(extra_c)
         self.elim = _Elimination((r for r in crows if r), g.table)
-        zrows = [(r.cont, r.disc) for r in g.relations if r.span == "Z"] + list(extra_z)
-        self.zcols = [self.elim.reduce(_sparse(c)) for c, _ in zrows]
+        zrows = [(c, d) for c, d, span in rows if span == "Z"] + list(extra_z)
+        self.zcols = [self.elim.reduce(c) for c, _ in zrows]
         self.zcoords = _by_coordinate(self.zcols)
         self.zdisc = [[d[coord] for _, d in zrows] for coord in range(g.disc_rank)]
 
@@ -820,9 +833,11 @@ class _Span:
         return _int_solve(rows, rhs, len(self.zcols))
 
 
-# Bound of the memo of relation spans, one per codomain group.
-SPAN_CACHE_SIZE = 64
-_span = lru_cache(maxsize=SPAN_CACHE_SIZE)(_Span)
+def _span_of(g: PresentedAbelianGroup) -> _Span:
+    """The relation span of ``g``, eliminated on first use and kept on ``g``."""
+    if g._span is None:
+        g._span = _Span(g)
+    return g._span
 
 
 def check_hom(h: GroupHom) -> None:
@@ -844,11 +859,11 @@ def check_hom(h: GroupHom) -> None:
             raise UnsupportedAtomMap(f"no canonical map {da.label()} -> {ca.label()}")
     if not h.dom.relations:
         return
-    span = _span(h.cod)
-    sh = _SparseHom.of(h)
-    for idx, r in enumerate(h.dom.relations):
-        img_c, img_d = sh.apply(_sparse(r.cont), r.disc)
-        if r.span == "C":
+    span = _span_of(h.cod)
+    view = _view_of(h)
+    for idx, (cont, disc, kind) in enumerate(_rows_of(h.dom)):
+        img_c, img_d = view.apply(cont, disc)
+        if kind == "C":
             if not span.has_line(img_c):
                 raise HomError(f"relation {idx} (C-span) maps outside the codomain span")
         elif (img_c or any(img_d)) and span.member(img_c, img_d) is None:
@@ -859,14 +874,14 @@ def hom_is_zero(h: GroupHom) -> bool:
     """Whether ``h`` is the zero map (every generator image dies in the cod)."""
     if any(j is not None for j in h.atom_images):
         return False
-    sh = _SparseHom.of(h)
-    if not any(sh.cont) and not any(c or any(d) for c, d in sh.disc):
+    view = _view_of(h)
+    if not any(view.cont) and not any(c or any(d) for c, d in view.disc):
         return True
-    span = _span(h.cod)
-    for v in sh.cont:
+    span = _span_of(h.cod)
+    for v in view.cont:
         if not span.has_line(v):
             return False
-    for c, d in sh.disc:
+    for c, d in view.disc:
         if (c or any(d)) and span.member(c, d) is None:
             return False
     return True
@@ -877,11 +892,11 @@ def compose(g: GroupHom, f: GroupHom) -> GroupHom:
     if f.cod != g.dom:
         raise ValueError("compose: middle groups differ")
     table, width = f.dom.table, g.cod.cont_rank
-    sg = _SparseHom.of(g)
-    cont_images = [_dense(_row_times(_sparse(v), sg.cont), width, table) for v in f.cont_images]
+    vg, vf = _view_of(g), _view_of(f)
+    cont_images = [_dense(_row_times(v, vg.cont), width, table) for v in vf.cont]
     disc_images = []
-    for c, d in f.disc_images:
-        out_c, out_d = sg.apply(_sparse(c), d)
+    for c, d in vf.disc:
+        out_c, out_d = vg.apply(c, d)
         disc_images.append((_dense(out_c, width, table), out_d))
     atom_images = tuple(None if j is None else g.atom_images[j] for j in f.atom_images)
     return GroupHom(f.dom, g.cod, cont_images, disc_images, atom_images)
@@ -1101,8 +1116,7 @@ def _step_eliminate_crows(
     """
     table = g.table
     zero, one = Scalar.zero(table), Scalar.one(table)
-    crows = [_sparse(r.cont) for r in g.relations if r.span == "C"]
-    crows = [r for r in crows if r]
+    crows = [c for c, _, span in _rows_of(g) if span == "C" and c]
     if not crows:
         g2 = PresentedAbelianGroup(table, g.cont_rank, g.disc_rank, g.zrows(), g.atoms)
         ident = identity_hom(g2)
@@ -1120,11 +1134,13 @@ def _step_eliminate_crows(
         return out
 
     relations = []
-    for r in g.zrows():
-        c2 = project(_sparse(r.cont))
-        if all(x.is_zero() for x in c2) and not any(r.disc):
+    for c, d, span in _rows_of(g):
+        if span == "C":
             continue
-        relations.append(Relation(tuple(c2), r.disc, "Z"))
+        c2 = project(c)
+        if all(x.is_zero() for x in c2) and not any(d):
+            continue
+        relations.append(Relation(tuple(c2), d, "Z"))
     g2 = PresentedAbelianGroup(table, len(keep), g.disc_rank, relations, g.atoms)
     disc_ident_new = [
         ((zero,) * len(keep), tuple(1 if j == i else 0 for j in range(g.disc_rank)))
@@ -1167,7 +1183,7 @@ def _step_discrete_smith(
     table = g.table
     zero, one = Scalar.zero(table), Scalar.one(table)
     assert all(r.span == "Z" for r in g.relations), "run after C-row elimination"
-    rows = [(_sparse(r.cont), r.disc) for r in g.relations]
+    rows = [(c, d) for c, d, _ in _rows_of(g)]
     cc, dc = g.cont_rank, g.disc_rank
     if not rows or dc == 0 or not any(any(d) for _, d in rows):
         relations = [r for r, (c, d) in zip(g.relations, rows) if c or any(d)]
@@ -1186,7 +1202,7 @@ def _step_discrete_smith(
         c: Row = {}
         for k, coef in enumerate(u.rows[i]):
             if coef:
-                _addq(c, coef, rows[k][0])
+                _addmul(c, coef, rows[k][0])
         new_rows.append((c, dmat.rows[i]))
 
     # Per-coordinate bookkeeping in the V-transformed discrete coordinates.
@@ -1234,7 +1250,7 @@ def _step_discrete_smith(
             if not nv[k]:
                 continue
             if corr[k] is not None:
-                _addq(acc, -nv[k], corr[k])
+                _addmul(acc, -nv[k], corr[k])
             if diag_order[k] != 1:
                 disc_part[new_index[k]] = nv[k]
         t_disc.append((_dense(acc, cc, table), disc_part))
@@ -1388,7 +1404,7 @@ def _normalize_full(
     s12 = compose(s1, s2)
 
     cc = g2.cont_rank
-    cont_rows = [c for c in (_sparse(r.cont) for r in g2.relations) if c]
+    cont_rows = [c for c, _, _ in _rows_of(g2) if c]
     torsion: List[Tuple[int, int]] = []
     for r in g2.relations:
         if all(x.is_zero() for x in r.cont):
@@ -1664,16 +1680,17 @@ class _PreimageSystem:
     def __init__(self, h: GroupHom):
         table = self.table = h.dom.table
         self.gc, self.gd = h.dom.cont_rank, h.dom.disc_rank
-        crows = [c for c in (_sparse(r.cont) for r in h.cod.relations if r.span == "C") if c]
-        zrows = h.cod.zrows()
-        columns = [_sparse(v) for v in h.cont_images] + [_neg(r) for r in crows]
+        rows = _rows_of(h.cod)
+        crows = [c for c, _, span in rows if span == "C" and c]
+        zrows = [(c, d) for c, d, span in rows if span == "Z"]
+        view = _view_of(h)
+        columns = view.cont + [_neg(r) for r in crows]
         self.elim = _Elimination(columns, table, track=True)
         self.etas = self.elim.nullspace(h.cod.cont_rank)
-        self.ycols = [_neg(_sparse(c)) for c, _ in h.disc_images]
-        self.ycols += [_sparse(r.cont) for r in zrows]
+        self.ycols = [_neg(c) for c, _ in view.disc] + [c for c, _ in zrows]
         self.coeffs = [_eta_coefficients(eta, self.ycols, table) for eta in self.etas]
         self.disc_rows = [
-            [d[coord] for _, d in h.disc_images] + [-r.disc[coord] for r in zrows]
+            [d[coord] for _, d in view.disc] + [-d[coord] for _, d in zrows]
             for coord in range(h.cod.disc_rank)
         ]
 
@@ -1700,7 +1717,7 @@ class _PreimageSystem:
         rem = dict(target_cont)
         for val, col in zip(y, self.ycols):
             if val:
-                _addq(rem, val, col)
+                _addmul(rem, val, col)
         return self.elim.express(rem)
 
     def preimage(
@@ -1734,9 +1751,11 @@ def _head(row: Mapping[int, Scalar], n: int) -> Row:
     return {j: x for j, x in row.items() if j < n}
 
 
-# Bound of the memo of preimage systems, one per hom.
-PREIMAGE_CACHE_SIZE = 32
-_preimage_system = lru_cache(maxsize=PREIMAGE_CACHE_SIZE)(_PreimageSystem)
+def _system_of(h: GroupHom) -> _PreimageSystem:
+    """The preimage system of ``h``, eliminated on first use and kept on ``h``."""
+    if h._system is None:
+        h._system = _PreimageSystem(h)
+    return h._system
 
 
 def _kernel(h: GroupHom) -> KernelResult:
@@ -1753,7 +1772,7 @@ def _kernel(h: GroupHom) -> KernelResult:
                 "is not finitely presented"
             )
     gc, gd = h.dom.cont_rank, h.dom.disc_rank
-    system = _preimage_system(h)
+    system = _system_of(h)
 
     # Integer unknowns y = (n, m) are admissible iff the field system is
     # solvable for the right side they give.
@@ -1794,7 +1813,7 @@ def _kernel(h: GroupHom) -> KernelResult:
         resid = dict(cont)
         for val, (x, _) in zip(a, disc_gens):
             if val:
-                _addq(resid, -val, x)
+                _addmul(resid, -val, x)
         return resid
 
     for a in _int_nullspace(syz_rows, len(disc_gens)):
@@ -1805,23 +1824,22 @@ def _kernel(h: GroupHom) -> KernelResult:
             raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
         relations.append(Relation(tuple(b), tuple(a), "Z"))
 
-    span = _span(h.cod)
-    sh = _SparseHom.of(h)
+    span = _span_of(h.cod)
+    view = _view_of(h)
     arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
-    for r in h.dom.relations:
-        cont = _sparse(r.cont)
-        if r.span == "C":
+    for cont, disc, kind in _rows_of(h.dom):
+        if kind == "C":
             b = cont_coords(cont)
             if b is None:
                 raise NonFiniteTypeKernel("domain line relation escaped the kernel")
             if any(not x.is_zero() for x in b):
                 relations.append(Relation(tuple(b), (0,) * len(disc_gens), "C"))
             continue
-        img_c, img_d = sh.apply(cont, r.disc)
+        img_c, img_d = view.apply(cont, disc)
         m = span.member(img_c, img_d)
         if m is None:
             raise HomError("domain relation has no image certificate")
-        a = _int_solve(arows, list(r.disc) + m, len(ybasis))
+        a = _int_solve(arows, list(disc) + m, len(ybasis))
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
         b = cont_coords(residual(cont, a))
@@ -1929,7 +1947,7 @@ def preimage_element(
     >>> preimage_element(h, [], [1])[1]
     [1]
     """
-    return _preimage_system(h).preimage(_sparse(target_cont), target_disc)
+    return _system_of(h).preimage(_sparse(target_cont), target_disc)
 
 
 def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
@@ -1962,17 +1980,18 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
         atom_images.append(t)
     # One system serves every generator; the C-rows enter it negated, which
     # leaves the coefficients of mono's continuous images unchanged.
-    system = _preimage_system(mono)
+    system = _system_of(mono)
+    view = _view_of(f)
     nb = len(mono.cont_images)
     cont_images = []
-    for v in f.cont_images:
-        sol = system.elim.express(_sparse(v))
+    for v in view.cont:
+        sol = system.elim.express(v)
         if sol is None:
             raise HomError("continuous generator does not factor")
         cont_images.append(_dense(_head(sol, nb), nb, table))
     disc_images = []
-    for c, d in f.disc_images:
-        pre = system.preimage(_sparse(c), d)
+    for c, d in view.disc:
+        pre = system.preimage(c, d)
         if pre is None:
             raise HomError("discrete generator does not factor")
         disc_images.append(pre)
@@ -2030,13 +2049,13 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
                 "exactness against a genuine atom quotient cannot be verified"
             )
     k_res = kernel(_strip_atoms(g))
-    span = _Span(g.dom, f.cont_images, f.disc_images)
-    for v in k_res.inclusion.cont_images:
-        if not span.has_line(_sparse(v)):
+    vf, vk = _view_of(f), _view_of(k_res.inclusion)
+    span = _Span(g.dom, vf.cont, vf.disc)
+    for v in vk.cont:
+        if not span.has_line(v):
             return False
-    for c, d in k_res.inclusion.disc_images:
-        cs = _sparse(c)
-        if (cs or any(d)) and span.member(cs, d) is None:
+    for c, d in vk.disc:
+        if (c or any(d)) and span.member(c, d) is None:
             return False
     return True
 

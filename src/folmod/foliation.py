@@ -145,11 +145,13 @@ TAU_SYMBOL = "tau_i"
 MAX_EXPONENT = 64
 
 #: Largest product of operand term counts :func:`parse_scalar` multiplies
-#: out in one ``+``, ``-``, ``*``, ``/`` or ``^`` step; a term count is that
-#: of the larger of numerator and denominator.  A sum or difference counts
-#: too, because it multiplies each numerator by the other denominator.  The
-#: bundled examples never exceed 1, and ``(a+b+c+d+e)^6``, the highest power
-#: of a five-symbol sum that passes, expands in milliseconds.
+#: out in one ``*``, ``/`` or ``^`` step, or in a ``+`` or ``-`` step with a
+#: non-polynomial operand, which multiplies each numerator by the other
+#: denominator; a term count is that of the larger of numerator and
+#: denominator.  A sum or difference of two polynomials only adds their
+#: terms and is not bounded.  The bundled examples never exceed 1, and
+#: ``(a+b+c+d+e)^6``, the highest power of a five-symbol sum that passes,
+#: expands in milliseconds.
 MAX_TERMS = 1000
 
 
@@ -229,8 +231,9 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     The grammar covers integers, registered symbol names, ``+ - * /``,
     integer powers with ``^`` (exponents up to :data:`MAX_EXPONENT`) and
     parentheses; it accepts everything ``str(scalar)`` prints, so scalars
-    round-trip through text.  A ``+``, ``-``, ``*``, ``/`` or ``^`` step
-    whose operands' term counts multiply past :data:`MAX_TERMS` is refused.
+    round-trip through text.  A ``*``, ``/`` or ``^`` step whose operands'
+    term counts multiply past :data:`MAX_TERMS` is refused, and so is a
+    ``+`` or ``-`` step that does so with a non-polynomial operand.
 
     >>> t = SymbolTable(["alpha_t"])
     >>> str(parse_scalar(t, "-2*alpha_t"))
@@ -328,7 +331,8 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
         while peek() is not None and peek()[1] in ("+", "-"):
             op = take()[1]
             rhs = parse_product()
-            bounded(value, rhs)
+            if not (value.is_polynomial() and rhs.is_polynomial()):
+                bounded(value, rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 

@@ -1,12 +1,10 @@
 """Memoized algebra: Smith forms, normal forms and kernels are computed once.
 
-`smith_normal_form`, the normal form behind `classify`/`cokernel`,
-`kernel`, and the relation spans and preimage systems behind membership
-tests and preimages keep bounded caches keyed on immutable values.  These
-tests pin down that a cached answer is the answer a fresh computation
-gives, that the caches stay within their bounds, and that the public
-functions stay plain functions (profilers and doctest discovery rely on
-that).
+`smith_normal_form`, the normal form behind `classify`/`cokernel` and
+`kernel` keep bounded caches keyed on immutable values.  These tests pin
+down that a cached answer is the answer a fresh computation gives, that
+the caches stay within their bounds, and that the public functions stay
+plain functions (profilers and doctest discovery rely on that).
 """
 
 from __future__ import annotations
@@ -31,24 +29,11 @@ from folmod.abgroup import (
     kernel,
 )
 from folmod.exactnum import IntMatrix, Scalar, SymbolTable, smith_normal_form
+from memo_caches import CACHES, clear_caches
 
 TABLE = SymbolTable(["mu"])
 ONE = Scalar.one(TABLE)
 MU = Scalar.symbol(TABLE, "mu")
-
-CACHES = (
-    (exactnum._snf_cached, exactnum.SNF_CACHE_SIZE),
-    (abgroup._normalize_full, abgroup.NORMALIZE_CACHE_SIZE),
-    (abgroup._kernel_cached, abgroup.KERNEL_CACHE_SIZE),
-    (abgroup._span, abgroup.SPAN_CACHE_SIZE),
-    (abgroup._preimage_system, abgroup.PREIMAGE_CACHE_SIZE),
-)
-
-
-def clear_caches() -> None:
-    for cache, _ in CACHES:
-        cache.cache_clear()
-
 
 def reference_snf(a: IntMatrix):
     """The Smith normal form algorithm as it was before memoization."""

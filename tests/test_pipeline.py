@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from folmod import cli, foliation
+from folmod.exactnum import SymbolTable
 from folmod.examples import EXAMPLES, example_doc, example_input
 from folmod.foliation import (
     NotFiniteType,
@@ -204,6 +205,19 @@ def test_a_sum_past_the_term_bound_exits_2_quickly(tmp_path, capsys) -> None:
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"{path}: ") and f"exceed {foliation.MAX_TERMS}" in err
+
+
+def test_a_sum_of_polynomials_is_not_bounded() -> None:
+    # Adding polynomials only adds their terms: both sums pass though their
+    # operands' term counts multiply past the bound.
+    table = SymbolTable(["a", "b", "c", "d", "e"])
+    power = foliation.parse_scalar(table, "(a+b+c+d+e)^6")
+    small = foliation.parse_scalar(table, "(a+b)^5")
+    assert len(power.num) * len(small.num) > foliation.MAX_TERMS
+    assert foliation.parse_scalar(table, "(a+b+c+d+e)^6 + (a+b)^5") == power + small
+    text = "+".join(f"(a+b+c+d+e)^6*a^{7 * k}" for k in range(6))
+    total = foliation.parse_scalar(table, text)
+    assert len(total.num) == 6 * len(power.num) > foliation.MAX_TERMS
 
 
 def test_the_bundled_examples_stay_within_the_term_bound() -> None:

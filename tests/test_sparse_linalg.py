@@ -296,9 +296,10 @@ class TestFactorThrough:
         got = factor_through(f, mono)
         disc = []
         for c, d in f.disc_images:
-            # A fresh system per generator, as the per-generator loop had.
-            abgroup._preimage_system.cache_clear()
-            pre = preimage_element(mono, list(c), list(d))
+            # A fresh system per generator, as the per-generator loop had: a
+            # hom keeps its preimage system, so each generator gets a copy.
+            fresh = GroupHom(mono.dom, mono.cod, mono.cont_images, mono.disc_images, mono.atom_images)
+            pre = preimage_element(fresh, list(c), list(d))
             assert pre is not None
             disc.append((tuple(pre[0]), tuple(pre[1])))
         want = GroupHom(f.dom, mono.dom, [], disc, tuple(range(len(h0.atoms))))

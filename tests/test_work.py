@@ -14,7 +14,8 @@ import json
 import random
 from pathlib import Path
 
-from folmod import abgroup, cli, exactnum
+from folmod import cli, exactnum
+from memo_caches import clear_caches
 
 # A run on the k=9 geodesic constructed 22,254 Scalars with dense rows, the
 # same under PYTHONHASHSEED 0 and 1; sparse rows need a fraction of that.
@@ -27,17 +28,6 @@ def _geodesic_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _clear_caches() -> None:
-    for cache in (
-        exactnum._snf_cached,
-        abgroup._normalize_full,
-        abgroup._kernel_cached,
-        abgroup._span,
-        abgroup._preimage_system,
-    ):
-        cache.cache_clear()
 
 
 def _run_geodesic(k: int, tmp_path, capsys):
@@ -62,7 +52,7 @@ def test_k9_geodesic_constructs_few_scalars(tmp_path, capsys, monkeypatch) -> No
         count += 1
         init(self, *args)
 
-    _clear_caches()
+    clear_caches()
     monkeypatch.setattr(exactnum.Scalar, "__init__", counted)
     _run_geodesic(9, tmp_path, capsys)
     monkeypatch.undo()
