@@ -3,7 +3,7 @@
 The package is layered bottom-up:
 
 - :mod:`folmod.exactnum` -- canonical scalars over Q(symbols), integer
-  matrices, Smith normal form, Q-linear rank.
+  matrices and Smith normal form.
 - :mod:`folmod.abgroup` -- finitely presented topological abelian groups
   (free complex, free discrete and opaque atom factors) with homomorphisms,
   kernels, cokernels, classification into a normal form, and direct sums
@@ -12,8 +12,8 @@ The package is layered bottom-up:
   coboundary and H0/H1, pruning of dead branches, Mayer-Vietoris and long
   exact sequences, and a brute-force nonabelian H1 for cross-checking.
 - :mod:`folmod.foliation` -- marked divisors, symmetry/exponential/discrete
-  group-graphs, coloring, finite-type and non-degeneracy tests, and the two
-  moduli pipelines.
+  group-graphs, coloring, finite-type and non-degeneracy tests, and
+  :func:`compute_moduli`, which returns the moduli reports.
 - :mod:`folmod.examples` -- bundled worked inputs.
 - :mod:`folmod.cli` -- the ``folmod`` command line tool.
 """
@@ -23,20 +23,16 @@ from .foliation import (
     FoliationInput,
     ModuliReport,
     NotFiniteType,
-    NotNonDegenerate,
     PipelineError,
     TCviolated,
     check_tc,
     compute_moduli,
-    compute_moduli_finite_type,
-    compute_moduli_nondegenerate,
-    dump_input,
     is_finite_type,
     is_non_degenerate,
     load_input,
     validate,
 )
-from .examples import EXAMPLES, example_doc, example_input
+from .examples import EXAMPLES, example_doc
 
 __all__ = [
     "EXAMPLES",
@@ -44,16 +40,11 @@ __all__ = [
     "FoliationInput",
     "ModuliReport",
     "NotFiniteType",
-    "NotNonDegenerate",
     "PipelineError",
     "TCviolated",
     "check_tc",
     "compute_moduli",
-    "compute_moduli_finite_type",
-    "compute_moduli_nondegenerate",
-    "dump_input",
     "example_doc",
-    "example_input",
     "is_finite_type",
     "is_non_degenerate",
     "load_input",

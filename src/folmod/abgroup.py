@@ -60,13 +60,10 @@ from .exactnum import (
 __all__ = [
     "HomError",
     "UnsupportedAtomMap",
-    "NonFiniteTypeKernel",
-    "AtomFactor",
     "Relation",
     "PresentedAbelianGroup",
     "GroupHom",
     "check_hom",
-    "hom_is_zero",
     "hom_equal",
     "compose",
     "identity_hom",
@@ -75,13 +72,9 @@ __all__ = [
     "direct_sum",
     "block_hom",
     "kernel",
-    "KernelResult",
     "cokernel",
-    "CokernelResult",
-    "induced_cokernel_map",
     "preimage_element",
     "factor_through",
-    "normalize_with_maps",
     "classify",
     "NormalFormReport",
     "is_surjective",
@@ -422,9 +415,8 @@ class PresentedAbelianGroup:
     '0'
 
     Groups are values: equality and hashing are structural, the normal form
-    behind :func:`classify`, :func:`cokernel` and :func:`normalize_with_maps`
-    is memoized on them, and :func:`kernel` on homs between them.  Two
-    invariants make that safe:
+    behind :func:`classify` and :func:`cokernel` is memoized on them, and
+    :func:`kernel` on homs between them.  Two invariants make that safe:
 
     - no code assigns to a group's attributes after construction, except
       that the hash, the relations as sparse rows and the eliminated
@@ -1387,8 +1379,7 @@ def _split_cont_blocks(
     return blocks
 
 
-# Bound of the normal form memo shared by classify, cokernel and
-# normalize_with_maps.
+# Bound of the normal form memo shared by classify and cokernel.
 NORMALIZE_CACHE_SIZE = 32
 
 
@@ -1516,19 +1507,6 @@ def _normalize_full(
         group=ng,
     )
     return ng, t, s, report
-
-
-def normalize_with_maps(
-    g: PresentedAbelianGroup,
-) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom]:
-    """Canonical normal form with maps in both directions.
-
-    Returns ``(ng, to_normal, from_normal)``; both maps are homomorphisms and
-    ``to_normal . from_normal`` is the identity of ``ng``, so they realize an
-    isomorphism between ``g`` and its normal form.
-    """
-    ng, t, s, _ = _normalize_full(g)
-    return ng, t, s
 
 
 @dataclass(frozen=True)
@@ -1913,22 +1891,6 @@ def cokernel(h: GroupHom) -> CokernelResult:
         tuple(survivors[j] for j in sq.atom_images),
     )
     return CokernelResult(nq, projection, section)
-
-
-def induced_cokernel_map(finer: CokernelResult, coarser: CokernelResult) -> GroupHom:
-    """The canonical map between two cokernels over the same codomain.
-
-    ``finer`` must quotient by a smaller image than ``coarser`` (say, the
-    cokernel of ``g . f`` against the cokernel of ``g``); sending a class to
-    the class of any representative is then well defined.  The construction
-    composes ``coarser``'s projection with ``finer``'s section and verifies
-    the result with :func:`check_hom`.
-    """
-    if finer.section.cod != coarser.projection.dom:
-        raise ValueError("cokernels do not share a codomain")
-    out = compose(coarser.projection, finer.section)
-    check_hom(out)
-    return out
 
 
 def preimage_element(

@@ -38,7 +38,7 @@ from .gg import GroupGraph, cohomology
 from .abgroup import UnsupportedAtomMap, classify
 from .oracle import DEFAULT_BOUND, run_oracle
 
-__all__ = ["main", "run_check", "run_moduli", "run_cohomology"]
+__all__ = ["main", "run_moduli"]
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1

@@ -6,8 +6,7 @@ many formal symbols, with rational coefficients.  Scalars are kept in a
 canonical normal form -- a reduced ratio of primitive integer-content
 polynomials, with the rational content factored out -- so equality is
 decidable and serialized output is reproducible byte for byte.  No floating
-point number ever enters a result; `Scalar.numeric` and `numeric_rank` exist
-for diagnostics only and say so.
+point number ever enters a result.
 
 >>> t = SymbolTable(["alpha_t", "beta_t"])
 >>> a = Scalar.symbol(t, "alpha_t")
@@ -27,15 +26,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "SymbolTable",
-    "SymbolTableMismatch",
-    "NotRationalError",
     "Scalar",
     "IntMatrix",
     "smith_normal_form",
     "monomial_expansion",
     "monomial_vectors",
-    "q_linear_rank",
-    "numeric_rank",
 ]
 
 
@@ -656,27 +651,9 @@ class Scalar:
             raise ValueError("scalar has a zero denominator polynomial")
         return cls(table, rat, num, den)
 
-    # -- diagnostics only ----------------------------------------------------
-
-    def numeric(self, assignment: Mapping[str, complex]) -> complex:
-        """Evaluate at a numeric point.  Diagnostics only: results computed
-        from this method are never fed back into exact computations."""
-
-        def ev(p: _Poly) -> complex:
-            total = 0j
-            for mono, c in p.items():
-                term = complex(c)
-                for i, e in enumerate(mono):
-                    if e:
-                        term *= complex(assignment[self.table.names[i]]) ** e
-                total += term
-            return total
-
-        return complex(self.rat) * ev(self.num) / ev(self.den)
-
 
 # ---------------------------------------------------------------------------
-# Q-linear rank
+# Monomial expansion
 # ---------------------------------------------------------------------------
 
 
@@ -730,79 +707,6 @@ def monomial_expansion(
 def monomial_vectors(scalars: Sequence[Scalar]) -> List[List[Fraction]]:
     """Coefficient vectors of :func:`monomial_expansion`, basis dropped."""
     return monomial_expansion(scalars)[0]
-
-
-def q_linear_rank(scalars: Sequence[Scalar]) -> int:
-    """Rank over Q of the Q-span of the given scalars inside Q(symbols).
-
-    Exact: each scalar is expanded over a common polynomial denominator and
-    the resulting monomial-coefficient vectors are reduced over ``Fraction``.
-
-    >>> t = SymbolTable(["alpha_t", "beta_t"])
-    >>> one, a, b = Scalar.one(t), Scalar.symbol(t, "alpha_t"), Scalar.symbol(t, "beta_t")
-    >>> q_linear_rank([one, a.scale(2), b.scale(2)])
-    3
-    >>> q_linear_rank([one, Scalar.rational(t, 2), Scalar.rational(t, 1, 2)])
-    1
-    >>> q_linear_rank([one, a, one + a])
-    2
-    """
-    if not scalars:
-        return 0
-    return _gauss_rank(monomial_vectors(scalars))
-
-
-def _gauss_rank(rows: List[List[Fraction]]) -> int:
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def numeric_rank(scalars: Sequence[Scalar], tol: float = 1e-9) -> int:
-    """Floating-point cross-check of :func:`q_linear_rank`.
-
-    Performs the same monomial-basis expansion as the exact routine but
-    eliminates in floating point with a pivot threshold of ``tol``.
-    Diagnostics only; the tolerance-based answer is never used as a result.
-
-    >>> t = SymbolTable(["mu"])
-    >>> numeric_rank([Scalar.one(t), Scalar.symbol(t, "mu")])
-    2
-    """
-    if not scalars:
-        return 0
-    rows = [[float(x) for x in row] for row in monomial_vectors(scalars)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        best = tol
-        for i in range(rank, len(rows)):
-            if abs(rows[i][col]) > best:
-                best = abs(rows[i][col])
-                pivot = i
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and abs(rows[i][col]) > tol:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +771,6 @@ class IntMatrix:
                 for row in self.rows
             ]
         )
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)) if self.rows else [])
 
     def diagonal(self) -> List[int]:
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]

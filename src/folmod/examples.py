@@ -25,10 +25,10 @@ example   configuration
 ========  ==================================================================
 
 Each ``example_doc(n)`` is a plain JSON-serializable dictionary accepted by
-:func:`folmod.foliation.load_input`; ``example_input(n)`` parses it.
+:func:`folmod.foliation.load_input`.
 
->>> from folmod.foliation import validate
->>> all(validate(*example_input(n)[:3]) == [] for n in EXAMPLES)
+>>> from folmod.foliation import load_input, validate
+>>> all(validate(*load_input(example_doc(n))[:3]) == [] for n in EXAMPLES)
 True
 """
 
@@ -36,12 +36,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .foliation import FoliationInput, load_input
-
 __all__ = [
     "EXAMPLES",
     "example_doc",
-    "example_input",
     "example_description",
 ]
 
@@ -288,16 +285,6 @@ def example_doc(n: int) -> Dict:
     if n not in _BUILDERS:
         raise KeyError(f"no bundled example {n}; available: 0..6")
     return _BUILDERS[n]()
-
-
-def example_input(n: int) -> FoliationInput:
-    """Bundled example ``n`` parsed into a :class:`FoliationInput`.
-
-    >>> inp = example_input(1)
-    >>> sorted(inp.divisor.val_sigma().items())[:3]
-    [(0, 3), (1, 5), (2, 5)]
-    """
-    return load_input(example_doc(n))
 
 
 def example_description(n: int) -> str:

@@ -25,13 +25,11 @@ The computation runs in stages, each exposed as its own operation:
    into a :class:`ModuliReport`, either through singular chains
    (non-degenerate case) or through zones and a four-term exact sequence
    ``Z^p -> C^tau -> Mod -> D -> 0`` (finite-type case).  It builds one SES
-   and one LES, and both reports are views of them;
-   :func:`compute_moduli_nondegenerate` / :func:`compute_moduli_finite_type`
-   return one report each.
+   and one LES, and both reports are views of them.
 
 Inputs are plain data (:class:`MarkedDivisor`, :class:`SingularityData`,
-:class:`VertexHolonomy`) and can be read from and written to a JSON document
-via :func:`load_input` / :func:`dump_input`.
+:class:`VertexHolonomy`) and are read from a JSON document by
+:func:`load_input`.
 """
 
 from __future__ import annotations
@@ -88,10 +86,6 @@ __all__ = [
     "FoliationError",
     "TCviolated",
     "NotFiniteType",
-    "NotNonDegenerate",
-    "NonAbelianRedSym",
-    "TypeHeterogeneity",
-    "UnsupportedSideData",
     "PipelineError",
     "SideType",
     "SideData",
@@ -104,32 +98,23 @@ __all__ = [
     "AbelianInfiniteHolonomy",
     "NonabelianHolonomy",
     "VertexHolonomy",
-    "PredicateResult",
     "SingularChain",
     "ChainCounts",
-    "Coloring",
     "FourTermSequence",
     "ModuliReport",
-    "parse_scalar",
     "build_dual_graph",
     "check_tc",
     "build_cut_graph",
     "color",
-    "singular_chains",
-    "chain_counts",
-    "tau",
     "is_non_degenerate",
     "is_finite_type",
     "build_sym_graph",
     "build_exp_graph",
     "build_dis_graph",
     "compute_moduli",
-    "compute_moduli_nondegenerate",
-    "compute_moduli_finite_type",
     "validate",
     "FoliationInput",
     "load_input",
-    "dump_input",
 ]
 
 Id = Union[int, str]
@@ -170,10 +155,6 @@ class TCviolated(FoliationError):
 
 class NotFiniteType(FoliationError):
     """The marked divisor is not of finite type; the witness is the message."""
-
-
-class NotNonDegenerate(FoliationError):
-    """The marked divisor is degenerate; the witness is the message."""
 
 
 class NonAbelianRedSym(FoliationError):
@@ -652,7 +633,7 @@ class MarkedDivisor:
     ('s',)
     """
 
-    __slots__ = ("components", "corners", "attachments", "_by_id")
+    __slots__ = ("components", "corners", "attachments", "_by_id", "_sigma")
 
     def __init__(
         self,
@@ -685,6 +666,15 @@ class MarkedDivisor:
                     f"attachment {att.id!r} references unknown component {att.component!r}"
                 )
         self._by_id = {c.id: c for c in self.components}
+        sigma: Dict[Id, List[Id]] = {c: [] for c in ids}
+        for corner in self.corners:
+            if corner.in_sigma:
+                for c in dict.fromkeys(corner.components):
+                    sigma[c].append(corner.id)
+        for att in self.attachments:
+            if att.in_sigma:
+                sigma[att.component].append(att.id)
+        self._sigma = {c: tuple(sorted(pts, key=_id_key)) for c, pts in sigma.items()}
 
     def component(self, id: Id) -> Component:
         return self._by_id[id]
@@ -694,13 +684,11 @@ class MarkedDivisor:
 
     def sigma_points(self, comp: Id) -> Tuple[Id, ...]:
         """Ids of the marked singular points lying on the component."""
-        pts = [c.id for c in self.corners if c.in_sigma and comp in c.components]
-        pts += [a.id for a in self.attachments if a.in_sigma and a.component == comp]
-        return tuple(sorted(pts, key=_id_key))
+        return self._sigma.get(comp, ())
 
     def val_sigma(self) -> Dict[Id, int]:
         """Singular valency of every component (number of marked points)."""
-        return {c.id: len(self.sigma_points(c.id)) for c in self.components}
+        return {c: len(pts) for c, pts in self._sigma.items()}
 
     def __repr__(self) -> str:
         return (
@@ -1572,6 +1560,7 @@ def build_sym_graph(
 
     vgroups: Dict[Id, PresentedAbelianGroup] = {}
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
+    val = divisor.val_sigma()
     for v in red.vertices:
         kind, edges = _vertex_kind_and_edges(red, sing, vh, divisor, v)
         if kind == "nonabelian":
@@ -1586,7 +1575,7 @@ def build_sym_graph(
                 raise TypeHeterogeneity(
                     f"component {v!r} has {kind} data but corner {e!r} is {infos[e].kind}"
                 )
-        if not edges or divisor.val_sigma()[v] >= 3:
+        if not edges or val[v] >= 3:
             vgroups[v] = _canonical_vertex_group(sing, divisor, v, kind, edges, infos)
             for e in edges:
                 rhos[(v, e)] = _canonical_restriction(
@@ -1821,6 +1810,7 @@ def build_exp_graph(
     vgroups: Dict[Id, PresentedAbelianGroup] = {}
     vmaps: Dict[Id, GroupHom] = {}
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
+    val = divisor.val_sigma()
     for v in red.vertices:
         kind, edges = _vertex_kind_and_edges(red, sing, vh, divisor, v)
         cod = sym.vertex_group(v)
@@ -1831,7 +1821,7 @@ def build_exp_graph(
             for e in edges:
                 rhos[(v, e)] = zero_hom(grp, egroups[e])
             continue
-        if not edges or divisor.val_sigma()[v] >= 3:
+        if not edges or val[v] >= 3:
             if kind == "L1":
                 vgroups[v] = cod
                 vmaps[v] = identity_hom(cod)
@@ -2529,47 +2519,13 @@ def compute_moduli(
     One SES and one long exact sequence are built; the non-degenerate
     report (first, on non-degenerate input) and the finite-type report are
     both read from them, and their classified moduli are verified equal.
-    Raises :class:`NotFiniteType` on input without the repulsivity
+    Every report carries the non-degenerate verdict and witness
+    (``non_degenerate``, ``nd_witness``), so degenerate input is read from
+    the lone finite-type report rather than from an exception.  Raises :class:`NotFiniteType` on input without the repulsivity
     certificate, :class:`TCviolated` when the position condition fails, and
     :class:`PipelineError` when a theorem-backed internal check fails.
     """
     return _reports(_common(divisor, sing, vh), divisor, sing, vh)
-
-
-def compute_moduli_nondegenerate(
-    divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
-) -> ModuliReport:
-    """Moduli of a non-degenerate germ through its singular chains.
-
-    The red part prunes down to the union of the singular chains, whose
-    contributions are read off directly; every structural claim (pruning
-    reaches exactly the chains, factor counts match chain counts, the two
-    pipelines agree) is verified and raises :class:`PipelineError` on
-    failure.  Raises :class:`NotNonDegenerate` on degenerate input and
-    :class:`TCviolated` when the position condition fails.
-    """
-    c = _common(divisor, sing, vh)
-    if not c.nd.ok:
-        raise NotNonDegenerate(c.nd.witness or "degenerate input")
-    return _reports(c, divisor, sing, vh)[0]
-
-
-def compute_moduli_finite_type(
-    divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
-) -> ModuliReport:
-    """Moduli of a finite-type germ through zones and the four-term exact
-    sequence ``Z^p -> C^tau -> Mod -> D -> 0``.
-
-    Raises :class:`NotFiniteType` on input without the repulsivity
-    certificate, :class:`TCviolated` when the position condition fails, and
-    :class:`PipelineError` when a theorem-backed internal check fails.  On
-    non-degenerate input the result is verified against the pruned chain
-    computation.
-    """
-    c = _common(divisor, sing, vh)
-    if not c.ft.ok:
-        raise NotFiniteType(c.ft.witness or "not of finite type")
-    return _reports(c, divisor, sing, vh)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -2848,71 +2804,3 @@ def load_input(doc: Mapping) -> FoliationInput:
             raise FoliationError(f"unknown holonomy class {kind!r}")
     return FoliationInput(divisor, sing, VertexHolonomy(classes), table)
 
-
-def dump_input(inp: FoliationInput) -> dict:
-    """Serialize an input triple back to a JSON-ready document.
-
-    ``load_input`` of the result reproduces the input up to ordering.
-    """
-    divisor, sing, vh, table = inp
-    components = []
-    for c in sorted(divisor.components, key=lambda c: _id_key(c.id)):
-        item: Dict[str, object] = {"id": c.id}
-        if c.dicritical:
-            item["dicritical"] = True
-        if c.self_intersection is not None:
-            item["self_intersection"] = c.self_intersection
-        if c.topologically_rigid:
-            item["topologically_rigid"] = True
-        components.append(item)
-    corners = [
-        {"id": c.id, "components": list(c.components), "in_sigma": c.in_sigma}
-        for c in sorted(divisor.corners, key=lambda c: _id_key(c.id))
-    ]
-    attachments = [
-        {"id": a.id, "component": a.component, "in_sigma": a.in_sigma}
-        for a in sorted(divisor.attachments, key=lambda a: _id_key(a.id))
-    ]
-    singularities = []
-    for (point, comp), side in sing.items():
-        item = {"point": point, "component": comp, "type": side.type.to_json()}
-        if side.cs is not None:
-            item["cs"] = str(side.cs)
-        if side.nodal:
-            item["nodal"] = True
-        singularities.append(item)
-    holonomies = []
-    for comp, cls in vh.items():
-        if cls.kind == "finite":
-            holonomies.append(
-                {
-                    "component": comp,
-                    "class": "finite",
-                    "n": cls.n,
-                    "orders": [
-                        [point, order]
-                        for point, order in sorted(
-                            cls.orders.items(), key=lambda kv: _id_key(kv[0])
-                        )
-                    ],
-                }
-            )
-        elif cls.kind == "abelian_infinite":
-            holonomies.append({"component": comp, "class": "abelian_infinite"})
-        else:
-            holonomies.append(
-                {
-                    "component": comp,
-                    "class": "nonabelian",
-                    "invariant_factors": list(cls.invariant_factors),
-                }
-            )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "symbols": list(table.names),
-        "components": components,
-        "corners": corners,
-        "attachments": attachments,
-        "singularities": singularities,
-        "holonomies": holonomies,
-    }

@@ -21,7 +21,7 @@ orbit enumeration, serving as an independent oracle.
 ...                 {(0, "s"): zero_hom(triv, z3), (1, "s"): zero_hom(triv, z3)})
 >>> classify(h1(gg)).text()
 'Z/3'
->>> classify(h0(gg)).text()
+>>> classify(cohomology(gg).h0).text()
 '0'
 
 The non-abelian oracle on a loop acts by twisted conjugation, so the
@@ -77,25 +77,14 @@ from .abgroup import (
 __all__ = [
     "BoundExceeded",
     "CoverMismatch",
-    "NotRepulsive",
-    "NotShortExact",
     "Graph",
     "GroupGraph",
     "GroupGraphMorphism",
     "FiniteGroup",
     "FiniteHom",
     "FiniteGroupGraph",
-    "CohomologyResult",
-    "DeadBranch",
-    "MayerVietorisResult",
-    "LongExactSequenceResult",
-    "BruteForceResult",
-    "coboundary0",
     "cohomology",
-    "h0",
     "h1",
-    "find_partial_dead_branches",
-    "is_repulsive",
     "prune",
     "prune_all",
     "mayer_vietoris",
@@ -249,9 +238,6 @@ class Graph:
             groups.setdefault(find(v), []).append(v)
         comps = [tuple(sorted(g, key=_id_key)) for g in groups.values()]
         return tuple(sorted(comps, key=lambda c: _id_key(c[0])))
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
 
     def rank_h1(self) -> int:
         """First Betti number ``E - V + C`` of the underlying space."""
@@ -571,10 +557,6 @@ def cohomology(G: GroupGraph) -> CohomologyResult:
         h1_projection=c.projection,
         h1_section=c.section,
     )
-
-
-def h0(G: GroupGraph) -> PresentedAbelianGroup:
-    return kernel(coboundary0(G)).group
 
 
 def h1(G: GroupGraph) -> PresentedAbelianGroup:
@@ -1077,13 +1059,6 @@ class FiniteGroup:
         return all(
             self.table[a][b] == self.table[b][a] for a in range(n) for b in range(a)
         )
-
-    def element_order(self, a: int) -> int:
-        x, k = a, 1
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
 
     # -- constructors -----------------------------------------------------------
 

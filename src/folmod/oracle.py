@@ -57,9 +57,6 @@ from .gg import (
 
 __all__ = [
     "DEFAULT_BOUND",
-    "DEFAULT_RUNS",
-    "SuiteResult",
-    "OracleReport",
     "run_oracle",
 ]
 

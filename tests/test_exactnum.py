@@ -18,8 +18,6 @@ from folmod.exactnum import (
     SymbolTable,
     monomial_expansion,
     monomial_vectors,
-    numeric_rank,
-    q_linear_rank,
     smith_normal_form,
 )
 
@@ -103,10 +101,6 @@ class TestScalar:
         with pytest.raises(NotRationalError):
             sym("mu").as_fraction()
 
-    def test_numeric_evaluation(self) -> None:
-        val = (sym("mu") * rat(2) + rat(1)).numeric({"mu": 0.25, "tau_i": 0.0})
-        assert val == pytest.approx(1.5)
-
     def test_table_mismatch_rejected(self) -> None:
         other = SymbolTable(["mu"])
         with pytest.raises(Exception):
@@ -167,33 +161,10 @@ class TestScalar:
             assert acc == s
 
 
-class TestRank:
-    def test_known_ranks(self) -> None:
-        one, mu = Scalar.one(TABLE), sym("mu")
-        assert q_linear_rank([]) == 0
-        assert q_linear_rank([rat(2)]) == 1
-        assert q_linear_rank([one, mu]) == 2
-        assert q_linear_rank([one, mu, one + mu]) == 2
-        assert q_linear_rank([one, mu, mu * mu]) == 3
-
-    # the floating-point cross-check agrees on small exact inputs
-    @settings(deadline=None)
-    @given(st.lists(scalars(), min_size=1, max_size=4))
-    def test_numeric_rank_agrees(self, sc: list) -> None:
-        assert numeric_rank(sc) == q_linear_rank(sc)
-
-    # rank is invariant under duplicating the family
-    @settings(deadline=None)
-    @given(st.lists(scalars(), min_size=1, max_size=3))
-    def test_rank_duplicates(self, sc: list) -> None:
-        assert q_linear_rank(sc + sc) == q_linear_rank(sc) <= len(sc)
-
-
 class TestIntMatrix:
     def test_ops(self) -> None:
         a = IntMatrix([[1, 2], [3, 4]])
         assert a.det() == -2
-        assert a.transpose().rows == ((1, 3), (2, 4))
         assert (a * IntMatrix.identity(2)) == a
         assert IntMatrix.zeros(2, 3).rows == ((0, 0, 0), (0, 0, 0))
 

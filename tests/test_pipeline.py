@@ -3,10 +3,11 @@
 `compute_moduli` builds the short exact sequence of symmetry sheaves and
 its long exact sequence once; the non-degenerate and finite-type reports
 are both read from them.  These tests pin down that the expensive stages
-run once per `folmod moduli` call, that the two public views give the
-reports the CLI prints, that the gates raise what they raised before, and
-that malformed documents end in exit code 2 with a message naming the
-file instead of a traceback.
+run once per `folmod moduli` call, that its reports are the ones the CLI
+prints, that the two public predicates agree with the verdicts on the
+reports, that the gates raise what they raised before, and that malformed
+documents end in exit code 2 with a message naming the file instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -23,14 +24,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from folmod import cli, foliation
 from folmod.exactnum import SymbolTable
-from folmod.examples import EXAMPLES, example_doc, example_input
+from folmod.examples import EXAMPLES, example_doc
 from folmod.foliation import (
     NotFiniteType,
-    NotNonDegenerate,
     compute_moduli,
-    compute_moduli_finite_type,
-    compute_moduli_nondegenerate,
+    is_finite_type,
+    is_non_degenerate,
+    load_input,
 )
+
+
+def _args(n: int) -> tuple:
+    inp = load_input(example_doc(n))
+    return inp.divisor, inp.singularities, inp.holonomies
 
 
 def _geodesic_module():
@@ -93,35 +99,64 @@ def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -
         assert calls[name] >= 1, name
 
 
+def _marked_divisors():
+    geo = _geodesic_module()
+    docs = [example_doc(n) for n in EXAMPLES]
+    docs.append(geo.geodesic_doc(geo.chain_periods(9, random.Random("geodesic-0-9"))))
+    return [load_input(doc).divisor for doc in docs]
+
+
+def test_sigma_points_equal_a_scan_of_every_point() -> None:
+    for divisor in _marked_divisors():
+        for comp in divisor.components:
+            points = [c.id for c in divisor.corners if c.in_sigma and comp.id in c.components]
+            points += [
+                a.id for a in divisor.attachments if a.in_sigma and a.component == comp.id
+            ]
+            assert divisor.sigma_points(comp.id) == tuple(sorted(points, key=foliation._id_key))
+            assert divisor.val_sigma()[comp.id] == len(points)
+        assert list(divisor.val_sigma()) == [c.id for c in divisor.components]
+
+
+EX3_WITNESS = "cut component containing 0: red part disconnected"
+
+
 @pytest.mark.parametrize("n", [1, 4, 5, 6])
 def test_public_views_equal_the_cli_reports(n: int, tmp_path, capsys) -> None:
     assert cli.main(["moduli", _write(tmp_path, example_doc(n)), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    inp = example_input(n)
-    args = (inp.divisor, inp.singularities, inp.holonomies)
-    views = [compute_moduli_nondegenerate(*args), compute_moduli_finite_type(*args)]
-    assert payload["pipelines"] == [json.loads(json.dumps(r.to_json())) for r in views]
+    reports = compute_moduli(*_args(n))
+    assert [r.pipeline for r in reports] == ["non_degenerate", "finite_type"]
+    assert payload["pipelines"] == [json.loads(json.dumps(r.to_json())) for r in reports]
     assert payload["agree"] is True
-    assert [r.to_json() for r in compute_moduli(*args)] == [r.to_json() for r in views]
 
 
 def test_example3_is_not_of_finite_type() -> None:
-    inp = example_input(3)
-    args = (inp.divisor, inp.singularities, inp.holonomies)
-    message = "cut component containing 0: red part disconnected"
-    with pytest.raises(NotFiniteType, match=message):
-        compute_moduli(*args)
-    with pytest.raises(NotFiniteType, match=message):
-        compute_moduli_finite_type(*args)
+    with pytest.raises(NotFiniteType) as raised:
+        compute_moduli(*_args(3))
+    assert str(raised.value) == EX3_WITNESS
 
 
 def test_example2_is_degenerate() -> None:
-    inp = example_input(2)
-    args = (inp.divisor, inp.singularities, inp.holonomies)
-    with pytest.raises(NotNonDegenerate) as raised:
-        compute_moduli_nondegenerate(*args)
-    assert str(raised.value) == "component 0 has singular valency 3 but abelian_infinite holonomy"
-    assert [r.pipeline for r in compute_moduli(*args)] == ["finite_type"]
+    (report,) = compute_moduli(*_args(2))
+    assert report.pipeline == "finite_type"
+    assert report.non_degenerate is False
+    assert report.nd_witness == "component 0 has singular valency 3 but abelian_infinite holonomy"
+
+
+@pytest.mark.parametrize("n", [n for n in EXAMPLES if n != 3])
+def test_predicates_match_the_report_verdicts(n: int) -> None:
+    args = _args(n)
+    nd, ft = is_non_degenerate(*args), is_finite_type(*args)
+    for report in compute_moduli(*args):
+        assert (nd.ok, nd.witness) == (report.non_degenerate, report.nd_witness)
+        assert (ft.ok, ft.witness) == (report.finite_type, report.ft_witness)
+
+
+def test_example3_predicate_witness_is_the_refusal_message() -> None:
+    ft = is_finite_type(*_args(3))
+    assert ft.ok is False
+    assert ft.witness == EX3_WITNESS
 
 
 def _with_side_field(doc: dict, field: str, value) -> dict:
@@ -222,7 +257,7 @@ def test_a_sum_of_polynomials_is_not_bounded() -> None:
 
 def test_the_bundled_examples_stay_within_the_term_bound() -> None:
     for n in EXAMPLES:
-        example_input(n)
+        load_input(example_doc(n))
 
 
 # -- fuzzed documents -------------------------------------------------------

@@ -1,0 +1,93 @@
+"""The public surface of ``folmod`` is sized to what uses it.
+
+Each name in a module's ``__all__`` must be imported by another ``folmod``
+module, be read by the benchmark (a name that ``perfbench/layers.py`` traces
+or that ``perfbench/geodesic.py`` imports), or carry a one-line reason in
+``KEPT``.  The benchmark's tracer wraps only the functions listed in
+``__all__``, so the traced names must stay there.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import folmod
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "folmod"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+KEPT = {
+    "foliation.TCviolated": "raised by compute_moduli when the position condition fails",
+    "foliation.NotFiniteType": "raised by compute_moduli; the CLI's exit-3 refusal",
+    "foliation.SideType": "input model: the local type of a side",
+    "foliation.SideData": "input model: one side of a singular point",
+    "foliation.SingularityData": "input model: load_input(...).singularities",
+    "foliation.Component": "input model: a divisor component",
+    "foliation.Corner": "input model: a corner between two components",
+    "foliation.Attachment": "input model: a singular point on one component",
+    "foliation.MarkedDivisor": "input model: load_input(...).divisor",
+    "foliation.FiniteHolonomy": "input model: a holonomy class",
+    "foliation.AbelianInfiniteHolonomy": "input model: a holonomy class",
+    "foliation.NonabelianHolonomy": "input model: a holonomy class",
+    "foliation.VertexHolonomy": "input model: load_input(...).holonomies",
+    "foliation.FoliationInput": "input model: what load_input returns",
+    "foliation.ModuliReport": "report model: what compute_moduli returns",
+    "foliation.FourTermSequence": "report model: ModuliReport.sequence",
+    "foliation.SingularChain": "report model: ModuliReport.chains",
+    "foliation.ChainCounts": "report model: ModuliReport.chain_counts",
+    "cli.main": "the folmod console script",
+}
+
+
+def _imported_by(module: str) -> set:
+    """Names that ``folmod`` modules other than ``module`` and the package
+    itself import from another ``folmod`` module."""
+    names = set()
+    for stem in MODULES:
+        if stem == module:
+            continue
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("folmod")
+            ):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _benchmark_names() -> set:
+    """Names in string literals of ``layers.py`` and imports of ``geodesic.py``."""
+    names = set()
+    layers = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    for node in ast.walk(layers):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    geodesic = ast.parse((ROOT / "perfbench" / "geodesic.py").read_text(encoding="utf-8"))
+    for node in ast.walk(geodesic):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("folmod"):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_used(module: str) -> None:
+    used = _imported_by(module) | _benchmark_names()
+    exported = importlib.import_module(f"folmod.{module}").__all__
+    unused = [n for n in exported if n not in used and f"{module}.{n}" not in KEPT]
+    assert unused == [], f"folmod.{module}.__all__ exports names nothing uses: {unused}"
+
+
+def test_kept_names_are_exported() -> None:
+    for qualified in KEPT:
+        module, name = qualified.split(".")
+        assert name in importlib.import_module(f"folmod.{module}").__all__, qualified
+
+
+def test_package_names_resolve() -> None:
+    for name in folmod.__all__:
+        assert hasattr(folmod, name), name
