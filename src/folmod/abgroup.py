@@ -1,11 +1,12 @@
 """Finitely presented topological abelian groups, exactly.
 
 A group here is a quotient of ``C^a (+) Z^b (+) atoms`` by the span of
-finitely many relation rows.  Each row has a continuous part (a vector of
-:class:`~folmod.exactnum.Scalar`), a discrete part (a vector of ints) and a
-span tag: ``"Z"`` identifies the row's integer multiples with zero, ``"C"``
-identifies the whole complex line through the row with zero (such rows arise
-as images of continuous generators and must have a zero discrete part).
+finitely many relation rows.  Each row has a continuous part (a sparse
+row: a dict from column to nonzero :class:`~folmod.exactnum.Scalar`), a
+discrete part (a vector of ints) and a span tag: ``"Z"`` identifies the
+row's integer multiples with zero, ``"C"`` identifies the whole complex line
+through the row with zero (such rows arise as images of continuous
+generators and must have a zero discrete part).
 Atoms are opaque named factors -- groups known only abstractly -- and the
 only maps they support are collapse to zero, the identity, and the quotient
 by one declared cyclic subgroup, recorded in :class:`AtomFactor`
@@ -23,7 +24,7 @@ implemented here: :func:`check_hom`, :func:`kernel`, :func:`cokernel` and
 >>> classify(torus).text()
 'C/(Z + (mu)Z)'
 >>> line = PresentedAbelianGroup.free_cont(t, 1)
->>> h = GroupHom(line, torus, cont_images=((Scalar.one(t),),), disc_images=())
+>>> h = GroupHom(line, torus, cont_images=[{0: Scalar.one(t)}])
 >>> k = kernel(h)
 >>> classify(k.group).text()
 'Z^2'
@@ -108,7 +109,11 @@ class AtomFactor(NamedTuple):
 
 
 class Relation(NamedTuple):
-    cont: Tuple[Scalar, ...]
+    """One relation: ``cont`` a row (a dict from column to nonzero Scalar),
+    ``disc`` an int vector, ``span`` ``"Z"`` or ``"C"``.  A group stores
+    copies of its relations, and no code mutates a stored row."""
+
+    cont: "Row"
     disc: Tuple[int, ...]
     span: str  # "Z" or "C"
 
@@ -118,35 +123,74 @@ class Relation(NamedTuple):
 #
 # A row is a dict from column index to a nonzero Scalar: absent columns are
 # zero, and no stored entry is ever zero, so no arithmetic touches a zero.
+# Rows are the one stored form of a continuous vector: a group's relations
+# and a hom's generator images are rows, copied by :func:`_stored_row` at
+# construction (zero entries dropped, columns sorted and range-checked) and
+# never mutated afterwards; only the JSON methods write them out densely.
 # Elimination visits columns in their given order and never reorders them.
 # The reduced row echelon form of a row space with pivots in column order is
 # unique, so every reduced form, nullspace basis and solution below is the
-# canonical one, whatever order the rows were eliminated in.  Groups and homs
-# keep their public fields dense; each converts its relations or images to
-# sparse rows once, on first use, and keeps them, so no code mutates a row it
-# did not build itself.
+# canonical one, whatever order the rows were eliminated in.
 # ---------------------------------------------------------------------------
 
 Row = Dict[int, Scalar]
 
 
-def _sparse(v: Sequence[Scalar]) -> Row:
-    return {j: x for j, x in enumerate(v) if not x.is_zero()}
-
-
-def _dense(row: Mapping[int, Scalar], n: int, table: SymbolTable) -> List[Scalar]:
-    out = [Scalar.zero(table)] * n
-    for j, x in row.items():
-        out[j] = x
+def _stored_row(v: Mapping[int, Scalar], width: int, table: SymbolTable) -> Row:
+    """A copy of ``v`` to store: zero entries dropped and columns sorted,
+    every column below ``width`` and every Scalar over ``table``."""
+    out: Row = {}
+    for j, x in sorted(v.items()):
+        if not 0 <= j < width:
+            raise ValueError(f"column {j} is outside a row of width {width}")
+        if x.table is not table and x.table != table:
+            raise ValueError("row scalar over a different symbol table")
+        if not x.is_zero():
+            out[j] = x
     return out
+
+
+def _row_key(row: Row) -> Tuple[Tuple[int, Scalar], ...]:
+    # Stored rows are sorted by column, so equal rows give equal keys.
+    return tuple(row.items())
+
+
+def _row_to_json(row: Row, width: int, table: SymbolTable) -> List[dict]:
+    zero = Scalar.zero(table)
+    return [row.get(j, zero).to_json() for j in range(width)]
+
+
+def _row_from_json(table: SymbolTable, data: Sequence, width: int) -> Row:
+    if len(data) != width:
+        raise ValueError(f"a row of width {width} has {len(data)} entries")
+    return {j: Scalar.from_json(table, s) for j, s in enumerate(data)}
+
+
+def _shift(row: Mapping[int, Scalar], offset: int) -> Row:
+    return {offset + j: x for j, x in row.items()}
+
+
+def _neg(row: Mapping[int, Scalar]) -> Row:
+    return {j: -x for j, x in row.items()}
+
+
+def _unit(i: int, n: int, value: int = 1) -> Tuple[int, ...]:
+    """The int vector of width ``n`` that is ``value`` at ``i``."""
+    return tuple(value if j == i else 0 for j in range(n))
+
+
+def _disc_ident(n: int) -> List[Tuple[Row, Tuple[int, ...]]]:
+    """The discrete generator images of an identity on ``Z^n``."""
+    return [({}, _unit(i, n)) for i in range(n)]
 
 
 def _addmul(acc: Row, c: "Scalar | Fraction | int", row: Mapping[int, Scalar]) -> None:
     """``acc += c * row`` in place for a nonzero Scalar or rational ``c``;
-    cancelled entries go."""
+    cancelled entries go, and ``c == 1`` adds the entries themselves."""
     rational = not isinstance(c, Scalar)
+    unit = rational and c == 1
     for j, x in row.items():
-        y = x.scale(c) if rational else c * x
+        y = x if unit else x.scale(c) if rational else c * x
         cur = acc.get(j)
         if cur is not None:
             y = cur + y
@@ -414,22 +458,25 @@ class PresentedAbelianGroup:
     >>> classify(PresentedAbelianGroup.trivial(t)).text()
     '0'
 
+    The continuous part of each relation is a row over the ``a`` continuous
+    generators, a dict from column to nonzero Scalar; the discrete part is
+    an int tuple of width ``b``.  The constructor copies every row, drops
+    its zero entries and sorts its columns, so equal relations are stored
+    identically.
+
     Groups are values: equality and hashing are structural, the normal form
     behind :func:`classify` and :func:`cokernel` is memoized on them, and
     :func:`kernel` on homs between them.  Two invariants make that safe:
 
-    - no code assigns to a group's attributes after construction, except
-      that the hash, the relations as sparse rows and the eliminated
-      relation span are computed on first use and kept; the relations,
-      atoms and their Scalars are immutable;
+    - no code assigns to a group's attributes or mutates a stored row after
+      construction, except that the hash and the eliminated relation span
+      are computed on first use and kept; atoms and Scalars are immutable;
     - a memoized result is shared by every caller that passes an equal
       group, so its maps may have an equal but not identical domain or
       codomain; nothing compares groups by identity.
     """
 
-    __slots__ = (
-        "table", "cont_rank", "disc_rank", "relations", "atoms", "_hash", "_rows", "_span"
-    )
+    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash", "_span")
 
     def __init__(
         self,
@@ -440,19 +487,16 @@ class PresentedAbelianGroup:
         atoms: Iterable[AtomFactor] = (),
     ):
         relations = tuple(
-            Relation(tuple(r.cont), tuple(map(int, r.disc)), r.span)
+            Relation(_stored_row(r.cont, cont_rank, table), tuple(map(int, r.disc)), r.span)
             for r in relations
         )
         for r in relations:
-            if len(r.cont) != cont_rank or len(r.disc) != disc_rank:
+            if len(r.disc) != disc_rank:
                 raise ValueError("relation width does not match generator counts")
             if r.span not in ("Z", "C"):
                 raise ValueError(f"invalid relation span {r.span!r}")
             if r.span == "C" and any(r.disc):
                 raise ValueError("C-span relations cannot touch discrete generators")
-            for s in r.cont:
-                if s.table is not table and s.table != table:
-                    raise ValueError("relation scalar over a different symbol table")
         atoms = tuple(AtomFactor(a.name, a.mod_order) for a in atoms)
         for a in atoms:
             if a.mod_order is not None and (a.mod_order < 0 or a.mod_order == 1):
@@ -463,7 +507,6 @@ class PresentedAbelianGroup:
         self.relations = relations
         self.atoms = atoms
         self._hash: Optional[int] = None
-        self._rows: Optional[List[Tuple[Row, Tuple[int, ...], str]]] = None
         self._span: Optional[_Span] = None
 
     # -- constructors --------------------------------------------------------
@@ -485,17 +528,14 @@ class PresentedAbelianGroup:
         cls, table: SymbolTable, gens: Sequence[Scalar]
     ) -> "PresentedAbelianGroup":
         """``C`` modulo the Z-span of the given scalars."""
-        return cls(table, 1, 0, [Relation((g,), (), "Z") for g in gens])
+        return cls(table, 1, 0, [Relation({0: g}, (), "Z") for g in gens])
 
     @classmethod
     def from_invariant_factors(
         cls, table: SymbolTable, factors: Sequence[int]
     ) -> "PresentedAbelianGroup":
         n = len(factors)
-        rels = [
-            Relation((), tuple(f if j == i else 0 for j in range(n)), "Z")
-            for i, f in enumerate(factors)
-        ]
+        rels = [Relation({}, _unit(i, n, f), "Z") for i, f in enumerate(factors)]
         return cls(table, 0, n, rels)
 
     @classmethod
@@ -521,9 +561,8 @@ class PresentedAbelianGroup:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (self.table, self.cont_rank, self.disc_rank, self.relations, self.atoms)
-            )
+            relations = tuple((_row_key(r.cont), r.disc, r.span) for r in self.relations)
+            self._hash = hash((self.table, self.cont_rank, self.disc_rank, relations, self.atoms))
         return self._hash
 
     def __repr__(self) -> str:
@@ -535,13 +574,14 @@ class PresentedAbelianGroup:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The group as JSON, every relation row written densely."""
         return {
             "symbols": self.table.to_json(),
             "cont_rank": self.cont_rank,
             "disc_rank": self.disc_rank,
             "relations": [
                 {
-                    "cont": [s.to_json() for s in r.cont],
+                    "cont": _row_to_json(r.cont, self.cont_rank, self.table),
                     "disc": list(r.disc),
                     "span": r.span,
                 }
@@ -555,7 +595,7 @@ class PresentedAbelianGroup:
         table = SymbolTable.from_json(data["symbols"])
         rels = [
             Relation(
-                tuple(Scalar.from_json(table, s) for s in r["cont"]),
+                _row_from_json(table, r["cont"], data["cont_rank"]),
                 tuple(int(x) for x in r["disc"]),
                 r["span"],
             )
@@ -569,44 +609,46 @@ class GroupHom:
     """A homomorphism of presented groups, given by generator images.
 
     ``cont_images[i]`` is the image of the i-th continuous generator as a
-    coordinate vector over the codomain's continuous generators (a continuous
-    generator carries a complex line, so its image cannot touch discrete
-    generators).  ``disc_images[j]`` is a pair ``(cont_part, disc_part)``.
-    ``atom_images[k]`` is the index of the codomain atom receiving the k-th
-    domain atom, or ``None`` when that atom collapses to zero.
+    row over the codomain's continuous generators (a continuous generator
+    carries a complex line, so its image cannot touch discrete generators).
+    ``disc_images[j]`` is a pair ``(cont_row, disc_part)`` with
+    ``disc_part`` an int tuple.  ``atom_images[k]`` is the index of the
+    codomain atom receiving the k-th domain atom, or ``None`` when that atom
+    collapses to zero.  Rows are stored as in :class:`PresentedAbelianGroup`:
+    copied, without zero entries, sorted by column.
 
     >>> t = SymbolTable([])
     >>> g6 = PresentedAbelianGroup.from_invariant_factors(t, [6])
     >>> g3 = PresentedAbelianGroup.from_invariant_factors(t, [3])
-    >>> f = GroupHom(g6, g3, disc_images=[((), (1,))])
+    >>> f = GroupHom(g6, g3, disc_images=[({}, (1,))])
     >>> check_hom(f)
     >>> classify(kernel(f).group).text()
     'Z/2'
 
     Homomorphisms are values like groups: equality and hashing are
     structural, :func:`kernel` memoizes on them, and no code assigns to a
-    hom's attributes after construction, except that the hash, the images
-    as sparse rows and the preimage system are computed on first use and
-    kept.  The images are tuples of immutable Scalars and ints, so
-    a hom held by a memoized result can be shared by every caller.
+    hom's attributes or mutates a stored row after construction, except that
+    the hash and the preimage system are computed on first use and kept.
+    So a hom held by a memoized result can be shared by every caller.
     """
 
-    __slots__ = (
-        "dom", "cod", "cont_images", "disc_images", "atom_images", "_hash", "_view", "_system"
-    )
+    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash", "_system")
 
     def __init__(
         self,
         dom: PresentedAbelianGroup,
         cod: PresentedAbelianGroup,
-        cont_images: Sequence[Sequence[Scalar]] = (),
-        disc_images: Sequence[Tuple[Sequence[Scalar], Sequence[int]]] = (),
+        cont_images: Sequence[Mapping[int, Scalar]] = (),
+        disc_images: Sequence[Tuple[Mapping[int, Scalar], Sequence[int]]] = (),
         atom_images: Sequence[Optional[int]] = (),
     ):
         if dom.table != cod.table:
             raise ValueError("homomorphism across different symbol tables")
-        cont_images = tuple(map(tuple, cont_images))
-        disc_images = tuple((tuple(c), tuple(map(int, d))) for c, d in disc_images)
+        table, width = dom.table, cod.cont_rank
+        cont_images = tuple(_stored_row(v, width, table) for v in cont_images)
+        disc_images = tuple(
+            (_stored_row(c, width, table), tuple(map(int, d))) for c, d in disc_images
+        )
         atom_images = tuple(None if x is None else int(x) for x in atom_images)
         if len(cont_images) != dom.cont_rank:
             raise ValueError("wrong number of continuous generator images")
@@ -614,11 +656,8 @@ class GroupHom:
             raise ValueError("wrong number of discrete generator images")
         if len(atom_images) != len(dom.atoms):
             raise ValueError("wrong number of atom images")
-        for v in cont_images:
-            if len(v) != cod.cont_rank:
-                raise ValueError("continuous image has wrong width")
-        for c, d in disc_images:
-            if len(c) != cod.cont_rank or len(d) != cod.disc_rank:
+        for _, d in disc_images:
+            if len(d) != cod.disc_rank:
                 raise ValueError("discrete image has wrong width")
         for k in atom_images:
             if k is not None and not 0 <= k < len(cod.atoms):
@@ -629,15 +668,20 @@ class GroupHom:
         self.disc_images = disc_images
         self.atom_images = atom_images
         self._hash: Optional[int] = None
-        self._view: Optional[_SparseHom] = None
         self._system: Optional[_PreimageSystem] = None
 
-    def apply(
-        self, cont: Sequence[Scalar], disc: Sequence[int]
-    ) -> Tuple[List[Scalar], List[int]]:
-        """Image of the element with the given generator coordinates."""
-        out_c, out_d = _view_of(self).apply(_sparse(cont), disc)
-        return _dense(out_c, self.cod.cont_rank, self.dom.table), out_d
+    def apply(self, cont: Mapping[int, Scalar], disc: Sequence[int]) -> Tuple[Row, List[int]]:
+        """Image of the element with continuous coordinates ``cont`` (a row)
+        and discrete coordinates ``disc``, as a row and an int list."""
+        out_c = _row_times(cont, self.cont_images)
+        out_d = [0] * self.cod.disc_rank
+        for n, (c, d) in zip(disc, self.disc_images):
+            if n:
+                _addmul(out_c, n, c)
+                for k, m in enumerate(d):
+                    if m:
+                        out_d[k] += n * m
+        return out_c, out_d
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -652,7 +696,13 @@ class GroupHom:
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(
-                (self.dom, self.cod, self.cont_images, self.disc_images, self.atom_images)
+                (
+                    self.dom,
+                    self.cod,
+                    tuple(map(_row_key, self.cont_images)),
+                    tuple((_row_key(c), d) for c, d in self.disc_images),
+                    self.atom_images,
+                )
             )
         return self._hash
 
@@ -660,10 +710,12 @@ class GroupHom:
         return f"<GroupHom {self.dom!r} -> {self.cod!r}>"
 
     def to_json(self) -> dict:
+        """The images as JSON, every row written densely."""
+        width, table = self.cod.cont_rank, self.dom.table
         return {
-            "cont_images": [[s.to_json() for s in v] for v in self.cont_images],
+            "cont_images": [_row_to_json(v, width, table) for v in self.cont_images],
             "disc_images": [
-                {"cont": [s.to_json() for s in c], "disc": list(d)}
+                {"cont": _row_to_json(c, width, table), "disc": list(d)}
                 for c, d in self.disc_images
             ],
             "atom_images": list(self.atom_images),
@@ -673,14 +725,12 @@ class GroupHom:
     def from_json(
         cls, dom: PresentedAbelianGroup, cod: PresentedAbelianGroup, data: Mapping
     ) -> "GroupHom":
+        width, table = cod.cont_rank, dom.table
         return cls(
             dom,
             cod,
-            [[Scalar.from_json(dom.table, s) for s in v] for v in data["cont_images"]],
-            [
-                ([Scalar.from_json(dom.table, s) for s in d["cont"]], d["disc"])
-                for d in data["disc_images"]
-            ],
+            [_row_from_json(table, v, width) for v in data["cont_images"]],
+            [(_row_from_json(table, d["cont"], width), d["disc"]) for d in data["disc_images"]],
             data["atom_images"],
         )
 
@@ -688,43 +738,6 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 # Membership
 # ---------------------------------------------------------------------------
-
-
-def _rows_of(g: PresentedAbelianGroup) -> List[Tuple[Row, Tuple[int, ...], str]]:
-    """The relations of ``g`` as ``(sparse cont, disc, span)``, kept on ``g``."""
-    if g._rows is None:
-        g._rows = [(_sparse(r.cont), r.disc, r.span) for r in g.relations]
-    return g._rows
-
-
-class _SparseHom(NamedTuple):
-    """The generator images of a hom as sparse rows (see :func:`_view_of`)."""
-
-    cont: List[Row]
-    disc: List[Tuple[Row, Tuple[int, ...]]]
-    disc_rank: int
-
-    def apply(self, cont: Mapping[int, Scalar], disc: Sequence[int]) -> Tuple[Row, List[int]]:
-        out_c = _row_times(cont, self.cont)
-        out_d = [0] * self.disc_rank
-        for n, (c, d) in zip(disc, self.disc):
-            if n:
-                _addmul(out_c, n, c)
-                for k, m in enumerate(d):
-                    if m:
-                        out_d[k] += n * m
-        return out_c, out_d
-
-
-def _view_of(h: GroupHom) -> _SparseHom:
-    """The generator images of ``h`` as sparse rows, kept on ``h``."""
-    if h._view is None:
-        h._view = _SparseHom(
-            [_sparse(v) for v in h.cont_images],
-            [(_sparse(c), d) for c, d in h.disc_images],
-            h.cod.disc_rank,
-        )
-    return h._view
 
 
 def _by_coordinate(columns: Sequence[Mapping[int, Scalar]]) -> Dict[int, Row]:
@@ -791,10 +804,9 @@ class _Span:
         extra_c: Sequence[Row] = (),
         extra_z: Sequence[Tuple[Row, Sequence[int]]] = (),
     ):
-        rows = _rows_of(g)
-        crows = [c for c, _, span in rows if span == "C"] + list(extra_c)
+        crows = [r.cont for r in g.relations if r.span == "C"] + list(extra_c)
         self.elim = _Elimination((r for r in crows if r), g.table)
-        zrows = [(c, d) for c, d, span in rows if span == "Z"] + list(extra_z)
+        zrows = [(r.cont, r.disc) for r in g.relations if r.span == "Z"] + list(extra_z)
         self.zcols = [self.elim.reduce(c) for c, _ in zrows]
         self.zcoords = _by_coordinate(self.zcols)
         self.zdisc = [[d[coord] for _, d in zrows] for coord in range(g.disc_rank)]
@@ -852,10 +864,9 @@ def check_hom(h: GroupHom) -> None:
     if not h.dom.relations:
         return
     span = _span_of(h.cod)
-    view = _view_of(h)
-    for idx, (cont, disc, kind) in enumerate(_rows_of(h.dom)):
-        img_c, img_d = view.apply(cont, disc)
-        if kind == "C":
+    for idx, r in enumerate(h.dom.relations):
+        img_c, img_d = h.apply(r.cont, r.disc)
+        if r.span == "C":
             if not span.has_line(img_c):
                 raise HomError(f"relation {idx} (C-span) maps outside the codomain span")
         elif (img_c or any(img_d)) and span.member(img_c, img_d) is None:
@@ -866,14 +877,13 @@ def hom_is_zero(h: GroupHom) -> bool:
     """Whether ``h`` is the zero map (every generator image dies in the cod)."""
     if any(j is not None for j in h.atom_images):
         return False
-    view = _view_of(h)
-    if not any(view.cont) and not any(c or any(d) for c, d in view.disc):
+    if not any(h.cont_images) and not any(c or any(d) for c, d in h.disc_images):
         return True
     span = _span_of(h.cod)
-    for v in view.cont:
+    for v in h.cont_images:
         if not span.has_line(v):
             return False
-    for c, d in view.disc:
+    for c, d in h.disc_images:
         if (c or any(d)) and span.member(c, d) is None:
             return False
     return True
@@ -883,41 +893,21 @@ def compose(g: GroupHom, f: GroupHom) -> GroupHom:
     """``g`` after ``f``."""
     if f.cod != g.dom:
         raise ValueError("compose: middle groups differ")
-    table, width = f.dom.table, g.cod.cont_rank
-    vg, vf = _view_of(g), _view_of(f)
-    cont_images = [_dense(_row_times(v, vg.cont), width, table) for v in vf.cont]
-    disc_images = []
-    for c, d in vf.disc:
-        out_c, out_d = vg.apply(c, d)
-        disc_images.append((_dense(out_c, width, table), out_d))
+    cont_images = [_row_times(v, g.cont_images) for v in f.cont_images]
+    disc_images = [g.apply(c, d) for c, d in f.disc_images]
     atom_images = tuple(None if j is None else g.atom_images[j] for j in f.atom_images)
     return GroupHom(f.dom, g.cod, cont_images, disc_images, atom_images)
 
 
 def identity_hom(g: PresentedAbelianGroup) -> GroupHom:
-    one, zero = Scalar.one(g.table), Scalar.zero(g.table)
-    cont = [
-        tuple(one if j == i else zero for j in range(g.cont_rank))
-        for i in range(g.cont_rank)
-    ]
-    disc = [
-        (
-            tuple(zero for _ in range(g.cont_rank)),
-            tuple(1 if j == i else 0 for j in range(g.disc_rank)),
-        )
-        for i in range(g.disc_rank)
-    ]
-    return GroupHom(g, g, cont, disc, tuple(range(len(g.atoms))))
+    one = Scalar.one(g.table)
+    cont = [{i: one} for i in range(g.cont_rank)]
+    return GroupHom(g, g, cont, _disc_ident(g.disc_rank), tuple(range(len(g.atoms))))
 
 
 def zero_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
-    zero = Scalar.zero(dom.table)
-    cont = [tuple(zero for _ in range(cod.cont_rank)) for _ in range(dom.cont_rank)]
-    disc = [
-        (tuple(zero for _ in range(cod.cont_rank)), (0,) * cod.disc_rank)
-        for _ in range(dom.disc_rank)
-    ]
-    return GroupHom(dom, cod, cont, disc, (None,) * len(dom.atoms))
+    disc = [({}, (0,) * cod.disc_rank)] * dom.disc_rank
+    return GroupHom(dom, cod, [{}] * dom.cont_rank, disc, (None,) * len(dom.atoms))
 
 
 def negate_hom(h: GroupHom) -> GroupHom:
@@ -928,10 +918,8 @@ def negate_hom(h: GroupHom) -> GroupHom:
     """
     if any(j is not None for j in h.atom_images):
         raise UnsupportedAtomMap("cannot negate a map with nonzero atom images")
-    cont = [tuple(-x for x in v) for v in h.cont_images]
-    disc = [
-        (tuple(-x for x in c), tuple(-n for n in d)) for c, d in h.disc_images
-    ]
+    cont = [_neg(v) for v in h.cont_images]
+    disc = [(_neg(c), tuple(-n for n in d)) for c, d in h.disc_images]
     return GroupHom(h.dom, h.cod, cont, disc, h.atom_images)
 
 
@@ -941,12 +929,18 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
         raise ValueError("hom_equal: domains or codomains differ")
     if a.atom_images != b.atom_images:
         return False
+
+    def minus(u: Row, v: Row) -> Row:
+        out = dict(u)
+        _addmul(out, -1, v)
+        return out
+
     diff = GroupHom(
         _strip_atoms_group(a.dom),
         a.cod,
-        [tuple(x - y for x, y in zip(u, v)) for u, v in zip(a.cont_images, b.cont_images)],
+        [minus(u, v) for u, v in zip(a.cont_images, b.cont_images)],
         [
-            (tuple(x - y for x, y in zip(ca, cb)), tuple(m - n for m, n in zip(da, db)))
+            (minus(ca, cb), tuple(m - n for m, n in zip(da, db)))
             for (ca, da), (cb, db) in zip(a.disc_images, b.disc_images)
         ],
         (),
@@ -989,7 +983,6 @@ def direct_sum(
     for g in groups:
         if g.table != table:
             raise ValueError("direct sum over mixed symbol tables")
-    zero = Scalar.zero(table)
     cont = sum(g.cont_rank for g in groups)
     disc = sum(g.disc_rank for g in groups)
     relations: List[Relation] = []
@@ -999,11 +992,9 @@ def direct_sum(
     for g in groups:
         offsets.append((co, do, ao))
         for r in g.relations:
-            rc = [zero] * cont
             rd = [0] * disc
-            rc[co : co + g.cont_rank] = list(r.cont)
-            rd[do : do + g.disc_rank] = list(r.disc)
-            relations.append(Relation(tuple(rc), tuple(rd), r.span))
+            rd[do : do + g.disc_rank] = r.disc
+            relations.append(Relation(_shift(r.cont, co), tuple(rd), r.span))
         atoms.extend(g.atoms)
         co += g.cont_rank
         do += g.disc_rank
@@ -1020,16 +1011,6 @@ def _summand_shape(
 ) -> Tuple[int, int, int]:
     end = offsets[i + 1] if i + 1 < len(offsets) else _shape(total)
     return tuple(b - a for a, b in zip(offsets[i], end))  # type: ignore[return-value]
-
-
-def _add_into(row: List[Scalar], at: int, vec: Sequence[Scalar], sign: int) -> None:
-    for c, x in enumerate(vec):
-        if x.is_zero():
-            continue
-        if sign < 0:
-            x = -x
-        cur = row[at + c]
-        row[at + c] = x if cur.is_zero() else cur + x
 
 
 def block_hom(
@@ -1056,13 +1037,12 @@ def block_hom(
     >>> one = identity_hom(z2)
     >>> diagonal = block_hom(z2, [(0, 0, 0)], total, offsets, [(0, 0, one, 1), (0, 1, one, 1)])
     >>> diagonal.disc_images
-    (((), (1, 1)),)
+    (({}, (1, 1)),)
     >>> block_hom(total, offsets, z2, [(0, 0, 0)], [(0, 0, one, 1), (1, 0, one, -1)]).disc_images
-    (((), (1,)), ((), (-1,)))
+    (({}, (1,)), ({}, (-1,)))
     """
-    zero = Scalar.zero(dom.table)
-    cont = [[zero] * cod.cont_rank for _ in range(dom.cont_rank)]
-    disc_c = [[zero] * cod.cont_rank for _ in range(dom.disc_rank)]
+    cont: List[Row] = [{} for _ in range(dom.cont_rank)]
+    disc_c: List[Row] = [{} for _ in range(dom.disc_rank)]
     disc_d = [[0] * cod.disc_rank for _ in range(dom.disc_rank)]
     atoms: List[Optional[int]] = [None] * len(dom.atoms)
     for i, j, h, sign in blocks:
@@ -1073,9 +1053,9 @@ def block_hom(
         dc, dd, da = dom_offsets[i]
         cc, cd, ca = cod_offsets[j]
         for a, vec in enumerate(h.cont_images):
-            _add_into(cont[dc + a], cc, vec, sign)
+            _addmul(cont[dc + a], sign, _shift(vec, cc))
         for a, (cvec, dvec) in enumerate(h.disc_images):
-            _add_into(disc_c[dd + a], cc, cvec, sign)
+            _addmul(disc_c[dd + a], sign, _shift(cvec, cc))
             row = disc_d[dd + a]
             for c, n in enumerate(dvec):
                 row[cd + c] += sign * n
@@ -1097,6 +1077,16 @@ def block_hom(
 # ---------------------------------------------------------------------------
 
 
+def _regenerated(
+    g: PresentedAbelianGroup, g2: PresentedAbelianGroup
+) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom]:
+    """``g2`` on the generators of ``g``, with the identity maps both ways."""
+    ident = identity_hom(g2)
+    t = GroupHom(g, g2, ident.cont_images, ident.disc_images, ident.atom_images)
+    s = GroupHom(g2, g, ident.cont_images, ident.disc_images, ident.atom_images)
+    return g2, t, s
+
+
 def _step_eliminate_crows(
     g: PresentedAbelianGroup,
 ) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom]:
@@ -1107,58 +1097,30 @@ def _step_eliminate_crows(
     is reduced modulo the subspace.
     """
     table = g.table
-    zero, one = Scalar.zero(table), Scalar.one(table)
-    crows = [c for c, _, span in _rows_of(g) if span == "C" and c]
+    one = Scalar.one(table)
+    crows = [r.cont for r in g.relations if r.span == "C" and r.cont]
     if not crows:
         g2 = PresentedAbelianGroup(table, g.cont_rank, g.disc_rank, g.zrows(), g.atoms)
-        ident = identity_hom(g2)
-        t = GroupHom(g, g2, ident.cont_images, ident.disc_images, ident.atom_images)
-        s = GroupHom(g2, g, ident.cont_images, ident.disc_images, ident.atom_images)
-        return g2, t, s
+        return _regenerated(g, g2)
     elim = _Elimination(crows, table)
     keep = [j for j in range(g.cont_rank) if j not in elim.rows]
     position = {j: i for i, j in enumerate(keep)}
 
-    def project(v: Mapping[int, Scalar]) -> List[Scalar]:
-        out = [zero] * len(keep)
-        for j, x in elim.reduce(v).items():
-            out[position[j]] = x
-        return out
+    def project(v: Mapping[int, Scalar]) -> Row:
+        return {position[j]: x for j, x in elim.reduce(v).items()}
 
     relations = []
-    for c, d, span in _rows_of(g):
-        if span == "C":
+    for r in g.relations:
+        if r.span == "C":
             continue
-        c2 = project(c)
-        if all(x.is_zero() for x in c2) and not any(d):
-            continue
-        relations.append(Relation(tuple(c2), d, "Z"))
+        c2 = project(r.cont)
+        if c2 or any(r.disc):
+            relations.append(Relation(c2, r.disc, "Z"))
     g2 = PresentedAbelianGroup(table, len(keep), g.disc_rank, relations, g.atoms)
-    disc_ident_new = [
-        ((zero,) * len(keep), tuple(1 if j == i else 0 for j in range(g.disc_rank)))
-        for i in range(g.disc_rank)
-    ]
-    disc_ident_old = [
-        ((zero,) * g.cont_rank, tuple(1 if j == i else 0 for j in range(g.disc_rank)))
-        for i in range(g.disc_rank)
-    ]
-    t = GroupHom(
-        g,
-        g2,
-        [project({i: one}) for i in range(g.cont_rank)],
-        disc_ident_new,
-        tuple(range(len(g.atoms))),
-    )
-    s = GroupHom(
-        g2,
-        g,
-        [
-            tuple(one if j == keep[i] else zero for j in range(g.cont_rank))
-            for i in range(len(keep))
-        ],
-        disc_ident_old,
-        tuple(range(len(g.atoms))),
-    )
+    atoms = tuple(range(len(g.atoms)))
+    disc = _disc_ident(g.disc_rank)
+    t = GroupHom(g, g2, [project({i: one}) for i in range(g.cont_rank)], disc, atoms)
+    s = GroupHom(g2, g, [{j: one} for j in keep], disc, atoms)
     return g2, t, s
 
 
@@ -1173,17 +1135,13 @@ def _step_discrete_smith(
     ``(x, n) |-> (x - (n_k / d) c, n)``; unit rows eliminate their generator.
     """
     table = g.table
-    zero, one = Scalar.zero(table), Scalar.one(table)
+    one = Scalar.one(table)
     assert all(r.span == "Z" for r in g.relations), "run after C-row elimination"
-    rows = [(c, d) for c, d, _ in _rows_of(g)]
+    rows = [(r.cont, r.disc) for r in g.relations]
     cc, dc = g.cont_rank, g.disc_rank
     if not rows or dc == 0 or not any(any(d) for _, d in rows):
-        relations = [r for r, (c, d) in zip(g.relations, rows) if c or any(d)]
-        g2 = PresentedAbelianGroup(table, cc, dc, relations, g.atoms)
-        ident = identity_hom(g2)
-        t = GroupHom(g, g2, ident.cont_images, ident.disc_images, ident.atom_images)
-        s = GroupHom(g2, g, ident.cont_images, ident.disc_images, ident.atom_images)
-        return g2, t, s
+        relations = [r for r in g.relations if r.cont or any(r.disc)]
+        return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
 
     u, dmat, v = smith_normal_form(IntMatrix._of_int_rows([d for _, d in rows]))
     vrows = [list(r) for r in v.rows]
@@ -1218,21 +1176,13 @@ def _step_discrete_smith(
     survivors = [k for k in range(dc) if diag_order[k] != 1]
     new_index = {k: i for i, k in enumerate(survivors)}
     nd = len(survivors)
-    relations = [Relation(tuple(_dense(c, cc, table)), (0,) * nd, "Z") for c in cont_rows]
+    relations = [Relation(c, (0,) * nd, "Z") for c in cont_rows]
     for k in survivors:
         if diag_order[k] >= 2:
-            relations.append(
-                Relation(
-                    (zero,) * cc,
-                    tuple(diag_order[k] if j == new_index[k] else 0 for j in range(nd)),
-                    "Z",
-                )
-            )
+            relations.append(Relation({}, _unit(new_index[k], nd, diag_order[k]), "Z"))
     g2 = PresentedAbelianGroup(table, cc, nd, relations, g.atoms)
 
-    cont_ident = [
-        tuple(one if j == i else zero for j in range(cc)) for i in range(cc)
-    ]
+    cont_ident = [{i: one} for i in range(cc)]
     t_disc = []
     for j in range(dc):
         nv = vrows[j]  # coordinates of the old generator e_j after V
@@ -1245,16 +1195,13 @@ def _step_discrete_smith(
                 _addmul(acc, -nv[k], corr[k])
             if diag_order[k] != 1:
                 disc_part[new_index[k]] = nv[k]
-        t_disc.append((_dense(acc, cc, table), disc_part))
+        t_disc.append((acc, disc_part))
     t = GroupHom(g, g2, cont_ident, t_disc, tuple(range(len(g.atoms))))
 
     s_disc = []
     for k in survivors:
-        if corr[k] is not None and diag_order[k] >= 2:
-            c_part = tuple(_dense(corr[k], cc, table))
-        else:
-            c_part = (zero,) * cc
-        s_disc.append((c_part, tuple(vinv[k])))
+        c_part = corr[k] if corr[k] is not None and diag_order[k] >= 2 else {}
+        s_disc.append((c_part, vinv[k]))
     s = GroupHom(g2, g, cont_ident, s_disc, tuple(range(len(g.atoms))))
     return g2, t, s
 
@@ -1297,9 +1244,9 @@ def _canonical_display(
 class _ContBlock(NamedTuple):
     kind: str  # "cstar", "lattice", "nondiscrete", "block"
     coords: List[int]  # positions among the transformed coordinates
-    gens: List[List[Scalar]]  # canonical relation vectors over the coords
-    fwd: List[List[Scalar]]  # change into the final coordinates
-    back: List[List[Scalar]]  # inverse change
+    gens: List[Row]  # canonical relation rows over the coords
+    fwd: List[Row]  # change into the final coordinates
+    back: List[Row]  # inverse change
 
 
 def _split_cont_blocks(
@@ -1328,28 +1275,29 @@ def _split_cont_blocks(
     for root in sorted(groups, key=lambda r: min(groups[r])):
         coords = sorted(groups[root])
         in_block = set(coords)
-        rows_q = [[row.get(q, zero) for q in coords] for row in rows_t if not in_block.isdisjoint(row)]
+        block_rows = [row for row in rows_t if not in_block.isdisjoint(row)]
         # Joint monomial expansion: one slice of coefficients per coordinate.
-        joint: List[List[Fraction]] = [[] for _ in rows_q]
+        joint: List[List[Fraction]] = [[] for _ in block_rows]
         slices: List[Tuple[int, int]] = []
         bases: List[List[Scalar]] = []
         offset = 0
-        for pos in range(len(coords)):
-            vectors, basis = monomial_expansion([r[pos] for r in rows_q])
+        for q in coords:
+            vectors, basis = monomial_expansion([row.get(q, zero) for row in block_rows])
             slices.append((offset, len(basis)))
             bases.append(basis)
             for i, vec in enumerate(vectors):
                 joint[i].extend(vec)
             offset += len(basis)
-        gens = []
+        gens: List[Row] = []
         for vec in _rational_lattice_basis(joint):
-            gen = []
-            for (off, width), basis in zip(slices, bases):
+            gen: Row = {}
+            for pos, ((off, width), basis) in enumerate(zip(slices, bases)):
                 acc = zero
                 for f, b in zip(vec[off : off + width], basis):
                     if f:
                         acc = acc + b.scale(f)
-                gen.append(acc)
+                if not acc.is_zero():
+                    gen[pos] = acc
             gens.append(gen)
         rank = len(gens)
         k = len(coords)
@@ -1358,24 +1306,22 @@ def _split_cont_blocks(
             if rank == 1:
                 sigma = _signnorm(flat[0])
                 blocks.append(
-                    _ContBlock("cstar", coords, [[one]], [[one / sigma]], [[sigma]])
+                    _ContBlock("cstar", coords, [{0: one}], [{0: one / sigma}], [{0: sigma}])
                 )
             else:
                 display, sigma = _canonical_display(flat, table)
                 kind = "lattice" if rank == 2 else "nondiscrete"
                 blocks.append(
                     _ContBlock(
-                        kind, coords, [[g] for g in display], [[one / sigma]], [[sigma]]
+                        kind, coords, [{0: g} for g in display], [{0: one / sigma}], [{0: sigma}]
                     )
                 )
-        elif rank == k:
-            gmat = [list(gvec) for gvec in gens]
-            ginv = [_dense(r, k, table) for r in _field_inverse([_sparse(g) for g in gmat], table)]
-            ident = [[one if i == j else zero for j in range(k)] for i in range(k)]
-            blocks.append(_ContBlock("cstar", coords, ident, ginv, gmat))
         else:
-            ident = [[one if i == j else zero for j in range(k)] for i in range(k)]
-            blocks.append(_ContBlock("block", coords, gens, ident, ident))
+            ident = [{i: one} for i in range(k)]
+            if rank == k:
+                blocks.append(_ContBlock("cstar", coords, ident, _field_inverse(gens, table), gens))
+            else:
+                blocks.append(_ContBlock("block", coords, gens, ident, ident))
     return blocks
 
 
@@ -1395,10 +1341,10 @@ def _normalize_full(
     s12 = compose(s1, s2)
 
     cc = g2.cont_rank
-    cont_rows = [c for c, _, _ in _rows_of(g2) if c]
+    cont_rows = [r.cont for r in g2.relations if r.cont]
     torsion: List[Tuple[int, int]] = []
     for r in g2.relations:
-        if all(x.is_zero() for x in r.cont):
+        if not r.cont:
             nz = [k for k, x in enumerate(r.disc) if x]
             if nz:
                 torsion.append((nz[0], r.disc[nz[0]]))
@@ -1430,66 +1376,47 @@ def _normalize_full(
     final = 0
     block_spans: List[Tuple[_ContBlock, int]] = []
     for block in blocks:
-        k = len(block.coords)
-        for i, q in enumerate(block.coords):
-            for j in range(k):
-                if not block.fwd[i][j].is_zero():
-                    wmat[q][final + j] = block.fwd[i][j]
-                if not block.back[j][i].is_zero():
-                    winv[final + j][q] = block.back[j][i]
+        for q, row in zip(block.coords, block.fwd):
+            wmat[q].update(_shift(row, final))
+        for j, row in enumerate(block.back):
+            winv[final + j] = {block.coords[i]: x for i, x in row.items()}
         block_spans.append((block, final))
-        final += k
+        final += len(block.coords)
     for q in range(d_c, cc):
         wmat[q][final] = one
         winv[final][q] = one
         final += 1
     assert final == cc
 
-    tmat = [_dense(_row_times(row, wmat), cc, table) for row in pmat]
-    smat = [_dense(_row_times(row, bmat), cc, table) for row in winv]
+    tmat = [_row_times(row, wmat) for row in pmat]
+    smat = [_row_times(row, bmat) for row in winv]
 
     relations: List[Relation] = []
     lattices: List[Tuple[Scalar, ...]] = []
     nondiscrete: List[Tuple[Scalar, ...]] = []
     nd_blocks: List[Tuple[Tuple[Scalar, ...], ...]] = []
     cstar_count = 0
+    no_disc = (0,) * g2.disc_rank
     for block, start in block_spans:
         k = len(block.coords)
         if block.kind == "cstar":
             cstar_count += k
-            for j in range(k):
-                row = [zero] * cc
-                row[start + j] = one
-                relations.append(Relation(tuple(row), (0,) * g2.disc_rank, "Z"))
         elif block.kind in ("lattice", "nondiscrete"):
             gens = tuple(gvec[0] for gvec in block.gens)
             (lattices if block.kind == "lattice" else nondiscrete).append(gens)
-            for gen in gens:
-                row = [zero] * cc
-                row[start] = gen
-                relations.append(Relation(tuple(row), (0,) * g2.disc_rank, "Z"))
         else:
-            nd_blocks.append(tuple(tuple(gvec) for gvec in block.gens))
-            for gvec in block.gens:
-                row = [zero] * cc
-                row[start : start + k] = list(gvec)
-                relations.append(Relation(tuple(row), (0,) * g2.disc_rank, "Z"))
-    for coord, d in torsion:
-        relations.append(
-            Relation(
-                (zero,) * cc,
-                tuple(d if j == coord else 0 for j in range(g2.disc_rank)),
-                "Z",
+            # The report lists each generator over every coordinate of its block.
+            nd_blocks.append(
+                tuple(tuple(gvec.get(j, zero) for j in range(k)) for gvec in block.gens)
             )
-        )
+        relations.extend(Relation(_shift(gvec, start), no_disc, "Z") for gvec in block.gens)
+    for coord, d in torsion:
+        relations.append(Relation({}, _unit(coord, g2.disc_rank, d), "Z"))
     ng = PresentedAbelianGroup(table, cc, g2.disc_rank, relations, g2.atoms)
 
-    disc_ident = [
-        ((zero,) * cc, tuple(1 if j == i else 0 for j in range(g2.disc_rank)))
-        for i in range(g2.disc_rank)
-    ]
-    t3 = GroupHom(g2, ng, [tuple(r) for r in tmat], disc_ident, tuple(range(len(g2.atoms))))
-    s3 = GroupHom(ng, g2, [tuple(r) for r in smat], disc_ident, tuple(range(len(g2.atoms))))
+    disc_ident = _disc_ident(g2.disc_rank)
+    t3 = GroupHom(g2, ng, tmat, disc_ident, tuple(range(len(g2.atoms))))
+    s3 = GroupHom(ng, g2, smat, disc_ident, tuple(range(len(g2.atoms))))
     t = compose(t3, t12)
     s = compose(s12, s3)
 
@@ -1632,10 +1559,6 @@ def kernel(h: GroupHom) -> KernelResult:
     return _kernel_cached(h)
 
 
-def _neg(row: Mapping[int, Scalar]) -> Row:
-    return {j: -x for j, x in row.items()}
-
-
 class _PreimageSystem:
     """The mixed field/integer system of a hom, eliminated once.
 
@@ -1658,17 +1581,15 @@ class _PreimageSystem:
     def __init__(self, h: GroupHom):
         table = self.table = h.dom.table
         self.gc, self.gd = h.dom.cont_rank, h.dom.disc_rank
-        rows = _rows_of(h.cod)
-        crows = [c for c, _, span in rows if span == "C" and c]
-        zrows = [(c, d) for c, d, span in rows if span == "Z"]
-        view = _view_of(h)
-        columns = view.cont + [_neg(r) for r in crows]
+        crows = [r.cont for r in h.cod.relations if r.span == "C" and r.cont]
+        zrows = h.cod.zrows()
+        columns = list(h.cont_images) + [_neg(r) for r in crows]
         self.elim = _Elimination(columns, table, track=True)
         self.etas = self.elim.nullspace(h.cod.cont_rank)
-        self.ycols = [_neg(c) for c, _ in view.disc] + [c for c, _ in zrows]
+        self.ycols = [_neg(c) for c, _ in h.disc_images] + [r.cont for r in zrows]
         self.coeffs = [_eta_coefficients(eta, self.ycols, table) for eta in self.etas]
         self.disc_rows = [
-            [d[coord] for _, d in view.disc] + [-d[coord] for _, d in zrows]
+            [d[coord] for _, d in h.disc_images] + [-r.disc[coord] for r in zrows]
             for coord in range(h.cod.disc_rank)
         ]
 
@@ -1700,7 +1621,7 @@ class _PreimageSystem:
 
     def preimage(
         self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-    ) -> Optional[Tuple[List[Scalar], List[int]]]:
+    ) -> Optional[Tuple[Row, List[int]]]:
         rows, rhs = self.int_system(target_cont, target_disc)
         y = _int_solve(rows, rhs, len(self.ycols))
         if y is None:
@@ -1708,7 +1629,7 @@ class _PreimageSystem:
         x = self.field_part(y, target_cont)
         if x is None:
             return None
-        return _dense(_head(x, self.gc), self.gc, self.table), list(y[: self.gd])
+        return _head(x, self.gc), list(y[: self.gd])
 
 
 def _eta_coefficients(
@@ -1768,10 +1689,7 @@ def _kernel(h: GroupHom) -> KernelResult:
     xparts = [_head(dep, gc) for dep in system.elim.dependencies]
     vbasis, _ = _Elimination(xparts, table).rref()
     vspan = _Elimination(vbasis, table, track=True)
-
-    def cont_coords(vec: Mapping[int, Scalar]) -> Optional[List[Scalar]]:
-        b = vspan.express(vec)
-        return None if b is None else _dense(b, len(vbasis), table)
+    cont_coords = vspan.express  # kernel coordinates of a domain vector, or None
 
     # Relations: syzygies among the chosen generators, then the domain's own
     # relations expressed in kernel coordinates.
@@ -1800,20 +1718,19 @@ def _kernel(h: GroupHom) -> KernelResult:
         b = cont_coords(residual({}, a))
         if b is None:
             raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
-        relations.append(Relation(tuple(b), tuple(a), "Z"))
+        relations.append(Relation(b, tuple(a), "Z"))
 
     span = _span_of(h.cod)
-    view = _view_of(h)
     arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
-    for cont, disc, kind in _rows_of(h.dom):
+    for cont, disc, kind in h.dom.relations:
         if kind == "C":
             b = cont_coords(cont)
             if b is None:
                 raise NonFiniteTypeKernel("domain line relation escaped the kernel")
-            if any(not x.is_zero() for x in b):
-                relations.append(Relation(tuple(b), (0,) * len(disc_gens), "C"))
+            if b:
+                relations.append(Relation(b, (0,) * len(disc_gens), "C"))
             continue
-        img_c, img_d = view.apply(cont, disc)
+        img_c, img_d = h.apply(cont, disc)
         m = span.member(img_c, img_d)
         if m is None:
             raise HomError("domain relation has no image certificate")
@@ -1823,17 +1740,11 @@ def _kernel(h: GroupHom) -> KernelResult:
         b = cont_coords(residual(cont, a))
         if b is None:
             raise NonFiniteTypeKernel("domain relation residual escaped the kernel")
-        if any(a) or any(not x.is_zero() for x in b):
-            relations.append(Relation(tuple(b), tuple(a), "Z"))
+        if any(a) or b:
+            relations.append(Relation(b, tuple(a), "Z"))
 
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
-    inclusion = GroupHom(
-        kg,
-        h.dom,
-        [_dense(v, gc, table) for v in vbasis],
-        [(_dense(x, gc, table), n) for x, n in disc_gens],
-        tuple(kernel_atom_indices),
-    )
+    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(kernel_atom_indices))
     return KernelResult(kg, inclusion)
 
 
@@ -1862,8 +1773,8 @@ def cokernel(h: GroupHom) -> CokernelResult:
     is generally not itself a homomorphism into the codomain.
     """
     cod = h.cod
-    extra = [Relation(tuple(v), (0,) * cod.disc_rank, "C") for v in h.cont_images]
-    extra += [Relation(tuple(c), tuple(d), "Z") for c, d in h.disc_images]
+    extra = [Relation(v, (0,) * cod.disc_rank, "C") for v in h.cont_images]
+    extra += [Relation(c, d, "Z") for c, d in h.disc_images]
     received = {j for j in h.atom_images if j is not None}
     survivors = [j for j in range(len(cod.atoms)) if j not in received]
     new_atom_index = {j: i for i, j in enumerate(survivors)}
@@ -1875,11 +1786,12 @@ def cokernel(h: GroupHom) -> CokernelResult:
         [cod.atoms[j] for j in survivors],
     )
     nq, tq, sq, _ = _normalize_full(q)
+    ident = identity_hom(cod)
     pre = GroupHom(
         cod,
         q,
-        identity_hom(cod).cont_images,
-        identity_hom(cod).disc_images,
+        ident.cont_images,
+        ident.disc_images,
         tuple(new_atom_index.get(j) for j in range(len(cod.atoms))),
     )
     projection = compose(tq, pre)
@@ -1894,22 +1806,23 @@ def cokernel(h: GroupHom) -> CokernelResult:
 
 
 def preimage_element(
-    h: GroupHom, target_cont: Sequence[Scalar], target_disc: Sequence[int]
-) -> Optional[Tuple[List[Scalar], List[int]]]:
+    h: GroupHom, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
+) -> Optional[Tuple[Row, List[int]]]:
     """Domain coordinates of one preimage of a codomain element, or None.
 
-    The element is ``(target_cont, target_disc)`` in codomain coordinates and
-    is only required to be hit modulo the codomain's relations.  Atoms do not
-    enter: the element lives in the continuous/discrete part.
+    The element is ``(target_cont, target_disc)`` in codomain coordinates,
+    a row and an int vector, and is only required to be hit modulo the
+    codomain's relations.  The preimage comes back in the same form.  Atoms
+    do not enter: the element lives in the continuous/discrete part.
 
     >>> t = SymbolTable([])
     >>> z4 = PresentedAbelianGroup.from_invariant_factors(t, [4])
     >>> z2 = PresentedAbelianGroup.from_invariant_factors(t, [2])
-    >>> h = GroupHom(z4, z2, [], [((), (1,))], ())
-    >>> preimage_element(h, [], [1])[1]
-    [1]
+    >>> h = GroupHom(z4, z2, [], [({}, (1,))], ())
+    >>> preimage_element(h, {}, [1])
+    ({}, [1])
     """
-    return _system_of(h).preimage(_sparse(target_cont), target_disc)
+    return _system_of(h).preimage(target_cont, target_disc)
 
 
 def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
@@ -1923,7 +1836,6 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
     """
     if f.cod != mono.cod:
         raise ValueError("factor_through: codomains differ")
-    table = f.dom.table
     atom_images: List[Optional[int]] = []
     for k, j in enumerate(f.atom_images):
         if j is None:
@@ -1943,16 +1855,15 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
     # One system serves every generator; the C-rows enter it negated, which
     # leaves the coefficients of mono's continuous images unchanged.
     system = _system_of(mono)
-    view = _view_of(f)
     nb = len(mono.cont_images)
     cont_images = []
-    for v in view.cont:
+    for v in f.cont_images:
         sol = system.elim.express(v)
         if sol is None:
             raise HomError("continuous generator does not factor")
-        cont_images.append(_dense(_head(sol, nb), nb, table))
+        cont_images.append(_head(sol, nb))
     disc_images = []
-    for c, d in view.disc:
+    for c, d in f.disc_images:
         pre = system.preimage(c, d)
         if pre is None:
             raise HomError("discrete generator does not factor")
@@ -2010,13 +1921,12 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
             raise UnsupportedAtomMap(
                 "exactness against a genuine atom quotient cannot be verified"
             )
-    k_res = kernel(_strip_atoms(g))
-    vf, vk = _view_of(f), _view_of(k_res.inclusion)
-    span = _Span(g.dom, vf.cont, vf.disc)
-    for v in vk.cont:
+    inclusion = kernel(_strip_atoms(g)).inclusion
+    span = _Span(g.dom, f.cont_images, f.disc_images)
+    for v in inclusion.cont_images:
         if not span.has_line(v):
             return False
-    for c, d in vk.disc:
+    for c, d in inclusion.disc_images:
         if (c or any(d)) and span.member(c, d) is None:
             return False
     return True

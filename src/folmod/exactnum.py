@@ -10,8 +10,9 @@ point number ever enters a result.
 
 >>> t = SymbolTable(["alpha_t", "beta_t"])
 >>> a = Scalar.symbol(t, "alpha_t")
->>> (a / (a + a)).as_fraction()
-Fraction(1, 2)
+>>> half = a / (a + a)
+>>> half.is_rational(), half.rat
+(True, Fraction(1, 2))
 >>> one = Scalar.rational(t, 1)
 >>> (a / (one + a)) * ((one + a) / a) == one
 True
@@ -34,12 +35,15 @@ __all__ = [
 ]
 
 
+#: Largest exponent a scalar may carry in from outside: a ``^`` in
+#: ``folmod.foliation.parse_scalar`` and a monomial exponent in
+#: :meth:`Scalar.from_json`.  ``str(scalar)`` of the bundled examples prints
+#: exponents up to 4.
+MAX_EXPONENT = 64
+
+
 class SymbolTableMismatch(ValueError):
     """Raised when scalars over different symbol tables are combined."""
-
-
-class NotRationalError(ValueError):
-    """Raised when a genuinely symbolic scalar is coerced to a fraction."""
 
 
 class SymbolTable:
@@ -342,8 +346,8 @@ def _fraction_from_json(data: object, what: str) -> Fraction:
 def _p_from_json(data: object, width: int) -> _Poly:
     """A polynomial from ``[[exponents, [p, q]], ...]``; zero terms are dropped.
 
-    Exponents are non-negative ints, one per symbol of the table, and no
-    monomial repeats; anything else raises :class:`ValueError`.
+    Exponents are ints from 0 to :data:`MAX_EXPONENT`, one per symbol of the
+    table, and no monomial repeats; anything else raises :class:`ValueError`.
     """
     if not isinstance(data, list):
         raise ValueError(f"polynomial must be a list of terms, got {data!r}")
@@ -356,6 +360,8 @@ def _p_from_json(data: object, width: int) -> _Poly:
             raise ValueError("monomial width does not match symbol table")
         if not all(_is_int(e) and e >= 0 for e in mono):
             raise ValueError(f"monomial exponents must be non-negative ints, got {term[0]!r}")
+        if any(e > MAX_EXPONENT for e in mono):
+            raise ValueError(f"monomial exponent above {MAX_EXPONENT} in {term[0]!r}")
         if mono in out:
             raise ValueError(f"monomial {term[0]!r} repeats")
         c = _fraction_from_json(term[1], "polynomial coefficient")
@@ -402,10 +408,6 @@ class Scalar:
     True
     >>> print(Scalar.rational(t, -3, 6) - half, Scalar.rational(t, 2) / mu)
     -1 (2)/(mu)
-    >>> mu.as_fraction()  # doctest: +IGNORE_EXCEPTION_DETAIL
-    Traceback (most recent call last):
-        ...
-    NotRationalError: mu is not rational
     """
 
     __slots__ = ("table", "rat", "num", "den")
@@ -501,11 +503,6 @@ class Scalar:
         dn = max((sum(m) for m in self.num), default=0)
         dd = max((sum(m) for m in self.den), default=0)
         return dn + dd
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise NotRationalError(f"{self} is not rational")
-        return self.rat
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -630,8 +627,8 @@ class Scalar:
         """The Scalar of :meth:`to_json`; malformed data raises ValueError.
 
         ``rat`` and every coefficient are ``[p, q]`` pairs of ints with
-        ``q != 0``, exponents are non-negative ints of the table's width, and
-        the denominator polynomial is nonzero.
+        ``q != 0``, each monomial lists one int from 0 to :data:`MAX_EXPONENT`
+        per symbol of the table, and the denominator polynomial is nonzero.
 
         >>> t = SymbolTable(["mu"])
         >>> print(Scalar.from_json(t, {"rat": [1, 2], "num": [[[1], [1, 1]]], "den": [[[0], [1, 1]]]}))
@@ -742,10 +739,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(m)])
 
     @property
     def nrows(self) -> int:

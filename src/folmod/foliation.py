@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from .exactnum import Scalar, SymbolTable
+from .exactnum import MAX_EXPONENT, Scalar, SymbolTable
 from .abgroup import (
     GroupHom,
     HomError,
@@ -124,10 +124,6 @@ SCHEMA_VERSION = 1
 #: Symbol name reserved for the imaginary period of a linearizable local
 #: flow; every input table that declares linearizable corners must carry it.
 TAU_SYMBOL = "tau_i"
-
-#: Largest ``^`` exponent :func:`parse_scalar` accepts.  ``str(scalar)`` of
-#: the bundled examples prints exponents up to 4.
-MAX_EXPONENT = 64
 
 #: Largest product of operand term counts :func:`parse_scalar` multiplies
 #: out in one ``*``, ``/`` or ``^`` step, or in a ``+`` or ``-`` step with a
@@ -1451,7 +1447,7 @@ def _edge_sym_group(
     """The group of transverse symmetries along a red corner, in the chart
     of its preferred (smaller-id) side."""
     table = sing.table
-    one, zero = Scalar.one(table), Scalar.zero(table)
+    one = Scalar.one(table)
     if info.kind == "P":
         raise NonAbelianRedSym(
             f"corner {point!r} is periodic; its symmetries are not abelian"
@@ -1480,8 +1476,8 @@ def _edge_sym_group(
             1,
             1,
             [
-                Relation((one,), (info.r % info.p,), "Z"),
-                Relation((zero,), (info.p,), "Z"),
+                Relation({0: one}, (info.r % info.p,), "Z"),
+                Relation({}, (info.p,), "Z"),
             ],
         )
     if info.kind == "R0":
@@ -1498,8 +1494,8 @@ def _edge_sym_group(
             0,
             2,
             [
-                Relation((), (info.m, (info.r * q // info.p) % q if q else 0), "Z"),
-                Relation((), (0, q), "Z"),
+                Relation({}, (info.m, (info.r * q // info.p) % q if q else 0), "Z"),
+                Relation({}, (0, q), "Z"),
             ],
         )
     if info.atom is None:
@@ -1512,12 +1508,11 @@ def _scale_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup, factor: S
     identity on discrete generators (shapes must match)."""
     if dom.cont_rank != 1 or cod.cont_rank != 1 or dom.disc_rank != cod.disc_rank:
         raise UnsupportedSideData("transport between incompatible charts")
-    zero = Scalar.zero(dom.table)
     disc = [
-        ((zero,), tuple(1 if j == i else 0 for j in range(cod.disc_rank)))
+        ({}, tuple(1 if j == i else 0 for j in range(cod.disc_rank)))
         for i in range(dom.disc_rank)
     ]
-    return GroupHom(dom, cod, [(factor,)], disc, ())
+    return GroupHom(dom, cod, [{0: factor}], disc, ())
 
 
 def _vertex_kind_and_edges(
@@ -1654,7 +1649,7 @@ def _canonical_vertex_group(
             )
         (p,) = ps
         return PresentedAbelianGroup(
-            table, 1, 1, [Relation((Scalar.zero(table),), (p,), "Z")]
+            table, 1, 1, [Relation({}, (p,), "Z")]
         )
     if kind == "R0":
         qs = {
@@ -1667,7 +1662,7 @@ def _canonical_vertex_group(
                 f"order ({sorted(qs)})"
             )
         (q,) = qs
-        return PresentedAbelianGroup(table, 0, 2, [Relation((), (0, q), "Z")])
+        return PresentedAbelianGroup(table, 0, 2, [Relation({}, (0, q), "Z")])
     atoms = {info.atom for info in params}
     if len(atoms) != 1 or None in atoms:
         raise UnsupportedSideData(
@@ -1689,14 +1684,13 @@ def _canonical_restriction(
     u, w = red.endpoints(e)
     other = w if u == v else u
     gamma = _gamma(sing, e, v, other)
-    zero = Scalar.zero(sing.table)
     if kind == "L1":
-        h = GroupHom(dom, cod, [(gamma,)], (), ())
+        h = GroupHom(dom, cod, [{0: gamma}], (), ())
     elif kind == "R1":
-        h = GroupHom(dom, cod, [(gamma,)], [((zero,), (1,))], ())
+        h = GroupHom(dom, cod, [{0: gamma}], [({}, (1,))], ())
     elif kind == "R0":
         h = GroupHom(
-            dom, cod, (), [((), (1, 0)), ((), (0, 1))], ()
+            dom, cod, (), [({}, (1, 0)), ({}, (0, 1))], ()
         )
     else:  # L0
         h = GroupHom(dom, cod, (), (), (0,))
@@ -1739,7 +1733,7 @@ def _transport(
     if kind == "L0":
         h = GroupHom(dom, cod, (), (), (0,))
     elif kind == "R0":
-        h = GroupHom(dom, cod, (), [((), (1, 0)), ((), (0, 1))], ())
+        h = GroupHom(dom, cod, (), [({}, (1, 0)), ({}, (0, 1))], ())
     else:
         g1 = _gamma(sing, s1, v, _other_end(red, s1, v))
         g2 = _gamma(sing, s2, v, _other_end(red, s2, v))
@@ -1774,18 +1768,16 @@ def build_exp_graph(
     sing: SingularityData,
     vh: VertexHolonomy,
     divisor: MarkedDivisor,
-    sym: Optional[GroupGraph] = None,
+    sym: GroupGraph,
 ) -> SheafInclusion:
-    """The flow part of the symmetry sheaf with its inclusion into it.
+    """The flow part of the symmetry sheaf ``sym`` with its inclusion into it.
 
     On linearizable elements the flow part is the whole stalk; on resonant
     normalizable elements it is the one-parameter subgroup of flow times; on
     rigid elements it vanishes.
     """
-    if sym is None:
-        sym = build_sym_graph(red, sing, vh, divisor)
     table = sing.table
-    one, zero = Scalar.one(table), Scalar.zero(table)
+    one = Scalar.one(table)
     egroups: Dict[Id, PresentedAbelianGroup] = {}
     emaps: Dict[Id, GroupHom] = {}
     infos: Dict[Id, _CornerInfo] = {}
@@ -1799,9 +1791,9 @@ def build_exp_graph(
             emaps[e] = identity_hom(cod)
         elif info.kind == "R1":
             k = info.p // gcd(info.p, info.r)
-            grp = PresentedAbelianGroup(table, 1, 0, [Relation((one.scale(k),), (), "Z")])
+            grp = PresentedAbelianGroup(table, 1, 0, [Relation({0: one.scale(k)}, (), "Z")])
             egroups[e] = grp
-            emaps[e] = GroupHom(grp, cod, [(one,)], (), ())
+            emaps[e] = GroupHom(grp, cod, [{0: one}], (), ())
         else:
             grp = PresentedAbelianGroup.trivial(table)
             egroups[e] = grp
@@ -1830,11 +1822,11 @@ def build_exp_graph(
             else:  # R1 canonical chart: flow times inside C (+) Z/p
                 grp = PresentedAbelianGroup.free_cont(table, 1)
                 vgroups[v] = grp
-                vmaps[v] = GroupHom(grp, cod, [(one,)], (), ())
+                vmaps[v] = GroupHom(grp, cod, [{0: one}], (), ())
                 for e in edges:
                     u, w = red.endpoints(e)
                     gamma = _gamma(sing, e, v, w if u == v else u)
-                    rhos[(v, e)] = GroupHom(grp, egroups[e], [(gamma,)], (), ())
+                    rhos[(v, e)] = GroupHom(grp, egroups[e], [{0: gamma}], (), ())
         else:
             s1 = min(edges, key=_id_key)
             vgroups[v] = egroups[s1]
@@ -1850,7 +1842,7 @@ def build_exp_graph(
                 else:
                     g1 = _gamma(sing, s1, v, _other_end(red, s1, v))
                     g2 = _gamma(sing, e, v, _other_end(red, e, v))
-                    h = GroupHom(vgroups[v], egroups[e], [((g2 / g1),)], (), ())
+                    h = GroupHom(vgroups[v], egroups[e], [{0: g2 / g1}], (), ())
                     try:
                         check_hom(h)
                     except HomError as err:
@@ -2049,6 +2041,7 @@ def _analyze_zone(exp: GroupGraph, zone: _Zone) -> _ZoneAnalysis:
             raise PipelineError(
                 f"zone gluing sequence not exact at {', '.join(mv.failures)}"
             )
+        h1_mod = mv.groups[3]  # H^1 of the whole cover, that is of mod
         core = mod.restrict(z1_vs, z1_es)
         if not classify(h1(core)).is_trivial:
             raise PipelineError(
@@ -2056,13 +2049,14 @@ def _analyze_zone(exp: GroupGraph, zone: _Zone) -> _ZoneAnalysis:
                 "the input is not of finite type after all"
             )
     else:
-        if not classify(h1(mod)).is_trivial:
+        h1_mod = h1(mod)
+        if not classify(h1_mod).is_trivial:
             raise PipelineError(
                 "a zone without rigid boundary has nontrivial flow H^1"
             )
     ordered = sorted(trivial_vs, key=_id_key)
     actives = tuple((v, zone.boundary[v]) for v in ordered[1:])
-    return _ZoneAnalysis(actives, h1(mod))
+    return _ZoneAnalysis(actives, h1_mod)
 
 
 class FourTermSequence:
@@ -2198,7 +2192,7 @@ def _four_term(
 
     coh = les.middle
     c1 = _cochains(ses.sym, 1)
-    rows: List[Sequence[Scalar]] = []
+    rows: List[Mapping[int, Scalar]] = []
     for _, s in actives:
         flow = ses.inclusion.edge_map(s)
         into = block_hom(
@@ -2642,6 +2636,10 @@ def validate(
                     f"with (p, r) = ({info.p}, {info.r})"
                 )
 
+    # The cut graph and its coloring, built once, on the first abelian
+    # infinite component.
+    red: Optional[Tuple[Graph, Coloring]] = None
+    red_failed = False
     for comp in divisor.components:
         if comp.dicritical:
             if vh.has(comp.id):
@@ -2678,15 +2676,19 @@ def validate(
                         f"component {comp.id!r}: finite holonomy but non-periodic "
                         f"local type at {point!r}"
                     )
-        elif cls.kind == "abelian_infinite" and graph is not None:
+        elif cls.kind == "abelian_infinite" and graph is not None and not red_failed:
             try:
-                cut = build_cut_graph(divisor, sing)
-                coloring = color(cut, sing, vh, divisor)
+                if red is None:
+                    cut = build_cut_graph(divisor, sing)
+                    red = cut, color(cut, sing, vh, divisor)
+                cut, coloring = red
                 if comp.id in coloring.red.vertices:
                     _vertex_red_kind(
                         cut, coloring.red.edges, sing, divisor, comp.id
                     )
             except FoliationError as err:
+                # A failed build fails alike for every later component.
+                red_failed = red is None
                 message = str(err)
                 if message not in out:
                     out.append(message)
@@ -2727,7 +2729,26 @@ class FoliationInput(NamedTuple):
 
 
 def load_input(doc: Mapping) -> FoliationInput:
-    """Parse an input document (see the package README for the schema).
+    """Parse an input document; malformed documents raise.
+
+    The top-level keys and the fields of their entries (optional ones with
+    their default):
+
+    - ``schema_version``: must be ``1``; ``symbols``: the symbol names;
+    - ``components``: ``id``, ``dicritical`` (false), ``self_intersection``
+      (none), ``topologically_rigid`` (false);
+    - ``corners``: ``id``, ``components`` (the two ids), ``in_sigma`` (true);
+    - ``attachments``: ``id``, ``component``, ``in_sigma`` (true);
+    - ``singularities``: ``point``, ``component``, ``type`` (``kind`` one of
+      ``P`` with ``q`` (1), ``L1``, ``L0`` with ``atom``, ``R1`` with ``p``
+      and ``r``, ``R0`` with ``p``, ``r``, ``m`` and ``beta_image_order``
+      (none)), ``cs`` (none; a scalar expression, see :func:`parse_scalar`),
+      ``nodal`` (false);
+    - ``holonomies``: ``component``, ``class``: ``finite`` with ``n`` and
+      ``orders`` (none; pairs of point and order), ``abelian_infinite``, or
+      ``nonabelian`` with ``invariant_factors`` (none).
+
+    ``folmod examples N`` prints complete documents.
 
     >>> doc = {
     ...     "schema_version": 1,

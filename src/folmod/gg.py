@@ -741,24 +741,19 @@ def _pseudo_section(h: GroupHom) -> GroupHom:
     be a homomorphism; compositions through it must be re-validated with
     :func:`~folmod.abgroup.check_hom` once they descend to actual homs.
     """
-    table = h.dom.table
-    zero = Scalar.zero(table)
-    one = Scalar.one(table)
+    one = Scalar.one(h.dom.table)
     cont = []
     for i in range(h.cod.cont_rank):
-        tc = [one if c == i else zero for c in range(h.cod.cont_rank)]
-        pre = preimage_element(h, tc, [0] * h.cod.disc_rank)
+        pre = preimage_element(h, {i: one}, [0] * h.cod.disc_rank)
         if pre is None or any(pre[1]):
             raise ValueError("map has no continuous section on generators")
-        cont.append(tuple(pre[0]))
+        cont.append(pre[0])
     disc = []
     for j in range(h.cod.disc_rank):
-        tc = [zero] * h.cod.cont_rank
-        td = [1 if c == j else 0 for c in range(h.cod.disc_rank)]
-        pre = preimage_element(h, tc, td)
+        pre = preimage_element(h, {}, [1 if c == j else 0 for c in range(h.cod.disc_rank)])
         if pre is None:
             raise ValueError("map has no discrete section on generators")
-        disc.append((tuple(pre[0]), tuple(pre[1])))
+        disc.append(pre)
     atoms: List[Optional[int]] = []
     for j in range(len(h.cod.atoms)):
         k = next((k for k, jj in enumerate(h.atom_images) if jj == j), None)

@@ -143,7 +143,7 @@ class OracleReport(NamedTuple):
 
 def _cyclic(order: int) -> PresentedAbelianGroup:
     """``Z/order`` with exactly one discrete generator, even for order 1."""
-    return PresentedAbelianGroup(_TABLE, 0, 1, [Relation((), (order,), "Z")])
+    return PresentedAbelianGroup(_TABLE, 0, 1, [Relation({}, (order,), "Z")])
 
 
 def _cyclic_hom_mult(rng: random.Random, dom_order: int, cod_order: int) -> int:
@@ -194,7 +194,7 @@ def _random_cyclic_pair(
                 _cyclic(vorders[v]),
                 _cyclic(eorders[e]),
                 [],
-                [((), (k % eorders[e],))],
+                [({}, (k % eorders[e],))],
                 (),
             )
             for (v, e), k in mults.items()
@@ -300,7 +300,7 @@ def _random_mv_instance(
                 _cyclic(vorders[v]),
                 _cyclic(eorders[e]),
                 [],
-                [((), (_cyclic_hom_mult(rng, vorders[v], eorders[e]),))],
+                [({}, (_cyclic_hom_mult(rng, vorders[v], eorders[e]),))],
                 (),
             )
             for e in graph.edges
@@ -349,7 +349,7 @@ def _random_les_triple(
 
     def pair_group(a: int, b: int) -> PresentedAbelianGroup:
         return PresentedAbelianGroup(
-            _TABLE, 0, 2, [Relation((), (a, 0), "Z"), Relation((), (0, b), "Z")]
+            _TABLE, 0, 2, [Relation({}, (a, 0), "Z"), Relation({}, (0, b), "Z")]
         )
 
     sub_v = {v: _cyclic(a) for v, (a, _) in pairs_v.items()}
@@ -371,16 +371,16 @@ def _random_les_triple(
             c_step = ae // gcd(bv, ae)
             c_mult = c_step * rng.randrange(gcd(bv, ae))
             sub_rho[(v, e)] = GroupHom(
-                sub_v[v], sub_e[e], [], [((), (a_mult,))], ()
+                sub_v[v], sub_e[e], [], [({}, (a_mult,))], ()
             )
             quot_rho[(v, e)] = GroupHom(
-                quot_v[v], quot_e[e], [], [((), (b_mult,))], ()
+                quot_v[v], quot_e[e], [], [({}, (b_mult,))], ()
             )
             tot_rho[(v, e)] = GroupHom(
                 tot_v[v],
                 tot_e[e],
                 [],
-                [((), (a_mult, 0)), ((), (c_mult, b_mult))],
+                [({}, (a_mult, 0)), ({}, (c_mult, b_mult))],
                 (),
             )
 
@@ -389,10 +389,10 @@ def _random_les_triple(
     total = GroupGraph(graph, tot_v, tot_e, tot_rho, table=_TABLE)
 
     def incl(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
-        return GroupHom(dom, cod, [], [((), (1, 0))], ())
+        return GroupHom(dom, cod, [], [({}, (1, 0))], ())
 
     def proj(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
-        return GroupHom(dom, cod, [], [((), (0,)), ((), (1,))], ())
+        return GroupHom(dom, cod, [], [({}, (0,)), ({}, (1,))], ())
 
     iota = GroupGraphMorphism(
         sub,

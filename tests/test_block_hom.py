@@ -33,6 +33,11 @@ from folmod.gg import Graph, GroupGraph, _by_id, _cochains, coboundary0
 # ---------------------------------------------------------------------------
 
 
+def as_row(vec: Sequence[Scalar]) -> dict:
+    """A dense vector written as a row; ``GroupHom`` drops its zero entries."""
+    return dict(enumerate(vec))
+
+
 def ref_coboundary0(G: GroupGraph) -> GroupHom:
     verts = G.graph.vertices
     eids = G.graph.edges
@@ -57,12 +62,12 @@ def ref_coboundary0(G: GroupGraph) -> GroupHom:
             r = G.rho(v, e)
             for i in range(gv.cont_rank):
                 row = cont_rows[vco + i]
-                for c, x in enumerate(r.cont_images[i]):
+                for c, x in r.cont_images[i].items():
                     row[eco + c] = row[eco + c] + (x if sign > 0 else -x)
             for j in range(gv.disc_rank):
                 cpart, dpart = r.disc_images[j]
                 crow, drow = disc_rows[vdo + j]
-                for c, x in enumerate(cpart):
+                for c, x in cpart.items():
                     crow[eco + c] = crow[eco + c] + (x if sign > 0 else -x)
                 for c, n in enumerate(dpart):
                     drow[edo + c] += sign * n
@@ -78,8 +83,8 @@ def ref_coboundary0(G: GroupGraph) -> GroupHom:
     return GroupHom(
         dom,
         cod,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
+        [as_row(r) for r in cont_rows],
+        [(as_row(c), tuple(d)) for c, d in disc_rows],
         tuple(atom_targets),
     )
 
@@ -119,8 +124,8 @@ def ref_coord_map(
     return GroupHom(
         src_sum,
         dst_sum,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
+        [as_row(r) for r in cont_rows],
+        [(as_row(c), tuple(d)) for c, d in disc_rows],
         tuple(atoms),
     )
 
@@ -139,11 +144,11 @@ def ref_pair_hom(
 
     def place(vec0, vec1):
         out = [zero] * cod_sum.cont_rank
-        for c, x in enumerate(vec0):
+        for c, x in vec0.items():
             out[off0[0] + c] = x
-        for c, x in enumerate(vec1):
+        for c, x in vec1.items():
             out[off1[0] + c] = x
-        return tuple(out)
+        return as_row(out)
 
     cont = [place(v0, v1) for v0, v1 in zip(f0.cont_images, f1.cont_images)]
     disc = []
@@ -188,11 +193,11 @@ def ref_block_diag_hom(
         dc, dd, da = dom_off[k]
         cc, cd, ca = cod_off[k]
         for a, v in enumerate(m.cont_images):
-            for c, x in enumerate(v):
+            for c, x in v.items():
                 cont_rows[dc + a][cc + c] = x
         for a, (cvec, dvec) in enumerate(m.disc_images):
             crow, drow = disc_rows[dd + a]
-            for c, x in enumerate(cvec):
+            for c, x in cvec.items():
                 crow[cc + c] = x
             for c, n in enumerate(dvec):
                 drow[cd + c] = n
@@ -201,8 +206,8 @@ def ref_block_diag_hom(
     return GroupHom(
         dom_sum,
         cod_sum,
-        [tuple(r) for r in cont_rows],
-        [(tuple(c), tuple(d)) for c, d in disc_rows],
+        [as_row(r) for r in cont_rows],
+        [(as_row(c), tuple(d)) for c, d in disc_rows],
         tuple(atoms),
     )
 
@@ -250,7 +255,7 @@ def test_a_vertex_atom_on_two_edge_atoms_is_refused_by_both() -> None:
         {v: atom_z1 for v in (0, 1, 2)},
         {e: atom_z1 for e in ("e", "f")},
         {
-            (v, e): GroupHom(atom_z1, atom_z1, [], [((), (0,))], [0])
+            (v, e): GroupHom(atom_z1, atom_z1, [], [({}, (0,))], [0])
             for v, e in ((0, "e"), (1, "e"), (0, "f"), (2, "f"))
         },
         table=gb.TABLE,
@@ -287,7 +292,7 @@ def test_pairing_equals_the_reference(pieces, degree: int) -> None:
 def test_block_diagonal_maps_equal_the_reference(G: GroupGraph, degree: int, m: int) -> None:
     c = _cochains(G, degree)
     maps = {
-        x: GroupHom(g, g, [], [((), (m,))], range(len(g.atoms)))
+        x: GroupHom(g, g, [], [({}, (m,))], range(len(g.atoms)))
         for x, g in zip(c.ids, c.groups)
     }
     expected = ref_block_diag_hom(c.ids, maps, c.total, c.offsets, c.total, c.offsets)

@@ -85,6 +85,7 @@ MALFORMED_SCALARS = {
     "coefficient with zero denominator": lambda s: s["num"][0].__setitem__(1, [1, 0]),
     "negative exponent": lambda s: s["num"][0].__setitem__(0, [-1]),
     "exponent of the wrong width": lambda s: s["num"][0].__setitem__(0, [0, 0]),
+    "exponent above MAX_EXPONENT": lambda s: s["num"][0].__setitem__(0, [10**4]),
     "zero denominator polynomial": lambda s: s.update(den=[]),
     "float coefficient": lambda s: s["den"][0].__setitem__(1, [1.5, 1]),
 }

@@ -132,7 +132,7 @@ class TestGraph:
 class TestGroupGraph:
     def test_rhos_are_checked_on_load(self):
         g = Graph([0, 1], [("e", 0, 1)])
-        bad = GroupHom(z_mod(2), z_mod(3), [], [((), (1,))], ())
+        bad = GroupHom(z_mod(2), z_mod(3), [], [({}, (1,))], ())
         with pytest.raises(HomError):
             GroupGraph(
                 g,
@@ -455,8 +455,8 @@ class TestLongExactSequence:
         F = identity_rho_graph(graph, z)
         Gm = identity_rho_graph(graph, z)
         J = identity_rho_graph(graph, z2)
-        double = GroupHom(z, z, [], [((), (2,))], ())
-        reduce_ = GroupHom(z, z2, [], [((), (1,))], ())
+        double = GroupHom(z, z, [], [({}, (2,))], ())
+        reduce_ = GroupHom(z, z2, [], [({}, (1,))], ())
         return constant_morphism(F, Gm, double), constant_morphism(Gm, J, reduce_)
 
     def test_single_edge_tower(self):
@@ -519,8 +519,8 @@ class TestLongExactSequence:
         graph = Graph([0, 1], [("e", 0, 1)])
         z2, z3 = z_mod(2), z_mod(3)
         total, _ = direct_sum([z2, z3], T)
-        inc = GroupHom(z2, total, [], [((), (1, 0))], ())
-        proj = GroupHom(total, z3, [], [((), (0,)), ((), (1,))], ())
+        inc = GroupHom(z2, total, [], [({}, (1, 0))], ())
+        proj = GroupHom(total, z3, [], [({}, (0,)), ({}, (1,))], ())
         F = identity_rho_graph(graph, z2)
         Gm = identity_rho_graph(graph, total)
         J = identity_rho_graph(graph, z3)
@@ -539,7 +539,7 @@ class TestLongExactSequence:
         mid = iota.cod
         rhos = {(v, "e"): mid.rho(v, "e") for v in (0, 1)}
         z = mid.vertex_group(1)
-        rhos[(1, "e")] = GroupHom(z, z, [], [((), (3,))], ())
+        rhos[(1, "e")] = GroupHom(z, z, [], [({}, (3,))], ())
         other = GroupGraph(graph, {0: z, 1: z}, {"e": z}, rhos)
         pi_other = GroupGraphMorphism(
             other,
@@ -573,7 +573,7 @@ class TestLongExactSequence:
         F = identity_rho_graph(graph, z4)
         # codomain uses multiplication by 3 on one restriction only
         rhos = {
-            (0, "e"): GroupHom(z4, z4, [], [((), (3,))], ()),
+            (0, "e"): GroupHom(z4, z4, [], [({}, (3,))], ()),
             (1, "e"): identity_hom(z4),
         }
         Gm = GroupGraph(graph, {0: z4, 1: z4}, {"e": z4}, rhos)
@@ -726,8 +726,8 @@ class TestOrientationIndependence:
             g = Graph([lo, hi], [("e", lo, hi), ("f", lo, hi)])
             z4 = z_mod(4)
             rhos = {
-                (lo, "e"): GroupHom(z4, z4, [], [((), (mult["lo"],))], ()),
-                (hi, "e"): GroupHom(z4, z4, [], [((), (mult["hi"],))], ()),
+                (lo, "e"): GroupHom(z4, z4, [], [({}, (mult["lo"],))], ()),
+                (hi, "e"): GroupHom(z4, z4, [], [({}, (mult["hi"],))], ()),
                 (lo, "f"): identity_hom(z4),
                 (hi, "f"): identity_hom(z4),
             }

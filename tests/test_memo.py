@@ -140,17 +140,17 @@ def homs(draw) -> GroupHom:
     for _ in range(draw(st.integers(0, 2))):
         relations.append(
             Relation(
-                tuple(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c)),
+                dict(enumerate(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c))),
                 tuple(draw(st.integers(-6, 6)) for _ in range(d)),
                 "Z",
             )
         )
     cod = PresentedAbelianGroup(TABLE, c, d, relations)
     dom = PresentedAbelianGroup(TABLE, a, b)
-    cont = [tuple(scalar(draw) for _ in range(c)) for _ in range(a)]
+    cont = [dict(enumerate(scalar(draw) for _ in range(c))) for _ in range(a)]
     disc = [
         (
-            tuple(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c)),
+            dict(enumerate(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c))),
             tuple(draw(st.integers(-6, 6)) for _ in range(d)),
         )
         for _ in range(b)
@@ -196,7 +196,7 @@ class TestMemoizedResults:
 
     def test_symbolic_kernel(self) -> None:
         torus = PresentedAbelianGroup.lattice_quotient(TABLE, [ONE, MU])
-        h = GroupHom(PresentedAbelianGroup.free_cont(TABLE, 1), torus, [(ONE,)])
+        h = GroupHom(PresentedAbelianGroup.free_cont(TABLE, 1), torus, [{0: ONE}])
         ker = kernel(h)
         clear_caches()
         assert kernel(copy_hom(h)) == ker

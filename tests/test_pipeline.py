@@ -72,11 +72,9 @@ COUNTED = (
 )
 
 
-def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -> None:
-    geo = _geodesic_module()
-    periods = geo.chain_periods(5, random.Random("geodesic-0-5"))
-    path = _write(tmp_path, geo.geodesic_doc(periods))
-    calls = dict.fromkeys(COUNTED, 0)
+def _count_calls(monkeypatch, names) -> dict:
+    """Calls of each named ``foliation`` function, counted from now on."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         inner = getattr(foliation, name)
@@ -87,8 +85,16 @@ def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -
 
         return wrapper
 
-    for name in COUNTED:
+    for name in names:
         monkeypatch.setattr(foliation, name, counting(name))
+    return calls
+
+
+def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -> None:
+    geo = _geodesic_module()
+    periods = geo.chain_periods(5, random.Random("geodesic-0-5"))
+    path = _write(tmp_path, geo.geodesic_doc(periods))
+    calls = _count_calls(monkeypatch, COUNTED)
     assert cli.main(["moduli", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [p["pipeline"] for p in payload["pipelines"]] == ["non_degenerate", "finite_type"]
@@ -97,6 +103,14 @@ def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -
     assert calls["build_sym_graph"] == 1
     for name in ("mayer_vietoris", "is_exact_at", "check_hom", "prune_all"):
         assert calls[name] >= 1, name
+
+
+def test_validate_builds_the_cut_graph_and_the_coloring_once(monkeypatch) -> None:
+    geo = _geodesic_module()
+    inp = load_input(geo.geodesic_doc(geo.chain_periods(9, random.Random("geodesic-0-9"))))
+    calls = _count_calls(monkeypatch, ("build_cut_graph", "color"))
+    assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
+    assert calls == {"build_cut_graph": 1, "color": 1}
 
 
 def _marked_divisors():

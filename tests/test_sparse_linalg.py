@@ -289,7 +289,7 @@ class TestFactorThrough:
             h0,
             h0,
             [],
-            [((), tuple(mult if j == i else 0 for j in range(h0.disc_rank))) for i in range(h0.disc_rank)],
+            [({}, tuple(mult if j == i else 0 for j in range(h0.disc_rank))) for i in range(h0.disc_rank)],
             tuple(range(len(h0.atoms))),
         )
         f = compose(mono, scale)
@@ -299,8 +299,8 @@ class TestFactorThrough:
             # A fresh system per generator, as the per-generator loop had: a
             # hom keeps its preimage system, so each generator gets a copy.
             fresh = GroupHom(mono.dom, mono.cod, mono.cont_images, mono.disc_images, mono.atom_images)
-            pre = preimage_element(fresh, list(c), list(d))
+            pre = preimage_element(fresh, c, list(d))
             assert pre is not None
-            disc.append((tuple(pre[0]), tuple(pre[1])))
+            disc.append((pre[0], tuple(pre[1])))
         want = GroupHom(f.dom, mono.dom, [], disc, tuple(range(len(h0.atoms))))
         assert got == want
