@@ -53,6 +53,7 @@ from .exactnum import (
     IntMatrix,
     Scalar,
     SymbolTable,
+    _is_int,
     monomial_expansion,
     monomial_vectors,
     smith_normal_form,
@@ -166,6 +167,17 @@ def _row_from_json(table: SymbolTable, data: Sequence, width: int) -> Row:
     return {j: Scalar.from_json(table, s) for j, s in enumerate(data)}
 
 
+def _int_from_json(x: object, what: str) -> int:
+    """``x`` if it is an int (a bool is not), else :class:`ValueError`."""
+    if not _is_int(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x  # type: ignore[return-value]
+
+
+def _ints_from_json(xs: Iterable, what: str) -> Tuple[int, ...]:
+    return tuple(_int_from_json(x, what) for x in xs)
+
+
 def _shift(row: Mapping[int, Scalar], offset: int) -> Row:
     return {offset + j: x for j, x in row.items()}
 
@@ -208,17 +220,6 @@ def _row_times(row: Mapping[int, Scalar], m: Sequence[Mapping[int, Scalar]]) -> 
     return out
 
 
-def _vdot(u: Mapping[int, Scalar], v: Mapping[int, Scalar], table: SymbolTable) -> Scalar:
-    if len(v) < len(u):
-        u, v = v, u
-    acc = Scalar.zero(table)
-    for j, a in u.items():
-        b = v.get(j)
-        if b is not None:
-            acc = acc + a * b
-    return acc
-
-
 class _Elimination:
     """Gauss-Jordan elimination of sparse vectors, inserted in order, done once.
 
@@ -233,12 +234,11 @@ class _Elimination:
     :meth:`express` solves it and ``dependencies`` is its nullspace basis.
     """
 
-    __slots__ = ("table", "rows", "combos", "dependencies")
+    __slots__ = ("rows", "combos", "dependencies")
 
     def __init__(
         self, vectors: Iterable[Mapping[int, Scalar]], table: SymbolTable, track: bool = False
     ):
-        self.table = table
         self.rows: Dict[int, Row] = {}
         self.combos: Dict[int, Row] = {}
         self.dependencies: List[Row] = []
@@ -293,22 +293,6 @@ class _Elimination:
     def rref(self) -> Tuple[List[Row], List[int]]:
         pivots = sorted(self.rows)
         return [self.rows[p] for p in pivots], pivots
-
-    def nullspace(self, ncols: int) -> List[Row]:
-        """Basis of ``{x : v . x = 0}`` over the vectors, one per free column."""
-        above: Dict[int, Row] = {}
-        for p, row in self.rows.items():
-            for f, y in row.items():
-                if f != p:
-                    above.setdefault(f, {})[p] = -y
-        one = Scalar.one(self.table)
-        basis = []
-        for f in range(ncols):
-            if f not in self.rows:
-                vec = dict(above.get(f, {}))
-                vec[f] = one
-                basis.append(vec)
-        return basis
 
 
 def _field_inverse(rows: Sequence[Mapping[int, Scalar]], table: SymbolTable) -> List[Row]:
@@ -469,7 +453,8 @@ class PresentedAbelianGroup:
     :func:`kernel` on homs between them.  Two invariants make that safe:
 
     - no code assigns to a group's attributes or mutates a stored row after
-      construction, except that the hash and the eliminated relation span
+      construction, except that the hash and the relation span (the
+      preimage system of the map with no generators, see :func:`_span_of`)
       are computed on first use and kept; atoms and Scalars are immutable;
     - a memoized result is shared by every caller that passes an equal
       group, so its maps may have an equal but not identical domain or
@@ -507,7 +492,7 @@ class PresentedAbelianGroup:
         self.relations = relations
         self.atoms = atoms
         self._hash: Optional[int] = None
-        self._span: Optional[_Span] = None
+        self._span: Optional[_PreimageSystem] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -593,16 +578,24 @@ class PresentedAbelianGroup:
     @classmethod
     def from_json(cls, data: Mapping) -> "PresentedAbelianGroup":
         table = SymbolTable.from_json(data["symbols"])
+        cont_rank = _int_from_json(data["cont_rank"], "cont_rank")
+        disc_rank = _int_from_json(data["disc_rank"], "disc_rank")
         rels = [
             Relation(
-                _row_from_json(table, r["cont"], data["cont_rank"]),
-                tuple(int(x) for x in r["disc"]),
+                _row_from_json(table, r["cont"], cont_rank),
+                _ints_from_json(r["disc"], "disc entry"),
                 r["span"],
             )
             for r in data.get("relations", ())
         ]
-        atoms = [AtomFactor(a["name"], a["mod_order"]) for a in data.get("atoms", ())]
-        return cls(table, data["cont_rank"], data["disc_rank"], rels, atoms)
+        atoms = [
+            AtomFactor(
+                a["name"],
+                None if a["mod_order"] is None else _int_from_json(a["mod_order"], "mod_order"),
+            )
+            for a in data.get("atoms", ())
+        ]
+        return cls(table, cont_rank, disc_rank, rels, atoms)
 
 
 class GroupHom:
@@ -730,13 +723,21 @@ class GroupHom:
             dom,
             cod,
             [_row_from_json(table, v, width) for v in data["cont_images"]],
-            [(_row_from_json(table, d["cont"], width), d["disc"]) for d in data["disc_images"]],
-            data["atom_images"],
+            [
+                (_row_from_json(table, d["cont"], width), _ints_from_json(d["disc"], "disc entry"))
+                for d in data["disc_images"]
+            ],
+            [None if x is None else _int_from_json(x, "atom image") for x in data["atom_images"]],
         )
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# Membership and preimages
+#
+# Whether an element lies in ``im(h) + relations`` is one question for every
+# caller: a group's relation span is the case of a map with no generators.
+# One solver, :class:`_PreimageSystem`, answers it for check_hom,
+# hom_is_zero, is_exact_at, kernel, preimage_element and factor_through.
 # ---------------------------------------------------------------------------
 
 
@@ -787,61 +788,131 @@ def _int_rows_from_scalar_columns(
     return rows, rhs
 
 
-class _Span:
-    """The relation span of a group, plus extra rows, eliminated once.
+class _PreimageSystem:
+    """Which codomain elements a map hits modulo the codomain's relations,
+    eliminated once.
 
-    The C-rows are brought to reduced echelon form and the continuous part
-    of every Z-row is reduced against them, which preserves membership
-    exactly; a membership test then reduces only the vector in question.
-    A group's own span is kept on the group (see :func:`_span_of`).
+    The system is built from a codomain and the generator images of a map
+    into it: continuous images ``h(c_j)`` (rows) and discrete images
+    ``(c_i, d_i)`` (a row and an int tuple).  ``(x, n)`` maps onto
+    ``(t_c, t_d)`` modulo the codomain's relations iff some field
+    coefficients ``lambda`` over the C-rows ``C_k`` and integers ``m`` over
+    the Z-rows ``(zc_k, zd_k)`` give ``sum x_j h(c_j) + sum lambda_k C_k =
+    t_c + sum y_i ycols_i`` on the continuous part, with ``y = (n, m)`` and
+    ``ycols`` the negated continuous parts of the discrete images followed
+    by the Z-rows' continuous parts, and ``sum n_i d_i - sum m_k zd_k =
+    t_d`` on the discrete part.  A group's relation span is the system of
+    the map with no generators: an element lies in the span iff it has a
+    preimage, and ``y = -m`` then writes it through the Z-rows.
+
+    The columns ``(h(c_j), C_k)`` are eliminated once.  The field part is
+    solvable iff the right side reduces to zero against them, that is iff
+    every left-null functional ``eta_f`` of the columns (one per free
+    coordinate ``f``) kills it; since ``eta_f . v`` equals ``reduce(v)[f]``,
+    reducing each of ``ycols`` once and the target once per solve gives
+    these conditions exactly.  They are Q-linear, hence integer, conditions
+    on ``y`` (see :func:`_int_rows_from_scalar_columns`), solved through the
+    Smith form together with the discrete part.  With ``track`` the
+    elimination also records the field coefficients ``(x, lambda)``, which
+    :meth:`preimage` and the kernel read; membership needs none.
     """
 
-    __slots__ = ("elim", "zcols", "zcoords", "zdisc")
+    __slots__ = ("gc", "gd", "elim", "ycols", "ycoords", "disc_rows")
 
     def __init__(
         self,
-        g: PresentedAbelianGroup,
-        extra_c: Sequence[Row] = (),
-        extra_z: Sequence[Tuple[Row, Sequence[int]]] = (),
+        cod: PresentedAbelianGroup,
+        cont_images: Sequence[Row] = (),
+        disc_images: Sequence[Tuple[Row, Sequence[int]]] = (),
+        track: bool = False,
     ):
-        crows = [r.cont for r in g.relations if r.span == "C"] + list(extra_c)
-        self.elim = _Elimination((r for r in crows if r), g.table)
-        zrows = [(r.cont, r.disc) for r in g.relations if r.span == "Z"] + list(extra_z)
-        self.zcols = [self.elim.reduce(c) for c, _ in zrows]
-        self.zcoords = _by_coordinate(self.zcols)
-        self.zdisc = [[d[coord] for _, d in zrows] for coord in range(g.disc_rank)]
+        self.gc, self.gd = len(cont_images), len(disc_images)
+        crows = [r.cont for r in cod.relations if r.span == "C" and r.cont]
+        zrows = cod.zrows()
+        self.elim = _Elimination(list(cont_images) + crows, cod.table, track)
+        self.ycols = [_neg(c) for c, _ in disc_images] + [r.cont for r in zrows]
+        self.ycoords = _by_coordinate([self.elim.reduce(c) for c in self.ycols])
+        self.disc_rows = [
+            [d[coord] for _, d in disc_images] + [-r.disc[coord] for r in zrows]
+            for coord in range(cod.disc_rank)
+        ]
 
-    def has_line(self, vcont: Mapping[int, Scalar]) -> bool:
-        """Whether the whole complex line through ``vcont`` lies in the span.
-
-        True iff the vector reduces to zero against the C-rows: a finitely
-        generated Z-span can absorb a line only if the line is zero, so the
-        Z-rows never help.
-        """
-        return not self.elim.reduce(vcont)
-
-    def member(self, vcont: Mapping[int, Scalar], vdisc: Sequence[int]) -> Optional[List[int]]:
-        """Certificate that ``(vcont, vdisc)`` lies in the span, or None.
-
-        The certificate is the vector of integer coefficients over the
-        Z-rows (the group's own first, then the extra ones).
-        """
-        reduced = self.elim.reduce(vcont)
-        rows, rhs = _int_rows_from_scalar_columns(self.zcoords, len(self.zcols), reduced)
-        for row, b in zip(self.zdisc, vdisc):
+    def int_system(
+        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
+    ) -> Tuple[List[List[int]], List[int]]:
+        """Integer rows and right side of the conditions on ``y``."""
+        rows, rhs = _int_rows_from_scalar_columns(
+            self.ycoords, len(self.ycols), self.elim.reduce(target_cont)
+        )
+        # The conditions read sum y_i reduce(ycols_i) = -reduce(t_c).
+        rhs = [-b for b in rhs]
+        for row, b in zip(self.disc_rows, target_disc):
             if b or any(row):
                 rows.append(row)
                 rhs.append(b)
-        if not rows:
-            return [0] * len(self.zcols)
-        return _int_solve(rows, rhs, len(self.zcols))
+        return rows, rhs
+
+    def has_line(self, vcont: Mapping[int, Scalar]) -> bool:
+        """Whether the whole complex line through ``vcont`` lies in the span
+        of the C-rows and the continuous images.
+
+        A finitely generated Z-span can absorb a line only if the line is
+        zero, so the Z-rows and the discrete images never help.
+        """
+        return not self.elim.reduce(vcont)
+
+    def contains(
+        self, cont_images: Sequence[Row], disc_images: Sequence[Tuple[Row, Sequence[int]]]
+    ) -> bool:
+        """Whether the span holds every given generator image, each
+        continuous one with its whole complex line."""
+        return all(self.has_line(v) for v in cont_images) and all(
+            not (c or any(d)) or self.solve(c, d) is not None for c, d in disc_images
+        )
+
+    def solve(
+        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
+    ) -> Optional[List[int]]:
+        """The integer unknowns ``y`` of one preimage, or None if there is none."""
+        return _int_solve(*self.int_system(target_cont, target_disc), len(self.ycols))
+
+    def field_part(self, y: Sequence[int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
+        """Field coefficients ``(x, lambda)`` for an admissible ``y``, or None."""
+        rem = dict(target_cont)
+        for val, col in zip(y, self.ycols):
+            if val:
+                _addmul(rem, val, col)
+        return self.elim.express(rem)
+
+    def preimage(
+        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
+    ) -> Optional[Tuple[Row, List[int]]]:
+        y = self.solve(target_cont, target_disc)
+        if y is None:
+            return None
+        x = self.field_part(y, target_cont)
+        if x is None:
+            return None
+        return _head(x, self.gc), list(y[: self.gd])
 
 
-def _span_of(g: PresentedAbelianGroup) -> _Span:
+def _head(row: Mapping[int, Scalar], n: int) -> Row:
+    """The entries of ``row`` before column ``n``."""
+    return {j: x for j, x in row.items() if j < n}
+
+
+def _span_of(g: PresentedAbelianGroup) -> _PreimageSystem:
     """The relation span of ``g``, eliminated on first use and kept on ``g``."""
     if g._span is None:
-        g._span = _Span(g)
+        g._span = _PreimageSystem(g)
     return g._span
+
+
+def _system_of(h: GroupHom) -> _PreimageSystem:
+    """The preimage system of ``h``, eliminated on first use and kept on ``h``."""
+    if h._system is None:
+        h._system = _PreimageSystem(h.cod, h.cont_images, h.disc_images, track=True)
+    return h._system
 
 
 def check_hom(h: GroupHom) -> None:
@@ -869,7 +940,7 @@ def check_hom(h: GroupHom) -> None:
         if r.span == "C":
             if not span.has_line(img_c):
                 raise HomError(f"relation {idx} (C-span) maps outside the codomain span")
-        elif (img_c or any(img_d)) and span.member(img_c, img_d) is None:
+        elif (img_c or any(img_d)) and span.solve(img_c, img_d) is None:
             raise HomError(f"relation {idx} maps outside the codomain span")
 
 
@@ -879,14 +950,7 @@ def hom_is_zero(h: GroupHom) -> bool:
         return False
     if not any(h.cont_images) and not any(c or any(d) for c, d in h.disc_images):
         return True
-    span = _span_of(h.cod)
-    for v in h.cont_images:
-        if not span.has_line(v):
-            return False
-    for c, d in h.disc_images:
-        if (c or any(d)) and span.member(c, d) is None:
-            return False
-    return True
+    return _span_of(h.cod).contains(h.cont_images, h.disc_images)
 
 
 def compose(g: GroupHom, f: GroupHom) -> GroupHom:
@@ -936,7 +1000,7 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
         return out
 
     diff = GroupHom(
-        _strip_atoms_group(a.dom),
+        _strip_atoms(a.dom),
         a.cod,
         [minus(u, v) for u, v in zip(a.cont_images, b.cont_images)],
         [
@@ -948,7 +1012,7 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
     return hom_is_zero(diff)
 
 
-def _strip_atoms_group(g: PresentedAbelianGroup) -> PresentedAbelianGroup:
+def _strip_atoms(g: PresentedAbelianGroup) -> PresentedAbelianGroup:
     if not g.atoms:
         return g
     return PresentedAbelianGroup(
@@ -1559,104 +1623,6 @@ def kernel(h: GroupHom) -> KernelResult:
     return _kernel_cached(h)
 
 
-class _PreimageSystem:
-    """The mixed field/integer system of a hom, eliminated once.
-
-    ``(x, n)`` maps onto ``(t_c, t_d)`` modulo the codomain's relations iff
-    some field coefficients ``lambda`` over the C-rows and integers ``m``
-    over the Z-rows give ``sum x_j h(c_j) - sum lambda_k C_k = t_c +
-    sum y_i ycols_i`` on the continuous part, with ``y = (n, m)`` and
-    ``ycols`` the negated continuous parts of the discrete images followed
-    by the Z-rows' continuous parts, and the discrete parts agree.  The
-    field part is solvable iff every left-null functional ``eta`` of the
-    columns ``(h(c_j), -C_k)`` kills the right side, which is a Q-linear,
-    hence integer, condition on ``y``.  The columns are eliminated and the
-    ``eta . ycols`` coefficients formed once per hom; :func:`kernel`,
-    :func:`preimage_element` and :func:`factor_through` then solve it for
-    any number of targets.
-    """
-
-    __slots__ = ("table", "gc", "gd", "elim", "etas", "ycols", "coeffs", "disc_rows")
-
-    def __init__(self, h: GroupHom):
-        table = self.table = h.dom.table
-        self.gc, self.gd = h.dom.cont_rank, h.dom.disc_rank
-        crows = [r.cont for r in h.cod.relations if r.span == "C" and r.cont]
-        zrows = h.cod.zrows()
-        columns = list(h.cont_images) + [_neg(r) for r in crows]
-        self.elim = _Elimination(columns, table, track=True)
-        self.etas = self.elim.nullspace(h.cod.cont_rank)
-        self.ycols = [_neg(c) for c, _ in h.disc_images] + [r.cont for r in zrows]
-        self.coeffs = [_eta_coefficients(eta, self.ycols, table) for eta in self.etas]
-        self.disc_rows = [
-            [d[coord] for _, d in h.disc_images] + [-r.disc[coord] for r in zrows]
-            for coord in range(h.cod.disc_rank)
-        ]
-
-    def int_system(
-        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-    ) -> Tuple[List[List[int]], List[int]]:
-        """Integer rows and right side of the conditions on ``y``."""
-        rows: List[List[int]] = []
-        rhs: List[int] = []
-        for eta, at in zip(self.etas, self.coeffs):
-            t = _vdot(eta, target_cont, self.table)
-            target = {} if t.is_zero() else {0: -t}
-            r, b = _int_rows_from_scalar_columns(at, len(self.ycols), target)
-            rows += r
-            rhs += b
-        for row, b in zip(self.disc_rows, target_disc):
-            if b or any(row):
-                rows.append(row)
-                rhs.append(int(b))
-        return rows, rhs
-
-    def field_part(self, y: Sequence[int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
-        """Field coefficients ``(x, lambda)`` for an admissible ``y``, or None."""
-        rem = dict(target_cont)
-        for val, col in zip(y, self.ycols):
-            if val:
-                _addmul(rem, val, col)
-        return self.elim.express(rem)
-
-    def preimage(
-        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-    ) -> Optional[Tuple[Row, List[int]]]:
-        rows, rhs = self.int_system(target_cont, target_disc)
-        y = _int_solve(rows, rhs, len(self.ycols))
-        if y is None:
-            return None
-        x = self.field_part(y, target_cont)
-        if x is None:
-            return None
-        return _head(x, self.gc), list(y[: self.gd])
-
-
-def _eta_coefficients(
-    eta: Mapping[int, Scalar], cols: Sequence[Mapping[int, Scalar]], table: SymbolTable
-) -> Dict[int, Row]:
-    """``eta . cols[j]`` for every ``j``, grouped as the one coordinate of
-    an integer system (see :func:`_int_rows_from_scalar_columns`)."""
-    row = {}
-    for j, col in enumerate(cols):
-        c = _vdot(eta, col, table)
-        if not c.is_zero():
-            row[j] = c
-    return {0: row} if row else {}
-
-
-def _head(row: Mapping[int, Scalar], n: int) -> Row:
-    """The entries of ``row`` before column ``n``."""
-    return {j: x for j, x in row.items() if j < n}
-
-
-def _system_of(h: GroupHom) -> _PreimageSystem:
-    """The preimage system of ``h``, eliminated on first use and kept on ``h``."""
-    if h._system is None:
-        h._system = _PreimageSystem(h)
-    return h._system
-
-
 def _kernel(h: GroupHom) -> KernelResult:
     table = h.dom.table
     kernel_atoms: List[AtomFactor] = []
@@ -1693,13 +1659,13 @@ def _kernel(h: GroupHom) -> KernelResult:
 
     # Relations: syzygies among the chosen generators, then the domain's own
     # relations expressed in kernel coordinates.
+    # An integer combination of the generators is continuous iff its
+    # continuous part reduces to zero against the continuous directions.
     relations: List[Relation] = []
-    syz_rows: List[List[int]] = []
     xcols = [x for x, _ in disc_gens]
-    for eta in vspan.nullspace(gc):
-        at = _eta_coefficients(eta, xcols, table)
-        rows, _ = _int_rows_from_scalar_columns(at, len(xcols), {})
-        syz_rows.extend(rows)
+    syz_rows, _ = _int_rows_from_scalar_columns(
+        _by_coordinate([vspan.reduce(x) for x in xcols]), len(xcols), {}
+    )
     for coord in range(gd):
         row = [n[coord] for _, n in disc_gens]
         if any(row):
@@ -1731,10 +1697,12 @@ def _kernel(h: GroupHom) -> KernelResult:
                 relations.append(Relation(b, (0,) * len(disc_gens), "C"))
             continue
         img_c, img_d = h.apply(cont, disc)
-        m = span.member(img_c, img_d)
-        if m is None:
+        y = span.solve(img_c, img_d)
+        if y is None:
             raise HomError("domain relation has no image certificate")
-        a = _int_solve(arows, list(disc) + m, len(ybasis))
+        # The span's y is minus the Z-row coefficients m of the image, and
+        # the relation is y = (disc, m) among the unknowns of h's system.
+        a = _int_solve(arows, list(disc) + [-k for k in y], len(ybasis))
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
         b = cont_coords(residual(cont, a))
@@ -1852,16 +1820,15 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
         if t is None:
             raise HomError(f"atom {f.dom.atoms[k].label()} does not factor")
         atom_images.append(t)
-    # One system serves every generator; the C-rows enter it negated, which
-    # leaves the coefficients of mono's continuous images unchanged.
+    # One system serves every generator; the coefficients of mono's
+    # continuous images come first in each field solution.
     system = _system_of(mono)
-    nb = len(mono.cont_images)
     cont_images = []
     for v in f.cont_images:
         sol = system.elim.express(v)
         if sol is None:
             raise HomError("continuous generator does not factor")
-        cont_images.append(_head(sol, nb))
+        cont_images.append(_head(sol, system.gc))
     disc_images = []
     for c, d in f.disc_images:
         pre = system.preimage(c, d)
@@ -1892,13 +1859,6 @@ def is_injective(h: GroupHom) -> bool:
     return classify(kernel(h).group).is_trivial
 
 
-def _strip_atoms(h: GroupHom) -> GroupHom:
-    dom = PresentedAbelianGroup(
-        h.dom.table, h.dom.cont_rank, h.dom.disc_rank, h.dom.relations
-    )
-    return GroupHom(dom, h.cod, h.cont_images, h.disc_images, ())
-
-
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Whether ``image(f) == kernel(g)`` at the middle group ``f.cod == g.dom``.
 
@@ -1921,15 +1881,10 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
             raise UnsupportedAtomMap(
                 "exactness against a genuine atom quotient cannot be verified"
             )
-    inclusion = kernel(_strip_atoms(g)).inclusion
-    span = _Span(g.dom, f.cont_images, f.disc_images)
-    for v in inclusion.cont_images:
-        if not span.has_line(v):
-            return False
-    for c, d in inclusion.disc_images:
-        if (c or any(d)) and span.member(c, d) is None:
-            return False
-    return True
+    stripped = GroupHom(_strip_atoms(g.dom), g.cod, g.cont_images, g.disc_images, ())
+    inclusion = kernel(stripped).inclusion
+    span = _PreimageSystem(g.dom, f.cont_images, f.disc_images)
+    return span.contains(inclusion.cont_images, inclusion.disc_images)
 
 
 def _selftest() -> None:  # pragma: no cover

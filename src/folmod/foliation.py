@@ -2042,8 +2042,7 @@ def _analyze_zone(exp: GroupGraph, zone: _Zone) -> _ZoneAnalysis:
                 f"zone gluing sequence not exact at {', '.join(mv.failures)}"
             )
         h1_mod = mv.groups[3]  # H^1 of the whole cover, that is of mod
-        core = mod.restrict(z1_vs, z1_es)
-        if not classify(h1(core)).is_trivial:
+        if not classify(mv.pieces[1].h1).is_trivial:  # the core is cover1
             raise PipelineError(
                 "the flow-positive core of a zone has nontrivial H^1; "
                 "the input is not of finite type after all"
@@ -2637,9 +2636,9 @@ def validate(
                 )
 
     # The cut graph and its coloring, built once, on the first abelian
-    # infinite component.
-    red: Optional[Tuple[Graph, Coloring]] = None
-    red_failed = False
+    # infinite component; coloring checks every red abelian infinite
+    # component's local kind (see _vertex_red_kind).
+    colored = False
     for comp in divisor.components:
         if comp.dicritical:
             if vh.has(comp.id):
@@ -2676,22 +2675,15 @@ def validate(
                         f"component {comp.id!r}: finite holonomy but non-periodic "
                         f"local type at {point!r}"
                     )
-        elif cls.kind == "abelian_infinite" and graph is not None and not red_failed:
+        elif cls.kind == "abelian_infinite" and graph is not None and not colored:
+            colored = True
             try:
-                if red is None:
-                    cut = build_cut_graph(divisor, sing)
-                    red = cut, color(cut, sing, vh, divisor)
-                cut, coloring = red
-                if comp.id in coloring.red.vertices:
-                    _vertex_red_kind(
-                        cut, coloring.red.edges, sing, divisor, comp.id
-                    )
+                color(build_cut_graph(divisor, sing), sing, vh, divisor)
             except FoliationError as err:
-                # A failed build fails alike for every later component.
-                red_failed = red is None
-                message = str(err)
-                if message not in out:
-                    out.append(message)
+                # build_cut_graph repeats the nodal-flag check of the corner
+                # loop above, word for word.
+                if str(err) not in out:
+                    out.append(str(err))
     if any(
         s.type.kind == "L1"
         for (_, _), s in sing.items()

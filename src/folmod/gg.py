@@ -776,13 +776,15 @@ class MayerVietorisResult:
     ``groups`` runs ``H0(whole), H0(piece0)+H0(piece1), H0(overlap),
     H1(whole), H1(piece0)+H1(piece1), H1(overlap)`` and ``maps`` holds the
     five arrows between them; ``failures`` names the nodes where exactness
-    could not be verified.
+    could not be verified.  ``pieces`` is the cohomology of the two cover
+    pieces, with the maps that witness it.
     """
 
     groups: Tuple[PresentedAbelianGroup, ...]
     maps: Tuple[GroupHom, ...]
     exact: bool
     failures: Tuple[str, ...]
+    pieces: Tuple[CohomologyResult, CohomologyResult]
 
 
 def _cover_part(G: GroupGraph, cover) -> Tuple[Tuple[Id, ...], Tuple[Id, ...]]:
@@ -881,6 +883,7 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
         maps=(alpha, beta, delta, gamma, epsilon),
         exact=not failures,
         failures=failures,
+        pieces=(c0, c1),
     )
 
 

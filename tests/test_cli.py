@@ -79,6 +79,28 @@ def test_the_two_vertex_document_runs(tmp_path, capsys) -> None:
     assert capsys.readouterr().out == "H0: C/(Z + (mu)Z) (+) Z/2\nH1: 0\n"
 
 
+def _one_vertex_doc(factors) -> dict:
+    """A group-graph of one vertex and no edges whose group has the given
+    invariant factors."""
+    group = PresentedAbelianGroup.from_invariant_factors(SymbolTable([]), factors)
+    return GroupGraph(Graph([0], []), {0: group}, {}, {}).to_json()
+
+
+@pytest.mark.parametrize(
+    "factors, rank",
+    # Z/2 read with a boolean rank, and Z read with a float rank, both
+    # exited 0 when ranks went through int().
+    [([2], True), ([], 1.0)],
+)
+def test_a_non_integer_rank_exits_2(factors, rank, tmp_path, capsys) -> None:
+    doc = _one_vertex_doc(factors)
+    doc["vertex_groups"][0]["group"]["disc_rank"] = rank
+    path = _write(tmp_path, doc)
+    assert _exit_code(["cohomology", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and path in err and "disc_rank" in err and "Traceback" not in err
+
+
 MALFORMED_SCALARS = {
     "rat with zero denominator": lambda s: s.update(rat=[1, 0]),
     "short rat": lambda s: s.update(rat=[1]),

@@ -374,9 +374,14 @@ class TestMayerVietoris:
         )
 
     def test_triangle_split_is_exact(self):
-        mv = mayer_vietoris(self.triangle(), ((0, 1, 2), ("a", "b")), ((0, 2), ("c",)))
+        G = self.triangle()
+        mv = mayer_vietoris(G, ((0, 1, 2), ("a", "b")), ((0, 2), ("c",)))
         assert mv.exact and mv.failures == ()
         assert classify(mv.groups[3]).text() == "Z/2"  # H1 of the whole graph
+        assert mv.pieces == (
+            cohomology(G.restrict((0, 1, 2), ("a", "b"))),
+            cohomology(G.restrict((0, 2), ("c",))),
+        )
 
     def test_disjoint_cover_degenerates_to_sum(self):
         g = Graph([0, 1, 2, 3], [("a", 0, 1), ("b", 2, 3)])

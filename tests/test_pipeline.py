@@ -113,6 +113,18 @@ def test_validate_builds_the_cut_graph_and_the_coloring_once(monkeypatch) -> Non
     assert calls == {"build_cut_graph": 1, "color": 1}
 
 
+def test_zone_cores_read_their_h1_from_the_gluing_sequence(monkeypatch) -> None:
+    # Every zone of a geodesic has a rigid boundary, so the H^1 of its core
+    # is that of the second Mayer-Vietoris cover piece; the one h1 call left
+    # computes the moduli group.
+    geo = _geodesic_module()
+    inp = load_input(geo.geodesic_doc(geo.chain_periods(5, random.Random("geodesic-0-5"))))
+    calls = _count_calls(monkeypatch, ("h1", "mayer_vietoris"))
+    foliation.compute_moduli(inp.divisor, inp.singularities, inp.holonomies)
+    assert calls["mayer_vietoris"] >= 2
+    assert calls["h1"] == 1
+
+
 def _marked_divisors():
     geo = _geodesic_module()
     docs = [example_doc(n) for n in EXAMPLES]

@@ -12,9 +12,17 @@ its preimage system once per mono; it must equal the per-generator
 `preimage_element` loop it replaced.
 
 The sparse solvers are methods of one elimination, ``_Elimination``: over
-the rows of a matrix it gives the reduced form and the nullspace; over the
-columns it solves ``A x = b`` and its dependencies are the nullspace of
-``A``.
+the rows of a matrix it gives the reduced form, and reducing a vector reads
+off every left-null functional at once (``eta_f . v == reduce(v)[f]``);
+over the columns it solves ``A x = b`` and its dependencies are the
+nullspace of ``A``.
+
+Membership in a relation span and preimages under a hom were once two
+solvers: ``RefSpan`` reduced each vector against the eliminated C-rows,
+and ``RefPreimageSystem`` took one left-null functional per free column.
+Both are kept below as references for the one system that replaced them:
+on random groups and homs, its membership verdicts and the results of
+`kernel`, `preimage_element` and `factor_through` must equal theirs.
 """
 
 from __future__ import annotations
@@ -30,10 +38,23 @@ import gg_builders as gb
 from folmod import abgroup
 from folmod.abgroup import (
     GroupHom,
+    HomError,
+    KernelResult,
+    NonFiniteTypeKernel,
+    PresentedAbelianGroup,
+    Relation,
+    UnsupportedAtomMap,
     _by_coordinate,
     _Elimination,
+    _head,
+    _int_nullspace,
     _int_rows_from_scalar_columns,
     _int_solve,
+    _kernel,
+    _neg,
+    _PreimageSystem,
+    _span_of,
+    check_hom,
     compose,
     factor_through,
     preimage_element,
@@ -223,8 +244,12 @@ class TestFieldSolvers:
         got_rows, got_pivots = elim.rref()
         assert got_pivots == want_pivots
         assert [_dense(r, ncols, table) for r in got_rows] == want_rows
-        got_null = elim.nullspace(ncols)
-        assert [_dense(v, ncols, table) for v in got_null] == ref_field_nullspace(rows, ncols, table)
+        # Reducing the unit vectors reads off the left-null functionals.
+        zero = Scalar.zero(table)
+        reduced = [elim.reduce({j: Scalar.one(table)}) for j in range(ncols)]
+        free = [f for f in range(ncols) if f not in got_pivots]
+        etas = [[reduced[j].get(f, zero) for j in range(ncols)] for f in free]
+        assert etas == ref_field_nullspace(rows, ncols, table)
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_matrices(), st.data())
@@ -304,3 +329,352 @@ class TestFactorThrough:
             disc.append((pre[0], tuple(pre[1])))
         want = GroupHom(f.dom, mono.dom, [], disc, tuple(range(len(h0.atoms))))
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Reference span and preimage solvers: the two solvers the one system merged
+# ---------------------------------------------------------------------------
+
+
+def ref_vdot(u, v, table: SymbolTable) -> Scalar:
+    acc = Scalar.zero(table)
+    for j, a in u.items():
+        b = v.get(j)
+        if b is not None:
+            acc = acc + a * b
+    return acc
+
+
+def ref_nullspace(elim: _Elimination, ncols: int, table: SymbolTable) -> List[dict]:
+    """Basis of ``{x : v . x = 0}`` over the eliminated vectors, one per free column."""
+    above: dict = {}
+    for p, row in elim.rows.items():
+        for f, y in row.items():
+            if f != p:
+                above.setdefault(f, {})[p] = -y
+    basis = []
+    for f in range(ncols):
+        if f not in elim.rows:
+            vec = dict(above.get(f, {}))
+            vec[f] = Scalar.one(table)
+            basis.append(vec)
+    return basis
+
+
+def ref_eta_coefficients(eta, cols, table: SymbolTable) -> dict:
+    row = {}
+    for j, col in enumerate(cols):
+        c = ref_vdot(eta, col, table)
+        if not c.is_zero():
+            row[j] = c
+    return {0: row} if row else {}
+
+
+class RefSpan:
+    """The relation span of a group plus extra rows: the C-rows eliminated,
+    every Z-row's continuous part reduced against them."""
+
+    def __init__(self, g: PresentedAbelianGroup, extra_c=(), extra_z=()):
+        crows = [r.cont for r in g.relations if r.span == "C"] + list(extra_c)
+        self.elim = _Elimination((r for r in crows if r), g.table)
+        zrows = [(r.cont, r.disc) for r in g.relations if r.span == "Z"] + list(extra_z)
+        self.zcols = [self.elim.reduce(c) for c, _ in zrows]
+        self.zcoords = _by_coordinate(self.zcols)
+        self.zdisc = [[d[coord] for _, d in zrows] for coord in range(g.disc_rank)]
+
+    def has_line(self, vcont) -> bool:
+        return not self.elim.reduce(vcont)
+
+    def member(self, vcont, vdisc) -> Optional[List[int]]:
+        """Integer coefficients over the Z-rows summing to the vector, or None."""
+        reduced = self.elim.reduce(vcont)
+        rows, rhs = _int_rows_from_scalar_columns(self.zcoords, len(self.zcols), reduced)
+        for row, b in zip(self.zdisc, vdisc):
+            if b or any(row):
+                rows.append(row)
+                rhs.append(b)
+        if not rows:
+            return [0] * len(self.zcols)
+        return _int_solve(rows, rhs, len(self.zcols))
+
+
+class RefPreimageSystem:
+    """The system of a hom in the functional form: one left-null functional
+    ``eta`` per free column of ``(h(c_j), -C_k)`` and one dot product per
+    (``eta``, column) pair."""
+
+    def __init__(self, h: GroupHom):
+        table = self.table = h.dom.table
+        self.gc, self.gd = h.dom.cont_rank, h.dom.disc_rank
+        crows = [r.cont for r in h.cod.relations if r.span == "C" and r.cont]
+        zrows = h.cod.zrows()
+        columns = list(h.cont_images) + [_neg(r) for r in crows]
+        self.elim = _Elimination(columns, table, track=True)
+        self.etas = ref_nullspace(self.elim, h.cod.cont_rank, table)
+        self.ycols = [_neg(c) for c, _ in h.disc_images] + [r.cont for r in zrows]
+        self.coeffs = [ref_eta_coefficients(eta, self.ycols, table) for eta in self.etas]
+        self.disc_rows = [
+            [d[coord] for _, d in h.disc_images] + [-r.disc[coord] for r in zrows]
+            for coord in range(h.cod.disc_rank)
+        ]
+
+    def int_system(self, target_cont, target_disc):
+        rows: List[List[int]] = []
+        rhs: List[int] = []
+        for eta, at in zip(self.etas, self.coeffs):
+            t = ref_vdot(eta, target_cont, self.table)
+            target = {} if t.is_zero() else {0: -t}
+            r, b = _int_rows_from_scalar_columns(at, len(self.ycols), target)
+            rows += r
+            rhs += b
+        for row, b in zip(self.disc_rows, target_disc):
+            if b or any(row):
+                rows.append(row)
+                rhs.append(int(b))
+        return rows, rhs
+
+    def field_part(self, y, target_cont):
+        rem = dict(target_cont)
+        for val, col in zip(y, self.ycols):
+            if val:
+                abgroup._addmul(rem, val, col)
+        return self.elim.express(rem)
+
+    def preimage(self, target_cont, target_disc):
+        rows, rhs = self.int_system(target_cont, target_disc)
+        y = _int_solve(rows, rhs, len(self.ycols))
+        if y is None:
+            return None
+        x = self.field_part(y, target_cont)
+        if x is None:
+            return None
+        return _head(x, self.gc), list(y[: self.gd])
+
+
+def ref_kernel(h: GroupHom) -> KernelResult:
+    """The kernel computed through the reference span and system."""
+    table = h.dom.table
+    kernel_atoms = []
+    kernel_atom_indices = []
+    for k, j in enumerate(h.atom_images):
+        if j is None:
+            kernel_atoms.append(h.dom.atoms[k])
+            kernel_atom_indices.append(k)
+        elif h.dom.atoms[k].mod_order != h.cod.atoms[j].mod_order:
+            raise UnsupportedAtomMap("quotient map on an atom")
+    gc, gd = h.dom.cont_rank, h.dom.disc_rank
+    system = RefPreimageSystem(h)
+    int_rows, _ = system.int_system({}, (0,) * len(system.disc_rows))
+    ybasis = _int_nullspace(int_rows, len(system.ycols))
+    disc_gens = []
+    for y in ybasis:
+        xi = system.field_part(y, {})
+        if xi is None:
+            raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
+        disc_gens.append((_head(xi, gc), list(y[:gd])))
+    xparts = [_head(dep, gc) for dep in system.elim.dependencies]
+    vbasis, _ = _Elimination(xparts, table).rref()
+    vspan = _Elimination(vbasis, table, track=True)
+    cont_coords = vspan.express
+    relations = []
+    syz_rows: List[List[int]] = []
+    xcols = [x for x, _ in disc_gens]
+    for eta in ref_nullspace(vspan, gc, table):
+        at = ref_eta_coefficients(eta, xcols, table)
+        rows, _ = _int_rows_from_scalar_columns(at, len(xcols), {})
+        syz_rows.extend(rows)
+    for coord in range(gd):
+        row = [n[coord] for _, n in disc_gens]
+        if any(row):
+            syz_rows.append(row)
+
+    def residual(cont, a):
+        resid = dict(cont)
+        for val, (x, _) in zip(a, disc_gens):
+            if val:
+                abgroup._addmul(resid, -val, x)
+        return resid
+
+    for a in _int_nullspace(syz_rows, len(disc_gens)):
+        if not any(a):
+            continue
+        b = cont_coords(residual({}, a))
+        if b is None:
+            raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
+        relations.append(Relation(b, tuple(a), "Z"))
+    span = RefSpan(h.cod)
+    arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
+    for cont, disc, kind in h.dom.relations:
+        if kind == "C":
+            b = cont_coords(cont)
+            if b is None:
+                raise NonFiniteTypeKernel("domain line relation escaped the kernel")
+            if b:
+                relations.append(Relation(b, (0,) * len(disc_gens), "C"))
+            continue
+        img_c, img_d = h.apply(cont, disc)
+        m = span.member(img_c, img_d)
+        if m is None:
+            raise HomError("domain relation has no image certificate")
+        a = _int_solve(arows, list(disc) + m, len(ybasis))
+        if a is None:
+            raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
+        b = cont_coords(residual(cont, a))
+        if b is None:
+            raise NonFiniteTypeKernel("domain relation residual escaped the kernel")
+        if any(a) or b:
+            relations.append(Relation(b, tuple(a), "Z"))
+    kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
+    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(kernel_atom_indices))
+    return KernelResult(kg, inclusion)
+
+
+def ref_factor_through(f: GroupHom, mono: GroupHom) -> Optional[GroupHom]:
+    """``g`` with ``mono . g == f`` through the reference system, or None;
+    atoms are left out (the random homs below have none)."""
+    system = RefPreimageSystem(mono)
+    cont_images = []
+    for v in f.cont_images:
+        sol = system.elim.express(v)
+        if sol is None:
+            return None
+        cont_images.append(_head(sol, len(mono.cont_images)))
+    disc_images = []
+    for c, d in f.disc_images:
+        pre = system.preimage(c, d)
+        if pre is None:
+            return None
+        disc_images.append(pre)
+    return GroupHom(f.dom, mono.dom, cont_images, disc_images, ())
+
+
+# ---------------------------------------------------------------------------
+# Random groups and homs: C-rows and Z-rows over tables of width 0-2
+# ---------------------------------------------------------------------------
+
+
+def _draw_row(data, table: SymbolTable, width: int) -> dict:
+    bases = _bases(table)
+    row = {}
+    for j in range(width):
+        if data.draw(st.booleans()):
+            base = data.draw(st.sampled_from(bases))
+            row[j] = base.scale(data.draw(st.sampled_from([1, -1, 2, 3])))
+    return row
+
+
+def _draw_disc(data, width: int) -> Tuple[int, ...]:
+    return tuple(data.draw(st.sampled_from([0, 0, 1, -1, 2, 3, 4, -6])) for _ in range(width))
+
+
+def _draw_group(data, table: SymbolTable) -> PresentedAbelianGroup:
+    a, b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    relations = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if a and data.draw(st.integers(0, 3)) == 0:
+            relations.append(Relation(_draw_row(data, table, a), (0,) * b, "C"))
+        else:
+            relations.append(Relation(_draw_row(data, table, a), _draw_disc(data, b), "Z"))
+    return PresentedAbelianGroup(table, a, b, relations)
+
+
+def _draw_images(data, dom: PresentedAbelianGroup, cod: PresentedAbelianGroup):
+    table = dom.table
+    cont = [_draw_row(data, table, cod.cont_rank) for _ in range(dom.cont_rank)]
+    disc = [
+        (_draw_row(data, table, cod.cont_rank), _draw_disc(data, cod.disc_rank))
+        for _ in range(dom.disc_rank)
+    ]
+    return cont, disc
+
+
+def _draw_hom(data) -> GroupHom:
+    """A hom whose codomain also kills the images of the domain's relations,
+    so that it is a homomorphism by construction."""
+    table = TABLES[data.draw(st.sampled_from([0, 1, 2]))]
+    dom, base = _draw_group(data, table), _draw_group(data, table)
+    cont, disc = _draw_images(data, dom, base)
+    free = GroupHom(PresentedAbelianGroup(table, dom.cont_rank, dom.disc_rank), base, cont, disc)
+    images = [Relation(*free.apply(r.cont, r.disc), r.span) for r in dom.relations]
+    cod = PresentedAbelianGroup(
+        table, base.cont_rank, base.disc_rank, list(base.relations) + images
+    )
+    return GroupHom(dom, cod, cont, disc)
+
+
+def _draw_element(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None):
+    """A codomain element: often a combination of relations (and images of
+    ``hom``), otherwise arbitrary."""
+    table = g.table
+    if data.draw(st.booleans()):
+        return _draw_row(data, table, g.cont_rank), list(_draw_disc(data, g.disc_rank))
+    cont: dict = {}
+    disc = [0] * g.disc_rank
+    gens = [(r.cont, r.disc) for r in g.zrows()]
+    if hom is not None:
+        gens += [(c, d) for c, d in hom.disc_images]
+    for c, d in gens:
+        n = data.draw(st.sampled_from([0, 1, -1, 2]))
+        if n:
+            abgroup._addmul(cont, n, c)
+            disc = [x + n * y for x, y in zip(disc, d)]
+    lines = [r.cont for r in g.relations if r.span == "C"]
+    if hom is not None:
+        lines += list(hom.cont_images)
+    for c in lines:
+        if data.draw(st.booleans()):
+            abgroup._addmul(cont, data.draw(st.sampled_from(_bases(table))), c)
+    return cont, disc
+
+
+class TestOneSystem:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_membership_verdicts_equal_the_reference(self, data) -> None:
+        table = TABLES[data.draw(st.sampled_from([0, 1, 2]))]
+        g = _draw_group(data, table)
+        if data.draw(st.booleans()):
+            # A group's own span: the system with no generators.
+            got, want, hom = _span_of(g), RefSpan(g), None
+        else:
+            # A span with extra rows, as is_exact_at builds it.
+            dom = _draw_group(data, table)
+            cont, disc = _draw_images(data, dom, g)
+            free = PresentedAbelianGroup(table, dom.cont_rank, dom.disc_rank)
+            hom = GroupHom(free, g, cont, disc)
+            got, want = _PreimageSystem(g, cont, disc), RefSpan(g, cont, disc)
+        for _ in range(3):
+            c, d = _draw_element(data, g, hom)
+            assert got.has_line(c) == want.has_line(c)
+            assert (got.solve(c, d) is None) == (want.member(c, d) is None)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_kernel_equals_the_reference(self, data) -> None:
+        h = _draw_hom(data)
+        check_hom(h)
+        assert _kernel(h) == ref_kernel(h)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_preimages_equal_the_reference(self, data) -> None:
+        h = _draw_hom(data)
+        ref = RefPreimageSystem(h)
+        for _ in range(3):
+            c, d = _draw_element(data, h.cod, h)
+            assert preimage_element(h, c, d) == ref.preimage(c, d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_factor_through_equals_the_reference(self, data) -> None:
+        mono = _draw_hom(data)
+        table = mono.dom.table
+        # f = mono . s for a random s, so that f factors through mono.
+        src = _draw_group(data, table)
+        cont, disc = _draw_images(data, src, mono.dom)
+        free = PresentedAbelianGroup(table, src.cont_rank, src.disc_rank)
+        s = GroupHom(free, mono.dom, cont, disc)
+        f = compose(mono, s)
+        want = ref_factor_through(f, mono)
+        assert want is not None
+        assert factor_through(f, mono, check=False) == want

@@ -5,6 +5,11 @@ module, be read by the benchmark (a name that ``perfbench/layers.py`` traces
 or that ``perfbench/geodesic.py`` imports), or carry a one-line reason in
 ``KEPT``.  The benchmark's tracer wraps only the functions listed in
 ``__all__``, so the traced names must stay there.
+
+Below the surface, every private module-level function and class and every
+method defined in ``src/folmod`` must be referenced somewhere in
+``src/folmod``, or carry a one-line reason in ``UNREFERENCED``: code that
+only tests call, or that nothing calls, is deleted.
 """
 
 from __future__ import annotations
@@ -43,6 +48,63 @@ KEPT = {
     "foliation.ChainCounts": "report model: ModuliReport.chain_counts",
     "cli.main": "the folmod console script",
 }
+
+
+UNREFERENCED = {
+    "exactnum.IntMatrix.det": "the tests' unimodularity oracle for the Smith form",
+}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions() -> dict:
+    """``{qualified name: name}`` of every private module-level function and
+    class and every method, dunders aside, in ``src/folmod``."""
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and not _dunder(node.name):
+                defs[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                        defs[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return defs
+
+
+def _references() -> set:
+    """Every name, attribute and imported name used in ``src/folmod``."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_private_definition_and_method_is_referenced() -> None:
+    used = _references()
+    unreferenced = [
+        qualified
+        for qualified, name in _definitions().items()
+        if name not in used and qualified not in UNREFERENCED
+    ]
+    assert unreferenced == [], f"nothing in src/folmod references {unreferenced}"
+
+
+def test_unreferenced_entries_are_defined_and_unreferenced() -> None:
+    defs, used = _definitions(), _references()
+    for qualified in UNREFERENCED:
+        assert qualified in defs, qualified
+        assert defs[qualified] not in used, qualified
 
 
 def _imported_by(module: str) -> set:
