@@ -196,12 +196,17 @@ def _disc_ident(n: int) -> List[Tuple[Row, Tuple[int, ...]]]:
     return [({}, _unit(i, n)) for i in range(n)]
 
 
-def _addmul(acc: Row, c: "Scalar | Fraction | int", row: Mapping[int, Scalar]) -> None:
-    """``acc += c * row`` in place for a nonzero Scalar or rational ``c``;
-    cancelled entries go, and ``c == 1`` adds the entries themselves."""
+def _addmul(
+    acc: Row, c: "Scalar | Fraction | int", row: Mapping[int, Scalar], skip: int = -1
+) -> None:
+    """``acc += c * row`` in place for a nonzero Scalar or rational ``c``,
+    leaving out column ``skip``; cancelled entries go, and ``c == 1`` adds
+    the entries themselves."""
     rational = not isinstance(c, Scalar)
     unit = rational and c == 1
     for j, x in row.items():
+        if j == skip:
+            continue
         y = x if unit else x.scale(c) if rational else c * x
         cur = acc.get(j)
         if cur is not None:
@@ -259,10 +264,10 @@ class _Elimination:
                 if track:
                     combo = {k: y / lead for k, y in combo.items()}
             for q, other in self.rows.items():
-                c = other.get(p)
+                c = other.pop(p, None)
                 if c is not None:
                     c = -c
-                    _addmul(other, c, row)
+                    _addmul(other, c, row, p)
                     if track:
                         _addmul(self.combos[q], c, combo)
             self.rows[p] = row
@@ -271,12 +276,14 @@ class _Elimination:
 
     def _reduce(self, v: Mapping[int, Scalar], track: bool) -> Tuple[Row, Row]:
         # Each reduced row is 0 at every other pivot, so v's entry at a pivot
-        # is still the original one when that pivot's turn comes.
+        # is still the original one when that pivot's turn comes.  The pivot
+        # row is 1 at its pivot: that entry of v goes, and the row's other
+        # entries are subtracted.
         out = dict(v)
         x: Row = {}
         for p in [p for p in v if p in self.rows]:
-            c = out[p]
-            _addmul(out, -c, self.rows[p])
+            c = out.pop(p)
+            _addmul(out, -c, self.rows[p], p)
             if track:
                 _addmul(x, c, self.combos[p])
         return out, x
@@ -817,7 +824,7 @@ class _PreimageSystem:
     :meth:`preimage` and the kernel read; membership needs none.
     """
 
-    __slots__ = ("gc", "gd", "elim", "ycols", "ycoords", "disc_rows")
+    __slots__ = ("gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "disc_sign")
 
     def __init__(
         self,
@@ -832,8 +839,12 @@ class _PreimageSystem:
         self.elim = _Elimination(list(cont_images) + crows, cod.table, track)
         self.ycols = [_neg(c) for c, _ in disc_images] + [r.cont for r in zrows]
         self.ycoords = _by_coordinate([self.elim.reduce(c) for c in self.ycols])
+        # A group's span (no images) multiplies its discrete equations by -1.
+        # The solutions stay, and its integer matrix becomes the Z-rows' own
+        # [Zc; Zd], so its certificate y = -m takes m from their Smith form.
+        sign = self.disc_sign = 1 if cont_images or disc_images else -1
         self.disc_rows = [
-            [d[coord] for _, d in disc_images] + [-r.disc[coord] for r in zrows]
+            [d[coord] for _, d in disc_images] + [-sign * r.disc[coord] for r in zrows]
             for coord in range(cod.disc_rank)
         ]
 
@@ -849,7 +860,7 @@ class _PreimageSystem:
         for row, b in zip(self.disc_rows, target_disc):
             if b or any(row):
                 rows.append(row)
-                rhs.append(b)
+                rhs.append(self.disc_sign * b)
         return rows, rhs
 
     def has_line(self, vcont: Mapping[int, Scalar]) -> bool:

@@ -3,10 +3,10 @@
 Everything downstream (group presentations, cohomology, moduli reports) is
 computed over the field Q(x_1, ..., x_n) of rational functions in finitely
 many formal symbols, with rational coefficients.  Scalars are kept in a
-canonical normal form -- a reduced ratio of primitive integer-content
-polynomials, with the rational content factored out -- so equality is
-decidable and serialized output is reproducible byte for byte.  No floating
-point number ever enters a result.
+canonical normal form -- a reduced ratio of primitive polynomials with
+Python int coefficients, times one ``Fraction`` that holds the rational
+content -- so equality is decidable and serialized output is reproducible
+byte for byte.  No floating point number ever enters a result.
 
 >>> t = SymbolTable(["alpha_t", "beta_t"])
 >>> a = Scalar.symbol(t, "alpha_t")
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -109,10 +109,17 @@ class SymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# Internal polynomial arithmetic: dict {exponent tuple: Fraction}, no zeros.
+# Internal polynomial arithmetic: dict {exponent tuple: int}, no zeros.
+#
+# Coefficients are Python ints.  A Scalar's numerator and denominator are
+# primitive, and every exact division below is by a primitive polynomial (a
+# gcd, a denominator or a content in one variable), so by Gauss's lemma its
+# quotient has integer coefficients too.  Only the polynomials read by
+# ``_p_from_json`` carry ``Fraction`` coefficients, until ``_p_primitive``
+# clears them.
 # ---------------------------------------------------------------------------
 
-_Poly = Dict[Tuple[int, ...], Fraction]
+_Poly = Dict[Tuple[int, ...], int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -123,7 +130,7 @@ def _p_unit(width: int) -> _Poly:
     """The constant polynomial 1 of the given width, shared: never mutate it."""
     unit = _UNITS.get(width)
     if unit is None:
-        unit = _UNITS[width] = {(0,) * width: _ONE}
+        unit = _UNITS[width] = {(0,) * width: 1}
     return unit
 
 
@@ -134,22 +141,23 @@ def _p_is_const(a: _Poly) -> bool:
 
 def _p_sym(width: int, i: int) -> _Poly:
     mono = tuple(1 if j == i else 0 for j in range(width))
-    return {mono: _ONE}
+    return {mono: 1}
 
 
 def _grlex_key(mono: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
     return (sum(mono), mono)
 
 
-def _p_leading(p: _Poly) -> Tuple[Tuple[int, ...], Fraction]:
-    mono = max(p, key=_grlex_key)
+def _p_leading(p: _Poly) -> Tuple[Tuple[int, ...], int]:
+    # The largest (total degree, monomial) pair, compared in C.
+    mono = max(zip(map(sum, p), p))[1]
     return mono, p[mono]
 
 
 def _p_add(a: _Poly, b: _Poly) -> _Poly:
     out = dict(a)
     for mono, c in b.items():
-        s = out.get(mono, _ZERO) + c
+        s = out.get(mono, 0) + c
         if s:
             out[mono] = s
         else:
@@ -165,18 +173,26 @@ def _p_sub(a: _Poly, b: _Poly) -> _Poly:
     return _p_add(a, _p_neg(b))
 
 
-def _p_scale(a: _Poly, c: Fraction) -> _Poly:
+def _p_scale(a: _Poly, c: int | Fraction) -> _Poly:
+    """``c * a``; ``a`` itself when ``c == 1``."""
+    if c == 1:
+        return a
     if c == 0:
         return {}
     return {m: v * c for m, v in a.items()}
 
 
 def _p_mul(a: _Poly, b: _Poly) -> _Poly:
+    """``a * b``; a factor equal to the constant 1 returns the other one."""
+    if len(a) == 1 and a.get((0,) * len(next(iter(a)))) == 1:
+        return b
+    if len(b) == 1 and b.get((0,) * len(next(iter(b)))) == 1:
+        return a
     out: _Poly = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             mono = tuple(x + y for x, y in zip(m1, m2))
-            s = out.get(mono, _ZERO) + c1 * c2
+            s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
             else:
@@ -184,40 +200,38 @@ def _p_mul(a: _Poly, b: _Poly) -> _Poly:
     return out
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        _int_gcd(a.numerator, b.numerator),
-        (a.denominator * b.denominator) // _int_gcd(a.denominator, b.denominator),
-    )
+def _p_primitive(a: _Poly) -> Tuple[int | Fraction, _Poly]:
+    """Split ``a = content * primitive`` with a positive-leading primitive part
+    with int coefficients.
 
-
-def _p_content(a: _Poly) -> Fraction:
-    """Positive rational content, signed by the graded-lex leading coefficient."""
-    if not a:
-        return _ZERO
-    c = _ZERO
-    for v in a.values():
-        c = _frac_gcd(c, abs(v))
-    if _p_leading(a)[1] < 0:
-        c = -c
-    return c
-
-
-def _p_primitive(a: _Poly) -> Tuple[Fraction, _Poly]:
-    """Split ``a = content * primitive`` with a positive-leading primitive part.
-
-    A polynomial that is already primitive is returned as it is, not copied.
+    The content is an int for an int polynomial, and its sign is that of the
+    graded-lex leading coefficient.  ``a`` may also have ``Fraction``
+    coefficients, as :func:`_p_from_json` reads them.  An int polynomial that
+    is already primitive is returned as it is, not copied.
     """
     if not a:
-        return _ZERO, {}
-    c = _p_content(a)
-    if c == 1:
-        return c, a
-    return c, {m: v / c for m, v in a.items()}
+        return 0, {}
+    den = 1
+    try:
+        g = _int_gcd(*a.values())
+    except TypeError:  # Fraction coefficients: clear their denominators first
+        den = _int_lcm(*(v.denominator for v in a.values()))
+        a = {m: v.numerator * (den // v.denominator) for m, v in a.items()}
+        g = _int_gcd(*a.values())
+    if _p_leading(a)[1] < 0:
+        g = -g
+    if g != 1:
+        a = {m: v // g for m, v in a.items()}
+    return (g if den == 1 else Fraction(g, den)), a
 
 
 def _p_div_exact(a: _Poly, b: _Poly) -> _Poly:
-    """Exact polynomial division; raises if ``b`` does not divide ``a``."""
+    """Exact division in Z[x] by a primitive ``b``; raises if it is inexact.
+
+    By Gauss's lemma a quotient by a primitive polynomial has integer
+    coefficients, so a quotient step that is not an integer means that ``b``
+    does not divide ``a``.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     lm_b, lc_b = _p_leading(b)
@@ -226,11 +240,17 @@ def _p_div_exact(a: _Poly, b: _Poly) -> _Poly:
     while r:
         lm_r, lc_r = _p_leading(r)
         mono = tuple(x - y for x, y in zip(lm_r, lm_b))
-        if any(e < 0 for e in mono):
+        c, rem = divmod(lc_r, lc_b)
+        if rem or any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
-        c = lc_r / lc_b
-        q[mono] = q.get(mono, _ZERO) + c
-        r = _p_sub(r, _p_mul({mono: c}, b))
+        q[mono] = c
+        for m, v in b.items():
+            m = tuple(x + y for x, y in zip(mono, m))
+            s = r.get(m, 0) - c * v
+            if s:
+                r[m] = s
+            else:
+                del r[m]
     return q
 
 
@@ -245,7 +265,7 @@ def _p_coeffs_in(a: _Poly, v: int) -> Dict[int, _Poly]:
         d = mono[v]
         rest = mono[:v] + (0,) + mono[v + 1:]
         coeff = out.setdefault(d, {})
-        coeff[rest] = coeff.get(rest, _ZERO) + c
+        coeff[rest] = coeff.get(rest, 0) + c
     return {d: {m: c for m, c in coeff.items() if c} for d, coeff in out.items()}
 
 
@@ -253,7 +273,7 @@ def _p_shift_var(a: _Poly, v: int, k: int) -> _Poly:
     return {m[:v] + (m[v] + k,) + m[v + 1:]: c for m, c in a.items()}
 
 
-def _p_content_in(a: _Poly, v: int) -> _Poly:
+def _p_var_content(a: _Poly, v: int) -> _Poly:
     """Polynomial content of ``a`` with respect to variable ``v``."""
     g: _Poly = {}
     for coeff in _p_coeffs_in(a, v).values():
@@ -284,15 +304,15 @@ def _p_gcd(a: _Poly, b: _Poly) -> _Poly:
     if not vs:
         return _p_unit(width)
     v = vs[-1]
-    ca, pa = _p_content_in(a, v), None
-    cb, pb = _p_content_in(b, v), None
+    ca = _p_var_content(a, v)
+    cb = _p_var_content(b, v)
     pa = _p_div_exact(a, ca) if ca else a
     pb = _p_div_exact(b, cb) if cb else b
     cg = _p_gcd(ca, cb)
     f, g = (pa, pb) if _p_deg_in(pa, v) >= _p_deg_in(pb, v) else (pb, pa)
     while g:
         r = _p_prem(f, g, v)
-        f, g = g, (r and _p_div_exact(r, _p_content_in(r, v)) or {})
+        f, g = g, (r and _p_div_exact(r, _p_var_content(r, v)) or {})
     return _p_primitive(_p_mul(cg, f))[1]
 
 
@@ -385,7 +405,12 @@ class Scalar:
 
     Normalization and arithmetic skip the polynomial work whenever a side is
     constant, rational operands combine their ``rat`` alone, and a zero
-    operand returns at once.  Three invariants make that safe and cheap:
+    operand returns at once.  These invariants make that safe and cheap:
+
+    - every coefficient of ``num`` and ``den`` is a Python ``int`` (their
+      content is 1), so ``rat`` is the one ``Fraction`` of a Scalar; an
+      integral ``Fraction`` prints, serializes and hashes like its int, so
+      the stored form does not show in ``str``, ``to_json`` or ``hash``;
 
     - every zero Scalar holds the one interned ``Fraction(0)`` as its
       ``rat`` (``__init__`` replaces any zero value by it), so
@@ -395,7 +420,9 @@ class Scalar:
       identity;
     - no code mutates a Scalar's ``num`` or ``den`` in place: Scalars share
       these dicts with each other, with the inputs they were built from and
-      with the unit polynomial.
+      with the unit polynomial.  A product with the unit polynomial is the
+      other factor itself, not a copy, so a Scalar times a rational, or
+      scaled, keeps its ``num`` and ``den``.
 
     >>> t = SymbolTable(["mu"])
     >>> mu = Scalar.symbol(t, "mu")
@@ -423,19 +450,25 @@ class Scalar:
             if type(rat) is not Fraction:
                 rat = Fraction(rat)
         elif _p_is_const(num) and _p_is_const(den):
-            rat = Fraction(rat) * next(iter(num.values())) / next(iter(den.values()))
+            rat = Fraction(
+                rat.numerator * next(iter(num.values())),
+                rat.denominator * next(iter(den.values())),
+            )
             num = den = unit
         else:
             cn, num = _p_primitive(num)
             cd, den = _p_primitive(den)
-            rat = Fraction(rat) * cn / cd
-            # The gcd of a constant and anything is 1.
+            if cn != 1 or cd != 1 or type(rat) is not Fraction:
+                rat = Fraction(rat.numerator * cn, rat.denominator * cd)
+            # The gcd of a constant and anything is 1.  The quotients of two
+            # primitive, positive-leading polynomials by their gcd are again
+            # primitive and positive-leading (Gauss's lemma), so ``rat``
+            # stays as it is.
             if not (_p_is_const(num) or _p_is_const(den)):
                 g = _p_gcd(num, den)
                 if not _p_is_const(g):
-                    cn, num = _p_primitive(_p_div_exact(num, g))
-                    cd, den = _p_primitive(_p_div_exact(den, g))
-                    rat = rat * cn / cd
+                    num = _p_div_exact(num, g)
+                    den = _p_div_exact(den, g)
             if _p_is_const(num):
                 num = unit
             if _p_is_const(den):
@@ -528,11 +561,7 @@ class Scalar:
             return other
         if self.num is self.den and other.num is other.den:
             return Scalar(self.table, self.rat + other.rat, self.num, self.den)
-        num = _p_add(
-            _p_scale(_p_mul(self.num, other.den), self.rat),
-            _p_scale(_p_mul(other.num, self.den), other.rat),
-        )
-        return Scalar(self.table, _ONE, num, _p_mul(self.den, other.den))
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.table, -self.rat, self.num, self.den)
@@ -543,7 +572,22 @@ class Scalar:
             return self
         if self.num is self.den and other.num is other.den:
             return Scalar(self.table, self.rat - other.rat, self.num, self.den)
-        return self + (-other)
+        if self.rat is _ZERO:
+            return -other
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Scalar", sign: int) -> "Scalar":
+        """``self + sign * other`` for nonzero operands, over the lcm of the
+        two ``rat`` denominators: the numerators become integer multiples of
+        int polynomials."""
+        a, b = self.rat, other.rat
+        g = _int_gcd(a.denominator, b.denominator)
+        num = _p_add(
+            _p_scale(_p_mul(self.num, other.den), a.numerator * (b.denominator // g)),
+            _p_scale(_p_mul(other.num, self.den), sign * b.numerator * (a.denominator // g)),
+        )
+        rat = Fraction(1, a.denominator // g * b.denominator)
+        return Scalar(self.table, rat, num, _p_mul(self.den, other.den))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -580,7 +624,7 @@ class Scalar:
             return self
         if not c:
             return Scalar.zero(self.table)
-        return Scalar(self.table, self.rat * Fraction(c), self.num, self.den)
+        return Scalar(self.table, self.rat * c, self.num, self.den)
 
     # -- comparisons, hashing, display --------------------------------------
 
@@ -654,6 +698,40 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 
+def _expansion(
+    scalars: Sequence[Scalar],
+) -> Tuple[List[List[Fraction]], List[Tuple[int, ...]], _Poly]:
+    """``(vectors, monomials, den)``: ``den`` is the lcm of the scalars'
+    denominators, and ``vectors[i]`` holds the coefficients of
+    ``scalars[i] * den`` at the sorted ``monomials``."""
+    table = scalars[0].table
+    unit = table._unit
+    den = unit
+    for s in scalars:
+        if s.table != table:
+            raise SymbolTableMismatch("monomial expansion over mixed symbol tables")
+        if s.den is unit:
+            continue
+        if den is unit:
+            den = s.den
+        else:
+            den = _p_mul(den, _p_div_exact(s.den, _p_gcd(den, s.den)))
+    numerators: List[Dict[Tuple[int, ...], Fraction]] = []
+    for s in scalars:
+        if s.rat is _ZERO:
+            numerators.append({})
+            continue
+        if s.den is den:
+            cofactor = s.num
+        elif s.den is unit:
+            cofactor = _p_mul(s.num, den)
+        else:
+            cofactor = _p_mul(s.num, _p_div_exact(den, s.den))
+        numerators.append({m: c * s.rat for m, c in cofactor.items()})
+    monos = sorted({m for v in numerators for m in v})
+    return [[v.get(m, _ZERO) for m in monos] for v in numerators], monos, den
+
+
 def monomial_expansion(
     scalars: Sequence[Scalar],
 ) -> Tuple[List[List[Fraction]], List["Scalar"]]:
@@ -675,35 +753,18 @@ def monomial_expansion(
     """
     if not scalars:
         return [], []
+    vectors, monos, den = _expansion(scalars)
     table = scalars[0].table
-    unit = table._unit
-    den = unit
-    for s in scalars:
-        if s.table != table:
-            raise SymbolTableMismatch("monomial expansion over mixed symbol tables")
-        if s.den is unit:
-            continue
-        if den is unit:
-            den = s.den
-        else:
-            den = _p_mul(den, _p_div_exact(s.den, _p_gcd(den, s.den)))
-    vectors: List[_Poly] = []
-    for s in scalars:
-        if s.den is den:
-            cofactor = s.num
-        elif s.den is unit:
-            cofactor = _p_mul(s.num, den)
-        else:
-            cofactor = _p_mul(s.num, _p_div_exact(den, s.den))
-        vectors.append(_p_scale(cofactor, s.rat))
-    monos = sorted({m for v in vectors for m in v})
-    basis = [Scalar(table, _ONE, {m: _ONE}, den) for m in monos]
-    return [[v.get(m, _ZERO) for m in monos] for v in vectors], basis
+    return vectors, [Scalar(table, _ONE, {m: 1}, den) for m in monos]
 
 
 def monomial_vectors(scalars: Sequence[Scalar]) -> List[List[Fraction]]:
-    """Coefficient vectors of :func:`monomial_expansion`, basis dropped."""
-    return monomial_expansion(scalars)[0]
+    """The coefficient vectors of :func:`monomial_expansion`, without
+    building its basis Scalars: only the Q-linear relations among the
+    scalars are read from them."""
+    if not scalars:
+        return []
+    return _expansion(scalars)[0]
 
 
 # ---------------------------------------------------------------------------

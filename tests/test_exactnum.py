@@ -10,6 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from folmod import exactnum
 from folmod.abgroup import _signnorm
 from folmod.exactnum import (
     IntMatrix,
@@ -326,3 +327,261 @@ class TestNormalForm:
         table, [(r, num, den)] = data
         s = Scalar(table, r, num, den)
         assert _signnorm(s) == (-s if str(s).startswith("-") else s)
+
+
+# ---------------------------------------------------------------------------
+# The stored representation: int coefficients, content 1, positive lead
+# ---------------------------------------------------------------------------
+
+WIDE_TABLES = {width: SymbolTable(["x", "y", "z"][:width]) for width in (1, 2, 3)}
+
+# Operands whose total degrees sum past this are not combined, so that no
+# drawn computation runs into a slow gcd.
+MAX_DRAWN_DEGREE = 8
+
+
+def _leading(poly: dict) -> tuple:
+    return max(poly, key=lambda m: (sum(m), m))
+
+
+def _assert_stored_form(s: Scalar) -> None:
+    assert type(s.rat) is Fraction
+    for poly in (s.num, s.den):
+        assert poly and all(type(c) is int for c in poly.values())
+        assert math.gcd(*poly.values()) == 1
+        assert poly[_leading(poly)] > 0
+
+
+@st.composite
+def computed_scalars(draw) -> list:
+    """Every Scalar of a short random computation over a table of width 1-3."""
+    table = WIDE_TABLES[draw(st.sampled_from(sorted(WIDE_TABLES)))]
+    pool = [Scalar.symbol(table, name) for name in table.names]
+    pool += [Scalar.rational(table, draw(st.integers(-6, 6)), draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(1, 8))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        op = draw(st.sampled_from(["+", "-", "*", "/", "neg", "scale"]))
+        if a.total_degree() + b.total_degree() > MAX_DRAWN_DEGREE:
+            continue
+        if op == "+":
+            pool.append(a + b)
+        elif op == "-":
+            pool.append(a - b)
+        elif op == "*":
+            pool.append(a * b)
+        elif op == "/" and not b.is_zero():
+            pool.append(a / b)
+        elif op == "neg":
+            pool.append(-a)
+        elif op == "scale":
+            pool.append(a.scale(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))))
+    return pool
+
+
+@st.composite
+def json_polys(draw, width: int) -> list:
+    """``[[exponents, [p, q]], ...]`` with coefficients that are mostly not
+    integers, of total degree at most 3 (the polynomial gcd is slow on
+    some larger inputs); may be empty."""
+    monos = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * width).filter(lambda m: sum(m) <= 3),
+            max_size=4,
+            unique=True,
+        )
+    )
+    return [
+        [list(m), [draw(st.integers(-12, 12)), draw(st.sampled_from([1, 2, 3, 4, 6, -6]))]]
+        for m in monos
+    ]
+
+
+class TestStoredForm:
+    @settings(deadline=None)
+    @given(computed_scalars())
+    def test_arithmetic_stores_primitive_int_polynomials(self, pool: list) -> None:
+        for s in pool:
+            _assert_stored_form(s)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_from_json_clears_fraction_coefficients(self, data) -> None:
+        table = WIDE_TABLES[data.draw(st.sampled_from(sorted(WIDE_TABLES)))]
+        width = len(table)
+        num = data.draw(json_polys(width))
+        den = data.draw(json_polys(width).filter(lambda p: any(c[0] for _, c in p)))
+        rat = [data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 5))]
+        s = Scalar.from_json(table, {"rat": rat, "num": num, "den": den})
+        _assert_stored_form(s)
+        value = sympy.Rational(*rat) * _to_sympy(_poly_of_json(num), table)
+        value = value / _to_sympy(_poly_of_json(den), table)
+        assert sympy.cancel(_scalar_to_sympy(s) - value) == 0
+        back = Scalar.from_json(table, s.to_json())
+        assert back == s and str(back) == str(s) and hash(back) == hash(s)
+
+    def test_a_product_with_the_unit_shares_the_other_factor(self) -> None:
+        table = WIDE_TABLES[2]
+        x, y = Scalar.symbol(table, "x"), Scalar.symbol(table, "y")
+        p = x * y + Scalar.one(table)
+        unit = table._unit
+        assert exactnum._p_mul(unit, p.num) is p.num
+        assert exactnum._p_mul(p.num, unit) is p.num
+        assert (p * Scalar.rational(table, 3)).num is p.num
+        assert p.scale(Fraction(-2, 5)).num is p.num
+        assert (Scalar.one(table) / p).den is p.num
+
+
+def _poly_of_json(data: list) -> dict:
+    return {tuple(m): Fraction(*c) for m, c in data if c[0]}
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the Fraction-coefficient kernel the int one
+# replaced, with a Fraction per monomial
+# ---------------------------------------------------------------------------
+
+
+def _frac_poly(a: dict) -> dict:
+    return {m: Fraction(c) for m, c in a.items()}
+
+
+def _ref_frac_gcd(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(
+        math.gcd(a.numerator, b.numerator),
+        (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator),
+    )
+
+
+def ref_p_content(a: dict) -> Fraction:
+    """Positive rational content, signed by the graded-lex leading coefficient."""
+    if not a:
+        return Fraction(0)
+    c = Fraction(0)
+    for v in a.values():
+        c = _ref_frac_gcd(c, abs(v))
+    if a[_leading(a)] < 0:
+        c = -c
+    return c
+
+
+def ref_p_primitive(a: dict) -> tuple:
+    if not a:
+        return Fraction(0), {}
+    c = ref_p_content(a)
+    if c == 1:
+        return c, a
+    return c, {m: v / c for m, v in a.items()}
+
+
+def ref_p_div_exact(a: dict, b: dict) -> dict:
+    """Exact division over Q; raises if ``b`` does not divide ``a``."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lm_b = _leading(b)
+    lc_b = b[lm_b]
+    r = dict(a)
+    q: dict = {}
+    while r:
+        lm_r = _leading(r)
+        mono = tuple(x - y for x, y in zip(lm_r, lm_b))
+        if any(e < 0 for e in mono):
+            raise ArithmeticError("inexact polynomial division")
+        c = r[lm_r] / lc_b
+        q[mono] = q.get(mono, Fraction(0)) + c
+        for m, v in b.items():
+            m = tuple(x + y for x, y in zip(mono, m))
+            s = r.get(m, Fraction(0)) - c * v
+            if s:
+                r[m] = s
+            else:
+                r.pop(m, None)
+    return q
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(mono, Fraction(0)) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def ref_monomial_expansion(scalars: list) -> tuple:
+    """Vectors and basis of ``monomial_expansion`` with Fraction polynomials."""
+    table = scalars[0].table
+    unit = table._unit
+    den = _frac_poly(unit)
+    for s in scalars:
+        if s.den is unit:
+            continue
+        g = exactnum._p_gcd({m: int(c) for m, c in den.items()}, s.den)
+        den = _ref_mul(den, ref_p_div_exact(_frac_poly(s.den), _frac_poly(g)))
+    vectors = []
+    for s in scalars:
+        cofactor = _ref_mul(_frac_poly(s.num), ref_p_div_exact(den, _frac_poly(s.den)))
+        vectors.append({m: v * s.rat for m, v in cofactor.items()} if s.rat else {})
+    monos = sorted({m for v in vectors for m in v})
+    basis = [Scalar(table, Fraction(1), {m: Fraction(1)}, den) for m in monos]
+    return [[v.get(m, Fraction(0)) for m in monos] for v in vectors], basis
+
+
+@st.composite
+def int_polys(draw, width: int) -> dict:
+    monos = draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * width), min_size=1, max_size=4, unique=True)
+    )
+    return {m: c for m in monos if (c := draw(st.integers(-9, 9)))}
+
+
+class TestAgainstTheFractionKernel:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_primitive_part_and_content(self, data) -> None:
+        width = data.draw(st.integers(1, 3))
+        a = data.draw(st.one_of(int_polys(width), raw_polys(width)))
+        content, prim = exactnum._p_primitive(a)
+        want_content, want_prim = ref_p_primitive(_frac_poly(a))
+        assert content == want_content and prim == want_prim
+        assert all(type(c) is int for c in prim.values())
+        if all(type(c) is int for c in a.values()):
+            assert type(content) is int
+            if content == 1:
+                assert prim is a
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_exact_division(self, data) -> None:
+        width = data.draw(st.integers(1, 3))
+        a = data.draw(int_polys(width))
+        b = exactnum._p_primitive(data.draw(int_polys(width)))[1]
+        if not b:
+            return
+        extra = data.draw(st.one_of(st.just({}), int_polys(width)))
+        dividend = exactnum._p_add(exactnum._p_mul(a, b), extra)
+        try:
+            want = ref_p_div_exact(_frac_poly(dividend), _frac_poly(b))
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                exactnum._p_div_exact(dividend, b)
+            return
+        got = exactnum._p_div_exact(dividend, b)
+        assert got == want
+        assert all(type(c) is int for c in got.values())
+
+    @settings(deadline=None)
+    @given(raw_scalar_lists(max_size=4))
+    def test_monomial_expansion(self, data: tuple) -> None:
+        table, raws = data
+        if not len(table):
+            return
+        sc = [Scalar(table, r, num, den) for r, num, den in raws]
+        vectors, basis = monomial_expansion(sc)
+        want_vectors, want_basis = ref_monomial_expansion(sc)
+        assert vectors == want_vectors and basis == want_basis
+        assert all(type(f) is Fraction for vec in vectors for f in vec)
+        assert monomial_vectors(sc) == want_vectors

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import importlib.util
+import itertools
 import json
 import random
 import time
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from folmod import cli, foliation
-from folmod.exactnum import SymbolTable
+from folmod.exactnum import Scalar, SymbolTable
 from folmod.examples import EXAMPLES, example_doc
 from folmod.foliation import (
     NotFiniteType,
@@ -279,6 +280,21 @@ def test_a_sum_of_polynomials_is_not_bounded() -> None:
     text = "+".join(f"(a+b+c+d+e)^6*a^{7 * k}" for k in range(6))
     total = foliation.parse_scalar(table, text)
     assert len(total.num) == 6 * len(power.num) > foliation.MAX_TERMS
+
+
+def test_a_long_polynomial_round_trips_through_text_quickly() -> None:
+    # Each + re-normalizes the sum so far, so parsing stays quadratic in the
+    # number of terms; with a Fraction per coefficient this sum of 1,200
+    # monomials took 8-12 s to parse back from its own text.
+    table = SymbolTable(["a", "b", "c"])
+    monos = sorted(m for m in itertools.product(range(19), repeat=3) if sum(m) <= 18)[:1200]
+    rng = random.Random(0)
+    terms = [[list(m), [rng.choice([-1, 1]) * rng.randint(1, 99), 1]] for m in monos]
+    p = Scalar.from_json(table, {"rat": [1, 1], "num": terms, "den": [[[0, 0, 0], [1, 1]]]})
+    assert len(p.num) == 1200
+    started = time.perf_counter()
+    assert foliation.parse_scalar(table, str(p)) == p
+    assert time.perf_counter() - started < 4.0
 
 
 def test_the_bundled_examples_stay_within_the_term_bound() -> None:

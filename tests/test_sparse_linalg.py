@@ -655,6 +655,32 @@ class TestOneSystem:
         check_hom(h)
         assert _kernel(h) == ref_kernel(h)
 
+    def test_kernel_takes_the_relation_span_certificate(self) -> None:
+        # A span solved as [Zc; -Zd] y = [-t_c; t_d] has the same solutions
+        # as [Zc; Zd] m = [t_c; t_d] but another Smith form; its certificate
+        # gave this kernel the relations (1,0,4), (0,1,0), (-1,0,-3).
+        table = TABLES[0]
+        q = Scalar.rational(table, -3, 2)
+        dom = PresentedAbelianGroup(
+            table, 1, 2, [Relation({}, (1, 1), "Z"), Relation({}, (1, 0), "Z")]
+        )
+        cod = PresentedAbelianGroup(
+            table,
+            1,
+            2,
+            [
+                Relation({}, (2, 0), "Z"),
+                Relation({}, (1, 2), "Z"),
+                Relation({0: q}, (-1, 2), "Z"),
+                Relation({}, (-1, 1), "Z"),
+            ],
+        )
+        h = GroupHom(dom, cod, [{}], [({}, (-1, 1)), ({0: q}, (0, 1))])
+        check_hom(h)
+        got = _kernel(h)
+        assert got == ref_kernel(h)
+        assert [r.disc for r in got.group.relations] == [(1, 0, 4), (-1, 1, -4), (2, 0, 9)]
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_preimages_equal_the_reference(self, data) -> None:

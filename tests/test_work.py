@@ -15,11 +15,17 @@ import random
 from pathlib import Path
 
 from folmod import cli, exactnum
+from folmod.examples import EXAMPLES, example_doc
 from memo_caches import clear_caches
 
 # A run on the k=9 geodesic constructed 22,254 Scalars with dense rows, the
 # same under PYTHONHASHSEED 0 and 1; sparse rows need a fraction of that.
 MAX_SCALARS_K9 = 6000
+
+# Examples 0-6 constructed 5,427 Scalars when the elimination still reduced
+# through each pivot's own unit entry and a sum of polynomials went through
+# a negated copy; they need about 3,000 without that waste.
+MAX_SCALARS_EXAMPLES = 4000
 
 
 def _geodesic_module():
@@ -43,7 +49,8 @@ def _run_geodesic(k: int, tmp_path, capsys):
     return geo, periods, json.loads(out)
 
 
-def test_k9_geodesic_constructs_few_scalars(tmp_path, capsys, monkeypatch) -> None:
+def _count_scalars(monkeypatch, run) -> int:
+    """The Scalars ``run()`` constructs from cold caches."""
     count = 0
     init = exactnum.Scalar.__init__
 
@@ -54,9 +61,32 @@ def test_k9_geodesic_constructs_few_scalars(tmp_path, capsys, monkeypatch) -> No
 
     clear_caches()
     monkeypatch.setattr(exactnum.Scalar, "__init__", counted)
-    _run_geodesic(9, tmp_path, capsys)
-    monkeypatch.undo()
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return count
+
+
+def test_k9_geodesic_constructs_few_scalars(tmp_path, capsys, monkeypatch) -> None:
+    count = _count_scalars(monkeypatch, lambda: _run_geodesic(9, tmp_path, capsys))
     assert 0 < count <= MAX_SCALARS_K9
+
+
+def test_examples_construct_few_scalars(tmp_path, capsys, monkeypatch) -> None:
+    paths = []
+    for n in EXAMPLES:
+        path = tmp_path / f"ex{n}.json"
+        path.write_text(json.dumps(example_doc(n)), encoding="utf-8")
+        paths.append(path)
+
+    def run() -> None:
+        for path in paths:
+            assert cli.main(["moduli", str(path), "--format", "json"]) in (0, 3)
+        capsys.readouterr()
+
+    count = _count_scalars(monkeypatch, run)
+    assert 0 < count <= MAX_SCALARS_EXAMPLES
 
 
 def test_k33_geodesic_moduli(tmp_path, capsys) -> None:
