@@ -54,6 +54,8 @@ from .exactnum import (
     Scalar,
     SymbolTable,
     _is_int,
+    _numerator_over,
+    _snf_cached,
     monomial_expansion,
     monomial_vectors,
     smith_normal_form,
@@ -315,72 +317,51 @@ def _field_inverse(rows: Sequence[Mapping[int, Scalar]], table: SymbolTable) -> 
 # ---------------------------------------------------------------------------
 
 
-def _int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
-    """Basis of the integer kernel ``{y : rows . y = 0}``."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
-    diag = d.diagonal()
-    basis = []
-    for i in range(ncols):
-        if i >= len(diag) or diag[i] == 0:
-            basis.append([v.rows[r][i] for r in range(ncols)])
-    return basis
+class _IntSystem:
+    """An integer system ``rows . y = b`` factored once: the Smith form
+    ``U A V = D`` of its matrix answers every right side and the kernel.
 
+    :meth:`solve` gives one integer solution or None, :meth:`nullspace` a
+    basis of ``{y : rows . y = 0}``: the columns of ``V`` at the zero
+    diagonal entries.  A matrix with no rows or no columns is not factored.
+    """
 
-def _int_solve(
-    rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int
-) -> Optional[List[int]]:
-    """One integer solution of ``rows . y = b``, or None."""
-    if not rows:
-        return [0] * ncols
-    if ncols == 0:
-        return [] if all(x == 0 for x in b) else None
-    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
-    # b and y are mostly zero: the products run over their nonzero entries.
-    bnz = [(k, x) for k, x in enumerate(b) if x]
-    diag = d.diagonal()
-    ynz: List[Tuple[int, int]] = []
-    for i, urow in enumerate(u.rows):
-        ub = sum(urow[k] * x for k, x in bnz)
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if ub != 0:
+    __slots__ = ("ncols", "u", "diag", "v")
+
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
+        self.ncols = ncols
+        self.u, self.diag, self.v = (), [], ()
+        if rows and ncols:
+            u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
+            self.u, self.diag, self.v = u.rows, d.diagonal(), v.rows
+
+    def solve(self, b: Mapping[int, int]) -> Optional[List[int]]:
+        """One integer solution of ``rows . y = b``, or None; ``b`` maps a
+        row index to its right side, and absent rows have zero."""
+        if not self.v:
+            return None if any(b.values()) else [0] * self.ncols
+        # b and y are mostly zero: the products run over their nonzero entries.
+        bnz = [(k, x) for k, x in b.items() if x]
+        diag = self.diag
+        ynz: List[Tuple[int, int]] = []
+        for i, urow in enumerate(self.u):
+            ub = sum(urow[k] * x for k, x in bnz)
+            di = diag[i] if i < len(diag) else 0
+            if di == 0:
+                if ub != 0:
+                    return None
+            elif ub % di != 0:
                 return None
-        elif ub % di != 0:
-            return None
-        elif ub:
-            ynz.append((i, ub // di))
-    return [sum(vrow[k] * y for k, y in ynz) for vrow in v.rows]
+            elif ub:
+                ynz.append((i, ub // di))
+        return [sum(vrow[k] * y for k, y in ynz) for vrow in self.v]
 
-
-def _int_inverse(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Inverse of a unimodular integer matrix, exactly."""
-    n = len(rows)
-    aug = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for row in aug:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in tail])
-    return out
+    def nullspace(self) -> List[List[int]]:
+        """Basis of the integer kernel ``{y : rows . y = 0}``."""
+        n, diag = self.ncols, self.diag
+        if not self.v:
+            return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        return [[vrow[i] for vrow in self.v] for i in range(n) if i >= len(diag) or diag[i] == 0]
 
 
 def _hnf_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -758,41 +739,56 @@ def _by_coordinate(columns: Sequence[Mapping[int, Scalar]]) -> Dict[int, Row]:
 
 
 def _int_rows_from_scalar_columns(
-    at: Mapping[int, Mapping[int, Scalar]], ncols: int, target: Mapping[int, Scalar]
-) -> Tuple[List[List[int]], List[int]]:
-    """Expand ``sum n_j columns[j] = target`` coordinate-wise over monomials.
+    at: Mapping[int, Mapping[int, Scalar]], ncols: int
+) -> Tuple[List[List[int]], Dict[int, tuple]]:
+    """Expand ``sum n_j columns[j] = 0`` coordinate-wise over monomials.
 
     The ``ncols`` columns come grouped by coordinate, ``at[coord][j]`` (see
-    :func:`_by_coordinate`), and ``target`` is sparse over the coordinates.
-    Each coordinate where some entry is nonzero contributes, in coordinate
-    order, one integer row per monomial appearing there, with denominators
-    cleared row by row; returns ``(rows, rhs)``.  A coordinate whose entries
-    are all rational is one monomial and skips the expansion.
+    :func:`_by_coordinate`).  Each coordinate where some entry is nonzero
+    contributes, in coordinate order, one integer row per monomial of
+    :func:`~folmod.exactnum.monomial_vectors` over its entries, with
+    denominators cleared row by row.  A coordinate whose entries are all
+    rational is one monomial, keyed ``None``, and skips the expansion.
+
+    Returns ``(rows, index)``: ``index[coord]`` is ``(den, where)``, with
+    ``den`` the common denominator of the coordinate's entries (None when
+    they are all rational) and ``where[monomial]`` the pair of the row's
+    index and the lcm of the row's denominators.
     """
     rows: List[List[int]] = []
-    rhs: List[int] = []
-    for coord in sorted(at.keys() | target.keys()):
-        entries = at.get(coord, {})
-        t = target.get(coord)
-        scalars = list(entries.values()) if t is None else [*entries.values(), t]
+    index: Dict[int, tuple] = {}
+    for coord in sorted(at):
+        entries = at[coord]
+        scalars = list(entries.values())
         if all(x.is_rational() for x in scalars):
-            vectors = [[x.rat] for x in scalars]
+            vectors, monos, den = [[x.rat] for x in scalars], [None], None
         else:
-            vectors = monomial_vectors(scalars)
-        for m in range(len(vectors[0])):
+            vectors, monos, den = monomial_vectors(scalars)
+        where: Dict[object, Tuple[int, int]] = {}
+        index[coord] = (den, where)
+        for m, mono in enumerate(monos):
             fracs = [vec[m] for vec in vectors]
             if not any(fracs):
                 continue
-            denom = 1
-            for f in fracs:
-                denom = lcm(denom, f.denominator)
-            ints = [f.numerator * (denom // f.denominator) for f in fracs]
+            denom = lcm(*(f.denominator for f in fracs))
             row = [0] * ncols
-            for j, n in zip(entries, ints):
-                row[j] = n
+            for j, f in zip(entries, fracs):
+                row[j] = f.numerator * (denom // f.denominator)
+            where[mono] = (len(rows), denom)
             rows.append(row)
-            rhs.append(ints[-1] if t is not None else 0)
-    return rows, rhs
+    return rows, index
+
+
+def _coefficients_over(t: Scalar, den: Optional[dict]) -> Optional[Dict[object, Fraction]]:
+    """The coefficients of ``t * den`` in the monomials of a coordinate
+    whose entries have the common denominator ``den`` (None: all rational),
+    or None when ``t`` cannot be a Q-combination of those entries."""
+    if den is None:
+        return {None: t.rat} if t.is_rational() else None
+    try:
+        return _numerator_over(t, den)
+    except ArithmeticError:
+        return None
 
 
 class _PreimageSystem:
@@ -818,13 +814,29 @@ class _PreimageSystem:
     coordinate ``f``) kills it; since ``eta_f . v`` equals ``reduce(v)[f]``,
     reducing each of ``ycols`` once and the target once per solve gives
     these conditions exactly.  They are Q-linear, hence integer, conditions
-    on ``y`` (see :func:`_int_rows_from_scalar_columns`), solved through the
-    Smith form together with the discrete part.  With ``track`` the
-    elimination also records the field coefficients ``(x, lambda)``, which
-    :meth:`preimage` and the kernel read; membership needs none.
+    on ``y`` (see :func:`_int_rows_from_scalar_columns`), solved together
+    with the discrete part.  With ``track`` the elimination also records the
+    field coefficients ``(x, lambda)``, which :meth:`preimage` and the kernel
+    read; membership needs none.
+
+    The integer side is factored once, on first use, and kept in the
+    ``ints`` slot (see :meth:`factored`).  Its matrix is the monomial rows
+    of ``ycoords``, each row's denominators cleared over the system's own
+    entries, followed by the nonzero discrete rows.  A target then gives
+    only a right side: at each coordinate where the reduced target is
+    nonzero, ``t * den`` is expanded in that coordinate's monomials, and
+    each monomial's coefficient ``c`` goes to its row as ``-c * D``, ``D``
+    being the row's cleared denominator; a discrete target entry goes to
+    its discrete row.  A target entry with no row to go to meets a zero
+    left side, so it has no solution: a coordinate or monomial outside the
+    system, a ``t`` whose denominator does not divide ``den``, or a nonzero
+    discrete entry on a zero discrete row.  So does a right side ``-c * D``
+    that is not an integer.  Whenever a solution exists, the matrix is the
+    one the per-target expansion of ``ycoords`` and the target would build,
+    so the answer is the same.
     """
 
-    __slots__ = ("gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "disc_sign")
+    __slots__ = ("gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "disc_sign", "ints")
 
     def __init__(
         self,
@@ -847,21 +859,21 @@ class _PreimageSystem:
             [d[coord] for _, d in disc_images] + [-sign * r.disc[coord] for r in zrows]
             for coord in range(cod.disc_rank)
         ]
+        self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]] = None
 
-    def int_system(
-        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-    ) -> Tuple[List[List[int]], List[int]]:
-        """Integer rows and right side of the conditions on ``y``."""
-        rows, rhs = _int_rows_from_scalar_columns(
-            self.ycoords, len(self.ycols), self.elim.reduce(target_cont)
-        )
-        # The conditions read sum y_i reduce(ycols_i) = -reduce(t_c).
-        rhs = [-b for b in rhs]
-        for row, b in zip(self.disc_rows, target_disc):
-            if b or any(row):
-                rows.append(row)
-                rhs.append(self.disc_sign * b)
-        return rows, rhs
+    def factored(self) -> Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]:
+        """The integer side, built and factored on first use: the system,
+        the index of its monomial rows, and the row of each discrete
+        coordinate (None for a zero discrete row)."""
+        if self.ints is None:
+            rows, index = _int_rows_from_scalar_columns(self.ycoords, len(self.ycols))
+            disc_at: List[Optional[int]] = []
+            for row in self.disc_rows:
+                disc_at.append(len(rows) if any(row) else None)
+                if any(row):
+                    rows.append(row)
+            self.ints = (_IntSystem(rows, len(self.ycols)), index, disc_at)
+        return self.ints
 
     def has_line(self, vcont: Mapping[int, Scalar]) -> bool:
         """Whether the whole complex line through ``vcont`` lies in the span
@@ -885,7 +897,28 @@ class _PreimageSystem:
         self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
     ) -> Optional[List[int]]:
         """The integer unknowns ``y`` of one preimage, or None if there is none."""
-        return _int_solve(*self.int_system(target_cont, target_disc), len(self.ycols))
+        ints, index, disc_at = self.factored()
+        b: Dict[int, int] = {}
+        for coord, t in self.elim.reduce(target_cont).items():
+            at = index.get(coord)
+            coeffs = None if at is None else _coefficients_over(t, at[0])
+            if coeffs is None:
+                return None
+            for mono, c in coeffs.items():
+                hit = at[1].get(mono)
+                if hit is None:
+                    return None
+                row, denom = hit
+                x = -c * denom
+                if x.denominator != 1:
+                    return None
+                b[row] = x.numerator
+        for row, x in zip(disc_at, target_disc):
+            if x:
+                if row is None:
+                    return None
+                b[row] = self.disc_sign * x
+        return ints.solve(b)
 
     def field_part(self, y: Sequence[int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
         """Field coefficients ``(x, lambda)`` for an admissible ``y``, or None."""
@@ -1208,6 +1241,9 @@ def _step_discrete_smith(
     row ``d * e_k`` with ``d >= 2``.  A torsion row that kept a continuous
     part ``c`` is made pure by the ambient automorphism
     ``(x, n) |-> (x - (n_k / d) c, n)``; unit rows eliminate their generator.
+    The new discrete generators are the columns of the Smith form's ``V``,
+    so the maps read ``V`` one way and ``V^-1``, which the Smith form
+    tracks, the other.
     """
     table = g.table
     one = Scalar.one(table)
@@ -1218,9 +1254,7 @@ def _step_discrete_smith(
         relations = [r for r in g.relations if r.cont or any(r.disc)]
         return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
 
-    u, dmat, v = smith_normal_form(IntMatrix._of_int_rows([d for _, d in rows]))
-    vrows = [list(r) for r in v.rows]
-    vinv = _int_inverse(vrows)
+    (u, dmat, v), vinv = _snf_cached(IntMatrix._of_int_rows([d for _, d in rows]))
     nrel = len(rows)
     new_rows: List[Tuple[Row, Tuple[int, ...]]] = []
     for i in range(nrel):
@@ -1260,7 +1294,7 @@ def _step_discrete_smith(
     cont_ident = [{i: one} for i in range(cc)]
     t_disc = []
     for j in range(dc):
-        nv = vrows[j]  # coordinates of the old generator e_j after V
+        nv = v.rows[j]  # coordinates of the old generator e_j after V
         acc: Row = {}
         disc_part = [0] * nd
         for k in range(dc):
@@ -1276,7 +1310,7 @@ def _step_discrete_smith(
     s_disc = []
     for k in survivors:
         c_part = corr[k] if corr[k] is not None and diag_order[k] >= 2 else {}
-        s_disc.append((c_part, vinv[k]))
+        s_disc.append((c_part, vinv.rows[k]))
     s = GroupHom(g2, g, cont_ident, s_disc, tuple(range(len(g.atoms))))
     return g2, t, s
 
@@ -1652,8 +1686,7 @@ def _kernel(h: GroupHom) -> KernelResult:
 
     # Integer unknowns y = (n, m) are admissible iff the field system is
     # solvable for the right side they give.
-    int_rows, _ = system.int_system({}, (0,) * len(system.disc_rows))
-    ybasis = _int_nullspace(int_rows, len(system.ycols))
+    ybasis = system.factored()[0].nullspace()
 
     disc_gens: List[Tuple[Row, List[int]]] = []  # (x, n) in the domain
     for y in ybasis:
@@ -1675,7 +1708,7 @@ def _kernel(h: GroupHom) -> KernelResult:
     relations: List[Relation] = []
     xcols = [x for x, _ in disc_gens]
     syz_rows, _ = _int_rows_from_scalar_columns(
-        _by_coordinate([vspan.reduce(x) for x in xcols]), len(xcols), {}
+        _by_coordinate([vspan.reduce(x) for x in xcols]), len(xcols)
     )
     for coord in range(gd):
         row = [n[coord] for _, n in disc_gens]
@@ -1689,7 +1722,7 @@ def _kernel(h: GroupHom) -> KernelResult:
                 _addmul(resid, -val, x)
         return resid
 
-    for a in _int_nullspace(syz_rows, len(disc_gens)):
+    for a in _IntSystem(syz_rows, len(disc_gens)).nullspace():
         if not any(a):
             continue
         b = cont_coords(residual({}, a))
@@ -1698,7 +1731,11 @@ def _kernel(h: GroupHom) -> KernelResult:
         relations.append(Relation(b, tuple(a), "Z"))
 
     span = _span_of(h.cod)
-    arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
+    # The kernel coordinates a of a relation solve sum a_i ybasis_i = y.
+    lattice = None
+    if any(r.span == "Z" for r in h.dom.relations):
+        arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
+        lattice = _IntSystem(arows, len(ybasis))
     for cont, disc, kind in h.dom.relations:
         if kind == "C":
             b = cont_coords(cont)
@@ -1713,7 +1750,7 @@ def _kernel(h: GroupHom) -> KernelResult:
             raise HomError("domain relation has no image certificate")
         # The span's y is minus the Z-row coefficients m of the image, and
         # the relation is y = (disc, m) among the unknowns of h's system.
-        a = _int_solve(arows, list(disc) + [-k for k in y], len(ybasis))
+        a = lattice.solve(dict(enumerate([*disc, *(-k for k in y)])))
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
         b = cont_coords(residual(cont, a))

@@ -698,12 +698,36 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _expansion(
+def _numerator_over(s: Scalar, den: _Poly) -> Dict[Tuple[int, ...], Fraction]:
+    """The coefficients of the polynomial ``s * den``.
+
+    Raises :class:`ArithmeticError` when the denominator of ``s`` does not
+    divide ``den``, that is when ``s * den`` is not a polynomial.
+    """
+    if s.rat is _ZERO:
+        return {}
+    if s.den is den:
+        cofactor = s.num
+    elif s.den is s.table._unit:
+        cofactor = _p_mul(s.num, den)
+    else:
+        cofactor = _p_mul(s.num, _p_div_exact(den, s.den))
+    return {m: c * s.rat for m, c in cofactor.items()}
+
+
+def monomial_vectors(
     scalars: Sequence[Scalar],
 ) -> Tuple[List[List[Fraction]], List[Tuple[int, ...]], _Poly]:
-    """``(vectors, monomials, den)``: ``den`` is the lcm of the scalars'
-    denominators, and ``vectors[i]`` holds the coefficients of
-    ``scalars[i] * den`` at the sorted ``monomials``."""
+    """The coefficient vectors of :func:`monomial_expansion` with the
+    monomials and the common denominator in place of its basis Scalars:
+    ``(vectors, monomials, den)``.
+
+    ``den`` is the lcm of the scalars' denominators, and ``vectors[i]``
+    holds the coefficients of ``scalars[i] * den`` at the sorted
+    ``monomials``.  A further scalar ``t`` is a Q-combination of the
+    scalars only if ``t * den`` is a polynomial in these monomials (see
+    :func:`_numerator_over`).
+    """
     table = scalars[0].table
     unit = table._unit
     den = unit
@@ -716,18 +740,7 @@ def _expansion(
             den = s.den
         else:
             den = _p_mul(den, _p_div_exact(s.den, _p_gcd(den, s.den)))
-    numerators: List[Dict[Tuple[int, ...], Fraction]] = []
-    for s in scalars:
-        if s.rat is _ZERO:
-            numerators.append({})
-            continue
-        if s.den is den:
-            cofactor = s.num
-        elif s.den is unit:
-            cofactor = _p_mul(s.num, den)
-        else:
-            cofactor = _p_mul(s.num, _p_div_exact(den, s.den))
-        numerators.append({m: c * s.rat for m, c in cofactor.items()})
+    numerators = [_numerator_over(s, den) for s in scalars]
     monos = sorted({m for v in numerators for m in v})
     return [[v.get(m, _ZERO) for m in monos] for v in numerators], monos, den
 
@@ -753,18 +766,9 @@ def monomial_expansion(
     """
     if not scalars:
         return [], []
-    vectors, monos, den = _expansion(scalars)
+    vectors, monos, den = monomial_vectors(scalars)
     table = scalars[0].table
     return vectors, [Scalar(table, _ONE, {m: 1}, den) for m in monos]
-
-
-def monomial_vectors(scalars: Sequence[Scalar]) -> List[List[Fraction]]:
-    """The coefficient vectors of :func:`monomial_expansion`, without
-    building its basis Scalars: only the Q-linear relations among the
-    scalars are read from them."""
-    if not scalars:
-        return []
-    return _expansion(scalars)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +777,14 @@ def monomial_vectors(scalars: Sequence[Scalar]) -> List[List[Fraction]]:
 
 
 class IntMatrix:
-    """An immutable arbitrary-precision integer matrix.
+    """An immutable arbitrary-precision integer matrix: the key and the
+    results of :func:`smith_normal_form`.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
-    >>> (a * IntMatrix.identity(2)) == a
+    >>> a.nrows, a.ncols, a.diagonal()
+    (2, 2, [1, 4])
+    >>> a == IntMatrix(((1, 2), (3, 4)))
     True
-    >>> a.det()
-    -2
     """
 
     __slots__ = ("rows",)
@@ -797,10 +802,6 @@ class IntMatrix:
         m.rows = tuple(map(tuple, rows))
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -815,52 +816,11 @@ class IntMatrix:
     def __hash__(self) -> int:
         return hash(self.rows)
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shape mismatch")
-        ocols = list(zip(*other.rows)) if other.rows else []
-        return IntMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ocols]
-                for row in self.rows
-            ]
-        )
-
     def diagonal(self) -> List[int]:
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
-
-    def to_json(self) -> list:
-        return [list(r) for r in self.rows]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(data)
 
 
 def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -869,25 +829,33 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     ``u`` and ``v`` are unimodular, ``d = u * a * v`` is diagonal with
     nonnegative entries satisfying ``d[0] | d[1] | ...``.
 
+    The factorization also tracks the inverse of ``v``: the memo
+    ``_snf_cached`` holds ``((u, d, v), v_inv)`` (see
+    :func:`_smith_normal_form`), and this function returns its first part.
     Results are memoized on the (immutable) matrix in a bounded cache of
     ``SNF_CACHE_SIZE`` entries, so a repeated matrix shares one result.
 
     >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> d.diagonal()
     [2, 4]
-    >>> u * IntMatrix([[2, 4], [6, 8]]) * v == d
-    True
-    >>> abs(u.det()), abs(v.det())
-    (1, 1)
     """
-    return _snf_cached(a)
+    return _snf_cached(a)[0]
 
 
-def _smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _smith_normal_form(
+    a: IntMatrix,
+) -> Tuple[Tuple[IntMatrix, IntMatrix, IntMatrix], IntMatrix]:
+    """``((u, d, v), v_inv)``: the Smith form and the inverse of ``v``.
+
+    Every column operation on ``v`` is the inverse row operation on
+    ``v_inv`` and every column swap a row swap, so the inverse costs no
+    elimination of its own.
+    """
     nrows, ncols = a.nrows, a.ncols
     m = [list(r) for r in a.rows]
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    vinv = [list(r) for r in v]
 
     def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
@@ -898,6 +866,7 @@ def _smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
 
     def swap_rows(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
@@ -908,6 +877,7 @@ def _smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def pivot(t: int) -> Optional[Tuple[int, int]]:
         # The first entry of minimal nonzero magnitude in the trailing block,
@@ -970,7 +940,10 @@ def _smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
-    return IntMatrix._of_int_rows(u), IntMatrix._of_int_rows(m), IntMatrix._of_int_rows(v)
+    return (
+        (IntMatrix._of_int_rows(u), IntMatrix._of_int_rows(m), IntMatrix._of_int_rows(v)),
+        IntMatrix._of_int_rows(vinv),
+    )
 
 
 # Bound of the Smith form memo: enough for the distinct matrices one

@@ -114,6 +114,35 @@ def reference_snf(a: IntMatrix):
     return IntMatrix(u), IntMatrix(m), IntMatrix(v)
 
 
+def old_int_inverse(rows):
+    """Inverse of a unimodular integer matrix by Fraction Gauss-Jordan, as
+    the discrete Smith step computed it before the Smith form tracked it."""
+    n = len(rows)
+    aug = [
+        [Fraction(rows[i][j]) for j in range(n)]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    out = []
+    for row in aug:
+        tail = row[n:]
+        if any(x.denominator != 1 for x in tail):
+            raise ValueError("matrix is not unimodular")
+        out.append([int(x) for x in tail])
+    return out
+
+
 @st.composite
 def int_matrices(draw) -> IntMatrix:
     nrows = draw(st.integers(0, 6))
@@ -173,6 +202,15 @@ class TestSmithNormalForm:
         got = smith_normal_form(a)
         assert got == reference_snf(a)
         assert smith_normal_form(IntMatrix(a.rows)) is got
+
+    @settings(deadline=None, max_examples=300)
+    @given(int_matrices())
+    def test_tracks_the_inverse_of_v(self, a: IntMatrix) -> None:
+        (_, _, v), vinv = exactnum._snf_cached(a)
+        n = len(v.rows)
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v.rows)] for row in vinv.rows]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [list(r) for r in vinv.rows] == old_int_inverse(v.rows)
 
     def test_matches_reference_on_a_divisibility_repair(self) -> None:
         a = IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])

@@ -23,6 +23,12 @@ and ``RefPreimageSystem`` took one left-null functional per free column.
 Both are kept below as references for the one system that replaced them:
 on random groups and homs, its membership verdicts and the results of
 `kernel`, `preimage_element` and `factor_through` must equal theirs.
+
+The integer side of the references runs on the integer solvers as they
+were before the one system factored its integer matrix once, copied below
+(``old_int_*``): a system rebuilt its integer rows for every target and
+solved them through a fresh Smith form lookup.  The factored system must
+give the same ``y`` as that per-target system, or None with it.
 """
 
 from __future__ import annotations
@@ -47,9 +53,8 @@ from folmod.abgroup import (
     _by_coordinate,
     _Elimination,
     _head,
-    _int_nullspace,
     _int_rows_from_scalar_columns,
-    _int_solve,
+    _IntSystem,
     _kernel,
     _neg,
     _PreimageSystem,
@@ -61,6 +66,102 @@ from folmod.abgroup import (
 )
 from folmod.exactnum import IntMatrix, Scalar, SymbolTable, monomial_vectors, smith_normal_form
 from folmod.gg import cohomology
+
+# ---------------------------------------------------------------------------
+# The integer solvers before factoring once
+# ---------------------------------------------------------------------------
+
+
+def old_int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+    """Basis of the integer kernel ``{y : rows . y = 0}``."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
+    diag = d.diagonal()
+    basis = []
+    for i in range(ncols):
+        if i >= len(diag) or diag[i] == 0:
+            basis.append([v.rows[r][i] for r in range(ncols)])
+    return basis
+
+
+def old_int_solve(
+    rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int
+) -> Optional[List[int]]:
+    """One integer solution of ``rows . y = b``, or None."""
+    if not rows:
+        return [0] * ncols
+    if ncols == 0:
+        return [] if all(x == 0 for x in b) else None
+    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
+    # b and y are mostly zero: the products run over their nonzero entries.
+    bnz = [(k, x) for k, x in enumerate(b) if x]
+    diag = d.diagonal()
+    ynz: List[Tuple[int, int]] = []
+    for i, urow in enumerate(u.rows):
+        ub = sum(urow[k] * x for k, x in bnz)
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if ub != 0:
+                return None
+        elif ub % di != 0:
+            return None
+        elif ub:
+            ynz.append((i, ub // di))
+    return [sum(vrow[k] * y for k, y in ynz) for vrow in v.rows]
+
+
+def old_int_rows_from_scalar_columns(at, ncols: int, target) -> Tuple[List[List[int]], List[int]]:
+    """Expand ``sum n_j columns[j] = target`` coordinate-wise over monomials.
+
+    The ``ncols`` columns come grouped by coordinate, ``at[coord][j]`` (see
+    :func:`_by_coordinate`), and ``target`` is sparse over the coordinates.
+    Each coordinate where some entry is nonzero contributes, in coordinate
+    order, one integer row per monomial appearing there, with denominators
+    cleared row by row; returns ``(rows, rhs)``.  A coordinate whose entries
+    are all rational is one monomial and skips the expansion.
+    """
+    rows: List[List[int]] = []
+    rhs: List[int] = []
+    for coord in sorted(at.keys() | target.keys()):
+        entries = at.get(coord, {})
+        t = target.get(coord)
+        scalars = list(entries.values()) if t is None else [*entries.values(), t]
+        if all(x.is_rational() for x in scalars):
+            vectors = [[x.rat] for x in scalars]
+        else:
+            vectors = monomial_vectors(scalars)[0]
+        for m in range(len(vectors[0])):
+            fracs = [vec[m] for vec in vectors]
+            if not any(fracs):
+                continue
+            denom = 1
+            for f in fracs:
+                denom = lcm(denom, f.denominator)
+            ints = [f.numerator * (denom // f.denominator) for f in fracs]
+            row = [0] * ncols
+            for j, n in zip(entries, ints):
+                row[j] = n
+            rows.append(row)
+            rhs.append(ints[-1] if t is not None else 0)
+    return rows, rhs
+
+
+def old_int_system(system: _PreimageSystem, target_cont, target_disc) -> Tuple[List[List[int]], List[int]]:
+    """Integer rows and right side of a system's conditions on ``y``, built
+    afresh for one target."""
+    rows, rhs = old_int_rows_from_scalar_columns(
+        system.ycoords, len(system.ycols), system.elim.reduce(target_cont)
+    )
+    # The conditions read sum y_i reduce(ycols_i) = -reduce(t_c).
+    rhs = [-b for b in rhs]
+    for row, b in zip(system.disc_rows, target_disc):
+        if b or any(row):
+            rows.append(row)
+            rhs.append(system.disc_sign * b)
+    return rows, rhs
+
 
 # ---------------------------------------------------------------------------
 # Reference dense solvers
@@ -137,7 +238,7 @@ def ref_int_rows_from_scalar_columns(columns, targets) -> Tuple[List[List[int]],
         scalars = [col[coord] for col in columns] + [targets[coord]]
         if all(s.is_zero() for s in scalars):
             continue
-        vectors = monomial_vectors(scalars)
+        vectors = monomial_vectors(scalars)[0]
         nmono = len(vectors[0]) if vectors else 0
         for m in range(nmono):
             fracs = [vec[m] for vec in vectors]
@@ -275,15 +376,16 @@ class TestFieldSolvers:
 
 class TestIntegerSolvers:
     @settings(max_examples=60, deadline=None)
-    @given(sparse_matrices(), st.data())
-    def test_int_rows_from_scalar_columns(self, case, data) -> None:
+    @given(sparse_matrices())
+    def test_int_rows_from_scalar_columns(self, case) -> None:
         table, rows, ncols = case
-        # The rows of the random matrix serve as columns over ncols coordinates.
-        targets = [data.draw(st.sampled_from(_bases(table) + [Scalar.zero(table)] * 3)) for _ in range(ncols)]
-        want = ref_int_rows_from_scalar_columns(rows, targets)
+        # The rows of the random matrix serve as columns over ncols
+        # coordinates.  The rows take no target: the factored system forms
+        # its right sides itself (TestOneSystem below).
+        want = ref_int_rows_from_scalar_columns(rows, [Scalar.zero(table)] * ncols)
         columns = [_sparse(r) for r in rows]
-        got = _int_rows_from_scalar_columns(_by_coordinate(columns), len(columns), _sparse(targets))
-        assert got == want
+        got, _ = _int_rows_from_scalar_columns(_by_coordinate(columns), len(columns))
+        assert (got, [0] * len(got)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -300,7 +402,10 @@ class TestIntegerSolvers:
             b = [sum(r * x for r, x in zip(row, y)) for row in rows]
         else:
             b = [data.draw(st.sampled_from([0, 0, 1, -2, 5])) for _ in range(nrows)]
-        assert _int_solve(rows, b, ncols) == ref_int_solve(rows, b, ncols)
+        system = _IntSystem(rows, ncols)
+        assert system.solve(dict(enumerate(b))) == ref_int_solve(rows, b, ncols)
+        if all(any(row) for row in rows):
+            assert system.nullspace() == old_int_nullspace(rows, ncols)
 
 
 class TestFactorThrough:
@@ -388,14 +493,14 @@ class RefSpan:
     def member(self, vcont, vdisc) -> Optional[List[int]]:
         """Integer coefficients over the Z-rows summing to the vector, or None."""
         reduced = self.elim.reduce(vcont)
-        rows, rhs = _int_rows_from_scalar_columns(self.zcoords, len(self.zcols), reduced)
+        rows, rhs = old_int_rows_from_scalar_columns(self.zcoords, len(self.zcols), reduced)
         for row, b in zip(self.zdisc, vdisc):
             if b or any(row):
                 rows.append(row)
                 rhs.append(b)
         if not rows:
             return [0] * len(self.zcols)
-        return _int_solve(rows, rhs, len(self.zcols))
+        return old_int_solve(rows, rhs, len(self.zcols))
 
 
 class RefPreimageSystem:
@@ -424,7 +529,7 @@ class RefPreimageSystem:
         for eta, at in zip(self.etas, self.coeffs):
             t = ref_vdot(eta, target_cont, self.table)
             target = {} if t.is_zero() else {0: -t}
-            r, b = _int_rows_from_scalar_columns(at, len(self.ycols), target)
+            r, b = old_int_rows_from_scalar_columns(at, len(self.ycols), target)
             rows += r
             rhs += b
         for row, b in zip(self.disc_rows, target_disc):
@@ -442,7 +547,7 @@ class RefPreimageSystem:
 
     def preimage(self, target_cont, target_disc):
         rows, rhs = self.int_system(target_cont, target_disc)
-        y = _int_solve(rows, rhs, len(self.ycols))
+        y = old_int_solve(rows, rhs, len(self.ycols))
         if y is None:
             return None
         x = self.field_part(y, target_cont)
@@ -465,7 +570,7 @@ def ref_kernel(h: GroupHom) -> KernelResult:
     gc, gd = h.dom.cont_rank, h.dom.disc_rank
     system = RefPreimageSystem(h)
     int_rows, _ = system.int_system({}, (0,) * len(system.disc_rows))
-    ybasis = _int_nullspace(int_rows, len(system.ycols))
+    ybasis = old_int_nullspace(int_rows, len(system.ycols))
     disc_gens = []
     for y in ybasis:
         xi = system.field_part(y, {})
@@ -481,7 +586,7 @@ def ref_kernel(h: GroupHom) -> KernelResult:
     xcols = [x for x, _ in disc_gens]
     for eta in ref_nullspace(vspan, gc, table):
         at = ref_eta_coefficients(eta, xcols, table)
-        rows, _ = _int_rows_from_scalar_columns(at, len(xcols), {})
+        rows, _ = old_int_rows_from_scalar_columns(at, len(xcols), {})
         syz_rows.extend(rows)
     for coord in range(gd):
         row = [n[coord] for _, n in disc_gens]
@@ -495,7 +600,7 @@ def ref_kernel(h: GroupHom) -> KernelResult:
                 abgroup._addmul(resid, -val, x)
         return resid
 
-    for a in _int_nullspace(syz_rows, len(disc_gens)):
+    for a in old_int_nullspace(syz_rows, len(disc_gens)):
         if not any(a):
             continue
         b = cont_coords(residual({}, a))
@@ -516,7 +621,7 @@ def ref_kernel(h: GroupHom) -> KernelResult:
         m = span.member(img_c, img_d)
         if m is None:
             raise HomError("domain relation has no image certificate")
-        a = _int_solve(arows, list(disc) + m, len(ybasis))
+        a = old_int_solve(arows, list(disc) + m, len(ybasis))
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
         b = cont_coords(residual(cont, a))
@@ -627,7 +732,51 @@ def _draw_element(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None
     return cont, disc
 
 
+def _draw_target(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None):
+    """A codomain element as :func:`_draw_element` draws it, sometimes
+    spoilt where the factored system forms its right side alone: a
+    monomial or a denominator the system's entries lack, a scale that makes
+    the right side non-integral, or a nonzero discrete entry everywhere,
+    which meets a zero discrete row when the system has one."""
+    table = g.table
+    cont, disc = _draw_element(data, g, hom)
+    one = Scalar.one(table)
+    spoilers = [one.scale(Fraction(1, 5))]
+    if len(table):
+        a, b = (Scalar.symbol(table, name) for name in (table.names[0], table.names[-1]))
+        spoilers += [a * a * a * b, one / (a + b + Scalar.rational(table, 3))]
+    if g.cont_rank and data.draw(st.booleans()):
+        coord = data.draw(st.integers(0, g.cont_rank - 1))
+        extra = data.draw(st.sampled_from(spoilers))
+        cont = dict(cont)
+        cont[coord] = cont[coord] + extra if coord in cont else extra
+        cont = {j: x for j, x in cont.items() if not x.is_zero()}
+    if data.draw(st.integers(0, 3)) == 0:
+        cont = {j: x.scale(Fraction(1, 7)) for j, x in cont.items()}
+    if g.disc_rank and data.draw(st.integers(0, 3)) == 0:
+        disc = [x or data.draw(st.sampled_from([1, -2, 3])) for x in disc]
+    return cont, disc
+
+
 class TestOneSystem:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_factored_solve_equals_the_per_target_system(self, data) -> None:
+        table = TABLES[data.draw(st.sampled_from([0, 1, 2]))]
+        g = _draw_group(data, table)
+        if data.draw(st.booleans()):
+            system, hom = _span_of(g), None
+        else:
+            dom = _draw_group(data, table)
+            cont, disc = _draw_images(data, dom, g)
+            free = PresentedAbelianGroup(table, dom.cont_rank, dom.disc_rank)
+            hom = GroupHom(free, g, cont, disc)
+            system = _PreimageSystem(g, cont, disc, track=data.draw(st.booleans()))
+        for _ in range(4):
+            c, d = _draw_target(data, g, hom)
+            want = old_int_solve(*old_int_system(system, c, d), len(system.ycols))
+            assert system.solve(c, d) == want
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_membership_verdicts_equal_the_reference(self, data) -> None:

@@ -50,9 +50,7 @@ KEPT = {
 }
 
 
-UNREFERENCED = {
-    "exactnum.IntMatrix.det": "the tests' unimodularity oracle for the Smith form",
-}
+UNREFERENCED: dict = {}
 
 
 def _dunder(name: str) -> bool:

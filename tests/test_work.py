@@ -4,7 +4,8 @@ The moduli group is ``H^1`` of a group-graph over a tree, so its cochain
 maps are mostly zero.  The linear algebra keeps those zeros out of the
 Scalar arithmetic; these tests pin that down by counting the Scalars one
 `folmod moduli` run constructs, and run a geodesic of 33 joints (65
-components), which the dense solvers took seconds on.
+components), which the dense solvers took seconds on.  The integer side
+factors each system once; a guard counts the Smith forms one run asks for.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 from folmod import cli, exactnum
@@ -26,6 +28,12 @@ MAX_SCALARS_K9 = 6000
 # through each pivot's own unit entry and a sum of polynomials went through
 # a negated copy; they need about 3,000 without that waste.
 MAX_SCALARS_EXAMPLES = 4000
+
+
+# The seed-0 k=9 geodesic asked for 635 Smith forms when every preimage
+# solve rebuilt its integer matrix and every kernel relation solved its own;
+# factored once per system it asks for about 160.
+MAX_SMITH_FORMS_K9 = 250
 
 
 def _geodesic_module():
@@ -94,3 +102,25 @@ def test_k33_geodesic_moduli(tmp_path, capsys) -> None:
     want = geo.expected_moduli_text(periods)
     assert payload["agree"] is True
     assert [p["moduli"]["text"] for p in payload["pipelines"]] == [want, want]
+
+
+def test_k9_geodesic_requests_few_smith_forms(tmp_path, capsys, monkeypatch) -> None:
+    # Every Smith form goes through the memo: count the calls of its entry
+    # point, wherever a folmod module holds it.
+    memo = exactnum._snf_cached
+    count = 0
+
+    def counted(a):
+        nonlocal count
+        count += 1
+        return memo(a)
+
+    clear_caches()
+    for name, module in list(sys.modules.items()):
+        if name == "folmod" or name.startswith("folmod."):
+            for attr, value in list(vars(module).items()):
+                if value is memo:
+                    monkeypatch.setattr(module, attr, counted)
+    _run_geodesic(9, tmp_path, capsys)
+    monkeypatch.undo()
+    assert 0 < count <= MAX_SMITH_FORMS_K9
