@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
+from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -113,10 +114,26 @@ class SymbolTable:
 #
 # Coefficients are Python ints.  A Scalar's numerator and denominator are
 # primitive, and every exact division below is by a primitive polynomial (a
-# gcd, a denominator or a content in one variable), so by Gauss's lemma its
-# quotient has integer coefficients too.  Only the polynomials read by
-# ``_p_from_json`` carry ``Fraction`` coefficients, until ``_p_primitive``
-# clears them.
+# gcd or a denominator), so by Gauss's lemma its quotient has integer
+# coefficients too.  Only the polynomials read by ``_p_from_json`` carry
+# ``Fraction`` coefficients, until ``_p_primitive`` clears them.
+#
+# The gcd ``_p_gcd`` takes three steps, cheapest first, and each accepts a
+# candidate only when it divides both sides:
+#
+# 1. The monomial content (the least exponent of each symbol) comes off each
+#    side.  When a side is then a constant, the gcd is a monomial; every gcd
+#    the bundled examples ask for ends here.
+# 2. GCDHEU (``_p_heugcd``) evaluates one symbol at a large integer, finds
+#    the gcd of the images by recursion down to an integer gcd, and reads
+#    the result back from its digits.  Its first point is large enough that
+#    a candidate that divides both sides is the gcd; it gives up after a few
+#    points.
+# 3. Brown's dense modular gcd (``_p_modgcd``) then computes the gcd modulo
+#    primes by evaluation and interpolation, and combines the images by
+#    Chinese remaindering.
+#
+# No step runs a pseudo-remainder sequence, whose coefficients swell.
 # ---------------------------------------------------------------------------
 
 _Poly = Dict[Tuple[int, ...], int]
@@ -163,14 +180,6 @@ def _p_add(a: _Poly, b: _Poly) -> _Poly:
         else:
             out.pop(mono, None)
     return out
-
-
-def _p_neg(a: _Poly) -> _Poly:
-    return {m: -c for m, c in a.items()}
-
-
-def _p_sub(a: _Poly, b: _Poly) -> _Poly:
-    return _p_add(a, _p_neg(b))
 
 
 def _p_scale(a: _Poly, c: int | Fraction) -> _Poly:
@@ -225,8 +234,9 @@ def _p_primitive(a: _Poly) -> Tuple[int | Fraction, _Poly]:
     return (g if den == 1 else Fraction(g, den)), a
 
 
-def _p_div_exact(a: _Poly, b: _Poly) -> _Poly:
-    """Exact division in Z[x] by a primitive ``b``; raises if it is inexact.
+def _p_div_exact(a: _Poly, b: _Poly, p: int = 0) -> _Poly:
+    """Exact division in Z[x] by a primitive ``b``, or in Z/p[x] for a prime
+    ``p``; raises :class:`ArithmeticError` if it is inexact.
 
     By Gauss's lemma a quotient by a primitive polynomial has integer
     coefficients, so a quotient step that is not an integer means that ``b``
@@ -235,18 +245,21 @@ def _p_div_exact(a: _Poly, b: _Poly) -> _Poly:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     lm_b, lc_b = _p_leading(b)
+    inverse = pow(lc_b, -1, p) if p else 0
     r = dict(a)
     q: _Poly = {}
     while r:
         lm_r, lc_r = _p_leading(r)
         mono = tuple(x - y for x, y in zip(lm_r, lm_b))
-        c, rem = divmod(lc_r, lc_b)
+        c, rem = (lc_r * inverse % p, 0) if p else divmod(lc_r, lc_b)
         if rem or any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
         q[mono] = c
         for m, v in b.items():
             m = tuple(x + y for x, y in zip(mono, m))
             s = r.get(m, 0) - c * v
+            if p:
+                s %= p
             if s:
                 r[m] = s
             else:
@@ -254,66 +267,333 @@ def _p_div_exact(a: _Poly, b: _Poly) -> _Poly:
     return q
 
 
-def _p_deg_in(a: _Poly, v: int) -> int:
-    return max((m[v] for m in a), default=-1)
-
-
-def _p_coeffs_in(a: _Poly, v: int) -> Dict[int, _Poly]:
-    """View ``a`` as a polynomial in variable ``v`` with polynomial coefficients."""
-    out: Dict[int, _Poly] = {}
-    for mono, c in a.items():
-        d = mono[v]
-        rest = mono[:v] + (0,) + mono[v + 1:]
-        coeff = out.setdefault(d, {})
-        coeff[rest] = coeff.get(rest, 0) + c
-    return {d: {m: c for m, c in coeff.items() if c} for d, coeff in out.items()}
-
-
-def _p_shift_var(a: _Poly, v: int, k: int) -> _Poly:
-    return {m[:v] + (m[v] + k,) + m[v + 1:]: c for m, c in a.items()}
-
-
-def _p_var_content(a: _Poly, v: int) -> _Poly:
-    """Polynomial content of ``a`` with respect to variable ``v``."""
-    g: _Poly = {}
-    for coeff in _p_coeffs_in(a, v).values():
-        g = _p_gcd(g, coeff)
-    return g
-
-
-def _p_prem(a: _Poly, b: _Poly, v: int) -> _Poly:
-    """Pseudo-remainder of ``a`` by ``b`` with respect to variable ``v``."""
-    db = _p_deg_in(b, v)
-    lc_b = _p_coeffs_in(b, v)[db]
-    r = a
-    while r and _p_deg_in(r, v) >= db:
-        dr = _p_deg_in(r, v)
-        lc_r = _p_coeffs_in(r, v)[dr]
-        r = _p_sub(_p_mul(lc_b, r), _p_shift_var(_p_mul(lc_r, b), v, dr - db))
-    return r
+def _p_divides(b: _Poly, a: _Poly, p: int = 0) -> bool:
+    """True when ``b`` divides ``a`` (see :func:`_p_div_exact`)."""
+    try:
+        _p_div_exact(a, b, p)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def _p_gcd(a: _Poly, b: _Poly) -> _Poly:
-    """Primitive, positive-leading gcd of two polynomials."""
+    """Primitive, positive-leading gcd of two int polynomials; a constant gcd
+    is the shared unit polynomial.
+
+    The monomial content of each side comes off first.  If a side is then a
+    constant, the gcd is the monomial of the least exponents; otherwise it
+    is that monomial times the gcd of the rests, by :func:`_p_heugcd` or,
+    when that gives up, :func:`_p_modgcd`.
+    """
+    if not a or not b:
+        g = _p_primitive(a or b)[1]
+    elif len(a) == 1 or len(b) == 1:
+        g = {tuple(map(min, zip(*a, *b))): 1}
+    else:
+        low_a, low_b = tuple(map(min, zip(*a))), tuple(map(min, zip(*b)))
+        a = _p_primitive({tuple(map(sub, m, low_a)): c for m, c in a.items()})[1]
+        b = _p_primitive({tuple(map(sub, m, low_b)): c for m, c in b.items()})[1]
+        g = _p_primitive(_p_heugcd(a, b) or _p_modgcd(a, b))[1]
+        g = _p_mul(g, {tuple(map(min, low_a, low_b)): 1})
+    if _p_is_const(g):
+        return _p_unit(len(next(iter(g))))
+    return g
+
+
+#: Evaluation points :func:`_p_heugcd` tries in each variable before it gives
+#: up; as in sympy's ``heugcd``, each point is about ``2.73 * xi**1.25`` for
+#: the one before, ``xi``.
+_HEU_TRIES = 6
+
+
+def _p_heugcd(f: _Poly, g: _Poly) -> Optional[_Poly]:
+    """The gcd of two nonzero int polynomials, up to sign, by the heuristic
+    gcd GCDHEU (Char, Geddes & Gonnet 1989); None when it gives up.
+
+    The first variable is set to an integer ``xi``, the gcd of the two
+    images is found by recursion down to an integer gcd, and its balanced
+    ``xi``-adic digits are read back as the coefficients of the powers of
+    the first variable.  The primitive part ``h`` of that is accepted only
+    when it divides both sides.
+
+    ``xi`` starts above twice :func:`_factor_bound` of either side (sympy
+    starts lower), and that makes an accepted ``h`` the gcd.  The cofactor
+    ``q = gcd / h`` takes at ``xi`` a constant value of absolute value at
+    most ``xi / 2``, since ``h`` was read from the gcd of the images.  The
+    coefficients of ``q``, a factor of both sides, are smaller than
+    ``xi / 2`` in absolute value, so they are the balanced digits of that
+    constant: ``q`` is a constant, and so 1 or -1, since the gcd of the
+    sides with their common integer content divided out is primitive.
+    """
+    if not next(iter(f)):  # no variable left: integers
+        return {(): _int_gcd(f[()], g[()])}
+    content = _int_gcd(*f.values(), *g.values())
+    if content != 1:
+        f = {m: c // content for m, c in f.items()}
+        g = {m: c // content for m, c in g.items()}
+    xi = 2 * min(_factor_bound(f), _factor_bound(g)) + 29
+    for _ in range(_HEU_TRIES):
+        f_xi, g_xi = _eval_first(f, xi), _eval_first(g, xi)
+        if f_xi and g_xi:
+            image = _p_heugcd(f_xi, g_xi)
+            if image is None:
+                return None
+            h = _p_primitive(_interpolate_first(image, xi))[1]
+            if _p_divides(h, f) and _p_divides(h, g):
+                return _p_scale(h, content)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _factor_bound(f: _Poly) -> int:
+    """A bound on the coefficients of every factor of ``f``: two to the sum
+    of its degrees in each variable times its 2-norm (Mignotte)."""
+    return (isqrt(sum(c * c for c in f.values())) + 1) << sum(map(max, zip(*f)))
+
+
+def _eval_first(f: _Poly, xi: int) -> _Poly:
+    """``f`` with its first variable set to ``xi``, one variable narrower."""
+    out: _Poly = {}
+    for m, c in f.items():
+        out[m[1:]] = out.get(m[1:], 0) + c * xi ** m[0]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate_first(h: _Poly, xi: int) -> _Poly:
+    """The polynomial whose coefficients of each power of a new first
+    variable are the balanced ``xi``-adic digits of those of ``h``."""
+    out: _Poly = {}
+    half = xi // 2
+    for m, c in h.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(e,) + m] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _p_modgcd(f: _Poly, g: _Poly) -> _Poly:
+    """The gcd of two primitive int polynomials of width at least one, up to
+    sign, by Brown's dense modular algorithm (Brown 1971).
+
+    For each prime that divides neither lex leading coefficient the gcd
+    modulo the prime is made monic (:func:`_gcd_mod`), scaled by the gcd
+    of the leading coefficients and combined with the earlier images by
+    Chinese remaindering.  Such an image never has a smaller leading
+    monomial than the gcd; images with a larger one are dropped, and a
+    smaller one starts over.  When one more prime leaves the combination
+    unchanged, its primitive part is accepted if it divides both sides:
+    then it divides the gcd and shares its leading monomial, so it is the
+    gcd.
+    """
+    lf, lg = f[max(f)], g[max(g)]
+    gamma = _int_gcd(lf, lg)
+    h: _Poly = {}
+    modulus, top = 1, None
+    for p in _primes():
+        if not (lf % p and lg % p):
+            continue
+        image = _gcd_mod(_p_mod(f, p), _p_mod(g, p), p)
+        if image is None:
+            continue
+        lead = max(image)
+        if not any(lead):
+            return _p_unit(len(lead))
+        if top is None or lead < top:
+            h, modulus, top = {}, 1, lead
+        elif lead > top:
+            continue
+        step = pow(modulus, -1, p) * modulus
+        combined: _Poly = {}
+        total = modulus * p
+        for m in h.keys() | image.keys():
+            old = h.get(m, 0)
+            c = (old + (gamma * image.get(m, 0) - old) * step) % total
+            combined[m] = c - total if c > total // 2 else c
+        modulus = total
+        combined = {m: c for m, c in combined.items() if c}
+        if combined == h:
+            candidate = _p_primitive(h)[1]
+            if _p_divides(candidate, f) and _p_divides(candidate, g):
+                return candidate
+        h = combined
+
+
+def _primes() -> Iterable[int]:
+    """The primes below 2**31 in descending order (Miller-Rabin with the
+    bases 2, 3, 5 and 7 decides primality below 3,215,031,751)."""
+    n = 2**31 - 1
+    while True:
+        d, s = n - 1, 0
+        while not d & 1:
+            d, s = d >> 1, s + 1
+        for base in (2, 3, 5, 7):
+            x = pow(base, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break
+        else:
+            yield n
+        n -= 2
+
+
+def _p_mod(f: _Poly, p: int) -> _Poly:
+    return {m: r for m, c in f.items() if (r := c % p)}
+
+
+# Dense polynomials over Z/p in one variable, the last one of a _Poly: lists
+# of coefficients from degree 0 up, with no trailing zeros.
+
+
+def _u_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    a = list(a)
+    db = len(b) - 1
+    inverse = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + db] * inverse % p
+        if c:
+            for j, v in enumerate(b):
+                a[i + j] = (a[i + j] - c * v) % p
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return q, a
+
+
+def _u_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd over Z/p; ``[]`` for two zeros."""
+    while b:
+        a, b = b, _u_divmod(a, b, p)[1]
     if not a:
-        return _p_primitive(b)[1]
-    if not b:
-        return _p_primitive(a)[1]
-    width = len(next(iter(a)))
-    vs = [v for v in range(width) if _p_deg_in(a, v) > 0 or _p_deg_in(b, v) > 0]
-    if not vs:
-        return _p_unit(width)
-    v = vs[-1]
-    ca = _p_var_content(a, v)
-    cb = _p_var_content(b, v)
-    pa = _p_div_exact(a, ca) if ca else a
-    pb = _p_div_exact(b, cb) if cb else b
-    cg = _p_gcd(ca, cb)
-    f, g = (pa, pb) if _p_deg_in(pa, v) >= _p_deg_in(pb, v) else (pb, pa)
-    while g:
-        r = _p_prem(f, g, v)
-        f, g = g, (r and _p_div_exact(r, _p_var_content(r, v)) or {})
-    return _p_primitive(_p_mul(cg, f))[1]
+        return a
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def _u_mul(a: List[int], b: List[int], p: int) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _u_eval(a: List[int], x: int, p: int) -> int:
+    out = 0
+    for c in reversed(a):
+        out = (out * x + c) % p
+    return out
+
+
+def _gcd_mod(f: _Poly, g: _Poly, p: int) -> Optional[_Poly]:
+    """The monic (lex) gcd of two nonzero polynomials over Z/p, or None when
+    too many evaluation points were unlucky.
+
+    Seen as polynomials in the other variables over Z/p[y], y the last
+    variable: the gcd is the gcd ``c`` of all coefficients (the contents)
+    times the gcd of the primitive parts.  That one is interpolated in y
+    from the gcds at points ``y = a`` where no leading coefficient
+    vanishes, each made monic and scaled by the gcd ``delta`` of the
+    leading coefficients at ``a``; it has degree in y at most ``n - 1``
+    below.  A gcd at a point never has a smaller leading monomial than the
+    true one, so only the points with the least one seen are kept.  The
+    candidate from ``n`` of them is accepted when it divides both sides: it
+    then divides the gcd and shares its leading monomial.  If it does not,
+    every kept point was unlucky.
+    """
+    rows_f, rows_g = _rows_in_last(f), _rows_in_last(g)
+    content: List[int] = []
+    for row in [*rows_f.values(), *rows_g.values()]:
+        content = _u_gcd(content, row, p)
+    narrow = len(next(iter(f))) - 1
+    if not narrow:
+        return _poly_of_rows({(): content})
+    lead_f, lead_g = rows_f[max(rows_f)], rows_g[max(rows_g)]
+    delta = _u_gcd(lead_f, lead_g, p)
+    n = min(max(map(len, rows_f.values())), max(map(len, rows_g.values()))) + len(delta) - 1
+    top, points, images = None, [], []
+    for a in range(1, 4 * n + 64):
+        if not (_u_eval(lead_f, a, p) and _u_eval(lead_g, a, p)):
+            continue
+        image = _gcd_mod(_eval_rows(rows_f, a, p), _eval_rows(rows_g, a, p), p)
+        if image is None:
+            continue
+        lead = max(image)
+        if not any(lead):
+            return _poly_of_rows({(0,) * narrow: content})
+        if top is None or lead < top:
+            top, points, images = lead, [], []
+        elif lead > top:
+            continue
+        scale = _u_eval(delta, a, p)
+        points.append(a)
+        images.append({m: c * scale % p for m, c in image.items()})
+        if len(points) < n:
+            continue
+        rows = _interpolate_rows(points, images, p)
+        common: List[int] = []
+        for row in rows.values():
+            common = _u_gcd(common, row, p)
+        rows = {m: _u_mul(_u_divmod(row, common, p)[0], content, p) for m, row in rows.items()}
+        h = _poly_of_rows(rows)
+        inverse = pow(h[max(h)], -1, p)
+        h = {m: c * inverse % p for m, c in h.items()}
+        if _p_divides(h, f, p) and _p_divides(h, g, p):
+            return h
+        top, points, images = None, [], []
+    return None
+
+
+def _rows_in_last(f: _Poly) -> Dict[Tuple[int, ...], List[int]]:
+    """``f`` as ``{monomial in the other variables: dense row in the last}``."""
+    rows: Dict[Tuple[int, ...], List[int]] = {}
+    for m, c in f.items():
+        row = rows.setdefault(m[:-1], [])
+        if len(row) <= m[-1]:
+            row.extend([0] * (m[-1] + 1 - len(row)))
+        row[m[-1]] = c
+    return rows
+
+
+def _poly_of_rows(rows: Dict[Tuple[int, ...], List[int]]) -> _Poly:
+    return {m + (e,): c for m, row in rows.items() for e, c in enumerate(row) if c}
+
+
+def _eval_rows(rows: Dict[Tuple[int, ...], List[int]], a: int, p: int) -> _Poly:
+    return {m: v for m, row in rows.items() if (v := _u_eval(row, a, p))}
+
+
+def _interpolate_rows(
+    points: List[int], images: List[_Poly], p: int
+) -> Dict[Tuple[int, ...], List[int]]:
+    """The rows in the last variable that take the values ``images[i]`` at
+    ``points[i]`` (Lagrange)."""
+    master = [1]
+    for a in points:
+        master = _u_mul(master, [-a % p, 1], p)
+    rows: Dict[Tuple[int, ...], List[int]] = {}
+    for a, image in zip(points, images):
+        basis = _u_divmod(master, [-a % p, 1], p)[0]
+        weight = pow(_u_eval(basis, a, p), -1, p)
+        for m, v in image.items():
+            row = rows.setdefault(m, [0] * len(basis))
+            for e, c in enumerate(basis):
+                row[e] = (row[e] + v * weight * c) % p
+    for row in rows.values():
+        while row and not row[-1]:
+            row.pop()
+    return {m: row for m, row in rows.items() if row}
 
 
 def _p_str(a: _Poly, names: Sequence[str]) -> str:
@@ -402,6 +682,13 @@ class Scalar:
     ``num``, ``den`` are coprime primitive polynomials with positive
     graded-lex leading coefficients (``num = den = 1`` for plain rationals,
     and ``rat = 0, num = den = 1`` for zero).  Equality is structural.
+
+    Normalization divides ``num`` and ``den`` by their gcd.  The gcd splits
+    off the monomial content of each first, which settles every gcd of a
+    monomial and a polynomial at once; other pairs go to the heuristic gcd
+    GCDHEU and, when it gives up, to Brown's modular gcd.  Both are
+    bounded: neither builds the swelling remainders of a Euclidean
+    sequence.
 
     Normalization and arithmetic skip the polynomial work whenever a side is
     constant, rational operands combine their ``rat`` alone, and a zero

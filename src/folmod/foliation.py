@@ -77,6 +77,7 @@ from .gg import (
     long_exact_sequence,
     mayer_vietoris,
     prune_all,
+    _check_count,
     _check_id,
     _cochains,
     _id_key,
@@ -2706,8 +2707,11 @@ def _object(value: object, what: str) -> Mapping:
 
 
 def _objects(doc: Mapping, key: str) -> List[Mapping]:
-    """The objects listed under ``key`` of an input document."""
-    return [_object(item, f"each entry of {key!r}") for item in doc.get(key, ())]
+    """The objects listed under ``key`` of an input document, at most
+    :data:`~folmod.gg.MAX_ITEMS` of them."""
+    items = doc.get(key, ())
+    _check_count(items, key)
+    return [_object(item, f"each entry of {key!r}") for item in items]
 
 
 class FoliationInput(NamedTuple):
@@ -2740,6 +2744,7 @@ def load_input(doc: Mapping) -> FoliationInput:
       ``orders`` (none; pairs of point and order), ``abelian_infinite``, or
       ``nonabelian`` with ``invariant_factors`` (none).
 
+    Each list holds at most :data:`~folmod.gg.MAX_ITEMS` entries.
     ``folmod examples N`` prints complete documents.
 
     >>> doc = {

@@ -48,6 +48,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Sized,
     Tuple,
     Union,
 )
@@ -93,6 +94,19 @@ __all__ = [
 ]
 
 Id = Union[int, str]
+
+#: Largest number of entries in any one list of an input document: the
+#: vertices and edges of a group-graph (``folmod cohomology``) and the
+#: components, corners, attachments, singularities and holonomies of a
+#: foliation (``folmod check`` and ``folmod moduli``).  The seed-0 geodesic
+#: of k=129 rigid joints has 257 components and 512 singularities.
+MAX_ITEMS = 10_000
+
+
+def _check_count(items: Sized, what: str) -> None:
+    """Refuse an input list longer than :data:`MAX_ITEMS` with ValueError."""
+    if len(items) > MAX_ITEMS:
+        raise ValueError(f"{len(items)} {what} exceed the bound of {MAX_ITEMS}")
 
 
 class NotRepulsive(ValueError):
@@ -266,8 +280,12 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Graph":
+        """The graph of :meth:`to_json`; more than :data:`MAX_ITEMS`
+        vertices or edges raise ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError(f"graph must be an object, got {data!r}")
+        _check_count(data["vertices"], "vertices")
+        _check_count(data.get("edges", ()), "edges")
         edges = []
         for e in data.get("edges", ()):
             ends = e["ends"]

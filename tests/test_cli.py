@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from folmod import cli
 from folmod.abgroup import PresentedAbelianGroup, direct_sum, identity_hom
 from folmod.exactnum import Scalar, SymbolTable
-from folmod.gg import Graph, GroupGraph
+from folmod.gg import MAX_ITEMS, Graph, GroupGraph
 
 
 def _exit_code(argv) -> int:
@@ -99,6 +99,27 @@ def test_a_non_integer_rank_exits_2(factors, rank, tmp_path, capsys) -> None:
     assert _exit_code(["cohomology", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and path in err and "disc_rank" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["components", "corners", "attachments"])
+def test_a_foliation_over_the_size_bound_exits_2(key: str, tmp_path, capsys) -> None:
+    doc = {"schema_version": 1, "symbols": [], key: [{}] * (MAX_ITEMS + 1)}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("check", "moduli"):
+        assert _exit_code([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{path}: {MAX_ITEMS + 1} {key} exceed")
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+def test_a_group_graph_over_the_size_bound_exits_2(key: str, tmp_path, capsys) -> None:
+    doc = _two_vertex_doc()
+    doc["graph"][key] = list(range(MAX_ITEMS + 1))
+    path = _write(tmp_path, doc)
+    assert _exit_code(["cohomology", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{path}: {MAX_ITEMS + 1} {key} exceed")
 
 
 MALFORMED_SCALARS = {

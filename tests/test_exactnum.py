@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from folmod.exactnum import (
     monomial_vectors,
     smith_normal_form,
 )
+from folmod.foliation import parse_scalar
 
 TABLE = SymbolTable(["mu", "tau_i"])
 
@@ -368,9 +371,9 @@ class TestNormalForm:
 
 WIDE_TABLES = {width: SymbolTable(["x", "y", "z"][:width]) for width in (1, 2, 3)}
 
-# Operands whose total degrees sum past this are not combined, so that no
-# drawn computation runs into a slow gcd.
-MAX_DRAWN_DEGREE = 8
+# Operands whose total degrees sum past this are not combined: twice the
+# total degree that ``json_polys`` draws.
+MAX_DRAWN_DEGREE = 12
 
 
 def _leading(poly: dict) -> tuple:
@@ -414,11 +417,10 @@ def computed_scalars(draw) -> list:
 @st.composite
 def json_polys(draw, width: int) -> list:
     """``[[exponents, [p, q]], ...]`` with coefficients that are mostly not
-    integers, of total degree at most 3 (the polynomial gcd is slow on
-    some larger inputs); may be empty."""
+    integers, of total degree at most 6; may be empty."""
     monos = draw(
         st.lists(
-            st.tuples(*[st.integers(0, 2)] * width).filter(lambda m: sum(m) <= 3),
+            st.tuples(*[st.integers(0, 6)] * width).filter(lambda m: sum(m) <= 6),
             max_size=4,
             unique=True,
         )
@@ -618,3 +620,153 @@ class TestAgainstTheFractionKernel:
         assert vectors == want_vectors and basis == want_basis
         assert all(type(f) is Fraction for vec in vectors for f in vec)
         assert monomial_vectors(sc)[0] == want_vectors
+
+
+# ---------------------------------------------------------------------------
+# The polynomial gcd and its two general steps, against sympy
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bounded_polys(draw, width: int, degree: int) -> dict:
+    """A nonzero int polynomial of total degree at most ``degree``."""
+    monos = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, degree)] * width).filter(lambda m: sum(m) <= degree),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    out = {m: c for m in monos if (c := draw(st.integers(-9, 9)))}
+    return out or {monos[0]: 1}
+
+
+@st.composite
+def planted_pairs(draw) -> tuple:
+    """``(width, a * c, b * c)`` with a planted common factor ``c`` and a
+    total degree of at most 6."""
+    width = draw(st.integers(1, 3))
+    deg_c = draw(st.integers(0, 3))
+    rest = 6 - deg_c
+    c = draw(bounded_polys(width, deg_c))
+    a = draw(bounded_polys(width, draw(st.integers(0, rest))))
+    b = draw(bounded_polys(width, draw(st.integers(0, rest))))
+    return width, exactnum._p_mul(a, c), exactnum._p_mul(b, c)
+
+
+@st.composite
+def monomial_pairs(draw) -> tuple:
+    """``(width, monomial, polynomial)``, in either order."""
+    width = draw(st.integers(1, 3))
+    mono = draw(st.tuples(*[st.integers(0, 3)] * width))
+    coefficient = draw(st.integers(-9, 9).filter(bool))
+    poly = draw(bounded_polys(width, 6))
+    pair = ({mono: coefficient}, poly)
+    return (width,) + (pair if draw(st.booleans()) else pair[::-1])
+
+
+def _normalized(poly: dict) -> dict:
+    """The primitive part with a positive graded-lex leading coefficient."""
+    content = math.gcd(*poly.values())
+    if poly[_leading(poly)] < 0:
+        content = -content
+    return {m: c // content for m, c in poly.items()}
+
+
+def _sympy_gcd(width: int, a: dict, b: dict) -> dict:
+    gens = sympy.symbols(f"x:{width}")
+    g = sympy.gcd(sympy.Poly.from_dict(a, *gens), sympy.Poly.from_dict(b, *gens))
+    return {tuple(m): int(c) for m, c in g.as_dict().items()}
+
+
+class TestGcd:
+    @settings(deadline=None)
+    @given(st.one_of(planted_pairs(), monomial_pairs()))
+    def test_gcd_matches_sympy(self, data: tuple) -> None:
+        width, a, b = data
+        g = exactnum._p_gcd(a, b)
+        assert g == _normalized(_sympy_gcd(width, a, b))
+        assert all(type(c) is int for c in g.values())
+        if exactnum._p_is_const(g):
+            assert g is exactnum._p_unit(width)
+
+    # the heuristic gcd keeps the integer content; it may give up
+    @settings(deadline=None)
+    @given(planted_pairs())
+    def test_heuristic_gcd_matches_sympy(self, data: tuple) -> None:
+        width, a, b = data
+        g = exactnum._p_heugcd(a, b)
+        if g is not None:
+            want = _sympy_gcd(width, a, b)
+            assert g in (want, {m: -c for m, c in want.items()})
+
+    # the modular gcd takes primitive polynomials
+    @settings(deadline=None)
+    @given(st.one_of(planted_pairs(), monomial_pairs()))
+    def test_modular_gcd_matches_sympy(self, data: tuple) -> None:
+        width, a, b = data
+        a, b = exactnum._p_primitive(a)[1], exactnum._p_primitive(b)[1]
+        g = exactnum._p_modgcd(a, b)
+        assert _normalized(g) == _normalized(_sympy_gcd(width, a, b))
+
+    @settings(deadline=None, max_examples=50)
+    @given(planted_pairs())
+    def test_gcd_falls_back_to_the_modular_gcd(self, data: tuple) -> None:
+        width, a, b = data
+        want = _normalized(_sympy_gcd(width, a, b))
+        original = exactnum._p_heugcd
+        exactnum._p_heugcd = lambda f, g: None
+        try:
+            assert exactnum._p_gcd(a, b) == want
+        finally:
+            exactnum._p_heugcd = original
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Fail with TimeoutError once ``seconds`` of wall-clock time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestGcdRegressions:
+    """Inputs on which the primitive remainder sequence once ran for seconds
+    or minutes.  Each bound is ten times the target time."""
+
+    def test_a_reduced_fraction_in_three_symbols_parses(self) -> None:
+        table = SymbolTable(["x", "y", "z"])
+        text = "(2*y*z^3 + 1)/(x^3*y^2*z + y^2 + z^2 + x)"
+        with _within(1.0):
+            s = parse_scalar(table, text)
+        assert str(s) == text
+
+    def test_a_quartic_quotient_in_five_symbols_normalizes(self) -> None:
+        table = SymbolTable(list("abcde"))
+        num = parse_scalar(table, "(a+b+c+d+e)^4")
+        den = parse_scalar(table, "(a+b+c+d+e+1)*(a-b*c+d*e)")
+        with _within(10.0):
+            q = num / den
+        assert (len(q.num), len(q.den)) == (70, 18)
+        assert q * den == num
+
+    def test_the_stalled_monomial_expansion_finishes(self) -> None:
+        texts = [
+            "(18)/(mu^2*tau_i - 9*mu*tau_i^2 - 6)",
+            "-4/3*mu^2*tau_i^2 + 2*mu",
+            "(-9/2)/(2*mu*tau_i^2 - 9*tau_i^2 + 6*mu)",
+            "(-4)/(9*mu*tau_i^2 + 8*mu^2 + 4*tau_i^2)",
+        ]
+        sc = [parse_scalar(TABLE, text) for text in texts]
+        with _within(10.0):
+            vectors, basis = monomial_expansion(sc)
+        assert (vectors, basis) == ref_monomial_expansion(sc)
