@@ -16,11 +16,15 @@ The computation runs in stages, each exposed as its own operation:
    corners; the result is the incidence graph the sheaves live on.
 3. :func:`color` — split the cut graph into its *green* part (finite local
    data) and *red* part ``R`` (infinite local data), and isolate the fully
-   rigid locus ``R^0`` inside ``R``.
+   rigid locus ``R^0`` inside ``R``.  It reads the local type of every cut
+   edge and the kind of every red vertex once and keeps them on the
+   :class:`Coloring`; the later stages read them from there.
 4. :func:`build_sym_graph` / :func:`build_exp_graph` / :func:`build_dis_graph`
-   — the sheaf of transverse symmetries on ``R``, its flow part, and the
-   totally discontinuous quotient, tied together by an elementwise short
-   exact sequence.
+   — the sheaf ``Sym`` of transverse symmetries on ``R``, its flow part
+   ``Exp`` and the totally discontinuous quotient ``Dis``, tied together by
+   an elementwise short exact sequence ``0 -> Exp -> Sym -> Dis -> 0``.
+   Only ``Sym`` transports between charts: the restrictions of ``Exp`` and
+   ``Dis`` are induced from those of ``Sym``.
 5. :func:`compute_moduli` — the two pipelines assembling ``H^1(R, Sym)``
    into a :class:`ModuliReport`, either through singular chains
    (non-degenerate case) or through zones and a four-term exact sequence
@@ -35,6 +39,7 @@ Inputs are plain data (:class:`MarkedDivisor`, :class:`SingularityData`,
 from __future__ import annotations
 
 import re
+from itertools import count
 from math import gcd, lcm
 from typing import (
     Callable,
@@ -64,6 +69,7 @@ from .abgroup import (
     cokernel,
     compose,
     direct_sum,
+    factor_through,
     identity_hom,
     is_exact_at,
     kernel,
@@ -152,10 +158,6 @@ class TCviolated(FoliationError):
 
 class NotFiniteType(FoliationError):
     """The marked divisor is not of finite type; the witness is the message."""
-
-
-class NonAbelianRedSym(FoliationError):
-    """A transverse-symmetry group was requested on a green element."""
 
 
 class TypeHeterogeneity(FoliationError):
@@ -988,20 +990,15 @@ def _gamma(sing: SingularityData, point: Id, comp: Id, other: Id) -> Scalar:
 
 
 def _vertex_red_kind(
-    cut: Graph,
-    red_edges: Iterable[Id],
+    red: Graph,
+    corner_info: Mapping[Id, _CornerInfo],
     sing: SingularityData,
     divisor: MarkedDivisor,
     v: Id,
 ) -> str:
     """The (validated homogeneous) local kind seen by an infinite abelian
     vertex: from its red corners, else from its non-periodic attachments."""
-    kinds: Set[str] = set()
-    red = set(red_edges)
-    for e in cut.incident(v):
-        if e in red:
-            u, w = cut.endpoints(e)
-            kinds.add(_corner_info(sing, e, (u, w)).kind)
+    kinds = {corner_info[e].kind for e in red.incident(v)}
     if not kinds:
         for att in divisor.attachments:
             if att.component != v or not att.in_sigma:
@@ -1027,31 +1024,37 @@ def _vertex_red_kind(
 
 
 class Coloring:
-    """The green/red split of a cut graph.
+    """The green/red split of a cut graph, with the local types it was read
+    from.
 
     ``red`` is the subgraph of components with infinite holonomy and corners
-    with non-periodic local type; ``r0_vertices`` / ``r0_edges`` single out
-    the rigid locus ``R^0`` (non-abelian holonomies, non-normalizable or
-    non-linearizable corners) whose symmetries are totally discontinuous.
+    with non-periodic local type; everything else in ``cut`` is green.
+    ``r0_vertices`` / ``r0_edges`` single out the rigid locus ``R^0``
+    (non-abelian holonomies, non-normalizable or non-linearizable corners)
+    whose symmetries are totally discontinuous.  ``corner_info`` holds the
+    combined local type of every cut edge and ``vertex_kind`` the kind of
+    every red vertex: ``"nonabelian"``, or the homogeneous local kind that
+    an infinite abelian component sees.  Local types are read once, here;
+    the singular chains and the symmetry sheaves read these tables.
     """
 
-    __slots__ = ("cut", "vertex_color", "edge_color", "red", "r0_vertices", "r0_edges")
+    __slots__ = ("cut", "red", "r0_vertices", "r0_edges", "corner_info", "vertex_kind")
 
     def __init__(
         self,
         cut: Graph,
-        vertex_color: Mapping[Id, str],
-        edge_color: Mapping[Id, str],
         red: Graph,
         r0_vertices: FrozenSet[Id],
         r0_edges: FrozenSet[Id],
+        corner_info: Mapping[Id, _CornerInfo],
+        vertex_kind: Mapping[Id, str],
     ):
         self.cut = cut
-        self.vertex_color = dict(vertex_color)
-        self.edge_color = dict(edge_color)
         self.red = red
         self.r0_vertices = frozenset(r0_vertices)
         self.r0_edges = frozenset(r0_edges)
+        self.corner_info = dict(corner_info)
+        self.vertex_kind = dict(vertex_kind)
 
     def __repr__(self) -> str:
         return (
@@ -1069,45 +1072,37 @@ def color(
     when its local type is periodic.  A red edge with a green endpoint is
     inconsistent input and raises :class:`TypeHeterogeneity`.
     """
-    vertex_color: Dict[Id, str] = {}
-    for v in cut.vertices:
-        vertex_color[v] = "green" if vh.cls(v).kind == "finite" else "red"
-    edge_color: Dict[Id, str] = {}
+    red_vertices = [v for v in cut.vertices if vh.cls(v).kind != "finite"]
+    corner_info: Dict[Id, _CornerInfo] = {}
+    red_edges = []
     for e in cut.edges:
-        u, w = cut.endpoints(e)
-        info = _corner_info(sing, e, (u, w))
-        edge_color[e] = "green" if info.kind == "P" else "red"
-        if edge_color[e] == "red":
-            for end in (u, w):
-                if vertex_color[end] == "green":
-                    raise TypeHeterogeneity(
-                        f"corner {e!r} has non-periodic type but component {end!r} "
-                        "has finite holonomy"
-                    )
-    red_vertices = [v for v in cut.vertices if vertex_color[v] == "red"]
-    red_edges = [e for e in cut.edges if edge_color[e] == "red"]
+        ends = cut.endpoints(e)
+        corner_info[e] = _corner_info(sing, e, ends)
+        if corner_info[e].kind == "P":
+            continue
+        red_edges.append(e)
+        for end in ends:
+            if vh.cls(end).kind == "finite":
+                raise TypeHeterogeneity(
+                    f"corner {e!r} has non-periodic type but component {end!r} "
+                    "has finite holonomy"
+                )
     red = cut.subgraph(red_vertices, red_edges)
-
-    r0_edges = set()
-    for e in red_edges:
-        u, w = cut.endpoints(e)
-        if _corner_info(sing, e, (u, w)).kind in ("R0", "L0"):
-            r0_edges.add(e)
-    r0_vertices = set()
-    for v in red_vertices:
-        cls = vh.cls(v)
-        if cls.kind == "nonabelian":
-            r0_vertices.add(v)
-        elif cls.kind == "abelian_infinite":
-            if _vertex_red_kind(cut, red_edges, sing, divisor, v) in ("R0", "L0"):
-                r0_vertices.add(v)
+    vertex_kind = {
+        v: "nonabelian"
+        if vh.cls(v).kind == "nonabelian"
+        else _vertex_red_kind(red, corner_info, sing, divisor, v)
+        for v in red_vertices
+    }
+    r0_edges = {e for e in red_edges if corner_info[e].kind in ("R0", "L0")}
+    r0_vertices = {v for v, kind in vertex_kind.items() if kind in ("nonabelian", "R0", "L0")}
     for e in r0_edges:
         for v in cut.endpoints(e):
             if v not in r0_vertices:
                 raise TypeHeterogeneity(
                     f"corner {e!r} is rigid but its endpoint {v!r} is not"
                 )
-    return Coloring(cut, vertex_color, edge_color, red, frozenset(r0_vertices), frozenset(r0_edges))
+    return Coloring(cut, red, r0_vertices, r0_edges, corner_info, vertex_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,22 +1148,14 @@ class ChainCounts(NamedTuple):
 
 
 def singular_chains(
-    cut: Graph, val_sigma: Mapping[Id, int], sing: SingularityData
+    cut: Graph, val_sigma: Mapping[Id, int], corner_kind: Callable[[Id], str]
 ) -> Tuple[SingularChain, ...]:
-    """All singular chains of the cut graph, classified by the local type of
-    their corners (validated homogeneous along each chain).
+    """All singular chains of the cut graph, classified by the local kind
+    ``corner_kind(e)`` of their corners (validated homogeneous along each
+    chain); it is asked for the corners of chains only.
 
-    >>> d = MarkedDivisor(
-    ...     components=[Component(0), Component(1), Component(2)],
-    ...     corners=[Corner("s", (0, 1)), Corner("t", (1, 2))],
-    ...     attachments=[Attachment(f"a{k}", c) for k, c in enumerate((0, 0, 2, 2))],
-    ... )
-    >>> t = SymbolTable([])
-    >>> sing = SingularityData(t, {
-    ...     ("s", 0): SideData(type=SideType.resonant_normalizable(1, 0)),
-    ...     ("t", 1): SideData(type=SideType.resonant_normalizable(1, 0)),
-    ... })
-    >>> chains = singular_chains(build_cut_graph(d, sing), d.val_sigma(), sing)
+    >>> cut = Graph([0, 1, 2], {"s": (0, 1), "t": (1, 2)})
+    >>> chains = singular_chains(cut, {0: 3, 1: 2, 2: 3}, {"s": "R1", "t": "R1"}.get)
     >>> [(c.vertices, c.kind) for c in chains]
     [((0, 1, 2), 'resonant_normalizable')]
     """
@@ -1201,10 +1188,7 @@ def singular_chains(
         if _id_key(vertices[-1]) < _id_key(vertices[0]):
             vertices = tuple(reversed(vertices))
             edges = tuple(reversed(edges))
-        kinds = set()
-        for e in edges:
-            u, w = cut.endpoints(e)
-            kinds.add(_corner_info(sing, e, (u, w)).kind)
+        kinds = {corner_kind(e) for e in edges}
         if len(kinds) > 1:
             raise TypeHeterogeneity(
                 f"chain {vertices!r} mixes local types {sorted(kinds)}"
@@ -1243,7 +1227,10 @@ def chain_counts(chains: Iterable[SingularChain]) -> ChainCounts:
 
 def tau(red: Graph, r0_vertices: Iterable[Id], r0_edges: Iterable[Id]) -> int:
     """First Betti number of the red graph with its rigid locus collapsed to
-    a point: ``E - V + C`` of the quotient graph.
+    a point: ``E - V + C`` of the quotient graph.  The point cancels
+    against the component it lies in, which leaves the non-rigid edges,
+    minus the non-rigid vertices, plus the components of the red graph
+    without its rigid edges that hold no rigid vertex.
 
     >>> g = Graph([0, 1, 2], {"s": (0, 1), "t": (1, 2)})
     >>> tau(g, [0, 2], [])
@@ -1253,25 +1240,9 @@ def tau(red: Graph, r0_vertices: Iterable[Id], r0_edges: Iterable[Id]) -> int:
     """
     r0v = set(r0_vertices)
     r0e = set(r0_edges)
-    if not red.vertices:
-        return 0
-    star = "__r0__"
-    if star in set(red.vertices) | set(red.edges):  # pragma: no cover - defensive
-        raise FoliationError(f"reserved id {star!r} used in the graph")
-    vertices = [v for v in red.vertices if v not in r0v]
-    if r0v:
-        vertices.append(star)
-    edges = []
-    for e in red.edges:
-        if e in r0e:
-            continue
-        u, w = red.endpoints(e)
-        u = star if u in r0v else u
-        w = star if w in r0v else w
-        edges.append((e, u, w))
-    quotient = Graph(vertices, edges)
-    n_components = len(quotient.connected_components())
-    return len(quotient.edges) - len(quotient.vertices) + n_components
+    rest = red.subgraph(red.vertices, [e for e in red.edges if e not in r0e])
+    free = sum(1 for piece in rest.connected_components() if not r0v.intersection(piece))
+    return len(rest.edges) - (len(red.vertices) - len(r0v)) + free
 
 
 # ---------------------------------------------------------------------------
@@ -1291,7 +1262,11 @@ def is_non_degenerate(
     """
     cut = build_cut_graph(divisor, sing)
     val = divisor.val_sigma()
-    return _non_degenerate(divisor, vh, cut, val, lambda: singular_chains(cut, val, sing))
+
+    def kind(e: Id) -> str:
+        return _corner_info(sing, e, cut.endpoints(e)).kind
+
+    return _non_degenerate(divisor, vh, cut, val, lambda: singular_chains(cut, val, kind))
 
 
 def _non_degenerate(
@@ -1449,10 +1424,6 @@ def _edge_sym_group(
     of its preferred (smaller-id) side."""
     table = sing.table
     one = Scalar.one(table)
-    if info.kind == "P":
-        raise NonAbelianRedSym(
-            f"corner {point!r} is periodic; its symmetries are not abelian"
-        )
     if info.kind == "L1":
         other = u if _designated(u, w) == w else w
         designated = u if other == w else w
@@ -1516,77 +1487,58 @@ def _scale_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup, factor: S
     return GroupHom(dom, cod, [{0: factor}], disc, ())
 
 
-def _vertex_kind_and_edges(
-    red: Graph, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor, v: Id
-) -> Tuple[str, Tuple[Id, ...]]:
-    cls = vh.cls(v)
-    if cls.kind == "finite":
-        raise NonAbelianRedSym(
-            f"component {v!r} has finite holonomy; its symmetry group on the red "
-            "part is not defined"
-        )
+def _chart_edge(red: Graph, val: Mapping[Id, int], v: Id) -> Optional[Id]:
+    """The edge in whose chart the stalks of a red vertex are stored, or
+    ``None`` for the vertex's own canonical chart: canonical when it has no
+    red edge or singular valency at least three, else its smallest edge.  A
+    component with at most two singular points has cyclic holonomy, so its
+    symmetries restrict isomorphically to a corner."""
     edges = red.incident(v)
-    if cls.kind == "nonabelian":
-        return "nonabelian", edges
-    kind = _vertex_red_kind(red, red.edges, sing, divisor, v)
-    return kind, edges
+    if not edges or val[v] >= 3:
+        return None
+    return min(edges, key=_id_key)
 
 
 def build_sym_graph(
-    red: Graph, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
+    coloring: Coloring, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
 ) -> GroupGraph:
-    """The sheaf of transverse symmetries on the red graph.
+    """The sheaf of transverse symmetries on the red graph of ``coloring``.
 
     Edge stalks realize the centralizer of the corner holonomy modulo the
     holonomy itself, in the chart of the preferred side; vertex stalks
     realize the centralizer of the component holonomy, and the restriction
     maps transport between charts by the Camacho-Sad factors.
 
-    Raises :class:`NonAbelianRedSym` on green elements,
-    :class:`TypeHeterogeneity` on inconsistent local types and
-    :class:`UnsupportedSideData` on missing or non-transportable side data.
+    Raises :class:`UnsupportedSideData` on missing or non-transportable
+    side data.
     """
+    red, infos = coloring.red, coloring.corner_info
     table = sing.table
-    egroups: Dict[Id, PresentedAbelianGroup] = {}
-    infos: Dict[Id, _CornerInfo] = {}
-    for e in red.edges:
-        u, w = red.endpoints(e)
-        infos[e] = _corner_info(sing, e, (u, w))
-        egroups[e] = _edge_sym_group(sing, e, u, w, infos[e])
-
+    egroups = {e: _edge_sym_group(sing, e, *red.endpoints(e), infos[e]) for e in red.edges}
     vgroups: Dict[Id, PresentedAbelianGroup] = {}
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
     val = divisor.val_sigma()
     for v in red.vertices:
-        kind, edges = _vertex_kind_and_edges(red, sing, vh, divisor, v)
+        kind, edges = coloring.vertex_kind[v], red.incident(v)
+        s1 = _chart_edge(red, val, v)
         if kind == "nonabelian":
             vgroups[v] = PresentedAbelianGroup.from_invariant_factors(
                 table, vh.cls(v).invariant_factors
             )
             for e in edges:
                 rhos[(v, e)] = zero_hom(vgroups[v], egroups[e])
-            continue
-        for e in edges:
-            if infos[e].kind != kind:
-                raise TypeHeterogeneity(
-                    f"component {v!r} has {kind} data but corner {e!r} is {infos[e].kind}"
-                )
-        if not edges or val[v] >= 3:
+        elif s1 is None:
             vgroups[v] = _canonical_vertex_group(sing, divisor, v, kind, edges, infos)
             for e in edges:
                 rhos[(v, e)] = _canonical_restriction(
                     sing, red, v, e, kind, vgroups[v], egroups[e]
                 )
         else:
-            # a component with at most two singular points has cyclic
-            # holonomy, so its symmetries restrict isomorphically to a corner
-            s1 = min(edges, key=_id_key)
             vgroups[v] = egroups[s1]
             rhos[(v, s1)] = identity_hom(vgroups[v])
             for e in edges:
-                if e == s1:
-                    continue
-                rhos[(v, e)] = _transport(sing, red, v, s1, e, kind, egroups, infos)
+                if e != s1:
+                    rhos[(v, e)] = _transport(sing, red, v, s1, e, kind, egroups, infos)
     return GroupGraph(red, vgroups, egroups, rhos, table=table, check=True)
 
 
@@ -1764,95 +1716,58 @@ class SheafProjection(NamedTuple):
     projection: GroupGraphMorphism
 
 
-def build_exp_graph(
-    red: Graph,
-    sing: SingularityData,
-    vh: VertexHolonomy,
-    divisor: MarkedDivisor,
-    sym: GroupGraph,
-) -> SheafInclusion:
+def build_exp_graph(sym: GroupGraph, coloring: Coloring, divisor: MarkedDivisor) -> SheafInclusion:
     """The flow part of the symmetry sheaf ``sym`` with its inclusion into it.
 
     On linearizable elements the flow part is the whole stalk; on resonant
     normalizable elements it is the one-parameter subgroup of flow times; on
-    rigid elements it vanishes.
+    rigid elements it vanishes.  A vertex stalk lives in the chart that
+    ``sym`` stores it in.  ``Exp`` is a subsheaf of ``sym``, so its
+    restriction maps are induced: each is the restriction of ``sym`` on
+    the flow part, factored through the flow part of the edge.
     """
-    table = sing.table
+    red, table = coloring.red, sym.table
     one = Scalar.one(table)
-    egroups: Dict[Id, PresentedAbelianGroup] = {}
     emaps: Dict[Id, GroupHom] = {}
-    infos: Dict[Id, _CornerInfo] = {}
     for e in red.edges:
-        u, w = red.endpoints(e)
-        info = _corner_info(sing, e, (u, w))
-        infos[e] = info
-        cod = sym.edge_group(e)
+        info, cod = coloring.corner_info[e], sym.edge_group(e)
         if info.kind == "L1":
-            egroups[e] = cod
             emaps[e] = identity_hom(cod)
         elif info.kind == "R1":
             k = info.p // gcd(info.p, info.r)
             grp = PresentedAbelianGroup(table, 1, 0, [Relation({0: one.scale(k)}, (), "Z")])
-            egroups[e] = grp
             emaps[e] = GroupHom(grp, cod, [{0: one}], (), ())
         else:
-            grp = PresentedAbelianGroup.trivial(table)
-            egroups[e] = grp
-            emaps[e] = zero_hom(grp, cod)
+            emaps[e] = zero_hom(PresentedAbelianGroup.trivial(table), cod)
 
-    vgroups: Dict[Id, PresentedAbelianGroup] = {}
     vmaps: Dict[Id, GroupHom] = {}
-    rhos: Dict[Tuple[Id, Id], GroupHom] = {}
     val = divisor.val_sigma()
     for v in red.vertices:
-        kind, edges = _vertex_kind_and_edges(red, sing, vh, divisor, v)
-        cod = sym.vertex_group(v)
+        kind, cod = coloring.vertex_kind[v], sym.vertex_group(v)
+        s1 = _chart_edge(red, val, v)
         if kind in ("nonabelian", "R0", "L0"):
-            grp = PresentedAbelianGroup.trivial(table)
-            vgroups[v] = grp
-            vmaps[v] = zero_hom(grp, cod)
-            for e in edges:
-                rhos[(v, e)] = zero_hom(grp, egroups[e])
-            continue
-        if not edges or val[v] >= 3:
-            if kind == "L1":
-                vgroups[v] = cod
-                vmaps[v] = identity_hom(cod)
-                for e in edges:
-                    rhos[(v, e)] = sym.rho(v, e)
-            else:  # R1 canonical chart: flow times inside C (+) Z/p
-                grp = PresentedAbelianGroup.free_cont(table, 1)
-                vgroups[v] = grp
-                vmaps[v] = GroupHom(grp, cod, [{0: one}], (), ())
-                for e in edges:
-                    u, w = red.endpoints(e)
-                    gamma = _gamma(sing, e, v, w if u == v else u)
-                    rhos[(v, e)] = GroupHom(grp, egroups[e], [{0: gamma}], (), ())
-        else:
-            s1 = min(edges, key=_id_key)
-            vgroups[v] = egroups[s1]
+            vmaps[v] = zero_hom(PresentedAbelianGroup.trivial(table), cod)
+        elif s1 is not None:
             # the vertex stalk is stored in the chart of its smallest edge,
             # so the inclusion into it is the edge-level inclusion there
             vmaps[v] = emaps[s1]
-            rhos[(v, s1)] = identity_hom(vgroups[v])
-            for e in edges:
-                if e == s1:
-                    continue
-                if kind == "L1":
-                    rhos[(v, e)] = sym.rho(v, e)
-                else:
-                    g1 = _gamma(sing, s1, v, _other_end(red, s1, v))
-                    g2 = _gamma(sing, e, v, _other_end(red, e, v))
-                    h = GroupHom(vgroups[v], egroups[e], [{0: g2 / g1}], (), ())
-                    try:
-                        check_hom(h)
-                    except HomError as err:
-                        raise UnsupportedSideData(
-                            f"component {v!r}: flow transport from {s1!r} to {e!r} "
-                            f"fails: {err}"
-                        ) from None
-                    rhos[(v, e)] = h
+        elif kind == "L1":
+            vmaps[v] = identity_hom(cod)
+        else:  # R1 canonical chart: flow times inside C (+) Z/p
+            vmaps[v] = GroupHom(PresentedAbelianGroup.free_cont(table, 1), cod, [{0: one}], (), ())
 
+    rhos: Dict[Tuple[Id, Id], GroupHom] = {}
+    for e in red.edges:
+        for v in set(red.endpoints(e)):
+            try:
+                rhos[(v, e)] = factor_through(compose(sym.rho(v, e), vmaps[v]), emaps[e])
+            except HomError as err:  # pragma: no cover - theorem-backed
+                raise PipelineError(
+                    f"the restriction at ({v!r}, {e!r}) does not carry flows to "
+                    f"flows: {err}"
+                ) from None
+    vgroups = {v: h.dom for v, h in vmaps.items()}
+    egroups = {e: h.dom for e, h in emaps.items()}
     exp = GroupGraph(red, vgroups, egroups, rhos, table=table, check=True)
     inclusion = GroupGraphMorphism(exp, sym, vmaps, emaps, check=True)
     return SheafInclusion(exp, inclusion)
@@ -1963,16 +1878,20 @@ def _blow_up_extremities(zone: GroupGraph) -> GroupGraph:
     """Insert one valency-two vertex past every extremity of the zone, with
     the edge stalk as the new vertex stalk and identity restrictions, so
     that extremal stalks become explicit overlap vertices.  ``H^1`` is
-    unchanged."""
+    unchanged.  The new ids are the first ``__blow_<k>_*`` triples that the
+    zone does not use."""
     extremities = [v for v in zone.graph.vertices if zone.graph.valency(v) == 1]
+    taken = set(zone.graph.vertices) | set(zone.graph.edges)
+    fresh = (
+        ids
+        for ids in ((f"__blow_{k}_v", f"__blow_{k}_a", f"__blow_{k}_b") for k in count())
+        if not taken.intersection(ids)
+    )
     current = zone
-    for k, v in enumerate(sorted(extremities, key=_id_key)):
+    for v in sorted(extremities, key=_id_key):
         (e,) = current.graph.incident(v)
         w = _other_end(current.graph, e, v)
-        u_id, a_id, b_id = f"__blow_{k}_v", f"__blow_{k}_a", f"__blow_{k}_b"
-        taken = set(current.graph.vertices) | set(current.graph.edges)
-        if {u_id, a_id, b_id} & taken:  # pragma: no cover - defensive
-            raise PipelineError("blow-up id collision")
+        u_id, a_id, b_id = next(fresh)
         ge = current.edge_group(e)
         vertices = list(current.graph.vertices) + [u_id]
         edges = [(f, *current.graph.endpoints(f)) for f in current.graph.edges if f != e]
@@ -2120,24 +2039,21 @@ class _SES(NamedTuple):
 
 
 def _build_ses(
-    red: Graph, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
+    coloring: Coloring, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
 ) -> _SES:
-    sym = build_sym_graph(red, sing, vh, divisor)
-    exp, inclusion = build_exp_graph(red, sing, vh, divisor, sym=sym)
+    sym = build_sym_graph(coloring, sing, vh, divisor)
+    exp, inclusion = build_exp_graph(sym, coloring, divisor)
     dis, projection = build_dis_graph(sym, inclusion)
     return _SES(sym, exp, inclusion, dis, projection)
 
 
-def _assert_dis_shapes(
-    ses: _SES, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
-) -> None:
+def _assert_dis_shapes(ses: _SES, coloring: Coloring) -> None:
     """Structural sanity of the discontinuous quotient: finite on the
     non-rigid locus, discrete everywhere, atoms exactly at non-linearizable
     elements."""
     red = ses.sym.graph
     for e in red.edges:
-        u, w = red.endpoints(e)
-        kind = _corner_info(sing, e, (u, w)).kind
+        kind = coloring.corner_info[e].kind
         nf = classify(ses.dis.edge_group(e))
         if kind == "L1" and not nf.is_trivial:
             raise PipelineError(f"corner {e!r}: linearizable quotient stalk {nf.text()}")
@@ -2146,7 +2062,7 @@ def _assert_dis_shapes(
         if kind == "L0" and not nf.has_atoms:
             raise PipelineError(f"corner {e!r}: non-linearizable stalk lost its atom")
     for v in red.vertices:
-        kind, _ = _vertex_kind_and_edges(red, sing, vh, divisor, v)
+        kind = coloring.vertex_kind[v]
         nf = classify(ses.dis.vertex_group(v))
         if nf.free_cont_rank or nf.cstar_count or nf.lattices or nf.nondiscrete:
             raise PipelineError(f"component {v!r}: quotient stalk not discrete")
@@ -2405,7 +2321,7 @@ def _common(divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy) -
     cut = build_cut_graph(divisor, sing)
     val = divisor.val_sigma()
     coloring = color(cut, sing, vh, divisor)
-    chains = singular_chains(cut, val, sing)
+    chains = singular_chains(cut, val, lambda e: coloring.corner_info[e].kind)
     counts = chain_counts(chains)
     t = tau(coloring.red, coloring.r0_vertices, coloring.r0_edges)
     nd = _non_degenerate(divisor, vh, cut, val, lambda: chains)
@@ -2457,8 +2373,8 @@ def _reports(
     pipelines = ("non_degenerate", "finite_type") if c.nd.ok else ("finite_type",)
     if not c.coloring.red.vertices:
         return [_trivial_report(c, sing.table, name) for name in pipelines]
-    ses = _build_ses(c.coloring.red, sing, vh, divisor)
-    _assert_dis_shapes(ses, sing, vh, divisor)
+    ses = _build_ses(c.coloring, sing, vh, divisor)
+    _assert_dis_shapes(ses, c.coloring)
     les = long_exact_sequence(ses.inclusion, ses.projection)
     if not c.nd.ok:
         seq, moduli_nf = _four_term(sing, c.coloring, ses, les, c.tau)

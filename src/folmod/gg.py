@@ -782,6 +782,29 @@ def _pseudo_section(h: GroupHom) -> GroupHom:
     return GroupHom(h.cod, h.dom, cont, disc, tuple(atoms))
 
 
+def _induced_h0(c: GroupHom, src: CohomologyResult, dst: CohomologyResult) -> GroupHom:
+    """The map ``H^0(src) -> H^0(dst)`` induced by the 0-cochain map ``c``."""
+    return factor_through(compose(c, src.h0_inclusion), dst.h0_inclusion)
+
+
+def _induced_h1(c: GroupHom, src: CohomologyResult, dst: CohomologyResult) -> GroupHom:
+    """The map ``H^1(src) -> H^1(dst)`` induced by the 1-cochain map ``c``,
+    checked to be a homomorphism."""
+    h = compose(dst.h1_projection, compose(c, src.h1_section))
+    check_hom(h)
+    return h
+
+
+def _inexact_nodes(nodes: Sequence[str], maps: Sequence[GroupHom]) -> Tuple[str, ...]:
+    """The nodes of a six-term sequence ``0 -> A0 -> ... -> A5 -> 0`` at
+    which exactness fails; ``maps`` are its five arrows ``A0 -> A1`` to
+    ``A4 -> A5``, and every node is checked."""
+    verdicts = [is_injective(maps[0])]
+    verdicts += [is_exact_at(f, g) for f, g in zip(maps, maps[1:])]
+    verdicts.append(is_surjective(maps[-1]))
+    return tuple(node for node, ok in zip(nodes, verdicts) if not ok)
+
+
 # ---------------------------------------------------------------------------
 # Mayer–Vietoris
 # ---------------------------------------------------------------------------
@@ -847,14 +870,14 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
     point = [(0, 0, 0)]  # the block offsets of a group that is not a sum
 
     # H0(A) -> H0(A0) + H0(A1)
-    rest0 = factor_through(compose(_by_id(vA, v0), cA.h0_inclusion), c0.h0_inclusion)
-    rest1 = factor_through(compose(_by_id(vA, v1), cA.h0_inclusion), c1.h0_inclusion)
+    rest0 = _induced_h0(_by_id(vA, v0), cA, c0)
+    rest1 = _induced_h0(_by_id(vA, v1), cA, c1)
     h0sum, h0offs = direct_sum([c0.h0, c1.h0], table)
     alpha = block_hom(cA.h0, point, h0sum, h0offs, [(0, 0, rest0, 1), (0, 1, rest1, 1)])
 
     # H0(A0) + H0(A1) -> H0(A01), difference of the overlaps
-    d0_ = factor_through(compose(_by_id(v0, v01), c0.h0_inclusion), c01.h0_inclusion)
-    d1_ = factor_through(compose(_by_id(v1, v01), c1.h0_inclusion), c01.h0_inclusion)
+    d0_ = _induced_h0(_by_id(v0, v01), c0, c01)
+    d1_ = _induced_h0(_by_id(v1, v01), c1, c01)
     beta = block_hom(
         h0sum, h0offs, c01.h0, point, [(0, 0, d0_, 1), (1, 0, negate_hom(d1_), 1)]
     )
@@ -871,34 +894,26 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
     check_hom(delta)
 
     # H1(A) -> H1(A0) + H1(A1)
-    gma0 = compose(c0.h1_projection, compose(_by_id(eA, e0), cA.h1_section))
-    check_hom(gma0)
-    gma1 = compose(c1.h1_projection, compose(_by_id(eA, e1), cA.h1_section))
-    check_hom(gma1)
+    gma0 = _induced_h1(_by_id(eA, e0), cA, c0)
+    gma1 = _induced_h1(_by_id(eA, e1), cA, c1)
     h1sum, h1offs = direct_sum([c0.h1, c1.h1], table)
     gamma = block_hom(cA.h1, point, h1sum, h1offs, [(0, 0, gma0, 1), (0, 1, gma1, 1)])
 
     # H1(A0) + H1(A1) -> H1(A01)
-    eps0 = compose(c01.h1_projection, compose(_by_id(e0, e01), c0.h1_section))
-    check_hom(eps0)
-    eps1 = compose(c01.h1_projection, compose(_by_id(e1, e01), c1.h1_section))
-    check_hom(eps1)
+    eps0 = _induced_h1(_by_id(e0, e01), c0, c01)
+    eps1 = _induced_h1(_by_id(e1, e01), c1, c01)
     epsilon = block_hom(
         h1sum, h1offs, c01.h1, point, [(0, 0, eps0, 1), (1, 0, negate_hom(eps1), 1)]
     )
 
-    checks = [
-        ("H0(whole)", is_injective(alpha)),
-        ("H0(pieces)", is_exact_at(alpha, beta)),
-        ("H0(overlap)", is_exact_at(beta, delta)),
-        ("H1(whole)", is_exact_at(delta, gamma)),
-        ("H1(pieces)", is_exact_at(gamma, epsilon)),
-        ("H1(overlap)", is_surjective(epsilon)),
-    ]
-    failures = tuple(name for name, ok in checks if not ok)
+    maps = (alpha, beta, delta, gamma, epsilon)
+    failures = _inexact_nodes(
+        ("H0(whole)", "H0(pieces)", "H0(overlap)", "H1(whole)", "H1(pieces)", "H1(overlap)"),
+        maps,
+    )
     return MayerVietorisResult(
         groups=(cA.h0, h0sum, c01.h0, cA.h1, h1sum, c01.h1),
-        maps=(alpha, beta, delta, gamma, epsilon),
+        maps=maps,
         exact=not failures,
         failures=failures,
         pieces=(c0, c1),
@@ -968,8 +983,8 @@ def long_exact_sequence(
     iota_c1 = _by_id(F1, G1, iota.edge_map)
     pi_c1 = _by_id(G1, J1, pi.edge_map)
 
-    f0 = factor_through(compose(iota_c0, cF.h0_inclusion), cG.h0_inclusion)
-    g0 = factor_through(compose(pi_c0, cG.h0_inclusion), cJ.h0_inclusion)
+    f0 = _induced_h0(iota_c0, cF, cG)
+    g0 = _induced_h0(pi_c0, cG, cJ)
 
     sec = _pseudo_section(pi_c0)
     sigma = compose(cG.witnesses, compose(sec, cJ.h0_inclusion))
@@ -977,23 +992,17 @@ def long_exact_sequence(
     delta = compose(cF.h1_projection, pulled)
     check_hom(delta)
 
-    f1 = compose(cG.h1_projection, compose(iota_c1, cF.h1_section))
-    check_hom(f1)
-    g1 = compose(cJ.h1_projection, compose(pi_c1, cG.h1_section))
-    check_hom(g1)
+    f1 = _induced_h1(iota_c1, cF, cG)
+    g1 = _induced_h1(pi_c1, cG, cJ)
 
-    checks = [
-        ("H0(sub)", is_injective(f0)),
-        ("H0(total)", is_exact_at(f0, g0)),
-        ("H0(quotient)", is_exact_at(g0, delta)),
-        ("H1(sub)", is_exact_at(delta, f1)),
-        ("H1(total)", is_exact_at(f1, g1)),
-        ("H1(quotient)", is_surjective(g1)),
-    ]
-    failures = tuple(name for name, ok in checks if not ok)
+    maps = (f0, g0, delta, f1, g1)
+    failures = _inexact_nodes(
+        ("H0(sub)", "H0(total)", "H0(quotient)", "H1(sub)", "H1(total)", "H1(quotient)"),
+        maps,
+    )
     return LongExactSequenceResult(
         groups=(cF.h0, cG.h0, cJ.h0, cF.h1, cG.h1, cJ.h1),
-        maps=(f0, g0, delta, f1, g1),
+        maps=maps,
         exact=not failures,
         failures=failures,
         middle=cG,

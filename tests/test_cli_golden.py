@@ -1,4 +1,5 @@
-"""Golden reports: `folmod moduli --format json` on the bundled examples.
+"""Golden reports: `folmod moduli --format json` on the bundled examples
+and on the seed-0 geodesics of the benchmark.
 
 The sha256 of each JSON report is fixed here, so any change to a report
 byte, or to a classified moduli group, fails this test.  A change that
@@ -14,6 +15,7 @@ import pytest
 
 from folmod.cli import main
 from folmod.examples import EXAMPLES, example_doc
+from test_pipeline import _geodesic_doc
 
 GOLDEN_SHA256 = {
     0: "0746b23dba2d82d78bd3acb10bf47a6c05ce3a5aead4d34f63373ad6f31e354f",
@@ -39,3 +41,21 @@ def test_moduli_json_report_is_golden(n: int, tmp_path, capsys) -> None:
     else:
         assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[n]
+
+
+GEODESIC_SHA256 = {
+    3: "8940355cfb3165fe345972a3aedb6be5d2e6a3777278a4b304c3ae381a5a5b67",
+    5: "4feaadca6ccc035bbc59c674f00f134aba8590fb67b84b105d4acf788e774647",
+    9: "3d72e3ace7732a36b4f577b8318cfa1b6fb5cbcacf22cd63db7c38b23ce7e60c",
+    17: "f0732774830ada5e9ab47c3c0aa1cc8439190466614925db20966b4b0bd704fe",
+}
+
+
+@pytest.mark.parametrize("k", sorted(GEODESIC_SHA256))
+def test_moduli_json_report_on_a_geodesic_is_golden(k: int, tmp_path, capsys) -> None:
+    path = tmp_path / f"geodesic{k}.json"
+    path.write_text(json.dumps(_geodesic_doc(k), sort_keys=True, indent=2), encoding="utf-8")
+    assert main(["moduli", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GEODESIC_SHA256[k]

@@ -3,11 +3,13 @@
 `compute_moduli` builds the short exact sequence of symmetry sheaves and
 its long exact sequence once; the non-degenerate and finite-type reports
 are both read from them.  These tests pin down that the expensive stages
-run once per `folmod moduli` call, that its reports are the ones the CLI
-prints, that the two public predicates agree with the verdicts on the
-reports, that the gates raise what they raised before, and that malformed
-documents end in exit code 2 with a message naming the file instead of a
-traceback.
+run once per `folmod moduli` call, that each local type is read once and
+the flow sheaf's restrictions are induced from the symmetry sheaf, that its
+reports are the ones the CLI prints, that the two public predicates agree
+with the verdicts on the reports, that the gates and the symmetry sheaf
+refuse what they refused before, that any valid id passes the pipelines,
+and that malformed documents end in exit code 2 with a message naming the
+file instead of a traceback.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def _geodesic_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _geodesic_doc(k: int) -> dict:
+    """The seed-0 geodesic of ``k`` joints, as the benchmark draws it."""
+    geo = _geodesic_module()
+    return geo.geodesic_doc(geo.chain_periods(k, random.Random(f"geodesic-0-{k}")))
 
 
 def _write(tmp_path, doc, name: str = "input.json") -> str:
@@ -112,6 +120,28 @@ def test_validate_builds_the_cut_graph_and_the_coloring_once(monkeypatch) -> Non
     calls = _count_calls(monkeypatch, ("build_cut_graph", "color"))
     assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
     assert calls == {"build_cut_graph": 1, "color": 1}
+
+
+def test_local_types_are_read_once(monkeypatch) -> None:
+    # The three geodesics have 28 cut edges and 14 abelian infinite
+    # components; 11 of their chains are R1, and each R1 transport reads
+    # the Camacho-Sad factors of its two corners.
+    calls = _count_calls(monkeypatch, ("_corner_info", "_vertex_red_kind", "_gamma"))
+    for k in (3, 5, 9):
+        inp = load_input(_geodesic_doc(k))
+        compute_moduli(inp.divisor, inp.singularities, inp.holonomies)
+    assert calls == {"_corner_info": 28, "_vertex_red_kind": 14, "_gamma": 22}
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6])
+def test_the_flow_sheaf_is_induced_from_the_symmetry_sheaf(n: int, monkeypatch) -> None:
+    divisor, sing, vh = _args(n)
+    coloring = foliation.color(foliation.build_cut_graph(divisor, sing), sing, vh, divisor)
+    sym = foliation.build_sym_graph(coloring, sing, vh, divisor)
+    calls = _count_calls(monkeypatch, ("_gamma", "check_hom"))
+    exp, inclusion = foliation.build_exp_graph(sym, coloring, divisor)
+    assert calls == {"_gamma": 0, "check_hom": 0}
+    assert inclusion.cod is sym and inclusion.dom is exp
 
 
 def test_zone_cores_read_their_h1_from_the_gluing_sequence(monkeypatch) -> None:
@@ -349,3 +379,98 @@ def test_fuzzed_documents_never_raise(tmp_path, capsys, doc) -> None:
     code = _moduli_code(["moduli", _write(tmp_path, doc)])
     assert code in {0, 1, 2, 3}
     capsys.readouterr()
+
+
+# -- refusals of the symmetry sheaf -----------------------------------------
+
+
+def _r1_doc(components, corners) -> dict:
+    """Components ``{id: holonomy class}`` joined by R1 ``corners``
+    ``(id, (u, w), p)``, with both sides of every corner given."""
+    return {
+        "schema_version": 1,
+        "symbols": [],
+        "components": [{"id": c} for c in components],
+        "corners": [{"id": s, "components": list(ends)} for s, ends, _ in corners],
+        "singularities": [
+            {"point": s, "component": c, "type": {"kind": "R1", "p": p, "r": 0}}
+            for s, ends, p in corners
+            for c in ends
+        ],
+        "holonomies": [
+            {"component": c, "class": cls} for c, cls in components.items()
+        ],
+    }
+
+
+SES_REFUSALS = {
+    "star": (
+        _r1_doc(
+            {0: "abelian_infinite", 1: "nonabelian", 2: "nonabelian", 3: "nonabelian"},
+            [("s1", (0, 1), 2), ("s2", (0, 2), 3), ("s3", (0, 3), 3)],
+        ),
+        "UnsupportedSideData: component 0: incident corners disagree on p ([2, 3])\n",
+    ),
+    "chain": (
+        _r1_doc(
+            {0: "nonabelian", 1: "abelian_infinite", 2: "nonabelian"},
+            [("s1", (0, 1), 2), ("s2", (1, 2), 3)],
+        ),
+        "UnsupportedSideData: component 1: corners 's1' and 's2' carry different "
+        "type parameters; transport is not defined\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SES_REFUSALS))
+def test_r1_corners_with_different_p_are_refused(case: str, tmp_path, capsys) -> None:
+    doc, stderr = SES_REFUSALS[case]
+    inp = load_input(doc)
+    assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
+    assert _moduli_code(["moduli", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr() == ("", stderr)
+
+
+# -- ids that the pipelines use internally ----------------------------------
+
+
+def _renamed(doc: dict, old, new) -> dict:
+    """``doc`` with the component, corner or point id ``old`` renamed."""
+    doc = copy.deepcopy(doc)
+
+    def swap(x):
+        return new if type(x) is type(old) and x == old else x
+
+    for key in ("components", "corners", "attachments", "singularities", "holonomies"):
+        for item in doc.get(key, ()):
+            for field in ("id", "point", "component"):
+                if field in item:
+                    item[field] = swap(item[field])
+            if key == "corners":
+                item["components"] = [swap(c) for c in item["components"]]
+            if "orders" in item:
+                item["orders"] = [[swap(p), n] for p, n in item["orders"]]
+    return doc
+
+
+RENAMED_INPUTS = {
+    "example 1": (lambda: example_doc(1), "C/(Z + (2*alpha_t)Z) (+) C/(Z + (2*beta_t)Z)"),
+    "example 5": (lambda: example_doc(5), "C* (+) Z/2 (+) Z/12"),
+    "geodesic 3": (lambda: _geodesic_doc(3), "(C*)^2"),
+}
+
+RENAMINGS = [
+    (name, old, new)
+    for name in sorted(RENAMED_INPUTS)
+    for old, new in ((0, "__r0__"), (0, "__blow_0_v"))
+] + [("geodesic 3", "c0a", "__blow_0_a")]
+
+
+@pytest.mark.parametrize("name, old, new", RENAMINGS)
+def test_any_valid_id_passes_the_pipelines(name: str, old, new, tmp_path, capsys) -> None:
+    make, expected = RENAMED_INPUTS[name]
+    doc = _renamed(make(), old, new)
+    assert doc != make()
+    assert _moduli_code(["moduli", _write(tmp_path, doc), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["moduli"]["text"] for p in payload["pipelines"]] == [expected, expected]
