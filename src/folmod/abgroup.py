@@ -1933,13 +1933,3 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     inclusion = kernel(stripped).inclusion
     span = _PreimageSystem(g.dom, f.cont_images, f.disc_images)
     return span.contains(inclusion.cont_images, inclusion.disc_images)
-
-
-def _selftest() -> None:  # pragma: no cover
-    import doctest
-
-    doctest.testmod()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()

@@ -107,6 +107,8 @@ def run_moduli(path: str, fmt: str = "text") -> int:
         return _fail(f"{type(err).__name__}: {err}", EXIT_PIPELINE)
     except PipelineError as err:
         return _fail(f"PipelineError: {err}", EXIT_PIPELINE)
+    except UnsupportedAtomMap as err:
+        return _fail(f"UnsupportedAtomMap: {err}", EXIT_PIPELINE)
     if fmt == "json":
         payload = {
             "pipelines": [r.to_json() for r in reports],

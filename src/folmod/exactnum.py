@@ -1237,13 +1237,3 @@ def _smith_normal_form(
 # cohomology computation revisits, small enough to keep memory flat.
 SNF_CACHE_SIZE = 128
 _snf_cached = lru_cache(maxsize=SNF_CACHE_SIZE)(_smith_normal_form)
-
-
-def _selftest() -> None:  # pragma: no cover
-    import doctest
-
-    doctest.testmod()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()

@@ -23,8 +23,12 @@ The computation runs in stages, each exposed as its own operation:
    — the sheaf ``Sym`` of transverse symmetries on ``R``, its flow part
    ``Exp`` and the totally discontinuous quotient ``Dis``, tied together by
    an elementwise short exact sequence ``0 -> Exp -> Sym -> Dis -> 0``.
-   Only ``Sym`` transports between charts: the restrictions of ``Exp`` and
-   ``Dis`` are induced from those of ``Sym``.
+   Every restriction of ``Sym`` off the non-abelian vertices is one chart
+   map: it multiplies the flow coordinate by ``gamma(e) / gamma(s1)``, the
+   Camacho–Sad factor of the edge over that of the vertex's chart edge
+   ``s1`` (``1`` in the vertex's own chart, so the map into ``s1`` is the
+   identity), and fixes the discrete and atom parts.  The restrictions of
+   ``Exp`` and ``Dis`` are induced from those of ``Sym``.
 5. :func:`compute_moduli` — the two pipelines assembling ``H^1(R, Sym)``
    into a :class:`ModuliReport`, either through singular chains
    (non-degenerate case) or through zones and a four-term exact sequence
@@ -74,6 +78,7 @@ from .abgroup import (
     is_exact_at,
     kernel,
     zero_hom,
+    _disc_ident,
 )
 from .gg import (
     Graph,
@@ -1475,16 +1480,24 @@ def _edge_sym_group(
     return PresentedAbelianGroup.atom_group(sing.table, info.atom, 0)
 
 
-def _scale_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup, factor: Scalar) -> GroupHom:
-    """Multiplication by ``factor`` on the single continuous coordinate,
-    identity on discrete generators (shapes must match)."""
-    if dom.cont_rank != 1 or cod.cont_rank != 1 or dom.disc_rank != cod.disc_rank:
-        raise UnsupportedSideData("transport between incompatible charts")
-    disc = [
-        ({}, tuple(1 if j == i else 0 for j in range(cod.disc_rank)))
-        for i in range(dom.disc_rank)
-    ]
-    return GroupHom(dom, cod, [{0: factor}], disc, ())
+def _chart_map(
+    dom: PresentedAbelianGroup, cod: PresentedAbelianGroup, factor: Scalar, what: str
+) -> GroupHom:
+    """The change of chart from ``dom`` into ``cod``: ``factor`` times the
+    flow coordinate when the stalk has one, the identity on discrete
+    generators and atoms.  ``what`` names the map when it is refused."""
+    h = GroupHom(
+        dom,
+        cod,
+        [{0: factor}] * dom.cont_rank,
+        _disc_ident(dom.disc_rank),
+        tuple(range(len(dom.atoms))),
+    )
+    try:
+        check_hom(h)
+    except HomError as err:
+        raise UnsupportedSideData(f"{what} is not a homomorphism: {err}") from None
+    return h
 
 
 def _chart_edge(red: Graph, val: Mapping[Id, int], v: Id) -> Optional[Id]:
@@ -1506,8 +1519,13 @@ def build_sym_graph(
 
     Edge stalks realize the centralizer of the corner holonomy modulo the
     holonomy itself, in the chart of the preferred side; vertex stalks
-    realize the centralizer of the component holonomy, and the restriction
-    maps transport between charts by the Camacho-Sad factors.
+    realize the centralizer of the component holonomy, in the chart that
+    :func:`_chart_edge` picks.  A non-abelian vertex restricts by zero, and
+    a vertex stored in the chart of its edge ``s1`` restricts to ``s1`` by
+    the identity.  Every other restriction from ``v`` to ``e`` is one chart
+    map (:func:`_chart_map`) with factor ``gamma(e) / gamma(s1)``, where
+    ``gamma(s1)`` is ``1`` in the vertex's own chart.  Only the kinds with
+    a flow coordinate (L1, R1) read a Camacho-Sad factor.
 
     Raises :class:`UnsupportedSideData` on missing or non-transportable
     side data.
@@ -1518,27 +1536,43 @@ def build_sym_graph(
     vgroups: Dict[Id, PresentedAbelianGroup] = {}
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
     val = divisor.val_sigma()
+    one = Scalar.one(table)
     for v in red.vertices:
         kind, edges = coloring.vertex_kind[v], red.incident(v)
-        s1 = _chart_edge(red, val, v)
         if kind == "nonabelian":
             vgroups[v] = PresentedAbelianGroup.from_invariant_factors(
                 table, vh.cls(v).invariant_factors
             )
             for e in edges:
                 rhos[(v, e)] = zero_hom(vgroups[v], egroups[e])
-        elif s1 is None:
+            continue
+        s1 = _chart_edge(red, val, v)
+        others = [e for e in edges if e != s1]
+        if s1 is None:
             vgroups[v] = _canonical_vertex_group(sing, divisor, v, kind, edges, infos)
-            for e in edges:
-                rhos[(v, e)] = _canonical_restriction(
-                    sing, red, v, e, kind, vgroups[v], egroups[e]
-                )
         else:
             vgroups[v] = egroups[s1]
             rhos[(v, s1)] = identity_hom(vgroups[v])
-            for e in edges:
-                if e != s1:
-                    rhos[(v, e)] = _transport(sing, red, v, s1, e, kind, egroups, infos)
+            # the kinds agree and only periodic corners carry q, so this
+            # compares (p, r, m, beta_image_order, atom)
+            for e in others:
+                if infos[e] != infos[s1]:
+                    raise UnsupportedSideData(
+                        f"component {v!r}: corners {s1!r} and {e!r} carry different "
+                        "type parameters; transport is not defined"
+                    )
+        flows = kind in ("L1", "R1")
+        base = one
+        if flows and s1 is not None and others:
+            base = _gamma(sing, s1, v, _other_end(red, s1, v))
+        for e in others:
+            factor = _gamma(sing, e, v, _other_end(red, e, v)) / base if flows else one
+            what = (
+                f"restriction of component {v!r} into corner {e!r}"
+                if s1 is None
+                else f"component {v!r}: transport from corner {s1!r} to {e!r}"
+            )
+            rhos[(v, e)] = _chart_map(vgroups[v], egroups[e], factor, what)
     return GroupGraph(red, vgroups, egroups, rhos, table=table, check=True)
 
 
@@ -1622,83 +1656,6 @@ def _canonical_vertex_group(
             f"component {v!r}: incident corners disagree on the atom ({sorted(atoms)})"
         )
     return PresentedAbelianGroup.atom_group(table, atoms.pop())
-
-
-def _canonical_restriction(
-    sing: SingularityData,
-    red: Graph,
-    v: Id,
-    e: Id,
-    kind: str,
-    dom: PresentedAbelianGroup,
-    cod: PresentedAbelianGroup,
-) -> GroupHom:
-    """Restriction from a canonical vertex chart into an edge chart."""
-    u, w = red.endpoints(e)
-    other = w if u == v else u
-    gamma = _gamma(sing, e, v, other)
-    if kind == "L1":
-        h = GroupHom(dom, cod, [{0: gamma}], (), ())
-    elif kind == "R1":
-        h = GroupHom(dom, cod, [{0: gamma}], [({}, (1,))], ())
-    elif kind == "R0":
-        h = GroupHom(
-            dom, cod, (), [({}, (1, 0)), ({}, (0, 1))], ()
-        )
-    else:  # L0
-        h = GroupHom(dom, cod, (), (), (0,))
-    try:
-        check_hom(h)
-    except HomError as err:
-        raise UnsupportedSideData(
-            f"restriction of component {v!r} into corner {e!r} is not a "
-            f"homomorphism: {err}"
-        ) from None
-    return h
-
-
-def _transport(
-    sing: SingularityData,
-    red: Graph,
-    v: Id,
-    s1: Id,
-    s2: Id,
-    kind: str,
-    egroups: Mapping[Id, PresentedAbelianGroup],
-    infos: Mapping[Id, _CornerInfo],
-) -> GroupHom:
-    """Transport of a valency-<=2 vertex stalk (stored in the chart of its
-    smallest edge ``s1``) into the chart of its other edge ``s2``."""
-    dom, cod = egroups[s1], egroups[s2]
-    if kind in ("R0", "L0") or kind == "R1":
-        a, b = infos[s1], infos[s2]
-        if (a.p, a.r, a.m, a.beta_image_order, a.atom) != (
-            b.p,
-            b.r,
-            b.m,
-            b.beta_image_order,
-            b.atom,
-        ):
-            raise UnsupportedSideData(
-                f"component {v!r}: corners {s1!r} and {s2!r} carry different "
-                "type parameters; transport is not defined"
-            )
-    if kind == "L0":
-        h = GroupHom(dom, cod, (), (), (0,))
-    elif kind == "R0":
-        h = GroupHom(dom, cod, (), [({}, (1, 0)), ({}, (0, 1))], ())
-    else:
-        g1 = _gamma(sing, s1, v, _other_end(red, s1, v))
-        g2 = _gamma(sing, s2, v, _other_end(red, s2, v))
-        h = _scale_hom(dom, cod, g2 / g1)
-    try:
-        check_hom(h)
-    except HomError as err:
-        raise UnsupportedSideData(
-            f"component {v!r}: transport from corner {s1!r} to {s2!r} is not a "
-            f"homomorphism: {err}"
-        ) from None
-    return h
 
 
 # ---------------------------------------------------------------------------

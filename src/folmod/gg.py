@@ -1382,13 +1382,3 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
         reps.append(best)
     reps.sort()
     return BruteForceResult(len(reps), tuple(reps))
-
-
-def _selftest() -> None:  # pragma: no cover
-    import doctest
-
-    doctest.testmod()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()

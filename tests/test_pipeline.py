@@ -8,8 +8,10 @@ the flow sheaf's restrictions are induced from the symmetry sheaf, that its
 reports are the ones the CLI prints, that the two public predicates agree
 with the verdicts on the reports, that the gates and the symmetry sheaf
 refuse what they refused before, that any valid id passes the pipelines,
-and that malformed documents end in exit code 2 with a message naming the
-file instead of a traceback.
+that a stalk without a flow coordinate reads no Camacho-Sad index, that a
+refused atom map ends in exit code 3, that relabelling the ids of an input
+leaves its moduli unchanged, and that malformed documents end in exit code
+2 with a message naming the file instead of a traceback.
 """
 
 from __future__ import annotations
@@ -474,3 +476,126 @@ def test_any_valid_id_passes_the_pipelines(name: str, old, new, tmp_path, capsys
     assert _moduli_code(["moduli", _write(tmp_path, doc), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [p["moduli"]["text"] for p in payload["pipelines"]] == [expected, expected]
+
+
+# -- a star of rigid components around one abelian component ---------------
+
+
+def _star_doc(center, side: dict) -> dict:
+    """Topologically rigid non-abelian components 1, 2 and 3, each joined
+    to the abelian infinite component ``center`` by a corner ``x1``-``x3``
+    whose two sides carry the local type ``side`` and no index."""
+    rigid = (1, 2, 3)
+    return {
+        "schema_version": 1,
+        "symbols": ["tau_i"],
+        "components": [{"id": c, "topologically_rigid": True} for c in rigid]
+        + [{"id": center}],
+        "corners": [{"id": f"x{c}", "components": [center, c]} for c in rigid],
+        "attachments": [],
+        "singularities": [
+            {"point": f"x{c}", "component": end, "type": side}
+            for c in rigid
+            for end in (center, c)
+        ],
+        "holonomies": [{"component": c, "class": "nonabelian"} for c in rigid]
+        + [{"component": center, "class": "abelian_infinite"}],
+    }
+
+
+R0_SIDE = {"kind": "R0", "p": 2, "r": 0, "m": 1}
+L0_SIDE = {"kind": "L0", "atom": "cremer"}
+
+
+@pytest.mark.parametrize("center", [0, 5])
+def test_a_rigid_star_needs_no_index(center: int, tmp_path, capsys, monkeypatch) -> None:
+    # An R0 stalk has no flow coordinate, so its restrictions read no
+    # Camacho-Sad index, whichever side of its corners is preferred.
+    doc = _star_doc(center, R0_SIDE)
+    inp = load_input(doc)
+    assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
+    calls = _count_calls(monkeypatch, ("_gamma",))
+    assert _moduli_code(["moduli", _write(tmp_path, doc), "--format", "json"]) == 0
+    assert calls == {"_gamma": 0}
+    payload = json.loads(capsys.readouterr().out)
+    # a center of valency three with abelian holonomy is degenerate
+    assert [(p["pipeline"], p["moduli"]["text"]) for p in payload["pipelines"]] == [
+        ("finite_type", "Z/2 (+) Z/2")
+    ]
+
+
+@pytest.mark.parametrize("center", [0, 5])
+def test_an_atom_star_exits_3_without_a_traceback(
+    center: int, tmp_path, capsys, monkeypatch
+) -> None:
+    # The atom of the center restricts onto the atoms of three corners,
+    # which the atom model refuses; the refusal is an exit code.
+    doc = _star_doc(center, L0_SIDE)
+    inp = load_input(doc)
+    assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
+    calls = _count_calls(monkeypatch, ("_gamma",))
+    assert _moduli_code(["moduli", _write(tmp_path, doc)]) == 3
+    assert calls == {"_gamma": 0}
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("UnsupportedAtomMap: atom cremer of domain summand ")
+    assert err.endswith(" maps onto more than one codomain atom\n")
+
+
+# -- relabelled ids ---------------------------------------------------------
+
+
+def _relabelled(doc: dict, rng: random.Random) -> dict:
+    """``doc`` with its component ids permuted among themselves, and its
+    point ids (corners and attachments) among themselves."""
+    doc = copy.deepcopy(doc)
+    comps = [c["id"] for c in doc["components"]]
+    points = [p["id"] for key in ("corners", "attachments") for p in doc.get(key, ())]
+    comp = dict(zip(comps, rng.sample(comps, len(comps))))
+    point = dict(zip(points, rng.sample(points, len(points))))
+    for item in doc["components"]:
+        item["id"] = comp[item["id"]]
+    for item in doc["corners"]:
+        item["id"] = point[item["id"]]
+        item["components"] = [comp[c] for c in item["components"]]
+    for item in doc.get("attachments", ()):
+        item["id"], item["component"] = point[item["id"]], comp[item["component"]]
+    for item in doc["singularities"]:
+        item["point"], item["component"] = point[item["point"]], comp[item["component"]]
+    for item in doc["holonomies"]:
+        item["component"] = comp[item["component"]]
+        if "orders" in item:
+            item["orders"] = [[point[p], n] for p, n in item["orders"]]
+    return doc
+
+
+RELABELLED_INPUTS = {
+    **{f"example {n}": (lambda n=n: example_doc(n)) for n in EXAMPLES},
+    "geodesic 3": lambda: _geodesic_doc(3),
+    "geodesic 5": lambda: _geodesic_doc(5),
+    "R0 star": lambda: _star_doc(5, R0_SIDE),
+    "L0 star": lambda: _star_doc(5, L0_SIDE),
+}
+
+
+def _moduli_view(doc: dict, tmp_path, capsys) -> tuple:
+    """The exit code of `folmod moduli` and, on exit 0, the moduli text and
+    sequence arrow of each pipeline."""
+    code = _moduli_code(["moduli", _write(tmp_path, doc), "--format", "json"])
+    out = capsys.readouterr().out
+    if code != 0:
+        return code, None
+    views = [
+        (p["pipeline"], p["moduli"]["text"], p["sequence"]["arrow"])
+        for p in json.loads(out)["pipelines"]
+    ]
+    return code, views
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED_INPUTS))
+def test_relabelled_ids_give_the_same_moduli(name: str, tmp_path, capsys) -> None:
+    doc = RELABELLED_INPUTS[name]()
+    expected = _moduli_view(doc, tmp_path, capsys)
+    rng = random.Random(f"relabel-{name}")
+    for i in range(4):
+        assert _moduli_view(_relabelled(doc, rng), tmp_path, capsys) == expected, i
