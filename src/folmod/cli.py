@@ -76,7 +76,10 @@ def run_check(path: str) -> int:
     """Validate an input document; exit 0 iff no violation was found."""
     inp = _parse_input(path)
     violations = validate(inp.divisor, inp.singularities, inp.holonomies)
-    tc = check_tc(inp.divisor)
+    try:
+        tc = check_tc(inp.divisor)
+    except FoliationError:  # the dual graph is not a tree, as validate reports
+        tc = True
     if not tc:
         violations.append(
             "position condition violated: a dicritical-free part has all "

@@ -17,8 +17,10 @@ The computation runs in stages, each exposed as its own operation:
 3. :func:`color` — split the cut graph into its *green* part (finite local
    data) and *red* part ``R`` (infinite local data), and isolate the fully
    rigid locus ``R^0`` inside ``R``.  It reads the local type of every cut
-   edge and the kind of every red vertex once and keeps them on the
-   :class:`Coloring`; the later stages read them from there.
+   edge, the :class:`SideType` its sides agree on, and the kind of every
+   red vertex once and keeps them on the :class:`Coloring`; the later
+   stages read them from there.  A :class:`SideType` checks its invariants
+   when it is built, so no later stage checks them again.
 4. :func:`build_sym_graph` / :func:`build_exp_graph` / :func:`build_dis_graph`
    — the sheaf ``Sym`` of transverse symmetries on ``R``, its flow part
    ``Exp`` and the totally discontinuous quotient ``Dis``, tied together by
@@ -333,12 +335,6 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
 # Local types at singular points
 # ---------------------------------------------------------------------------
 
-#: Recognized local-type kinds for one side of a singular point:
-#: ``"P"`` periodic, ``"L1"`` linearizable non-periodic, ``"L0"``
-#: non-resonant non-linearizable, ``"R1"`` resonant normalizable, ``"R0"``
-#: resonant non-normalizable.
-KINDS = ("P", "L1", "L0", "R1", "R0")
-
 _KIND_LABEL = {
     "P": "periodic",
     "L1": "linearizable",
@@ -351,9 +347,11 @@ _KIND_LABEL = {
 class SideType:
     """The analytic class of one local holonomy at a singular point.
 
-    Instances are built with the keyword-only classmethod constructors; the
-    parameters mirror the standard invariants of germs of one-variable
-    biholomorphisms:
+    ``kind`` is ``"P"`` periodic, ``"L1"`` linearizable non-periodic,
+    ``"L0"`` non-resonant non-linearizable, ``"R1"`` resonant normalizable
+    or ``"R0"`` resonant non-normalizable.  The parameters mirror the
+    standard invariants of germs of one-variable biholomorphisms, one
+    keyword-only classmethod constructor per kind:
 
     * :meth:`periodic` — finite order ``q``;
     * :meth:`linearizable` — linearizable with non-periodic linear part;
@@ -363,7 +361,11 @@ class SideType:
     * :meth:`resonant_normalizable` — embeddable in the exceptional flow,
       with resonance invariants ``(p, r)``;
     * :meth:`resonant_non_normalizable` — finite centralizer quotient,
-      described by ``(p, r, m, beta_image_order)``.
+      described by ``(p, r, m, beta_image_order)``; a missing
+      ``beta_image_order`` is ``p``.
+
+    The constructor enforces the invariants of each kind, so every instance
+    is a valid local type and later stages read its parameters unchecked.
 
     >>> SideType.resonant_normalizable(p=3, r=1)
     SideType.resonant_normalizable(p=3, r=1)
@@ -371,6 +373,10 @@ class SideType:
     'P'
     >>> SideType.resonant_non_normalizable(p=4, r=2, m=3, beta_image_order=2)
     SideType.resonant_non_normalizable(p=4, r=2, m=3, beta_image_order=2)
+    >>> SideType("R0", p=4, r=2, m=1, beta_image_order=3)
+    Traceback (most recent call last):
+        ...
+    folmod.foliation.FoliationError: beta_image_order must divide p, with p/beta_image_order dividing r
     """
 
     __slots__ = ("kind", "q", "atom", "p", "r", "m", "beta_image_order")
@@ -386,7 +392,26 @@ class SideType:
         m: Optional[int] = None,
         beta_image_order: Optional[int] = None,
     ):
-        if kind not in KINDS:
+        if kind == "P":
+            if _int(q, "q") < 1:
+                raise FoliationError("a periodic local holonomy has order >= 1")
+        elif kind == "L0":
+            if not atom or not isinstance(atom, str):
+                raise FoliationError("a non-linearizable local type needs an atom name")
+        elif kind == "R1":
+            if _int(p, "p") < 1 or _int(r, "r") < 0:
+                raise FoliationError("resonant invariants need p >= 1 and r >= 0")
+        elif kind == "R0":
+            if _int(p, "p") < 1 or _int(r, "r") < 0 or _int(m, "m") < 1:
+                raise FoliationError("resonant invariants need p >= 1, r >= 0, m >= 1")
+            if beta_image_order is None:
+                beta_image_order = p
+            beta = _int(beta_image_order, "beta_image_order")
+            if beta < 1 or p % beta != 0 or r % (p // beta) != 0:
+                raise FoliationError(
+                    "beta_image_order must divide p, with p/beta_image_order dividing r"
+                )
+        elif kind != "L1":
             raise FoliationError(f"unknown local type kind {kind!r}")
         self.kind = kind
         self.q = q
@@ -398,8 +423,6 @@ class SideType:
 
     @classmethod
     def periodic(cls, q: int = 1) -> "SideType":
-        if _int(q, "q") < 1:
-            raise FoliationError("a periodic local holonomy has order >= 1")
         return cls("P", q=q)
 
     @classmethod
@@ -408,28 +431,17 @@ class SideType:
 
     @classmethod
     def non_resonant_non_linearizable(cls, atom: str) -> "SideType":
-        if not atom or not isinstance(atom, str):
-            raise FoliationError("a non-linearizable local type needs an atom name")
         return cls("L0", atom=atom)
 
     @classmethod
     def resonant_normalizable(cls, p: int, r: int) -> "SideType":
-        if _int(p, "p") < 1 or _int(r, "r") < 0:
-            raise FoliationError("resonant invariants need p >= 1 and r >= 0")
         return cls("R1", p=p, r=r)
 
     @classmethod
     def resonant_non_normalizable(
         cls, p: int, r: int, m: int, beta_image_order: Optional[int] = None
     ) -> "SideType":
-        if _int(p, "p") < 1 or _int(r, "r") < 0 or _int(m, "m") < 1:
-            raise FoliationError("resonant invariants need p >= 1, r >= 0, m >= 1")
-        q = p if beta_image_order is None else _int(beta_image_order, "beta_image_order")
-        if q < 1 or p % q != 0 or r % (p // q) != 0:
-            raise FoliationError(
-                "beta_image_order must divide p, with p/beta_image_order dividing r"
-            )
-        return cls("R0", p=p, r=r, m=m, beta_image_order=q)
+        return cls("R0", p=p, r=r, m=m, beta_image_order=beta_image_order)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SideType) and self._key() == other._key()
@@ -917,50 +929,28 @@ def _is_nodal(sing: SingularityData, corner: Corner) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _CornerInfo(NamedTuple):
-    kind: str
-    q: Optional[int]  # unused for P corners, whose orders are per side
-    p: Optional[int]  # R1/R0
-    r: Optional[int]  # R1/R0
-    m: Optional[int]  # R0
-    beta_image_order: Optional[int]  # R0
-    atom: Optional[str]  # L0
-
-
-def _merge_param(point: Id, name: str, a, b):
-    if a is not None and b is not None and a != b:
-        raise UnsupportedSideData(
-            f"corner {point!r}: sides disagree on {name} ({a!r} vs {b!r})"
-        )
-    return a if a is not None else b
-
-
-def _corner_info(sing: SingularityData, point: Id, comps: Sequence[Id]) -> _CornerInfo:
-    """Combined local type of a corner, validated across its two sides."""
-    sides = [sing.side(point, c) for c in comps]
-    kinds = {s.type.kind for s in sides if s is not None}
-    if not kinds:
+def _corner_info(sing: SingularityData, point: Id, comps: Sequence[Id]) -> SideType:
+    """The local type of a corner: the type its sides carry, checked to
+    agree across them.  The two local holonomies of a periodic corner have
+    reciprocal multipliers, so their orders ``q`` are data of a side and
+    are not compared; a periodic corner gives its first side's type."""
+    types = [s.type for s in (sing.side(point, c) for c in comps) if s is not None]
+    if not types:
         raise UnsupportedSideData(f"corner {point!r} has no side data")
+    kinds = {t.kind for t in types}
     if len(kinds) > 1:
         raise TypeHeterogeneity(
             f"corner {point!r}: sides have different local types {sorted(kinds)}"
         )
-    kind = kinds.pop()
-    types = [s.type for s in sides if s is not None]
-    first, second = types[0], types[1] if len(types) > 1 else types[0]
-    # the two local holonomies of a periodic corner have reciprocal
-    # multipliers, so their orders are data of a side, not of the corner
-    return _CornerInfo(
-        kind=kind,
-        q=None if kind == "P" else _merge_param(point, "q", first.q, second.q),
-        p=_merge_param(point, "p", first.p, second.p),
-        r=_merge_param(point, "r", first.r, second.r),
-        m=_merge_param(point, "m", first.m, second.m),
-        beta_image_order=_merge_param(
-            point, "beta_image_order", first.beta_image_order, second.beta_image_order
-        ),
-        atom=_merge_param(point, "atom", first.atom, second.atom),
-    )
+    first = types[0]
+    for other in types[1:]:
+        for name in ("p", "r", "m", "beta_image_order", "atom"):
+            a, b = getattr(first, name), getattr(other, name)
+            if a != b:
+                raise UnsupportedSideData(
+                    f"corner {point!r}: sides disagree on {name} ({a!r} vs {b!r})"
+                )
+    return first
 
 
 def _cs_at(sing: SingularityData, point: Id, comp: Id, other: Id) -> Optional[Scalar]:
@@ -996,7 +986,7 @@ def _gamma(sing: SingularityData, point: Id, comp: Id, other: Id) -> Scalar:
 
 def _vertex_red_kind(
     red: Graph,
-    corner_info: Mapping[Id, _CornerInfo],
+    corner_info: Mapping[Id, SideType],
     sing: SingularityData,
     divisor: MarkedDivisor,
     v: Id,
@@ -1037,10 +1027,11 @@ class Coloring:
     ``r0_vertices`` / ``r0_edges`` single out the rigid locus ``R^0``
     (non-abelian holonomies, non-normalizable or non-linearizable corners)
     whose symmetries are totally discontinuous.  ``corner_info`` holds the
-    combined local type of every cut edge and ``vertex_kind`` the kind of
-    every red vertex: ``"nonabelian"``, or the homogeneous local kind that
-    an infinite abelian component sees.  Local types are read once, here;
-    the singular chains and the symmetry sheaves read these tables.
+    :class:`SideType` of every cut edge, the one its sides agree on, and
+    ``vertex_kind`` the kind of every red vertex: ``"nonabelian"``, or the
+    homogeneous local kind that an infinite abelian component sees.  Local
+    types are read once, here; the singular chains and the symmetry sheaves
+    read these tables.
     """
 
     __slots__ = ("cut", "red", "r0_vertices", "r0_edges", "corner_info", "vertex_kind")
@@ -1051,7 +1042,7 @@ class Coloring:
         red: Graph,
         r0_vertices: FrozenSet[Id],
         r0_edges: FrozenSet[Id],
-        corner_info: Mapping[Id, _CornerInfo],
+        corner_info: Mapping[Id, SideType],
         vertex_kind: Mapping[Id, str],
     ):
         self.cut = cut
@@ -1078,7 +1069,7 @@ def color(
     inconsistent input and raises :class:`TypeHeterogeneity`.
     """
     red_vertices = [v for v in cut.vertices if vh.cls(v).kind != "finite"]
-    corner_info: Dict[Id, _CornerInfo] = {}
+    corner_info: Dict[Id, SideType] = {}
     red_edges = []
     for e in cut.edges:
         ends = cut.endpoints(e)
@@ -1423,7 +1414,7 @@ def _tau_scalar(table: SymbolTable) -> Scalar:
 
 
 def _edge_sym_group(
-    sing: SingularityData, point: Id, u: Id, w: Id, info: _CornerInfo
+    sing: SingularityData, point: Id, u: Id, w: Id, info: SideType
 ) -> PresentedAbelianGroup:
     """The group of transverse symmetries along a red corner, in the chart
     of its preferred (smaller-id) side."""
@@ -1446,8 +1437,6 @@ def _edge_sym_group(
         t = _tau_scalar(table)
         return PresentedAbelianGroup.lattice_quotient(table, [t, t * cs])
     if info.kind == "R1":
-        if info.p is None or info.r is None:
-            raise UnsupportedSideData(f"corner {point!r}: missing (p, r) invariants")
         return PresentedAbelianGroup(
             table,
             1,
@@ -1458,25 +1447,16 @@ def _edge_sym_group(
             ],
         )
     if info.kind == "R0":
-        if None in (info.p, info.r, info.m):
-            raise UnsupportedSideData(f"corner {point!r}: missing (p, r, m) invariants")
-        q = info.p if info.beta_image_order is None else info.beta_image_order
-        if info.p % q != 0 or (info.r % (info.p // q)) != 0:
-            raise UnsupportedSideData(
-                f"corner {point!r}: beta image order {q} incompatible with "
-                f"(p, r) = ({info.p}, {info.r})"
-            )
+        q = info.beta_image_order
         return PresentedAbelianGroup(
             table,
             0,
             2,
             [
-                Relation({}, (info.m, (info.r * q // info.p) % q if q else 0), "Z"),
+                Relation({}, (info.m, (info.r * q // info.p) % q), "Z"),
                 Relation({}, (0, q), "Z"),
             ],
         )
-    if info.atom is None:
-        raise UnsupportedSideData(f"corner {point!r}: missing atom name")
     return PresentedAbelianGroup.atom_group(sing.table, info.atom, 0)
 
 
@@ -1578,8 +1558,8 @@ def build_sym_graph(
 
 def _attachment_params(
     sing: SingularityData, divisor: MarkedDivisor, v: Id, kind: str
-) -> _CornerInfo:
-    """Type parameters of an isolated red vertex, read off its attachments."""
+) -> SideType:
+    """The local type of an isolated red vertex, read off its attachments."""
     types = []
     for att in divisor.attachments:
         if att.component == v and att.in_sigma:
@@ -1601,15 +1581,7 @@ def _attachment_params(
             raise UnsupportedSideData(
                 f"component {v!r}: attachments disagree on type parameters"
             )
-    return _CornerInfo(
-        kind=kind,
-        q=first.q,
-        p=first.p,
-        r=first.r,
-        m=first.m,
-        beta_image_order=first.beta_image_order,
-        atom=first.atom,
-    )
+    return first
 
 
 def _canonical_vertex_group(
@@ -1618,7 +1590,7 @@ def _canonical_vertex_group(
     v: Id,
     kind: str,
     edges: Sequence[Id],
-    infos: Mapping[Id, _CornerInfo],
+    infos: Mapping[Id, SideType],
 ) -> PresentedAbelianGroup:
     """The stalk of an infinite abelian vertex in its own chart."""
     table = sing.table
@@ -1630,7 +1602,7 @@ def _canonical_vertex_group(
         return PresentedAbelianGroup.lattice_quotient(table, [_tau_scalar(table)])
     if kind == "R1":
         ps = {info.p for info in params}
-        if len(ps) != 1 or None in ps:
+        if len(ps) != 1:
             raise UnsupportedSideData(
                 f"component {v!r}: incident corners disagree on p ({sorted(ps)})"
             )
@@ -1639,11 +1611,8 @@ def _canonical_vertex_group(
             table, 1, 1, [Relation({}, (p,), "Z")]
         )
     if kind == "R0":
-        qs = {
-            info.p if info.beta_image_order is None else info.beta_image_order
-            for info in params
-        }
-        if len(qs) != 1 or None in qs:
+        qs = {info.beta_image_order for info in params}
+        if len(qs) != 1:
             raise UnsupportedSideData(
                 f"component {v!r}: incident corners disagree on the beta image "
                 f"order ({sorted(qs)})"
@@ -1651,7 +1620,7 @@ def _canonical_vertex_group(
         (q,) = qs
         return PresentedAbelianGroup(table, 0, 2, [Relation({}, (0, q), "Z")])
     atoms = {info.atom for info in params}
-    if len(atoms) != 1 or None in atoms:
+    if len(atoms) != 1:
         raise UnsupportedSideData(
             f"component {v!r}: incident corners disagree on the atom ({sorted(atoms)})"
         )
@@ -2306,14 +2275,6 @@ def _make_report(
     )
 
 
-def _trivial_report(c: _Common, table: SymbolTable, pipeline: str) -> ModuliReport:
-    nf = classify(PresentedAbelianGroup.trivial(table))
-    seq = FourTermSequence(
-        p=0, tau=c.tau, f=nf, h1_exp=nf, h1_dis=nf, exact_checked=True
-    )
-    return _make_report(c, seq, nf, pipeline)
-
-
 def _reports(
     c: _Common, divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
 ) -> List[ModuliReport]:
@@ -2327,9 +2288,6 @@ def _reports(
                 f"{c.ft.witness}"
             )
         raise NotFiniteType(c.ft.witness or "not of finite type")
-    pipelines = ("non_degenerate", "finite_type") if c.nd.ok else ("finite_type",)
-    if not c.coloring.red.vertices:
-        return [_trivial_report(c, sing.table, name) for name in pipelines]
     ses = _build_ses(c.coloring, sing, vh, divisor)
     _assert_dis_shapes(ses, c.coloring)
     les = long_exact_sequence(ses.inclusion, ses.projection)
@@ -2499,15 +2457,13 @@ def validate(
                 out.append(
                     f"corner {corner.id!r}: a linearizable corner needs an index"
                 )
-        if info.kind == "R0":
-            q = info.p if info.beta_image_order is None else info.beta_image_order
-            if info.p is None or info.m is None or info.r is None:
-                out.append(f"corner {corner.id!r}: missing resonance invariants")
-            elif info.p % q != 0 or info.r % (info.p // q) != 0:
-                out.append(
-                    f"corner {corner.id!r}: beta image order {q} incompatible "
-                    f"with (p, r) = ({info.p}, {info.r})"
-                )
+        if info.kind in ("R1", "R0"):
+            for c, cs in ((u, cs_u), (w, cs_w)):
+                if cs is not None and not cs.is_rational():
+                    out.append(
+                        f"corner {corner.id!r}: resonant side on {c!r} has a "
+                        f"non-rational index {cs}"
+                    )
 
     # The cut graph and its coloring, built once, on the first abelian
     # infinite component; coloring checks every red abelian infinite

@@ -57,6 +57,7 @@ from .exactnum import Scalar, SymbolTable
 from .abgroup import (
     GroupHom,
     PresentedAbelianGroup,
+    UnsupportedAtomMap,
     block_hom,
     check_hom,
     classify,
@@ -526,7 +527,8 @@ def coboundary0(G: GroupGraph) -> GroupHom:
     The block at an incidence is ``+rho`` when the vertex is the head of
     the edge and ``-rho`` when it is the tail; for a loop both signs hit
     the same map and the block vanishes.  A vertex atom restricting onto
-    two edge atoms raises :class:`~folmod.abgroup.UnsupportedAtomMap`.
+    two edge atoms raises :class:`~folmod.abgroup.UnsupportedAtomMap`,
+    naming the vertex, the atom and the first two such edges.
 
     >>> t = SymbolTable([])
     >>> z2 = PresentedAbelianGroup.from_invariant_factors(t, [2])
@@ -538,12 +540,24 @@ def coboundary0(G: GroupGraph) -> GroupHom:
     """
     c0, c1 = _cochains(G, 0), _cochains(G, 1)
     vindex = {v: i for i, v in enumerate(c0.ids)}
+    atom_edge: Dict[Tuple[Id, int], Id] = {}  # (vertex, atom) -> first edge
     blocks = []
     for ei, e in enumerate(c1.ids):
         tail, head = G.graph.endpoints(e)
-        if tail != head:  # on a loop the two signed blocks cancel
-            blocks.append((vindex[head], ei, G.rho(head, e), 1))
-            blocks.append((vindex[tail], ei, G.rho(tail, e), -1))
+        if tail == head:  # on a loop the two signed blocks cancel
+            continue
+        for v, sign in ((head, 1), (tail, -1)):
+            rho = G.rho(v, e)
+            for a, tgt in enumerate(rho.atom_images):
+                if tgt is None:
+                    continue
+                first = atom_edge.setdefault((v, a), e)
+                if first != e:
+                    raise UnsupportedAtomMap(
+                        f"vertex {v!r}: atom {rho.dom.atoms[a].label()} restricts "
+                        f"onto the atoms of edges {first!r} and {e!r}"
+                    )
+            blocks.append((vindex[v], ei, rho, sign))
     return block_hom(c0.total, c0.offsets, c1.total, c1.offsets, blocks)
 
 

@@ -35,8 +35,11 @@ def test_a_vertex_atom_on_two_edge_atoms_exits_3(tmp_path, capsys) -> None:
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert _exit_code(["cohomology", str(path)]) == 3
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("UnsupportedAtomMap: ") and "Traceback" not in err
+    assert (out, err) == (
+        "",
+        "UnsupportedAtomMap: vertex 0: atom cremer restricts onto the atoms of "
+        "edges 'e' and 'f'\n",
+    )
 
 
 def test_a_non_integer_oracle_bound_exits_2(monkeypatch, capsys) -> None:

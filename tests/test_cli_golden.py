@@ -1,9 +1,11 @@
 """Golden reports: `folmod moduli --format json` on the bundled examples
-and on the seed-0 geodesics of the benchmark.
+and on the seed-0 geodesics of the benchmark, and `folmod check` on one
+small valid document and on edits of it that trip each violation.
 
 The sha256 of each JSON report is fixed here, so any change to a report
 byte, or to a classified moduli group, fails this test.  A change that
-moves a report on purpose must say why and update the digest.
+moves a report on purpose must say why and update the digest.  The
+`folmod check` reports are fixed line by line.
 """
 
 from __future__ import annotations
@@ -59,3 +61,327 @@ def test_moduli_json_report_on_a_geodesic_is_golden(k: int, tmp_path, capsys) ->
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GEODESIC_SHA256[k]
+
+
+# -- folmod check -------------------------------------------------------------
+
+
+def _check_base() -> dict:
+    """Rigid non-abelian components 0 and 2, joined through the abelian
+    infinite component 1 by the resonant corners ``s`` and ``t``, and the
+    finite component 3 on the periodic corner ``u`` of 2."""
+    r1 = {"kind": "R1", "p": 1, "r": 0}
+    return {
+        "schema_version": 1,
+        "symbols": ["tau_i", "mu"],
+        "components": [
+            {"id": 0, "topologically_rigid": True},
+            {"id": 1},
+            {"id": 2, "topologically_rigid": True},
+            {"id": 3},
+        ],
+        "corners": [
+            {"id": "s", "components": [0, 1]},
+            {"id": "t", "components": [1, 2]},
+            {"id": "u", "components": [2, 3]},
+        ],
+        "attachments": [
+            {"id": "a", "component": 0},
+            {"id": "b", "component": 0},
+            {"id": "c", "component": 2},
+            {"id": "d", "component": 3},
+        ],
+        "singularities": [
+            {"point": "s", "component": 0, "cs": "-1", "type": dict(r1)},
+            {"point": "s", "component": 1, "cs": "-1", "type": dict(r1)},
+            {"point": "t", "component": 1, "cs": "-1", "type": dict(r1)},
+            {"point": "t", "component": 2, "cs": "-1", "type": dict(r1)},
+            {"point": "u", "component": 2, "type": {"kind": "P", "q": 1}},
+            {"point": "u", "component": 3, "type": {"kind": "P", "q": 2}},
+            {"point": "d", "component": 3, "type": {"kind": "P", "q": 2}},
+        ],
+        "holonomies": [
+            {"component": 0, "class": "nonabelian"},
+            {"component": 1, "class": "abelian_infinite"},
+            {"component": 2, "class": "nonabelian"},
+            {"component": 3, "class": "finite", "n": 2, "orders": [["u", 2], ["d", 2]]},
+        ],
+    }
+
+
+def _item(doc: dict, key: str, **match) -> dict:
+    """The entry of ``doc[key]`` whose fields equal ``match``."""
+    return next(x for x in doc[key] if all(x[k] == v for k, v in match.items()))
+
+
+def _drop(doc: dict, key: str, **match) -> None:
+    doc[key] = [x for x in doc[key] if not all(x[k] == v for k, v in match.items())]
+
+
+def _side(doc: dict, point, comp) -> dict:
+    return _item(doc, "singularities", point=point, component=comp)
+
+
+def _disconnected(doc):
+    _drop(doc, "corners", id="u")
+    _drop(doc, "singularities", point="u")
+    _item(doc, "holonomies", component=3)["orders"] = [["d", 2]]
+
+
+def _cycle(doc):
+    doc["corners"].append({"id": "v", "components": [0, 2]})
+    for comp in (0, 2):
+        doc["singularities"].append(
+            {"point": "v", "component": comp, "type": {"kind": "R1", "p": 1, "r": 0}}
+        )
+
+
+def _unmarked_corner(doc):
+    _item(doc, "corners", id="u")["in_sigma"] = False
+
+
+def _dicritical_leaf(doc):
+    _item(doc, "components", id=3)["dicritical"] = True
+
+
+def _dicritical_pair(doc):
+    _item(doc, "components", id=3)["dicritical"] = True
+    doc["components"].append({"id": 4, "dicritical": True})
+    _item(doc, "corners", id="u")["in_sigma"] = False
+    doc["corners"].append({"id": "w", "components": [3, 4], "in_sigma": False})
+    _drop(doc, "attachments", id="d")
+    _drop(doc, "singularities", point="u")
+    _drop(doc, "singularities", point="d")
+    _drop(doc, "holonomies", component=3)
+
+
+def _unmarked_attachment(doc):
+    _item(doc, "attachments", id="d")["in_sigma"] = False
+    _item(doc, "holonomies", component=3)["orders"] = [["u", 2]]
+    _drop(doc, "singularities", point="d")
+
+
+def _stray_sides(doc):
+    doc["singularities"].append({"point": "z", "component": 0, "type": {"kind": "P"}})
+    doc["singularities"].append({"point": "s", "component": 2, "type": {"kind": "P"}})
+
+
+def _no_side_data(doc):
+    _drop(doc, "singularities", point="t")
+
+
+def _mixed_kinds(doc):
+    _side(doc, "s", 1)["type"] = {"kind": "R0", "p": 1, "r": 0, "m": 2}
+
+
+def _different_p(doc):
+    _side(doc, "s", 1)["type"]["p"] = 2
+
+
+def _nodal_flags(doc):
+    _side(doc, "s", 0)["nodal"] = True
+
+
+def _not_reciprocal(doc):
+    _side(doc, "s", 1)["cs"] = "2"
+
+
+def _linearizable(cs):
+    def edit(doc):
+        for point in ("s", "t"):
+            for comp in _item(doc, "corners", id=point)["components"]:
+                side = _side(doc, point, comp)
+                side["type"] = {"kind": "L1"}
+                side.pop("cs")
+                if cs is not None:
+                    side["cs"] = cs if comp == 1 else f"1/({cs})"
+
+    return edit
+
+
+def _no_tau(doc):
+    _linearizable("mu")(doc)
+    doc["symbols"] = ["mu"]
+
+
+def _symbolic_resonant_index(doc):
+    _side(doc, "s", 0)["cs"] = "mu"
+    _side(doc, "s", 1)["cs"] = "1/mu"
+
+
+def _no_holonomy(comp):
+    def edit(doc):
+        _drop(doc, "holonomies", component=comp)
+
+    return edit
+
+
+def _orders(orders):
+    def edit(doc):
+        _item(doc, "holonomies", component=3)["orders"] = orders
+
+    return edit
+
+
+def _resonant_on_finite(doc):
+    _side(doc, "d", 3)["type"] = {"kind": "R1", "p": 1, "r": 0}
+
+
+def _resonant_into_finite(doc):
+    for comp in (2, 3):
+        _side(doc, "u", comp)["type"] = {"kind": "R1", "p": 1, "r": 0}
+
+
+def _abelian_without_local_type(doc):
+    _item(doc, "holonomies", component=3)["class"] = "abelian_infinite"
+
+
+def _heterogeneous_center(doc):
+    for comp in (1, 2):
+        _side(doc, "t", comp)["type"] = {"kind": "R0", "p": 1, "r": 0, "m": 2}
+
+
+def _all_valencies_two(doc):
+    _drop(doc, "attachments", id="b")
+    _drop(doc, "attachments", id="c")
+
+
+CHECK_GOLDEN = {
+    "valid": (lambda doc: None, []),
+    "disconnected": (_disconnected, ["the dual graph must be connected"]),
+    "cycle": (_cycle, ["the dual graph must be a tree (cycles are unsupported)"]),
+    "unmarked corner": (
+        _unmarked_corner,
+        [
+            "corner 'u': a crossing of two invariant components is a singular point "
+            "and must be marked",
+            "corner 'u': side data on an unmarked point",
+            "corner 'u': side data on an unmarked point",
+        ],
+    ),
+    "dicritical leaf": (
+        _dicritical_leaf,
+        [
+            "corner 'u': a dicritical crossing cannot be marked",
+            "attachment 'd': lies on a dicritical component",
+            "component 3: holonomy data on a dicritical component",
+        ],
+    ),
+    "dicritical pair": (_dicritical_pair, ["corner 'w': two dicritical components cross"]),
+    "unmarked attachment": (
+        _unmarked_attachment,
+        ["attachment 'd': attachments are marked points"],
+    ),
+    "stray sides": (
+        _stray_sides,
+        [
+            "side data at 's' on a non-incident component 2",
+            "side data at unknown point 'z'",
+        ],
+    ),
+    # the corner loop and the coloring word the same fault differently
+    "no side data": (
+        _no_side_data,
+        ["corner 't': no side data", "corner 't' has no side data"],
+    ),
+    "mixed kinds": (
+        _mixed_kinds,
+        ["corner 's': sides have different local types ['R0', 'R1']"],
+    ),
+    "different p": (_different_p, ["corner 's': sides disagree on p (1 vs 2)"]),
+    "nodal flags": (_nodal_flags, ["corner 's': sides disagree on the nodal flag"]),
+    "not reciprocal": (
+        _not_reciprocal,
+        ["corner 's': Camacho-Sad indices are not reciprocal (-1 and 2)"],
+    ),
+    "rational linearizable index": (
+        _linearizable("-2"),
+        [
+            "corner 's': linearizable non-periodic side on 0 has a rational index -1/2",
+            "corner 's': linearizable non-periodic side on 1 has a rational index -2",
+            "corner 't': linearizable non-periodic side on 1 has a rational index -2",
+            "corner 't': linearizable non-periodic side on 2 has a rational index -1/2",
+        ],
+    ),
+    "linearizable without index": (
+        _linearizable(None),
+        [
+            "corner 's': a linearizable corner needs an index",
+            "corner 't': a linearizable corner needs an index",
+        ],
+    ),
+    "no tau symbol": (
+        _no_tau,
+        ["symbol table lacks 'tau_i' although linearizable data is present"],
+    ),
+    "symbolic resonant index": (
+        _symbolic_resonant_index,
+        [
+            "corner 's': resonant side on 0 has a non-rational index mu",
+            "corner 's': resonant side on 1 has a non-rational index (1)/(mu)",
+        ],
+    ),
+    "no holonomy on 1": (_no_holonomy(1), ["component 1: no holonomy class"]),
+    # component 2 is red in the coloring, which asks for its class first
+    "no holonomy on 2": (
+        _no_holonomy(2),
+        ["no holonomy class given for component 2", "component 2: no holonomy class"],
+    ),
+    "missing order": (
+        _orders([["u", 2]]),
+        ["component 3: no local holonomy order at 'd'"],
+    ),
+    "order not dividing": (
+        _orders([["u", 2], ["d", 3]]),
+        [
+            "component 3: local order 3 at 'd' does not divide the holonomy order 2",
+            "component 3: holonomy order 2 is not the lcm of the local orders [3, 2]",
+        ],
+    ),
+    "order not the lcm": (
+        _orders([["u", 1], ["d", 1]]),
+        ["component 3: holonomy order 2 is not the lcm of the local orders [1, 1]"],
+    ),
+    "resonant side on a finite component": (
+        _resonant_on_finite,
+        ["component 3: finite holonomy but non-periodic local type at 'd'"],
+    ),
+    "resonant corner into a finite component": (
+        _resonant_into_finite,
+        [
+            "corner 'u' has non-periodic type but component 3 has finite holonomy",
+            "component 3: finite holonomy but non-periodic local type at 'u'",
+        ],
+    ),
+    "abelian without local type": (
+        _abelian_without_local_type,
+        [
+            "component 3 has infinite abelian holonomy but no non-periodic local "
+            "data to derive its type from"
+        ],
+    ),
+    "heterogeneous center": (
+        _heterogeneous_center,
+        ["component 1 sees heterogeneous local types ['R0', 'R1']"],
+    ),
+    "all valencies two": (
+        _all_valencies_two,
+        [
+            "position condition violated: a dicritical-free part has all singular "
+            "valencies equal to two"
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
+def test_check_report_is_golden(case: str, tmp_path, capsys) -> None:
+    edit, lines = CHECK_GOLDEN[case]
+    doc = _check_base()
+    edit(doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
+    code = main(["check", str(path)])
+    expected = "".join(f"violation: {line}\n" for line in lines)
+    expected += f"{path}: {len(lines)} violation(s)\n"
+    assert (code, capsys.readouterr()) == (1 if lines else 0, (expected, ""))

@@ -9,9 +9,12 @@ reports are the ones the CLI prints, that the two public predicates agree
 with the verdicts on the reports, that the gates and the symmetry sheaf
 refuse what they refused before, that any valid id passes the pipelines,
 that a stalk without a flow coordinate reads no Camacho-Sad index, that a
-refused atom map ends in exit code 3, that relabelling the ids of an input
-leaves its moduli unchanged, and that malformed documents end in exit code
-2 with a message naming the file instead of a traceback.
+refused atom map ends in exit code 3, that a resonant side refuses a
+non-rational index, that inputs without a red vertex and isolated red
+components run the general pipelines, that a local type refuses bad
+parameters where it is built, that relabelling the ids of an input leaves
+its moduli unchanged, and that malformed documents end in exit code 2 with
+a message naming the file instead of a traceback.
 """
 
 from __future__ import annotations
@@ -481,23 +484,30 @@ def test_any_valid_id_passes_the_pipelines(name: str, old, new, tmp_path, capsys
 # -- a star of rigid components around one abelian component ---------------
 
 
-def _star_doc(center, side: dict) -> dict:
+def _star_doc(center, side: dict, indices=()) -> dict:
     """Topologically rigid non-abelian components 1, 2 and 3, each joined
     to the abelian infinite component ``center`` by a corner ``x1``-``x3``
-    whose two sides carry the local type ``side`` and no index."""
+    whose two sides carry the local type ``side``.  ``indices`` are the
+    Camacho-Sad indices of the center's sides of ``x1``-``x3``, over the
+    symbols ``a`` and ``b``, and the other sides carry their reciprocals;
+    without them no side has an index."""
     rigid = (1, 2, 3)
+    sides = []
+    for c in rigid:
+        for end in (center, c):
+            item = {"point": f"x{c}", "component": end, "type": side}
+            if indices:
+                cs = indices[c - 1]
+                item["cs"] = cs if end == center else f"1/({cs})"
+            sides.append(item)
     return {
         "schema_version": 1,
-        "symbols": ["tau_i"],
+        "symbols": ["tau_i", "a", "b"] if indices else ["tau_i"],
         "components": [{"id": c, "topologically_rigid": True} for c in rigid]
         + [{"id": center}],
         "corners": [{"id": f"x{c}", "components": [center, c]} for c in rigid],
         "attachments": [],
-        "singularities": [
-            {"point": f"x{c}", "component": end, "type": side}
-            for c in rigid
-            for end in (center, c)
-        ],
+        "singularities": sides,
         "holonomies": [{"component": c, "class": "nonabelian"} for c in rigid]
         + [{"component": center, "class": "abelian_infinite"}],
     }
@@ -529,7 +539,8 @@ def test_an_atom_star_exits_3_without_a_traceback(
     center: int, tmp_path, capsys, monkeypatch
 ) -> None:
     # The atom of the center restricts onto the atoms of three corners,
-    # which the atom model refuses; the refusal is an exit code.
+    # which the atom model refuses; the refusal is an exit code that names
+    # the center and its first two corners.
     doc = _star_doc(center, L0_SIDE)
     inp = load_input(doc)
     assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
@@ -538,8 +549,218 @@ def test_an_atom_star_exits_3_without_a_traceback(
     assert calls == {"_gamma": 0}
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("UnsupportedAtomMap: atom cremer of domain summand ")
-    assert err.endswith(" maps onto more than one codomain atom\n")
+    assert err.startswith(f"UnsupportedAtomMap: vertex {center}: atom cremer ")
+    assert err.endswith(" restricts onto the atoms of edges 'x1' and 'x2'\n")
+
+
+R1_SIDE = {"kind": "R1", "p": 2, "r": 1}
+
+
+@pytest.mark.parametrize("center", [0, 5])
+def test_a_resonant_star_with_rational_indices(center: int, tmp_path, capsys) -> None:
+    doc = _star_doc(center, R1_SIDE, ("-3", "-5", "-7"))
+    assert _moduli_view(doc, tmp_path, capsys) == (
+        0,
+        [("finite_type", "(C*)^2", "Z^2 -> C^2 -> Mod -> D -> 0")],
+    )
+
+
+@pytest.mark.parametrize("center", [0, 5])
+def test_a_non_rational_resonant_index_is_a_violation(center: int, tmp_path, capsys) -> None:
+    # Accepted, these indices gave (C*)^2 with the center named 0 and a
+    # non-discrete quotient of C^2 with the center named 5.
+    path = _write(tmp_path, _star_doc(center, R1_SIDE, ("a", "b", "a*b")))
+    lines = [
+        f"corner 'x{c}': resonant side on {end} has a non-rational index {cs}"
+        for c, index in ((1, "a"), (2, "b"), (3, "a*b"))
+        for end, cs in ((center, index), (c, f"(1)/({index})"))
+    ]
+    assert _moduli_code(["check", path]) == 1
+    violations = "".join(f"violation: {line}\n" for line in lines)
+    assert capsys.readouterr() == (violations + f"{path}: 6 violation(s)\n", "")
+    assert _moduli_code(["moduli", path]) == 1
+    assert capsys.readouterr() == ("", violations)
+
+
+# -- inputs without a red vertex, and isolated red components ---------------
+
+
+def _green_doc(n: int, corners, attachments, orders) -> dict:
+    """Components of finite holonomy of order ``n`` joined by the periodic
+    ``corners`` ``(id, (u, w))``, with the ``attachments`` ``(id,
+    component)``; ``orders[point]`` is the local holonomy order at each
+    point, on every component through it."""
+    points = {}
+    for point, ends in corners:
+        for c in ends:
+            points.setdefault(c, []).append(point)
+    for point, c in attachments:
+        points.setdefault(c, []).append(point)
+    return {
+        "schema_version": 1,
+        "symbols": [],
+        "components": [{"id": c} for c in sorted(points)],
+        "corners": [{"id": point, "components": list(ends)} for point, ends in corners],
+        "attachments": [{"id": point, "component": c} for point, c in attachments],
+        "singularities": [
+            {"point": point, "component": c, "type": {"kind": "P", "q": orders[point]}}
+            for point, ends in corners
+            for c in ends
+        ],
+        "holonomies": [
+            {"component": c, "class": "finite", "n": n, "orders": [[p, orders[p]] for p in pts]}
+            for c, pts in sorted(points.items())
+        ],
+    }
+
+
+def _isolated_doc(*sides: dict) -> dict:
+    """One abelian infinite component 0 with one attachment per local type."""
+    return {
+        "schema_version": 1,
+        "symbols": ["tau_i"],
+        "components": [{"id": 0}],
+        "corners": [],
+        "attachments": [{"id": f"a{k}", "component": 0} for k in range(len(sides))],
+        "singularities": [
+            {"point": f"a{k}", "component": 0, "type": side} for k, side in enumerate(sides)
+        ],
+        "holonomies": [{"component": 0, "class": "abelian_infinite"}],
+    }
+
+
+NO_RED_INPUTS = {
+    # component 0 has valency three and finite holonomy, so it is degenerate
+    "two components": lambda: _green_doc(
+        1, [("s", (0, 1))], [("a", 0), ("b", 0)], {"s": 1, "a": 1, "b": 1}
+    ),
+    "one component": lambda: _green_doc(1, [], [("a", 0)], {"a": 1}),
+}
+
+
+def _zero_report(pipeline: str, red: str, nd: str) -> str:
+    return (
+        f"moduli report (pipeline: {pipeline})\n"
+        "tc: ok\n"
+        "finite type: yes\n"
+        f"non-degenerate: {nd}\n"
+        f"red part: {red}\n"
+        "chains (linearizable, resonant normalizable, non-resonant non-linearizable, "
+        "resonant non-normalizable): (0, 0, 0, 0)\n"
+        "tau: 0\n"
+        "sequence: Z^0 -> C^0 -> Mod -> D -> 0 [exactness verified]\n"
+        "F = ker(H1(Exp) -> H1(Sym)): 0\n"
+        "H1(R, Exp): 0\n"
+        "D = H1(R, Dis): 0\n"
+        "Mod ~= 0\n"
+        "shape (F (+) B (+) T)/Z with F: 0; B: none; T: 0; ker(H1(Exp) -> H1(Sym)) = 0\n"
+    )
+
+
+NO_RED = "0 vertices [], 0 edges []"
+
+
+def test_two_green_components_give_the_finite_type_report(tmp_path, capsys) -> None:
+    path = _write(tmp_path, NO_RED_INPUTS["two components"]())
+    assert _moduli_code(["moduli", path]) == 0
+    nd = "no (cut component containing 0: no topologically rigid component)"
+    assert capsys.readouterr() == (_zero_report("finite_type", NO_RED, nd), "")
+
+
+def test_one_green_component_gives_both_reports(tmp_path, capsys) -> None:
+    path = _write(tmp_path, NO_RED_INPUTS["one component"]())
+    assert _moduli_code(["moduli", path]) == 0
+    both = "\n".join(_zero_report(p, NO_RED, "yes") for p in ("non_degenerate", "finite_type"))
+    assert capsys.readouterr() == (both + "\npipelines agree on the classified moduli\n", "")
+
+
+@pytest.mark.parametrize("side", [R1_SIDE, R0_SIDE, L0_SIDE], ids=lambda side: side["kind"])
+def test_an_isolated_red_component_reads_its_attachments(side: dict, tmp_path, capsys) -> None:
+    path = _write(tmp_path, _isolated_doc(side, side, side))
+    assert _moduli_code(["moduli", path]) == 0
+    nd = "no (cut component containing 0: no topologically rigid component)"
+    red = "1 vertices [0], 0 edges []"
+    assert capsys.readouterr() == (_zero_report("finite_type", red, nd), "")
+
+
+def test_attachments_of_different_p_are_refused(tmp_path, capsys) -> None:
+    doc = _isolated_doc(R1_SIDE, dict(R1_SIDE, p=3), R1_SIDE)
+    inp = load_input(doc)
+    assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
+    assert _moduli_code(["moduli", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "UnsupportedSideData: component 0: attachments disagree on type parameters\n",
+    )
+
+
+def test_a_green_chain_without_a_repulsive_center_is_refused(tmp_path, capsys) -> None:
+    # every corner has local order 1 below the holonomy order 2
+    corners = [("s", (0, 1)), ("t", (1, 2))]
+    attachments = [("a0", 0), ("a1", 1), ("a2", 2)]
+    orders = {"s": 1, "t": 1, "a0": 2, "a1": 2, "a2": 2}
+    path = _write(tmp_path, _green_doc(2, corners, attachments, orders))
+    assert _moduli_code(["check", path]) == 0
+    capsys.readouterr()
+    assert _moduli_code(["moduli", path]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "NotFiniteType: cut component containing 0: no repulsive center in an "
+        "all-green component\n",
+    )
+
+
+# -- local types check themselves -------------------------------------------
+
+
+BAD_SIDE_TYPES = {
+    "P without q": (("P", {}), "q must be an integer, got None"),
+    "P of order 0": (("P", {"q": 0}), "a periodic local holonomy has order >= 1"),
+    "L0 without atom": (("L0", {}), "a non-linearizable local type needs an atom name"),
+    "L0 atom not a string": (
+        ("L0", {"atom": 3}),
+        "a non-linearizable local type needs an atom name",
+    ),
+    "R1 without r": (("R1", {"p": 1}), "r must be an integer, got None"),
+    "R1 p true": (("R1", {"p": True, "r": 0}), "p must be an integer, got True"),
+    "R1 p = 0": (("R1", {"p": 0, "r": 0}), "resonant invariants need p >= 1 and r >= 0"),
+    "R1 r < 0": (("R1", {"p": 1, "r": -1}), "resonant invariants need p >= 1 and r >= 0"),
+    "R0 m = 0": (
+        ("R0", {"p": 2, "r": 0, "m": 0}),
+        "resonant invariants need p >= 1, r >= 0, m >= 1",
+    ),
+    "R0 beta image order 0": (
+        ("R0", {"p": 2, "r": 0, "m": 1, "beta_image_order": 0}),
+        "beta_image_order must divide p, with p/beta_image_order dividing r",
+    ),
+    "R0 beta image order not dividing p": (
+        ("R0", {"p": 4, "r": 2, "m": 1, "beta_image_order": 3}),
+        "beta_image_order must divide p, with p/beta_image_order dividing r",
+    ),
+    "R0 p / beta image order not dividing r": (
+        ("R0", {"p": 4, "r": 1, "m": 1, "beta_image_order": 2}),
+        "beta_image_order must divide p, with p/beta_image_order dividing r",
+    ),
+    "R0 beta image order a string": (
+        ("R0", {"p": 2, "r": 0, "m": 1, "beta_image_order": "2"}),
+        "beta_image_order must be an integer, got '2'",
+    ),
+    "unknown kind": (("Q", {}), "unknown local type kind 'Q'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIDE_TYPES))
+def test_a_side_type_refuses_bad_parameters(case: str) -> None:
+    (kind, params), message = BAD_SIDE_TYPES[case]
+    with pytest.raises(foliation.FoliationError) as raised:
+        foliation.SideType(kind, **params)
+    assert str(raised.value) == message
+
+
+def test_a_side_type_completes_the_beta_image_order() -> None:
+    built = foliation.SideType("R0", p=4, r=2, m=1)
+    assert built.beta_image_order == 4
+    assert built == foliation.SideType.resonant_non_normalizable(4, 2, 1, 4)
 
 
 # -- relabelled ids ---------------------------------------------------------
@@ -575,6 +796,8 @@ RELABELLED_INPUTS = {
     "geodesic 5": lambda: _geodesic_doc(5),
     "R0 star": lambda: _star_doc(5, R0_SIDE),
     "L0 star": lambda: _star_doc(5, L0_SIDE),
+    "R1 star": lambda: _star_doc(5, R1_SIDE, ("-3", "-5", "-7")),
+    **{f"no red, {name}": make for name, make in NO_RED_INPUTS.items()},
 }
 
 
