@@ -11,8 +11,12 @@ Five subcommands drive the package end to end::
 Exit codes: 0 success, 1 validation or oracle failure, 2 unreadable or
 malformed input (a non-integer ``FOLMOD_BOUND`` included), 3 pipeline
 precondition failure or an unsupported atom map (with the witness on
-stderr).  The environment variable ``FOLMOD_BOUND`` overrides the default
-brute-force bound of the oracle; the ``--bound`` flag wins over both.
+stderr).  ``check`` and ``moduli`` read one analysis of the input: a
+violation (see :func:`folmod.foliation.validate`) is exit 1 from both,
+and a failed position condition is one more violation line from
+``check`` and exit 3 from ``moduli``.  The environment variable
+``FOLMOD_BOUND`` overrides the default brute-force bound of the oracle;
+the ``--bound`` flag wins over both.
 Reports are deterministic: identical inputs (and seeds) produce identical
 bytes.
 """
@@ -26,14 +30,7 @@ import sys
 from typing import List, Optional
 
 from .examples import EXAMPLES, example_description, example_doc
-from .foliation import (
-    FoliationError,
-    PipelineError,
-    check_tc,
-    compute_moduli,
-    load_input,
-    validate,
-)
+from .foliation import FoliationError, PipelineError, load_input, _analyze, _reports
 from .gg import GroupGraph, cohomology
 from .abgroup import UnsupportedAtomMap, classify
 from .oracle import DEFAULT_BOUND, run_oracle
@@ -75,12 +72,9 @@ def _parse_input(path: str):
 def run_check(path: str) -> int:
     """Validate an input document; exit 0 iff no violation was found."""
     inp = _parse_input(path)
-    violations = validate(inp.divisor, inp.singularities, inp.holonomies)
-    try:
-        tc = check_tc(inp.divisor)
-    except FoliationError:  # the dual graph is not a tree, as validate reports
-        tc = True
-    if not tc:
+    analysis = _analyze(inp.divisor, inp.singularities, inp.holonomies)
+    violations = list(analysis.violations)
+    if not analysis.tc_ok:
         violations.append(
             "position condition violated: a dicritical-free part has all "
             "singular valencies equal to two"
@@ -96,16 +90,17 @@ def run_moduli(path: str, fmt: str = "text") -> int:
 
     The closed-form pipeline runs on non-degenerate inputs and the general
     finite-type pipeline on all finite-type inputs; when both apply, both
-    reports are emitted and their classified moduli must agree.
+    reports are emitted and their classified moduli must agree.  They
+    read the analysis that found no violation.
     """
     inp = _parse_input(path)
-    violations = validate(inp.divisor, inp.singularities, inp.holonomies)
-    if violations:
-        for line in violations:
+    analysis = _analyze(inp.divisor, inp.singularities, inp.holonomies)
+    if analysis.violations:
+        for line in analysis.violations:
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_VIOLATIONS
     try:
-        reports = compute_moduli(inp.divisor, inp.singularities, inp.holonomies)
+        reports = _reports(analysis)
     except FoliationError as err:
         return _fail(f"{type(err).__name__}: {err}", EXIT_PIPELINE)
     except PipelineError as err:

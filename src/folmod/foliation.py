@@ -9,6 +9,11 @@ graph cohomology with coefficients in presented abelian groups
 
 The computation runs in stages, each exposed as its own operation:
 
+0. :func:`validate` — one analysis reads the input once: the dual graph,
+   the local type of every marked corner, the cut graph, the coloring, the
+   singular chains, ``tau``, the two predicate verdicts and every
+   violation.  The predicates, :func:`compute_moduli` and the command line
+   read it, and the pipelines run only on input without violations.
 1. :func:`build_dual_graph` / :func:`check_tc` — the weighted dual graph of
    the divisor and the position condition that every dicritical-free part
    carries a component with singular valency other than two.
@@ -16,11 +21,11 @@ The computation runs in stages, each exposed as its own operation:
    corners; the result is the incidence graph the sheaves live on.
 3. :func:`color` — split the cut graph into its *green* part (finite local
    data) and *red* part ``R`` (infinite local data), and isolate the fully
-   rigid locus ``R^0`` inside ``R``.  It reads the local type of every cut
+   rigid locus ``R^0`` inside ``R``.  It keeps the local type of every cut
    edge, the :class:`SideType` its sides agree on, and the kind of every
-   red vertex once and keeps them on the :class:`Coloring`; the later
-   stages read them from there.  A :class:`SideType` checks its invariants
-   when it is built, so no later stage checks them again.
+   red vertex on the :class:`Coloring`; the later stages read them from
+   there.  A :class:`SideType` checks its invariants when it is built, so
+   no later stage checks them again.
 4. :func:`build_sym_graph` / :func:`build_exp_graph` / :func:`build_dis_graph`
    — the sheaf ``Sym`` of transverse symmetries on ``R``, its flow part
    ``Exp`` and the totally discontinuous quotient ``Dis``, tied together by
@@ -885,13 +890,13 @@ def check_tc(divisor: MarkedDivisor) -> bool:
     >>> check_tc(d)
     True
     """
-    graph, val = build_dual_graph(divisor)
-    invariant = [c.id for c in divisor.components if not c.dicritical]
-    sub = graph.subgraph(invariant)
-    for piece in sub.connected_components():
-        if all(val[v] == 2 for v in piece):
-            return False
-    return True
+    return _tc_holds(divisor, *build_dual_graph(divisor))
+
+
+def _tc_holds(divisor: MarkedDivisor, graph: Graph, val: Mapping[Id, int]) -> bool:
+    """The position condition, read on the dual graph and valency map."""
+    sub = graph.subgraph(divisor.invariant_components())
+    return not any(all(val[v] == 2 for v in piece) for piece in sub.connected_components())
 
 
 def build_cut_graph(divisor: MarkedDivisor, sing: SingularityData) -> Graph:
@@ -899,9 +904,9 @@ def build_cut_graph(divisor: MarkedDivisor, sing: SingularityData) -> Graph:
     components joined by their non-nodal marked corners.
 
     Dicritical components disappear together with their corners, and nodal
-    corners are cut (the point stays marked, the edge is removed).
+    corners are cut (the point stays marked, the edge is removed).  It
+    checks neither the tree shape nor the nodal flags; :func:`validate` does.
     """
-    build_dual_graph(divisor)  # connectivity and tree checks
     invariant = set(divisor.invariant_components())
     edges: Dict[Id, Tuple[Id, Id]] = {}
     for corner in divisor.corners:
@@ -910,18 +915,10 @@ def build_cut_graph(divisor: MarkedDivisor, sing: SingularityData) -> Graph:
             continue
         if not corner.in_sigma:
             continue
-        if _is_nodal(sing, corner):
+        if any(s is not None and s.nodal for s in (sing.side(corner.id, c) for c in (u, w))):
             continue
         edges[corner.id] = (u, w)
     return Graph(sorted(invariant, key=_id_key), edges)
-
-
-def _is_nodal(sing: SingularityData, corner: Corner) -> bool:
-    sides = [sing.side(corner.id, c) for c in corner.components]
-    flags = {s.nodal for s in sides if s is not None}
-    if len(flags) > 1:
-        raise TypeHeterogeneity(f"corner {corner.id!r}: sides disagree on the nodal flag")
-    return bool(flags) and flags.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +933,7 @@ def _corner_info(sing: SingularityData, point: Id, comps: Sequence[Id]) -> SideT
     are not compared; a periodic corner gives its first side's type."""
     types = [s.type for s in (sing.side(point, c) for c in comps) if s is not None]
     if not types:
-        raise UnsupportedSideData(f"corner {point!r} has no side data")
+        raise UnsupportedSideData(f"corner {point!r}: no side data")
     kinds = {t.kind for t in types}
     if len(kinds) > 1:
         raise TypeHeterogeneity(
@@ -973,15 +970,10 @@ def _designated(u: Id, w: Id) -> Id:
 def _gamma(sing: SingularityData, point: Id, comp: Id, other: Id) -> Scalar:
     """Transport factor of the flow coordinate from the stored edge chart to
     the ``comp``-side chart: ``1`` on the preferred side, ``-cs(comp)`` on
-    the other."""
+    the other, an index that :func:`validate` requires."""
     if _designated(comp, other) == comp:
         return Scalar.one(sing.table)
-    cs = _cs_at(sing, point, comp, other)
-    if cs is None:
-        raise UnsupportedSideData(
-            f"corner {point!r}: the index on the {comp!r} side is needed but not given"
-        )
-    return -cs
+    return -_cs_at(sing, point, comp, other)
 
 
 def _vertex_red_kind(
@@ -1030,8 +1022,8 @@ class Coloring:
     :class:`SideType` of every cut edge, the one its sides agree on, and
     ``vertex_kind`` the kind of every red vertex: ``"nonabelian"``, or the
     homogeneous local kind that an infinite abelian component sees.  Local
-    types are read once, here; the singular chains and the symmetry sheaves
-    read these tables.
+    types are read once, by :func:`validate`'s analysis; the singular chains
+    and the symmetry sheaves read these tables.
     """
 
     __slots__ = ("cut", "red", "r0_vertices", "r0_edges", "corner_info", "vertex_kind")
@@ -1060,24 +1052,27 @@ class Coloring:
 
 
 def color(
-    cut: Graph, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
+    cut: Graph,
+    sing: SingularityData,
+    vh: VertexHolonomy,
+    divisor: MarkedDivisor,
+    corner_info: Mapping[Id, SideType],
 ) -> Coloring:
     """Color the cut graph and isolate the red subgraph with its rigid part.
 
-    A vertex is green when its holonomy class is finite; an edge is green
-    when its local type is periodic.  A red edge with a green endpoint is
+    ``corner_info`` holds the local type of every cut edge.  A vertex is
+    green when its holonomy class is finite; an edge is green when its
+    local type is periodic.  A red edge with a green endpoint is
     inconsistent input and raises :class:`TypeHeterogeneity`.
     """
     red_vertices = [v for v in cut.vertices if vh.cls(v).kind != "finite"]
-    corner_info: Dict[Id, SideType] = {}
+    infos = {e: corner_info[e] for e in cut.edges}
     red_edges = []
-    for e in cut.edges:
-        ends = cut.endpoints(e)
-        corner_info[e] = _corner_info(sing, e, ends)
-        if corner_info[e].kind == "P":
+    for e, info in infos.items():
+        if info.kind == "P":
             continue
         red_edges.append(e)
-        for end in ends:
+        for end in cut.endpoints(e):
             if vh.cls(end).kind == "finite":
                 raise TypeHeterogeneity(
                     f"corner {e!r} has non-periodic type but component {end!r} "
@@ -1087,18 +1082,12 @@ def color(
     vertex_kind = {
         v: "nonabelian"
         if vh.cls(v).kind == "nonabelian"
-        else _vertex_red_kind(red, corner_info, sing, divisor, v)
+        else _vertex_red_kind(red, infos, sing, divisor, v)
         for v in red_vertices
     }
-    r0_edges = {e for e in red_edges if corner_info[e].kind in ("R0", "L0")}
+    r0_edges = {e for e in red_edges if infos[e].kind in ("R0", "L0")}
     r0_vertices = {v for v, kind in vertex_kind.items() if kind in ("nonabelian", "R0", "L0")}
-    for e in r0_edges:
-        for v in cut.endpoints(e):
-            if v not in r0_vertices:
-                raise TypeHeterogeneity(
-                    f"corner {e!r} is rigid but its endpoint {v!r} is not"
-                )
-    return Coloring(cut, red, r0_vertices, r0_edges, corner_info, vertex_kind)
+    return Coloring(cut, red, r0_vertices, r0_edges, infos, vertex_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -1254,15 +1243,10 @@ def is_non_degenerate(
     (i) every cut component containing a component of singular valency at
     least three contains a topologically rigid component, (ii) every
     component of singular valency at least three has non-abelian holonomy,
-    and (iii) no singular chain is periodic.
+    and (iii) no singular chain is periodic.  Input with violations (see
+    :func:`validate`) raises :class:`FoliationError` naming the first.
     """
-    cut = build_cut_graph(divisor, sing)
-    val = divisor.val_sigma()
-
-    def kind(e: Id) -> str:
-        return _corner_info(sing, e, cut.endpoints(e)).kind
-
-    return _non_degenerate(divisor, vh, cut, val, lambda: singular_chains(cut, val, kind))
+    return _valid(divisor, sing, vh).nd
 
 
 def _non_degenerate(
@@ -1270,10 +1254,10 @@ def _non_degenerate(
     vh: VertexHolonomy,
     cut: Graph,
     val: Mapping[Id, int],
-    chains: Callable[[], Tuple[SingularChain, ...]],
+    chains: Sequence[SingularChain],
 ) -> PredicateResult:
-    """The body of :func:`is_non_degenerate` on a built cut graph; the
-    chains are asked for only once conditions (i) and (ii) hold."""
+    """The body of :func:`is_non_degenerate` on a built cut graph and its
+    singular chains."""
     for piece in cut.connected_components():
         if not any(val[v] >= 3 for v in piece):
             continue
@@ -1290,7 +1274,7 @@ def _non_degenerate(
                 f"component {v!r} has singular valency {val[v]} but "
                 f"{vh.cls(v).kind} holonomy",
             )
-    for chain in chains():
+    for chain in chains:
         if chain.kind == "periodic":
             return PredicateResult(
                 False, f"chain through {chain.edges!r} is periodic"
@@ -1317,16 +1301,10 @@ def _far_endpoint(component: Graph, e: Id, anchors: Set[Id]) -> Id:
     return u
 
 
-def _repulsive_at(
-    sing: SingularityData, vh: VertexHolonomy, v: Id, e: Id
-) -> Tuple[bool, str]:
+def _repulsive_at(vh: VertexHolonomy, v: Id, e: Id) -> Tuple[bool, str]:
     cls = vh.cls(v)
     if cls.kind != "finite":
         return False, f"vertex {v!r} past edge {e!r} is not green"
-    if e not in cls.orders:
-        raise UnsupportedSideData(
-            f"component {v!r}: no local holonomy order given at point {e!r}"
-        )
     if cls.orders[e] != cls.n:
         return (
             False,
@@ -1343,16 +1321,14 @@ def is_finite_type(
     the red part is connected and repulsive (every green vertex reached by
     walking away from it has full local holonomy), or — when the component
     is entirely green — some vertex sees every other vertex repulsively.
+    Input with violations raises :class:`FoliationError` naming the first.
     """
-    cut = build_cut_graph(divisor, sing)
-    return _finite_type(sing, vh, cut, color(cut, sing, vh, divisor))
+    return _valid(divisor, sing, vh).ft
 
 
-def _finite_type(
-    sing: SingularityData, vh: VertexHolonomy, cut: Graph, coloring: Coloring
-) -> PredicateResult:
-    """The body of :func:`is_finite_type` on a built and colored cut graph."""
-    red_v = set(coloring.red.vertices)
+def _finite_type(vh: VertexHolonomy, coloring: Coloring) -> PredicateResult:
+    """The body of :func:`is_finite_type` on a colored cut graph."""
+    cut, red_v = coloring.cut, set(coloring.red.vertices)
     for piece in cut.connected_components():
         piece_set = set(piece)
         component = cut.subgraph(piece)
@@ -1373,7 +1349,7 @@ def _finite_type(
                 if e in red_edges:
                     continue
                 far = _far_endpoint(component, e, reds)
-                ok, why = _repulsive_at(sing, vh, far, e)
+                ok, why = _repulsive_at(vh, far, e)
                 if not ok:
                     return PredicateResult(
                         False, f"cut component containing {anchor!r}: {why}"
@@ -1384,7 +1360,7 @@ def _finite_type(
                 all_ok = True
                 for e in component.edges:
                     far = _far_endpoint(component, e, {center})
-                    ok, _ = _repulsive_at(sing, vh, far, e)
+                    ok, _ = _repulsive_at(vh, far, e)
                     if not ok:
                         all_ok = False
                         break
@@ -1405,37 +1381,21 @@ def _finite_type(
 # ---------------------------------------------------------------------------
 
 
-def _tau_scalar(table: SymbolTable) -> Scalar:
-    if TAU_SYMBOL not in table:
-        raise FoliationError(
-            f"the symbol table must declare {TAU_SYMBOL!r} to model linearizable corners"
-        )
-    return Scalar.symbol(table, TAU_SYMBOL)
-
-
 def _edge_sym_group(
     sing: SingularityData, point: Id, u: Id, w: Id, info: SideType
 ) -> PresentedAbelianGroup:
     """The group of transverse symmetries along a red corner, in the chart
-    of its preferred (smaller-id) side."""
+    of its preferred (smaller-id) side.  :func:`validate` requires the
+    index and ``tau_i`` that a linearizable corner reads."""
     table = sing.table
     one = Scalar.one(table)
     if info.kind == "L1":
         other = u if _designated(u, w) == w else w
         designated = u if other == w else w
-        cs = _cs_at(sing, point, other, designated)
-        if cs is None:
-            raise UnsupportedSideData(
-                f"corner {point!r}: a Camacho-Sad index is required for a "
-                "linearizable corner"
-            )
-        if cs.is_rational():
-            raise UnsupportedSideData(
-                f"corner {point!r}: a linearizable non-periodic corner needs an "
-                f"irrational index, got {cs}"
-            )
-        t = _tau_scalar(table)
-        return PresentedAbelianGroup.lattice_quotient(table, [t, t * cs])
+        t = Scalar.symbol(table, TAU_SYMBOL)
+        return PresentedAbelianGroup.lattice_quotient(
+            table, [t, t * _cs_at(sing, point, other, designated)]
+        )
     if info.kind == "R1":
         return PresentedAbelianGroup(
             table,
@@ -1507,8 +1467,8 @@ def build_sym_graph(
     ``gamma(s1)`` is ``1`` in the vertex's own chart.  Only the kinds with
     a flow coordinate (L1, R1) read a Camacho-Sad factor.
 
-    Raises :class:`UnsupportedSideData` on missing or non-transportable
-    side data.
+    Reads input without violations (see :func:`validate`); raises
+    :class:`UnsupportedSideData` on side data it cannot transport.
     """
     red, infos = coloring.red, coloring.corner_info
     table = sing.table
@@ -1599,7 +1559,7 @@ def _canonical_vertex_group(
     else:
         params = [_attachment_params(sing, divisor, v, kind)]
     if kind == "L1":
-        return PresentedAbelianGroup.lattice_quotient(table, [_tau_scalar(table)])
+        return PresentedAbelianGroup.lattice_quotient(table, [Scalar.symbol(table, TAU_SYMBOL)])
     if kind == "R1":
         ps = {info.p for info in params}
         if len(ps) != 1:
@@ -2227,77 +2187,53 @@ def _b0_shape_line(moduli: NormalFormReport, f: NormalFormReport) -> str:
     )
 
 
-class _Common(NamedTuple):
-    cut: Graph
-    val: Dict[Id, int]
-    coloring: Coloring
-    chains: Tuple[SingularChain, ...]
-    counts: ChainCounts
-    tau: int
-    nd: PredicateResult
-    ft: PredicateResult
-
-
-def _common(divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy) -> _Common:
-    if not check_tc(divisor):
-        raise TCviolated(
-            "a dicritical-free part of the divisor has all singular valencies "
-            "equal to two"
-        )
-    cut = build_cut_graph(divisor, sing)
-    val = divisor.val_sigma()
-    coloring = color(cut, sing, vh, divisor)
-    chains = singular_chains(cut, val, lambda e: coloring.corner_info[e].kind)
-    counts = chain_counts(chains)
-    t = tau(coloring.red, coloring.r0_vertices, coloring.r0_edges)
-    nd = _non_degenerate(divisor, vh, cut, val, lambda: chains)
-    ft = _finite_type(sing, vh, cut, coloring)
-    return _Common(cut, val, coloring, chains, counts, t, nd, ft)
-
-
 def _make_report(
-    c: _Common, seq: FourTermSequence, moduli: NormalFormReport, pipeline: str
+    a: _Analysis, seq: FourTermSequence, moduli: NormalFormReport, pipeline: str
 ) -> ModuliReport:
     return ModuliReport(
         pipeline=pipeline,
         tc_ok=True,
-        finite_type=c.ft.ok,
-        non_degenerate=c.nd.ok,
-        ft_witness=c.ft.witness,
-        nd_witness=c.nd.witness,
-        tau=c.tau,
-        chain_counts=c.counts,
-        chains=c.chains,
-        red_vertices=c.coloring.red.vertices,
-        red_edges=c.coloring.red.edges,
+        finite_type=a.ft.ok,
+        non_degenerate=a.nd.ok,
+        ft_witness=a.ft.witness,
+        nd_witness=a.nd.witness,
+        tau=a.tau,
+        chain_counts=a.counts,
+        chains=a.chains,
+        red_vertices=a.coloring.red.vertices,
+        red_edges=a.coloring.red.edges,
         sequence=seq,
         moduli=moduli,
     )
 
 
-def _reports(
-    c: _Common, divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
-) -> List[ModuliReport]:
-    """The report of every pipeline that applies, from one SES and one LES:
-    the non-degenerate report first (on non-degenerate input), then the
-    finite-type report.  Each theorem-backed check runs once."""
-    if not c.ft.ok:
-        if c.nd.ok:
+def _reports(a: _Analysis) -> List[ModuliReport]:
+    """The report of every pipeline that applies to input without
+    violations, from one SES and one LES: the non-degenerate report first
+    (on non-degenerate input), then the finite-type report.  Each
+    theorem-backed check runs once."""
+    if not a.tc_ok:
+        raise TCviolated(
+            "a dicritical-free part of the divisor has all singular valencies "
+            "equal to two"
+        )
+    if not a.ft.ok:
+        if a.nd.ok:
             raise PipelineError(
                 "non-degenerate input fails the finite-type certificate: "
-                f"{c.ft.witness}"
+                f"{a.ft.witness}"
             )
-        raise NotFiniteType(c.ft.witness or "not of finite type")
-    ses = _build_ses(c.coloring, sing, vh, divisor)
-    _assert_dis_shapes(ses, c.coloring)
+        raise NotFiniteType(a.ft.witness or "not of finite type")
+    ses = _build_ses(a.coloring, a.sing, a.vh, a.divisor)
+    _assert_dis_shapes(ses, a.coloring)
     les = long_exact_sequence(ses.inclusion, ses.projection)
-    if not c.nd.ok:
-        seq, moduli_nf = _four_term(sing, c.coloring, ses, les, c.tau)
-        return [_make_report(c, seq, moduli_nf, "finite_type")]
+    if not a.nd.ok:
+        seq, moduli_nf = _four_term(a.sing, a.coloring, ses, les, a.tau)
+        return [_make_report(a, seq, moduli_nf, "finite_type")]
 
     pruned = prune_all(ses.sym)
-    chain_edges = {e for chain in c.chains for e in chain.edges}
-    chain_vertices = {v for chain in c.chains for v in chain.vertices}
+    chain_edges = {e for chain in a.chains for e in chain.edges}
+    chain_vertices = {v for chain in a.chains for v in chain.vertices}
     if set(pruned.graph.edges) != chain_edges:
         raise PipelineError(
             f"pruning left edges {sorted(map(str, pruned.graph.edges))}, expected "
@@ -2308,7 +2244,7 @@ def _reports(
             raise PipelineError(f"pruned vertex {v!r} outside the chain union")
     moduli_nf = classify(h1(pruned))
 
-    counts = c.counts
+    counts = a.counts
     for found, factor, expected, chain_kind in (
         (len(moduli_nf.lattices), "lattice", counts.linearizable, "linearizable"),
         (moduli_nf.cstar_count, "C*", counts.resonant_normalizable, "resonant normalizable"),
@@ -2318,21 +2254,21 @@ def _reports(
             raise PipelineError(f"{found} {factor} factors for {expected} {chain_kind} chains")
     if moduli_nf.free_cont_rank or moduli_nf.free_disc_rank or moduli_nf.has_nondiscrete:
         raise PipelineError(f"unexpected free factors in {moduli_nf.text()}")
-    if counts.linearizable + counts.resonant_normalizable != c.tau:
+    if counts.linearizable + counts.resonant_normalizable != a.tau:
         raise PipelineError(
             f"lambda + nu = {counts.linearizable + counts.resonant_normalizable} "
-            f"differs from tau = {c.tau}"
+            f"differs from tau = {a.tau}"
         )
 
-    seq, moduli_ft = _four_term(sing, c.coloring, ses, les, c.tau)
+    seq, moduli_ft = _four_term(a.sing, a.coloring, ses, les, a.tau)
     if moduli_ft != moduli_nf:
         raise PipelineError(
             f"chain classification {moduli_nf.text()} differs from the sequence "
             f"classification {moduli_ft.text()}"
         )
     return [
-        _make_report(c, seq, moduli_nf, "non_degenerate"),
-        _make_report(c, seq, moduli_ft, "finite_type"),
+        _make_report(a, seq, moduli_nf, "non_degenerate"),
+        _make_report(a, seq, moduli_ft, "finite_type"),
     ]
 
 
@@ -2341,44 +2277,59 @@ def compute_moduli(
 ) -> List[ModuliReport]:
     """The moduli reports of every pipeline that applies to the input.
 
-    One SES and one long exact sequence are built; the non-degenerate
-    report (first, on non-degenerate input) and the finite-type report are
-    both read from them, and their classified moduli are verified equal.
-    Every report carries the non-degenerate verdict and witness
-    (``non_degenerate``, ``nd_witness``), so degenerate input is read from
-    the lone finite-type report rather than from an exception.  Raises :class:`NotFiniteType` on input without the repulsivity
-    certificate, :class:`TCviolated` when the position condition fails, and
-    :class:`PipelineError` when a theorem-backed internal check fails.
+    Input with violations (see :func:`validate`) raises
+    :class:`FoliationError` naming the first.  One SES and one long exact
+    sequence are built; the non-degenerate report (first, on
+    non-degenerate input) and the finite-type report are both read from
+    them, and their classified moduli are verified equal.  Every report
+    carries the non-degenerate verdict and witness (``non_degenerate``,
+    ``nd_witness``), so degenerate input is read from the lone finite-type
+    report rather than from an exception.  Raises :class:`TCviolated` when
+    the position condition fails, :class:`NotFiniteType` on input without
+    the repulsivity certificate, and :class:`PipelineError` when a
+    theorem-backed internal check fails.
     """
-    return _reports(_common(divisor, sing, vh), divisor, sing, vh)
+    return _reports(_valid(divisor, sing, vh))
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# One analysis per input, and validation
 # ---------------------------------------------------------------------------
 
 
-def validate(
+class _Analysis(NamedTuple):
+    """One reading of an input triple.  ``tc_ok`` is the position
+    condition (``True`` on a dual graph that is not a tree, a violation);
+    ``coloring`` and ``chains`` are built on every tree whose corners and
+    holonomy classes are readable; ``counts``, ``tau``, ``nd`` and ``ft``
+    are set on input without violations only."""
+
+    divisor: MarkedDivisor
+    sing: SingularityData
+    vh: VertexHolonomy
+    violations: List[str]
+    tc_ok: bool
+    coloring: Optional[Coloring]
+    chains: Tuple[SingularChain, ...]
+    counts: Optional[ChainCounts]
+    tau: int
+    nd: Optional[PredicateResult]
+    ft: Optional[PredicateResult]
+
+
+def _analyze(
     divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
-) -> List[str]:
-    """Collect consistency violations of an input triple, without raising.
-
-    Checks referential integrity, the tree shape of the dual graph, the
-    marking rules (invariant-invariant corners are marked, dicritical
-    crossings are not), Camacho-Sad reciprocity across corners, agreement of
-    local types and their parameters on the two sides of a corner,
-    arithmetic of resonance invariants, coherence of finite holonomy orders,
-    and homogeneity of the local types seen by infinite abelian components.
-    An empty list means no violation was found.
-    """
+) -> _Analysis:
+    """Read an input triple once, collecting its violations instead of
+    raising; :func:`validate` lists what is checked."""
     out: List[str] = []
     one = Scalar.one(sing.table)
 
     try:
-        graph, _ = build_dual_graph(divisor)
+        graph, val = build_dual_graph(divisor)
     except FoliationError as err:
         out.append(str(err))
-        graph = None
+        graph, val = None, divisor.val_sigma()
 
     comp_by_id = {c.id: c for c in divisor.components}
     for corner in divisor.corners:
@@ -2390,26 +2341,17 @@ def validate(
                 "is a singular point and must be marked"
             )
         if (du or dw) and corner.in_sigma:
-            out.append(
-                f"corner {corner.id!r}: a dicritical crossing cannot be marked"
-            )
+            out.append(f"corner {corner.id!r}: a dicritical crossing cannot be marked")
         if du and dw:
-            out.append(
-                f"corner {corner.id!r}: two dicritical components cross"
-            )
+            out.append(f"corner {corner.id!r}: two dicritical components cross")
     for att in divisor.attachments:
         if comp_by_id[att.component].dicritical:
-            out.append(
-                f"attachment {att.id!r}: lies on a dicritical component"
-            )
+            out.append(f"attachment {att.id!r}: lies on a dicritical component")
         if not att.in_sigma:
             out.append(f"attachment {att.id!r}: attachments are marked points")
 
-    known_points: Dict[Id, Tuple[Id, ...]] = {}
-    for corner in divisor.corners:
-        known_points[corner.id] = corner.components
-    for att in divisor.attachments:
-        known_points[att.id] = (att.component,)
+    known_points = {corner.id: corner.components for corner in divisor.corners}
+    known_points.update((att.id, (att.component,)) for att in divisor.attachments)
     for (point, comp), side in sing.items():
         if point not in known_points:
             out.append(f"side data at unknown point {point!r}")
@@ -2417,28 +2359,31 @@ def validate(
         if comp not in known_points[point]:
             out.append(f"side data at {point!r} on a non-incident component {comp!r}")
 
+    # The local type of every marked corner between invariant components,
+    # read once; the coloring reads it when every such corner has one.
+    infos: Dict[Id, SideType] = {}
+    corners_ok = True
     for corner in divisor.corners:
         if not corner.in_sigma:
             for c in corner.components:
                 if sing.side(corner.id, c) is not None:
-                    out.append(
-                        f"corner {corner.id!r}: side data on an unmarked point"
-                    )
+                    out.append(f"corner {corner.id!r}: side data on an unmarked point")
             continue
         u, w = corner.components
         if comp_by_id[u].dicritical or comp_by_id[w].dicritical:
             continue
         sides = [sing.side(corner.id, c) for c in (u, w)]
-        if all(s is None for s in sides):
-            out.append(f"corner {corner.id!r}: no side data")
-            continue
+        nodal = {s.nodal for s in sides if s is not None}
         try:
-            info = _corner_info(sing, corner.id, (u, w))
+            info = infos[corner.id] = _corner_info(sing, corner.id, (u, w))
         except FoliationError as err:
             out.append(str(err))
-            continue
-        if len({s.nodal for s in sides if s is not None}) > 1:
+            info = None
+        if len(nodal) > 1:
             out.append(f"corner {corner.id!r}: sides disagree on the nodal flag")
+        corners_ok = corners_ok and info is not None and len(nodal) == 1
+        if info is None:
+            continue
         cs_u = sides[0].cs if sides[0] is not None else None
         cs_w = sides[1].cs if sides[1] is not None else None
         if cs_u is not None and cs_w is not None and not (cs_u * cs_w - one).is_zero():
@@ -2454,9 +2399,7 @@ def validate(
                         f"{c!r} has a rational index {cs}"
                     )
             if cs_u is None and cs_w is None:
-                out.append(
-                    f"corner {corner.id!r}: a linearizable corner needs an index"
-                )
+                out.append(f"corner {corner.id!r}: a linearizable corner needs an index")
         if info.kind in ("R1", "R0"):
             for c, cs in ((u, cs_u), (w, cs_w)):
                 if cs is not None and not cs.is_rational():
@@ -2464,64 +2407,105 @@ def validate(
                         f"corner {corner.id!r}: resonant side on {c!r} has a "
                         f"non-rational index {cs}"
                     )
+        # the flow coordinate of an abelian infinite component is carried
+        # across its R1 corners by their index, whichever side is preferred
+        if (
+            info.kind == "R1"
+            and nodal == {False}
+            and all(cs is None or cs.is_zero() for cs in (cs_u, cs_w))
+            and any(vh.has(c) and vh.cls(c).kind == "abelian_infinite" for c in (u, w))
+        ):
+            out.append(
+                f"corner {corner.id!r}: a resonant normalizable corner of an "
+                "abelian infinite component needs a nonzero index"
+            )
 
-    # The cut graph and its coloring, built once, on the first abelian
-    # infinite component; coloring checks every red abelian infinite
-    # component's local kind (see _vertex_red_kind).
-    colored = False
+    coloring: Optional[Coloring] = None
+    chains: Tuple[SingularChain, ...] = ()
+    if (
+        graph is not None
+        and corners_ok
+        and all(vh.has(c) for c in divisor.invariant_components())
+    ):
+        try:
+            coloring = color(build_cut_graph(divisor, sing), sing, vh, divisor, infos)
+            chains = singular_chains(coloring.cut, val, lambda e: infos[e].kind)
+        except FoliationError as err:
+            out.append(str(err))
+
     for comp in divisor.components:
         if comp.dicritical:
             if vh.has(comp.id):
-                out.append(
-                    f"component {comp.id!r}: holonomy data on a dicritical component"
-                )
+                out.append(f"component {comp.id!r}: holonomy data on a dicritical component")
             continue
         if not vh.has(comp.id):
             out.append(f"component {comp.id!r}: no holonomy class")
             continue
         cls = vh.cls(comp.id)
+        if cls.kind != "finite":
+            continue
         points = divisor.sigma_points(comp.id)
-        if cls.kind == "finite":
-            for point in points:
-                if point not in cls.orders:
-                    out.append(
-                        f"component {comp.id!r}: no local holonomy order at {point!r}"
-                    )
-                elif cls.n % cls.orders[point] != 0:
-                    out.append(
-                        f"component {comp.id!r}: local order {cls.orders[point]} at "
-                        f"{point!r} does not divide the holonomy order {cls.n}"
-                    )
-            given = [cls.orders[p] for p in points if p in cls.orders]
-            if given and len(given) == len(points) and lcm(*given) != cls.n:
+        for point in points:
+            if point not in cls.orders:
+                out.append(f"component {comp.id!r}: no local holonomy order at {point!r}")
+            elif cls.n % cls.orders[point] != 0:
                 out.append(
-                    f"component {comp.id!r}: holonomy order {cls.n} is not the lcm "
-                    f"of the local orders {given}"
+                    f"component {comp.id!r}: local order {cls.orders[point]} at "
+                    f"{point!r} does not divide the holonomy order {cls.n}"
                 )
-            for point in points:
-                side = sing.side(point, comp.id)
-                if side is not None and side.type.kind != "P":
-                    out.append(
-                        f"component {comp.id!r}: finite holonomy but non-periodic "
-                        f"local type at {point!r}"
-                    )
-        elif cls.kind == "abelian_infinite" and graph is not None and not colored:
-            colored = True
-            try:
-                color(build_cut_graph(divisor, sing), sing, vh, divisor)
-            except FoliationError as err:
-                # build_cut_graph repeats the nodal-flag check of the corner
-                # loop above, word for word.
-                if str(err) not in out:
-                    out.append(str(err))
-    if any(
-        s.type.kind == "L1"
-        for (_, _), s in sing.items()
-    ) and TAU_SYMBOL not in sing.table:
+        given = [cls.orders[p] for p in points if p in cls.orders]
+        if given and len(given) == len(points) and lcm(*given) != cls.n:
+            out.append(
+                f"component {comp.id!r}: holonomy order {cls.n} is not the lcm "
+                f"of the local orders {given}"
+            )
+        for point in points:
+            side = sing.side(point, comp.id)
+            if side is not None and side.type.kind != "P":
+                out.append(
+                    f"component {comp.id!r}: finite holonomy but non-periodic "
+                    f"local type at {point!r}"
+                )
+    if any(s.type.kind == "L1" for _, s in sing.items()) and TAU_SYMBOL not in sing.table:
         out.append(
             f"symbol table lacks {TAU_SYMBOL!r} although linearizable data is present"
         )
-    return out
+
+    tc_ok = graph is None or _tc_holds(divisor, graph, val)
+    counts, t, nd, ft = None, 0, None, None
+    if not out:
+        counts = chain_counts(chains)
+        t = tau(coloring.red, coloring.r0_vertices, coloring.r0_edges)
+        nd = _non_degenerate(divisor, vh, coloring.cut, val, chains)
+        ft = _finite_type(vh, coloring)
+    return _Analysis(divisor, sing, vh, out, tc_ok, coloring, chains, counts, t, nd, ft)
+
+
+def _valid(divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy) -> _Analysis:
+    """The analysis of an input triple without violations; input with
+    violations raises :class:`FoliationError` naming the first."""
+    analysis = _analyze(divisor, sing, vh)
+    if analysis.violations:
+        raise FoliationError(analysis.violations[0])
+    return analysis
+
+
+def validate(
+    divisor: MarkedDivisor, sing: SingularityData, vh: VertexHolonomy
+) -> List[str]:
+    """Collect consistency violations of an input triple, without raising.
+
+    Checks the tree shape of the dual graph, the marking rules, that side
+    data sits on known points, agreement of the two sides of a corner
+    (local type, parameters, nodal flag, reciprocal Camacho-Sad indices),
+    the indices that L1 and R1 corners need, the coloring of every tree
+    whose corners and holonomy classes are readable (no red corner on a
+    finite component, one local kind per abelian infinite component and
+    per singular chain), finite holonomy orders, and ``tau_i``.  An empty
+    list means no violation; the position condition is left to
+    :func:`compute_moduli`.
+    """
+    return _analyze(divisor, sing, vh).violations
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,11 @@ def _no_tau(doc):
     doc["symbols"] = ["mu"]
 
 
+def _resonant_without_index(doc):
+    for comp in (0, 1):
+        _side(doc, "s", comp).pop("cs")
+
+
 def _symbolic_resonant_index(doc):
     _side(doc, "s", 0)["cs"] = "mu"
     _side(doc, "s", 1)["cs"] = "1/mu"
@@ -230,6 +235,12 @@ def _resonant_on_finite(doc):
 def _resonant_into_finite(doc):
     for comp in (2, 3):
         _side(doc, "u", comp)["type"] = {"kind": "R1", "p": 1, "r": 0}
+
+
+def _resonant_into_finite_one_side(doc):
+    _item(doc, "holonomies", component=1)["class"] = "nonabelian"
+    _side(doc, "u", 2)["type"] = {"kind": "R1", "p": 1, "r": 0}
+    _drop(doc, "singularities", point="u", component=3)
 
 
 def _abelian_without_local_type(doc):
@@ -279,11 +290,7 @@ CHECK_GOLDEN = {
             "side data at unknown point 'z'",
         ],
     ),
-    # the corner loop and the coloring word the same fault differently
-    "no side data": (
-        _no_side_data,
-        ["corner 't': no side data", "corner 't' has no side data"],
-    ),
+    "no side data": (_no_side_data, ["corner 't': no side data"]),
     "mixed kinds": (
         _mixed_kinds,
         ["corner 's': sides have different local types ['R0', 'R1']"],
@@ -314,6 +321,15 @@ CHECK_GOLDEN = {
         _no_tau,
         ["symbol table lacks 'tau_i' although linearizable data is present"],
     ),
+    # this input passed `folmod check` and then exited 3 from `folmod
+    # moduli`: the transport at component 1 reads the index on its side
+    "resonant corner without index": (
+        _resonant_without_index,
+        [
+            "corner 's': a resonant normalizable corner of an abelian infinite "
+            "component needs a nonzero index"
+        ],
+    ),
     "symbolic resonant index": (
         _symbolic_resonant_index,
         [
@@ -322,14 +338,14 @@ CHECK_GOLDEN = {
         ],
     ),
     "no holonomy on 1": (_no_holonomy(1), ["component 1: no holonomy class"]),
-    # component 2 is red in the coloring, which asks for its class first
-    "no holonomy on 2": (
-        _no_holonomy(2),
-        ["no holonomy class given for component 2", "component 2: no holonomy class"],
-    ),
+    "no holonomy on 2": (_no_holonomy(2), ["component 2: no holonomy class"]),
     "missing order": (
         _orders([["u", 2]]),
         ["component 3: no local holonomy order at 'd'"],
+    ),
+    "missing order at a corner": (
+        _orders([["d", 2]]),
+        ["component 3: no local holonomy order at 'u'"],
     ),
     "order not dividing": (
         _orders([["u", 2], ["d", 3]]),
@@ -352,6 +368,13 @@ CHECK_GOLDEN = {
             "corner 'u' has non-periodic type but component 3 has finite holonomy",
             "component 3: finite holonomy but non-periodic local type at 'u'",
         ],
+    ),
+    # no component is abelian infinite and the finite component has no
+    # side at the corner, so only the coloring sees the fault; this input
+    # passed `folmod check` and then exited 3 from `folmod moduli`
+    "resonant corner into a finite component, one side": (
+        _resonant_into_finite_one_side,
+        ["corner 'u' has non-periodic type but component 3 has finite holonomy"],
     ),
     "abelian without local type": (
         _abelian_without_local_type,

@@ -1,20 +1,25 @@
 """The moduli pipelines: one analysis per input, and a hardened input boundary.
 
+One analysis reads each input: `validate`, the two predicates,
+`compute_moduli` and `folmod check` and `moduli` all read it.
 `compute_moduli` builds the short exact sequence of symmetry sheaves and
 its long exact sequence once; the non-degenerate and finite-type reports
-are both read from them.  These tests pin down that the expensive stages
-run once per `folmod moduli` call, that each local type is read once and
-the flow sheaf's restrictions are induced from the symmetry sheaf, that its
-reports are the ones the CLI prints, that the two public predicates agree
-with the verdicts on the reports, that the gates and the symmetry sheaf
-refuse what they refused before, that any valid id passes the pipelines,
-that a stalk without a flow coordinate reads no Camacho-Sad index, that a
-refused atom map ends in exit code 3, that a resonant side refuses a
-non-rational index, that inputs without a red vertex and isolated red
-components run the general pipelines, that a local type refuses bad
-parameters where it is built, that relabelling the ids of an input leaves
-its moduli unchanged, and that malformed documents end in exit code 2 with
-a message naming the file instead of a traceback.
+are both read from them.  These tests pin down that the dual graph, the
+cut graph and the coloring are built once per `validate`, `folmod check`
+and `folmod moduli` call, that the expensive stages run once per `folmod
+moduli` call, that each local type is read once and the flow sheaf's
+restrictions are induced from the symmetry sheaf, that its reports are
+the ones the CLI prints, that the two public predicates agree with the
+verdicts on the reports and refuse input with violations, that the gates
+and the symmetry sheaf refuse what they refused before, that any valid id
+passes the pipelines, that a stalk without a flow coordinate reads no
+Camacho-Sad index, that a refused atom map ends in exit code 3, that a
+resonant side refuses a non-rational index and an R1 corner of an abelian
+infinite component refuses a missing one, that inputs without a red vertex
+and isolated red components run the general pipelines, that a local type
+refuses bad parameters where it is built, that relabelling the ids of an
+input leaves its moduli unchanged, and that malformed documents end in
+exit code 2 with a message naming the file instead of a traceback.
 """
 
 from __future__ import annotations
@@ -119,12 +124,32 @@ def test_one_moduli_call_builds_one_ses_and_les(tmp_path, monkeypatch, capsys) -
         assert calls[name] >= 1, name
 
 
-def test_validate_builds_the_cut_graph_and_the_coloring_once(monkeypatch) -> None:
-    geo = _geodesic_module()
-    inp = load_input(geo.geodesic_doc(geo.chain_periods(9, random.Random("geodesic-0-9"))))
-    calls = _count_calls(monkeypatch, ("build_cut_graph", "color"))
-    assert foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == []
-    assert calls == {"build_cut_graph": 1, "color": 1}
+def test_validate_builds_the_cut_graph_and_the_coloring_once(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    # validate, `folmod check` and `folmod moduli` each read the input
+    # once: one dual graph, cut graph and coloring, and one local type per
+    # marked corner between invariant components, 16 on the geodesic and 6
+    # on example 5.
+    names = ("build_dual_graph", "build_cut_graph", "color", "_corner_info")
+    calls = _count_calls(monkeypatch, names)
+    for doc, corners in ((_geodesic_doc(9), 16), (example_doc(5), 6)):
+        inp = load_input(doc)
+        path = _write(tmp_path, doc)
+        for run in (
+            lambda: foliation.validate(inp.divisor, inp.singularities, inp.holonomies) == [],
+            lambda: cli.main(["check", path]) == 0,
+            lambda: cli.main(["moduli", path]) == 0,
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            assert run()
+            assert calls == {
+                "build_dual_graph": 1,
+                "build_cut_graph": 1,
+                "color": 1,
+                "_corner_info": corners,
+            }
+        capsys.readouterr()
 
 
 def test_local_types_are_read_once(monkeypatch) -> None:
@@ -141,7 +166,7 @@ def test_local_types_are_read_once(monkeypatch) -> None:
 @pytest.mark.parametrize("n", [1, 4, 5, 6])
 def test_the_flow_sheaf_is_induced_from_the_symmetry_sheaf(n: int, monkeypatch) -> None:
     divisor, sing, vh = _args(n)
-    coloring = foliation.color(foliation.build_cut_graph(divisor, sing), sing, vh, divisor)
+    coloring = foliation._analyze(divisor, sing, vh).coloring
     sym = foliation.build_sym_graph(coloring, sing, vh, divisor)
     calls = _count_calls(monkeypatch, ("_gamma", "check_hom"))
     exp, inclusion = foliation.build_exp_graph(sym, coloring, divisor)
@@ -213,6 +238,17 @@ def test_predicates_match_the_report_verdicts(n: int) -> None:
     for report in compute_moduli(*args):
         assert (nd.ok, nd.witness) == (report.non_degenerate, report.nd_witness)
         assert (ft.ok, ft.witness) == (report.finite_type, report.ft_witness)
+
+
+def test_the_predicates_refuse_input_with_violations() -> None:
+    doc = example_doc(5)
+    doc["holonomies"] = doc["holonomies"][1:]
+    inp = load_input(doc)
+    first = foliation.validate(inp.divisor, inp.singularities, inp.holonomies)[0]
+    for predicate in (is_non_degenerate, is_finite_type, compute_moduli):
+        with pytest.raises(foliation.FoliationError) as raised:
+            predicate(inp.divisor, inp.singularities, inp.holonomies)
+        assert str(raised.value) == first
 
 
 def test_example3_predicate_witness_is_the_refusal_message() -> None:
@@ -391,14 +427,15 @@ def test_fuzzed_documents_never_raise(tmp_path, capsys, doc) -> None:
 
 def _r1_doc(components, corners) -> dict:
     """Components ``{id: holonomy class}`` joined by R1 ``corners``
-    ``(id, (u, w), p)``, with both sides of every corner given."""
+    ``(id, (u, w), p)``, with both sides of every corner given, each with
+    the Camacho-Sad index -1."""
     return {
         "schema_version": 1,
         "symbols": [],
         "components": [{"id": c} for c in components],
         "corners": [{"id": s, "components": list(ends)} for s, ends, _ in corners],
         "singularities": [
-            {"point": s, "component": c, "type": {"kind": "R1", "p": p, "r": 0}}
+            {"point": s, "component": c, "cs": "-1", "type": {"kind": "R1", "p": p, "r": 0}}
             for s, ends, p in corners
             for c in ends
         ],
@@ -578,6 +615,22 @@ def test_a_non_rational_resonant_index_is_a_violation(center: int, tmp_path, cap
     assert _moduli_code(["check", path]) == 1
     violations = "".join(f"violation: {line}\n" for line in lines)
     assert capsys.readouterr() == (violations + f"{path}: 6 violation(s)\n", "")
+    assert _moduli_code(["moduli", path]) == 1
+    assert capsys.readouterr() == ("", violations)
+
+
+@pytest.mark.parametrize("center", [0, 5])
+def test_a_resonant_star_without_indices_is_a_violation(center: int, tmp_path, capsys) -> None:
+    # Accepted, this star gave (C*)^2 with the center named 0 and exited 3
+    # with the center named 5: only the larger-id side's index is read.
+    path = _write(tmp_path, _star_doc(center, R1_SIDE))
+    violations = "".join(
+        f"violation: corner 'x{c}': a resonant normalizable corner of an abelian "
+        "infinite component needs a nonzero index\n"
+        for c in (1, 2, 3)
+    )
+    assert _moduli_code(["check", path]) == 1
+    assert capsys.readouterr() == (violations + f"{path}: 3 violation(s)\n", "")
     assert _moduli_code(["moduli", path]) == 1
     assert capsys.readouterr() == ("", violations)
 
@@ -797,6 +850,7 @@ RELABELLED_INPUTS = {
     "R0 star": lambda: _star_doc(5, R0_SIDE),
     "L0 star": lambda: _star_doc(5, L0_SIDE),
     "R1 star": lambda: _star_doc(5, R1_SIDE, ("-3", "-5", "-7")),
+    "R1 star without indices": lambda: _star_doc(5, R1_SIDE),
     **{f"no red, {name}": make for name, make in NO_RED_INPUTS.items()},
 }
 

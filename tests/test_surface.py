@@ -28,8 +28,8 @@ SRC = ROOT / "src" / "folmod"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 KEPT = {
-    "foliation.TCviolated": "raised by compute_moduli when the position condition fails",
-    "foliation.NotFiniteType": "raised by compute_moduli; the CLI's exit-3 refusal",
+    "foliation.TCviolated": "raised on a failed position condition; an exit-3 refusal",
+    "foliation.NotFiniteType": "raised on input not of finite type; an exit-3 refusal",
     "foliation.SideType": "input model: the local type of a side",
     "foliation.SideData": "input model: one side of a singular point",
     "foliation.SingularityData": "input model: load_input(...).singularities",
@@ -43,6 +43,7 @@ KEPT = {
     "foliation.VertexHolonomy": "input model: load_input(...).holonomies",
     "foliation.FoliationInput": "input model: what load_input returns",
     "foliation.ModuliReport": "report model: what compute_moduli returns",
+    "foliation.compute_moduli": "the library entry point; the CLI runs its body on one analysis",
     "foliation.FourTermSequence": "report model: ModuliReport.sequence",
     "foliation.SingularChain": "report model: ModuliReport.chains",
     "foliation.ChainCounts": "report model: ModuliReport.chain_counts",
