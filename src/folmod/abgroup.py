@@ -1600,25 +1600,35 @@ class NormalFormReport:
             n *= d
         return n
 
+    def factor_texts(self) -> Dict[str, List[str]]:
+        """The rendered factors by kind, in the order :meth:`text` joins
+        them: ``"C"``, ``"C*"``, ``"C/L"`` (lattice, then non-discrete
+        quotients), ``"C^k/L"``, ``"Z"``, ``"Z/d"`` and ``"atoms"``."""
+
+        def power(base: str, rank: int, wrapped: str) -> List[str]:
+            return [base if rank == 1 else f"{wrapped}^{rank}"] if rank else []
+
+        return {
+            "C": power("C", self.free_cont_rank, "C"),
+            "C*": power("C*", self.cstar_count, "(C*)"),
+            "C/L": [
+                "C/(" + " + ".join("Z" if str(g) == "1" else f"({g})Z" for g in gens) + ")"
+                for gens in self.lattices + self.nondiscrete
+            ],
+            "C^k/L": [
+                f"C^{len(block[0])}/<"
+                + ", ".join("(" + ", ".join(map(str, v)) + ")" for v in block)
+                + ">"
+                for block in self.nondiscrete_blocks
+            ],
+            "Z": power("Z", self.free_disc_rank, "Z"),
+            "Z/d": [f"Z/{d}" for d in self.invariant_factors],
+            "atoms": [a.label() for a in self.atoms],
+        }
+
     def text(self) -> str:
         """Canonical human-readable decomposition, factors joined by (+)."""
-        parts: List[str] = []
-        if self.free_cont_rank:
-            parts.append("C" if self.free_cont_rank == 1 else f"C^{self.free_cont_rank}")
-        if self.cstar_count:
-            parts.append("C*" if self.cstar_count == 1 else f"(C*)^{self.cstar_count}")
-        for gens in self.lattices + self.nondiscrete:
-            parts.append(
-                "C/(" + " + ".join("Z" if str(g) == "1" else f"({g})Z" for g in gens) + ")"
-            )
-        for block in self.nondiscrete_blocks:
-            k = len(block[0])
-            shown = ", ".join("(" + ", ".join(map(str, v)) + ")" for v in block)
-            parts.append(f"C^{k}/<{shown}>")
-        if self.free_disc_rank:
-            parts.append("Z" if self.free_disc_rank == 1 else f"Z^{self.free_disc_rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors)
-        parts.extend(a.label() for a in self.atoms)
+        parts = [p for kind in self.factor_texts().values() for p in kind]
         return " (+) ".join(parts) if parts else "0"
 
 

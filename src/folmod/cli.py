@@ -9,14 +9,13 @@ Five subcommands drive the package end to end::
     folmod oracle                run the randomized cross-check suites
 
 Exit codes: 0 success, 1 validation or oracle failure, 2 unreadable or
-malformed input (a non-integer ``FOLMOD_BOUND`` included), 3 pipeline
-precondition failure or an unsupported atom map (with the witness on
-stderr).  ``check`` and ``moduli`` read one analysis of the input: a
-violation (see :func:`folmod.foliation.validate`) is exit 1 from both,
-and a failed position condition is one more violation line from
-``check`` and exit 3 from ``moduli``.  The environment variable
-``FOLMOD_BOUND`` overrides the default brute-force bound of the oracle;
-the ``--bound`` flag wins over both.
+malformed input or arguments, 3 pipeline precondition failure or an
+unsupported atom map (with the witness on stderr).  ``check`` and
+``moduli`` read one analysis of the input: a violation (see
+:func:`folmod.foliation.validate`) is exit 1 from both, and a failed
+position condition is one more violation line from ``check`` and exit 3
+from ``moduli``.  ``oracle --bound`` sets the brute-force bound of the
+oracle.
 Reports are deterministic: identical inputs (and seeds) produce identical
 bytes.
 """
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -147,13 +145,7 @@ def _run_examples(number: int) -> int:
     return EXIT_OK
 
 
-def _run_oracle(seed: int, bound: Optional[int]) -> int:
-    if bound is None:
-        env = os.environ.get("FOLMOD_BOUND")
-        try:
-            bound = int(env) if env else DEFAULT_BOUND
-        except ValueError:
-            return _fail(f"FOLMOD_BOUND must be an integer, got {env!r}", EXIT_PARSE)
+def _run_oracle(seed: int, bound: int) -> int:
     report = run_oracle(seed=seed, bound=bound)
     print(report.text())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
@@ -194,9 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--bound",
         type=int,
-        default=None,
-        help=f"brute-force state-space cap (default {DEFAULT_BOUND}, "
-        "or the FOLMOD_BOUND environment variable)",
+        default=DEFAULT_BOUND,
+        help=f"brute-force state-space cap (default {DEFAULT_BOUND})",
     )
 
     return parser

@@ -29,7 +29,9 @@ The computation runs in stages, each exposed as its own operation:
 4. :func:`build_sym_graph` / :func:`build_exp_graph` / :func:`build_dis_graph`
    — the sheaf ``Sym`` of transverse symmetries on ``R``, its flow part
    ``Exp`` and the totally discontinuous quotient ``Dis``, tied together by
-   an elementwise short exact sequence ``0 -> Exp -> Sym -> Dis -> 0``.
+   an elementwise short exact sequence ``0 -> Exp -> Sym -> Dis -> 0``;
+   the last two builders return its inclusion and its projection, each a
+   morphism that carries both its sheaves.
    Every restriction of ``Sym`` off the non-abelian vertices is one chart
    map: it multiplies the flow coordinate by ``gamma(e) / gamma(s1)``, the
    Camacho–Sad factor of the edge over that of the vertex's chart edge
@@ -1062,22 +1064,13 @@ def color(
 
     ``corner_info`` holds the local type of every cut edge.  A vertex is
     green when its holonomy class is finite; an edge is green when its
-    local type is periodic.  A red edge with a green endpoint is
-    inconsistent input and raises :class:`TypeHeterogeneity`.
+    local type is periodic.  No red edge may have a green endpoint: the
+    analysis of an input refuses that first, as a finite component with a
+    non-periodic local type.
     """
     red_vertices = [v for v in cut.vertices if vh.cls(v).kind != "finite"]
     infos = {e: corner_info[e] for e in cut.edges}
-    red_edges = []
-    for e, info in infos.items():
-        if info.kind == "P":
-            continue
-        red_edges.append(e)
-        for end in cut.endpoints(e):
-            if vh.cls(end).kind == "finite":
-                raise TypeHeterogeneity(
-                    f"corner {e!r} has non-periodic type but component {end!r} "
-                    "has finite holonomy"
-                )
+    red_edges = [e for e, info in infos.items() if info.kind != "P"]
     red = cut.subgraph(red_vertices, red_edges)
     vertex_kind = {
         v: "nonabelian"
@@ -1513,7 +1506,7 @@ def build_sym_graph(
                 else f"component {v!r}: transport from corner {s1!r} to {e!r}"
             )
             rhos[(v, e)] = _chart_map(vgroups[v], egroups[e], factor, what)
-    return GroupGraph(red, vgroups, egroups, rhos, table=table, check=True)
+    return GroupGraph(red, vgroups, egroups, rhos, table=table)
 
 
 def _attachment_params(
@@ -1592,18 +1585,11 @@ def _canonical_vertex_group(
 # ---------------------------------------------------------------------------
 
 
-class SheafInclusion(NamedTuple):
-    graph: GroupGraph
-    inclusion: GroupGraphMorphism
-
-
-class SheafProjection(NamedTuple):
-    graph: GroupGraph
-    projection: GroupGraphMorphism
-
-
-def build_exp_graph(sym: GroupGraph, coloring: Coloring, divisor: MarkedDivisor) -> SheafInclusion:
-    """The flow part of the symmetry sheaf ``sym`` with its inclusion into it.
+def build_exp_graph(
+    sym: GroupGraph, coloring: Coloring, divisor: MarkedDivisor
+) -> GroupGraphMorphism:
+    """The inclusion of the flow part ``Exp`` into the symmetry sheaf ``sym``;
+    its ``dom`` is ``Exp`` and its ``cod`` is ``sym``.
 
     On linearizable elements the flow part is the whole stalk; on resonant
     normalizable elements it is the one-parameter subgroup of flow times; on
@@ -1654,14 +1640,14 @@ def build_exp_graph(sym: GroupGraph, coloring: Coloring, divisor: MarkedDivisor)
                 ) from None
     vgroups = {v: h.dom for v, h in vmaps.items()}
     egroups = {e: h.dom for e, h in emaps.items()}
-    exp = GroupGraph(red, vgroups, egroups, rhos, table=table, check=True)
-    inclusion = GroupGraphMorphism(exp, sym, vmaps, emaps, check=True)
-    return SheafInclusion(exp, inclusion)
+    exp = GroupGraph(red, vgroups, egroups, rhos, table=table)
+    return GroupGraphMorphism(exp, sym, vmaps, emaps)
 
 
-def build_dis_graph(sym: GroupGraph, inclusion: GroupGraphMorphism) -> SheafProjection:
-    """The totally discontinuous quotient sheaf ``Dis = Sym / Exp`` with the
-    projection, computed stalkwise as an exact cokernel."""
+def build_dis_graph(sym: GroupGraph, inclusion: GroupGraphMorphism) -> GroupGraphMorphism:
+    """The projection of ``sym`` onto the totally discontinuous quotient
+    sheaf ``Dis = Sym / Exp``, computed stalkwise as an exact cokernel; its
+    ``cod`` is ``Dis``."""
     if inclusion.cod is not sym and inclusion.cod != sym:
         raise FoliationError("the inclusion does not land in the given sheaf")
     graph = sym.graph
@@ -1691,9 +1677,8 @@ def build_dis_graph(sym: GroupGraph, inclusion: GroupGraphMorphism) -> SheafProj
                     f"homomorphism: {err}"
                 ) from None
             rhos[(v, e)] = h
-    dis = GroupGraph(graph, vgroups, egroups, rhos, table=sym.table, check=True)
-    projection = GroupGraphMorphism(sym, dis, vmaps, emaps, check=True)
-    return SheafProjection(dis, projection)
+    dis = GroupGraph(graph, vgroups, egroups, rhos, table=sym.table)
+    return GroupGraphMorphism(sym, dis, vmaps, emaps)
 
 
 # ---------------------------------------------------------------------------
@@ -1798,7 +1783,7 @@ def _blow_up_extremities(zone: GroupGraph) -> GroupGraph:
         rhos[(u_id, a_id)] = identity_hom(ge)
         rhos[(u_id, b_id)] = identity_hom(ge)
         rhos[(w, b_id)] = current.rho(w, e)
-        current = GroupGraph(graph, vgroups, egroups, rhos, table=zone.table, check=True)
+        current = GroupGraph(graph, vgroups, egroups, rhos, table=zone.table)
     return current
 
 
@@ -1917,10 +1902,11 @@ def _nf_json(nf: NormalFormReport) -> dict:
 
 
 class _SES(NamedTuple):
+    """``0 -> Exp -> Sym -> Dis -> 0``: ``inclusion.dom`` is ``Exp`` and
+    ``projection.cod`` is ``Dis``."""
+
     sym: GroupGraph
-    exp: GroupGraph
     inclusion: GroupGraphMorphism
-    dis: GroupGraph
     projection: GroupGraphMorphism
 
 
@@ -1928,19 +1914,18 @@ def _build_ses(
     coloring: Coloring, sing: SingularityData, vh: VertexHolonomy, divisor: MarkedDivisor
 ) -> _SES:
     sym = build_sym_graph(coloring, sing, vh, divisor)
-    exp, inclusion = build_exp_graph(sym, coloring, divisor)
-    dis, projection = build_dis_graph(sym, inclusion)
-    return _SES(sym, exp, inclusion, dis, projection)
+    inclusion = build_exp_graph(sym, coloring, divisor)
+    return _SES(sym, inclusion, build_dis_graph(sym, inclusion))
 
 
 def _assert_dis_shapes(ses: _SES, coloring: Coloring) -> None:
     """Structural sanity of the discontinuous quotient: finite on the
     non-rigid locus, discrete everywhere, atoms exactly at non-linearizable
     elements."""
-    red = ses.sym.graph
+    red, dis = ses.sym.graph, ses.projection.cod
     for e in red.edges:
         kind = coloring.corner_info[e].kind
-        nf = classify(ses.dis.edge_group(e))
+        nf = classify(dis.edge_group(e))
         if kind == "L1" and not nf.is_trivial:
             raise PipelineError(f"corner {e!r}: linearizable quotient stalk {nf.text()}")
         if kind in ("R1", "R0") and not nf.is_finite:
@@ -1949,7 +1934,7 @@ def _assert_dis_shapes(ses: _SES, coloring: Coloring) -> None:
             raise PipelineError(f"corner {e!r}: non-linearizable stalk lost its atom")
     for v in red.vertices:
         kind = coloring.vertex_kind[v]
-        nf = classify(ses.dis.vertex_group(v))
+        nf = classify(dis.vertex_group(v))
         if nf.free_cont_rank or nf.cstar_count or nf.lattices or nf.nondiscrete:
             raise PipelineError(f"component {v!r}: quotient stalk not discrete")
         if kind in ("nonabelian", "L1", "R1") and not nf.is_finite:
@@ -1977,7 +1962,7 @@ def _four_term(
     actives: List[Tuple[Id, Id]] = []
     zone_h1s: List[PresentedAbelianGroup] = []
     for zone in _zones(coloring):
-        analysis = _analyze_zone(ses.exp, zone)
+        analysis = _analyze_zone(ses.inclusion.dom, zone)
         actives.extend(analysis.actives)
         zone_h1s.append(analysis.h1_group)
     if zone_h1s:
@@ -2169,18 +2154,10 @@ class ModuliReport:
 def _b0_shape_line(moduli: NormalFormReport, f: NormalFormReport) -> str:
     """Render the moduli group in the shape (F (+) B (+) T)/Z, listing the
     finite, totally disconnected and one-parameter factors separately."""
-    finite = " (+) ".join(f"Z/{d}" for d in moduli.invariant_factors) or "0"
-    atoms = " (+) ".join(a.label() for a in moduli.atoms) or "none"
-    torus_parts: List[str] = []
-    if moduli.cstar_count:
-        torus_parts.append(
-            "C*" if moduli.cstar_count == 1 else f"(C*)^{moduli.cstar_count}"
-        )
-    for gens in moduli.lattices + moduli.nondiscrete:
-        torus_parts.append(
-            "C/(" + " + ".join("Z" if str(g) == "1" else f"({g})Z" for g in gens) + ")"
-        )
-    torus = " (+) ".join(torus_parts) or "0"
+    parts = moduli.factor_texts()
+    finite = " (+) ".join(parts["Z/d"]) or "0"
+    atoms = " (+) ".join(parts["atoms"]) or "none"
+    torus = " (+) ".join(parts["C*"] + parts["C/L"]) or "0"
     return (
         f"shape (F (+) B (+) T)/Z with F: {finite}; B: {atoms}; T: {torus}; "
         f"ker(H1(Exp) -> H1(Sym)) = {f.text()}"
@@ -2360,7 +2337,8 @@ def _analyze(
             out.append(f"side data at {point!r} on a non-incident component {comp!r}")
 
     # The local type of every marked corner between invariant components,
-    # read once; the coloring reads it when every such corner has one.
+    # read once; the component loop reads it, and the coloring reads it when
+    # every such corner has one and no finite component has a red corner.
     infos: Dict[Id, SideType] = {}
     corners_ok = True
     for corner in divisor.corners:
@@ -2384,6 +2362,9 @@ def _analyze(
         corners_ok = corners_ok and info is not None and len(nodal) == 1
         if info is None:
             continue
+        # the component loop refuses a non-periodic corner of a finite component
+        if info.kind != "P" and any(vh.has(c) and vh.cls(c).kind == "finite" for c in (u, w)):
+            corners_ok = False
         cs_u = sides[0].cs if sides[0] is not None else None
         cs_w = sides[1].cs if sides[1] is not None else None
         if cs_u is not None and cs_w is not None and not (cs_u * cs_w - one).is_zero():
@@ -2461,7 +2442,8 @@ def _analyze(
             )
         for point in points:
             side = sing.side(point, comp.id)
-            if side is not None and side.type.kind != "P":
+            local = infos.get(point, side.type if side is not None else None)
+            if local is not None and local.kind != "P":
                 out.append(
                     f"component {comp.id!r}: finite holonomy but non-periodic "
                     f"local type at {point!r}"

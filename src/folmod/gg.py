@@ -7,11 +7,16 @@ for every incidence.  Its degree-0 coboundary sends a 0-cochain
 head datum minus the image of the tail datum; ``H^0`` and ``H^1`` are the
 kernel and cokernel of that single block homomorphism.
 
-Two parallel representations are provided: :class:`GroupGraph` carries
-:class:`~folmod.abgroup.PresentedAbelianGroup` data and is computed
-exactly, while :class:`FiniteGroupGraph` carries explicit finite
-multiplication tables (possibly non-abelian) and is solved by direct
-orbit enumeration, serving as an independent oracle.
+Both kinds of group-graph are one container: the graph, the groups and
+maps with their accessors, the check that every incidence has a map
+between the right groups, :meth:`restrict` and the JSON skeleton.
+:class:`GroupGraph` holds :class:`~folmod.abgroup.PresentedAbelianGroup`
+data over one symbol table, checks every map with
+:func:`~folmod.abgroup.check_hom` and is computed exactly.
+:class:`FiniteGroupGraph` holds explicit finite multiplication tables
+(possibly non-abelian), and :func:`brute_force_h1` solves it by direct
+orbit enumeration, an oracle that shares only this storage with the
+exact engine.
 
 >>> t = SymbolTable([])
 >>> triv = PresentedAbelianGroup.trivial(t)
@@ -37,11 +42,13 @@ orbit count is the number of conjugacy classes:
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Generic,
     Iterable,
     List,
     Mapping,
@@ -50,6 +57,7 @@ from typing import (
     Sequence,
     Sized,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -297,19 +305,118 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Abelian group-graphs
+# Group-graphs
 # ---------------------------------------------------------------------------
 
 
-class GroupGraph:
-    """Presented abelian groups on a graph with restriction maps.
+_G = TypeVar("_G")
+_H = TypeVar("_H")
 
-    ``rhos`` maps each incidence ``(v, e)`` (with ``v`` an endpoint of
-    ``e``) to a hom from the vertex group to the edge group; every map is
-    verified with :func:`~folmod.abgroup.check_hom` on construction.
+
+class _GroupsOnGraph(Generic[_G, _H]):
+    """Groups on the vertices and edges of a graph with a restriction map
+    ``rho(v, e)`` from the vertex group to the edge group at every
+    incidence, ``v`` an endpoint of ``e``.
+
+    The constructor refuses a vertex or edge without a group, an incidence
+    without a map and a map whose ends are not the groups of its vertex
+    and edge, and runs :meth:`_check_map` on every map.
     """
 
-    __slots__ = ("graph", "table", "_vgroups", "_egroups", "_rhos")
+    __slots__ = ("graph", "_vgroups", "_egroups", "_rhos")
+
+    def __init__(
+        self,
+        graph: Graph,
+        vertex_groups: Mapping[Id, _G],
+        edge_groups: Mapping[Id, _G],
+        rhos: Mapping[Tuple[Id, Id], _H],
+    ):
+        self.graph = graph
+        self._vgroups = dict(vertex_groups)
+        self._egroups = dict(edge_groups)
+        self._rhos = dict(rhos)
+        missing = [v for v in graph.vertices if v not in self._vgroups]
+        missing += [e for e in graph.edges if e not in self._egroups]
+        if missing:
+            raise ValueError(f"missing group data for {missing!r}")
+        for e in graph.edges:
+            for v in set(graph.endpoints(e)):
+                r = self._rhos.get((v, e))
+                if r is None:
+                    raise ValueError(f"missing restriction map for incidence ({v!r}, {e!r})")
+                if r.dom != self._vgroups[v] or r.cod != self._egroups[e]:
+                    raise ValueError(f"restriction map at ({v!r}, {e!r}) has wrong ends")
+                self._check_map(r)
+
+    def _check_map(self, r: _H) -> None:
+        """Refuse a restriction map that is not a homomorphism; nothing to
+        do for maps that checked themselves when they were built."""
+
+    def vertex_group(self, v: Id) -> _G:
+        return self._vgroups[v]
+
+    def edge_group(self, e: Id) -> _G:
+        return self._egroups[e]
+
+    def rho(self, v: Id, e: Id) -> _H:
+        return self._rhos[(v, e)]
+
+    def restrict(self, vertices: Iterable[Id], edges: Optional[Iterable[Id]] = None):
+        """The group-graph of the same class on a subgraph (induced edges by
+        default); its data was checked when ``self`` was built, so it is
+        not checked again."""
+        sub = self.graph.subgraph(vertices, edges)
+        out = copy.copy(self)
+        out.graph = sub
+        out._vgroups = {v: self._vgroups[v] for v in sub.vertices}
+        out._egroups = {e: self._egroups[e] for e in sub.edges}
+        out._rhos = {(v, e): self._rhos[(v, e)] for e in sub.edges for v in set(sub.endpoints(e))}
+        return out
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} on {self.graph!r}>"
+
+    def _json(self, group: Callable[[_G], dict], hom: Callable[[_H], dict]) -> dict:
+        """The graph, then every vertex group, edge group and restriction
+        map in graph order, their fields rendered by ``group`` and ``hom``."""
+        g = self.graph
+        return {
+            "graph": g.to_json(),
+            "vertex_groups": [{"id": v, **group(self._vgroups[v])} for v in g.vertices],
+            "edge_groups": [{"id": e, **group(self._egroups[e])} for e in g.edges],
+            "rhos": [
+                {"vertex": v, "edge": e, **hom(self._rhos[(v, e)])}
+                for e in g.edges
+                for v in sorted(set(g.endpoints(e)), key=_id_key)
+            ],
+        }
+
+    @staticmethod
+    def _read_json(data: Mapping, group: Callable, hom: Callable) -> tuple:
+        """The constructor arguments of a :meth:`_json` document; ``group``
+        reads a group entry and ``hom(dom, cod, entry)`` a map entry."""
+        graph = Graph.from_json(data["graph"])
+        vgroups = {item["id"]: group(item) for item in data["vertex_groups"]}
+        egroups = {item["id"]: group(item) for item in data["edge_groups"]}
+        rhos = {
+            (item["vertex"], item["edge"]): hom(
+                vgroups[item["vertex"]], egroups[item["edge"]], item
+            )
+            for item in data["rhos"]
+        }
+        return graph, vgroups, egroups, rhos
+
+
+class GroupGraph(_GroupsOnGraph[PresentedAbelianGroup, GroupHom]):
+    """Presented abelian groups on a graph with restriction maps.
+
+    Every group lives over the symbol table ``table``, which an empty
+    group-graph must be given; every map is verified with
+    :func:`~folmod.abgroup.check_hom` on construction.
+    """
+
+    __slots__ = ("table",)
 
     def __init__(
         self,
@@ -318,14 +425,9 @@ class GroupGraph:
         edge_groups: Mapping[Id, PresentedAbelianGroup],
         rhos: Mapping[Tuple[Id, Id], GroupHom],
         table: Optional[SymbolTable] = None,
-        check: bool = True,
     ):
-        self.graph = graph
-        self._vgroups = dict(vertex_groups)
-        self._egroups = dict(edge_groups)
-        self._rhos = dict(rhos)
-        tables = {g.table for g in self._vgroups.values()}
-        tables |= {g.table for g in self._egroups.values()}
+        tables = {g.table for g in vertex_groups.values()}
+        tables |= {g.table for g in edge_groups.values()}
         if table is not None:
             tables.add(table)
         if len(tables) > 1:
@@ -333,110 +435,40 @@ class GroupGraph:
         if not tables:
             raise ValueError("an empty group-graph needs an explicit symbol table")
         self.table = next(iter(tables))
-        if check:
-            self.validate()
+        super().__init__(graph, vertex_groups, edge_groups, rhos)
 
-    def validate(self) -> None:
-        g = self.graph
-        missing_v = [v for v in g.vertices if v not in self._vgroups]
-        missing_e = [e for e in g.edges if e not in self._egroups]
-        if missing_v or missing_e:
-            raise ValueError(f"missing group data for {missing_v + missing_e!r}")
-        for e in g.edges:
-            for v in set(g.endpoints(e)):
-                r = self._rhos.get((v, e))
-                if r is None:
-                    raise ValueError(f"missing restriction map for incidence ({v!r}, {e!r})")
-                if r.dom != self._vgroups[v] or r.cod != self._egroups[e]:
-                    raise ValueError(f"restriction map at ({v!r}, {e!r}) has wrong ends")
-                check_hom(r)
-
-    def vertex_group(self, v: Id) -> PresentedAbelianGroup:
-        return self._vgroups[v]
-
-    def edge_group(self, e: Id) -> PresentedAbelianGroup:
-        return self._egroups[e]
-
-    def rho(self, v: Id, e: Id) -> GroupHom:
-        return self._rhos[(v, e)]
-
-    def restrict(
-        self, vertices: Iterable[Id], edges: Optional[Iterable[Id]] = None
-    ) -> "GroupGraph":
-        """The group-graph on a subgraph (induced edges by default)."""
-        sub = self.graph.subgraph(vertices, edges)
-        return GroupGraph(
-            sub,
-            {v: self._vgroups[v] for v in sub.vertices},
-            {e: self._egroups[e] for e in sub.edges},
-            {
-                (v, e): self._rhos[(v, e)]
-                for e in sub.edges
-                for v in set(sub.endpoints(e))
-            },
-            table=self.table,
-            check=False,
-        )
-
-    def __repr__(self) -> str:
-        return f"<GroupGraph on {self.graph!r}>"
+    def _check_map(self, r: GroupHom) -> None:
+        check_hom(r)
 
     def to_json(self) -> dict:
+        """The symbol table once, then the groups without their own."""
         return {
             "symbols": self.table.to_json(),
-            "graph": self.graph.to_json(),
-            "vertex_groups": [
-                {"id": v, "group": _group_json(self._vgroups[v])} for v in self.graph.vertices
-            ],
-            "edge_groups": [
-                {"id": e, "group": _group_json(self._egroups[e])} for e in self.graph.edges
-            ],
-            "rhos": [
-                {"vertex": v, "edge": e, "map": self._rhos[(v, e)].to_json()}
-                for e in self.graph.edges
-                for v in sorted(set(self.graph.endpoints(e)), key=_id_key)
-            ],
+            **self._json(
+                lambda g: {"group": {k: x for k, x in g.to_json().items() if k != "symbols"}},
+                lambda r: {"map": r.to_json()},
+            ),
         }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupGraph":
         table = SymbolTable.from_json(data["symbols"])
-        graph = Graph.from_json(data["graph"])
-        vgroups = {
-            item["id"]: _group_from_json(table, item["group"])
-            for item in data["vertex_groups"]
-        }
-        egroups = {
-            item["id"]: _group_from_json(table, item["group"])
-            for item in data["edge_groups"]
-        }
-        rhos = {
-            (item["vertex"], item["edge"]): GroupHom.from_json(
-                vgroups[item["vertex"]], egroups[item["edge"]], item["map"]
-            )
-            for item in data["rhos"]
-        }
-        return cls(graph, vgroups, egroups, rhos, table=table)
-
-
-def _group_json(g: PresentedAbelianGroup) -> dict:
-    out = g.to_json()
-    out.pop("symbols", None)
-    return out
-
-
-def _group_from_json(table: SymbolTable, data: Mapping) -> PresentedAbelianGroup:
-    payload = dict(data)
-    payload["symbols"] = table.to_json()
-    return PresentedAbelianGroup.from_json(payload)
+        parts = cls._read_json(
+            data,
+            lambda item: PresentedAbelianGroup.from_json(
+                dict(item["group"], symbols=table.to_json())
+            ),
+            lambda dom, cod, item: GroupHom.from_json(dom, cod, item["map"]),
+        )
+        return cls(*parts, table=table)
 
 
 class GroupGraphMorphism:
     """A map of group-graphs over the same base graph.
 
-    ``vertex_maps[v]`` and ``edge_maps[e]`` must commute with the
-    restriction maps: ``edge_map . rho_dom == rho_cod . vertex_map`` at
-    every incidence.
+    ``vertex_maps[v]`` and ``edge_maps[e]`` are verified on construction:
+    each is a homomorphism between the stalks, and every square commutes,
+    ``edge_map . rho_dom == rho_cod . vertex_map`` at every incidence.
     """
 
     __slots__ = ("dom", "cod", "_vmaps", "_emaps")
@@ -447,32 +479,27 @@ class GroupGraphMorphism:
         cod: GroupGraph,
         vertex_maps: Mapping[Id, GroupHom],
         edge_maps: Mapping[Id, GroupHom],
-        check: bool = True,
     ):
-        if dom.graph != cod.graph:
+        g = dom.graph
+        if g != cod.graph:
             raise ValueError("group-graph morphism across different base graphs")
         self.dom = dom
         self.cod = cod
         self._vmaps = dict(vertex_maps)
         self._emaps = dict(edge_maps)
-        if check:
-            self.validate()
-
-    def validate(self) -> None:
-        g = self.dom.graph
         for v in g.vertices:
             m = self._vmaps.get(v)
-            if m is None or m.dom != self.dom.vertex_group(v) or m.cod != self.cod.vertex_group(v):
+            if m is None or m.dom != dom.vertex_group(v) or m.cod != cod.vertex_group(v):
                 raise ValueError(f"bad vertex map at {v!r}")
             check_hom(m)
         for e in g.edges:
             m = self._emaps.get(e)
-            if m is None or m.dom != self.dom.edge_group(e) or m.cod != self.cod.edge_group(e):
+            if m is None or m.dom != dom.edge_group(e) or m.cod != cod.edge_group(e):
                 raise ValueError(f"bad edge map at {e!r}")
             check_hom(m)
             for v in set(g.endpoints(e)):
-                left = compose(m, self.dom.rho(v, e))
-                right = compose(self.cod.rho(v, e), self._vmaps[v])
+                left = compose(m, dom.rho(v, e))
+                right = compose(cod.rho(v, e), self._vmaps[v])
                 if not hom_equal(left, right):
                     raise ValueError(f"morphism does not commute at ({v!r}, {e!r})")
 
@@ -620,9 +647,7 @@ class DeadBranch(NamedTuple):
         return self.vertices[-1]
 
 
-def find_partial_dead_branches(
-    g: Union[Graph, GroupGraph, "FiniteGroupGraph"]
-) -> List[DeadBranch]:
+def find_partial_dead_branches(g: Union[Graph, _GroupsOnGraph]) -> List[DeadBranch]:
     """All chains hanging off an extremity, one entry per chain prefix.
 
     Walks inward from every valency-1 vertex while the interior has
@@ -664,17 +689,11 @@ def find_partial_dead_branches(
     return out
 
 
-def _as_branch(
-    graph: Graph, m: Union[DeadBranch, Sequence[Id]], attach: Optional[Id]
-) -> DeadBranch:
+def _as_branch(graph: Graph, m: Union[DeadBranch, Sequence[Id]]) -> DeadBranch:
     if isinstance(m, DeadBranch):
-        if attach is not None and m.attach != attach:
-            raise ValueError("attaching vertex does not match the branch")
         branch = m
     else:
         verts = list(m)
-        if attach is not None and (not verts or verts[-1] != attach):
-            verts.append(attach)
         if len(verts) < 2:
             raise ValueError("a dead branch needs at least one edge")
         edges = []
@@ -704,9 +723,7 @@ def _rho_surjective(G: Union[GroupGraph, "FiniteGroupGraph"], v: Id, e: Id) -> b
 
 
 def is_repulsive(
-    G: Union[GroupGraph, "FiniteGroupGraph"],
-    m: Union[DeadBranch, Sequence[Id]],
-    attach: Optional[Id] = None,
+    G: Union[GroupGraph, "FiniteGroupGraph"], m: Union[DeadBranch, Sequence[Id]]
 ) -> bool:
     """Whether every outward restriction along the branch is surjective.
 
@@ -715,23 +732,22 @@ def is_repulsive(
     lets cocycle values on the branch be normalized away from the
     extremity inward.
     """
-    branch = _as_branch(G.graph, m, attach)
+    branch = _as_branch(G.graph, m)
     return all(
         _rho_surjective(G, outer, e) for outer, e in zip(branch.vertices, branch.edges)
     )
 
 
-def prune(
-    G: Union[GroupGraph, "FiniteGroupGraph"],
-    m: Union[DeadBranch, Sequence[Id]],
-    attach: Optional[Id] = None,
-):
+def prune(G: Union[GroupGraph, "FiniteGroupGraph"], m: Union[DeadBranch, Sequence[Id]]):
     """Remove a repulsive dead branch, keeping the attaching vertex.
 
-    Raises :class:`NotRepulsive` when some outward restriction fails to be
-    surjective.  ``h1`` of the result is isomorphic to ``h1`` of the input.
+    The branch is a :class:`DeadBranch` or its vertices from the extremity
+    to the attaching vertex.  Raises :class:`NotRepulsive` when some
+    outward restriction fails to be surjective.  The result is the
+    restriction of ``G``, of the same class, and its ``h1`` is isomorphic
+    to that of ``G``.
     """
-    branch = _as_branch(G.graph, m, attach)
+    branch = _as_branch(G.graph, m)
     if not is_repulsive(G, branch):
         raise NotRepulsive(
             f"branch {branch.vertices!r} has a non-surjective outward restriction"
@@ -842,23 +858,16 @@ class MayerVietorisResult:
     pieces: Tuple[CohomologyResult, CohomologyResult]
 
 
-def _cover_part(G: GroupGraph, cover) -> Tuple[Tuple[Id, ...], Tuple[Id, ...]]:
-    if isinstance(cover, Graph):
-        return cover.vertices, cover.edges
-    vs, es = cover
-    return tuple(vs), tuple(es)
-
-
 def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
     """The six-term sequence of a cover by two subgraphs.
 
-    Each cover piece is a ``(vertices, edges)`` pair (or a :class:`Graph`);
-    together they must exhaust the base graph.  The connecting map lifts a
-    0-cochain on the overlap by zero outside it and applies the coboundary
-    of the whole graph.  Exactness is verified at every node.
+    Each cover piece is a ``(vertices, edges)`` pair of id sequences, and
+    each must be a subgraph of the base graph; together they must exhaust
+    it (raises :class:`CoverMismatch` otherwise).  The connecting map lifts
+    a 0-cochain on the overlap by zero outside it and applies the
+    coboundary of the whole graph.  Exactness is verified at every node.
     """
-    vs0, es0 = _cover_part(G, cover0)
-    vs1, es1 = _cover_part(G, cover1)
+    (vs0, es0), (vs1, es1) = ((tuple(vs), tuple(es)) for vs, es in (cover0, cover1))
     g = G.graph
     if set(vs0) | set(vs1) != set(g.vertices) or set(es0) | set(es1) != set(g.edges):
         raise CoverMismatch("the two pieces do not cover the graph")
@@ -1038,8 +1047,9 @@ class FiniteGroup:
     >>> z4 = FiniteGroup.cyclic(4)
     >>> z4.mul(3, 2), z4.inv(3)
     (1, 1)
-    >>> FiniteGroup.symmetric(3).is_abelian()
-    False
+    >>> s3 = FiniteGroup.symmetric(3)
+    >>> s3.order, s3.mul(1, 2) == s3.mul(2, 1)
+    (6, False)
     """
 
     __slots__ = ("table", "identity", "_inv")
@@ -1092,12 +1102,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self._inv[a]
-
-    def is_abelian(self) -> bool:
-        n = len(self.table)
-        return all(
-            self.table[a][b] == self.table[b][a] for a in range(n) for b in range(a)
-        )
 
     # -- constructors -----------------------------------------------------------
 
@@ -1214,103 +1218,24 @@ class FiniteHom:
         return {"images": list(self.images)}
 
 
-class FiniteGroupGraph:
-    """Finite groups (as tables) on a graph with restriction maps."""
+class FiniteGroupGraph(_GroupsOnGraph[FiniteGroup, FiniteHom]):
+    """Finite groups, given by their tables, on a graph with restriction
+    maps; a :class:`FiniteHom` checks itself when it is built."""
 
-    __slots__ = ("graph", "_vgroups", "_egroups", "_rhos")
-
-    def __init__(
-        self,
-        graph: Graph,
-        vertex_groups: Mapping[Id, FiniteGroup],
-        edge_groups: Mapping[Id, FiniteGroup],
-        rhos: Mapping[Tuple[Id, Id], FiniteHom],
-        check: bool = True,
-    ):
-        self.graph = graph
-        self._vgroups = dict(vertex_groups)
-        self._egroups = dict(edge_groups)
-        self._rhos = dict(rhos)
-        if check:
-            self.validate()
-
-    def validate(self) -> None:
-        g = self.graph
-        missing_v = [v for v in g.vertices if v not in self._vgroups]
-        missing_e = [e for e in g.edges if e not in self._egroups]
-        if missing_v or missing_e:
-            raise ValueError(f"missing group data for {missing_v + missing_e!r}")
-        for e in g.edges:
-            for v in set(g.endpoints(e)):
-                r = self._rhos.get((v, e))
-                if r is None:
-                    raise ValueError(f"missing restriction map for incidence ({v!r}, {e!r})")
-                if r.dom is not self._vgroups[v] and r.dom != self._vgroups[v]:
-                    raise ValueError(f"restriction at ({v!r}, {e!r}) has the wrong domain")
-                if r.cod is not self._egroups[e] and r.cod != self._egroups[e]:
-                    raise ValueError(f"restriction at ({v!r}, {e!r}) has the wrong codomain")
-
-    def vertex_group(self, v: Id) -> FiniteGroup:
-        return self._vgroups[v]
-
-    def edge_group(self, e: Id) -> FiniteGroup:
-        return self._egroups[e]
-
-    def rho(self, v: Id, e: Id) -> FiniteHom:
-        return self._rhos[(v, e)]
-
-    def is_abelian(self) -> bool:
-        return all(g.is_abelian() for g in self._vgroups.values()) and all(
-            g.is_abelian() for g in self._egroups.values()
-        )
-
-    def restrict(
-        self, vertices: Iterable[Id], edges: Optional[Iterable[Id]] = None
-    ) -> "FiniteGroupGraph":
-        sub = self.graph.subgraph(vertices, edges)
-        return FiniteGroupGraph(
-            sub,
-            {v: self._vgroups[v] for v in sub.vertices},
-            {e: self._egroups[e] for e in sub.edges},
-            {
-                (v, e): self._rhos[(v, e)]
-                for e in sub.edges
-                for v in set(sub.endpoints(e))
-            },
-            check=False,
-        )
-
-    def __repr__(self) -> str:
-        return f"<FiniteGroupGraph on {self.graph!r}>"
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "graph": self.graph.to_json(),
-            "vertex_groups": [
-                {"id": v, **self._vgroups[v].to_json()} for v in self.graph.vertices
-            ],
-            "edge_groups": [
-                {"id": e, **self._egroups[e].to_json()} for e in self.graph.edges
-            ],
-            "rhos": [
-                {"vertex": v, "edge": e, **self._rhos[(v, e)].to_json()}
-                for e in self.graph.edges
-                for v in sorted(set(self.graph.endpoints(e)), key=_id_key)
-            ],
-        }
+        return self._json(FiniteGroup.to_json, FiniteHom.to_json)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FiniteGroupGraph":
-        graph = Graph.from_json(data["graph"])
-        vgroups = {item["id"]: FiniteGroup(item["table"]) for item in data["vertex_groups"]}
-        egroups = {item["id"]: FiniteGroup(item["table"]) for item in data["edge_groups"]}
-        rhos = {
-            (item["vertex"], item["edge"]): FiniteHom(
-                vgroups[item["vertex"]], egroups[item["edge"]], item["images"]
+        return cls(
+            *cls._read_json(
+                data,
+                lambda item: FiniteGroup(item["table"]),
+                lambda dom, cod, item: FiniteHom(dom, cod, item["images"]),
             )
-            for item in data["rhos"]
-        }
-        return cls(graph, vgroups, egroups, rhos)
+        )
 
 
 class BruteForceResult(NamedTuple):

@@ -42,12 +42,11 @@ def test_a_vertex_atom_on_two_edge_atoms_exits_3(tmp_path, capsys) -> None:
     )
 
 
-def test_a_non_integer_oracle_bound_exits_2(monkeypatch, capsys) -> None:
-    monkeypatch.setenv("FOLMOD_BOUND", "abc")
-    assert _exit_code(["oracle"]) == 2
+def test_a_non_integer_oracle_bound_exits_2(capsys) -> None:
+    assert _exit_code(["oracle", "--bound", "abc"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "FOLMOD_BOUND" in err and "'abc'" in err
+    assert "--bound" in err and "'abc'" in err
 
 
 def _two_vertex_doc() -> dict:

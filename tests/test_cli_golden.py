@@ -364,17 +364,14 @@ CHECK_GOLDEN = {
     ),
     "resonant corner into a finite component": (
         _resonant_into_finite,
-        [
-            "corner 'u' has non-periodic type but component 3 has finite holonomy",
-            "component 3: finite holonomy but non-periodic local type at 'u'",
-        ],
+        ["component 3: finite holonomy but non-periodic local type at 'u'"],
     ),
-    # no component is abelian infinite and the finite component has no
-    # side at the corner, so only the coloring sees the fault; this input
+    # the finite component has no side at the corner, so the component
+    # loop reads the type the corner's one side gives it; this input once
     # passed `folmod check` and then exited 3 from `folmod moduli`
     "resonant corner into a finite component, one side": (
         _resonant_into_finite_one_side,
-        ["corner 'u' has non-periodic type but component 3 has finite holonomy"],
+        ["component 3: finite holonomy but non-periodic local type at 'u'"],
     ),
     "abelian without local type": (
         _abelian_without_local_type,

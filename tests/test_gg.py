@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +22,12 @@ from folmod.abgroup import (
     is_surjective,
     zero_hom,
 )
+from folmod import gg
 from folmod.exactnum import SymbolTable
 from folmod.gg import (
     BoundExceeded,
     BruteForceResult,
     CoverMismatch,
-    DeadBranch,
     FiniteGroup,
     FiniteGroupGraph,
     FiniteHom,
@@ -164,6 +166,48 @@ class TestGroupGraph:
         for e in G.graph.edges:
             for v in set(G.graph.endpoints(e)):
                 assert back.rho(v, e).disc_images == G.rho(v, e).disc_images
+
+
+# The two kinds of group-graph: class, group of order n, identity map,
+# trivial map.
+KINDS = {
+    "exact": (GroupGraph, z_mod, identity_hom, zero_hom),
+    "finite": (FiniteGroupGraph, FiniteGroup.cyclic, FiniteHom.identity, FiniteHom.trivial),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_both_kinds_store_check_and_restrict_alike(kind, monkeypatch):
+    cls, group, ident, trivial = KINDS[kind]
+    z2, z3 = group(2), group(3)
+    g = Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2)])
+    groups = ({v: z2 for v in g.vertices}, {e: z2 for e in g.edges})
+    rhos = {(v, e): ident(z2) for e in g.edges for v in g.endpoints(e)}
+    assert "check" not in inspect.signature(cls).parameters
+
+    missing = {k: r for k, r in rhos.items() if k != (1, "b")}
+    with pytest.raises(ValueError, match=r"^missing restriction map for incidence \(1, 'b'\)$"):
+        cls(g, *groups, missing)
+    with pytest.raises(ValueError, match=r"^restriction map at \(1, 'b'\) has wrong ends$"):
+        cls(g, *groups, {**rhos, (1, "b"): trivial(z2, z3)})
+
+    calls = []
+    monkeypatch.setattr(gg, "check_hom", calls.append)
+    whole = cls(g, *groups, rhos)
+    assert len(calls) == (4 if cls is GroupGraph else 0)
+    calls.clear()
+    part = whole.restrict([0, 1])
+    assert calls == []
+    assert type(part) is cls and part.graph == Graph([0, 1], [("a", 0, 1)])
+    assert part.rho(1, "a") is whole.rho(1, "a")
+    if cls is GroupGraph:
+        assert part.table is whole.table
+        # a morphism checks every square, and no option skips that
+        assert "check" not in inspect.signature(GroupGraphMorphism).parameters
+        bent = cls(g, *groups, {**rhos, (0, "a"): trivial(z2, z2)})
+        maps = [{x: ident(z2) for x in xs} for xs in (g.vertices, g.edges)]
+        with pytest.raises(ValueError, match=r"^morphism does not commute at \(0, 'a'\)$"):
+            GroupGraphMorphism(whole, bent, *maps)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +391,6 @@ class TestPruning:
         P = prune_all(self.blocked_chain())
         assert P.graph.vertices == ("d", "d1", "d2")
         assert classify(h1(P)).text() == "Z/2"
-
-    def test_attach_argument_forms(self):
-        G = self.surjective_chain()
-        b = DeadBranch((0, 1), ("a",))
-        assert is_repulsive(G, b)
-        assert is_repulsive(G, [0], attach=1)
-        with pytest.raises(ValueError, match="does not match"):
-            is_repulsive(G, b, attach=2)
 
     @settings(max_examples=20, deadline=None)
     @given(gb.prunable_group_graphs())
@@ -692,12 +728,14 @@ class TestFiniteGroups:
 
     def test_cyclic_and_products(self):
         z6 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
-        assert z6.order == 6 and z6.is_abelian()
+        assert z6.order == 6
+        assert all(z6.mul(a, b) == z6.mul(b, a) for a in z6.elements() for b in z6.elements())
         assert FiniteGroup.from_factors([2, 2]).order == 4
 
     def test_symmetric_group(self):
         s4 = FiniteGroup.symmetric(4)
-        assert s4.order == 24 and not s4.is_abelian()
+        assert s4.order == 24
+        assert any(s4.mul(a, b) != s4.mul(b, a) for a in s4.elements() for b in s4.elements())
 
     def test_hom_validation(self):
         z4, z2 = FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)

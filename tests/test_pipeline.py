@@ -169,9 +169,9 @@ def test_the_flow_sheaf_is_induced_from_the_symmetry_sheaf(n: int, monkeypatch) 
     coloring = foliation._analyze(divisor, sing, vh).coloring
     sym = foliation.build_sym_graph(coloring, sing, vh, divisor)
     calls = _count_calls(monkeypatch, ("_gamma", "check_hom"))
-    exp, inclusion = foliation.build_exp_graph(sym, coloring, divisor)
+    inclusion = foliation.build_exp_graph(sym, coloring, divisor)
     assert calls == {"_gamma": 0, "check_hom": 0}
-    assert inclusion.cod is sym and inclusion.dom is exp
+    assert inclusion.cod is sym and inclusion.dom.graph is coloring.red
 
 
 def test_zone_cores_read_their_h1_from_the_gluing_sequence(monkeypatch) -> None:

@@ -8,8 +8,9 @@ or that ``perfbench/geodesic.py`` imports), or carry a one-line reason in
 
 Below the surface, every private module-level function and class and every
 method defined in ``src/folmod`` must be referenced somewhere in
-``src/folmod``, or carry a one-line reason in ``UNREFERENCED``: code that
-only tests call, or that nothing calls, is deleted.
+``src/folmod`` outside its own body, or carry a one-line reason in
+``UNREFERENCED``: code that only tests call, or that only calls itself, or
+that nothing calls, is deleted.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,7 +61,7 @@ def _dunder(name: str) -> bool:
 
 
 def _definitions() -> dict:
-    """``{qualified name: name}`` of every private module-level function and
+    """``{qualified name: node}`` of every private module-level function and
     class and every method, dunders aside, in ``src/folmod``."""
     defs = {}
     for path in sorted(SRC.glob("*.py")):
@@ -67,43 +69,52 @@ def _definitions() -> dict:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_") and not _dunder(node.name):
-                defs[f"{path.stem}.{node.name}"] = node.name
+                defs[f"{path.stem}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
-                        defs[f"{path.stem}.{node.name}.{item.name}"] = item.name
+                        defs[f"{path.stem}.{node.name}.{item.name}"] = item
     return defs
 
 
-def _references() -> set:
-    """Every name, attribute and imported name used in ``src/folmod``."""
-    names = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+def _references(tree: ast.AST) -> Counter:
+    """How often each name, attribute and imported name is used in ``tree``."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
     return names
 
 
-def test_every_private_definition_and_method_is_referenced() -> None:
-    used = _references()
-    unreferenced = [
+def _unreferenced(defs: dict) -> list:
+    """The definitions that nothing in ``src/folmod`` references outside
+    their own body; a call of a same-named method of another class from
+    inside the body does not count."""
+    used: Counter = Counter()
+    for path in SRC.glob("*.py"):
+        used += _references(ast.parse(path.read_text(encoding="utf-8")))
+    return [
         qualified
-        for qualified, name in _definitions().items()
-        if name not in used and qualified not in UNREFERENCED
+        for qualified, node in defs.items()
+        if used[node.name] == _references(node)[node.name]
     ]
+
+
+def test_every_private_definition_and_method_is_referenced() -> None:
+    unreferenced = [q for q in _unreferenced(_definitions()) if q not in UNREFERENCED]
     assert unreferenced == [], f"nothing in src/folmod references {unreferenced}"
 
 
 def test_unreferenced_entries_are_defined_and_unreferenced() -> None:
-    defs, used = _definitions(), _references()
+    defs = _definitions()
+    unreferenced = _unreferenced(defs)
     for qualified in UNREFERENCED:
         assert qualified in defs, qualified
-        assert defs[qualified] not in used, qualified
+        assert qualified in unreferenced, qualified
 
 
 def _imported_by(module: str) -> set:
