@@ -1678,14 +1678,23 @@ def kernel(h: GroupHom) -> KernelResult:
     return _kernel_cached(h)
 
 
-def _kernel(h: GroupHom) -> KernelResult:
-    table = h.dom.table
-    kernel_atoms: List[AtomFactor] = []
-    kernel_atom_indices: List[int] = []
+class _KernelGenerators(NamedTuple):
+    """The generators of ``ker h`` as domain elements, without relations."""
+
+    atoms: List[int]  # the indices of the domain atoms ``h`` collapses
+    ybasis: List[List[int]]  # admissible integer unknowns of h's system
+    cont: List[Row]  # continuous directions, one complex line each
+    disc: List[Tuple[Row, List[int]]]  # one (x, n) per element of ybasis
+
+
+def _kernel_generators(h: GroupHom) -> _KernelGenerators:
+    """The generator part of :func:`kernel`: the atom check, the integer
+    nullspace of ``h``'s factored system with its field parts, and the
+    field nullspace projected to the domain's continuous coordinates."""
+    atoms: List[int] = []
     for k, j in enumerate(h.atom_images):
         if j is None:
-            kernel_atoms.append(h.dom.atoms[k])
-            kernel_atom_indices.append(k)
+            atoms.append(k)
         elif h.dom.atoms[k].mod_order != h.cod.atoms[j].mod_order:
             raise UnsupportedAtomMap(
                 f"kernel of the quotient map on atom {h.dom.atoms[k].label()} "
@@ -1707,7 +1716,14 @@ def _kernel(h: GroupHom) -> KernelResult:
 
     # Continuous kernel directions: the field nullspace, projected to x.
     xparts = [_head(dep, gc) for dep in system.elim.dependencies]
-    vbasis, _ = _Elimination(xparts, table).rref()
+    vbasis, _ = _Elimination(xparts, h.dom.table).rref()
+    return _KernelGenerators(atoms, ybasis, vbasis, disc_gens)
+
+
+def _kernel(h: GroupHom) -> KernelResult:
+    table = h.dom.table
+    gens = _kernel_generators(h)
+    ybasis, vbasis, disc_gens = gens.ybasis, gens.cont, gens.disc
     vspan = _Elimination(vbasis, table, track=True)
     cont_coords = vspan.express  # kernel coordinates of a domain vector, or None
 
@@ -1720,7 +1736,7 @@ def _kernel(h: GroupHom) -> KernelResult:
     syz_rows, _ = _int_rows_from_scalar_columns(
         _by_coordinate([vspan.reduce(x) for x in xcols]), len(xcols)
     )
-    for coord in range(gd):
+    for coord in range(h.dom.disc_rank):
         row = [n[coord] for _, n in disc_gens]
         if any(row):
             syz_rows.append(row)
@@ -1744,7 +1760,7 @@ def _kernel(h: GroupHom) -> KernelResult:
     # The kernel coordinates a of a relation solve sum a_i ybasis_i = y.
     lattice = None
     if any(r.span == "Z" for r in h.dom.relations):
-        arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
+        arows = [[y[kk] for y in ybasis] for kk in range(len(_system_of(h).ycols))]
         lattice = _IntSystem(arows, len(ybasis))
     for cont, disc, kind in h.dom.relations:
         if kind == "C":
@@ -1769,8 +1785,9 @@ def _kernel(h: GroupHom) -> KernelResult:
         if any(a) or b:
             relations.append(Relation(b, tuple(a), "Z"))
 
+    kernel_atoms = [h.dom.atoms[k] for k in gens.atoms]
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
-    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(kernel_atom_indices))
+    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(gens.atoms))
     return KernelResult(kg, inclusion)
 
 
@@ -1905,26 +1922,51 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
 
 
 def is_surjective(h: GroupHom) -> bool:
-    return classify(cokernel(h).group).is_trivial
+    """Whether ``h`` is onto, that is whether ``cokernel(h)`` is trivial.
+
+    It is iff every codomain atom receives an atom and every codomain
+    generator lies in the span of the images and the codomain's relations
+    (:func:`_system_of`); a continuous generator is tested as its whole
+    complex line, which only the complex span can kill.  ``h`` must be a
+    checked hom (see :func:`check_hom`), as it is at every caller.
+    """
+    received = {j for j in h.atom_images if j is not None}
+    if len(received) != len(h.cod.atoms):
+        return False
+    one = Scalar.one(h.cod.table)
+    lines = [{i: one} for i in range(h.cod.cont_rank)]
+    return _system_of(h).contains(lines, _disc_ident(h.cod.disc_rank))
 
 
 def is_injective(h: GroupHom) -> bool:
+    """Whether ``h`` is one-to-one, that is whether ``kernel(h)`` is trivial.
+
+    An atom collapsed or genuinely quotiented is a kernel; otherwise the
+    kernel is trivial iff every one of its generators
+    (:func:`_kernel_generators`) is zero in the domain, that is lies in the
+    relation span of ``h.dom``, a continuous one with its whole line.  ``h``
+    must be a checked hom (see :func:`check_hom`), as it is at every caller.
+    """
     for k, j in enumerate(h.atom_images):
         if j is None:
             return False
         if h.dom.atoms[k].mod_order is None and h.cod.atoms[j].mod_order is not None:
             return False  # a genuine quotient on the atom
-    return classify(kernel(h).group).is_trivial
+    gens = _kernel_generators(h)
+    return _span_of(h.dom).contains(gens.cont, gens.disc)
 
 
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Whether ``image(f) == kernel(g)`` at the middle group ``f.cod == g.dom``.
 
     The inclusion ``image <= kernel`` is checked as ``g . f == 0``; for the
-    converse every kernel generator must lie in the span of the middle
-    group's relations together with the rows of ``f``'s generator images.
-    Middle-group atoms are matched structurally: an atom killed by ``g`` is
-    in the kernel and must receive a whole atom under ``f``.
+    converse every generator of ``kernel(g)`` (:func:`_kernel_generators`,
+    no relations needed) must lie in the span of the middle group's
+    relations together with the rows of ``f``'s generator images, a
+    continuous one with its whole line.  Middle-group atoms are matched
+    structurally: an atom killed by ``g`` is in the kernel and must receive
+    a whole atom under ``f``.  ``f`` and ``g`` must be checked homs (see
+    :func:`check_hom`), as they are at every caller.
     """
     if f.cod != g.dom:
         raise ValueError("maps are not composable")
@@ -1940,6 +1982,6 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
                 "exactness against a genuine atom quotient cannot be verified"
             )
     stripped = GroupHom(_strip_atoms(g.dom), g.cod, g.cont_images, g.disc_images, ())
-    inclusion = kernel(stripped).inclusion
+    gens = _kernel_generators(stripped)
     span = _PreimageSystem(g.dom, f.cont_images, f.disc_images)
-    return span.contains(inclusion.cont_images, inclusion.disc_images)
+    return span.contains(gens.cont, gens.disc)

@@ -828,7 +828,17 @@ def _induced_h1(c: GroupHom, src: CohomologyResult, dst: CohomologyResult) -> Gr
 def _inexact_nodes(nodes: Sequence[str], maps: Sequence[GroupHom]) -> Tuple[str, ...]:
     """The nodes of a six-term sequence ``0 -> A0 -> ... -> A5 -> 0`` at
     which exactness fails; ``maps`` are its five arrows ``A0 -> A1`` to
-    ``A4 -> A5``, and every node is checked."""
+    ``A4 -> A5``, and every node is checked.
+
+    Each check is span membership of generators: at ``A0`` every kernel
+    generator of the first arrow lies in the relation span of ``A0``, at an
+    inner node every kernel generator of the outgoing arrow lies in the
+    span of the relations and the incoming arrow's images, and at ``A5``
+    every generator of ``A5`` lies in the span of its relations and the
+    last arrow's images (each atom receiving one).  No kernel or cokernel is presented or
+    classified.  Every arrow must be a homomorphism: the sequences built
+    here assemble theirs from checked homs (:func:`~folmod.abgroup.check_hom`)
+    by direct sums and negation, which keep that property."""
     verdicts = [is_injective(maps[0])]
     verdicts += [is_exact_at(f, g) for f, g in zip(maps, maps[1:])]
     verdicts.append(is_surjective(maps[-1]))
@@ -1253,17 +1263,31 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
     ``prod |G_e| * prod |G_v|`` exceeds ``bound``.  Representatives are
     the lexicographically smallest tuples of their orbits, reported in
     sorted order.
+
+    The search codes a tuple ``z`` as one mixed-radix int, ``sum z_i w_i``
+    with ``w_i`` the product of the orders of the edges after ``i``, so
+    edge 0 is the most significant digit and int order is tuple order.
+    Each generator acts through per-edge tables of the change it makes to
+    the code, and visited codes are marked in a ``bytearray``.  Codes are
+    visited in increasing order, so the first unseen one is the least
+    element of its orbit, its representative.
     """
     g = G.graph
     eids = g.edges
     egroups = [G.edge_group(e) for e in eids]
-    total = 1
+    size = 1
     for ge in egroups:
-        total *= ge.order
+        size *= ge.order
+    total = size
     for v in g.vertices:
         total *= G.vertex_group(v).order
     if total > bound:
         raise BoundExceeded(f"state space {total} exceeds bound {bound}")
+
+    orders = [ge.order for ge in egroups]
+    weights = [1] * len(eids)
+    for i in reversed(range(len(eids) - 1)):
+        weights[i] = weights[i + 1] * orders[i + 1]
 
     # one generator per (vertex, non-identity element)
     generators: List[Tuple[Id, int]] = []
@@ -1272,11 +1296,11 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
         generators.extend((v, x) for x in gv.elements() if x != gv.identity)
 
     # Each generator permutes the values of the edges it touches; tabulate
-    # those permutations once so the search only looks values up.
+    # once, per edge it moves, the change of the code for each value.
     ends = [g.endpoints(e) for e in eids]
-    tables: List[List[Tuple[int, Tuple[int, ...]]]] = []
+    tables: List[List[Tuple[int, int, Tuple[int, ...]]]] = []
     for v, x in generators:
-        table: List[Tuple[int, Tuple[int, ...]]] = []
+        table: List[Tuple[int, int, Tuple[int, ...]]] = []
         for i, e in enumerate(eids):
             t, h = ends[i]
             if v != t and v != h:
@@ -1290,34 +1314,28 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
                 perm = tuple(ge.mul(ri, val) for val in range(ge.order))
             else:
                 perm = tuple(ge.mul(val, r) for val in range(ge.order))
-            table.append((i, perm))
-        tables.append(table)
+            if perm != tuple(range(ge.order)):
+                w = weights[i]
+                table.append((w, ge.order, tuple((p - val) * w for val, p in enumerate(perm))))
+        if table:
+            tables.append(table)
 
-    def act(z: Tuple[int, ...], table: List[Tuple[int, Tuple[int, ...]]]) -> Tuple[int, ...]:
-        out = list(z)
-        for i, perm in table:
-            out[i] = perm[out[i]]
-        return tuple(out)
-
-    seen: Dict[Tuple[int, ...], bool] = {}
-    reps: List[Tuple[int, ...]] = []
-    for z in itertools.product(*(range(ge.order) for ge in egroups)):
-        if z in seen:
+    seen = bytearray(size)
+    reps: List[int] = []
+    for start in range(size):
+        if seen[start]:
             continue
-        orbit = [z]
-        seen[z] = True
-        best = z
-        qi = 0
-        while qi < len(orbit):
-            cur = orbit[qi]
-            qi += 1
+        seen[start] = 1
+        reps.append(start)
+        stack = [start]
+        while stack:
+            cur = stack.pop()
             for table in tables:
-                nxt = act(cur, table)
-                if nxt not in seen:
-                    seen[nxt] = True
-                    orbit.append(nxt)
-                    if nxt < best:
-                        best = nxt
-        reps.append(best)
-    reps.sort()
-    return BruteForceResult(len(reps), tuple(reps))
+                nxt = cur
+                for w, n, delta in table:
+                    nxt += delta[cur // w % n]
+                if not seen[nxt]:
+                    seen[nxt] = 1
+                    stack.append(nxt)
+    decoded = tuple(tuple([code // w % n for w, n in zip(weights, orders)]) for code in reps)
+    return BruteForceResult(len(reps), decoded)

@@ -19,6 +19,14 @@ exceeds the bound are skipped and re-drawn; the skip count is reported.
 On a failure the offending instance is serialized into the report for
 replay.
 
+Instances share their small values: the presented groups ``Z/n`` and
+``Z/a (+) Z/b``, the homs between them that the suites draw, and the
+multiplication tables come from builders memoized per process.  They are
+immutable values (see :class:`~folmod.abgroup.PresentedAbelianGroup`), so
+sharing changes no result; a shared group or hom keeps its relation span
+or preimage system, which is then eliminated once per process.  The keys
+are drawn orders and multipliers of at most 8, which bounds the memos.
+
 >>> report = run_oracle(seed=7, runs=2)
 >>> report.ok
 True
@@ -30,6 +38,8 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cache
+from math import gcd
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .abgroup import (
@@ -141,15 +151,54 @@ class OracleReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _cyclic(order: int) -> PresentedAbelianGroup:
     """``Z/order`` with exactly one discrete generator, even for order 1."""
     return PresentedAbelianGroup(_TABLE, 0, 1, [Relation({}, (order,), "Z")])
 
 
+@cache
+def _pair_group(a: int, b: int) -> PresentedAbelianGroup:
+    """``Z/a (+) Z/b`` with exactly two discrete generators."""
+    return PresentedAbelianGroup(
+        _TABLE, 0, 2, [Relation({}, (a, 0), "Z"), Relation({}, (0, b), "Z")]
+    )
+
+
+@cache
+def _cyclic_hom(dom_order: int, cod_order: int, mult: int) -> GroupHom:
+    """The hom ``Z/dom -> Z/cod`` sending the generator to ``mult``."""
+    return GroupHom(_cyclic(dom_order), _cyclic(cod_order), [], [({}, (mult,))], ())
+
+
+@cache
+def _inclusion(a: int, b: int) -> GroupHom:
+    """The inclusion ``Z/a -> Z/a (+) Z/b`` of the first factor."""
+    return GroupHom(_cyclic(a), _pair_group(a, b), [], [({}, (1, 0))], ())
+
+
+@cache
+def _projection(a: int, b: int) -> GroupHom:
+    """The projection ``Z/a (+) Z/b -> Z/b`` onto the second factor."""
+    return GroupHom(_pair_group(a, b), _cyclic(b), [], [({}, (0,)), ({}, (1,))], ())
+
+
+@cache
+def _cyclic_table(order: int) -> FiniteGroup:
+    """The multiplication table of ``Z/order``."""
+    return FiniteGroup.cyclic(order)
+
+
+@cache
+def _table_group(kind: int) -> FiniteGroup:
+    """The drawn non-cyclic table: S3, ``Z2 x Z2`` or ``Z2 x Z4``."""
+    if kind == 0:
+        return FiniteGroup.symmetric(3)
+    return FiniteGroup.from_factors([2, 2] if kind == 1 else [2, 4])
+
+
 def _cyclic_hom_mult(rng: random.Random, dom_order: int, cod_order: int) -> int:
     """A random multiplier defining a hom ``Z/dom -> Z/cod``."""
-    from math import gcd
-
     g = gcd(dom_order, cod_order)
     step = cod_order // g
     return step * rng.randrange(g)
@@ -190,25 +239,19 @@ def _random_cyclic_pair(
         {v: _cyclic(n) for v, n in vorders.items()},
         {e: _cyclic(n) for e, n in eorders.items()},
         {
-            (v, e): GroupHom(
-                _cyclic(vorders[v]),
-                _cyclic(eorders[e]),
-                [],
-                [({}, (k % eorders[e],))],
-                (),
-            )
+            (v, e): _cyclic_hom(vorders[v], eorders[e], k % eorders[e])
             for (v, e), k in mults.items()
         },
         table=_TABLE,
     )
     finite = FiniteGroupGraph(
         graph,
-        {v: FiniteGroup.cyclic(n) for v, n in vorders.items()},
-        {e: FiniteGroup.cyclic(n) for e, n in eorders.items()},
+        {v: _cyclic_table(n) for v, n in vorders.items()},
+        {e: _cyclic_table(n) for e, n in eorders.items()},
         {
             (v, e): FiniteHom(
-                FiniteGroup.cyclic(vorders[v]),
-                FiniteGroup.cyclic(eorders[e]),
+                _cyclic_table(vorders[v]),
+                _cyclic_table(eorders[e]),
                 [k * x % eorders[e] for x in range(vorders[v])],
             )
             for (v, e), k in mults.items()
@@ -219,13 +262,9 @@ def _random_cyclic_pair(
 
 def _random_finite_group(rng: random.Random) -> FiniteGroup:
     kind = rng.randrange(6)
-    if kind == 0:
-        return FiniteGroup.symmetric(3)
-    if kind == 1:
-        return FiniteGroup.from_factors([2, 2])
-    if kind == 2:
-        return FiniteGroup.from_factors([2, 4])
-    return FiniteGroup.cyclic(rng.choice(_SMALL_ORDERS))
+    if kind < 3:
+        return _table_group(kind)
+    return _cyclic_table(rng.choice(_SMALL_ORDERS))
 
 
 def _easy_hom(rng: random.Random, dom: FiniteGroup, cod: FiniteGroup) -> FiniteHom:
@@ -296,12 +335,8 @@ def _random_mv_instance(
         {v: _cyclic(n) for v, n in vorders.items()},
         {e: _cyclic(n) for e, n in eorders.items()},
         {
-            (v, e): GroupHom(
-                _cyclic(vorders[v]),
-                _cyclic(eorders[e]),
-                [],
-                [({}, (_cyclic_hom_mult(rng, vorders[v], eorders[e]),))],
-                (),
+            (v, e): _cyclic_hom(
+                vorders[v], eorders[e], _cyclic_hom_mult(rng, vorders[v], eorders[e])
             )
             for e in graph.edges
             for v in set(graph.endpoints(e))
@@ -341,23 +376,16 @@ def _random_les_triple(
     maps are upper-triangular, so the inclusion and projection commute with
     them for any choice of off-diagonal entry.
     """
-    from math import gcd
-
     graph = _random_graph(rng, 4, 4)
     pairs_v = {v: (rng.randint(1, 5), rng.randint(1, 5)) for v in graph.vertices}
     pairs_e = {e: (rng.randint(1, 5), rng.randint(1, 5)) for e in graph.edges}
 
-    def pair_group(a: int, b: int) -> PresentedAbelianGroup:
-        return PresentedAbelianGroup(
-            _TABLE, 0, 2, [Relation({}, (a, 0), "Z"), Relation({}, (0, b), "Z")]
-        )
-
     sub_v = {v: _cyclic(a) for v, (a, _) in pairs_v.items()}
     quot_v = {v: _cyclic(b) for v, (_, b) in pairs_v.items()}
-    tot_v = {v: pair_group(a, b) for v, (a, b) in pairs_v.items()}
+    tot_v = {v: _pair_group(a, b) for v, (a, b) in pairs_v.items()}
     sub_e = {e: _cyclic(a) for e, (a, _) in pairs_e.items()}
     quot_e = {e: _cyclic(b) for e, (_, b) in pairs_e.items()}
-    tot_e = {e: pair_group(a, b) for e, (a, b) in pairs_e.items()}
+    tot_e = {e: _pair_group(a, b) for e, (a, b) in pairs_e.items()}
 
     sub_rho, quot_rho, tot_rho = {}, {}, {}
     for e in graph.edges:
@@ -370,12 +398,8 @@ def _random_les_triple(
             # sub factor of the edge, constrained only by its own order
             c_step = ae // gcd(bv, ae)
             c_mult = c_step * rng.randrange(gcd(bv, ae))
-            sub_rho[(v, e)] = GroupHom(
-                sub_v[v], sub_e[e], [], [({}, (a_mult,))], ()
-            )
-            quot_rho[(v, e)] = GroupHom(
-                quot_v[v], quot_e[e], [], [({}, (b_mult,))], ()
-            )
+            sub_rho[(v, e)] = _cyclic_hom(av, ae, a_mult)
+            quot_rho[(v, e)] = _cyclic_hom(bv, be, b_mult)
             tot_rho[(v, e)] = GroupHom(
                 tot_v[v],
                 tot_e[e],
@@ -388,23 +412,17 @@ def _random_les_triple(
     quot = GroupGraph(graph, quot_v, quot_e, quot_rho, table=_TABLE)
     total = GroupGraph(graph, tot_v, tot_e, tot_rho, table=_TABLE)
 
-    def incl(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
-        return GroupHom(dom, cod, [], [({}, (1, 0))], ())
-
-    def proj(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
-        return GroupHom(dom, cod, [], [({}, (0,)), ({}, (1,))], ())
-
     iota = GroupGraphMorphism(
         sub,
         total,
-        {v: incl(sub_v[v], tot_v[v]) for v in graph.vertices},
-        {e: incl(sub_e[e], tot_e[e]) for e in graph.edges},
+        {v: _inclusion(*pairs_v[v]) for v in graph.vertices},
+        {e: _inclusion(*pairs_e[e]) for e in graph.edges},
     )
     pi = GroupGraphMorphism(
         total,
         quot,
-        {v: proj(tot_v[v], quot_v[v]) for v in graph.vertices},
-        {e: proj(tot_e[e], quot_e[e]) for e in graph.edges},
+        {v: _projection(*pairs_v[v]) for v in graph.vertices},
+        {e: _projection(*pairs_e[e]) for e in graph.edges},
     )
     return iota, pi
 

@@ -6,6 +6,8 @@ Scalar arithmetic; these tests pin that down by counting the Scalars one
 `folmod moduli` run constructs, and run a geodesic of 33 joints (65
 components), which the dense solvers took seconds on.  The integer side
 factors each system once; a guard counts the Smith forms one run asks for.
+The exactness checks read only a kernel's generators, not its relations;
+guards count the kernels a run computes.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import importlib.util
 import json
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 
-from folmod import cli, exactnum
+from folmod import abgroup, cli, exactnum
 from folmod.examples import EXAMPLES, example_doc
+from folmod.oracle import run_oracle
 from memo_caches import clear_caches
 
 # A run on the k=9 geodesic constructed 22,254 Scalars with dense rows, the
@@ -34,6 +38,12 @@ MAX_SCALARS_EXAMPLES = 4000
 # solve rebuilt its integer matrix and every kernel relation solved its own;
 # factored once per system it asks for about 160.
 MAX_SMITH_FORMS_K9 = 250
+
+# The seed-0 k=9 geodesic computed 22 kernels, and ten runs of each oracle
+# suite (seed 0) 231, when every injectivity and exactness check built a
+# whole kernel presentation; reading its generators alone leaves 9 and 63.
+MAX_KERNELS_K9 = 12
+MAX_KERNELS_ORACLE = 100
 
 
 def _geodesic_module():
@@ -124,3 +134,34 @@ def test_k9_geodesic_requests_few_smith_forms(tmp_path, capsys, monkeypatch) -> 
     _run_geodesic(9, tmp_path, capsys)
     monkeypatch.undo()
     assert 0 < count <= MAX_SMITH_FORMS_K9
+
+
+def _count_kernels(monkeypatch, run) -> int:
+    """The kernels ``run()`` computes from cold caches: the calls that
+    reach the computation behind the kernel memo."""
+    count = 0
+    compute = abgroup._kernel
+
+    def counted(h):
+        nonlocal count
+        count += 1
+        return compute(h)
+
+    clear_caches()
+    memo = lru_cache(maxsize=abgroup.KERNEL_CACHE_SIZE)(counted)
+    monkeypatch.setattr(abgroup, "_kernel_cached", memo)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return count
+
+
+def test_k9_geodesic_computes_few_kernels(tmp_path, capsys, monkeypatch) -> None:
+    count = _count_kernels(monkeypatch, lambda: _run_geodesic(9, tmp_path, capsys))
+    assert 0 < count <= MAX_KERNELS_K9
+
+
+def test_oracle_computes_few_kernels(monkeypatch) -> None:
+    count = _count_kernels(monkeypatch, lambda: run_oracle(seed=0, runs=10))
+    assert 0 < count <= MAX_KERNELS_ORACLE
