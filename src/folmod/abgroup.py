@@ -55,7 +55,7 @@ from .exactnum import (
     SymbolTable,
     _is_int,
     _numerator_over,
-    _snf_cached,
+    _smith_normal_form,
     monomial_expansion,
     monomial_vectors,
     smith_normal_form,
@@ -437,19 +437,20 @@ class PresentedAbelianGroup:
     identically.
 
     Groups are values: equality and hashing are structural, the normal form
-    behind :func:`classify` and :func:`cokernel` is memoized on them, and
-    :func:`kernel` on homs between them.  Two invariants make that safe:
+    behind :func:`classify` and :func:`cokernel` is memoized on them,
+    :func:`kernel` on homs between them, and the preimage systems (a
+    group's relation span among them, see :func:`_span_of`) on a codomain
+    and generator images.  Two invariants make that safe:
 
     - no code assigns to a group's attributes or mutates a stored row after
-      construction, except that the hash and the relation span (the
-      preimage system of the map with no generators, see :func:`_span_of`)
-      are computed on first use and kept; atoms and Scalars are immutable;
+      construction, except that the hash is computed on first use and kept;
+      atoms and Scalars are immutable;
     - a memoized result is shared by every caller that passes an equal
       group, so its maps may have an equal but not identical domain or
       codomain; nothing compares groups by identity.
     """
 
-    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash", "_span")
+    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash")
 
     def __init__(
         self,
@@ -480,7 +481,6 @@ class PresentedAbelianGroup:
         self.relations = relations
         self.atoms = atoms
         self._hash: Optional[int] = None
-        self._span: Optional[_PreimageSystem] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -607,13 +607,14 @@ class GroupHom:
     'Z/2'
 
     Homomorphisms are values like groups: equality and hashing are
-    structural, :func:`kernel` memoizes on them, and no code assigns to a
+    structural, :func:`kernel` memoizes on them, equal homs share one
+    preimage system (see :func:`_system_of`), and no code assigns to a
     hom's attributes or mutates a stored row after construction, except that
-    the hash and the preimage system are computed on first use and kept.
-    So a hom held by a memoized result can be shared by every caller.
+    the hash is computed on first use and kept.  So a hom held by a memoized
+    result can be shared by every caller.
     """
 
-    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash", "_system")
+    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash")
 
     def __init__(
         self,
@@ -649,7 +650,6 @@ class GroupHom:
         self.disc_images = disc_images
         self.atom_images = atom_images
         self._hash: Optional[int] = None
-        self._system: Optional[_PreimageSystem] = None
 
     def apply(self, cont: Mapping[int, Scalar], disc: Sequence[int]) -> Tuple[Row, List[int]]:
         """Image of the element with continuous coordinates ``cont`` (a row)
@@ -724,8 +724,9 @@ class GroupHom:
 #
 # Whether an element lies in ``im(h) + relations`` is one question for every
 # caller: a group's relation span is the case of a map with no generators.
-# One solver, :class:`_PreimageSystem`, answers it for check_hom,
-# hom_is_zero, is_exact_at, kernel, preimage_element and factor_through.
+# One solver, :class:`_PreimageSystem`, built once per codomain and
+# generator images, answers it for check_hom, hom_is_zero, is_exact_at,
+# kernel, preimage_element and factor_through.
 # ---------------------------------------------------------------------------
 
 
@@ -815,9 +816,9 @@ class _PreimageSystem:
     reducing each of ``ycols`` once and the target once per solve gives
     these conditions exactly.  They are Q-linear, hence integer, conditions
     on ``y`` (see :func:`_int_rows_from_scalar_columns`), solved together
-    with the discrete part.  With ``track`` the elimination also records the
-    field coefficients ``(x, lambda)``, which :meth:`preimage` and the kernel
-    read; membership needs none.
+    with the discrete part.  The elimination also records the field
+    coefficients ``(x, lambda)``, which :meth:`preimage` and
+    :meth:`kernel_generators` read; membership needs none.
 
     The integer side is factored once, on first use, and kept in the
     ``ints`` slot (see :meth:`factored`).  Its matrix is the monomial rows
@@ -834,21 +835,27 @@ class _PreimageSystem:
     that is not an integer.  Whenever a solution exists, the matrix is the
     one the per-target expansion of ``ycoords`` and the target would build,
     so the answer is the same.
+
+    A system depends only on the codomain and the images, so one is built
+    per value (see :func:`_system_of`) and shared.  It keeps the kernel of
+    the map on the generators as well (:meth:`kernel_generators`).
     """
 
-    __slots__ = ("gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "disc_sign", "ints")
+    __slots__ = (
+        "table", "gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "disc_sign", "ints", "kgens"
+    )
 
     def __init__(
         self,
         cod: PresentedAbelianGroup,
         cont_images: Sequence[Row] = (),
         disc_images: Sequence[Tuple[Row, Sequence[int]]] = (),
-        track: bool = False,
     ):
+        self.table = cod.table
         self.gc, self.gd = len(cont_images), len(disc_images)
         crows = [r.cont for r in cod.relations if r.span == "C" and r.cont]
         zrows = cod.zrows()
-        self.elim = _Elimination(list(cont_images) + crows, cod.table, track)
+        self.elim = _Elimination(list(cont_images) + crows, cod.table, track=True)
         self.ycols = [_neg(c) for c, _ in disc_images] + [r.cont for r in zrows]
         self.ycoords = _by_coordinate([self.elim.reduce(c) for c in self.ycols])
         # A group's span (no images) multiplies its discrete equations by -1.
@@ -860,6 +867,7 @@ class _PreimageSystem:
             for coord in range(cod.disc_rank)
         ]
         self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]] = None
+        self.kgens: Optional[_KernelGenerators] = None
 
     def factored(self) -> Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]:
         """The integer side, built and factored on first use: the system,
@@ -939,24 +947,67 @@ class _PreimageSystem:
             return None
         return _head(x, self.gc), list(y[: self.gd])
 
+    def kernel_generators(self) -> _KernelGenerators:
+        """The kernel's generators, computed on first use and kept: the
+        factored system's integer nullspace with its field parts, and the
+        field nullspace projected to the domain's continuous generators."""
+        if self.kgens is None:
+            # Integer unknowns y = (n, m) are admissible iff the field system
+            # is solvable for the right side they give.
+            ybasis = self.factored()[0].nullspace()
+            disc: List[Tuple[Row, List[int]]] = []  # (x, n) in the domain
+            for y in ybasis:
+                xi = self.field_part(y, {})
+                if xi is None:
+                    raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
+                disc.append((_head(xi, self.gc), list(y[: self.gd])))
+            xparts = [_head(dep, self.gc) for dep in self.elim.dependencies]
+            cont, _ = _Elimination(xparts, self.table).rref()
+            self.kgens = _KernelGenerators(ybasis, cont, disc)
+        return self.kgens
+
+
+class _KernelGenerators(NamedTuple):
+    """The generators of a kernel as domain elements, without relations.
+    They are kept by a shared system, so no caller mutates them."""
+
+    ybasis: List[List[int]]  # admissible integer unknowns of the system
+    cont: List[Row]  # continuous directions, one complex line each
+    disc: List[Tuple[Row, List[int]]]  # one (x, n) per element of ybasis
+
 
 def _head(row: Mapping[int, Scalar], n: int) -> Row:
     """The entries of ``row`` before column ``n``."""
     return {j: x for j, x in row.items() if j < n}
 
 
-def _span_of(g: PresentedAbelianGroup) -> _PreimageSystem:
-    """The relation span of ``g``, eliminated on first use and kept on ``g``."""
-    if g._span is None:
-        g._span = _PreimageSystem(g)
-    return g._span
+# Bound of the preimage system memo: a cohomology computation revisits the
+# systems of a few dozen distinct maps (54 on a geodesic of 129 joints).
+SYSTEM_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _system_cached(
+    cod: PresentedAbelianGroup, cont_keys: tuple, disc_keys: tuple
+) -> _PreimageSystem:
+    return _PreimageSystem(cod, [dict(c) for c in cont_keys], [(dict(c), d) for c, d in disc_keys])
 
 
 def _system_of(h: GroupHom) -> _PreimageSystem:
-    """The preimage system of ``h``, eliminated on first use and kept on ``h``."""
-    if h._system is None:
-        h._system = _PreimageSystem(h.cod, h.cont_images, h.disc_images, track=True)
-    return h._system
+    """The preimage system of ``h``, shared by every map with an equal
+    codomain and equal generator images through one bounded memo of
+    ``SYSTEM_CACHE_SIZE`` entries; domains and atoms do not enter it."""
+    return _system_cached(
+        h.cod,
+        tuple(map(_row_key, h.cont_images)),
+        tuple((_row_key(c), d) for c, d in h.disc_images),
+    )
+
+
+def _span_of(g: PresentedAbelianGroup) -> _PreimageSystem:
+    """The relation span of ``g``: the shared system of a map into ``g``
+    with no generators (see :func:`_system_of`)."""
+    return _system_cached(g, (), ())
 
 
 def check_hom(h: GroupHom) -> None:
@@ -1044,24 +1095,16 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
         return out
 
     diff = GroupHom(
-        _strip_atoms(a.dom),
+        a.dom,
         a.cod,
         [minus(u, v) for u, v in zip(a.cont_images, b.cont_images)],
         [
             (minus(ca, cb), tuple(m - n for m, n in zip(da, db)))
             for (ca, da), (cb, db) in zip(a.disc_images, b.disc_images)
         ],
-        (),
+        (None,) * len(a.dom.atoms),
     )
     return hom_is_zero(diff)
-
-
-def _strip_atoms(g: PresentedAbelianGroup) -> PresentedAbelianGroup:
-    if not g.atoms:
-        return g
-    return PresentedAbelianGroup(
-        g.table, g.cont_rank, g.disc_rank, relations=g.relations, atoms=()
-    )
 
 
 Offsets = List[Tuple[int, int, int]]
@@ -1254,7 +1297,7 @@ def _step_discrete_smith(
         relations = [r for r in g.relations if r.cont or any(r.disc)]
         return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
 
-    (u, dmat, v), vinv = _snf_cached(IntMatrix._of_int_rows([d for _, d in rows]))
+    (u, dmat, v), vinv = _smith_normal_form(IntMatrix._of_int_rows([d for _, d in rows]))
     nrel = len(rows)
     new_rows: List[Tuple[Row, Tuple[int, ...]]] = []
     for i in range(nrel):
@@ -1444,10 +1487,14 @@ def _normalize_full(
 ) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom, "NormalFormReport"]:
     table = g.table
     zero, one = Scalar.zero(table), Scalar.one(table)
-    g1, t1, s1 = _step_eliminate_crows(g)
-    g2, t2, s2 = _step_discrete_smith(g1)
-    t12 = compose(t2, t1)
-    s12 = compose(s1, s2)
+    # Only the steps that change coordinates are composed: with no C-span
+    # relation the first step is the identity of g.
+    if any(r.span == "C" for r in g.relations):
+        g1, t1, s1 = _step_eliminate_crows(g)
+        g2, t, s = _step_discrete_smith(g1)
+        t, s = compose(t, t1), compose(s1, s)
+    else:
+        g2, t, s = _step_discrete_smith(g)
 
     cc = g2.cont_rank
     cont_rows = [r.cont for r in g2.relations if r.cont]
@@ -1523,11 +1570,11 @@ def _normalize_full(
         relations.append(Relation({}, _unit(coord, g2.disc_rank, d), "Z"))
     ng = PresentedAbelianGroup(table, cc, g2.disc_rank, relations, g2.atoms)
 
-    disc_ident = _disc_ident(g2.disc_rank)
-    t3 = GroupHom(g2, ng, tmat, disc_ident, tuple(range(len(g2.atoms))))
-    s3 = GroupHom(ng, g2, smat, disc_ident, tuple(range(len(g2.atoms))))
-    t = compose(t3, t12)
-    s = compose(s12, s3)
+    if tmat != unit_rows or smat != unit_rows or ng != g2:
+        disc_ident = _disc_ident(g2.disc_rank)
+        t3 = GroupHom(g2, ng, tmat, disc_ident, tuple(range(len(g2.atoms))))
+        s3 = GroupHom(ng, g2, smat, disc_ident, tuple(range(len(g2.atoms))))
+        t, s = compose(t3, t), compose(s, s3)
 
     report = NormalFormReport(
         free_cont_rank=free_cont,
@@ -1678,20 +1725,9 @@ def kernel(h: GroupHom) -> KernelResult:
     return _kernel_cached(h)
 
 
-class _KernelGenerators(NamedTuple):
-    """The generators of ``ker h`` as domain elements, without relations."""
-
-    atoms: List[int]  # the indices of the domain atoms ``h`` collapses
-    ybasis: List[List[int]]  # admissible integer unknowns of h's system
-    cont: List[Row]  # continuous directions, one complex line each
-    disc: List[Tuple[Row, List[int]]]  # one (x, n) per element of ybasis
-
-
-def _kernel_generators(h: GroupHom) -> _KernelGenerators:
-    """The generator part of :func:`kernel`: the atom check, the integer
-    nullspace of ``h``'s factored system with its field parts, and the
-    field nullspace projected to the domain's continuous coordinates."""
-    atoms: List[int] = []
+def _kernel(h: GroupHom) -> KernelResult:
+    table = h.dom.table
+    atoms: List[int] = []  # the domain atoms h collapses
     for k, j in enumerate(h.atom_images):
         if j is None:
             atoms.append(k)
@@ -1700,30 +1736,8 @@ def _kernel_generators(h: GroupHom) -> _KernelGenerators:
                 f"kernel of the quotient map on atom {h.dom.atoms[k].label()} "
                 "is not finitely presented"
             )
-    gc, gd = h.dom.cont_rank, h.dom.disc_rank
     system = _system_of(h)
-
-    # Integer unknowns y = (n, m) are admissible iff the field system is
-    # solvable for the right side they give.
-    ybasis = system.factored()[0].nullspace()
-
-    disc_gens: List[Tuple[Row, List[int]]] = []  # (x, n) in the domain
-    for y in ybasis:
-        xi = system.field_part(y, {})
-        if xi is None:
-            raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
-        disc_gens.append((_head(xi, gc), list(y[:gd])))
-
-    # Continuous kernel directions: the field nullspace, projected to x.
-    xparts = [_head(dep, gc) for dep in system.elim.dependencies]
-    vbasis, _ = _Elimination(xparts, h.dom.table).rref()
-    return _KernelGenerators(atoms, ybasis, vbasis, disc_gens)
-
-
-def _kernel(h: GroupHom) -> KernelResult:
-    table = h.dom.table
-    gens = _kernel_generators(h)
-    ybasis, vbasis, disc_gens = gens.ybasis, gens.cont, gens.disc
+    ybasis, vbasis, disc_gens = system.kernel_generators()
     vspan = _Elimination(vbasis, table, track=True)
     cont_coords = vspan.express  # kernel coordinates of a domain vector, or None
 
@@ -1760,7 +1774,7 @@ def _kernel(h: GroupHom) -> KernelResult:
     # The kernel coordinates a of a relation solve sum a_i ybasis_i = y.
     lattice = None
     if any(r.span == "Z" for r in h.dom.relations):
-        arows = [[y[kk] for y in ybasis] for kk in range(len(_system_of(h).ycols))]
+        arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
         lattice = _IntSystem(arows, len(ybasis))
     for cont, disc, kind in h.dom.relations:
         if kind == "C":
@@ -1785,9 +1799,9 @@ def _kernel(h: GroupHom) -> KernelResult:
         if any(a) or b:
             relations.append(Relation(b, tuple(a), "Z"))
 
-    kernel_atoms = [h.dom.atoms[k] for k in gens.atoms]
+    kernel_atoms = [h.dom.atoms[k] for k in atoms]
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
-    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(gens.atoms))
+    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(atoms))
     return KernelResult(kg, inclusion)
 
 
@@ -1942,17 +1956,18 @@ def is_injective(h: GroupHom) -> bool:
     """Whether ``h`` is one-to-one, that is whether ``kernel(h)`` is trivial.
 
     An atom collapsed or genuinely quotiented is a kernel; otherwise the
-    kernel is trivial iff every one of its generators
-    (:func:`_kernel_generators`) is zero in the domain, that is lies in the
-    relation span of ``h.dom``, a continuous one with its whole line.  ``h``
-    must be a checked hom (see :func:`check_hom`), as it is at every caller.
+    kernel is trivial iff every one of its generators (kept by ``h``'s
+    system, see :meth:`_PreimageSystem.kernel_generators`) is zero in the
+    domain, that is lies in the relation span of ``h.dom``, a continuous one
+    with its whole line.  ``h`` must be a checked hom (see
+    :func:`check_hom`), as it is at every caller.
     """
     for k, j in enumerate(h.atom_images):
         if j is None:
             return False
         if h.dom.atoms[k].mod_order is None and h.cod.atoms[j].mod_order is not None:
             return False  # a genuine quotient on the atom
-    gens = _kernel_generators(h)
+    gens = _system_of(h).kernel_generators()
     return _span_of(h.dom).contains(gens.cont, gens.disc)
 
 
@@ -1960,10 +1975,11 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Whether ``image(f) == kernel(g)`` at the middle group ``f.cod == g.dom``.
 
     The inclusion ``image <= kernel`` is checked as ``g . f == 0``; for the
-    converse every generator of ``kernel(g)`` (:func:`_kernel_generators`,
-    no relations needed) must lie in the span of the middle group's
-    relations together with the rows of ``f``'s generator images, a
-    continuous one with its whole line.  Middle-group atoms are matched
+    converse every generator of ``kernel(g)`` (no relations needed, kept by
+    ``g``'s system) must lie in the span of the middle group's relations
+    together with the rows of ``f``'s generator images, that is in ``f``'s
+    own system, a continuous one with its whole line.  So each map's system
+    serves the checks on both sides of it.  Middle-group atoms are matched
     structurally: an atom killed by ``g`` is in the kernel and must receive
     a whole atom under ``f``.  ``f`` and ``g`` must be checked homs (see
     :func:`check_hom`), as they are at every caller.
@@ -1981,7 +1997,5 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
             raise UnsupportedAtomMap(
                 "exactness against a genuine atom quotient cannot be verified"
             )
-    stripped = GroupHom(_strip_atoms(g.dom), g.cod, g.cont_images, g.disc_images, ())
-    gens = _kernel_generators(stripped)
-    span = _PreimageSystem(g.dom, f.cont_images, f.disc_images)
-    return span.contains(gens.cont, gens.disc)
+    gens = _system_of(g).kernel_generators()
+    return _system_of(f).contains(gens.cont, gens.disc)

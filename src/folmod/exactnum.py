@@ -21,7 +21,6 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -1064,8 +1063,8 @@ def monomial_expansion(
 
 
 class IntMatrix:
-    """An immutable arbitrary-precision integer matrix: the key and the
-    results of :func:`smith_normal_form`.
+    """An immutable arbitrary-precision integer matrix: the argument and
+    the results of :func:`smith_normal_form`.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a.nrows, a.ncols, a.diagonal()
@@ -1116,17 +1115,16 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     ``u`` and ``v`` are unimodular, ``d = u * a * v`` is diagonal with
     nonnegative entries satisfying ``d[0] | d[1] | ...``.
 
-    The factorization also tracks the inverse of ``v``: the memo
-    ``_snf_cached`` holds ``((u, d, v), v_inv)`` (see
-    :func:`_smith_normal_form`), and this function returns its first part.
-    Results are memoized on the (immutable) matrix in a bounded cache of
-    ``SNF_CACHE_SIZE`` entries, so a repeated matrix shares one result.
+    The factorization also tracks the inverse of ``v`` (see
+    :func:`_smith_normal_form`); this function returns the rest.  Nothing
+    is memoized here: the callers that factor a matrix more than once keep
+    its factorization (see ``abgroup._IntSystem``).
 
     >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> d.diagonal()
     [2, 4]
     """
-    return _snf_cached(a)[0]
+    return _smith_normal_form(a)[0]
 
 
 def _smith_normal_form(
@@ -1231,9 +1229,3 @@ def _smith_normal_form(
         (IntMatrix._of_int_rows(u), IntMatrix._of_int_rows(m), IntMatrix._of_int_rows(v)),
         IntMatrix._of_int_rows(vinv),
     )
-
-
-# Bound of the Smith form memo: enough for the distinct matrices one
-# cohomology computation revisits, small enough to keep memory flat.
-SNF_CACHE_SIZE = 128
-_snf_cached = lru_cache(maxsize=SNF_CACHE_SIZE)(_smith_normal_form)

@@ -836,7 +836,10 @@ def _inexact_nodes(nodes: Sequence[str], maps: Sequence[GroupHom]) -> Tuple[str,
     span of the relations and the incoming arrow's images, and at ``A5``
     every generator of ``A5`` lies in the span of its relations and the
     last arrow's images (each atom receiving one).  No kernel or cokernel is presented or
-    classified.  Every arrow must be a homomorphism: the sequences built
+    classified.  Each arrow's preimage system, with its kernel generators,
+    is built once and serves the checks at both of its ends, and equal
+    arrows share one (see :func:`~folmod.abgroup.is_exact_at`).  Every
+    arrow must be a homomorphism: the sequences built
     here assemble theirs from checked homs (:func:`~folmod.abgroup.check_hom`)
     by direct sums and negation, which keep that property."""
     verdicts = [is_injective(maps[0])]

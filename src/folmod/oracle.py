@@ -48,7 +48,7 @@ from .abgroup import (
     Relation,
     classify,
 )
-from .exactnum import Scalar, SymbolTable
+from .exactnum import SymbolTable
 from .gg import (
     BoundExceeded,
     CoverMismatch,

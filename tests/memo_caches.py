@@ -3,10 +3,10 @@ cold start or check the bounds."""
 
 from __future__ import annotations
 
-from folmod import abgroup, exactnum
+from folmod import abgroup
 
 CACHES = (
-    (exactnum._snf_cached, exactnum.SNF_CACHE_SIZE),
+    (abgroup._system_cached, abgroup.SYSTEM_CACHE_SIZE),
     (abgroup._normalize_full, abgroup.NORMALIZE_CACHE_SIZE),
     (abgroup._kernel_cached, abgroup.KERNEL_CACHE_SIZE),
 )

@@ -200,7 +200,7 @@ class TestIntMatrix:
             IntMatrix([[1], [2, 3]])
 
     def test_equal_rows_are_one_key(self) -> None:
-        # The Smith form memo keys on the matrix: equal rows, one key.
+        # A matrix is an immutable value: equal rows, equal matrices, one hash.
         a = IntMatrix([[5, -7], [0, 11]])
         b = IntMatrix(((5, -7), (0, 11)))
         assert a == b and hash(a) == hash(b)

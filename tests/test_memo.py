@@ -1,14 +1,16 @@
-"""Memoized algebra: Smith forms, normal forms and kernels are computed once.
+"""Memoized algebra: preimage systems, normal forms and kernels are computed once.
 
-`smith_normal_form`, the normal form behind `classify`/`cokernel` and
-`kernel` keep bounded caches keyed on immutable values.  These tests pin
-down that a cached answer is the answer a fresh computation gives, that
+The preimage systems, the normal form behind `classify`/`cokernel` and
+`kernel` keep bounded caches keyed on immutable values; `smith_normal_form`
+keeps none.  These tests pin down that a cached answer is the answer a
+fresh computation gives, that the Smith form matches its reference, that
 the caches stay within their bounds, and that the public functions stay
 plain functions (profilers and doctest discovery rely on that).
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -30,6 +32,9 @@ from folmod.abgroup import (
 )
 from folmod.exactnum import IntMatrix, Scalar, SymbolTable, smith_normal_form
 from memo_caches import CACHES, clear_caches
+
+# The sha256 of the seed-0 oracle report text.
+ORACLE_SEED0_SHA256 = "34782649d621520fd001d257e0c1c47a64a19e3d93f022bc5c556577eef220b5"
 
 TABLE = SymbolTable(["mu"])
 ONE = Scalar.one(TABLE)
@@ -198,15 +203,12 @@ class TestSmithNormalForm:
     @settings(deadline=None, max_examples=300)
     @given(int_matrices())
     def test_matches_reference_algorithm(self, a: IntMatrix) -> None:
-        clear_caches()
-        got = smith_normal_form(a)
-        assert got == reference_snf(a)
-        assert smith_normal_form(IntMatrix(a.rows)) is got
+        assert smith_normal_form(a) == reference_snf(a)
 
     @settings(deadline=None, max_examples=300)
     @given(int_matrices())
     def test_tracks_the_inverse_of_v(self, a: IntMatrix) -> None:
-        (_, _, v), vinv = exactnum._snf_cached(a)
+        (_, _, v), vinv = exactnum._smith_normal_form(a)
         n = len(v.rows)
         product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v.rows)] for row in vinv.rows]
         assert product == [[int(i == j) for j in range(n)] for i in range(n)]
@@ -226,11 +228,18 @@ class TestMemoizedResults:
         same = copy_hom(h)
         assert kernel(same) is ker
         assert classify(same.cod) is rep
+        assert abgroup._system_of(same) is abgroup._system_of(h)
         clear_caches()
         ker2, cok2, rep2 = kernel(h), cokernel(h), classify(h.cod)
         assert ker2 is not ker
         assert (ker2, cok2) == (ker, cok)
         assert rep2 == rep and rep2.group == rep.group
+
+    def test_a_span_is_the_system_of_a_map_with_no_generators(self) -> None:
+        torus = PresentedAbelianGroup.lattice_quotient(TABLE, [ONE, MU])
+        again = PresentedAbelianGroup.lattice_quotient(TABLE, [ONE, MU])
+        h = GroupHom(PresentedAbelianGroup.trivial(TABLE), again)
+        assert abgroup._system_of(h) is abgroup._span_of(torus)
 
     def test_symbolic_kernel(self) -> None:
         torus = PresentedAbelianGroup.lattice_quotient(TABLE, [ONE, MU])
@@ -255,7 +264,9 @@ class TestMemoizedResults:
 
 
 def test_caches_stay_bounded_after_the_oracle() -> None:
-    assert oracle.run_oracle(seed=0).ok
+    report = oracle.run_oracle(seed=0)
+    assert report.ok
+    assert hashlib.sha256(report.text().encode()).hexdigest() == ORACLE_SEED0_SHA256
     for cache, bound in CACHES:
         info = cache.cache_info()
         assert info.maxsize == bound

@@ -771,7 +771,7 @@ class TestOneSystem:
             cont, disc = _draw_images(data, dom, g)
             free = PresentedAbelianGroup(table, dom.cont_rank, dom.disc_rank)
             hom = GroupHom(free, g, cont, disc)
-            system = _PreimageSystem(g, cont, disc, track=data.draw(st.booleans()))
+            system = _PreimageSystem(g, cont, disc)
         for _ in range(4):
             c, d = _draw_target(data, g, hom)
             want = old_int_solve(*old_int_system(system, c, d), len(system.ycols))

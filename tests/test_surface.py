@@ -10,12 +10,15 @@ Below the surface, every private module-level function and class and every
 method defined in ``src/folmod`` must be referenced somewhere in
 ``src/folmod`` outside its own body, or carry a one-line reason in
 ``UNREFERENCED``: code that only tests call, or that only calls itself, or
-that nothing calls, is deleted.
+that nothing calls, is deleted.  So is a module-level import that nothing
+references: not its own module's code or doctests, not that module's
+``__all__``, and no ``from .module import name`` in another module.
 """
 
 from __future__ import annotations
 
 import ast
+import doctest
 import importlib
 import re
 from collections import Counter
@@ -115,6 +118,44 @@ def test_unreferenced_entries_are_defined_and_unreferenced() -> None:
     for qualified in UNREFERENCED:
         assert qualified in defs, qualified
         assert qualified in unreferenced, qualified
+
+
+def _unused_imports() -> list:
+    """``module.name`` of each module-level import in ``src/folmod`` whose
+    bound name nothing references (see the module docstring)."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reimported = {
+        f"{node.module}.{alias.name}"
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for stem, tree in trees.items():
+        module = importlib.import_module("folmod" if stem == "__init__" else f"folmod.{stem}")
+        sources = [tree] + [
+            ast.parse(example.source)
+            for test in doctest.DocTestFinder().find(module)
+            for example in test.examples
+        ]
+        used = {node.id for t in sources for node in ast.walk(t) if isinstance(node, ast.Name)}
+        used.update(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and f"{stem}.{name}" not in reimported:
+                    unused.append(f"{stem}.{name}")
+    return unused
+
+
+def test_every_import_is_referenced() -> None:
+    unused = _unused_imports()
+    assert unused == [], f"nothing in src/folmod references the imports {unused}"
 
 
 def _imported_by(module: str) -> set:

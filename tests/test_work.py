@@ -7,7 +7,9 @@ Scalar arithmetic; these tests pin that down by counting the Scalars one
 components), which the dense solvers took seconds on.  The integer side
 factors each system once; a guard counts the Smith forms one run asks for.
 The exactness checks read only a kernel's generators, not its relations;
-guards count the kernels a run computes.
+guards count the kernels a run computes.  Equal maps share one preimage
+system, and the normal form composes only the steps that change
+coordinates; guards count the systems built and the homs composed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ MAX_SCALARS_EXAMPLES = 4000
 
 # The seed-0 k=9 geodesic asked for 635 Smith forms when every preimage
 # solve rebuilt its integer matrix and every kernel relation solved its own;
-# factored once per system it asks for about 160.
+# factored once per system it asks for about 160.  With one system per
+# value and no Smith memo, 59 calls reach the factorization itself.
 MAX_SMITH_FORMS_K9 = 250
 
 # The seed-0 k=9 geodesic computed 22 kernels, and ten runs of each oracle
@@ -44,6 +47,15 @@ MAX_SMITH_FORMS_K9 = 250
 # whole kernel presentation; reading its generators alone leaves 9 and 63.
 MAX_KERNELS_K9 = 12
 MAX_KERNELS_ORACLE = 100
+
+# The seed-0 k=9 geodesic built 281 preimage systems, and ten runs of each
+# oracle suite (seed 0) 689 (609 once the oracle's own tables exist), when
+# each group and hom kept its own; shared by codomain and generator images
+# they need 44 and 371.  The same oracle runs composed 866 homs when the
+# normal form composed its identity steps too, and 598 without them.
+MAX_SYSTEMS_K9 = 80
+MAX_SYSTEMS_ORACLE = 450
+MAX_COMPOSES_ORACLE = 700
 
 
 def _geodesic_module():
@@ -67,18 +79,41 @@ def _run_geodesic(k: int, tmp_path, capsys):
     return geo, periods, json.loads(out)
 
 
-def _count_scalars(monkeypatch, run) -> int:
-    """The Scalars ``run()`` constructs from cold caches."""
+def _count_constructions(monkeypatch, cls, run) -> int:
+    """The instances of ``cls`` that ``run()`` constructs from cold caches."""
     count = 0
-    init = exactnum.Scalar.__init__
+    init = cls.__init__
 
-    def counted(self, *args) -> None:
+    def counted(self, *args, **kwargs) -> None:
         nonlocal count
         count += 1
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     clear_caches()
-    monkeypatch.setattr(exactnum.Scalar, "__init__", counted)
+    monkeypatch.setattr(cls, "__init__", counted)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return count
+
+
+def _count_calls(monkeypatch, func, run) -> int:
+    """The calls of ``func`` that ``run()`` makes from cold caches, wherever
+    a folmod module holds it."""
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return func(*args)
+
+    clear_caches()
+    for name, module in list(sys.modules.items()):
+        if name == "folmod" or name.startswith("folmod."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
     try:
         run()
     finally:
@@ -87,7 +122,9 @@ def _count_scalars(monkeypatch, run) -> int:
 
 
 def test_k9_geodesic_constructs_few_scalars(tmp_path, capsys, monkeypatch) -> None:
-    count = _count_scalars(monkeypatch, lambda: _run_geodesic(9, tmp_path, capsys))
+    count = _count_constructions(
+        monkeypatch, exactnum.Scalar, lambda: _run_geodesic(9, tmp_path, capsys)
+    )
     assert 0 < count <= MAX_SCALARS_K9
 
 
@@ -103,7 +140,7 @@ def test_examples_construct_few_scalars(tmp_path, capsys, monkeypatch) -> None:
             assert cli.main(["moduli", str(path), "--format", "json"]) in (0, 3)
         capsys.readouterr()
 
-    count = _count_scalars(monkeypatch, run)
+    count = _count_constructions(monkeypatch, exactnum.Scalar, run)
     assert 0 < count <= MAX_SCALARS_EXAMPLES
 
 
@@ -115,24 +152,9 @@ def test_k33_geodesic_moduli(tmp_path, capsys) -> None:
 
 
 def test_k9_geodesic_requests_few_smith_forms(tmp_path, capsys, monkeypatch) -> None:
-    # Every Smith form goes through the memo: count the calls of its entry
-    # point, wherever a folmod module holds it.
-    memo = exactnum._snf_cached
-    count = 0
-
-    def counted(a):
-        nonlocal count
-        count += 1
-        return memo(a)
-
-    clear_caches()
-    for name, module in list(sys.modules.items()):
-        if name == "folmod" or name.startswith("folmod."):
-            for attr, value in list(vars(module).items()):
-                if value is memo:
-                    monkeypatch.setattr(module, attr, counted)
-    _run_geodesic(9, tmp_path, capsys)
-    monkeypatch.undo()
+    count = _count_calls(
+        monkeypatch, exactnum._smith_normal_form, lambda: _run_geodesic(9, tmp_path, capsys)
+    )
     assert 0 < count <= MAX_SMITH_FORMS_K9
 
 
@@ -165,3 +187,22 @@ def test_k9_geodesic_computes_few_kernels(tmp_path, capsys, monkeypatch) -> None
 def test_oracle_computes_few_kernels(monkeypatch) -> None:
     count = _count_kernels(monkeypatch, lambda: run_oracle(seed=0, runs=10))
     assert 0 < count <= MAX_KERNELS_ORACLE
+
+
+def test_k9_geodesic_builds_few_preimage_systems(tmp_path, capsys, monkeypatch) -> None:
+    count = _count_constructions(
+        monkeypatch, abgroup._PreimageSystem, lambda: _run_geodesic(9, tmp_path, capsys)
+    )
+    assert 0 < count <= MAX_SYSTEMS_K9
+
+
+def test_oracle_builds_few_preimage_systems(monkeypatch) -> None:
+    count = _count_constructions(
+        monkeypatch, abgroup._PreimageSystem, lambda: run_oracle(seed=0, runs=10)
+    )
+    assert 0 < count <= MAX_SYSTEMS_ORACLE
+
+
+def test_oracle_composes_few_homs(monkeypatch) -> None:
+    count = _count_calls(monkeypatch, abgroup.compose, lambda: run_oracle(seed=0, runs=10))
+    assert 0 < count <= MAX_COMPOSES_ORACLE
