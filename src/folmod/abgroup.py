@@ -53,12 +53,12 @@ from .exactnum import (
     IntMatrix,
     Scalar,
     SymbolTable,
+    _dense_smith_form,
     _is_int,
     _numerator_over,
     _smith_normal_form,
     monomial_expansion,
     monomial_vectors,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -321,6 +321,8 @@ class _IntSystem:
     """An integer system ``rows . y = b`` factored once: the Smith form
     ``U A V = D`` of its matrix answers every right side and the kernel.
 
+    ``U`` and ``V`` are kept as the sparse columns the factorization
+    returns, ``{row: entry}``; the system needs no ``V^-1``.
     :meth:`solve` gives one integer solution or None, :meth:`nullspace` a
     basis of ``{y : rows . y = 0}``: the columns of ``V`` at the zero
     diagonal entries.  A matrix with no rows or no columns is not factored.
@@ -330,38 +332,45 @@ class _IntSystem:
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
         self.ncols = ncols
-        self.u, self.diag, self.v = (), [], ()
+        self.u, self.diag, self.v = [], [], []
         if rows and ncols:
-            u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
-            self.u, self.diag, self.v = u.rows, d.diagonal(), v.rows
+            self.u, self.diag, self.v, _ = _smith_normal_form(IntMatrix._of_int_rows(rows))
 
     def solve(self, b: Mapping[int, int]) -> Optional[List[int]]:
         """One integer solution of ``rows . y = b``, or None; ``b`` maps a
         row index to its right side, and absent rows have zero."""
         if not self.v:
             return None if any(b.values()) else [0] * self.ncols
-        # b and y are mostly zero: the products run over their nonzero entries.
-        bnz = [(k, x) for k, x in b.items() if x]
+        # U b accumulates over the nonzeros of b, and V y over those of y.
+        ub: Dict[int, int] = {}
+        for k, x in b.items():
+            if x:
+                for i, c in self.u[k].items():
+                    ub[i] = ub.get(i, 0) + c * x
         diag = self.diag
-        ynz: List[Tuple[int, int]] = []
-        for i, urow in enumerate(self.u):
-            ub = sum(urow[k] * x for k, x in bnz)
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if ub != 0:
+        y = [0] * self.ncols
+        for i, s in ub.items():
+            if s:
+                di = diag[i] if i < len(diag) else 0
+                if di == 0 or s % di != 0:
                     return None
-            elif ub % di != 0:
-                return None
-            elif ub:
-                ynz.append((i, ub // di))
-        return [sum(vrow[k] * y for k, y in ynz) for vrow in self.v]
+                for j, c in self.v[i].items():
+                    y[j] += c * (s // di)
+        return y
 
     def nullspace(self) -> List[List[int]]:
         """Basis of the integer kernel ``{y : rows . y = 0}``."""
         n, diag = self.ncols, self.diag
         if not self.v:
             return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        return [[vrow[i] for vrow in self.v] for i in range(n) if i >= len(diag) or diag[i] == 0]
+        basis = []
+        for i in range(n):
+            if i >= len(diag) or diag[i] == 0:
+                y = [0] * n
+                for j, c in self.v[i].items():
+                    y[j] = c
+                basis.append(y)
+        return basis
 
 
 def _hnf_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -1285,8 +1294,10 @@ def _step_discrete_smith(
     part ``c`` is made pure by the ambient automorphism
     ``(x, n) |-> (x - (n_k / d) c, n)``; unit rows eliminate their generator.
     The new discrete generators are the columns of the Smith form's ``V``,
-    so the maps read ``V`` one way and ``V^-1``, which the Smith form
-    tracks, the other.
+    so the maps read ``V`` one way and ``V^-1`` the other.  This is the one
+    caller that asks the factorization for ``V^-1``; it reads the dense
+    view of ``U``, ``D``, ``V`` and ``V^-1``, since the images it writes are
+    dense tuples, while ``_IntSystem`` keeps the sparse columns.
     """
     table = g.table
     one = Scalar.one(table)
@@ -1297,33 +1308,29 @@ def _step_discrete_smith(
         relations = [r for r in g.relations if r.cont or any(r.disc)]
         return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
 
-    (u, dmat, v), vinv = _smith_normal_form(IntMatrix._of_int_rows([d for _, d in rows]))
-    nrel = len(rows)
-    new_rows: List[Tuple[Row, Tuple[int, ...]]] = []
-    for i in range(nrel):
-        c: Row = {}
-        for k, coef in enumerate(u.rows[i]):
-            if coef:
-                _addmul(c, coef, rows[k][0])
-        new_rows.append((c, dmat.rows[i]))
+    u, dmat, v, vinv = _dense_smith_form(
+        IntMatrix._of_int_rows([d for _, d in rows]), inverse=True
+    )
+    diag = dmat.diagonal()
 
-    # Per-coordinate bookkeeping in the V-transformed discrete coordinates.
+    # Per-coordinate bookkeeping in the V-transformed discrete coordinates:
+    # relation i becomes (sum_k u[i][k] c_k, diag[i] e_i).
     diag_order = [0] * dc  # 0 = free, 1 = eliminated, d >= 2 = torsion
     corr: List[Optional[Row]] = [None] * dc  # c / d of a mixed row
     cont_rows: List[Row] = []
-    for c, d in new_rows:
-        nz = [k for k in range(dc) if d[k]]
-        if not nz:
+    for i, urow in enumerate(u.rows):
+        c: Row = {}
+        for k, coef in enumerate(urow):
+            if coef:
+                _addmul(c, coef, rows[k][0])
+        dk = diag[i] if i < len(diag) else 0
+        if not dk:
             if c:
                 cont_rows.append(c)
             continue
-        if len(nz) != 1:
-            raise NonFiniteTypeKernel("Smith form left a non-diagonal row")
-        k = nz[0]
-        dk = abs(d[k])
-        diag_order[k] = 1 if dk == 1 else dk
+        diag_order[i] = 1 if dk == 1 else dk
         if c:
-            corr[k] = {j: x.scale(Fraction(-1 if d[k] < 0 else 1, dk)) for j, x in c.items()}
+            corr[i] = {j: x.scale(Fraction(1, dk)) for j, x in c.items()}
 
     survivors = [k for k in range(dc) if diag_order[k] != 1]
     new_index = {k: i for i, k in enumerate(survivors)}

@@ -1063,8 +1063,10 @@ def monomial_expansion(
 
 
 class IntMatrix:
-    """An immutable arbitrary-precision integer matrix: the argument and
-    the results of :func:`smith_normal_form`.
+    """An immutable arbitrary-precision integer matrix: the argument of the
+    Smith factorization and the dense results of :func:`smith_normal_form`.
+    The factorization itself works on sparse rows and returns the
+    transforms as sparse columns (:func:`_smith_normal_form`).
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a.nrows, a.ncols, a.diagonal()
@@ -1115,74 +1117,150 @@ def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     ``u`` and ``v`` are unimodular, ``d = u * a * v`` is diagonal with
     nonnegative entries satisfying ``d[0] | d[1] | ...``.
 
-    The factorization also tracks the inverse of ``v`` (see
-    :func:`_smith_normal_form`); this function returns the rest.  Nothing
-    is memoized here: the callers that factor a matrix more than once keep
-    its factorization (see ``abgroup._IntSystem``).
+    This is a dense view of the sparse factorization
+    :func:`_smith_normal_form`.  Nothing is memoized here: the callers that
+    factor a matrix more than once keep its factorization (see
+    ``abgroup._IntSystem``).
 
     >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> d.diagonal()
     [2, 4]
     """
-    return _smith_normal_form(a)[0]
+    u, d, v, _ = _dense_smith_form(a)
+    return u, d, v
+
+
+def _dense_smith_form(
+    a: IntMatrix, inverse: bool = False
+) -> Tuple[IntMatrix, IntMatrix, IntMatrix, Optional[IntMatrix]]:
+    """``(u, d, v, v_inv)`` of :func:`_smith_normal_form` as dense matrices;
+    ``v_inv`` is None unless ``inverse`` is set."""
+    u, diag, v, vinv = _smith_normal_form(a, inverse)
+    nrows, ncols = a.nrows, a.ncols
+    return (
+        IntMatrix._of_int_rows([[col.get(i, 0) for col in u] for i in range(nrows)]),
+        IntMatrix._of_int_rows(
+            [[diag[i] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
+        ),
+        IntMatrix._of_int_rows([[col.get(i, 0) for col in v] for i in range(ncols)]),
+        None if vinv is None else IntMatrix._of_int_rows(
+            [[row.get(j, 0) for j in range(ncols)] for row in vinv]
+        ),
+    )
+
+
+SparseInts = List[Dict[int, int]]
+
+
+def _sub_multiple(dst: Dict[int, int], q: int, src: Mapping[int, int]) -> None:
+    """``dst -= q * src`` over the nonzeros of ``src``; ``q != 0``."""
+    for k, y in src.items():
+        x = dst.get(k, 0) - q * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
 
 
 def _smith_normal_form(
-    a: IntMatrix,
-) -> Tuple[Tuple[IntMatrix, IntMatrix, IntMatrix], IntMatrix]:
-    """``((u, d, v), v_inv)``: the Smith form and the inverse of ``v``.
+    a: IntMatrix, inverse: bool = False
+) -> Tuple[SparseInts, List[int], SparseInts, Optional[SparseInts]]:
+    """``(u, d, v, v_inv)``: the Smith form ``u a v = diag(d)``, sparse.
 
-    Every column operation on ``v`` is the inverse row operation on
-    ``v_inv`` and every column swap a row swap, so the inverse costs no
-    elimination of its own.
+    ``u`` and ``v`` come as lists of columns ``{row: entry}`` and ``d`` as
+    the ``min(nrows, ncols)`` diagonal entries.  ``v_inv``, the rows of the
+    inverse of ``v``, is computed only if ``inverse`` is set (the discrete
+    Smith step of ``abgroup`` reads it); otherwise it is None.
+
+    The matrix is held as rows ``{column: entry}`` with the set of rows
+    each column meets, so pivot search, row and column operations and
+    swaps touch only nonzeros.  The pivot is the first entry of minimal
+    magnitude in the trailing block, row-major, and every repair of the
+    divisibility chain replays the elimination from the first pivot, so
+    the results are those of the dense algorithm.  Every column operation
+    on ``v`` is the inverse row operation on ``v_inv`` and every column
+    swap a row swap, so the inverse costs no elimination of its own.
     """
     nrows, ncols = a.nrows, a.ncols
-    m = [list(r) for r in a.rows]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    vinv = [list(r) for r in v]
+    size = min(nrows, ncols)
+    m = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+    meets: List[set] = [set() for _ in range(ncols)]  # the rows column j meets
+    for i, row in enumerate(m):
+        for j in row:
+            meets[j].add(i)
+    u = [{i: 1} for i in range(nrows)]  # rows, transposed on return
+    v = [{j: 1} for j in range(ncols)]  # columns
+    vinv = [{j: 1} for j in range(ncols)] if inverse else None  # rows
 
-    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    def row_op(i: int, t: int, q: int) -> None:  # row_i -= q * row_t
+        row = m[i]
+        for k, y in m[t].items():
+            x = row.get(k, 0) - q * y
+            if x:
+                row[k] = x
+                meets[k].add(i)
+            else:
+                del row[k]
+                meets[k].discard(i)
+        _sub_multiple(u[i], q, u[t])
 
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
+    def col_op(j: int, t: int, q: int, rows: List[int]) -> None:
+        # col_j -= q * col_t, where column t meets exactly ``rows``.
+        col = meets[j]
+        for r in rows:
+            row = m[r]
+            x = row.get(j, 0) - q * row[t]
+            if x:
+                row[j] = x
+                col.add(r)
+            else:
+                del row[j]
+                col.discard(r)
+        _sub_multiple(v[j], q, v[t])
+        if vinv is not None:
+            _sub_multiple(vinv[t], -q, vinv[j])
 
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+    def swap_rows(i: int, t: int) -> None:
+        for k in m[i]:
+            meets[k].discard(i)
+        for k in m[t]:
+            meets[k].discard(t)
+        m[i], m[t] = m[t], m[i]
+        u[i], u[t] = u[t], u[i]
+        for k in m[i]:
+            meets[k].add(i)
+        for k in m[t]:
+            meets[k].add(t)
 
-    def swap_cols(i: int, j: int) -> None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def pivot(t: int) -> Optional[Tuple[int, int]]:
-        # The first entry of minimal nonzero magnitude in the trailing block,
-        # row-major; nothing beats a unit, so the scan stops at the first one.
-        best, best_abs = None, 0
-        for i in range(t, nrows):
-            row = m[i]
-            for j in range(t, ncols):
-                if row[j]:
-                    a = abs(row[j])
-                    if best is None or a < best_abs:
-                        best, best_abs = (i, j), a
-                        if a == 1:
-                            return best
-        return best
+    def swap_cols(j: int, t: int) -> None:
+        for r in meets[j] | meets[t]:
+            row = m[r]
+            x, y = row.pop(j, 0), row.pop(t, 0)
+            if x:
+                row[t] = x
+            if y:
+                row[j] = y
+        meets[j], meets[t] = meets[t], meets[j]
+        v[j], v[t] = v[t], v[j]
+        if vinv is not None:
+            vinv[j], vinv[t] = vinv[t], vinv[j]
 
     def diagonalize() -> None:
         t = 0
-        while t < min(nrows, ncols):
-            best = pivot(t)
+        while t < size:
+            # Rows and columns before t hold only their diagonal entry, so
+            # the trailing block is the rows from t on.  Nothing beats a
+            # unit, so the scan stops after the first row that holds one.
+            best, best_abs = None, 0
+            for i in range(t, nrows):
+                for j, x in m[i].items():
+                    mag = -x if x < 0 else x
+                    if best is None or mag < best_abs or (
+                        mag == best_abs and i == best[0] and j < best[1]
+                    ):
+                        best, best_abs = (i, j), mag
+                if best_abs == 1:
+                    break
             if best is None:
                 return
             i, j = best
@@ -1191,41 +1269,34 @@ def _smith_normal_form(
             if j != t:
                 swap_cols(j, t)
             # Row operations never touch row t and column operations never
-            # touch column t, so a clean pass leaves both cleared.
-            dirty = False
+            # touch column t, so a pass that leaves no remainder clears both.
             p = m[t][t]
-            for i in range(nrows):
-                if i != t and m[i][t] != 0:
-                    row_op(i, t, m[i][t] // p)
-                    if m[i][t] != 0:
-                        dirty = True
-            mt = m[t]
-            for j in range(ncols):
-                if mt[j] != 0 and j != t:
-                    col_op(j, t, mt[j] // p)
-                    if mt[j] != 0:
-                        dirty = True
-            if not dirty:
+            if len(meets[t]) > 1:
+                for r in [r for r in meets[t] if r != t]:
+                    row_op(r, t, m[r][t] // p)
+            if len(m[t]) > 1:
+                rows = list(meets[t])
+                for j, x in [(j, x) for j, x in m[t].items() if j != t]:
+                    col_op(j, t, x // p, rows)
+            if len(meets[t]) == 1 and len(m[t]) == 1:
                 t += 1
 
     diagonalize()
     # Enforce the divisibility chain, re-diagonalizing after each repair.
     while True:
-        rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i] != 0)
-        offender = None
-        for i in range(rank - 1):
-            if m[i + 1][i + 1] % m[i][i] != 0:
-                offender = i
-                break
+        d = [m[i].get(i, 0) for i in range(size)]
+        rank = size - d.count(0)  # the nonzero entries come first
+        offender = next((i for i in range(rank - 1) if d[i + 1] % d[i]), None)
         if offender is None:
             break
         row_op(offender, offender + 1, -1)  # reintroduce a coupling entry
         diagonalize()
-    for i in range(min(nrows, ncols)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-    return (
-        (IntMatrix._of_int_rows(u), IntMatrix._of_int_rows(m), IntMatrix._of_int_rows(v)),
-        IntMatrix._of_int_rows(vinv),
-    )
+    for i in range(size):
+        if d[i] < 0:
+            d[i] = -d[i]
+            u[i] = {k: -x for k, x in u[i].items()}
+    ucols: SparseInts = [{} for _ in range(nrows)]
+    for i, row in enumerate(u):
+        for k, x in row.items():
+            ucols[k][i] = x
+    return ucols, d, v, vinv

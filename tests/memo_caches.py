@@ -1,9 +1,9 @@
-"""The bounded memo caches of the algebra layer, for tests that need a
-cold start or check the bounds."""
+"""The memo caches of the algebra layer and the oracle's builders, for
+tests that need a cold start or check the bounds."""
 
 from __future__ import annotations
 
-from folmod import abgroup
+from folmod import abgroup, oracle
 
 CACHES = (
     (abgroup._system_cached, abgroup.SYSTEM_CACHE_SIZE),
@@ -11,7 +11,15 @@ CACHES = (
     (abgroup._kernel_cached, abgroup.KERNEL_CACHE_SIZE),
 )
 
+# The oracle builds its small groups, homs and tables once per process; a
+# cold start forgets them too, or counted work depends on the runs before.
+ORACLE_BUILDERS = tuple(
+    f for f in vars(oracle).values() if hasattr(f, "cache_clear") and f.__module__ == oracle.__name__
+)
+
 
 def clear_caches() -> None:
     for cache, _ in CACHES:
         cache.cache_clear()
+    for builder in ORACLE_BUILDERS:
+        builder.cache_clear()

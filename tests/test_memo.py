@@ -3,9 +3,16 @@
 The preimage systems, the normal form behind `classify`/`cokernel` and
 `kernel` keep bounded caches keyed on immutable values; `smith_normal_form`
 keeps none.  These tests pin down that a cached answer is the answer a
-fresh computation gives, that the Smith form matches its reference, that
-the caches stay within their bounds, and that the public functions stay
-plain functions (profilers and doctest discovery rely on that).
+fresh computation gives, that the caches stay within their bounds, and
+that the public functions stay plain functions (profilers and doctest
+discovery rely on that).
+
+The Smith form runs on sparse rows and returns sparse transforms.  The
+dense algorithm it replaced is kept below (``reference_snf``, with
+``old_int_inverse`` for ``V^-1`` and ``old_int_system_*`` for the integer
+system on dense rows); on random matrices and on the sparse shapes the
+pipelines make, the sparse kernel must give the same ``(u, d, v)``, the
+same ``V^-1`` and the same solutions and kernels.
 """
 
 from __future__ import annotations
@@ -15,8 +22,10 @@ import importlib.util
 import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +35,7 @@ from folmod.abgroup import (
     GroupHom,
     PresentedAbelianGroup,
     Relation,
+    _IntSystem,
     classify,
     cokernel,
     kernel,
@@ -148,6 +158,37 @@ def old_int_inverse(rows):
     return out
 
 
+def old_int_system_solve(a: IntMatrix, b) -> Optional[List[int]]:
+    """``_IntSystem.solve`` as it was on the dense rows of ``U`` and ``V``."""
+    if not (a.nrows and a.ncols):
+        return None if any(b.values()) else [0] * a.ncols
+    u, d, v = reference_snf(a)
+    bnz = [(k, x) for k, x in b.items() if x]
+    diag = d.diagonal()
+    ynz = []
+    for i, urow in enumerate(u.rows):
+        ub = sum(urow[k] * x for k, x in bnz)
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if ub != 0:
+                return None
+        elif ub % di != 0:
+            return None
+        elif ub:
+            ynz.append((i, ub // di))
+    return [sum(vrow[k] * y for k, y in ynz) for vrow in v.rows]
+
+
+def old_int_system_nullspace(a: IntMatrix) -> List[List[int]]:
+    """``_IntSystem.nullspace`` as it was on the dense rows of ``V``."""
+    n = a.ncols
+    if not a.nrows:
+        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    _, d, v = reference_snf(a)
+    diag = d.diagonal()
+    return [[vrow[i] for vrow in v.rows] for i in range(n) if i >= len(diag) or diag[i] == 0]
+
+
 @st.composite
 def int_matrices(draw) -> IntMatrix:
     nrows = draw(st.integers(0, 6))
@@ -155,6 +196,41 @@ def int_matrices(draw) -> IntMatrix:
     # Mostly small entries with many zeros and units, as cohomology makes.
     entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-40, 40))
     return IntMatrix([[draw(entry) for _ in range(ncols)] for _ in range(nrows)])
+
+
+NONZERO = st.one_of(st.sampled_from([1, -1, 1, -1, 2, -2, 3, 4, 6]), st.integers(-30, 30).filter(bool))
+
+
+@st.composite
+def sparse_matrices(draw) -> IntMatrix:
+    """Up to 16 x 16, at least 70% of the entries zero."""
+    nrows, ncols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    cells = nrows * ncols
+    values = [0] * cells
+    for pos in draw(st.lists(st.integers(0, cells - 1), max_size=cells * 3 // 10, unique=True)):
+        values[pos] = draw(NONZERO)
+    return IntMatrix([values[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+
+
+@st.composite
+def permuted_blocks(draw) -> IntMatrix:
+    """A block diagonal matrix with rows and columns permuted: blocks of
+    size 1 make a signed permutation, non-unit entries make torsion, and
+    coprime diagonal entries such as 2, 3, 5 force repairs."""
+    entry = st.sampled_from([0, 1, -1, 2, 3, 5, -6])
+    square = st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+    blocks = draw(st.lists(square, min_size=1, max_size=8))
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at : at + len(row)] = row
+        at += len(block)
+    rperm, cperm = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return IntMatrix([[rows[rperm[i]][cperm[j]] for j in range(n)] for i in range(n)])
 
 
 def scalar(draw) -> Scalar:
@@ -199,6 +275,14 @@ def copy_hom(h: GroupHom) -> GroupHom:
     return GroupHom.from_json(dom, cod, json.loads(json.dumps(h.to_json())))
 
 
+def assert_matches_the_dense_reference(a: IntMatrix) -> None:
+    """The sparse kernel's ``(u, d, v)`` and ``V^-1`` are the dense algorithm's."""
+    u, d, v, vinv = exactnum._dense_smith_form(a, inverse=True)
+    assert (u, d, v) == reference_snf(a)
+    assert smith_normal_form(a) == (u, d, v)
+    assert [list(r) for r in vinv.rows] == old_int_inverse(v.rows)
+
+
 class TestSmithNormalForm:
     @settings(deadline=None, max_examples=300)
     @given(int_matrices())
@@ -208,16 +292,49 @@ class TestSmithNormalForm:
     @settings(deadline=None, max_examples=300)
     @given(int_matrices())
     def test_tracks_the_inverse_of_v(self, a: IntMatrix) -> None:
-        (_, _, v), vinv = exactnum._smith_normal_form(a)
+        _, _, v, vinv = exactnum._dense_smith_form(a, inverse=True)
         n = len(v.rows)
         product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v.rows)] for row in vinv.rows]
         assert product == [[int(i == j) for j in range(n)] for i in range(n)]
         assert [list(r) for r in vinv.rows] == old_int_inverse(v.rows)
+        assert exactnum._smith_normal_form(a)[3] is None
 
     def test_matches_reference_on_a_divisibility_repair(self) -> None:
         a = IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
         assert smith_normal_form(a) == reference_snf(a)
         assert smith_normal_form(a)[1].diagonal() == [1, 1, 30]
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_matrices())
+    def test_matches_reference_on_sparse_matrices(self, a: IntMatrix) -> None:
+        assert_matches_the_dense_reference(a)
+
+    @settings(deadline=None, max_examples=60)
+    @given(permuted_blocks())
+    def test_matches_reference_on_permuted_blocks(self, a: IntMatrix) -> None:
+        assert_matches_the_dense_reference(a)
+
+    @pytest.mark.parametrize(
+        "diagonal", [(2, 3, 5), (6, 4), (2, 3, 5, 7, 11), (-2, 0, 3), (4, 2, 1, 9, 3)]
+    )
+    def test_matches_reference_on_repairs(self, diagonal) -> None:
+        n = len(diagonal) + 2
+        rows = [[0] * n for _ in range(n - 1)]
+        for i, x in enumerate(diagonal):
+            rows[i][n - 1 - i] = x
+        assert_matches_the_dense_reference(IntMatrix(rows))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(int_matrices(), sparse_matrices(), permuted_blocks()), st.data())
+    def test_int_system_equals_the_dense_rows(self, a: IntMatrix, data) -> None:
+        if a.nrows and a.ncols and data.draw(st.booleans()):
+            y = [data.draw(st.integers(-3, 3)) for _ in range(a.ncols)]
+            b = {i: sum(x * z for x, z in zip(row, y)) for i, row in enumerate(a.rows)}
+        else:
+            b = {i: data.draw(st.sampled_from([0, 0, 1, -2, 6])) for i in range(a.nrows)}
+        system = _IntSystem(a.rows, a.ncols)
+        assert system.solve(b) == old_int_system_solve(a, b)
+        assert system.nullspace() == old_int_system_nullspace(a)
 
 
 class TestMemoizedResults:
@@ -271,6 +388,20 @@ def test_caches_stay_bounded_after_the_oracle() -> None:
         info = cache.cache_info()
         assert info.maxsize == bound
         assert 0 < info.currsize <= bound
+
+
+def test_clear_caches_empties_every_memo() -> None:
+    oracle.run_oracle(seed=0, runs=2)
+    clear_caches()
+    sizes = {
+        f"{name}.{attr}": value.cache_info().currsize
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("folmod.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_clear")
+    }
+    assert len(sizes) >= len(CACHES) + 7
+    assert sizes == dict.fromkeys(sizes, 0)
 
 
 @pytest.mark.parametrize("module", [exactnum, abgroup, gg, foliation, oracle, cli])

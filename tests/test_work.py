@@ -10,6 +10,10 @@ The exactness checks read only a kernel's generators, not its relations;
 guards count the kernels a run computes.  Equal maps share one preimage
 system, and the normal form composes only the steps that change
 coordinates; guards count the systems built and the homs composed.
+"Cold caches" means the algebra memos and the oracle's builders are
+cleared, so a count does not depend on the runs before it.  An integer
+system keeps its Smith transforms as sparse columns; a guard counts the
+entries it stores.
 """
 
 from __future__ import annotations
@@ -206,3 +210,33 @@ def test_oracle_builds_few_preimage_systems(monkeypatch) -> None:
 def test_oracle_composes_few_homs(monkeypatch) -> None:
     count = _count_calls(monkeypatch, abgroup.compose, lambda: run_oracle(seed=0, runs=10))
     assert 0 < count <= MAX_COMPOSES_ORACLE
+
+
+def test_cold_oracle_counts_do_not_depend_on_earlier_runs(monkeypatch) -> None:
+    def cold_counts():
+        return [
+            _count_constructions(monkeypatch, cls, lambda: run_oracle(seed=0, runs=10))
+            for cls in (abgroup.GroupHom, abgroup._PreimageSystem)
+        ]
+
+    first = cold_counts()
+    run_oracle(seed=3, runs=4)
+    assert cold_counts() == first
+
+
+def test_int_system_stores_sparse_transforms() -> None:
+    # A 300 x 300 signed permutation with five entries of 2: dense U and V
+    # would hold 180,000 entries.
+    n, rng = 300, random.Random(0)
+    perm = rng.sample(range(n), n)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = rng.choice((1, -1))
+    for i in rng.sample(range(n), 5):
+        rows[i][perm[i]] = 2
+    system = abgroup._IntSystem(rows, n)
+    assert sum(map(len, system.u)) + sum(map(len, system.v)) <= 3 * n
+    y = [rng.randint(-3, 3) for _ in range(n)]
+    b = {i: sum(x * z for x, z in zip(row, y)) for i, row in enumerate(rows)}
+    assert system.solve(b) == y
+    assert system.nullspace() == []
