@@ -50,10 +50,8 @@ from typing import (
 )
 
 from .exactnum import (
-    IntMatrix,
     Scalar,
     SymbolTable,
-    _dense_smith_form,
     _is_int,
     _numerator_over,
     _smith_normal_form,
@@ -193,6 +191,11 @@ def _unit(i: int, n: int, value: int = 1) -> Tuple[int, ...]:
     return tuple(value if j == i else 0 for j in range(n))
 
 
+def _nonzeros(values: Iterable[int]) -> Dict[int, int]:
+    """The sparse integer row ``{j: x}`` of the nonzero ``values``."""
+    return {j: x for j, x in enumerate(values) if x}
+
+
 def _disc_ident(n: int) -> List[Tuple[Row, Tuple[int, ...]]]:
     """The discrete generator images of an identity on ``Z^n``."""
     return [({}, _unit(i, n)) for i in range(n)]
@@ -321,20 +324,24 @@ class _IntSystem:
     """An integer system ``rows . y = b`` factored once: the Smith form
     ``U A V = D`` of its matrix answers every right side and the kernel.
 
-    ``U`` and ``V`` are kept as the sparse columns the factorization
-    returns, ``{row: entry}``; the system needs no ``V^-1``.
-    :meth:`solve` gives one integer solution or None, :meth:`nullspace` a
-    basis of ``{y : rows . y = 0}``: the columns of ``V`` at the zero
-    diagonal entries.  A matrix with no rows or no columns is not factored.
+    ``rows`` are sparse, ``{column: entry}`` over ``ncols`` columns, and go
+    to the factorization as they are.  ``U`` and ``V`` are kept as the
+    sparse columns it returns, ``{row: entry}``; the system needs no
+    ``V^-1``.  :meth:`solve` gives one integer solution or None,
+    :meth:`nullspace` a basis of ``{y : rows . y = 0}``: the columns of
+    ``V`` at the zero diagonal entries.  Both hold for any ``U`` and ``V``
+    the factorization's contract allows; which solution and which basis
+    come back depends on them.  A matrix with no rows or no columns is not
+    factored.
     """
 
     __slots__ = ("ncols", "u", "diag", "v")
 
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
+    def __init__(self, rows: Sequence[Mapping[int, int]], ncols: int):
         self.ncols = ncols
         self.u, self.diag, self.v = [], [], []
         if rows and ncols:
-            self.u, self.diag, self.v, _ = _smith_normal_form(IntMatrix._of_int_rows(rows))
+            self.u, self.diag, self.v, _ = _smith_normal_form(rows, ncols)
 
     def solve(self, b: Mapping[int, int]) -> Optional[List[int]]:
         """One integer solution of ``rows . y = b``, or None; ``b`` maps a
@@ -749,23 +756,24 @@ def _by_coordinate(columns: Sequence[Mapping[int, Scalar]]) -> Dict[int, Row]:
 
 
 def _int_rows_from_scalar_columns(
-    at: Mapping[int, Mapping[int, Scalar]], ncols: int
-) -> Tuple[List[List[int]], Dict[int, tuple]]:
+    at: Mapping[int, Mapping[int, Scalar]]
+) -> Tuple[List[Dict[int, int]], Dict[int, tuple]]:
     """Expand ``sum n_j columns[j] = 0`` coordinate-wise over monomials.
 
-    The ``ncols`` columns come grouped by coordinate, ``at[coord][j]`` (see
+    The columns come grouped by coordinate, ``at[coord][j]`` (see
     :func:`_by_coordinate`).  Each coordinate where some entry is nonzero
     contributes, in coordinate order, one integer row per monomial of
     :func:`~folmod.exactnum.monomial_vectors` over its entries, with
-    denominators cleared row by row.  A coordinate whose entries are all
-    rational is one monomial, keyed ``None``, and skips the expansion.
+    denominators cleared row by row.  A row is sparse, ``{j: entry}``, and
+    holds no zero.  A coordinate whose entries are all rational is one
+    monomial, keyed ``None``, and skips the expansion.
 
     Returns ``(rows, index)``: ``index[coord]`` is ``(den, where)``, with
     ``den`` the common denominator of the coordinate's entries (None when
     they are all rational) and ``where[monomial]`` the pair of the row's
     index and the lcm of the row's denominators.
     """
-    rows: List[List[int]] = []
+    rows: List[Dict[int, int]] = []
     index: Dict[int, tuple] = {}
     for coord in sorted(at):
         entries = at[coord]
@@ -781,11 +789,10 @@ def _int_rows_from_scalar_columns(
             if not any(fracs):
                 continue
             denom = lcm(*(f.denominator for f in fracs))
-            row = [0] * ncols
-            for j, f in zip(entries, fracs):
-                row[j] = f.numerator * (denom // f.denominator)
             where[mono] = (len(rows), denom)
-            rows.append(row)
+            rows.append(
+                {j: f.numerator * (denom // f.denominator) for j, f in zip(entries, fracs) if f}
+            )
     return rows, index
 
 
@@ -872,7 +879,7 @@ class _PreimageSystem:
         # [Zc; Zd], so its certificate y = -m takes m from their Smith form.
         sign = self.disc_sign = 1 if cont_images or disc_images else -1
         self.disc_rows = [
-            [d[coord] for _, d in disc_images] + [-sign * r.disc[coord] for r in zrows]
+            _nonzeros([d[coord] for _, d in disc_images] + [-sign * r.disc[coord] for r in zrows])
             for coord in range(cod.disc_rank)
         ]
         self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]] = None
@@ -883,11 +890,11 @@ class _PreimageSystem:
         the index of its monomial rows, and the row of each discrete
         coordinate (None for a zero discrete row)."""
         if self.ints is None:
-            rows, index = _int_rows_from_scalar_columns(self.ycoords, len(self.ycols))
+            rows, index = _int_rows_from_scalar_columns(self.ycoords)
             disc_at: List[Optional[int]] = []
             for row in self.disc_rows:
-                disc_at.append(len(rows) if any(row) else None)
-                if any(row):
+                disc_at.append(len(rows) if row else None)
+                if row:
                     rows.append(row)
             self.ints = (_IntSystem(rows, len(self.ycols)), index, disc_at)
         return self.ints
@@ -1295,9 +1302,12 @@ def _step_discrete_smith(
     ``(x, n) |-> (x - (n_k / d) c, n)``; unit rows eliminate their generator.
     The new discrete generators are the columns of the Smith form's ``V``,
     so the maps read ``V`` one way and ``V^-1`` the other.  This is the one
-    caller that asks the factorization for ``V^-1``; it reads the dense
-    view of ``U``, ``D``, ``V`` and ``V^-1``, since the images it writes are
-    dense tuples, while ``_IntSystem`` keeps the sparse columns.
+    caller that asks the factorization for ``V^-1``.  It reads the sparse
+    columns of ``U`` and ``V``, the diagonal and the sparse rows of
+    ``V^-1``; only the images it writes are dense tuples.  Which ``U`` and
+    ``V`` the factorization picks is free: others give another presentation
+    of the same group, with the same torsion orders (the diagonal), and
+    maps ``t`` and ``s`` that are still inverse isomorphisms.
     """
     table = g.table
     one = Scalar.one(table)
@@ -1308,21 +1318,20 @@ def _step_discrete_smith(
         relations = [r for r in g.relations if r.cont or any(r.disc)]
         return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
 
-    u, dmat, v, vinv = _dense_smith_form(
-        IntMatrix._of_int_rows([d for _, d in rows]), inverse=True
-    )
-    diag = dmat.diagonal()
+    u, diag, v, vinv = _smith_normal_form([_nonzeros(d) for _, d in rows], dc, inverse=True)
 
     # Per-coordinate bookkeeping in the V-transformed discrete coordinates:
-    # relation i becomes (sum_k u[i][k] c_k, diag[i] e_i).
+    # relation i becomes (sum_k u[i][k] c_k, diag[i] e_i).  Column k of U
+    # holds the share of old relation k in each new one.
+    conts: List[Row] = [{} for _ in rows]
+    for (ck, _), col in zip(rows, u):
+        if ck:
+            for i, coef in col.items():
+                _addmul(conts[i], coef, ck)
     diag_order = [0] * dc  # 0 = free, 1 = eliminated, d >= 2 = torsion
     corr: List[Optional[Row]] = [None] * dc  # c / d of a mixed row
     cont_rows: List[Row] = []
-    for i, urow in enumerate(u.rows):
-        c: Row = {}
-        for k, coef in enumerate(urow):
-            if coef:
-                _addmul(c, coef, rows[k][0])
+    for i, c in enumerate(conts):
         dk = diag[i] if i < len(diag) else 0
         if not dk:
             if c:
@@ -1341,26 +1350,22 @@ def _step_discrete_smith(
             relations.append(Relation({}, _unit(new_index[k], nd, diag_order[k]), "Z"))
     g2 = PresentedAbelianGroup(table, cc, nd, relations, g.atoms)
 
+    # Entry j of column k of V: coordinate k of the old generator e_j after V.
     cont_ident = [{i: one} for i in range(cc)]
-    t_disc = []
-    for j in range(dc):
-        nv = v.rows[j]  # coordinates of the old generator e_j after V
-        acc: Row = {}
-        disc_part = [0] * nd
-        for k in range(dc):
-            if not nv[k]:
-                continue
+    t_disc: List[Tuple[Row, List[int]]] = [({}, [0] * nd) for _ in range(dc)]
+    for k, col in enumerate(v):
+        for j, x in col.items():
+            acc, disc_part = t_disc[j]
             if corr[k] is not None:
-                _addmul(acc, -nv[k], corr[k])
+                _addmul(acc, -x, corr[k])
             if diag_order[k] != 1:
-                disc_part[new_index[k]] = nv[k]
-        t_disc.append((acc, disc_part))
+                disc_part[new_index[k]] = x
     t = GroupHom(g, g2, cont_ident, t_disc, tuple(range(len(g.atoms))))
 
     s_disc = []
     for k in survivors:
         c_part = corr[k] if corr[k] is not None and diag_order[k] >= 2 else {}
-        s_disc.append((c_part, vinv.rows[k]))
+        s_disc.append((c_part, tuple(vinv[k].get(j, 0) for j in range(dc))))
     s = GroupHom(g2, g, cont_ident, s_disc, tuple(range(len(g.atoms))))
     return g2, t, s
 
@@ -1754,12 +1759,10 @@ def _kernel(h: GroupHom) -> KernelResult:
     # continuous part reduces to zero against the continuous directions.
     relations: List[Relation] = []
     xcols = [x for x, _ in disc_gens]
-    syz_rows, _ = _int_rows_from_scalar_columns(
-        _by_coordinate([vspan.reduce(x) for x in xcols]), len(xcols)
-    )
+    syz_rows, _ = _int_rows_from_scalar_columns(_by_coordinate([vspan.reduce(x) for x in xcols]))
     for coord in range(h.dom.disc_rank):
-        row = [n[coord] for _, n in disc_gens]
-        if any(row):
+        row = _nonzeros(n[coord] for _, n in disc_gens)
+        if row:
             syz_rows.append(row)
 
     def residual(cont: Mapping[int, Scalar], a: Sequence[int]) -> Row:
@@ -1781,7 +1784,7 @@ def _kernel(h: GroupHom) -> KernelResult:
     # The kernel coordinates a of a relation solve sum a_i ybasis_i = y.
     lattice = None
     if any(r.span == "Z" for r in h.dom.relations):
-        arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
+        arows = [_nonzeros(y[kk] for y in ybasis) for kk in range(len(system.ycols))]
         lattice = _IntSystem(arows, len(ybasis))
     for cont, disc, kind in h.dom.relations:
         if kind == "C":

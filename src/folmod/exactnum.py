@@ -1063,10 +1063,10 @@ def monomial_expansion(
 
 
 class IntMatrix:
-    """An immutable arbitrary-precision integer matrix: the argument of the
-    Smith factorization and the dense results of :func:`smith_normal_form`.
-    The factorization itself works on sparse rows and returns the
-    transforms as sparse columns (:func:`_smith_normal_form`).
+    """An immutable arbitrary-precision integer matrix: the argument and the
+    results of the dense :func:`smith_normal_form`.  The pipelines never
+    build one; their integer rows go to :func:`_smith_normal_form` as
+    sparse dicts.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a.nrows, a.ncols, a.diagonal()
@@ -1082,13 +1082,6 @@ class IntMatrix:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         self.rows = rows
-
-    @classmethod
-    def _of_int_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        """Wrap rows already known to be rectangular and made of Python ints."""
-        m = cls.__new__(cls)
-        m.rows = tuple(map(tuple, rows))
-        return m
 
     @property
     def nrows(self) -> int:
@@ -1114,38 +1107,22 @@ class IntMatrix:
 def smith_normal_form(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns ``(u, d, v)``.
 
-    ``u`` and ``v`` are unimodular, ``d = u * a * v`` is diagonal with
-    nonnegative entries satisfying ``d[0] | d[1] | ...``.
-
-    This is a dense view of the sparse factorization
-    :func:`_smith_normal_form`.  Nothing is memoized here: the callers that
-    factor a matrix more than once keep its factorization (see
-    ``abgroup._IntSystem``).
+    ``u`` and ``v`` are unimodular and ``d = u * a * v`` is diagonal with
+    nonnegative entries ``d[0] | d[1] | ...``, the nonzero ones first.
+    ``d`` is unique; ``u`` and ``v`` are whichever transforms
+    :func:`_smith_normal_form` finds, written out dense.
 
     >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> d.diagonal()
     [2, 4]
     """
-    u, d, v, _ = _dense_smith_form(a)
-    return u, d, v
-
-
-def _dense_smith_form(
-    a: IntMatrix, inverse: bool = False
-) -> Tuple[IntMatrix, IntMatrix, IntMatrix, Optional[IntMatrix]]:
-    """``(u, d, v, v_inv)`` of :func:`_smith_normal_form` as dense matrices;
-    ``v_inv`` is None unless ``inverse`` is set."""
-    u, diag, v, vinv = _smith_normal_form(a, inverse)
     nrows, ncols = a.nrows, a.ncols
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+    u, diag, v, _ = _smith_normal_form(rows, ncols)
     return (
-        IntMatrix._of_int_rows([[col.get(i, 0) for col in u] for i in range(nrows)]),
-        IntMatrix._of_int_rows(
-            [[diag[i] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
-        ),
-        IntMatrix._of_int_rows([[col.get(i, 0) for col in v] for i in range(ncols)]),
-        None if vinv is None else IntMatrix._of_int_rows(
-            [[row.get(j, 0) for j in range(ncols)] for row in vinv]
-        ),
+        IntMatrix([[col.get(i, 0) for col in u] for i in range(nrows)]),
+        IntMatrix([[diag[i] if i == j else 0 for j in range(ncols)] for i in range(nrows)]),
+        IntMatrix([[col.get(i, 0) for col in v] for i in range(ncols)]),
     )
 
 
@@ -1162,28 +1139,43 @@ def _sub_multiple(dst: Dict[int, int], q: int, src: Mapping[int, int]) -> None:
             del dst[k]
 
 
+def _mix(p: int, x: Mapping[int, int], q: int, y: Mapping[int, int]) -> Dict[int, int]:
+    """``p * x + q * y`` of two sparse vectors."""
+    out = {}
+    for k in x.keys() | y.keys():
+        c = p * x.get(k, 0) + q * y.get(k, 0)
+        if c:
+            out[k] = c
+    return out
+
+
 def _smith_normal_form(
-    a: IntMatrix, inverse: bool = False
+    rows: Sequence[Mapping[int, int]], ncols: int, inverse: bool = False
 ) -> Tuple[SparseInts, List[int], SparseInts, Optional[SparseInts]]:
-    """``(u, d, v, v_inv)``: the Smith form ``u a v = diag(d)``, sparse.
+    """``(u, d, v, v_inv)`` with ``u a v = diag(d)``, for the matrix ``a``
+    whose rows are ``rows`` (``{column: entry}``, zeros left out) over
+    ``ncols`` columns.
 
-    ``u`` and ``v`` come as lists of columns ``{row: entry}`` and ``d`` as
-    the ``min(nrows, ncols)`` diagonal entries.  ``v_inv``, the rows of the
-    inverse of ``v``, is computed only if ``inverse`` is set (the discrete
-    Smith step of ``abgroup`` reads it); otherwise it is None.
+    The contract, and all a caller may rely on: ``u`` and ``v`` are
+    unimodular, given as lists of columns ``{row: entry}``; ``d`` holds the
+    ``min(nrows, ncols)`` diagonal entries, nonnegative, nonzero ones
+    first, each dividing the next; ``v_inv`` is the rows of the inverse of
+    ``v`` if ``inverse`` is set (the discrete Smith step of ``abgroup``
+    reads it) and None otherwise.  ``d`` is unique; which ``u`` and ``v``
+    come back is not part of the contract.
 
-    The matrix is held as rows ``{column: entry}`` with the set of rows
-    each column meets, so pivot search, row and column operations and
-    swaps touch only nonzeros.  The pivot is the first entry of minimal
-    magnitude in the trailing block, row-major, and every repair of the
-    divisibility chain replays the elimination from the first pivot, so
-    the results are those of the dense algorithm.  Every column operation
-    on ``v`` is the inverse row operation on ``v_inv`` and every column
-    swap a row swap, so the inverse costs no elimination of its own.
+    The matrix is held as rows with the set of rows each column meets, so
+    pivot search, row and column operations and swaps touch only nonzeros.
+    The pivot is an entry of least magnitude in the trailing block.  Every
+    column operation on ``v`` is the inverse row operation on ``v_inv`` and
+    every column swap a row swap, so the inverse costs no elimination of
+    its own.  The divisibility chain is then repaired on the diagonal:
+    ``(d_i, d_j)`` becomes ``(gcd, lcm)`` by 2x2 unimodular factors on
+    ``u``, ``v`` and ``v_inv`` (Kannan & Bachem 1979; Cohen, GTM 138, 2.4).
     """
-    nrows, ncols = a.nrows, a.ncols
+    nrows = len(rows)
     size = min(nrows, ncols)
-    m = [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+    m = [dict(row) for row in rows]
     meets: List[set] = [set() for _ in range(ncols)]  # the rows column j meets
     for i, row in enumerate(m):
         for j in row:
@@ -1245,56 +1237,60 @@ def _smith_normal_form(
         if vinv is not None:
             vinv[j], vinv[t] = vinv[t], vinv[j]
 
-    def diagonalize() -> None:
-        t = 0
-        while t < size:
-            # Rows and columns before t hold only their diagonal entry, so
-            # the trailing block is the rows from t on.  Nothing beats a
-            # unit, so the scan stops after the first row that holds one.
-            best, best_abs = None, 0
-            for i in range(t, nrows):
-                for j, x in m[i].items():
-                    mag = -x if x < 0 else x
-                    if best is None or mag < best_abs or (
-                        mag == best_abs and i == best[0] and j < best[1]
-                    ):
-                        best, best_abs = (i, j), mag
-                if best_abs == 1:
-                    break
-            if best is None:
-                return
-            i, j = best
-            if i != t:
-                swap_rows(i, t)
-            if j != t:
-                swap_cols(j, t)
-            # Row operations never touch row t and column operations never
-            # touch column t, so a pass that leaves no remainder clears both.
-            p = m[t][t]
-            if len(meets[t]) > 1:
-                for r in [r for r in meets[t] if r != t]:
-                    row_op(r, t, m[r][t] // p)
-            if len(m[t]) > 1:
-                rows = list(meets[t])
-                for j, x in [(j, x) for j, x in m[t].items() if j != t]:
-                    col_op(j, t, x // p, rows)
-            if len(meets[t]) == 1 and len(m[t]) == 1:
-                t += 1
-
-    diagonalize()
-    # Enforce the divisibility chain, re-diagonalizing after each repair.
-    while True:
-        d = [m[i].get(i, 0) for i in range(size)]
-        rank = size - d.count(0)  # the nonzero entries come first
-        offender = next((i for i in range(rank - 1) if d[i + 1] % d[i]), None)
-        if offender is None:
+    t = 0
+    while t < size:
+        # Rows and columns before t hold only their diagonal entry, so the
+        # trailing block is the rows from t on.  Nothing beats a unit, so
+        # the scan stops after the first row that holds one.
+        best, best_abs = None, 0
+        for i in range(t, nrows):
+            for j, x in m[i].items():
+                mag = -x if x < 0 else x
+                if best is None or mag < best_abs:
+                    best, best_abs = (i, j), mag
+            if best_abs == 1:
+                break
+        if best is None:
             break
-        row_op(offender, offender + 1, -1)  # reintroduce a coupling entry
-        diagonalize()
-    for i in range(size):
+        i, j = best
+        if i != t:
+            swap_rows(i, t)
+        if j != t:
+            swap_cols(j, t)
+        # Row operations never touch row t and column operations never
+        # touch column t, so a pass that leaves no remainder clears both.
+        p = m[t][t]
+        if len(meets[t]) > 1:
+            for r in [r for r in meets[t] if r != t]:
+                row_op(r, t, m[r][t] // p)
+        if len(m[t]) > 1:
+            rows_t = list(meets[t])
+            for j, x in [(j, x) for j, x in m[t].items() if j != t]:
+                col_op(j, t, x // p, rows_t)
+        if len(meets[t]) == 1 and len(m[t]) == 1:
+            t += 1
+
+    d = [m[i].get(i, 0) for i in range(size)]
+    rank = size - d.count(0)  # the nonzero entries come first
+    for i in range(rank):
         if d[i] < 0:
             d[i] = -d[i]
             u[i] = {k: -x for k, x in u[i].items()}
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if d[j] % d[i] == 0:
+                continue
+            # [[s, c], [-b, a]] diag(d_i, d_j) [[1, -c b], [1, s a]] is
+            # diag(g, lcm), with a = d_i / g, b = d_j / g and s a + c b = 1.
+            g = _int_gcd(d[i], d[j])
+            a, b = d[i] // g, d[j] // g
+            s = pow(a, -1, b)
+            c = (1 - s * a) // b
+            d[i], d[j] = g, d[j] * a
+            u[i], u[j] = _mix(s, u[i], c, u[j]), _mix(-b, u[i], a, u[j])
+            v[i], v[j] = _mix(1, v[i], 1, v[j]), _mix(-c * b, v[i], s * a, v[j])
+            if vinv is not None:
+                vinv[i], vinv[j] = _mix(s * a, vinv[i], c * b, vinv[j]), _mix(-1, vinv[i], 1, vinv[j])
     ucols: SparseInts = [{} for _ in range(nrows)]
     for i, row in enumerate(u):
         for k, x in row.items():

@@ -43,6 +43,7 @@ orbit count is the number of conjugacy classes:
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import (
@@ -647,48 +648,6 @@ class DeadBranch(NamedTuple):
         return self.vertices[-1]
 
 
-def find_partial_dead_branches(g: Union[Graph, _GroupsOnGraph]) -> List[DeadBranch]:
-    """All chains hanging off an extremity, one entry per chain prefix.
-
-    Walks inward from every valency-1 vertex while the interior has
-    valency 2, emitting each prefix as its own branch (the attaching
-    vertex of a prefix may itself have valency 2).  Cycles have no
-    extremities and yield nothing.
-
-    >>> g = Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2)])
-    >>> [(b.vertices, b.attach) for b in find_partial_dead_branches(g)]
-    [((0, 1), 1), ((0, 1, 2), 2), ((2, 1), 1), ((2, 1, 0), 0)]
-    >>> find_partial_dead_branches(Graph([0, 1], [("a", 0, 1), ("b", 0, 1)]))
-    []
-    """
-    graph = g if isinstance(g, Graph) else g.graph
-    out: List[DeadBranch] = []
-    for x in graph.vertices:
-        if graph.valency(x) != 1:
-            continue
-        chain_v = [x]
-        chain_e: List[Id] = []
-        cur: Id = x
-        prev_edge: Optional[Id] = None
-        while True:
-            candidates = [e for e in graph.incident(cur) if e != prev_edge]
-            if len(candidates) != 1:
-                break
-            e = candidates[0]
-            u, w = graph.endpoints(e)
-            nxt = w if u == cur else u
-            if nxt in chain_v:
-                break
-            chain_v.append(nxt)
-            chain_e.append(e)
-            out.append(DeadBranch(tuple(chain_v), tuple(chain_e)))
-            if graph.valency(nxt) != 2:
-                break
-            prev_edge = e
-            cur = nxt
-    return out
-
-
 def _as_branch(graph: Graph, m: Union[DeadBranch, Sequence[Id]]) -> DeadBranch:
     if isinstance(m, DeadBranch):
         branch = m
@@ -758,23 +717,40 @@ def prune(G: Union[GroupGraph, "FiniteGroupGraph"], m: Union[DeadBranch, Sequenc
 
 
 def prune_all(G: Union[GroupGraph, "FiniteGroupGraph"]):
-    """Iteratively prune repulsive dead branches until none remains.
+    """Prune repulsive dead branches until none remains.
 
-    Shortest branches are tried first, so exactly the certified piece is
-    removed at each step; the loop terminates because every prune removes
-    at least one vertex.
+    A branch is repulsive only if its first edge is, so the shortest
+    repulsive branch is always a single extremity whose restriction onto
+    its edge is onto.  Such extremities are removed smallest id first
+    (:func:`_id_key`), and a neighbour left with valency 1 becomes an
+    extremity in turn; an extremity whose restriction is not onto stays,
+    since nothing removed later changes its edge.  So each vertex's
+    restriction is tested at most once.  The result is one restriction of
+    ``G``, of the same class (``G`` itself when nothing is pruned), and
+    its ``h1`` is isomorphic to that of ``G``.
     """
-    while True:
-        branches = sorted(
-            find_partial_dead_branches(G),
-            key=lambda b: (len(b.vertices), _id_key(b.vertices[0])),
-        )
-        for b in branches:
-            if is_repulsive(G, b):
-                G = prune(G, b)
-                break
-        else:
-            return G
+    graph = G.graph
+    valency = {v: graph.valency(v) for v in graph.vertices}
+    heap = [_id_key(v) for v in graph.vertices if valency[v] == 1]
+    heapq.heapify(heap)
+    removed = set()
+    while heap:
+        _, x = heapq.heappop(heap)
+        if valency[x] != 1:  # its neighbour was pruned first
+            continue
+        e = next(e for e in graph.incident(x) if removed.isdisjoint(graph.endpoints(e)))
+        if not _rho_surjective(G, x, e):
+            continue
+        removed.add(x)
+        valency[x] = 0
+        t, h = graph.endpoints(e)
+        w = h if t == x else t
+        valency[w] -= 1
+        if valency[w] == 1:
+            heapq.heappush(heap, _id_key(w))
+    if not removed:
+        return G
+    return G.restrict([v for v in graph.vertices if v not in removed])
 
 
 # ---------------------------------------------------------------------------

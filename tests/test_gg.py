@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import random
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +24,13 @@ from folmod.abgroup import (
     is_surjective,
     zero_hom,
 )
-from folmod import gg
+from folmod import gg, oracle
 from folmod.exactnum import SymbolTable
 from folmod.gg import (
     BoundExceeded,
     BruteForceResult,
     CoverMismatch,
+    DeadBranch,
     FiniteGroup,
     FiniteGroupGraph,
     FiniteHom,
@@ -39,7 +42,6 @@ from folmod.gg import (
     brute_force_h1,
     coboundary0,
     cohomology,
-    find_partial_dead_branches,
     h1,
     is_repulsive,
     long_exact_sequence,
@@ -297,6 +299,59 @@ class TestCohomologyOracles:
 # ---------------------------------------------------------------------------
 
 
+def find_partial_dead_branches(g: Graph) -> List[DeadBranch]:
+    """All chains hanging off an extremity, one entry per chain prefix: the
+    branch finder of the reference pruning below.
+
+    Walks inward from every valency-1 vertex while the interior has
+    valency 2, emitting each prefix as its own branch (the attaching
+    vertex of a prefix may itself have valency 2).  Cycles have no
+    extremities and yield nothing.
+    """
+    out: List[DeadBranch] = []
+    for x in g.vertices:
+        if g.valency(x) != 1:
+            continue
+        chain_v = [x]
+        chain_e: List = []
+        cur = x
+        prev_edge: Optional[object] = None
+        while True:
+            candidates = [e for e in g.incident(cur) if e != prev_edge]
+            if len(candidates) != 1:
+                break
+            e = candidates[0]
+            u, w = g.endpoints(e)
+            nxt = w if u == cur else u
+            if nxt in chain_v:
+                break
+            chain_v.append(nxt)
+            chain_e.append(e)
+            out.append(DeadBranch(tuple(chain_v), tuple(chain_e)))
+            if g.valency(nxt) != 2:
+                break
+            prev_edge = e
+            cur = nxt
+    return out
+
+
+def reference_prune_all(G):
+    """Pruning as a search: after each prune, find every dead branch again
+    and prune the first repulsive one, shortest first, then by the id of
+    its extremity."""
+    while True:
+        branches = sorted(
+            find_partial_dead_branches(G.graph),
+            key=lambda b: (len(b.vertices), gg._id_key(b.vertices[0])),
+        )
+        for b in branches:
+            if is_repulsive(G, b):
+                G = prune(G, b)
+                break
+        else:
+            return G
+
+
 class TestDeadBranches:
     def test_path_yields_prefixes_from_both_ends(self):
         g = Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2)])
@@ -396,6 +451,47 @@ class TestPruning:
     @given(gb.prunable_group_graphs())
     def test_prune_all_preserves_h1(self, G):
         assert classify(h1(prune_all(G))) == classify(h1(G))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gb.prunable_group_graphs())
+    def test_prune_all_equals_the_search(self, G):
+        assert prune_all(G).to_json() == reference_prune_all(G).to_json()
+
+    def test_prune_all_equals_the_search_on_oracle_draws(self):
+        drawn = 0
+        for seed in range(3000):
+            pair = oracle._random_prunable(random.Random(seed), oracle.DEFAULT_BOUND)
+            if pair is not None:
+                G = pair[0]
+                assert prune_all(G).to_json() == reference_prune_all(G).to_json()
+                drawn += 1
+        assert drawn > 1000
+
+    def test_prune_all_tests_each_restriction_once(self, monkeypatch):
+        # A chain whose first vertex cannot be pruned: the search tested
+        # that extremity again after every prune, and each prune tested
+        # its branch twice.
+        n = 200
+        triv = PresentedAbelianGroup.trivial(T)
+        g = Graph(list(range(n)), [(f"e{i}", i, i + 1) for i in range(n - 1)])
+        groups = {v: triv if v == 0 else z_mod(2) for v in g.vertices}
+        rhos = {
+            (v, e): zero_hom(triv, z_mod(2)) if v == 0 else identity_hom(z_mod(2))
+            for e in g.edges
+            for v in g.endpoints(e)
+        }
+        G = GroupGraph(g, groups, {e: z_mod(2) for e in g.edges}, rhos)
+        calls = 0
+        surjective = gg._rho_surjective
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return surjective(*args)
+
+        monkeypatch.setattr(gg, "_rho_surjective", counted)
+        assert prune_all(G).graph.vertices == (0,)
+        assert 0 < calls <= n
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,20 @@ fresh computation gives, that the caches stay within their bounds, and
 that the public functions stay plain functions (profilers and doctest
 discovery rely on that).
 
-The Smith form runs on sparse rows and returns sparse transforms.  The
-dense algorithm it replaced is kept below (``reference_snf``, with
-``old_int_inverse`` for ``V^-1`` and ``old_int_system_*`` for the integer
-system on dense rows); on random matrices and on the sparse shapes the
-pipelines make, the sparse kernel must give the same ``(u, d, v)``, the
-same ``V^-1`` and the same solutions and kernels.
+The Smith form ``exactnum._smith_normal_form(rows, ncols, inverse)`` is
+pinned by its contract, not by its transforms.  It takes sparse rows
+``{column: entry}`` and returns any ``(u, d, v, v_inv)`` with
+``u a v = diag(d)``, ``u`` and ``v`` unimodular, ``d`` a nonnegative
+divisibility chain with its nonzero entries first, and ``v_inv v = I``
+when the inverse is asked for.  The dense algorithm it replaced is kept
+below as the reference (``reference_snf``, with ``old_int_inverse`` for
+``V^-1`` and ``old_int_system_*`` for the integer system on dense rows).
+On random matrices and on the sparse shapes the pipelines make, the kernel
+must meet the contract with the reference's ``d``, and the integer system
+must find a solution exactly when the reference does and span the same
+kernel lattice.  Which transforms come back is free; that no report
+depends on them is checked by running the pipelines and the oracle once
+with the kernel and once with the reference in its place.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ from folmod.abgroup import (
     kernel,
 )
 from folmod.exactnum import IntMatrix, Scalar, SymbolTable, smith_normal_form
+from folmod.examples import example_doc
 from memo_caches import CACHES, clear_caches
+from test_pipeline import L0_SIDE, R0_SIDE, R1_SIDE, _star_doc
 
 # The sha256 of the seed-0 oracle report text.
 ORACLE_SEED0_SHA256 = "34782649d621520fd001d257e0c1c47a64a19e3d93f022bc5c556577eef220b5"
@@ -156,6 +166,70 @@ def old_int_inverse(rows):
             raise ValueError("matrix is not unimodular")
         out.append([int(x) for x in tail])
     return out
+
+
+def sparse_rows(a: IntMatrix) -> List[dict]:
+    """The rows of ``a`` as the kernel takes them: ``{column: entry}``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a.rows]
+
+
+def columns(m: IntMatrix) -> List[dict]:
+    """The columns of a square ``m`` as the kernel returns them: ``{row: entry}``."""
+    n = m.nrows
+    return [{i: m.rows[i][k] for i in range(n) if m.rows[i][k]} for k in range(n)]
+
+
+def reference_smith_form(rows, ncols: int, inverse: bool = False):
+    """``reference_snf`` with the signature of ``exactnum._smith_normal_form``:
+    sparse rows in; ``u`` and ``v`` as columns, the diagonal, and the rows
+    of ``V^-1`` from ``old_int_inverse`` out."""
+    if not rows:
+        ident = [{j: 1} for j in range(ncols)]
+        return [], [], ident, [dict(c) for c in ident] if inverse else None
+    u, d, v = reference_snf(IntMatrix([[row.get(j, 0) for j in range(ncols)] for row in rows]))
+    vinv = None
+    if inverse:
+        vinv = [{j: x for j, x in enumerate(r) if x} for r in old_int_inverse(v.rows)]
+    return columns(u), d.diagonal(), columns(v), vinv
+
+
+def dense(cols: List[dict], n: int) -> List[List[int]]:
+    """The ``n``-row matrix whose columns are the sparse ``cols``."""
+    return [[col.get(i, 0) for col in cols] for i in range(n)]
+
+
+def matmul(a: List[List[int]], b: List[List[int]], ncols: int) -> List[List[int]]:
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(ncols)] for row in a]
+
+
+def assert_smith_contract(a: IntMatrix, want: Optional[List[int]] = None) -> None:
+    """The kernel meets its contract on ``a``, with the diagonal ``want``
+    (by default the reference's)."""
+    n, m = a.nrows, a.ncols
+    rows = sparse_rows(a)
+    u, d, v, vinv = exactnum._smith_normal_form(rows, m, inverse=True)
+    assert rows == sparse_rows(a)  # the input is not modified
+    assert d == (reference_snf(a)[1].diagonal() if want is None else want)
+    # u a v = diag(d), the nonzero entries first, each dividing the next.
+    U, V = dense(u, n), dense(v, m)
+    assert matmul(matmul(U, [list(r) for r in a.rows], m), V, m) == [
+        [d[i] if i == j else 0 for j in range(m)] for i in range(n)
+    ]
+    nonzero = [x for x in d if x]
+    assert d == nonzero + [0] * (len(d) - len(nonzero))
+    assert all(x > 0 for x in nonzero)
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+    # u and v are unimodular: each has an integer inverse, and v_inv is v's.
+    old_int_inverse(U)
+    VI = [[row.get(j, 0) for j in range(m)] for row in vinv]
+    assert matmul(VI, V, m) == [[int(i == j) for j in range(m)] for i in range(m)]
+    assert VI == old_int_inverse(V)
+    # The dense view writes out the same factorization.
+    assert smith_normal_form(a) == (
+        IntMatrix(U),
+        IntMatrix([[d[i] if i == j else 0 for j in range(m)] for i in range(n)]),
+        IntMatrix(V),
+    )
 
 
 def old_int_system_solve(a: IntMatrix, b) -> Optional[List[int]]:
@@ -275,44 +349,34 @@ def copy_hom(h: GroupHom) -> GroupHom:
     return GroupHom.from_json(dom, cod, json.loads(json.dumps(h.to_json())))
 
 
-def assert_matches_the_dense_reference(a: IntMatrix) -> None:
-    """The sparse kernel's ``(u, d, v)`` and ``V^-1`` are the dense algorithm's."""
-    u, d, v, vinv = exactnum._dense_smith_form(a, inverse=True)
-    assert (u, d, v) == reference_snf(a)
-    assert smith_normal_form(a) == (u, d, v)
-    assert [list(r) for r in vinv.rows] == old_int_inverse(v.rows)
-
-
 class TestSmithNormalForm:
     @settings(deadline=None, max_examples=300)
     @given(int_matrices())
     def test_matches_reference_algorithm(self, a: IntMatrix) -> None:
-        assert smith_normal_form(a) == reference_snf(a)
+        assert_smith_contract(a)
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=100)
     @given(int_matrices())
     def test_tracks_the_inverse_of_v(self, a: IntMatrix) -> None:
-        _, _, v, vinv = exactnum._dense_smith_form(a, inverse=True)
-        n = len(v.rows)
-        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*v.rows)] for row in vinv.rows]
-        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
-        assert [list(r) for r in vinv.rows] == old_int_inverse(v.rows)
-        assert exactnum._smith_normal_form(a)[3] is None
+        _, d, v, vinv = exactnum._smith_normal_form(sparse_rows(a), a.ncols, inverse=True)
+        V = dense(v, a.ncols)
+        assert [[row.get(j, 0) for j in range(a.ncols)] for row in vinv] == old_int_inverse(V)
+        _, d2, _, none = exactnum._smith_normal_form(sparse_rows(a), a.ncols)
+        assert (d2, none) == (d, None)  # no inverse unless asked
 
     def test_matches_reference_on_a_divisibility_repair(self) -> None:
         a = IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
-        assert smith_normal_form(a) == reference_snf(a)
-        assert smith_normal_form(a)[1].diagonal() == [1, 1, 30]
+        assert_smith_contract(a, [1, 1, 30])
 
     @settings(deadline=None, max_examples=100)
     @given(sparse_matrices())
     def test_matches_reference_on_sparse_matrices(self, a: IntMatrix) -> None:
-        assert_matches_the_dense_reference(a)
+        assert_smith_contract(a)
 
     @settings(deadline=None, max_examples=60)
     @given(permuted_blocks())
     def test_matches_reference_on_permuted_blocks(self, a: IntMatrix) -> None:
-        assert_matches_the_dense_reference(a)
+        assert_smith_contract(a)
 
     @pytest.mark.parametrize(
         "diagonal", [(2, 3, 5), (6, 4), (2, 3, 5, 7, 11), (-2, 0, 3), (4, 2, 1, 9, 3)]
@@ -322,7 +386,18 @@ class TestSmithNormalForm:
         rows = [[0] * n for _ in range(n - 1)]
         for i, x in enumerate(diagonal):
             rows[i][n - 1 - i] = x
-        assert_matches_the_dense_reference(IntMatrix(rows))
+        assert_smith_contract(IntMatrix(rows))
+
+    def test_repairs_a_diagonal_of_forty_primes(self) -> None:
+        # Every pair of diagonal entries is coprime, so the chain takes 39
+        # repairs down to 1, ..., 1, the product of the primes.  The dense
+        # reference replays its elimination after each; its d is known.
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:40]
+        rows = [[p if j == 39 - i else 0 for j in range(40)] for i, p in enumerate(primes)]
+        product = 1
+        for p in primes:
+            product *= p
+        assert_smith_contract(IntMatrix(rows), [1] * 39 + [product])
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(int_matrices(), sparse_matrices(), permuted_blocks()), st.data())
@@ -332,9 +407,70 @@ class TestSmithNormalForm:
             b = {i: sum(x * z for x, z in zip(row, y)) for i, row in enumerate(a.rows)}
         else:
             b = {i: data.draw(st.sampled_from([0, 0, 1, -2, 6])) for i in range(a.nrows)}
-        system = _IntSystem(a.rows, a.ncols)
-        assert system.solve(b) == old_int_system_solve(a, b)
-        assert system.nullspace() == old_int_system_nullspace(a)
+        system = _IntSystem(sparse_rows(a), a.ncols)
+        got, want = system.solve(b), old_int_system_solve(a, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [sum(x * z for x, z in zip(row, got)) for row in a.rows] == [
+                b[i] for i in range(a.nrows)
+            ]
+        assert abgroup._hnf_rows(system.nullspace()) == abgroup._hnf_rows(
+            old_int_system_nullspace(a)
+        )
+
+
+def _report_bytes(tmp_path, capsys, seeds) -> dict:
+    """From cold caches, the exit code, stdout and stderr of `folmod moduli
+    --format json` on examples 0-6, the benchmark's seed-0 geodesics, the
+    seed-0 geodesics of 17 and 33 joints and the stars, and the text of the
+    oracle at ``seeds``."""
+    geo = _geodesic_module()
+    docs = {f"example {n}": example_doc(n) for n in range(7)}
+    for k in (3, 5, 9, 17, 33):
+        docs[f"geodesic {k}"] = geo.geodesic_doc(geo.chain_periods(k, random.Random(f"geodesic-0-{k}")))
+    for center in (0, 5):
+        docs[f"R0 star {center}"] = _star_doc(center, R0_SIDE)
+        docs[f"L0 star {center}"] = _star_doc(center, L0_SIDE)
+        docs[f"R1 star {center}"] = _star_doc(center, R1_SIDE, ("-3", "-5", "-7"))
+        docs[f"symbolic R1 star {center}"] = _star_doc(center, R1_SIDE, ("a", "b", "a*b"))
+    clear_caches()
+    out = {}
+    for name, doc in docs.items():
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            code = cli.main(["moduli", str(path), "--format", "json"])
+        except SystemExit as done:
+            code = done.code
+        out[name] = (code, *capsys.readouterr())
+    for seed in seeds:
+        out[f"oracle {seed}"] = oracle.run_oracle(seed=seed).text()
+    return out
+
+
+def test_reports_do_not_depend_on_the_smith_transforms(tmp_path, capsys, monkeypatch) -> None:
+    # The kernel's seed-0 oracle text is pinned by its sha256, which
+    # test_caches_stay_bounded_after_the_oracle checks; it is not run again.
+    kernel_bytes = _report_bytes(tmp_path, capsys, (7,))
+    kernel, calls = exactnum._smith_normal_form, 0
+
+    def reference(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return reference_smith_form(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "folmod" or name.startswith("folmod."):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, reference)
+    reference_bytes = _report_bytes(tmp_path, capsys, (0, 7))
+    monkeypatch.undo()
+    clear_caches()
+    assert calls > 1000  # the oracle alone asks for thousands
+    seed0 = reference_bytes.pop("oracle 0")
+    assert hashlib.sha256(seed0.encode()).hexdigest() == ORACLE_SEED0_SHA256
+    assert reference_bytes == kernel_bytes
 
 
 class TestMemoizedResults:

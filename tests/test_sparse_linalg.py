@@ -7,7 +7,11 @@ Q(symbols), the monomial expansion of a Scalar system into integer rows,
 and the integer solve on top of the Smith normal form.  On random
 matrices, at least half of whose entries are zero, over symbol tables of
 width 0, 1 and 2 with rational, polynomial and rational-function entries,
-the sparse functions must return equal results.  `factor_through` builds
+the sparse functions must return equal results.  The integer solve is the
+exception: its Smith transforms are free (see ``tests/test_memo.py``), so
+against the dense reference ``reference_snf`` it must find a solution
+exactly when the reference does, that solution must solve the system, and
+its kernel must span the reference's lattice.  `factor_through` builds
 its preimage system once per mono; it must equal the per-generator
 `preimage_element` loop it replaced.
 
@@ -28,7 +32,9 @@ The integer side of the references runs on the integer solvers as they
 were before the one system factored its integer matrix once, copied below
 (``old_int_*``): a system rebuilt its integer rows for every target and
 solved them through a fresh Smith form lookup.  The factored system must
-give the same ``y`` as that per-target system, or None with it.
+give the same ``y`` as that per-target system, or None with it.  Both run
+on the same kernel (``smith_normal_form`` is its dense view), so an equal
+matrix gives equal transforms.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from folmod.abgroup import (
     _by_coordinate,
     _Elimination,
     _head,
+    _hnf_rows,
     _int_rows_from_scalar_columns,
     _IntSystem,
     _kernel,
@@ -66,6 +73,7 @@ from folmod.abgroup import (
 )
 from folmod.exactnum import IntMatrix, Scalar, SymbolTable, monomial_vectors, smith_normal_form
 from folmod.gg import cohomology
+from test_memo import old_int_system_nullspace, reference_snf
 
 # ---------------------------------------------------------------------------
 # The integer solvers before factoring once
@@ -77,7 +85,7 @@ def old_int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[in
     rows = [r for r in rows if any(r)]
     if not rows:
         return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
+    u, d, v = smith_normal_form(IntMatrix(rows))
     diag = d.diagonal()
     basis = []
     for i in range(ncols):
@@ -94,7 +102,7 @@ def old_int_solve(
         return [0] * ncols
     if ncols == 0:
         return [] if all(x == 0 for x in b) else None
-    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
+    u, d, v = smith_normal_form(IntMatrix(rows))
     # b and y are mostly zero: the products run over their nonzero entries.
     bnz = [(k, x) for k, x in enumerate(b) if x]
     diag = d.diagonal()
@@ -157,8 +165,8 @@ def old_int_system(system: _PreimageSystem, target_cont, target_disc) -> Tuple[L
     # The conditions read sum y_i reduce(ycols_i) = -reduce(t_c).
     rhs = [-b for b in rhs]
     for row, b in zip(system.disc_rows, target_disc):
-        if b or any(row):
-            rows.append(row)
+        if b or row:
+            rows.append([row.get(j, 0) for j in range(len(system.ycols))])
             rhs.append(system.disc_sign * b)
     return rows, rhs
 
@@ -258,7 +266,7 @@ def ref_int_solve(rows, b, ncols) -> Optional[List[int]]:
         return [0] * ncols
     if ncols == 0:
         return [] if all(x == 0 for x in b) else None
-    u, d, v = smith_normal_form(IntMatrix._of_int_rows(rows))
+    u, d, v = reference_snf(IntMatrix(rows))
     ub = [sum(u.rows[i][k] * b[k] for k in range(len(b))) for i in range(len(rows))]
     diag = d.diagonal()
     y = [0] * ncols
@@ -384,8 +392,10 @@ class TestIntegerSolvers:
         # its right sides itself (TestOneSystem below).
         want = ref_int_rows_from_scalar_columns(rows, [Scalar.zero(table)] * ncols)
         columns = [_sparse(r) for r in rows]
-        got, _ = _int_rows_from_scalar_columns(_by_coordinate(columns), len(columns))
-        assert (got, [0] * len(got)) == want
+        got, _ = _int_rows_from_scalar_columns(_by_coordinate(columns))
+        assert all(all(row.values()) for row in got)  # sparse rows hold no zero
+        dense = [[row.get(j, 0) for j in range(len(columns))] for row in got]
+        assert (dense, [0] * len(got)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -402,10 +412,14 @@ class TestIntegerSolvers:
             b = [sum(r * x for r, x in zip(row, y)) for row in rows]
         else:
             b = [data.draw(st.sampled_from([0, 0, 1, -2, 5])) for _ in range(nrows)]
-        system = _IntSystem(rows, ncols)
-        assert system.solve(dict(enumerate(b))) == ref_int_solve(rows, b, ncols)
-        if all(any(row) for row in rows):
-            assert system.nullspace() == old_int_nullspace(rows, ncols)
+        system = _IntSystem([{j: x for j, x in enumerate(row) if x} for row in rows], ncols)
+        got, want = system.solve(dict(enumerate(b))), ref_int_solve(rows, b, ncols)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [sum(r * x for r, x in zip(row, got)) for row in rows] == b
+        if rows:
+            want_kernel = old_int_system_nullspace(IntMatrix(rows))
+            assert _hnf_rows(system.nullspace()) == _hnf_rows(want_kernel)
 
 
 class TestFactorThrough:

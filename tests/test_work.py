@@ -107,10 +107,10 @@ def _count_calls(monkeypatch, func, run) -> int:
     a folmod module holds it."""
     count = 0
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal count
         count += 1
-        return func(*args)
+        return func(*args, **kwargs)
 
     clear_caches()
     for name, module in list(sys.modules.items()):
@@ -229,14 +229,12 @@ def test_int_system_stores_sparse_transforms() -> None:
     # would hold 180,000 entries.
     n, rng = 300, random.Random(0)
     perm = rng.sample(range(n), n)
-    rows = [[0] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        rows[i][j] = rng.choice((1, -1))
+    rows = [{j: rng.choice((1, -1))} for j in perm]
     for i in rng.sample(range(n), 5):
         rows[i][perm[i]] = 2
     system = abgroup._IntSystem(rows, n)
     assert sum(map(len, system.u)) + sum(map(len, system.v)) <= 3 * n
     y = [rng.randint(-3, 3) for _ in range(n)]
-    b = {i: sum(x * z for x, z in zip(row, y)) for i, row in enumerate(rows)}
+    b = {i: sum(x * y[j] for j, x in row.items()) for i, row in enumerate(rows)}
     assert system.solve(b) == y
     assert system.nullspace() == []
