@@ -3,10 +3,11 @@
 A group here is a quotient of ``C^a (+) Z^b (+) atoms`` by the span of
 finitely many relation rows.  Each row has a continuous part (a sparse
 row: a dict from column to nonzero :class:`~folmod.exactnum.Scalar`), a
-discrete part (a vector of ints) and a span tag: ``"Z"`` identifies the
-row's integer multiples with zero, ``"C"`` identifies the whole complex line
-through the row with zero (such rows arise as images of continuous
-generators and must have a zero discrete part).
+discrete part (an int row: a dict from column to nonzero int) and a span
+tag: ``"Z"`` identifies the row's integer multiples with zero, ``"C"``
+identifies the whole complex line through the row with zero (such rows
+arise as images of continuous generators and must have a zero discrete
+part).
 Atoms are opaque named factors -- groups known only abstractly -- and the
 only maps they support are collapse to zero, the identity, and the quotient
 by one declared cyclic subgroup, recorded in :class:`AtomFactor`
@@ -47,14 +48,17 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from .exactnum import (
     Scalar,
     SymbolTable,
     _is_int,
+    _mix,
     _numerator_over,
     _smith_normal_form,
+    _sub_multiple,
     monomial_expansion,
     monomial_vectors,
 )
@@ -111,11 +115,12 @@ class AtomFactor(NamedTuple):
 
 class Relation(NamedTuple):
     """One relation: ``cont`` a row (a dict from column to nonzero Scalar),
-    ``disc`` an int vector, ``span`` ``"Z"`` or ``"C"``.  A group stores
-    copies of its relations, and no code mutates a stored row."""
+    ``disc`` an int row (a dict from column to nonzero int), ``span`` ``"Z"``
+    or ``"C"``.  A group stores copies of its relations, and no code mutates
+    a stored row."""
 
     cont: "Row"
-    disc: Tuple[int, ...]
+    disc: "IntRow"
     span: str  # "Z" or "C"
 
 
@@ -124,8 +129,9 @@ class Relation(NamedTuple):
 #
 # A row is a dict from column index to a nonzero Scalar: absent columns are
 # zero, and no stored entry is ever zero, so no arithmetic touches a zero.
-# Rows are the one stored form of a continuous vector: a group's relations
-# and a hom's generator images are rows, copied by :func:`_stored_row` at
+# Rows are the one stored form of a continuous vector, and int rows (dicts
+# from column to nonzero int) of a discrete one: relations and generator
+# images are copied by :func:`_stored_row` and :func:`_stored_ints` at
 # construction (zero entries dropped, columns sorted and range-checked) and
 # never mutated afterwards; only the JSON methods write them out densely.
 # Elimination visits columns in their given order and never reorders them.
@@ -135,6 +141,8 @@ class Relation(NamedTuple):
 # ---------------------------------------------------------------------------
 
 Row = Dict[int, Scalar]
+IntRow = Dict[int, int]
+_X = TypeVar("_X", Scalar, int)  # the entry of a row or of an int row
 
 
 def _stored_row(v: Mapping[int, Scalar], width: int, table: SymbolTable) -> Row:
@@ -151,7 +159,19 @@ def _stored_row(v: Mapping[int, Scalar], width: int, table: SymbolTable) -> Row:
     return out
 
 
-def _row_key(row: Row) -> Tuple[Tuple[int, Scalar], ...]:
+def _stored_ints(v: Mapping[int, int], width: int) -> IntRow:
+    """A copy of the int row ``v`` to store, as :func:`_stored_row` stores
+    a row: zero entries dropped, columns sorted and below ``width``."""
+    out: IntRow = {}
+    for j, x in sorted(v.items()):
+        if not 0 <= j < width:
+            raise ValueError(f"column {j} is outside a row of width {width}")
+        if x:
+            out[j] = int(x)
+    return out
+
+
+def _row_key(row: Mapping[int, _X]) -> Tuple[Tuple[int, _X], ...]:
     # Stored rows are sorted by column, so equal rows give equal keys.
     return tuple(row.items())
 
@@ -174,31 +194,30 @@ def _int_from_json(x: object, what: str) -> int:
     return x  # type: ignore[return-value]
 
 
-def _ints_from_json(xs: Iterable, what: str) -> Tuple[int, ...]:
-    return tuple(_int_from_json(x, what) for x in xs)
+def _ints_to_json(row: IntRow, width: int) -> List[int]:
+    return [row.get(j, 0) for j in range(width)]
 
 
-def _shift(row: Mapping[int, Scalar], offset: int) -> Row:
+def _ints_from_json(xs: Iterable, width: int, mismatch: str) -> IntRow:
+    """The int row written densely as ``xs``; ``mismatch`` is the error
+    when ``xs`` does not have ``width`` entries."""
+    ints = [_int_from_json(x, "disc entry") for x in xs]
+    if len(ints) != width:
+        raise ValueError(mismatch)
+    return dict(enumerate(ints))
+
+
+def _shift(row: Mapping[int, _X], offset: int) -> Dict[int, _X]:
     return {offset + j: x for j, x in row.items()}
 
 
-def _neg(row: Mapping[int, Scalar]) -> Row:
+def _neg(row: Mapping[int, _X]) -> Dict[int, _X]:
     return {j: -x for j, x in row.items()}
 
 
-def _unit(i: int, n: int, value: int = 1) -> Tuple[int, ...]:
-    """The int vector of width ``n`` that is ``value`` at ``i``."""
-    return tuple(value if j == i else 0 for j in range(n))
-
-
-def _nonzeros(values: Iterable[int]) -> Dict[int, int]:
-    """The sparse integer row ``{j: x}`` of the nonzero ``values``."""
-    return {j: x for j, x in enumerate(values) if x}
-
-
-def _disc_ident(n: int) -> List[Tuple[Row, Tuple[int, ...]]]:
+def _disc_ident(n: int) -> List[Tuple[Row, IntRow]]:
     """The discrete generator images of an identity on ``Z^n``."""
-    return [({}, _unit(i, n)) for i in range(n)]
+    return [({}, {i: 1}) for i in range(n)]
 
 
 def _addmul(
@@ -324,14 +343,15 @@ class _IntSystem:
     """An integer system ``rows . y = b`` factored once: the Smith form
     ``U A V = D`` of its matrix answers every right side and the kernel.
 
-    ``rows`` are sparse, ``{column: entry}`` over ``ncols`` columns, and go
-    to the factorization as they are.  ``U`` and ``V`` are kept as the
+    ``rows`` are int rows, ``{column: entry}`` over ``ncols`` columns, and
+    go to the factorization as they are.  ``U`` and ``V`` are kept as the
     sparse columns it returns, ``{row: entry}``; the system needs no
-    ``V^-1``.  :meth:`solve` gives one integer solution or None,
-    :meth:`nullspace` a basis of ``{y : rows . y = 0}``: the columns of
-    ``V`` at the zero diagonal entries.  Both hold for any ``U`` and ``V``
-    the factorization's contract allows; which solution and which basis
-    come back depends on them.  A matrix with no rows or no columns is not
+    ``V^-1``.  Right sides and solutions are int rows too.  :meth:`solve`
+    gives one integer solution or None, :meth:`nullspace` a basis of
+    ``{y : rows . y = 0}``: the columns of ``V`` at the zero diagonal
+    entries.  Both hold for any ``U`` and ``V`` the factorization's
+    contract allows; which solution and which basis come back depends on
+    them.  A matrix with no rows or no columns is not
     factored.
     """
 
@@ -343,41 +363,32 @@ class _IntSystem:
         if rows and ncols:
             self.u, self.diag, self.v, _ = _smith_normal_form(rows, ncols)
 
-    def solve(self, b: Mapping[int, int]) -> Optional[List[int]]:
+    def solve(self, b: Mapping[int, int]) -> Optional[IntRow]:
         """One integer solution of ``rows . y = b``, or None; ``b`` maps a
         row index to its right side, and absent rows have zero."""
         if not self.v:
-            return None if any(b.values()) else [0] * self.ncols
+            return None if any(b.values()) else {}
         # U b accumulates over the nonzeros of b, and V y over those of y.
-        ub: Dict[int, int] = {}
+        ub: IntRow = {}
         for k, x in b.items():
             if x:
-                for i, c in self.u[k].items():
-                    ub[i] = ub.get(i, 0) + c * x
+                _sub_multiple(ub, -x, self.u[k])
         diag = self.diag
-        y = [0] * self.ncols
+        y: IntRow = {}
         for i, s in ub.items():
-            if s:
-                di = diag[i] if i < len(diag) else 0
-                if di == 0 or s % di != 0:
-                    return None
-                for j, c in self.v[i].items():
-                    y[j] += c * (s // di)
+            di = diag[i] if i < len(diag) else 0
+            if di == 0 or s % di != 0:
+                return None
+            _sub_multiple(y, -(s // di), self.v[i])
         return y
 
-    def nullspace(self) -> List[List[int]]:
-        """Basis of the integer kernel ``{y : rows . y = 0}``."""
+    def nullspace(self) -> List[IntRow]:
+        """Basis of the integer kernel ``{y : rows . y = 0}``; the vectors
+        are the system's own columns of ``V``, which no caller mutates."""
         n, diag = self.ncols, self.diag
         if not self.v:
-            return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        basis = []
-        for i in range(n):
-            if i >= len(diag) or diag[i] == 0:
-                y = [0] * n
-                for j, c in self.v[i].items():
-                    y[j] = c
-                basis.append(y)
-        return basis
+            return [{i: 1} for i in range(n)]
+        return [self.v[i] for i in range(n) if i >= len(diag) or diag[i] == 0]
 
 
 def _hnf_rows(rows: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -448,9 +459,10 @@ class PresentedAbelianGroup:
 
     The continuous part of each relation is a row over the ``a`` continuous
     generators, a dict from column to nonzero Scalar; the discrete part is
-    an int tuple of width ``b``.  The constructor copies every row, drops
-    its zero entries and sorts its columns, so equal relations are stored
-    identically.
+    an int row over the ``b`` discrete generators, a dict from column to
+    nonzero int.  The constructor copies every row, drops its zero entries,
+    sorts its columns and refuses a column out of range, so equal relations
+    are stored identically.
 
     Groups are values: equality and hashing are structural, the normal form
     behind :func:`classify` and :func:`cokernel` is memoized on them,
@@ -477,15 +489,13 @@ class PresentedAbelianGroup:
         atoms: Iterable[AtomFactor] = (),
     ):
         relations = tuple(
-            Relation(_stored_row(r.cont, cont_rank, table), tuple(map(int, r.disc)), r.span)
-            for r in relations
+            Relation(_stored_row(c, cont_rank, table), _stored_ints(d, disc_rank), s)
+            for c, d, s in relations
         )
         for r in relations:
-            if len(r.disc) != disc_rank:
-                raise ValueError("relation width does not match generator counts")
             if r.span not in ("Z", "C"):
                 raise ValueError(f"invalid relation span {r.span!r}")
-            if r.span == "C" and any(r.disc):
+            if r.span == "C" and r.disc:
                 raise ValueError("C-span relations cannot touch discrete generators")
         atoms = tuple(AtomFactor(a.name, a.mod_order) for a in atoms)
         for a in atoms:
@@ -517,15 +527,14 @@ class PresentedAbelianGroup:
         cls, table: SymbolTable, gens: Sequence[Scalar]
     ) -> "PresentedAbelianGroup":
         """``C`` modulo the Z-span of the given scalars."""
-        return cls(table, 1, 0, [Relation({0: g}, (), "Z") for g in gens])
+        return cls(table, 1, 0, [Relation({0: g}, {}, "Z") for g in gens])
 
     @classmethod
     def from_invariant_factors(
         cls, table: SymbolTable, factors: Sequence[int]
     ) -> "PresentedAbelianGroup":
-        n = len(factors)
-        rels = [Relation({}, _unit(i, n, f), "Z") for i, f in enumerate(factors)]
-        return cls(table, 0, n, rels)
+        rels = [Relation({}, {i: f}, "Z") for i, f in enumerate(factors)]
+        return cls(table, 0, len(factors), rels)
 
     @classmethod
     def atom_group(
@@ -550,7 +559,7 @@ class PresentedAbelianGroup:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            relations = tuple((_row_key(r.cont), r.disc, r.span) for r in self.relations)
+            relations = tuple((_row_key(r.cont), _row_key(r.disc), r.span) for r in self.relations)
             self._hash = hash((self.table, self.cont_rank, self.disc_rank, relations, self.atoms))
         return self._hash
 
@@ -571,7 +580,7 @@ class PresentedAbelianGroup:
             "relations": [
                 {
                     "cont": _row_to_json(r.cont, self.cont_rank, self.table),
-                    "disc": list(r.disc),
+                    "disc": _ints_to_json(r.disc, self.disc_rank),
                     "span": r.span,
                 }
                 for r in self.relations
@@ -587,7 +596,9 @@ class PresentedAbelianGroup:
         rels = [
             Relation(
                 _row_from_json(table, r["cont"], cont_rank),
-                _ints_from_json(r["disc"], "disc entry"),
+                _ints_from_json(
+                    r["disc"], disc_rank, "relation width does not match generator counts"
+                ),
                 r["span"],
             )
             for r in data.get("relations", ())
@@ -609,15 +620,16 @@ class GroupHom:
     row over the codomain's continuous generators (a continuous generator
     carries a complex line, so its image cannot touch discrete generators).
     ``disc_images[j]`` is a pair ``(cont_row, disc_part)`` with
-    ``disc_part`` an int tuple.  ``atom_images[k]`` is the index of the
-    codomain atom receiving the k-th domain atom, or ``None`` when that atom
-    collapses to zero.  Rows are stored as in :class:`PresentedAbelianGroup`:
-    copied, without zero entries, sorted by column.
+    ``disc_part`` an int row over the codomain's discrete generators.
+    ``atom_images[k]`` is the index of the codomain atom receiving the k-th
+    domain atom, or ``None`` when that atom collapses to zero.  Rows and int
+    rows are stored as in :class:`PresentedAbelianGroup`: copied, without
+    zero entries, sorted by column, every column in range.
 
     >>> t = SymbolTable([])
     >>> g6 = PresentedAbelianGroup.from_invariant_factors(t, [6])
     >>> g3 = PresentedAbelianGroup.from_invariant_factors(t, [3])
-    >>> f = GroupHom(g6, g3, disc_images=[({}, (1,))])
+    >>> f = GroupHom(g6, g3, disc_images=[({}, {0: 1})])
     >>> check_hom(f)
     >>> classify(kernel(f).group).text()
     'Z/2'
@@ -637,7 +649,7 @@ class GroupHom:
         dom: PresentedAbelianGroup,
         cod: PresentedAbelianGroup,
         cont_images: Sequence[Mapping[int, Scalar]] = (),
-        disc_images: Sequence[Tuple[Mapping[int, Scalar], Sequence[int]]] = (),
+        disc_images: Sequence[Tuple[Mapping[int, Scalar], Mapping[int, int]]] = (),
         atom_images: Sequence[Optional[int]] = (),
     ):
         if dom.table != cod.table:
@@ -645,7 +657,7 @@ class GroupHom:
         table, width = dom.table, cod.cont_rank
         cont_images = tuple(_stored_row(v, width, table) for v in cont_images)
         disc_images = tuple(
-            (_stored_row(c, width, table), tuple(map(int, d))) for c, d in disc_images
+            (_stored_row(c, width, table), _stored_ints(d, cod.disc_rank)) for c, d in disc_images
         )
         atom_images = tuple(None if x is None else int(x) for x in atom_images)
         if len(cont_images) != dom.cont_rank:
@@ -654,9 +666,6 @@ class GroupHom:
             raise ValueError("wrong number of discrete generator images")
         if len(atom_images) != len(dom.atoms):
             raise ValueError("wrong number of atom images")
-        for _, d in disc_images:
-            if len(d) != cod.disc_rank:
-                raise ValueError("discrete image has wrong width")
         for k in atom_images:
             if k is not None and not 0 <= k < len(cod.atoms):
                 raise ValueError("atom image index out of range")
@@ -667,17 +676,16 @@ class GroupHom:
         self.atom_images = atom_images
         self._hash: Optional[int] = None
 
-    def apply(self, cont: Mapping[int, Scalar], disc: Sequence[int]) -> Tuple[Row, List[int]]:
+    def apply(self, cont: Mapping[int, Scalar], disc: Mapping[int, int]) -> Tuple[Row, IntRow]:
         """Image of the element with continuous coordinates ``cont`` (a row)
-        and discrete coordinates ``disc``, as a row and an int list."""
+        and discrete coordinates ``disc`` (an int row), in the same form;
+        neither holds a zero."""
         out_c = _row_times(cont, self.cont_images)
-        out_d = [0] * self.cod.disc_rank
-        for n, (c, d) in zip(disc, self.disc_images):
-            if n:
-                _addmul(out_c, n, c)
-                for k, m in enumerate(d):
-                    if m:
-                        out_d[k] += n * m
+        out_d: IntRow = {}
+        for j, n in disc.items():
+            c, d = self.disc_images[j]
+            _addmul(out_c, n, c)
+            _sub_multiple(out_d, -n, d)
         return out_c, out_d
 
     def __eq__(self, other: object) -> bool:
@@ -697,7 +705,7 @@ class GroupHom:
                     self.dom,
                     self.cod,
                     tuple(map(_row_key, self.cont_images)),
-                    tuple((_row_key(c), d) for c, d in self.disc_images),
+                    tuple((_row_key(c), _row_key(d)) for c, d in self.disc_images),
                     self.atom_images,
                 )
             )
@@ -708,11 +716,11 @@ class GroupHom:
 
     def to_json(self) -> dict:
         """The images as JSON, every row written densely."""
-        width, table = self.cod.cont_rank, self.dom.table
+        width, table, disc_width = self.cod.cont_rank, self.dom.table, self.cod.disc_rank
         return {
             "cont_images": [_row_to_json(v, width, table) for v in self.cont_images],
             "disc_images": [
-                {"cont": _row_to_json(c, width, table), "disc": list(d)}
+                {"cont": _row_to_json(c, width, table), "disc": _ints_to_json(d, disc_width)}
                 for c, d in self.disc_images
             ],
             "atom_images": list(self.atom_images),
@@ -728,7 +736,10 @@ class GroupHom:
             cod,
             [_row_from_json(table, v, width) for v in data["cont_images"]],
             [
-                (_row_from_json(table, d["cont"], width), _ints_from_json(d["disc"], "disc entry"))
+                (
+                    _row_from_json(table, d["cont"], width),
+                    _ints_from_json(d["disc"], cod.disc_rank, "discrete image has wrong width"),
+                )
                 for d in data["disc_images"]
             ],
             [None if x is None else _int_from_json(x, "atom image") for x in data["atom_images"]],
@@ -746,9 +757,10 @@ class GroupHom:
 # ---------------------------------------------------------------------------
 
 
-def _by_coordinate(columns: Sequence[Mapping[int, Scalar]]) -> Dict[int, Row]:
-    """The entries of sparse columns grouped by coordinate: ``{coord: {j: x}}``."""
-    at: Dict[int, Row] = {}
+def _by_coordinate(columns: Sequence[Mapping[int, _X]]) -> Dict[int, Dict[int, _X]]:
+    """The entries of sparse columns grouped by coordinate: ``{coord: {j: x}}``,
+    each group's ``j`` ascending; the transpose of a list of rows."""
+    at: Dict[int, Dict[int, _X]] = {}
     for j, col in enumerate(columns):
         for coord, x in col.items():
             at.setdefault(coord, {})[j] = x
@@ -814,7 +826,7 @@ class _PreimageSystem:
 
     The system is built from a codomain and the generator images of a map
     into it: continuous images ``h(c_j)`` (rows) and discrete images
-    ``(c_i, d_i)`` (a row and an int tuple).  ``(x, n)`` maps onto
+    ``(c_i, d_i)`` (a row and an int row).  ``(x, n)`` maps onto
     ``(t_c, t_d)`` modulo the codomain's relations iff some field
     coefficients ``lambda`` over the C-rows ``C_k`` and integers ``m`` over
     the Z-rows ``(zc_k, zd_k)`` give ``sum x_j h(c_j) + sum lambda_k C_k =
@@ -847,10 +859,10 @@ class _PreimageSystem:
     its discrete row.  A target entry with no row to go to meets a zero
     left side, so it has no solution: a coordinate or monomial outside the
     system, a ``t`` whose denominator does not divide ``den``, or a nonzero
-    discrete entry on a zero discrete row.  So does a right side ``-c * D``
-    that is not an integer.  Whenever a solution exists, the matrix is the
-    one the per-target expansion of ``ycoords`` and the target would build,
-    so the answer is the same.
+    discrete entry where no image and no Z-row has one.  So does a right
+    side ``-c * D`` that is not an integer.  Whenever a solution exists,
+    the matrix is the one the per-target expansion of ``ycoords`` and the
+    target would build, so the answer is the same.
 
     A system depends only on the codomain and the images, so one is built
     per value (see :func:`_system_of`) and shared.  It keeps the kernel of
@@ -865,7 +877,7 @@ class _PreimageSystem:
         self,
         cod: PresentedAbelianGroup,
         cont_images: Sequence[Row] = (),
-        disc_images: Sequence[Tuple[Row, Sequence[int]]] = (),
+        disc_images: Sequence[Tuple[Row, IntRow]] = (),
     ):
         self.table = cod.table
         self.gc, self.gd = len(cont_images), len(disc_images)
@@ -878,24 +890,21 @@ class _PreimageSystem:
         # The solutions stay, and its integer matrix becomes the Z-rows' own
         # [Zc; Zd], so its certificate y = -m takes m from their Smith form.
         sign = self.disc_sign = 1 if cont_images or disc_images else -1
-        self.disc_rows = [
-            _nonzeros([d[coord] for _, d in disc_images] + [-sign * r.disc[coord] for r in zrows])
-            for coord in range(cod.disc_rank)
-        ]
-        self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]] = None
+        zdisc = [_neg(r.disc) if sign == 1 else r.disc for r in zrows]
+        self.disc_rows = _by_coordinate([d for _, d in disc_images] + zdisc)
+        self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], Dict[int, int]]] = None
         self.kgens: Optional[_KernelGenerators] = None
 
-    def factored(self) -> Tuple[_IntSystem, Dict[int, tuple], List[Optional[int]]]:
+    def factored(self) -> Tuple[_IntSystem, Dict[int, tuple], Dict[int, int]]:
         """The integer side, built and factored on first use: the system,
         the index of its monomial rows, and the row of each discrete
-        coordinate (None for a zero discrete row)."""
+        coordinate that has one."""
         if self.ints is None:
             rows, index = _int_rows_from_scalar_columns(self.ycoords)
-            disc_at: List[Optional[int]] = []
-            for row in self.disc_rows:
-                disc_at.append(len(rows) if row else None)
-                if row:
-                    rows.append(row)
+            disc_at: Dict[int, int] = {}
+            for coord in sorted(self.disc_rows):
+                disc_at[coord] = len(rows)
+                rows.append(self.disc_rows[coord])
             self.ints = (_IntSystem(rows, len(self.ycols)), index, disc_at)
         return self.ints
 
@@ -909,18 +918,19 @@ class _PreimageSystem:
         return not self.elim.reduce(vcont)
 
     def contains(
-        self, cont_images: Sequence[Row], disc_images: Sequence[Tuple[Row, Sequence[int]]]
+        self, cont_images: Sequence[Row], disc_images: Sequence[Tuple[Row, IntRow]]
     ) -> bool:
         """Whether the span holds every given generator image, each
         continuous one with its whole complex line."""
         return all(self.has_line(v) for v in cont_images) and all(
-            not (c or any(d)) or self.solve(c, d) is not None for c, d in disc_images
+            not (c or d) or self.solve(c, d) is not None for c, d in disc_images
         )
 
     def solve(
-        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-    ) -> Optional[List[int]]:
-        """The integer unknowns ``y`` of one preimage, or None if there is none."""
+        self, target_cont: Mapping[int, Scalar], target_disc: Mapping[int, int]
+    ) -> Optional[IntRow]:
+        """The integer unknowns ``y`` of one preimage, or None if there is
+        none; the target is a row and an int row, neither holding a zero."""
         ints, index, disc_at = self.factored()
         b: Dict[int, int] = {}
         for coord, t in self.elim.reduce(target_cont).items():
@@ -937,31 +947,30 @@ class _PreimageSystem:
                 if x.denominator != 1:
                     return None
                 b[row] = x.numerator
-        for row, x in zip(disc_at, target_disc):
-            if x:
-                if row is None:
-                    return None
-                b[row] = self.disc_sign * x
+        for coord, x in target_disc.items():
+            row = disc_at.get(coord)
+            if row is None:
+                return None
+            b[row] = self.disc_sign * x
         return ints.solve(b)
 
-    def field_part(self, y: Sequence[int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
+    def field_part(self, y: Mapping[int, int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
         """Field coefficients ``(x, lambda)`` for an admissible ``y``, or None."""
         rem = dict(target_cont)
-        for val, col in zip(y, self.ycols):
-            if val:
-                _addmul(rem, val, col)
+        for j, val in y.items():
+            _addmul(rem, val, self.ycols[j])
         return self.elim.express(rem)
 
     def preimage(
-        self, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-    ) -> Optional[Tuple[Row, List[int]]]:
+        self, target_cont: Mapping[int, Scalar], target_disc: Mapping[int, int]
+    ) -> Optional[Tuple[Row, IntRow]]:
         y = self.solve(target_cont, target_disc)
         if y is None:
             return None
         x = self.field_part(y, target_cont)
         if x is None:
             return None
-        return _head(x, self.gc), list(y[: self.gd])
+        return _head(x, self.gc), _head(y, self.gd)
 
     def kernel_generators(self) -> _KernelGenerators:
         """The kernel's generators, computed on first use and kept: the
@@ -971,12 +980,12 @@ class _PreimageSystem:
             # Integer unknowns y = (n, m) are admissible iff the field system
             # is solvable for the right side they give.
             ybasis = self.factored()[0].nullspace()
-            disc: List[Tuple[Row, List[int]]] = []  # (x, n) in the domain
+            disc: List[Tuple[Row, IntRow]] = []  # (x, n) in the domain
             for y in ybasis:
                 xi = self.field_part(y, {})
                 if xi is None:
                     raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
-                disc.append((_head(xi, self.gc), list(y[: self.gd])))
+                disc.append((_head(xi, self.gc), _head(y, self.gd)))
             xparts = [_head(dep, self.gc) for dep in self.elim.dependencies]
             cont, _ = _Elimination(xparts, self.table).rref()
             self.kgens = _KernelGenerators(ybasis, cont, disc)
@@ -987,12 +996,12 @@ class _KernelGenerators(NamedTuple):
     """The generators of a kernel as domain elements, without relations.
     They are kept by a shared system, so no caller mutates them."""
 
-    ybasis: List[List[int]]  # admissible integer unknowns of the system
+    ybasis: List[IntRow]  # admissible integer unknowns of the system
     cont: List[Row]  # continuous directions, one complex line each
-    disc: List[Tuple[Row, List[int]]]  # one (x, n) per element of ybasis
+    disc: List[Tuple[Row, IntRow]]  # one (x, n) per element of ybasis
 
 
-def _head(row: Mapping[int, Scalar], n: int) -> Row:
+def _head(row: Mapping[int, _X], n: int) -> Dict[int, _X]:
     """The entries of ``row`` before column ``n``."""
     return {j: x for j, x in row.items() if j < n}
 
@@ -1006,7 +1015,8 @@ SYSTEM_CACHE_SIZE = 128
 def _system_cached(
     cod: PresentedAbelianGroup, cont_keys: tuple, disc_keys: tuple
 ) -> _PreimageSystem:
-    return _PreimageSystem(cod, [dict(c) for c in cont_keys], [(dict(c), d) for c, d in disc_keys])
+    cont, disc = [dict(c) for c in cont_keys], [(dict(c), dict(d)) for c, d in disc_keys]
+    return _PreimageSystem(cod, cont, disc)
 
 
 def _system_of(h: GroupHom) -> _PreimageSystem:
@@ -1016,7 +1026,7 @@ def _system_of(h: GroupHom) -> _PreimageSystem:
     return _system_cached(
         h.cod,
         tuple(map(_row_key, h.cont_images)),
-        tuple((_row_key(c), d) for c, d in h.disc_images),
+        tuple((_row_key(c), _row_key(d)) for c, d in h.disc_images),
     )
 
 
@@ -1051,7 +1061,7 @@ def check_hom(h: GroupHom) -> None:
         if r.span == "C":
             if not span.has_line(img_c):
                 raise HomError(f"relation {idx} (C-span) maps outside the codomain span")
-        elif (img_c or any(img_d)) and span.solve(img_c, img_d) is None:
+        elif (img_c or img_d) and span.solve(img_c, img_d) is None:
             raise HomError(f"relation {idx} maps outside the codomain span")
 
 
@@ -1059,7 +1069,7 @@ def hom_is_zero(h: GroupHom) -> bool:
     """Whether ``h`` is the zero map (every generator image dies in the cod)."""
     if any(j is not None for j in h.atom_images):
         return False
-    if not any(h.cont_images) and not any(c or any(d) for c, d in h.disc_images):
+    if not any(h.cont_images) and not any(c or d for c, d in h.disc_images):
         return True
     return _span_of(h.cod).contains(h.cont_images, h.disc_images)
 
@@ -1081,7 +1091,7 @@ def identity_hom(g: PresentedAbelianGroup) -> GroupHom:
 
 
 def zero_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
-    disc = [({}, (0,) * cod.disc_rank)] * dom.disc_rank
+    disc = [({}, {})] * dom.disc_rank
     return GroupHom(dom, cod, [{}] * dom.cont_rank, disc, (None,) * len(dom.atoms))
 
 
@@ -1094,7 +1104,7 @@ def negate_hom(h: GroupHom) -> GroupHom:
     if any(j is not None for j in h.atom_images):
         raise UnsupportedAtomMap("cannot negate a map with nonzero atom images")
     cont = [_neg(v) for v in h.cont_images]
-    disc = [(_neg(c), tuple(-n for n in d)) for c, d in h.disc_images]
+    disc = [(_neg(c), _neg(d)) for c, d in h.disc_images]
     return GroupHom(h.dom, h.cod, cont, disc, h.atom_images)
 
 
@@ -1115,7 +1125,7 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
         a.cod,
         [minus(u, v) for u, v in zip(a.cont_images, b.cont_images)],
         [
-            (minus(ca, cb), tuple(m - n for m, n in zip(da, db)))
+            (minus(ca, cb), _mix(1, da, -1, db))
             for (ca, da), (cb, db) in zip(a.disc_images, b.disc_images)
         ],
         (None,) * len(a.dom.atoms),
@@ -1159,9 +1169,7 @@ def direct_sum(
     for g in groups:
         offsets.append((co, do, ao))
         for r in g.relations:
-            rd = [0] * disc
-            rd[do : do + g.disc_rank] = r.disc
-            relations.append(Relation(_shift(r.cont, co), tuple(rd), r.span))
+            relations.append(Relation(_shift(r.cont, co), _shift(r.disc, do), r.span))
         atoms.extend(g.atoms)
         co += g.cont_rank
         do += g.disc_rank
@@ -1204,13 +1212,13 @@ def block_hom(
     >>> one = identity_hom(z2)
     >>> diagonal = block_hom(z2, [(0, 0, 0)], total, offsets, [(0, 0, one, 1), (0, 1, one, 1)])
     >>> diagonal.disc_images
-    (({}, (1, 1)),)
+    (({}, {0: 1, 1: 1}),)
     >>> block_hom(total, offsets, z2, [(0, 0, 0)], [(0, 0, one, 1), (1, 0, one, -1)]).disc_images
-    (({}, (1,)), ({}, (-1,)))
+    (({}, {0: 1}), ({}, {0: -1}))
     """
     cont: List[Row] = [{} for _ in range(dom.cont_rank)]
     disc_c: List[Row] = [{} for _ in range(dom.disc_rank)]
-    disc_d = [[0] * cod.disc_rank for _ in range(dom.disc_rank)]
+    disc_d: List[IntRow] = [{} for _ in range(dom.disc_rank)]
     atoms: List[Optional[int]] = [None] * len(dom.atoms)
     for i, j, h, sign in blocks:
         if _shape(h.dom) != _summand_shape(dom, dom_offsets, i) or _shape(
@@ -1223,9 +1231,7 @@ def block_hom(
             _addmul(cont[dc + a], sign, _shift(vec, cc))
         for a, (cvec, dvec) in enumerate(h.disc_images):
             _addmul(disc_c[dd + a], sign, _shift(cvec, cc))
-            row = disc_d[dd + a]
-            for c, n in enumerate(dvec):
-                row[cd + c] += sign * n
+            _sub_multiple(disc_d[dd + a], -sign, _shift(dvec, cd))
         for a, tgt in enumerate(h.atom_images):
             if tgt is None:
                 continue
@@ -1281,7 +1287,7 @@ def _step_eliminate_crows(
         if r.span == "C":
             continue
         c2 = project(r.cont)
-        if c2 or any(r.disc):
+        if c2 or r.disc:
             relations.append(Relation(c2, r.disc, "Z"))
     g2 = PresentedAbelianGroup(table, len(keep), g.disc_rank, relations, g.atoms)
     atoms = tuple(range(len(g.atoms)))
@@ -1302,32 +1308,32 @@ def _step_discrete_smith(
     ``(x, n) |-> (x - (n_k / d) c, n)``; unit rows eliminate their generator.
     The new discrete generators are the columns of the Smith form's ``V``,
     so the maps read ``V`` one way and ``V^-1`` the other.  This is the one
-    caller that asks the factorization for ``V^-1``.  It reads the sparse
-    columns of ``U`` and ``V``, the diagonal and the sparse rows of
-    ``V^-1``; only the images it writes are dense tuples.  Which ``U`` and
-    ``V`` the factorization picks is free: others give another presentation
+    caller that asks the factorization for ``V^-1``.  The discrete parts go
+    to it as the int rows they are stored as; it reads the sparse columns
+    of ``U`` and ``V`` and the diagonal, and the sparse rows of ``V^-1``
+    are the discrete images of ``s`` as they stand.  Which ``U`` and ``V``
+    the factorization picks is free: others give another presentation
     of the same group, with the same torsion orders (the diagonal), and
     maps ``t`` and ``s`` that are still inverse isomorphisms.
     """
     table = g.table
     one = Scalar.one(table)
     assert all(r.span == "Z" for r in g.relations), "run after C-row elimination"
-    rows = [(r.cont, r.disc) for r in g.relations]
     cc, dc = g.cont_rank, g.disc_rank
-    if not rows or dc == 0 or not any(any(d) for _, d in rows):
-        relations = [r for r in g.relations if r.cont or any(r.disc)]
+    if not any(r.disc for r in g.relations):
+        relations = [r for r in g.relations if r.cont]
         return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
 
-    u, diag, v, vinv = _smith_normal_form([_nonzeros(d) for _, d in rows], dc, inverse=True)
+    u, diag, v, vinv = _smith_normal_form([r.disc for r in g.relations], dc, inverse=True)
 
     # Per-coordinate bookkeeping in the V-transformed discrete coordinates:
     # relation i becomes (sum_k u[i][k] c_k, diag[i] e_i).  Column k of U
     # holds the share of old relation k in each new one.
-    conts: List[Row] = [{} for _ in rows]
-    for (ck, _), col in zip(rows, u):
-        if ck:
+    conts: List[Row] = [{} for _ in g.relations]
+    for r, col in zip(g.relations, u):
+        if r.cont:
             for i, coef in col.items():
-                _addmul(conts[i], coef, ck)
+                _addmul(conts[i], coef, r.cont)
     diag_order = [0] * dc  # 0 = free, 1 = eliminated, d >= 2 = torsion
     corr: List[Optional[Row]] = [None] * dc  # c / d of a mixed row
     cont_rows: List[Row] = []
@@ -1344,15 +1350,15 @@ def _step_discrete_smith(
     survivors = [k for k in range(dc) if diag_order[k] != 1]
     new_index = {k: i for i, k in enumerate(survivors)}
     nd = len(survivors)
-    relations = [Relation(c, (0,) * nd, "Z") for c in cont_rows]
+    relations = [Relation(c, {}, "Z") for c in cont_rows]
     for k in survivors:
         if diag_order[k] >= 2:
-            relations.append(Relation({}, _unit(new_index[k], nd, diag_order[k]), "Z"))
+            relations.append(Relation({}, {new_index[k]: diag_order[k]}, "Z"))
     g2 = PresentedAbelianGroup(table, cc, nd, relations, g.atoms)
 
     # Entry j of column k of V: coordinate k of the old generator e_j after V.
     cont_ident = [{i: one} for i in range(cc)]
-    t_disc: List[Tuple[Row, List[int]]] = [({}, [0] * nd) for _ in range(dc)]
+    t_disc: List[Tuple[Row, IntRow]] = [({}, {}) for _ in range(dc)]
     for k, col in enumerate(v):
         for j, x in col.items():
             acc, disc_part = t_disc[j]
@@ -1365,7 +1371,7 @@ def _step_discrete_smith(
     s_disc = []
     for k in survivors:
         c_part = corr[k] if corr[k] is not None and diag_order[k] >= 2 else {}
-        s_disc.append((c_part, tuple(vinv[k].get(j, 0) for j in range(dc))))
+        s_disc.append((c_part, vinv[k]))
     s = GroupHom(g2, g, cont_ident, s_disc, tuple(range(len(g.atoms))))
     return g2, t, s
 
@@ -1513,9 +1519,7 @@ def _normalize_full(
     torsion: List[Tuple[int, int]] = []
     for r in g2.relations:
         if not r.cont:
-            nz = [k for k, x in enumerate(r.disc) if x]
-            if nz:
-                torsion.append((nz[0], r.disc[nz[0]]))
+            torsion.extend(r.disc.items())  # one entry d at k: the row d * e_k
     torsion.sort()
     invariant_factors = tuple(d for _, d in torsion)
     free_disc = g2.disc_rank - len(torsion)
@@ -1564,7 +1568,6 @@ def _normalize_full(
     nondiscrete: List[Tuple[Scalar, ...]] = []
     nd_blocks: List[Tuple[Tuple[Scalar, ...], ...]] = []
     cstar_count = 0
-    no_disc = (0,) * g2.disc_rank
     for block, start in block_spans:
         k = len(block.coords)
         if block.kind == "cstar":
@@ -1577,9 +1580,9 @@ def _normalize_full(
             nd_blocks.append(
                 tuple(tuple(gvec.get(j, zero) for j in range(k)) for gvec in block.gens)
             )
-        relations.extend(Relation(_shift(gvec, start), no_disc, "Z") for gvec in block.gens)
+        relations.extend(Relation(_shift(gvec, start), {}, "Z") for gvec in block.gens)
     for coord, d in torsion:
-        relations.append(Relation({}, _unit(coord, g2.disc_rank, d), "Z"))
+        relations.append(Relation({}, {coord: d}, "Z"))
     ng = PresentedAbelianGroup(table, cc, g2.disc_rank, relations, g2.atoms)
 
     if tmat != unit_rows or smat != unit_rows or ng != g2:
@@ -1760,39 +1763,34 @@ def _kernel(h: GroupHom) -> KernelResult:
     relations: List[Relation] = []
     xcols = [x for x, _ in disc_gens]
     syz_rows, _ = _int_rows_from_scalar_columns(_by_coordinate([vspan.reduce(x) for x in xcols]))
-    for coord in range(h.dom.disc_rank):
-        row = _nonzeros(n[coord] for _, n in disc_gens)
-        if row:
-            syz_rows.append(row)
+    ncoords = _by_coordinate([n for _, n in disc_gens])
+    syz_rows.extend(ncoords[coord] for coord in sorted(ncoords))
 
-    def residual(cont: Mapping[int, Scalar], a: Sequence[int]) -> Row:
+    def residual(cont: Mapping[int, Scalar], a: Mapping[int, int]) -> Row:
         resid = dict(cont)
-        for val, (x, _) in zip(a, disc_gens):
-            if val:
-                _addmul(resid, -val, x)
+        for i, val in a.items():
+            _addmul(resid, -val, xcols[i])
         return resid
 
     for a in _IntSystem(syz_rows, len(disc_gens)).nullspace():
-        if not any(a):
-            continue
         b = cont_coords(residual({}, a))
         if b is None:
             raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
-        relations.append(Relation(b, tuple(a), "Z"))
+        relations.append(Relation(b, a, "Z"))
 
     span = _span_of(h.cod)
     # The kernel coordinates a of a relation solve sum a_i ybasis_i = y.
     lattice = None
     if any(r.span == "Z" for r in h.dom.relations):
-        arows = [_nonzeros(y[kk] for y in ybasis) for kk in range(len(system.ycols))]
-        lattice = _IntSystem(arows, len(ybasis))
+        ycoords = _by_coordinate(ybasis)
+        lattice = _IntSystem([ycoords.get(k, {}) for k in range(len(system.ycols))], len(ybasis))
     for cont, disc, kind in h.dom.relations:
         if kind == "C":
             b = cont_coords(cont)
             if b is None:
                 raise NonFiniteTypeKernel("domain line relation escaped the kernel")
             if b:
-                relations.append(Relation(b, (0,) * len(disc_gens), "C"))
+                relations.append(Relation(b, {}, "C"))
             continue
         img_c, img_d = h.apply(cont, disc)
         y = span.solve(img_c, img_d)
@@ -1800,14 +1798,14 @@ def _kernel(h: GroupHom) -> KernelResult:
             raise HomError("domain relation has no image certificate")
         # The span's y is minus the Z-row coefficients m of the image, and
         # the relation is y = (disc, m) among the unknowns of h's system.
-        a = lattice.solve(dict(enumerate([*disc, *(-k for k in y)])))
+        a = lattice.solve({**disc, **_shift(_neg(y), system.gd)})
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
         b = cont_coords(residual(cont, a))
         if b is None:
             raise NonFiniteTypeKernel("domain relation residual escaped the kernel")
-        if any(a) or b:
-            relations.append(Relation(b, tuple(a), "Z"))
+        if a or b:
+            relations.append(Relation(b, a, "Z"))
 
     kernel_atoms = [h.dom.atoms[k] for k in atoms]
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
@@ -1840,7 +1838,7 @@ def cokernel(h: GroupHom) -> CokernelResult:
     is generally not itself a homomorphism into the codomain.
     """
     cod = h.cod
-    extra = [Relation(v, (0,) * cod.disc_rank, "C") for v in h.cont_images]
+    extra = [Relation(v, {}, "C") for v in h.cont_images]
     extra += [Relation(c, d, "Z") for c, d in h.disc_images]
     received = {j for j in h.atom_images if j is not None}
     survivors = [j for j in range(len(cod.atoms)) if j not in received]
@@ -1873,21 +1871,21 @@ def cokernel(h: GroupHom) -> CokernelResult:
 
 
 def preimage_element(
-    h: GroupHom, target_cont: Mapping[int, Scalar], target_disc: Sequence[int]
-) -> Optional[Tuple[Row, List[int]]]:
+    h: GroupHom, target_cont: Mapping[int, Scalar], target_disc: Mapping[int, int]
+) -> Optional[Tuple[Row, IntRow]]:
     """Domain coordinates of one preimage of a codomain element, or None.
 
     The element is ``(target_cont, target_disc)`` in codomain coordinates,
-    a row and an int vector, and is only required to be hit modulo the
-    codomain's relations.  The preimage comes back in the same form.  Atoms
+    a row and an int row, neither holding a zero, and is only required to
+    be hit modulo the codomain's relations.  The preimage comes back in the same form.  Atoms
     do not enter: the element lives in the continuous/discrete part.
 
     >>> t = SymbolTable([])
     >>> z4 = PresentedAbelianGroup.from_invariant_factors(t, [4])
     >>> z2 = PresentedAbelianGroup.from_invariant_factors(t, [2])
-    >>> h = GroupHom(z4, z2, [], [({}, (1,))], ())
-    >>> preimage_element(h, {}, [1])
-    ({}, [1])
+    >>> h = GroupHom(z4, z2, [], [({}, {0: 1})], ())
+    >>> preimage_element(h, {}, {0: 1})
+    ({}, {0: 1})
     """
     return _system_of(h).preimage(target_cont, target_disc)
 

@@ -1396,8 +1396,8 @@ def _edge_sym_group(
             1,
             1,
             [
-                Relation({0: one}, (info.r % info.p,), "Z"),
-                Relation({}, (info.p,), "Z"),
+                Relation({0: one}, {0: info.r % info.p}, "Z"),
+                Relation({}, {0: info.p}, "Z"),
             ],
         )
     if info.kind == "R0":
@@ -1407,8 +1407,8 @@ def _edge_sym_group(
             0,
             2,
             [
-                Relation({}, (info.m, (info.r * q // info.p) % q), "Z"),
-                Relation({}, (0, q), "Z"),
+                Relation({}, {0: info.m, 1: (info.r * q // info.p) % q}, "Z"),
+                Relation({}, {1: q}, "Z"),
             ],
         )
     return PresentedAbelianGroup.atom_group(sing.table, info.atom, 0)
@@ -1562,7 +1562,7 @@ def _canonical_vertex_group(
             )
         (p,) = ps
         return PresentedAbelianGroup(
-            table, 1, 1, [Relation({}, (p,), "Z")]
+            table, 1, 1, [Relation({}, {0: p}, "Z")]
         )
     if kind == "R0":
         qs = {info.beta_image_order for info in params}
@@ -1572,7 +1572,7 @@ def _canonical_vertex_group(
                 f"order ({sorted(qs)})"
             )
         (q,) = qs
-        return PresentedAbelianGroup(table, 0, 2, [Relation({}, (0, q), "Z")])
+        return PresentedAbelianGroup(table, 0, 2, [Relation({}, {1: q}, "Z")])
     atoms = {info.atom for info in params}
     if len(atoms) != 1:
         raise UnsupportedSideData(
@@ -1608,7 +1608,7 @@ def build_exp_graph(
             emaps[e] = identity_hom(cod)
         elif info.kind == "R1":
             k = info.p // gcd(info.p, info.r)
-            grp = PresentedAbelianGroup(table, 1, 0, [Relation({0: one.scale(k)}, (), "Z")])
+            grp = PresentedAbelianGroup(table, 1, 0, [Relation({0: one.scale(k)}, {}, "Z")])
             emaps[e] = GroupHom(grp, cod, [{0: one}], (), ())
         else:
             emaps[e] = zero_hom(PresentedAbelianGroup.trivial(table), cod)

@@ -564,7 +564,7 @@ def coboundary0(G: GroupGraph) -> GroupHom:
     >>> gg = GroupGraph(g, {0: z2, 1: z2}, {"s": z2},
     ...     {(0, "s"): identity_hom(z2), (1, "s"): identity_hom(z2)})
     >>> [d for _, d in coboundary0(gg).disc_images]  # (a, b) -> b - a
-    [(-1,), (1,)]
+    [{0: -1}, {0: 1}]
     """
     c0, c1 = _cochains(G, 0), _cochains(G, 1)
     vindex = {v: i for i, v in enumerate(c0.ids)}
@@ -768,13 +768,13 @@ def _pseudo_section(h: GroupHom) -> GroupHom:
     one = Scalar.one(h.dom.table)
     cont = []
     for i in range(h.cod.cont_rank):
-        pre = preimage_element(h, {i: one}, [0] * h.cod.disc_rank)
-        if pre is None or any(pre[1]):
+        pre = preimage_element(h, {i: one}, {})
+        if pre is None or pre[1]:
             raise ValueError("map has no continuous section on generators")
         cont.append(pre[0])
     disc = []
     for j in range(h.cod.disc_rank):
-        pre = preimage_element(h, {}, [1 if c == j else 0 for c in range(h.cod.disc_rank)])
+        pre = preimage_element(h, {}, {j: 1})
         if pre is None:
             raise ValueError("map has no discrete section on generators")
         disc.append(pre)

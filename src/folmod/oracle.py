@@ -154,33 +154,33 @@ class OracleReport(NamedTuple):
 @cache
 def _cyclic(order: int) -> PresentedAbelianGroup:
     """``Z/order`` with exactly one discrete generator, even for order 1."""
-    return PresentedAbelianGroup(_TABLE, 0, 1, [Relation({}, (order,), "Z")])
+    return PresentedAbelianGroup(_TABLE, 0, 1, [Relation({}, {0: order}, "Z")])
 
 
 @cache
 def _pair_group(a: int, b: int) -> PresentedAbelianGroup:
     """``Z/a (+) Z/b`` with exactly two discrete generators."""
     return PresentedAbelianGroup(
-        _TABLE, 0, 2, [Relation({}, (a, 0), "Z"), Relation({}, (0, b), "Z")]
+        _TABLE, 0, 2, [Relation({}, {0: a}, "Z"), Relation({}, {1: b}, "Z")]
     )
 
 
 @cache
 def _cyclic_hom(dom_order: int, cod_order: int, mult: int) -> GroupHom:
     """The hom ``Z/dom -> Z/cod`` sending the generator to ``mult``."""
-    return GroupHom(_cyclic(dom_order), _cyclic(cod_order), [], [({}, (mult,))], ())
+    return GroupHom(_cyclic(dom_order), _cyclic(cod_order), [], [({}, {0: mult})], ())
 
 
 @cache
 def _inclusion(a: int, b: int) -> GroupHom:
     """The inclusion ``Z/a -> Z/a (+) Z/b`` of the first factor."""
-    return GroupHom(_cyclic(a), _pair_group(a, b), [], [({}, (1, 0))], ())
+    return GroupHom(_cyclic(a), _pair_group(a, b), [], [({}, {0: 1})], ())
 
 
 @cache
 def _projection(a: int, b: int) -> GroupHom:
     """The projection ``Z/a (+) Z/b -> Z/b`` onto the second factor."""
-    return GroupHom(_pair_group(a, b), _cyclic(b), [], [({}, (0,)), ({}, (1,))], ())
+    return GroupHom(_pair_group(a, b), _cyclic(b), [], [({}, {}), ({}, {0: 1})], ())
 
 
 @cache
@@ -404,7 +404,7 @@ def _random_les_triple(
                 tot_v[v],
                 tot_e[e],
                 [],
-                [({}, (a_mult, 0)), ({}, (c_mult, b_mult))],
+                [({}, {0: a_mult}), ({}, {0: c_mult, 1: b_mult})],
                 (),
             )
 

@@ -33,7 +33,7 @@ def cyclic_hom(*, dom_order: int, cod_order: int, mult: int) -> GroupHom:
         cyclic_group(dom_order),
         cyclic_group(cod_order),
         [],
-        [({}, (mult % cod_order,))],
+        [({}, {0: mult % cod_order})],
         (),
     )
 
@@ -193,7 +193,7 @@ def atom_group_graphs(
                 vgroups[v],
                 egroups[e],
                 [],
-                [({}, (k,))],
+                [({}, {0: k})],
                 [0 if onto_atom else None] * len(vgroups[v].atoms),
             )
     return GroupGraph(graph, vgroups, egroups, rhos, table=TABLE)

@@ -67,7 +67,7 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
 
     diff_cont = [minus(u, v) for u, v in zip(a.cont_images, b.cont_images)]
     diff_disc = [
-        (minus(c1, c2), tuple(m - n for m, n in zip(d1, d2)))
+        (minus(c1, c2), {j: d1.get(j, 0) - d2.get(j, 0) for j in d1.keys() | d2.keys()})
         for (c1, d1), (c2, d2) in zip(a.disc_images, b.disc_images)
     ]
     if a.atom_images != b.atom_images:
@@ -140,7 +140,7 @@ def obscured_finite_presentations(draw):
     if rows and draw(st.booleans()):
         rows.append([sum(col) for col in zip(*rows)])
     group = PresentedAbelianGroup(
-        TABLE, 0, n, [Relation({}, tuple(r), "Z") for r in rows]
+        TABLE, 0, n, [Relation({}, dict(enumerate(r)), "Z") for r in rows]
     )
     return group, tuple(factors), free
 
@@ -157,7 +157,7 @@ def finite_maps(draw):
         for g in cod_f:
             step = g // gcd(g, f)
             row.append(step * draw(st.integers(0, max(g // step - 1, 0))))
-        images.append(({}, tuple(row)))
+        images.append(({}, dict(enumerate(row))))
     return GroupHom(dom, cod, disc_images=images)
 
 
@@ -170,9 +170,9 @@ class TestPresentation:
 
     def test_relation_validation(self) -> None:
         with pytest.raises(ValueError):
-            PresentedAbelianGroup(TABLE, 1, 1, [Relation({0: ONE}, (1,), "C")])
+            PresentedAbelianGroup(TABLE, 1, 1, [Relation({0: ONE}, {0: 1}, "C")])
         with pytest.raises(ValueError):
-            PresentedAbelianGroup(TABLE, 1, 0, [Relation({0: ONE, 1: ONE}, (), "Z")])
+            PresentedAbelianGroup(TABLE, 1, 0, [Relation({0: ONE, 1: ONE}, {}, "Z")])
         with pytest.raises(ValueError):
             PresentedAbelianGroup(TABLE, 0, 0, (), [AtomFactor("D", 1)])
 
@@ -181,7 +181,7 @@ class TestPresentation:
             TABLE,
             1,
             1,
-            [Relation({0: MU}, (2,), "Z"), Relation({0: ONE}, (0,), "C")],
+            [Relation({0: MU}, {0: 2}, "Z"), Relation({0: ONE}, {}, "C")],
             [AtomFactor("Diff(C,0)", None), AtomFactor("Sym", 3)],
         )
         assert PresentedAbelianGroup.from_json(g.to_json()) == g
@@ -222,8 +222,8 @@ class TestClassify:
             2,
             0,
             [
-                Relation({0: ONE, 1: ZERO}, (0,) * 0, "Z"),
-                Relation({0: ZERO, 1: ONE}, (), "Z"),
+                Relation({0: ONE, 1: ZERO}, {}, "Z"),
+                Relation({0: ZERO, 1: ONE}, {}, "Z"),
             ],
         )
         assert classify(g).text() == "(C*)^2"
@@ -293,7 +293,7 @@ class TestHoms:
     def test_check_hom_rejects_bad_map(self) -> None:
         g2, g3 = make_finite(factors=[2]), make_finite(factors=[3])
         with pytest.raises(HomError):
-            check_hom(GroupHom(g2, g3, disc_images=[({}, (1,))]))
+            check_hom(GroupHom(g2, g3, disc_images=[({}, {0: 1})]))
 
     def test_zero_hom_is_zero(self) -> None:
         g, _ = direct_sum(
@@ -306,11 +306,11 @@ class TestHoms:
 
     def test_compose_associates_with_apply(self) -> None:
         g6, g3 = make_finite(factors=[6]), make_finite(factors=[3])
-        f = GroupHom(g6, g3, disc_images=[({}, (1,))])
-        g = GroupHom(g3, g3, disc_images=[({}, (2,))])
+        f = GroupHom(g6, g3, disc_images=[({}, {0: 1})])
+        g = GroupHom(g3, g3, disc_images=[({}, {0: 2})])
         gf = compose(g, f)
-        c, d = gf.apply({}, [5])
-        assert d == [10]
+        c, d = gf.apply({}, {0: 5})
+        assert d == {0: 10}
 
     def test_atom_map_across_names_rejected(self) -> None:
         a = PresentedAbelianGroup.atom_group(TABLE, "A")
@@ -321,7 +321,7 @@ class TestHoms:
     def test_hom_json_round_trip(self) -> None:
         g = make_lattice(gens=[TAU])
         h = GroupHom(
-            PresentedAbelianGroup.free_disc(TABLE, 1), g, disc_images=[({0: MU}, ())]
+            PresentedAbelianGroup.free_disc(TABLE, 1), g, disc_images=[({0: MU}, {})]
         )
         assert GroupHom.from_json(h.dom, h.cod, h.to_json()) == h
 
@@ -338,7 +338,7 @@ class TestKernel:
 
     def test_kernel_of_cyclic_quotient(self) -> None:
         g6, g3 = make_finite(factors=[6]), make_finite(factors=[3])
-        k = kernel(GroupHom(g6, g3, disc_images=[({}, (1,))]))
+        k = kernel(GroupHom(g6, g3, disc_images=[({}, {0: 1})]))
         check_hom(k.inclusion)
         assert classify(k.group).text() == "Z/2"
 
@@ -355,7 +355,7 @@ class TestKernel:
 
     def test_injectivity(self) -> None:
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
-        doubling = GroupHom(z, z, disc_images=[({}, (2,))])
+        doubling = GroupHom(z, z, disc_images=[({}, {0: 2})])
         assert is_injective(doubling)
         assert not is_surjective(doubling)
 
@@ -364,7 +364,7 @@ class TestCokernel:
     def test_cokernel_of_scalar_embedding(self) -> None:
         line = PresentedAbelianGroup.free_cont(TABLE, 1)
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
-        ck = cokernel(GroupHom(z, line, disc_images=[({0: TAU}, ())]))
+        ck = cokernel(GroupHom(z, line, disc_images=[({0: TAU}, {})]))
         assert classify(ck.group).text() == "C*"
         check_hom(ck.projection)
         assert is_surjective(ck.projection)
@@ -379,7 +379,7 @@ class TestCokernel:
 
     def test_projection_section_identity(self) -> None:
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
-        ck = cokernel(GroupHom(z, z, disc_images=[({}, (6,))]))
+        ck = cokernel(GroupHom(z, z, disc_images=[({}, {0: 6})]))
         assert classify(ck.group).text() == "Z/6"
         round_trip = compose(ck.projection, ck.section)
         assert hom_equal(round_trip, identity_hom(ck.group))
@@ -389,15 +389,15 @@ class TestExactness:
     def test_short_exact_sequence(self) -> None:
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
         z2 = make_finite(factors=[2])
-        f = GroupHom(z, z, disc_images=[({}, (2,))])
-        g = GroupHom(z, z2, disc_images=[({}, (1,))])
+        f = GroupHom(z, z, disc_images=[({}, {0: 2})])
+        g = GroupHom(z, z2, disc_images=[({}, {0: 1})])
         assert is_exact_at(f, g)
-        assert not is_exact_at(f, GroupHom(z, z2, disc_images=[({}, (0,))]))
+        assert not is_exact_at(f, GroupHom(z, z2, disc_images=[({}, {})]))
 
     def test_sum_injection_projection_exact(self) -> None:
         z2, z3 = make_finite(factors=[2]), make_finite(factors=[3])
         total, (inj1, inj2), _ = sum_with_injections([z2, z3])
-        proj2 = GroupHom(total, z3, disc_images=[({}, (0,)), ({}, (1,))])
+        proj2 = GroupHom(total, z3, disc_images=[({}, {}), ({}, {0: 1})])
         check_hom(proj2)
         assert is_exact_at(inj1, proj2)
         assert not is_exact_at(inj2, proj2)
@@ -407,7 +407,7 @@ class TestExactness:
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
         total, (inj_a, inj_z), _ = sum_with_injections([a, z])
         proj_z = GroupHom(
-            total, z, disc_images=[({}, (1,))], atom_images=[None]
+            total, z, disc_images=[({}, {0: 1})], atom_images=[None]
         )
         check_hom(proj_z)
         assert is_exact_at(inj_a, proj_z)
@@ -456,7 +456,7 @@ class TestDirectSum:
             check_hom(inj)
             assert is_injective(inj)
         assert injections[1].cont_images == ({0: ONE},)
-        assert injections[0].disc_images == (({}, (1,)),)
+        assert injections[0].disc_images == (({}, {0: 1}),)
 
     def test_empty_sum_needs_table(self) -> None:
         with pytest.raises(ValueError):
@@ -470,7 +470,7 @@ class TestBlockHom:
         z = PresentedAbelianGroup.free_disc(TABLE, 1)
         line = PresentedAbelianGroup.free_cont(TABLE, 1)
         total, offsets = direct_sum([z, line])
-        by3 = GroupHom(z, z, disc_images=[({}, (3,))])
+        by3 = GroupHom(z, z, disc_images=[({}, {0: 3})])
         mu = GroupHom(line, line, cont_images=[{0: MU}])
         h = block_hom(
             total,
@@ -484,7 +484,7 @@ class TestBlockHom:
                 (1, 1, identity_hom(line), 1),
             ],
         )
-        assert h.disc_images == (({}, (2,)),)
+        assert h.disc_images == (({}, {0: 2}),)
         assert h.cont_images == ({0: ONE - MU},)
 
     def test_block_of_the_wrong_shape_is_refused(self) -> None:
@@ -503,3 +503,64 @@ class TestBlockHom:
         # the sign never touches an atom
         h = block_hom(total, offsets, a, [(0, 0, 0)], [(1, 0, one, -1)])
         assert h.atom_images == (None, 0)
+
+
+class TestColumnZero:
+    """A discrete part is an int row, and its column 0 is a falsy key: each
+    case below has its only nonzero discrete entry at column 0, so a test
+    of the row's keys instead of the row itself gets it wrong."""
+
+    def test_a_c_span_relation_on_a_discrete_generator_is_refused(self) -> None:
+        with pytest.raises(ValueError, match="C-span"):
+            PresentedAbelianGroup(TABLE, 1, 1, [Relation({0: ONE}, {0: 2}, "C")])
+
+    def test_a_map_onto_a_generator_is_not_zero(self) -> None:
+        z = PresentedAbelianGroup.free_disc(TABLE, 1)
+        assert not hom_is_zero(GroupHom(z, make_finite(factors=[3]), disc_images=[({}, {0: 1})]))
+
+    def test_a_relation_sent_onto_a_generator_is_refused(self) -> None:
+        trivial_z = PresentedAbelianGroup(TABLE, 0, 1, [Relation({}, {0: 1}, "Z")])
+        with pytest.raises(HomError):
+            check_hom(GroupHom(trivial_z, make_finite(factors=[2]), disc_images=[({}, {0: 1})]))
+
+    def test_a_torsion_relation_classifies(self) -> None:
+        z2 = PresentedAbelianGroup(TABLE, 0, 1, [Relation({}, {0: 2}, "Z")])
+        assert classify(z2).text() == "Z/2"
+
+    def test_a_torsion_relation_beside_a_line_relation_classifies(self) -> None:
+        g = PresentedAbelianGroup(
+            TABLE, 1, 1, [Relation({0: ONE}, {}, "C"), Relation({0: MU}, {0: 2}, "Z")]
+        )
+        assert classify(g).text() == "Z/2"
+
+    def test_a_kernel_keeps_a_torsion_relation(self) -> None:
+        z2 = make_finite(factors=[2])
+        k = kernel(zero_hom(z2, PresentedAbelianGroup.trivial(TABLE)))
+        assert classify(k.group).text() == "Z/2"
+
+    def test_the_zero_map_is_not_onto(self) -> None:
+        z = PresentedAbelianGroup.free_disc(TABLE, 1)
+        assert not is_surjective(zero_hom(z, z))
+
+
+class TestMalformedDiscreteParts:
+    def test_a_group_with_a_short_dense_disc_is_refused(self) -> None:
+        data = make_finite(factors=[2, 3]).to_json()
+        data["relations"][0]["disc"] = [2]
+        with pytest.raises(ValueError, match="relation width does not match generator counts"):
+            PresentedAbelianGroup.from_json(data)
+
+    def test_a_hom_with_a_long_dense_disc_is_refused(self) -> None:
+        z2 = make_finite(factors=[2])
+        data = identity_hom(z2).to_json()
+        data["disc_images"][0]["disc"] = [1, 0]
+        with pytest.raises(ValueError, match="discrete image has wrong width"):
+            GroupHom.from_json(z2, z2, data)
+
+    @pytest.mark.parametrize("column", [-1, 1, 5])
+    def test_a_column_out_of_range_is_refused(self, column: int) -> None:
+        z = PresentedAbelianGroup.free_disc(TABLE, 1)
+        with pytest.raises(ValueError, match=f"column {column} is outside a row of width 1"):
+            PresentedAbelianGroup(TABLE, 0, 1, [Relation({}, {column: 2}, "Z")])
+        with pytest.raises(ValueError, match=f"column {column} is outside a row of width 1"):
+            GroupHom(z, z, disc_images=[({}, {column: 1})])

@@ -34,7 +34,8 @@ from folmod.gg import Graph, GroupGraph, _by_id, _cochains, coboundary0
 
 
 def as_row(vec: Sequence[Scalar]) -> dict:
-    """A dense vector written as a row; ``GroupHom`` drops its zero entries."""
+    """A dense vector written as a row or an int row; ``GroupHom`` drops its
+    zero entries."""
     return dict(enumerate(vec))
 
 
@@ -69,7 +70,7 @@ def ref_coboundary0(G: GroupGraph) -> GroupHom:
                 crow, drow = disc_rows[vdo + j]
                 for c, x in cpart.items():
                     crow[eco + c] = crow[eco + c] + (x if sign > 0 else -x)
-                for c, n in enumerate(dpart):
+                for c, n in dpart.items():
                     drow[edo + c] += sign * n
             for k, tgt in enumerate(r.atom_images):
                 if tgt is None:
@@ -84,7 +85,7 @@ def ref_coboundary0(G: GroupGraph) -> GroupHom:
         dom,
         cod,
         [as_row(r) for r in cont_rows],
-        [(as_row(c), tuple(d)) for c, d in disc_rows],
+        [(as_row(c), as_row(d)) for c, d in disc_rows],
         tuple(atom_targets),
     )
 
@@ -125,7 +126,7 @@ def ref_coord_map(
         src_sum,
         dst_sum,
         [as_row(r) for r in cont_rows],
-        [(as_row(c), tuple(d)) for c, d in disc_rows],
+        [(as_row(c), as_row(d)) for c, d in disc_rows],
         tuple(atoms),
     )
 
@@ -154,11 +155,11 @@ def ref_pair_hom(
     disc = []
     for (c0, d0), (c1, d1) in zip(f0.disc_images, f1.disc_images):
         dvec = [0] * cod_sum.disc_rank
-        for c, n in enumerate(d0):
+        for c, n in d0.items():
             dvec[off0[1] + c] = n
-        for c, n in enumerate(d1):
+        for c, n in d1.items():
             dvec[off1[1] + c] = n
-        disc.append((place(c0, c1), tuple(dvec)))
+        disc.append((place(c0, c1), as_row(dvec)))
     atoms: List[Optional[int]] = []
     for j0, j1 in zip(f0.atom_images, f1.atom_images):
         if j0 is not None and j1 is not None:
@@ -199,7 +200,7 @@ def ref_block_diag_hom(
             crow, drow = disc_rows[dd + a]
             for c, x in cvec.items():
                 crow[cc + c] = x
-            for c, n in enumerate(dvec):
+            for c, n in dvec.items():
                 drow[cd + c] = n
         for a, tgt in enumerate(m.atom_images):
             atoms[da + a] = None if tgt is None else ca + tgt
@@ -207,7 +208,7 @@ def ref_block_diag_hom(
         dom_sum,
         cod_sum,
         [as_row(r) for r in cont_rows],
-        [(as_row(c), tuple(d)) for c, d in disc_rows],
+        [(as_row(c), as_row(d)) for c, d in disc_rows],
         tuple(atoms),
     )
 
@@ -255,7 +256,7 @@ def test_a_vertex_atom_on_two_edge_atoms_is_refused_by_both() -> None:
         {v: atom_z1 for v in (0, 1, 2)},
         {e: atom_z1 for e in ("e", "f")},
         {
-            (v, e): GroupHom(atom_z1, atom_z1, [], [({}, (0,))], [0])
+            (v, e): GroupHom(atom_z1, atom_z1, [], [({}, {})], [0])
             for v, e in ((0, "e"), (1, "e"), (0, "f"), (2, "f"))
         },
         table=gb.TABLE,
@@ -292,7 +293,7 @@ def test_pairing_equals_the_reference(pieces, degree: int) -> None:
 def test_block_diagonal_maps_equal_the_reference(G: GroupGraph, degree: int, m: int) -> None:
     c = _cochains(G, degree)
     maps = {
-        x: GroupHom(g, g, [], [({}, (m,))], range(len(g.atoms)))
+        x: GroupHom(g, g, [], [({}, {0: m})], range(len(g.atoms)))
         for x, g in zip(c.ids, c.groups)
     }
     expected = ref_block_diag_hom(c.ids, maps, c.total, c.offsets, c.total, c.offsets)

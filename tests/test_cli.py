@@ -103,6 +103,27 @@ def test_a_non_integer_rank_exits_2(factors, rank, tmp_path, capsys) -> None:
     assert out == "" and path in err and "disc_rank" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["vertex_groups"][0]["group"]["relations"][-1].update(disc=[]),
+            "relation width does not match generator counts",
+        ),
+        (
+            lambda doc: doc["rhos"][0]["map"]["disc_images"][0].update(disc=[1, 0]),
+            "discrete image has wrong width",
+        ),
+    ],
+)
+def test_a_disc_list_of_the_wrong_width_exits_2(edit, message, tmp_path, capsys) -> None:
+    doc = _two_vertex_doc()
+    edit(doc)
+    path = _write(tmp_path, doc)
+    assert _exit_code(["cohomology", path]) == 2
+    assert capsys.readouterr() == ("", f"{path}: {message}\n")
+
+
 @pytest.mark.parametrize("key", ["components", "corners", "attachments"])
 def test_a_foliation_over_the_size_bound_exits_2(key: str, tmp_path, capsys) -> None:
     doc = {"schema_version": 1, "symbols": [], key: [{}] * (MAX_ITEMS + 1)}

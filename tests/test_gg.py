@@ -25,7 +25,7 @@ from folmod.abgroup import (
     zero_hom,
 )
 from folmod import gg, oracle
-from folmod.exactnum import SymbolTable
+from folmod.exactnum import Scalar, SymbolTable
 from folmod.gg import (
     BoundExceeded,
     BruteForceResult,
@@ -136,7 +136,7 @@ class TestGraph:
 class TestGroupGraph:
     def test_rhos_are_checked_on_load(self):
         g = Graph([0, 1], [("e", 0, 1)])
-        bad = GroupHom(z_mod(2), z_mod(3), [], [({}, (1,))], ())
+        bad = GroupHom(z_mod(2), z_mod(3), [], [({}, {0: 1})], ())
         with pytest.raises(HomError):
             GroupGraph(
                 g,
@@ -222,7 +222,7 @@ class TestCoboundary:
         G = identity_rho_graph(Graph([0, 1], [("e", 0, 1)]), z_mod(2))
         d0 = coboundary0(G)
         # (a, b) -> b - a on the single edge copy of Z/2
-        assert [d for _, d in d0.disc_images] == [(-1,), (1,)]
+        assert [d for _, d in d0.disc_images] == [{0: -1}, {0: 1}]
 
     def test_two_isolated_vertices_map_to_trivial_group(self):
         g = Graph([0, 1], [])
@@ -232,6 +232,14 @@ class TestCoboundary:
         assert hom_is_zero(d0)
         assert classify(cohomology(G).h0).text() == "Z/6"  # invariant-factor form of Z/2 (+) Z/3
         assert classify(h1(G)).is_trivial
+
+    def test_a_line_hit_only_by_a_discrete_generator_has_no_section(self):
+        # The preimage of the line's generator is the discrete part {0: 1},
+        # whose only nonzero entry sits at column 0.
+        z, line = PresentedAbelianGroup.free_disc(T, 1), PresentedAbelianGroup.free_cont(T, 1)
+        h = GroupHom(z, line, [], [({0: Scalar.one(T)}, {})], ())
+        with pytest.raises(ValueError, match="no continuous section"):
+            gg._pseudo_section(h)
 
     def test_loop_block_vanishes(self):
         G = identity_rho_graph(Graph([0], [("l", 0, 0)]), z_mod(2))
@@ -592,8 +600,8 @@ class TestLongExactSequence:
         F = identity_rho_graph(graph, z)
         Gm = identity_rho_graph(graph, z)
         J = identity_rho_graph(graph, z2)
-        double = GroupHom(z, z, [], [({}, (2,))], ())
-        reduce_ = GroupHom(z, z2, [], [({}, (1,))], ())
+        double = GroupHom(z, z, [], [({}, {0: 2})], ())
+        reduce_ = GroupHom(z, z2, [], [({}, {0: 1})], ())
         return constant_morphism(F, Gm, double), constant_morphism(Gm, J, reduce_)
 
     def test_single_edge_tower(self):
@@ -656,8 +664,8 @@ class TestLongExactSequence:
         graph = Graph([0, 1], [("e", 0, 1)])
         z2, z3 = z_mod(2), z_mod(3)
         total, _ = direct_sum([z2, z3], T)
-        inc = GroupHom(z2, total, [], [({}, (1, 0))], ())
-        proj = GroupHom(total, z3, [], [({}, (0,)), ({}, (1,))], ())
+        inc = GroupHom(z2, total, [], [({}, {0: 1})], ())
+        proj = GroupHom(total, z3, [], [({}, {}), ({}, {0: 1})], ())
         F = identity_rho_graph(graph, z2)
         Gm = identity_rho_graph(graph, total)
         J = identity_rho_graph(graph, z3)
@@ -676,7 +684,7 @@ class TestLongExactSequence:
         mid = iota.cod
         rhos = {(v, "e"): mid.rho(v, "e") for v in (0, 1)}
         z = mid.vertex_group(1)
-        rhos[(1, "e")] = GroupHom(z, z, [], [({}, (3,))], ())
+        rhos[(1, "e")] = GroupHom(z, z, [], [({}, {0: 3})], ())
         other = GroupGraph(graph, {0: z, 1: z}, {"e": z}, rhos)
         pi_other = GroupGraphMorphism(
             other,
@@ -710,7 +718,7 @@ class TestLongExactSequence:
         F = identity_rho_graph(graph, z4)
         # codomain uses multiplication by 3 on one restriction only
         rhos = {
-            (0, "e"): GroupHom(z4, z4, [], [({}, (3,))], ()),
+            (0, "e"): GroupHom(z4, z4, [], [({}, {0: 3})], ()),
             (1, "e"): identity_hom(z4),
         }
         Gm = GroupGraph(graph, {0: z4, 1: z4}, {"e": z4}, rhos)
@@ -865,8 +873,8 @@ class TestOrientationIndependence:
             g = Graph([lo, hi], [("e", lo, hi), ("f", lo, hi)])
             z4 = z_mod(4)
             rhos = {
-                (lo, "e"): GroupHom(z4, z4, [], [({}, (mult["lo"],))], ()),
-                (hi, "e"): GroupHom(z4, z4, [], [({}, (mult["hi"],))], ()),
+                (lo, "e"): GroupHom(z4, z4, [], [({}, {0: mult["lo"]})], ()),
+                (hi, "e"): GroupHom(z4, z4, [], [({}, {0: mult["hi"]})], ()),
                 (lo, "f"): identity_hom(z4),
                 (hi, "f"): identity_hom(z4),
             }

@@ -325,7 +325,7 @@ def homs(draw) -> GroupHom:
         relations.append(
             Relation(
                 dict(enumerate(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c))),
-                tuple(draw(st.integers(-6, 6)) for _ in range(d)),
+                dict(enumerate(draw(st.integers(-6, 6)) for _ in range(d))),
                 "Z",
             )
         )
@@ -335,7 +335,7 @@ def homs(draw) -> GroupHom:
     disc = [
         (
             dict(enumerate(Scalar.rational(TABLE, draw(st.integers(-2, 2))) for _ in range(c))),
-            tuple(draw(st.integers(-6, 6)) for _ in range(d)),
+            dict(enumerate(draw(st.integers(-6, 6)) for _ in range(d))),
         )
         for _ in range(b)
     ]
@@ -411,12 +411,11 @@ class TestSmithNormalForm:
         got, want = system.solve(b), old_int_system_solve(a, b)
         assert (got is None) == (want is None)
         if got is not None:
-            assert [sum(x * z for x, z in zip(row, got)) for row in a.rows] == [
+            assert [sum(row[j] * z for j, z in got.items()) for row in a.rows] == [
                 b[i] for i in range(a.nrows)
             ]
-        assert abgroup._hnf_rows(system.nullspace()) == abgroup._hnf_rows(
-            old_int_system_nullspace(a)
-        )
+        kernel_rows = [[y.get(j, 0) for j in range(a.ncols)] for y in system.nullspace()]
+        assert abgroup._hnf_rows(kernel_rows) == abgroup._hnf_rows(old_int_system_nullspace(a))
 
 
 def _report_bytes(tmp_path, capsys, seeds) -> dict:

@@ -80,6 +80,16 @@ from test_memo import old_int_system_nullspace, reference_snf
 # ---------------------------------------------------------------------------
 
 
+def sparse_ints(values: Sequence[int]) -> dict:
+    """The int row of a dense int vector: its nonzero entries by column."""
+    return {j: x for j, x in enumerate(values) if x}
+
+
+def dense_ints(row, n: int) -> List[int]:
+    """The dense int vector of width ``n`` of an int row."""
+    return [row.get(j, 0) for j in range(n)]
+
+
 def old_int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     """Basis of the integer kernel ``{y : rows . y = 0}``."""
     rows = [r for r in rows if any(r)]
@@ -164,10 +174,9 @@ def old_int_system(system: _PreimageSystem, target_cont, target_disc) -> Tuple[L
     )
     # The conditions read sum y_i reduce(ycols_i) = -reduce(t_c).
     rhs = [-b for b in rhs]
-    for row, b in zip(system.disc_rows, target_disc):
-        if b or row:
-            rows.append([row.get(j, 0) for j in range(len(system.ycols))])
-            rhs.append(system.disc_sign * b)
+    for coord in sorted(system.disc_rows.keys() | target_disc.keys()):
+        rows.append(dense_ints(system.disc_rows.get(coord, {}), len(system.ycols)))
+        rhs.append(system.disc_sign * target_disc.get(coord, 0))
     return rows, rhs
 
 
@@ -416,10 +425,11 @@ class TestIntegerSolvers:
         got, want = system.solve(dict(enumerate(b))), ref_int_solve(rows, b, ncols)
         assert (got is None) == (want is None)
         if got is not None:
-            assert [sum(r * x for r, x in zip(row, got)) for row in rows] == b
+            assert [sum(row[j] * x for j, x in got.items()) for row in rows] == b
         if rows:
             want_kernel = old_int_system_nullspace(IntMatrix(rows))
-            assert _hnf_rows(system.nullspace()) == _hnf_rows(want_kernel)
+            got_kernel = [dense_ints(y, ncols) for y in system.nullspace()]
+            assert _hnf_rows(got_kernel) == _hnf_rows(want_kernel)
 
 
 class TestFactorThrough:
@@ -433,7 +443,7 @@ class TestFactorThrough:
             h0,
             h0,
             [],
-            [({}, tuple(mult if j == i else 0 for j in range(h0.disc_rank))) for i in range(h0.disc_rank)],
+            [({}, {i: mult}) for i in range(h0.disc_rank)],
             tuple(range(len(h0.atoms))),
         )
         f = compose(mono, scale)
@@ -443,9 +453,9 @@ class TestFactorThrough:
             # A fresh system per generator, as the per-generator loop had: a
             # hom keeps its preimage system, so each generator gets a copy.
             fresh = GroupHom(mono.dom, mono.cod, mono.cont_images, mono.disc_images, mono.atom_images)
-            pre = preimage_element(fresh, c, list(d))
+            pre = preimage_element(fresh, c, d)
             assert pre is not None
-            disc.append((pre[0], tuple(pre[1])))
+            disc.append(pre)
         want = GroupHom(f.dom, mono.dom, [], disc, tuple(range(len(h0.atoms))))
         assert got == want
 
@@ -499,7 +509,7 @@ class RefSpan:
         zrows = [(r.cont, r.disc) for r in g.relations if r.span == "Z"] + list(extra_z)
         self.zcols = [self.elim.reduce(c) for c, _ in zrows]
         self.zcoords = _by_coordinate(self.zcols)
-        self.zdisc = [[d[coord] for _, d in zrows] for coord in range(g.disc_rank)]
+        self.zdisc = [[d.get(coord, 0) for _, d in zrows] for coord in range(g.disc_rank)]
 
     def has_line(self, vcont) -> bool:
         return not self.elim.reduce(vcont)
@@ -508,7 +518,8 @@ class RefSpan:
         """Integer coefficients over the Z-rows summing to the vector, or None."""
         reduced = self.elim.reduce(vcont)
         rows, rhs = old_int_rows_from_scalar_columns(self.zcoords, len(self.zcols), reduced)
-        for row, b in zip(self.zdisc, vdisc):
+        for coord, row in enumerate(self.zdisc):
+            b = vdisc.get(coord, 0)
             if b or any(row):
                 rows.append(row)
                 rhs.append(b)
@@ -533,7 +544,7 @@ class RefPreimageSystem:
         self.ycols = [_neg(c) for c, _ in h.disc_images] + [r.cont for r in zrows]
         self.coeffs = [ref_eta_coefficients(eta, self.ycols, table) for eta in self.etas]
         self.disc_rows = [
-            [d[coord] for _, d in h.disc_images] + [-r.disc[coord] for r in zrows]
+            [d.get(coord, 0) for _, d in h.disc_images] + [-r.disc.get(coord, 0) for r in zrows]
             for coord in range(h.cod.disc_rank)
         ]
 
@@ -546,7 +557,8 @@ class RefPreimageSystem:
             r, b = old_int_rows_from_scalar_columns(at, len(self.ycols), target)
             rows += r
             rhs += b
-        for row, b in zip(self.disc_rows, target_disc):
+        for coord, row in enumerate(self.disc_rows):
+            b = target_disc.get(coord, 0)
             if b or any(row):
                 rows.append(row)
                 rhs.append(int(b))
@@ -567,7 +579,7 @@ class RefPreimageSystem:
         x = self.field_part(y, target_cont)
         if x is None:
             return None
-        return _head(x, self.gc), list(y[: self.gd])
+        return _head(x, self.gc), sparse_ints(y[: self.gd])
 
 
 def ref_kernel(h: GroupHom) -> KernelResult:
@@ -583,7 +595,7 @@ def ref_kernel(h: GroupHom) -> KernelResult:
             raise UnsupportedAtomMap("quotient map on an atom")
     gc, gd = h.dom.cont_rank, h.dom.disc_rank
     system = RefPreimageSystem(h)
-    int_rows, _ = system.int_system({}, (0,) * len(system.disc_rows))
+    int_rows, _ = system.int_system({}, {})
     ybasis = old_int_nullspace(int_rows, len(system.ycols))
     disc_gens = []
     for y in ybasis:
@@ -620,7 +632,7 @@ def ref_kernel(h: GroupHom) -> KernelResult:
         b = cont_coords(residual({}, a))
         if b is None:
             raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
-        relations.append(Relation(b, tuple(a), "Z"))
+        relations.append(Relation(b, sparse_ints(a), "Z"))
     span = RefSpan(h.cod)
     arows = [[y[kk] for y in ybasis] for kk in range(len(system.ycols))]
     for cont, disc, kind in h.dom.relations:
@@ -629,22 +641,23 @@ def ref_kernel(h: GroupHom) -> KernelResult:
             if b is None:
                 raise NonFiniteTypeKernel("domain line relation escaped the kernel")
             if b:
-                relations.append(Relation(b, (0,) * len(disc_gens), "C"))
+                relations.append(Relation(b, {}, "C"))
             continue
         img_c, img_d = h.apply(cont, disc)
         m = span.member(img_c, img_d)
         if m is None:
             raise HomError("domain relation has no image certificate")
-        a = old_int_solve(arows, list(disc) + m, len(ybasis))
+        a = old_int_solve(arows, dense_ints(disc, gd) + m, len(ybasis))
         if a is None:
             raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
         b = cont_coords(residual(cont, a))
         if b is None:
             raise NonFiniteTypeKernel("domain relation residual escaped the kernel")
         if any(a) or b:
-            relations.append(Relation(b, tuple(a), "Z"))
+            relations.append(Relation(b, sparse_ints(a), "Z"))
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
-    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(kernel_atom_indices))
+    disc_images = [(x, sparse_ints(n)) for x, n in disc_gens]
+    inclusion = GroupHom(kg, h.dom, vbasis, disc_images, tuple(kernel_atom_indices))
     return KernelResult(kg, inclusion)
 
 
@@ -682,8 +695,9 @@ def _draw_row(data, table: SymbolTable, width: int) -> dict:
     return row
 
 
-def _draw_disc(data, width: int) -> Tuple[int, ...]:
-    return tuple(data.draw(st.sampled_from([0, 0, 1, -1, 2, 3, 4, -6])) for _ in range(width))
+def _draw_disc(data, width: int) -> dict:
+    entries = st.sampled_from([0, 0, 1, -1, 2, 3, 4, -6])
+    return sparse_ints([data.draw(entries) for _ in range(width)])
 
 
 def _draw_group(data, table: SymbolTable) -> PresentedAbelianGroup:
@@ -691,7 +705,7 @@ def _draw_group(data, table: SymbolTable) -> PresentedAbelianGroup:
     relations = []
     for _ in range(data.draw(st.integers(0, 3))):
         if a and data.draw(st.integers(0, 3)) == 0:
-            relations.append(Relation(_draw_row(data, table, a), (0,) * b, "C"))
+            relations.append(Relation(_draw_row(data, table, a), {}, "C"))
         else:
             relations.append(Relation(_draw_row(data, table, a), _draw_disc(data, b), "Z"))
     return PresentedAbelianGroup(table, a, b, relations)
@@ -726,7 +740,7 @@ def _draw_element(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None
     ``hom``), otherwise arbitrary."""
     table = g.table
     if data.draw(st.booleans()):
-        return _draw_row(data, table, g.cont_rank), list(_draw_disc(data, g.disc_rank))
+        return _draw_row(data, table, g.cont_rank), _draw_disc(data, g.disc_rank)
     cont: dict = {}
     disc = [0] * g.disc_rank
     gens = [(r.cont, r.disc) for r in g.zrows()]
@@ -736,14 +750,15 @@ def _draw_element(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None
         n = data.draw(st.sampled_from([0, 1, -1, 2]))
         if n:
             abgroup._addmul(cont, n, c)
-            disc = [x + n * y for x, y in zip(disc, d)]
+            for j, y in d.items():
+                disc[j] += n * y
     lines = [r.cont for r in g.relations if r.span == "C"]
     if hom is not None:
         lines += list(hom.cont_images)
     for c in lines:
         if data.draw(st.booleans()):
             abgroup._addmul(cont, data.draw(st.sampled_from(_bases(table))), c)
-    return cont, disc
+    return cont, sparse_ints(disc)
 
 
 def _draw_target(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None):
@@ -768,7 +783,8 @@ def _draw_target(data, g: PresentedAbelianGroup, hom: Optional[GroupHom] = None)
     if data.draw(st.integers(0, 3)) == 0:
         cont = {j: x.scale(Fraction(1, 7)) for j, x in cont.items()}
     if g.disc_rank and data.draw(st.integers(0, 3)) == 0:
-        disc = [x or data.draw(st.sampled_from([1, -2, 3])) for x in disc]
+        spoil = st.sampled_from([1, -2, 3])
+        disc = {j: disc.get(j) or data.draw(spoil) for j in range(g.disc_rank)}
     return cont, disc
 
 
@@ -789,7 +805,7 @@ class TestOneSystem:
         for _ in range(4):
             c, d = _draw_target(data, g, hom)
             want = old_int_solve(*old_int_system(system, c, d), len(system.ycols))
-            assert system.solve(c, d) == want
+            assert system.solve(c, d) == (None if want is None else sparse_ints(want))
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -825,24 +841,28 @@ class TestOneSystem:
         table = TABLES[0]
         q = Scalar.rational(table, -3, 2)
         dom = PresentedAbelianGroup(
-            table, 1, 2, [Relation({}, (1, 1), "Z"), Relation({}, (1, 0), "Z")]
+            table, 1, 2, [Relation({}, {0: 1, 1: 1}, "Z"), Relation({}, {0: 1}, "Z")]
         )
         cod = PresentedAbelianGroup(
             table,
             1,
             2,
             [
-                Relation({}, (2, 0), "Z"),
-                Relation({}, (1, 2), "Z"),
-                Relation({0: q}, (-1, 2), "Z"),
-                Relation({}, (-1, 1), "Z"),
+                Relation({}, {0: 2}, "Z"),
+                Relation({}, {0: 1, 1: 2}, "Z"),
+                Relation({0: q}, {0: -1, 1: 2}, "Z"),
+                Relation({}, {0: -1, 1: 1}, "Z"),
             ],
         )
-        h = GroupHom(dom, cod, [{}], [({}, (-1, 1)), ({0: q}, (0, 1))])
+        h = GroupHom(dom, cod, [{}], [({}, {0: -1, 1: 1}), ({0: q}, {1: 1})])
         check_hom(h)
         got = _kernel(h)
         assert got == ref_kernel(h)
-        assert [r.disc for r in got.group.relations] == [(1, 0, 4), (-1, 1, -4), (2, 0, 9)]
+        assert [r.disc for r in got.group.relations] == [
+            {0: 1, 2: 4},
+            {0: -1, 1: 1, 2: -4},
+            {0: 2, 2: 9},
+        ]
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())

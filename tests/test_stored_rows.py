@@ -1,13 +1,15 @@
 """The one stored form of group vectors: sparse rows, canonical on construction.
 
-A relation's continuous part and every continuous generator image of a hom
-are rows, dicts from column to nonzero Scalar.  On maps built by the
-algebra itself (composites, block homs, kernel inclusions, cokernel
-projections and sections, corestrictions), over random cyclic group-graphs
-and over random groups with continuous parts, these tests check that no
-stored entry is zero and every column is in range, that the same map built
-two ways compares and hashes equal, and that JSON round-trips every group
-and hom.
+A relation's continuous part and every continuous part of a generator
+image are rows, dicts from column to nonzero Scalar; a relation's discrete
+part and every discrete part of a generator image are int rows, dicts from
+column to nonzero int.  On maps built by the algebra itself (composites,
+block homs, kernel inclusions, cokernel projections and sections,
+corestrictions), over random cyclic group-graphs and over random groups
+with continuous and discrete parts, these tests check that both kinds of
+row hold no zero, are sorted by column and keep every column in range,
+that the same map built two ways compares and hashes equal, and that JSON
+round-trips every group and hom, writing each row densely.
 """
 
 from __future__ import annotations
@@ -55,20 +57,25 @@ def rows(draw, width: int) -> dict:
 
 
 @st.composite
+def int_rows(draw, width: int) -> dict:
+    """An int row written with explicit zeros and in a random column order."""
+    columns = draw(st.permutations(range(width)))
+    return {j: draw(st.integers(-4, 4)) for j in columns[: draw(st.integers(0, width))]}
+
+
+@st.composite
 def continuous_homs(draw) -> GroupHom:
     """A hom from a free group onto a quotient of ``C^c (+) Z^d``; a free
     domain makes any choice of images a homomorphism."""
     a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     c, d = draw(st.integers(0, 3)), draw(st.integers(0, 2))
-    ints = st.integers(-4, 4)
     relations = [
-        Relation(draw(rows(c)), tuple(draw(ints) for _ in range(d)), "Z")
-        for _ in range(draw(st.integers(0, 2)))
+        Relation(draw(rows(c)), draw(int_rows(d)), "Z") for _ in range(draw(st.integers(0, 2)))
     ]
     cod = PresentedAbelianGroup(TABLE, c, d, relations)
     dom = PresentedAbelianGroup(TABLE, a, b)
     cont = [draw(rows(c)) for _ in range(a)]
-    disc = [(draw(rows(c)), tuple(draw(ints) for _ in range(d))) for _ in range(b)]
+    disc = [(draw(rows(c)), draw(int_rows(d))) for _ in range(b)]
     return GroupHom(dom, cod, cont, disc)
 
 
@@ -94,10 +101,20 @@ def assert_stored(row: dict, width: int) -> None:
     assert list(row) == sorted(row)
 
 
+def assert_ints_stored(row: dict, width: int) -> None:
+    assert type(row) is dict
+    assert all(0 <= j < width for j in row)
+    assert all(type(x) is int and x != 0 for x in row.values())
+    assert list(row) == sorted(row)
+
+
 def assert_group_stored(g: PresentedAbelianGroup) -> None:
     for r in g.relations:
         assert_stored(r.cont, g.cont_rank)
-    assert PresentedAbelianGroup.from_json(json.loads(json.dumps(g.to_json()))) == g
+        assert_ints_stored(r.disc, g.disc_rank)
+    data = json.loads(json.dumps(g.to_json()))
+    assert all(len(r["disc"]) == g.disc_rank for r in data["relations"])
+    assert PresentedAbelianGroup.from_json(data) == g
 
 
 def assert_hom_stored(h: GroupHom) -> None:
@@ -105,8 +122,9 @@ def assert_hom_stored(h: GroupHom) -> None:
     assert_group_stored(h.cod)
     for v in h.cont_images:
         assert_stored(v, h.cod.cont_rank)
-    for c, _ in h.disc_images:
+    for c, d in h.disc_images:
         assert_stored(c, h.cod.cont_rank)
+        assert_ints_stored(d, h.cod.disc_rank)
     # The same map built two ways: through the algebra, and from its rows
     # inserted in reverse column order.
     for again in (
@@ -115,12 +133,14 @@ def assert_hom_stored(h: GroupHom) -> None:
             h.dom,
             h.cod,
             [dict(reversed(v.items())) for v in h.cont_images],
-            [(dict(reversed(c.items())), d) for c, d in h.disc_images],
+            [(dict(reversed(c.items())), dict(reversed(d.items()))) for c, d in h.disc_images],
             h.atom_images,
         ),
     ):
         assert again == h and hash(again) == hash(h)
-    assert GroupHom.from_json(h.dom, h.cod, json.loads(json.dumps(h.to_json()))) == h
+    data = json.loads(json.dumps(h.to_json()))
+    assert all(len(d["disc"]) == h.cod.disc_rank for d in data["disc_images"])
+    assert GroupHom.from_json(h.dom, h.cod, data) == h
 
 
 @settings(max_examples=60, deadline=None)
