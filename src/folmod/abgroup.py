@@ -548,7 +548,7 @@ class PresentedAbelianGroup:
         return [r for r in self.relations if r.span == "Z"]
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, PresentedAbelianGroup)
             and self.table == other.table
             and self.cont_rank == other.cont_rank
@@ -689,7 +689,7 @@ class GroupHom:
         return out_c, out_d
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GroupHom)
             and self.dom == other.dom
             and self.cod == other.cod
@@ -1084,10 +1084,17 @@ def compose(g: GroupHom, f: GroupHom) -> GroupHom:
     return GroupHom(f.dom, g.cod, cont_images, disc_images, atom_images)
 
 
-def identity_hom(g: PresentedAbelianGroup) -> GroupHom:
+def _unit_images(
+    g: PresentedAbelianGroup,
+) -> Tuple[List[Row], List[Tuple[Row, IntRow]], Tuple[int, ...]]:
+    """The generator images of the identity of ``g``."""
     one = Scalar.one(g.table)
     cont = [{i: one} for i in range(g.cont_rank)]
-    return GroupHom(g, g, cont, _disc_ident(g.disc_rank), tuple(range(len(g.atoms))))
+    return cont, _disc_ident(g.disc_rank), tuple(range(len(g.atoms)))
+
+
+def identity_hom(g: PresentedAbelianGroup) -> GroupHom:
+    return GroupHom(g, g, *_unit_images(g))
 
 
 def zero_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
@@ -1254,10 +1261,8 @@ def _regenerated(
     g: PresentedAbelianGroup, g2: PresentedAbelianGroup
 ) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom]:
     """``g2`` on the generators of ``g``, with the identity maps both ways."""
-    ident = identity_hom(g2)
-    t = GroupHom(g, g2, ident.cont_images, ident.disc_images, ident.atom_images)
-    s = GroupHom(g2, g, ident.cont_images, ident.disc_images, ident.atom_images)
-    return g2, t, s
+    images = _unit_images(g2)
+    return g2, GroupHom(g, g2, *images), GroupHom(g2, g, *images)
 
 
 def _step_eliminate_crows(
@@ -1836,6 +1841,11 @@ def cokernel(h: GroupHom) -> CokernelResult:
     that receive an atom collapse entirely.  ``section`` picks representative
     elements (``projection . section`` is the identity on the cokernel) but
     is generally not itself a homomorphism into the codomain.
+
+    The quotient ``q`` keeps the generators of the codomain, so the
+    projection is the normal form's map out of ``q`` read on them: its
+    continuous and discrete images as they stand, and each surviving atom
+    sent where the normal form sends it.
     """
     cod = h.cod
     extra = [Relation(v, {}, "C") for v in h.cont_images]
@@ -1851,15 +1861,16 @@ def cokernel(h: GroupHom) -> CokernelResult:
         [cod.atoms[j] for j in survivors],
     )
     nq, tq, sq, _ = _normalize_full(q)
-    ident = identity_hom(cod)
-    pre = GroupHom(
+    projection = GroupHom(
         cod,
-        q,
-        ident.cont_images,
-        ident.disc_images,
-        tuple(new_atom_index.get(j) for j in range(len(cod.atoms))),
+        nq,
+        tq.cont_images,
+        tq.disc_images,
+        tuple(
+            tq.atom_images[new_atom_index[j]] if j in new_atom_index else None
+            for j in range(len(cod.atoms))
+        ),
     )
-    projection = compose(tq, pre)
     section = GroupHom(
         nq,
         cod,

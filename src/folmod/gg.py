@@ -417,7 +417,7 @@ class GroupGraph(_GroupsOnGraph[PresentedAbelianGroup, GroupHom]):
     :func:`~folmod.abgroup.check_hom` on construction.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "_sums")
 
     def __init__(
         self,
@@ -427,6 +427,7 @@ class GroupGraph(_GroupsOnGraph[PresentedAbelianGroup, GroupHom]):
         rhos: Mapping[Tuple[Id, Id], GroupHom],
         table: Optional[SymbolTable] = None,
     ):
+        self._sums: Dict[int, _Cochains] = {}
         tables = {g.table for g in vertex_groups.values()}
         tables |= {g.table for g in edge_groups.values()}
         if table is not None:
@@ -440,6 +441,12 @@ class GroupGraph(_GroupsOnGraph[PresentedAbelianGroup, GroupHom]):
 
     def _check_map(self, r: GroupHom) -> None:
         check_hom(r)
+
+    def restrict(self, vertices: Iterable[Id], edges: Optional[Iterable[Id]] = None):
+        # The copy starts without the cochain sums of the whole graph.
+        out = super().restrict(vertices, edges)
+        out._sums = {}
+        return out
 
     def to_json(self) -> dict:
         """The symbol table once, then the groups without their own."""
@@ -523,30 +530,58 @@ class _Cochains(NamedTuple):
     ids: Tuple[Id, ...]
     groups: Tuple[PresentedAbelianGroup, ...]
     total: PresentedAbelianGroup
-    offsets: List[Tuple[int, int, int]]
+    offsets: Tuple[Tuple[int, int, int], ...]
 
 
 def _cochains(G: GroupGraph, degree: int) -> _Cochains:
-    """The 0-cochains (vertex groups) or 1-cochains (edge groups) of ``G``."""
-    ids = G.graph.vertices if degree == 0 else G.graph.edges
-    groups = tuple(map(G.vertex_group if degree == 0 else G.edge_group, ids))
-    total, offsets = direct_sum(groups, G.table)
-    return _Cochains(ids, groups, total, offsets)
+    """The 0-cochains (vertex groups) or 1-cochains (edge groups) of ``G``.
+
+    Each degree is summed once per group-graph and kept on it, so the
+    coboundary, the six-term sequences and the four-term sequence share
+    one value; :meth:`GroupGraph.restrict` starts its copy without them.
+    """
+    c = G._sums.get(degree)
+    if c is None:
+        ids = G.graph.vertices if degree == 0 else G.graph.edges
+        groups = tuple(map(G.vertex_group if degree == 0 else G.edge_group, ids))
+        total, offsets = direct_sum(groups, G.table)
+        c = G._sums[degree] = _Cochains(ids, groups, total, tuple(offsets))
+    return c
 
 
 def _by_id(
     src: _Cochains, dst: _Cochains, hom_of: Optional[Callable[[Id], GroupHom]] = None
 ) -> GroupHom:
     """The block hom sending summand ``x`` of ``src`` to summand ``x`` of
-    ``dst`` by ``hom_of(x)`` (the identity by default), for every id the
-    two sums share; the other summands of ``src`` map to zero."""
+    ``dst`` by ``hom_of(x)``, for every id the two sums share; the other
+    summands of ``src`` map to zero.
+
+    With no ``hom_of`` every shared summand maps by the identity, whose
+    unit rows are written from the two offset lists; the hom equals the
+    :func:`~folmod.abgroup.block_hom` of identity blocks.
+    """
     where = {x: k for k, x in enumerate(dst.ids)}
-    blocks = [
-        (k, where[x], identity_hom(g) if hom_of is None else hom_of(x), 1)
-        for k, (x, g) in enumerate(zip(src.ids, src.groups))
-        if x in where
-    ]
-    return block_hom(src.total, src.offsets, dst.total, dst.offsets, blocks)
+    if hom_of is not None:
+        blocks = [(k, where[x], hom_of(x), 1) for k, x in enumerate(src.ids) if x in where]
+        return block_hom(src.total, src.offsets, dst.total, dst.offsets, blocks)
+    one = Scalar.one(src.total.table)
+    cont: List[Dict[int, Scalar]] = [{}] * src.total.cont_rank
+    disc: List[Tuple[Dict[int, Scalar], Dict[int, int]]] = [({}, {})] * src.total.disc_rank
+    atoms: List[Optional[int]] = [None] * len(src.total.atoms)
+    for k, (x, g) in enumerate(zip(src.ids, src.groups)):
+        j = where.get(x)
+        if j is None:
+            continue
+        if g != dst.groups[j]:
+            raise ValueError(f"summand {x!r} differs between the two sums")
+        (dc, dd, da), (cc, cd, ca) = src.offsets[k], dst.offsets[j]
+        for a in range(g.cont_rank):
+            cont[dc + a] = {cc + a: one}
+        for a in range(g.disc_rank):
+            disc[dd + a] = ({}, {cd + a: 1})
+        for a in range(len(g.atoms)):
+            atoms[da + a] = ca + a
+    return GroupHom(src.total, dst.total, cont, disc, atoms)
 
 
 def coboundary0(G: GroupGraph) -> GroupHom:

@@ -15,6 +15,10 @@ cleared, so a count does not depend on the runs before it.  An integer
 system keeps its Smith transforms as sparse columns; a guard counts the
 entries it stores.  A discrete part is an int row of its nonzero entries;
 a guard counts the discrete entries an identity and a direct sum store.
+A group-graph sums its cochain groups once, the identity maps between
+cochain sums are written from their block offsets, and a cokernel reads
+its projection off the normal form; guards count the direct sums, the
+identity homs and the homs the oracle constructs.
 """
 
 from __future__ import annotations
@@ -61,6 +65,17 @@ MAX_KERNELS_ORACLE = 100
 MAX_SYSTEMS_K9 = 80
 MAX_SYSTEMS_ORACLE = 450
 MAX_COMPOSES_ORACLE = 700
+
+# Ten runs of each oracle suite (seed 0) took 320 direct sums, 263 identity
+# homs and 1,780 hom constructions when the six-term sequences summed every
+# cochain group again after its coboundary, the coordinate maps between
+# cochain sums were assembled from identity blocks and each cokernel
+# composed its projection through an identity of the codomain.  With one
+# sum per group-graph and unit rows written from the offsets they take 180,
+# none and 1,437.
+MAX_DIRECT_SUMS_ORACLE = 200
+MAX_IDENTITY_HOMS_ORACLE = 20
+MAX_HOMS_ORACLE = 1550
 
 
 def _geodesic_module():
@@ -211,6 +226,23 @@ def test_oracle_builds_few_preimage_systems(monkeypatch) -> None:
 def test_oracle_composes_few_homs(monkeypatch) -> None:
     count = _count_calls(monkeypatch, abgroup.compose, lambda: run_oracle(seed=0, runs=10))
     assert 0 < count <= MAX_COMPOSES_ORACLE
+
+
+def test_oracle_sums_each_cochain_group_once(monkeypatch) -> None:
+    count = _count_calls(monkeypatch, abgroup.direct_sum, lambda: run_oracle(seed=0, runs=10))
+    assert 0 < count <= MAX_DIRECT_SUMS_ORACLE
+
+
+def test_oracle_builds_few_identity_homs(monkeypatch) -> None:
+    count = _count_calls(monkeypatch, abgroup.identity_hom, lambda: run_oracle(seed=0, runs=10))
+    assert count <= MAX_IDENTITY_HOMS_ORACLE
+
+
+def test_oracle_constructs_few_homs(monkeypatch) -> None:
+    count = _count_constructions(
+        monkeypatch, abgroup.GroupHom, lambda: run_oracle(seed=0, runs=10)
+    )
+    assert 0 < count <= MAX_HOMS_ORACLE
 
 
 def test_cold_oracle_counts_do_not_depend_on_earlier_runs(monkeypatch) -> None:
