@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -149,6 +150,8 @@ def _stored_row(v: Mapping[int, Scalar], width: int, table: SymbolTable) -> Row:
     """A copy of ``v`` to store: zero entries dropped and columns sorted,
     every column below ``width`` and every Scalar over ``table``."""
     out: Row = {}
+    if not v:
+        return out
     for j, x in sorted(v.items()):
         if not 0 <= j < width:
             raise ValueError(f"column {j} is outside a row of width {width}")
@@ -163,6 +166,8 @@ def _stored_ints(v: Mapping[int, int], width: int) -> IntRow:
     """A copy of the int row ``v`` to store, as :func:`_stored_row` stores
     a row: zero entries dropped, columns sorted and below ``width``."""
     out: IntRow = {}
+    if not v:
+        return out
     for j, x in sorted(v.items()):
         if not 0 <= j < width:
             raise ValueError(f"column {j} is outside a row of width {width}")
@@ -305,6 +310,8 @@ class _Elimination:
         # entries are subtracted.
         out = dict(v)
         x: Row = {}
+        if not (out and self.rows):
+            return out, x
         for p in [p for p in v if p in self.rows]:
             c = out.pop(p)
             _addmul(out, -c, self.rows[p], p)
@@ -638,11 +645,14 @@ class GroupHom:
     structural, :func:`kernel` memoizes on them, equal homs share one
     preimage system (see :func:`_system_of`), and no code assigns to a
     hom's attributes or mutates a stored row after construction, except that
-    the hash is computed on first use and kept.  So a hom held by a memoized
-    result can be shared by every caller.
+    the hash is computed on first use and kept, and that :func:`check_hom`,
+    :func:`is_injective` and :func:`is_surjective` record their verdicts in
+    the int ``_verdicts`` (0 until one is set; see the predicates below),
+    which equality and hashing ignore.  So a hom held by a memoized result
+    can be shared by every caller.
     """
 
-    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash")
+    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash", "_verdicts")
 
     def __init__(
         self,
@@ -675,6 +685,7 @@ class GroupHom:
         self.disc_images = disc_images
         self.atom_images = atom_images
         self._hash: Optional[int] = None
+        self._verdicts = 0
 
     def apply(self, cont: Mapping[int, Scalar], disc: Mapping[int, int]) -> Tuple[Row, IntRow]:
         """Image of the element with continuous coordinates ``cont`` (a row)
@@ -684,7 +695,8 @@ class GroupHom:
         out_d: IntRow = {}
         for j, n in disc.items():
             c, d = self.disc_images[j]
-            _addmul(out_c, n, c)
+            if c:
+                _addmul(out_c, n, c)
             _sub_multiple(out_d, -n, d)
         return out_c, out_d
 
@@ -958,7 +970,9 @@ class _PreimageSystem:
         """Field coefficients ``(x, lambda)`` for an admissible ``y``, or None."""
         rem = dict(target_cont)
         for j, val in y.items():
-            _addmul(rem, val, self.ycols[j])
+            col = self.ycols[j]
+            if col:
+                _addmul(rem, val, col)
         return self.elim.express(rem)
 
     def preimage(
@@ -1003,7 +1017,7 @@ class _KernelGenerators(NamedTuple):
 
 def _head(row: Mapping[int, _X], n: int) -> Dict[int, _X]:
     """The entries of ``row`` before column ``n``."""
-    return {j: x for j, x in row.items() if j < n}
+    return {j: x for j, x in row.items() if j < n} if row else {}
 
 
 # Bound of the preimage system memo: a cohomology computation revisits the
@@ -1041,8 +1055,17 @@ def check_hom(h: GroupHom) -> None:
 
     Raises :class:`HomError` naming the offending relation if any domain
     relation fails to land in the codomain's relation span, and
-    :class:`UnsupportedAtomMap` for atom maps outside the model.
+    :class:`UnsupportedAtomMap` for atom maps outside the model.  A hom
+    that passes is recorded as checked in its verdict bits (see
+    :func:`_verdict`) and not checked again; a failure records nothing, so
+    it raises on every call.
     """
+    if not h._verdicts & _CHECKED:
+        _check_hom(h)
+        h._verdicts |= _CHECKED
+
+
+def _check_hom(h: GroupHom) -> None:
     for k, j in enumerate(h.atom_images):
         if j is None:
             continue
@@ -1951,7 +1974,27 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
 
 # ---------------------------------------------------------------------------
 # Predicates
+#
+# A hom is a value that never changes, so whether it is a checked hom, one
+# to one or onto is decided once per hom object and recorded in its
+# ``_verdicts`` int: one bit for a passed check_hom, and for each predicate
+# one bit saying it is decided and the next bit holding the answer.  The
+# bits refer to no other object, and equal homs built apart decide apart.
 # ---------------------------------------------------------------------------
+
+_CHECKED = 1
+_INJECTIVE_DECIDED = 2
+_SURJECTIVE_DECIDED = 8
+
+
+def _verdict(h: GroupHom, decided: int, decide: Callable[[GroupHom], bool]) -> bool:
+    """``decide(h)``, computed on the first call for ``h`` and read from its
+    verdict bits after: bit ``decided`` is set once it is recorded, and bit
+    ``2 * decided`` holds the answer."""
+    bits = h._verdicts
+    if not bits & decided:
+        bits = h._verdicts = bits | decided | (2 * decided if decide(h) else 0)
+    return bool(bits & 2 * decided)
 
 
 def is_surjective(h: GroupHom) -> bool:
@@ -1961,8 +2004,13 @@ def is_surjective(h: GroupHom) -> bool:
     generator lies in the span of the images and the codomain's relations
     (:func:`_system_of`); a continuous generator is tested as its whole
     complex line, which only the complex span can kill.  ``h`` must be a
-    checked hom (see :func:`check_hom`), as it is at every caller.
+    checked hom (see :func:`check_hom`), as it is at every caller.  The
+    verdict is decided once per hom object (see :func:`_verdict`).
     """
+    return _verdict(h, _SURJECTIVE_DECIDED, _surjective)
+
+
+def _surjective(h: GroupHom) -> bool:
     received = {j for j in h.atom_images if j is not None}
     if len(received) != len(h.cod.atoms):
         return False
@@ -1979,8 +2027,13 @@ def is_injective(h: GroupHom) -> bool:
     system, see :meth:`_PreimageSystem.kernel_generators`) is zero in the
     domain, that is lies in the relation span of ``h.dom``, a continuous one
     with its whole line.  ``h`` must be a checked hom (see
-    :func:`check_hom`), as it is at every caller.
+    :func:`check_hom`), as it is at every caller.  The verdict is decided
+    once per hom object (see :func:`_verdict`).
     """
+    return _verdict(h, _INJECTIVE_DECIDED, _injective)
+
+
+def _injective(h: GroupHom) -> bool:
     for k, j in enumerate(h.atom_images):
         if j is None:
             return False

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import List, Optional
 
 from .examples import EXAMPLES, example_description, example_doc
@@ -151,7 +152,9 @@ def _run_oracle(seed: int, bound: int) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="folmod",
         description="Moduli of singular foliation germs from combinatorial divisor data.",

@@ -52,6 +52,7 @@ Inputs are plain data (:class:`MarkedDivisor`, :class:`SingularityData`,
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import count
 from math import gcd, lcm
 from typing import (
@@ -1471,6 +1472,7 @@ def build_sym_graph(
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
     val = divisor.val_sigma()
     one = Scalar.one(table)
+    identity = cache(identity_hom)  # one hom per group value, checked once
     for v in red.vertices:
         kind, edges = coloring.vertex_kind[v], red.incident(v)
         if kind == "nonabelian":
@@ -1486,7 +1488,7 @@ def build_sym_graph(
             vgroups[v] = _canonical_vertex_group(sing, divisor, v, kind, edges, infos)
         else:
             vgroups[v] = egroups[s1]
-            rhos[(v, s1)] = identity_hom(vgroups[v])
+            rhos[(v, s1)] = identity(vgroups[v])
             # the kinds agree and only periodic corners carry q, so this
             # compares (p, r, m, beta_image_order, atom)
             for e in others:
@@ -1746,12 +1748,15 @@ def _is_trivial_presentation(g: PresentedAbelianGroup) -> bool:
     return g.cont_rank == 0 and g.disc_rank == 0 and not g.atoms
 
 
-def _blow_up_extremities(zone: GroupGraph) -> GroupGraph:
+def _blow_up_extremities(
+    zone: GroupGraph, identity: Callable[[PresentedAbelianGroup], GroupHom]
+) -> GroupGraph:
     """Insert one valency-two vertex past every extremity of the zone, with
     the edge stalk as the new vertex stalk and identity restrictions, so
     that extremal stalks become explicit overlap vertices.  ``H^1`` is
     unchanged.  The new ids are the first ``__blow_<k>_*`` triples that the
-    zone does not use."""
+    zone does not use.  ``identity(g)`` is the identity of ``g``; the zones
+    of one sequence share it, so each group value gets one hom."""
     extremities = [v for v in zone.graph.vertices if zone.graph.valency(v) == 1]
     taken = set(zone.graph.vertices) | set(zone.graph.edges)
     fresh = (
@@ -1781,8 +1786,7 @@ def _blow_up_extremities(zone: GroupGraph) -> GroupGraph:
             for x in set(current.graph.endpoints(f)):
                 rhos[(x, f)] = current.rho(x, f)
         rhos[(v, a_id)] = current.rho(v, e)
-        rhos[(u_id, a_id)] = identity_hom(ge)
-        rhos[(u_id, b_id)] = identity_hom(ge)
+        rhos[(u_id, a_id)] = rhos[(u_id, b_id)] = identity(ge)
         rhos[(w, b_id)] = current.rho(w, e)
         current = GroupGraph(graph, vgroups, egroups, rhos, table=zone.table)
     return current
@@ -1793,12 +1797,15 @@ class _ZoneAnalysis(NamedTuple):
     h1_group: PresentedAbelianGroup
 
 
-def _analyze_zone(exp: GroupGraph, zone: _Zone) -> _ZoneAnalysis:
+def _analyze_zone(
+    exp: GroupGraph, zone: _Zone, identity: Callable[[PresentedAbelianGroup], GroupHom]
+) -> _ZoneAnalysis:
     """Split a blown-up zone into its flow-trivial segments and flow-positive
-    core, verify the gluing is exact, and return the active vertices."""
+    core, verify the gluing is exact, and return the active vertices; the
+    blow-up takes its identity maps from ``identity``."""
     completion = sorted(set(zone.vertices) | set(zone.boundary), key=_id_key)
     zone_exp = exp.restrict(completion, zone.edges)
-    mod = _blow_up_extremities(zone_exp)
+    mod = _blow_up_extremities(zone_exp, identity)
     graph = mod.graph
     trivial_vs = [v for v in graph.vertices if _is_trivial_presentation(mod.vertex_group(v))]
     for e in graph.edges:
@@ -1962,8 +1969,9 @@ def _four_term(
 
     actives: List[Tuple[Id, Id]] = []
     zone_h1s: List[PresentedAbelianGroup] = []
+    identity = cache(identity_hom)  # one hom per group value, checked once
     for zone in _zones(coloring):
-        analysis = _analyze_zone(ses.inclusion.dom, zone)
+        analysis = _analyze_zone(ses.inclusion.dom, zone, identity)
         actives.extend(analysis.actives)
         zone_h1s.append(analysis.h1_group)
     if zone_h1s:

@@ -1351,5 +1351,7 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
                 if not seen[nxt]:
                     seen[nxt] = 1
                     stack.append(nxt)
-    decoded = tuple(tuple([code // w % n for w, n in zip(weights, orders)]) for code in reps)
+    # Decode one digit column at a time; with no edges each orbit is ().
+    digits = [[code // w % n for code in reps] for w, n in zip(weights, orders)]
+    decoded = tuple(zip(*digits)) if digits else ((),) * len(reps)
     return BruteForceResult(len(reps), decoded)

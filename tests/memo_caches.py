@@ -3,7 +3,7 @@ tests that need a cold start or check the bounds."""
 
 from __future__ import annotations
 
-from folmod import abgroup, oracle
+from folmod import abgroup, cli, oracle
 
 CACHES = (
     (abgroup._system_cached, abgroup.SYSTEM_CACHE_SIZE),
@@ -17,9 +17,12 @@ ORACLE_BUILDERS = tuple(
     f for f in vars(oracle).values() if hasattr(f, "cache_clear") and f.__module__ == oracle.__name__
 )
 
+# The command line builds its argument parser once per process.
+BUILDERS = ORACLE_BUILDERS + (cli._build_parser,)
+
 
 def clear_caches() -> None:
     for cache, _ in CACHES:
         cache.cache_clear()
-    for builder in ORACLE_BUILDERS:
+    for builder in BUILDERS:
         builder.cache_clear()

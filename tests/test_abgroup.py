@@ -8,6 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gg_builders as gb
+from folmod import abgroup
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.abgroup import (
     AtomFactor,
@@ -32,6 +34,7 @@ from folmod.abgroup import (
     kernel,
     zero_hom,
 )
+from folmod.gg import GroupGraph
 
 TABLE = SymbolTable(["mu", "tau_i", "alpha_t", "beta_t"])
 ONE = Scalar.one(TABLE)
@@ -295,6 +298,20 @@ class TestHoms:
         with pytest.raises(HomError):
             check_hom(GroupHom(g2, g3, disc_images=[({}, {0: 1})]))
 
+    def test_a_failed_check_raises_every_time(self) -> None:
+        # A failure records no verdict, so the second call checks again.
+        g2, g3 = make_finite(factors=[2]), make_finite(factors=[3])
+        bad = GroupHom(g2, g3, disc_images=[({}, {0: 1})])
+        for _ in range(2):
+            with pytest.raises(HomError):
+                check_hom(bad)
+        a = PresentedAbelianGroup.atom_group(TABLE, "A")
+        b = PresentedAbelianGroup.atom_group(TABLE, "B")
+        across = GroupHom(a, b, atom_images=[0])
+        for _ in range(2):
+            with pytest.raises(UnsupportedAtomMap):
+                check_hom(across)
+
     def test_zero_hom_is_zero(self) -> None:
         g, _ = direct_sum(
             [make_finite(factors=[4]), PresentedAbelianGroup.atom_group(TABLE, "D")]
@@ -358,6 +375,31 @@ class TestKernel:
         doubling = GroupHom(z, z, disc_images=[({}, {0: 2})])
         assert is_injective(doubling)
         assert not is_surjective(doubling)
+
+
+class TestVerdicts:
+    """``is_injective`` and ``is_surjective`` decide once per hom object and
+    answer as their bodies do, however often they are asked."""
+
+    @staticmethod
+    def assert_verdicts_equal_the_bodies(G: GroupGraph) -> None:
+        for e in G.graph.edges:
+            for v in set(G.graph.endpoints(e)):
+                h = G.rho(v, e)
+                injective, surjective = abgroup._injective(h), abgroup._surjective(h)
+                for _ in range(2):
+                    assert is_injective(h) is injective
+                    assert is_surjective(h) is surjective
+
+    @settings(deadline=None, max_examples=40)
+    @given(gb.cyclic_pairs())
+    def test_on_cyclic_group_graphs(self, pair) -> None:
+        self.assert_verdicts_equal_the_bodies(pair[0])
+
+    @settings(deadline=None, max_examples=40)
+    @given(gb.atom_group_graphs())
+    def test_on_atom_group_graphs(self, G: GroupGraph) -> None:
+        self.assert_verdicts_equal_the_bodies(G)
 
 
 class TestCokernel:

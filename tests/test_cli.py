@@ -49,6 +49,28 @@ def test_a_non_integer_oracle_bound_exits_2(capsys) -> None:
     assert "--bound" in err and "'abc'" in err
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys) -> None:
+    # Each call's exit code and output, with a parser built per call (as
+    # the command did before it kept one) and then with the kept parser.
+    argvs = (
+        ["examples", "3"],
+        ["oracle", "--bound", "abc"],
+        ["examples", "9"],
+        ["moduli", "--help"],
+        ["examples", "3"],
+    )
+
+    def outputs() -> list:
+        return [(_exit_code(argv), *capsys.readouterr()) for argv in argvs]
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = outputs()
+    monkeypatch.undo()
+    cli._build_parser.cache_clear()
+    assert outputs() == fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def _two_vertex_doc() -> dict:
     """A group-graph on one edge whose groups are ``C/(Z + mu Z) (+) Z/2``."""
     table = SymbolTable(["mu"])

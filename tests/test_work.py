@@ -18,7 +18,11 @@ a guard counts the discrete entries an identity and a direct sum store.
 A group-graph sums its cochain groups once, the identity maps between
 cochain sums are written from their block offsets, and a cokernel reads
 its projection off the normal form; guards count the direct sums, the
-identity homs and the homs the oracle constructs.
+identity homs and the homs the oracle constructs.  A hom records its
+verdicts, so a guard counts the checks behind ``check_hom`` per hom
+object; groups without continuous generators make no field updates, and
+a guard counts them.  The foliation stalks build one identity hom per
+group value, and a guard counts those on the k=33 geodesic.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from folmod import abgroup, cli, exactnum
+from folmod import abgroup, cli, exactnum, foliation
 from folmod.examples import EXAMPLES, example_doc
 from folmod.oracle import run_oracle
 from memo_caches import clear_caches
@@ -76,6 +80,16 @@ MAX_COMPOSES_ORACLE = 700
 MAX_DIRECT_SUMS_ORACLE = 200
 MAX_IDENTITY_HOMS_ORACLE = 20
 MAX_HOMS_ORACLE = 1550
+
+# Ten runs of each oracle suite (seed 0) ran the check behind check_hom 433
+# times on 274 hom objects when a hom kept no verdict, and made 3,813 field
+# updates (`_addmul`), every one on an empty row, since no group there has
+# a continuous generator; skipping empty continuous columns leaves 887.
+MAX_ADDMULS_ORACLE = 1000
+
+# The seed-0 k=33 geodesic built 128 identity homs in `foliation`, one per
+# incidence (32 on 4 group values and 96 on 1); one per value needs 5.
+MAX_FOLIATION_IDENTITY_HOMS_K33 = 5
 
 
 def _geodesic_module():
@@ -171,6 +185,20 @@ def test_k33_geodesic_moduli(tmp_path, capsys) -> None:
     assert [p["moduli"]["text"] for p in payload["pipelines"]] == [want, want]
 
 
+def test_k33_geodesic_builds_one_identity_hom_per_group(tmp_path, capsys, monkeypatch) -> None:
+    count = 0
+    build = foliation.identity_hom
+
+    def counted(g):
+        nonlocal count
+        count += 1
+        return build(g)
+
+    monkeypatch.setattr(foliation, "identity_hom", counted)
+    _run_geodesic(33, tmp_path, capsys)
+    assert 0 < count <= MAX_FOLIATION_IDENTITY_HOMS_K33
+
+
 def test_k9_geodesic_requests_few_smith_forms(tmp_path, capsys, monkeypatch) -> None:
     count = _count_calls(
         monkeypatch, exactnum._smith_normal_form, lambda: _run_geodesic(9, tmp_path, capsys)
@@ -243,6 +271,25 @@ def test_oracle_constructs_few_homs(monkeypatch) -> None:
         monkeypatch, abgroup.GroupHom, lambda: run_oracle(seed=0, runs=10)
     )
     assert 0 < count <= MAX_HOMS_ORACLE
+
+
+def test_oracle_checks_each_hom_once(monkeypatch) -> None:
+    checked = []  # keeps each hom alive, so no two share an id
+    body = abgroup._check_hom
+
+    def counted(h) -> None:
+        checked.append(h)
+        body(h)
+
+    clear_caches()
+    monkeypatch.setattr(abgroup, "_check_hom", counted)
+    run_oracle(seed=0, runs=10)
+    assert checked and len(checked) == len({id(h) for h in checked})
+
+
+def test_oracle_makes_few_field_updates(monkeypatch) -> None:
+    count = _count_calls(monkeypatch, abgroup._addmul, lambda: run_oracle(seed=0, runs=10))
+    assert count <= MAX_ADDMULS_ORACLE
 
 
 def test_cold_oracle_counts_do_not_depend_on_earlier_runs(monkeypatch) -> None:
