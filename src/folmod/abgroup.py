@@ -847,7 +847,7 @@ class _PreimageSystem:
     by the Z-rows' continuous parts, and ``sum n_i d_i - sum m_k zd_k =
     t_d`` on the discrete part.  A group's relation span is the system of
     the map with no generators: an element lies in the span iff it has a
-    preimage, and ``y = -m`` then writes it through the Z-rows.
+    preimage.
 
     The columns ``(h(c_j), C_k)`` are eliminated once.  The field part is
     solvable iff the right side reduces to zero against them, that is iff
@@ -881,9 +881,7 @@ class _PreimageSystem:
     the map on the generators as well (:meth:`kernel_generators`).
     """
 
-    __slots__ = (
-        "table", "gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "disc_sign", "ints", "kgens"
-    )
+    __slots__ = ("table", "gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "ints", "kgens")
 
     def __init__(
         self,
@@ -898,12 +896,7 @@ class _PreimageSystem:
         self.elim = _Elimination(list(cont_images) + crows, cod.table, track=True)
         self.ycols = [_neg(c) for c, _ in disc_images] + [r.cont for r in zrows]
         self.ycoords = _by_coordinate([self.elim.reduce(c) for c in self.ycols])
-        # A group's span (no images) multiplies its discrete equations by -1.
-        # The solutions stay, and its integer matrix becomes the Z-rows' own
-        # [Zc; Zd], so its certificate y = -m takes m from their Smith form.
-        sign = self.disc_sign = 1 if cont_images or disc_images else -1
-        zdisc = [_neg(r.disc) if sign == 1 else r.disc for r in zrows]
-        self.disc_rows = _by_coordinate([d for _, d in disc_images] + zdisc)
+        self.disc_rows = _by_coordinate([d for _, d in disc_images] + [_neg(r.disc) for r in zrows])
         self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], Dict[int, int]]] = None
         self.kgens: Optional[_KernelGenerators] = None
 
@@ -963,7 +956,7 @@ class _PreimageSystem:
             row = disc_at.get(coord)
             if row is None:
                 return None
-            b[row] = self.disc_sign * x
+            b[row] = x
         return ints.solve(b)
 
     def field_part(self, y: Mapping[int, int], target_cont: Mapping[int, Scalar]) -> Optional[Row]:
@@ -993,16 +986,15 @@ class _PreimageSystem:
         if self.kgens is None:
             # Integer unknowns y = (n, m) are admissible iff the field system
             # is solvable for the right side they give.
-            ybasis = self.factored()[0].nullspace()
             disc: List[Tuple[Row, IntRow]] = []  # (x, n) in the domain
-            for y in ybasis:
+            for y in self.factored()[0].nullspace():
                 xi = self.field_part(y, {})
                 if xi is None:
                     raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
                 disc.append((_head(xi, self.gc), _head(y, self.gd)))
             xparts = [_head(dep, self.gc) for dep in self.elim.dependencies]
             cont, _ = _Elimination(xparts, self.table).rref()
-            self.kgens = _KernelGenerators(ybasis, cont, disc)
+            self.kgens = _KernelGenerators(cont, disc)
         return self.kgens
 
 
@@ -1010,9 +1002,8 @@ class _KernelGenerators(NamedTuple):
     """The generators of a kernel as domain elements, without relations.
     They are kept by a shared system, so no caller mutates them."""
 
-    ybasis: List[IntRow]  # admissible integer unknowns of the system
     cont: List[Row]  # continuous directions, one complex line each
-    disc: List[Tuple[Row, IntRow]]  # one (x, n) per element of ybasis
+    disc: List[Tuple[Row, IntRow]]  # one (x, n) per admissible integer unknown
 
 
 def _head(row: Mapping[int, _X], n: int) -> Dict[int, _X]:
@@ -1147,7 +1138,8 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
 
     def minus(u: Row, v: Row) -> Row:
         out = dict(u)
-        _addmul(out, -1, v)
+        if v:
+            _addmul(out, -1, v)
         return out
 
     diff = GroupHom(
@@ -1258,9 +1250,11 @@ def block_hom(
         dc, dd, da = dom_offsets[i]
         cc, cd, ca = cod_offsets[j]
         for a, vec in enumerate(h.cont_images):
-            _addmul(cont[dc + a], sign, _shift(vec, cc))
+            if vec:
+                _addmul(cont[dc + a], sign, _shift(vec, cc))
         for a, (cvec, dvec) in enumerate(h.disc_images):
-            _addmul(disc_c[dd + a], sign, _shift(cvec, cc))
+            if cvec:
+                _addmul(disc_c[dd + a], sign, _shift(cvec, cc))
             _sub_multiple(disc_d[dd + a], -sign, _shift(dvec, cd))
         for a, tgt in enumerate(h.atom_images):
             if tgt is None:
@@ -1753,10 +1747,17 @@ class KernelResult(NamedTuple):
 def kernel(h: GroupHom) -> KernelResult:
     """Kernel subgroup with its inclusion into the domain.
 
-    An element is in the kernel iff its image is certified as a combination
-    of codomain relation rows; eliminating the certificate coefficients turns
-    this into a mixed field/integer linear system over the monomial
-    expansion, solved exactly.  Domain atoms are allowed only when they
+    The generators are the domain elements whose image lies in the
+    codomain's relation span: the kernel generators of ``h``'s preimage
+    system, a mixed field/integer system over the monomial expansion solved
+    exactly (see :meth:`_PreimageSystem.kernel_generators`).  The relations
+    are the kernel of the inclusion in turn, read off the system of the
+    generator images into the domain: the combinations of the generators
+    that vanish in the domain, each continuous direction a ``"C"`` row and
+    each integer one a ``"Z"`` row.  That system depends only on the domain
+    and the images, so it is the inclusion's own, and
+    :func:`factor_through` into the inclusion and :func:`is_injective` of
+    it reuse it.  Domain atoms are allowed only when they
     collapse to zero (they enter the kernel whole) or map by identity (they
     avoid it); the quotient map on an atom has a kernel this model cannot
     present, raising :class:`UnsupportedAtomMap`.
@@ -1779,65 +1780,18 @@ def _kernel(h: GroupHom) -> KernelResult:
                 f"kernel of the quotient map on atom {h.dom.atoms[k].label()} "
                 "is not finitely presented"
             )
-    system = _system_of(h)
-    ybasis, vbasis, disc_gens = system.kernel_generators()
-    vspan = _Elimination(vbasis, table, track=True)
-    cont_coords = vspan.express  # kernel coordinates of a domain vector, or None
-
-    # Relations: syzygies among the chosen generators, then the domain's own
-    # relations expressed in kernel coordinates.
-    # An integer combination of the generators is continuous iff its
-    # continuous part reduces to zero against the continuous directions.
-    relations: List[Relation] = []
-    xcols = [x for x, _ in disc_gens]
-    syz_rows, _ = _int_rows_from_scalar_columns(_by_coordinate([vspan.reduce(x) for x in xcols]))
-    ncoords = _by_coordinate([n for _, n in disc_gens])
-    syz_rows.extend(ncoords[coord] for coord in sorted(ncoords))
-
-    def residual(cont: Mapping[int, Scalar], a: Mapping[int, int]) -> Row:
-        resid = dict(cont)
-        for i, val in a.items():
-            _addmul(resid, -val, xcols[i])
-        return resid
-
-    for a in _IntSystem(syz_rows, len(disc_gens)).nullspace():
-        b = cont_coords(residual({}, a))
-        if b is None:
-            raise NonFiniteTypeKernel("syzygy residual escaped the kernel")
-        relations.append(Relation(b, a, "Z"))
-
-    span = _span_of(h.cod)
-    # The kernel coordinates a of a relation solve sum a_i ybasis_i = y.
-    lattice = None
-    if any(r.span == "Z" for r in h.dom.relations):
-        ycoords = _by_coordinate(ybasis)
-        lattice = _IntSystem([ycoords.get(k, {}) for k in range(len(system.ycols))], len(ybasis))
-    for cont, disc, kind in h.dom.relations:
-        if kind == "C":
-            b = cont_coords(cont)
-            if b is None:
-                raise NonFiniteTypeKernel("domain line relation escaped the kernel")
-            if b:
-                relations.append(Relation(b, {}, "C"))
-            continue
-        img_c, img_d = h.apply(cont, disc)
-        y = span.solve(img_c, img_d)
-        if y is None:
-            raise HomError("domain relation has no image certificate")
-        # The span's y is minus the Z-row coefficients m of the image, and
-        # the relation is y = (disc, m) among the unknowns of h's system.
-        a = lattice.solve({**disc, **_shift(_neg(y), system.gd)})
-        if a is None:
-            raise NonFiniteTypeKernel("domain relation escaped the kernel lattice")
-        b = cont_coords(residual(cont, a))
-        if b is None:
-            raise NonFiniteTypeKernel("domain relation residual escaped the kernel")
-        if a or b:
-            relations.append(Relation(b, a, "Z"))
-
+    vbasis, disc_gens = _system_of(h).kernel_generators()
+    # The generators on a free group: the kernel's relations are the kernel
+    # of this map, and its system is the inclusion's, shared through the memo.
+    free = PresentedAbelianGroup(table, len(vbasis), len(disc_gens))
+    gens = GroupHom(free, h.dom, vbasis, disc_gens)
+    syzygies = _system_of(gens).kernel_generators()
+    relations = [Relation(v, {}, "C") for v in syzygies.cont]
+    # A syzygy among the domain's relations alone is a zero row, and goes.
+    relations += [Relation(x, a, "Z") for x, a in syzygies.disc if x or a]
     kernel_atoms = [h.dom.atoms[k] for k in atoms]
     kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
-    inclusion = GroupHom(kg, h.dom, vbasis, disc_gens, tuple(atoms))
+    inclusion = GroupHom(kg, h.dom, gens.cont_images, gens.disc_images, tuple(atoms))
     return KernelResult(kg, inclusion)
 
 

@@ -12,7 +12,10 @@ Mayer-Vietoris draws of the oracle and on the group-graphs of examples
 
 The six-term pin fixes the sha256 of the groups and maps of the
 Mayer-Vietoris and long exact sequences on seeded draws, so a changed map
-shows even where every exactness verdict stays the same.
+shows even where every exactness verdict stays the same.  A kernel is
+presented by its inclusion, so the pin leaves out the relations of the
+``H^0`` groups, and a second check requires that they span what the
+reference kernel's relations span.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from folmod.gg import (
     long_exact_sequence,
     mayer_vietoris,
 )
+from test_sparse_linalg import ref_kernel, same_relation_span
 
 # ---------------------------------------------------------------------------
 # Reference assemblies
@@ -131,11 +135,16 @@ def mv_draws(seed: int, count: int) -> List[tuple]:
     return out
 
 
-def les_draws(seed: int, count: int) -> list:
-    """The long exact sequences of the first ``count`` short exact triples
-    the oracle's generator draws from ``random.Random(seed)``."""
+def les_draws(seed: int, count: int) -> List[tuple]:
+    """The first ``count`` short exact triples the oracle's generator draws
+    from ``random.Random(seed)``, each ``(iota, pi)`` with its long exact
+    sequence."""
     rng = random.Random(seed)
-    return [long_exact_sequence(*oracle._random_les_triple(rng)) for _ in range(count)]
+    out = []
+    for _ in range(count):
+        iota, pi = oracle._random_les_triple(rng)
+        out.append((iota, pi, long_exact_sequence(iota, pi)))
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -221,16 +230,49 @@ def test_cochains_are_summed_once_and_not_shared_with_a_restriction() -> None:
 # The six-term pin
 # ---------------------------------------------------------------------------
 
-# The sha256 of the groups and maps below, computed before the cochain sums
-# were kept and the identity maps written from offsets.
-SIX_TERM_SHA256 = "0f019a107d347c43f0860129b5797697294c28510ea5423fd630ece12e0ab111"
+# The sha256 of the maps and groups below, the H0 groups (the first three of
+# each sequence) without their relations, computed before a kernel was
+# presented by its inclusion; those relations are checked as spans below.
+SIX_TERM_SHA256 = "6a9945db17f6ba0f3f3321ae10711c89e7a9a41c6aa583fa9d6a638c106b9adb"
+
+
+def _six_term_draws() -> List[tuple]:
+    """Each seeded six-term sequence with the group-graphs whose ``H^0``
+    its first three groups are: one per group, two for a sum of pieces."""
+    out = []
+    for G, (vs0, es0), (vs1, es1), r in mv_draws(0, 20):
+        vs01 = sorted(set(vs0) & set(vs1), key=gg._id_key)
+        es01 = sorted(set(es0) & set(es1), key=gg._id_key)
+        pieces = (G.restrict(vs0, es0), G.restrict(vs1, es1))
+        out.append((r, [(G,), pieces, (G.restrict(vs01, es01),)]))
+    for iota, pi, r in les_draws(0, 20):
+        out.append((r, [(iota.dom,), (iota.cod,), (pi.cod,)]))
+    return out
 
 
 def test_six_term_values_are_pinned() -> None:
-    results = [r for *_, r in mv_draws(0, 20)] + les_draws(0, 20)
+    def group(g: PresentedAbelianGroup, k: int) -> dict:
+        data = g.to_json()
+        if k < 3:
+            del data["relations"]
+        return data
+
     payload = [
-        {"groups": [g.to_json() for g in r.groups], "maps": [m.to_json() for m in r.maps]}
-        for r in results
+        {
+            "groups": [group(g, k) for k, g in enumerate(r.groups)],
+            "maps": [m.to_json() for m in r.maps],
+        }
+        for r, _ in _six_term_draws()
     ]
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SIX_TERM_SHA256
+
+
+def test_six_term_h0_relations_span_the_reference_presentation() -> None:
+    # The reference kernel writes the domain's relations in kernel
+    # coordinates, as every kernel did when the pin above was computed.
+    for r, graphs in _six_term_draws():
+        for got, family in zip(r.groups, graphs):
+            ref = [ref_kernel(coboundary0(H)).group for H in family]
+            want = ref[0] if len(ref) == 1 else direct_sum(ref, got.table)[0]
+            assert same_relation_span(got, want)

