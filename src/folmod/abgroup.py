@@ -117,8 +117,8 @@ class AtomFactor(NamedTuple):
 class Relation(NamedTuple):
     """One relation: ``cont`` a row (a dict from column to nonzero Scalar),
     ``disc`` an int row (a dict from column to nonzero int), ``span`` ``"Z"``
-    or ``"C"``.  A group stores copies of its relations, and no code mutates
-    a stored row."""
+    or ``"C"``.  A group keeps its relations in the stored form of rows
+    (see "Field linear algebra" below), and no code mutates a stored row."""
 
     cont: "Row"
     disc: "IntRow"
@@ -131,10 +131,21 @@ class Relation(NamedTuple):
 # A row is a dict from column index to a nonzero Scalar: absent columns are
 # zero, and no stored entry is ever zero, so no arithmetic touches a zero.
 # Rows are the one stored form of a continuous vector, and int rows (dicts
-# from column to nonzero int) of a discrete one: relations and generator
-# images are copied by :func:`_stored_row` and :func:`_stored_ints` at
-# construction (zero entries dropped, columns sorted and range-checked) and
-# never mutated afterwards; only the JSON methods write them out densely.
+# from column to nonzero int) of a discrete one: zero entries dropped,
+# columns sorted and in range, every Scalar over the group's table.  Stored
+# rows are never mutated; only the JSON methods write them out densely.
+#
+# Rows reach a group or hom by one of two doors.  The public constructors
+# take rows from anywhere and store copies through :func:`_stored_row` and
+# :func:`_stored_ints`, which check every column and table.  The private
+# ``_from_stored`` constructors take rows the algebra built itself: stored
+# rows of its inputs, their shifts and negations, and the results of its
+# own arithmetic, which :func:`_addmul` and
+# :func:`~folmod.exactnum._sub_multiple` keep zero-free and whose columns
+# come from a stored row in range; such a row is only put in column order
+# (:func:`_in_order`).  So both doors store the same items in the same
+# order, and equality, hashing, keys and every elimination order agree.
+#
 # Elimination visits columns in their given order and never reorders them.
 # The reduced row echelon form of a row space with pivots in column order is
 # unique, so every reduced form, nullspace basis and solution below is the
@@ -179,6 +190,13 @@ def _stored_ints(v: Mapping[int, int], width: int) -> IntRow:
 def _row_key(row: Mapping[int, _X]) -> Tuple[Tuple[int, _X], ...]:
     # Stored rows are sorted by column, so equal rows give equal keys.
     return tuple(row.items())
+
+
+def _in_order(row: Dict[int, _X]) -> Dict[int, _X]:
+    """A row the algebra built, zero-free and in range, with its columns
+    sorted as :func:`_stored_row` sorts them; a row of one entry or none
+    is itself."""
+    return dict(sorted(row.items())) if len(row) > 1 else row
 
 
 def _row_to_json(row: Row, width: int, table: SymbolTable) -> List[dict]:
@@ -468,8 +486,10 @@ class PresentedAbelianGroup:
     generators, a dict from column to nonzero Scalar; the discrete part is
     an int row over the ``b`` discrete generators, a dict from column to
     nonzero int.  The constructor copies every row, drops its zero entries,
-    sorts its columns and refuses a column out of range, so equal relations
-    are stored identically.
+    sorts its columns and refuses a column out of range or a Scalar over
+    another table, so equal relations are stored identically.  The
+    algebra's own groups come from :meth:`_from_stored` instead, which
+    trusts rows already in that form (see "Field linear algebra" above).
 
     Groups are values: equality and hashing are structural, the normal form
     behind :func:`classify` and :func:`cokernel` is memoized on them,
@@ -508,9 +528,35 @@ class PresentedAbelianGroup:
         for a in atoms:
             if a.mod_order is not None and (a.mod_order < 0 or a.mod_order == 1):
                 raise ValueError("atom mod_order must be None, 0, or >= 2")
+        self._assemble(table, int(cont_rank), int(disc_rank), relations, atoms)
+
+    @classmethod
+    def _from_stored(
+        cls,
+        table: SymbolTable,
+        cont_rank: int,
+        disc_rank: int,
+        relations: Iterable[Relation] = (),
+        atoms: Iterable[AtomFactor] = (),
+    ) -> "PresentedAbelianGroup":
+        """The group on ``Relation`` rows and atoms the algebra built, kept
+        as they are: every row already stored (zero-free, sorted, in range,
+        over ``table``) and every span valid."""
+        g = object.__new__(cls)
+        g._assemble(table, cont_rank, disc_rank, tuple(relations), tuple(atoms))
+        return g
+
+    def _assemble(
+        self,
+        table: SymbolTable,
+        cont_rank: int,
+        disc_rank: int,
+        relations: Tuple[Relation, ...],
+        atoms: Tuple[AtomFactor, ...],
+    ) -> None:
         self.table = table
-        self.cont_rank = int(cont_rank)
-        self.disc_rank = int(disc_rank)
+        self.cont_rank = cont_rank
+        self.disc_rank = disc_rank
         self.relations = relations
         self.atoms = atoms
         self._hash: Optional[int] = None
@@ -630,8 +676,10 @@ class GroupHom:
     ``disc_part`` an int row over the codomain's discrete generators.
     ``atom_images[k]`` is the index of the codomain atom receiving the k-th
     domain atom, or ``None`` when that atom collapses to zero.  Rows and int
-    rows are stored as in :class:`PresentedAbelianGroup`: copied, without
-    zero entries, sorted by column, every column in range.
+    rows are stored as in :class:`PresentedAbelianGroup`: without zero
+    entries, sorted by column, every column in range.  The constructor
+    copies and checks every row and every count; :meth:`_from_stored`
+    trusts the rows and counts of the maps the algebra builds itself.
 
     >>> t = SymbolTable([])
     >>> g6 = PresentedAbelianGroup.from_invariant_factors(t, [6])
@@ -645,14 +693,25 @@ class GroupHom:
     structural, :func:`kernel` memoizes on them, equal homs share one
     preimage system (see :func:`_system_of`), and no code assigns to a
     hom's attributes or mutates a stored row after construction, except that
-    the hash is computed on first use and kept, and that :func:`check_hom`,
-    :func:`is_injective` and :func:`is_surjective` record their verdicts in
-    the int ``_verdicts`` (0 until one is set; see the predicates below),
-    which equality and hashing ignore.  So a hom held by a memoized result
-    can be shared by every caller.
+    the hash and the keys of the images (:meth:`_image_keys`) are computed
+    on first use and kept (a kernel inclusion takes the keys of the hom
+    whose images it shares), and that :func:`check_hom`, :func:`is_injective`
+    and :func:`is_surjective` record their verdicts in the int
+    ``_verdicts`` (0 until one is set; see the predicates below); equality
+    ignores all three.  So a hom held by a memoized result can be shared by
+    every caller.
     """
 
-    __slots__ = ("dom", "cod", "cont_images", "disc_images", "atom_images", "_hash", "_verdicts")
+    __slots__ = (
+        "dom",
+        "cod",
+        "cont_images",
+        "disc_images",
+        "atom_images",
+        "_hash",
+        "_keys",
+        "_verdicts",
+    )
 
     def __init__(
         self,
@@ -679,12 +738,39 @@ class GroupHom:
         for k in atom_images:
             if k is not None and not 0 <= k < len(cod.atoms):
                 raise ValueError("atom image index out of range")
+        self._assemble(dom, cod, cont_images, disc_images, atom_images)
+
+    @classmethod
+    def _from_stored(
+        cls,
+        dom: PresentedAbelianGroup,
+        cod: PresentedAbelianGroup,
+        cont_images: Iterable[Row] = (),
+        disc_images: Iterable[Tuple[Row, IntRow]] = (),
+        atom_images: Iterable[Optional[int]] = (),
+    ) -> "GroupHom":
+        """The hom with generator images the algebra built, kept as they
+        are: one per generator of ``dom``, every row already stored over
+        ``cod`` and every atom index in range."""
+        h = object.__new__(cls)
+        h._assemble(dom, cod, tuple(cont_images), tuple(disc_images), tuple(atom_images))
+        return h
+
+    def _assemble(
+        self,
+        dom: PresentedAbelianGroup,
+        cod: PresentedAbelianGroup,
+        cont_images: Tuple[Row, ...],
+        disc_images: Tuple[Tuple[Row, IntRow], ...],
+        atom_images: Tuple[Optional[int], ...],
+    ) -> None:
         self.dom = dom
         self.cod = cod
         self.cont_images = cont_images
         self.disc_images = disc_images
         self.atom_images = atom_images
         self._hash: Optional[int] = None
+        self._keys: Optional[Tuple[tuple, tuple]] = None
         self._verdicts = 0
 
     def apply(self, cont: Mapping[int, Scalar], disc: Mapping[int, int]) -> Tuple[Row, IntRow]:
@@ -712,16 +798,19 @@ class GroupHom:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (
-                    self.dom,
-                    self.cod,
-                    tuple(map(_row_key, self.cont_images)),
-                    tuple((_row_key(c), _row_key(d)) for c, d in self.disc_images),
-                    self.atom_images,
-                )
-            )
+            self._hash = hash((self.dom, self.cod, *self._image_keys(), self.atom_images))
         return self._hash
+
+    def _image_keys(self) -> Tuple[tuple, tuple]:
+        """The continuous and the discrete generator images as hashable
+        keys, built on first use and kept in ``_keys``: the hash covers
+        them, and :func:`_system_of` looks a system up by them."""
+        if self._keys is None:
+            self._keys = (
+                tuple(map(_row_key, self.cont_images)),
+                tuple((_row_key(c), _row_key(d)) for c, d in self.disc_images),
+            )
+        return self._keys
 
     def __repr__(self) -> str:
         return f"<GroupHom {self.dom!r} -> {self.cod!r}>"
@@ -1028,11 +1117,7 @@ def _system_of(h: GroupHom) -> _PreimageSystem:
     """The preimage system of ``h``, shared by every map with an equal
     codomain and equal generator images through one bounded memo of
     ``SYSTEM_CACHE_SIZE`` entries; domains and atoms do not enter it."""
-    return _system_cached(
-        h.cod,
-        tuple(map(_row_key, h.cont_images)),
-        tuple((_row_key(c), _row_key(d)) for c, d in h.disc_images),
-    )
+    return _system_cached(h.cod, *h._image_keys())
 
 
 def _span_of(g: PresentedAbelianGroup) -> _PreimageSystem:
@@ -1092,10 +1177,13 @@ def compose(g: GroupHom, f: GroupHom) -> GroupHom:
     """``g`` after ``f``."""
     if f.cod != g.dom:
         raise ValueError("compose: middle groups differ")
-    cont_images = [_row_times(v, g.cont_images) for v in f.cont_images]
-    disc_images = [g.apply(c, d) for c, d in f.disc_images]
-    atom_images = tuple(None if j is None else g.atom_images[j] for j in f.atom_images)
-    return GroupHom(f.dom, g.cod, cont_images, disc_images, atom_images)
+    cont_images = [_in_order(_row_times(v, g.cont_images)) for v in f.cont_images]
+    disc_images = []
+    for c, d in f.disc_images:
+        img_c, img_d = g.apply(c, d)
+        disc_images.append((_in_order(img_c), _in_order(img_d)))
+    atom_images = [None if j is None else g.atom_images[j] for j in f.atom_images]
+    return GroupHom._from_stored(f.dom, g.cod, cont_images, disc_images, atom_images)
 
 
 def _unit_images(
@@ -1108,12 +1196,12 @@ def _unit_images(
 
 
 def identity_hom(g: PresentedAbelianGroup) -> GroupHom:
-    return GroupHom(g, g, *_unit_images(g))
+    return GroupHom._from_stored(g, g, *_unit_images(g))
 
 
 def zero_hom(dom: PresentedAbelianGroup, cod: PresentedAbelianGroup) -> GroupHom:
     disc = [({}, {})] * dom.disc_rank
-    return GroupHom(dom, cod, [{}] * dom.cont_rank, disc, (None,) * len(dom.atoms))
+    return GroupHom._from_stored(dom, cod, [{}] * dom.cont_rank, disc, (None,) * len(dom.atoms))
 
 
 def negate_hom(h: GroupHom) -> GroupHom:
@@ -1126,7 +1214,7 @@ def negate_hom(h: GroupHom) -> GroupHom:
         raise UnsupportedAtomMap("cannot negate a map with nonzero atom images")
     cont = [_neg(v) for v in h.cont_images]
     disc = [(_neg(c), _neg(d)) for c, d in h.disc_images]
-    return GroupHom(h.dom, h.cod, cont, disc, h.atom_images)
+    return GroupHom._from_stored(h.dom, h.cod, cont, disc, h.atom_images)
 
 
 def hom_equal(a: GroupHom, b: GroupHom) -> bool:
@@ -1196,7 +1284,7 @@ def direct_sum(
         co += g.cont_rank
         do += g.disc_rank
         ao += len(g.atoms)
-    return PresentedAbelianGroup(table, cont, disc, relations, atoms), offsets
+    return PresentedAbelianGroup._from_stored(table, cont, disc, relations, atoms), offsets
 
 
 def _shape(g: PresentedAbelianGroup) -> Tuple[int, int, int]:
@@ -1265,7 +1353,13 @@ def block_hom(
                     "maps onto more than one codomain atom"
                 )
             atoms[da + a] = ca + tgt
-    return GroupHom(dom, cod, cont, list(zip(disc_c, disc_d)), atoms)
+    return GroupHom._from_stored(
+        dom,
+        cod,
+        map(_in_order, cont),
+        [(_in_order(c), _in_order(d)) for c, d in zip(disc_c, disc_d)],
+        atoms,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1279,7 +1373,7 @@ def _regenerated(
 ) -> Tuple[PresentedAbelianGroup, GroupHom, GroupHom]:
     """``g2`` on the generators of ``g``, with the identity maps both ways."""
     images = _unit_images(g2)
-    return g2, GroupHom(g, g2, *images), GroupHom(g2, g, *images)
+    return g2, GroupHom._from_stored(g, g2, *images), GroupHom._from_stored(g2, g, *images)
 
 
 def _step_eliminate_crows(
@@ -1295,14 +1389,14 @@ def _step_eliminate_crows(
     one = Scalar.one(table)
     crows = [r.cont for r in g.relations if r.span == "C" and r.cont]
     if not crows:
-        g2 = PresentedAbelianGroup(table, g.cont_rank, g.disc_rank, g.zrows(), g.atoms)
+        g2 = PresentedAbelianGroup._from_stored(table, g.cont_rank, g.disc_rank, g.zrows(), g.atoms)
         return _regenerated(g, g2)
     elim = _Elimination(crows, table)
     keep = [j for j in range(g.cont_rank) if j not in elim.rows]
     position = {j: i for i, j in enumerate(keep)}
 
     def project(v: Mapping[int, Scalar]) -> Row:
-        return {position[j]: x for j, x in elim.reduce(v).items()}
+        return _in_order({position[j]: x for j, x in elim.reduce(v).items()})
 
     relations = []
     for r in g.relations:
@@ -1311,11 +1405,11 @@ def _step_eliminate_crows(
         c2 = project(r.cont)
         if c2 or r.disc:
             relations.append(Relation(c2, r.disc, "Z"))
-    g2 = PresentedAbelianGroup(table, len(keep), g.disc_rank, relations, g.atoms)
+    g2 = PresentedAbelianGroup._from_stored(table, len(keep), g.disc_rank, relations, g.atoms)
     atoms = tuple(range(len(g.atoms)))
     disc = _disc_ident(g.disc_rank)
-    t = GroupHom(g, g2, [project({i: one}) for i in range(g.cont_rank)], disc, atoms)
-    s = GroupHom(g2, g, [{j: one} for j in keep], disc, atoms)
+    t = GroupHom._from_stored(g, g2, [project({i: one}) for i in range(g.cont_rank)], disc, atoms)
+    s = GroupHom._from_stored(g2, g, [{j: one} for j in keep], disc, atoms)
     return g2, t, s
 
 
@@ -1344,7 +1438,8 @@ def _step_discrete_smith(
     cc, dc = g.cont_rank, g.disc_rank
     if not any(r.disc for r in g.relations):
         relations = [r for r in g.relations if r.cont]
-        return _regenerated(g, PresentedAbelianGroup(table, cc, dc, relations, g.atoms))
+        g2 = PresentedAbelianGroup._from_stored(table, cc, dc, relations, g.atoms)
+        return _regenerated(g, g2)
 
     u, diag, v, vinv = _smith_normal_form([r.disc for r in g.relations], dc, inverse=True)
 
@@ -1356,6 +1451,7 @@ def _step_discrete_smith(
         if r.cont:
             for i, coef in col.items():
                 _addmul(conts[i], coef, r.cont)
+    conts = [_in_order(c) for c in conts]
     diag_order = [0] * dc  # 0 = free, 1 = eliminated, d >= 2 = torsion
     corr: List[Optional[Row]] = [None] * dc  # c / d of a mixed row
     cont_rows: List[Row] = []
@@ -1376,7 +1472,7 @@ def _step_discrete_smith(
     for k in survivors:
         if diag_order[k] >= 2:
             relations.append(Relation({}, {new_index[k]: diag_order[k]}, "Z"))
-    g2 = PresentedAbelianGroup(table, cc, nd, relations, g.atoms)
+    g2 = PresentedAbelianGroup._from_stored(table, cc, nd, relations, g.atoms)
 
     # Entry j of column k of V: coordinate k of the old generator e_j after V.
     cont_ident = [{i: one} for i in range(cc)]
@@ -1388,13 +1484,14 @@ def _step_discrete_smith(
                 _addmul(acc, -x, corr[k])
             if diag_order[k] != 1:
                 disc_part[new_index[k]] = x
-    t = GroupHom(g, g2, cont_ident, t_disc, tuple(range(len(g.atoms))))
+    atoms = tuple(range(len(g.atoms)))
+    t = GroupHom._from_stored(g, g2, cont_ident, [(_in_order(c), d) for c, d in t_disc], atoms)
 
     s_disc = []
     for k in survivors:
         c_part = corr[k] if corr[k] is not None and diag_order[k] >= 2 else {}
-        s_disc.append((c_part, vinv[k]))
-    s = GroupHom(g2, g, cont_ident, s_disc, tuple(range(len(g.atoms))))
+        s_disc.append((c_part, _in_order(vinv[k])))
+    s = GroupHom._from_stored(g2, g, cont_ident, s_disc, atoms)
     return g2, t, s
 
 
@@ -1461,13 +1558,17 @@ def _split_cont_blocks(
     groups: dict = {}
     for q in range(d_c):
         groups.setdefault(find(q), []).append(q)
+    # Every coordinate of a row lies in one block: bucket the rows once, in order.
+    rows_of: Dict[int, List[Row]] = {}
+    for row in rows_t:
+        if row:
+            rows_of.setdefault(find(next(iter(row))), []).append(row)
 
     one, zero = Scalar.one(table), Scalar.zero(table)
     blocks: List[_ContBlock] = []
     for root in sorted(groups, key=lambda r: min(groups[r])):
         coords = sorted(groups[root])
-        in_block = set(coords)
-        block_rows = [row for row in rows_t if not in_block.isdisjoint(row)]
+        block_rows = rows_of.get(root, [])
         # Joint monomial expansion: one slice of coefficients per coordinate.
         joint: List[List[Fraction]] = [[] for _ in block_rows]
         slices: List[Tuple[int, int]] = []
@@ -1605,12 +1706,13 @@ def _normalize_full(
         relations.extend(Relation(_shift(gvec, start), {}, "Z") for gvec in block.gens)
     for coord, d in torsion:
         relations.append(Relation({}, {coord: d}, "Z"))
-    ng = PresentedAbelianGroup(table, cc, g2.disc_rank, relations, g2.atoms)
+    ng = PresentedAbelianGroup._from_stored(table, cc, g2.disc_rank, relations, g2.atoms)
 
     if tmat != unit_rows or smat != unit_rows or ng != g2:
         disc_ident = _disc_ident(g2.disc_rank)
-        t3 = GroupHom(g2, ng, tmat, disc_ident, tuple(range(len(g2.atoms))))
-        s3 = GroupHom(ng, g2, smat, disc_ident, tuple(range(len(g2.atoms))))
+        atoms = tuple(range(len(g2.atoms)))
+        t3 = GroupHom._from_stored(g2, ng, map(_in_order, tmat), disc_ident, atoms)
+        s3 = GroupHom._from_stored(ng, g2, map(_in_order, smat), disc_ident, atoms)
         t, s = compose(t3, t), compose(s, s3)
 
     report = NormalFormReport(
@@ -1783,15 +1885,24 @@ def _kernel(h: GroupHom) -> KernelResult:
     vbasis, disc_gens = _system_of(h).kernel_generators()
     # The generators on a free group: the kernel's relations are the kernel
     # of this map, and its system is the inclusion's, shared through the memo.
-    free = PresentedAbelianGroup(table, len(vbasis), len(disc_gens))
-    gens = GroupHom(free, h.dom, vbasis, disc_gens)
+    free = PresentedAbelianGroup._from_stored(table, len(vbasis), len(disc_gens))
+    gens = GroupHom._from_stored(
+        free,
+        h.dom,
+        map(_in_order, vbasis),
+        [(_in_order(x), _in_order(n)) for x, n in disc_gens],
+    )
     syzygies = _system_of(gens).kernel_generators()
-    relations = [Relation(v, {}, "C") for v in syzygies.cont]
+    relations = [Relation(_in_order(v), {}, "C") for v in syzygies.cont]
     # A syzygy among the domain's relations alone is a zero row, and goes.
-    relations += [Relation(x, a, "Z") for x, a in syzygies.disc if x or a]
+    relations += [Relation(_in_order(x), _in_order(a), "Z") for x, a in syzygies.disc if x or a]
     kernel_atoms = [h.dom.atoms[k] for k in atoms]
-    kg = PresentedAbelianGroup(table, len(vbasis), len(disc_gens), relations, kernel_atoms)
-    inclusion = GroupHom(kg, h.dom, gens.cont_images, gens.disc_images, tuple(atoms))
+    kg = PresentedAbelianGroup._from_stored(
+        table, len(vbasis), len(disc_gens), relations, kernel_atoms
+    )
+    # The inclusion shares the images gens stored, and their keys.
+    inclusion = GroupHom._from_stored(kg, h.dom, gens.cont_images, gens.disc_images, atoms)
+    inclusion._keys = gens._image_keys()
     return KernelResult(kg, inclusion)
 
 
@@ -1830,7 +1941,7 @@ def cokernel(h: GroupHom) -> CokernelResult:
     received = {j for j in h.atom_images if j is not None}
     survivors = [j for j in range(len(cod.atoms)) if j not in received]
     new_atom_index = {j: i for i, j in enumerate(survivors)}
-    q = PresentedAbelianGroup(
+    q = PresentedAbelianGroup._from_stored(
         cod.table,
         cod.cont_rank,
         cod.disc_rank,
@@ -1838,7 +1949,7 @@ def cokernel(h: GroupHom) -> CokernelResult:
         [cod.atoms[j] for j in survivors],
     )
     nq, tq, sq, _ = _normalize_full(q)
-    projection = GroupHom(
+    projection = GroupHom._from_stored(
         cod,
         nq,
         tq.cont_images,
@@ -1848,7 +1959,7 @@ def cokernel(h: GroupHom) -> CokernelResult:
             for j in range(len(cod.atoms))
         ),
     )
-    section = GroupHom(
+    section = GroupHom._from_stored(
         nq,
         cod,
         sq.cont_images,
@@ -1913,14 +2024,14 @@ def factor_through(f: GroupHom, mono: GroupHom, check: bool = True) -> GroupHom:
         sol = system.elim.express(v)
         if sol is None:
             raise HomError("continuous generator does not factor")
-        cont_images.append(_head(sol, system.gc))
+        cont_images.append(_in_order(_head(sol, system.gc)))
     disc_images = []
     for c, d in f.disc_images:
         pre = system.preimage(c, d)
         if pre is None:
             raise HomError("discrete generator does not factor")
-        disc_images.append(pre)
-    g = GroupHom(f.dom, mono.dom, cont_images, disc_images, tuple(atom_images))
+        disc_images.append((_in_order(pre[0]), _in_order(pre[1])))
+    g = GroupHom._from_stored(f.dom, mono.dom, cont_images, disc_images, atom_images)
     if check:
         check_hom(g)
     return g

@@ -1277,6 +1277,8 @@ def _smith_normal_form(
             d[i] = -d[i]
             u[i] = {k: -x for k, x in u[i].items()}
     for i in range(rank):
+        if d[i] == 1:
+            continue  # a unit divides every later entry
         for j in range(i + 1, rank):
             if d[j] % d[i] == 0:
                 continue

@@ -1176,8 +1176,11 @@ def singular_chains(
         out.append(SingularChain(vertices, edges, _KIND_LABEL[kinds.pop()]))
     out.sort(key=lambda c: tuple(_id_key(e) for e in c.edges))
     deduped: List[SingularChain] = []
+    edge_sets: Set[FrozenSet[Id]] = set()
     for chain in out:
-        if not any(set(chain.edges) == set(c.edges) for c in deduped):
+        edge_set = frozenset(chain.edges)
+        if edge_set not in edge_sets:
+            edge_sets.add(edge_set)
             deduped.append(chain)
     return tuple(deduped)
 

@@ -581,7 +581,7 @@ def _by_id(
             disc[dd + a] = ({}, {cd + a: 1})
         for a in range(len(g.atoms)):
             atoms[da + a] = ca + a
-    return GroupHom(src.total, dst.total, cont, disc, atoms)
+    return GroupHom._from_stored(src.total, dst.total, cont, disc, atoms)
 
 
 def coboundary0(G: GroupGraph) -> GroupHom:

@@ -9,7 +9,11 @@ corestrictions), over random cyclic group-graphs and over random groups
 with continuous and discrete parts, these tests check that both kinds of
 row hold no zero, are sorted by column and keep every column in range,
 that the same map built two ways compares and hashes equal, and that JSON
-round-trips every group and hom, writing each row densely.
+round-trips every group and hom, writing each row densely.  The algebra
+builds its own groups and homs through the private ``_from_stored``
+constructors, which keep rows as given; over the oracle runs and the
+bundled examples, every row they get is what the validating constructor
+stores, item for item and in the same order.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import List
 from hypothesis import given, settings, strategies as st
 
 import gg_builders as gb
+from folmod import cli
 from folmod.abgroup import (
     GroupHom,
     PresentedAbelianGroup,
@@ -33,8 +38,11 @@ from folmod.abgroup import (
     identity_hom,
     kernel,
 )
+from folmod.examples import EXAMPLES, example_doc
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.gg import cohomology
+from folmod.oracle import run_oracle
+from memo_caches import clear_caches
 
 TABLE = SymbolTable(["mu"])
 MU = Scalar.symbol(TABLE, "mu")
@@ -159,3 +167,59 @@ def test_cohomology_maps_store_canonical_rows(G) -> None:
         return
     for m in (coh.witnesses, coh.h0_inclusion, coh.h1_projection, coh.h1_section):
         assert_hom_stored(m)
+
+
+def _items(row: dict) -> tuple:
+    """A row's entries in stored order, each with the type of its value."""
+    return tuple((j, type(x), x) for j, x in row.items())
+
+
+def _relation_items(g: PresentedAbelianGroup) -> list:
+    return [(_items(r.cont), _items(r.disc), r.span) for r in g.relations]
+
+
+def _image_items(h: GroupHom) -> tuple:
+    return (
+        [_items(v) for v in h.cont_images],
+        [(_items(c), _items(d)) for c, d in h.disc_images],
+        h.atom_images,
+    )
+
+
+def test_trusted_rows_are_the_stored_rows(monkeypatch, tmp_path, capsys) -> None:
+    built = {PresentedAbelianGroup: 0, GroupHom: 0}
+    group_from = PresentedAbelianGroup._from_stored.__func__
+    hom_from = GroupHom._from_stored.__func__
+
+    def group_checked(cls, *args, **kwargs):
+        g = group_from(cls, *args, **kwargs)
+        stored = PresentedAbelianGroup(g.table, g.cont_rank, g.disc_rank, g.relations, g.atoms)
+        assert _relation_items(g) == _relation_items(stored)
+        assert (type(g.relations), type(g.atoms)) == (tuple, tuple)
+        assert all(type(r) is Relation for r in g.relations) and g.atoms == stored.atoms
+        built[PresentedAbelianGroup] += 1
+        return g
+
+    def hom_checked(cls, *args, **kwargs):
+        h = hom_from(cls, *args, **kwargs)
+        stored = GroupHom(h.dom, h.cod, h.cont_images, h.disc_images, h.atom_images)
+        assert _image_items(h) == _image_items(stored)
+        assert (type(h.cont_images), type(h.disc_images)) == (tuple, tuple)
+        built[GroupHom] += 1
+        return h
+
+    paths = []
+    for n in EXAMPLES:
+        path = tmp_path / f"ex{n}.json"
+        path.write_text(json.dumps(example_doc(n)), encoding="utf-8")
+        paths.append(path)
+    clear_caches()
+    monkeypatch.setattr(PresentedAbelianGroup, "_from_stored", classmethod(group_checked))
+    monkeypatch.setattr(GroupHom, "_from_stored", classmethod(hom_checked))
+    run_oracle(seed=0, runs=10)
+    for path in paths:
+        assert cli.main(["moduli", str(path), "--format", "json"]) in (0, 3)
+    capsys.readouterr()
+    monkeypatch.undo()
+    clear_caches()
+    assert built[PresentedAbelianGroup] > 0 and built[GroupHom] > 0

@@ -26,7 +26,10 @@ group value, and a guard counts those on the k=33 geodesic.  A kernel's
 relations are the kernel of its inclusion, read off the inclusion's own
 preimage system: a guard counts the integer systems the oracle builds,
 and another requires that factoring a map through a kernel's inclusion
-right after the kernel builds no preimage system.
+right after the kernel builds no preimage system.  The algebra builds its
+own groups and homs from rows already stored, and each hom keys its images
+once: guards count the rows the oracle stores through the validating
+constructors and the row keys it builds.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ MAX_ADDMULS_ORACLE = 100
 # reuse, they need 348.
 MAX_INT_SYSTEMS_ORACLE = 400
 
+# Ten runs of each oracle suite (seed 0) stored 9,984 rows through
+# `_stored_row` and `_stored_ints` and built 6,360 row keys when every
+# composite, block hom, kernel, cokernel and normal form step re-stored the
+# rows it had built and every preimage system lookup keyed its hom again;
+# trusting the algebra's own rows and keying each hom once leaves 760 and
+# 4,378.
+MAX_STORED_ROWS_ORACLE = 1500
+MAX_ROW_KEYS_ORACLE = 5000
+
 # The seed-0 k=33 geodesic built 128 identity homs in `foliation`, one per
 # incidence (32 on 4 group values and 96 on 1); one per value needs 5.
 MAX_FOLIATION_IDENTITY_HOMS_K33 = 5
@@ -126,7 +138,8 @@ def _run_geodesic(k: int, tmp_path, capsys):
 
 def _count_constructions(monkeypatch, cls, run, clear: bool = True) -> int:
     """The instances of ``cls`` that ``run()`` constructs, from cold caches
-    unless ``clear`` is false."""
+    unless ``clear`` is false: through ``__init__`` and, for a class that
+    has one, through the ``_from_stored`` constructor of stored rows."""
     count = 0
     init = cls.__init__
 
@@ -138,6 +151,15 @@ def _count_constructions(monkeypatch, cls, run, clear: bool = True) -> int:
     if clear:
         clear_caches()
     monkeypatch.setattr(cls, "__init__", counted)
+    if "_from_stored" in vars(cls):
+        from_stored = vars(cls)["_from_stored"].__func__
+
+        def counted_from_stored(klass, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return from_stored(klass, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "_from_stored", classmethod(counted_from_stored))
     try:
         run()
     finally:
@@ -284,6 +306,19 @@ def test_oracle_constructs_few_homs(monkeypatch) -> None:
         monkeypatch, abgroup.GroupHom, lambda: run_oracle(seed=0, runs=10)
     )
     assert 0 < count <= MAX_HOMS_ORACLE
+
+
+def test_oracle_stores_few_rows(monkeypatch) -> None:
+    count = sum(
+        _count_calls(monkeypatch, func, lambda: run_oracle(seed=0, runs=10))
+        for func in (abgroup._stored_row, abgroup._stored_ints)
+    )
+    assert 0 < count <= MAX_STORED_ROWS_ORACLE
+
+
+def test_oracle_keys_few_rows(monkeypatch) -> None:
+    count = _count_calls(monkeypatch, abgroup._row_key, lambda: run_oracle(seed=0, runs=10))
+    assert 0 < count <= MAX_ROW_KEYS_ORACLE
 
 
 def test_oracle_checks_each_hom_once(monkeypatch) -> None:
