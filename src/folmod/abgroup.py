@@ -35,7 +35,6 @@ implemented here: :func:`check_hom`, :func:`kernel`, :func:`cokernel` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -1164,13 +1163,21 @@ def _check_hom(h: GroupHom) -> None:
             raise HomError(f"relation {idx} maps outside the codomain span")
 
 
+def _all_die_in(
+    g: PresentedAbelianGroup, cont: Sequence[Row], disc: Sequence[Tuple[Row, IntRow]]
+) -> bool:
+    """Whether every given image, rows and int rows without zeros, lies in
+    the relation span of ``g``; all-empty images need no span."""
+    if not any(cont) and not any(c or d for c, d in disc):
+        return True
+    return _span_of(g).contains(cont, disc)
+
+
 def hom_is_zero(h: GroupHom) -> bool:
     """Whether ``h`` is the zero map (every generator image dies in the cod)."""
     if any(j is not None for j in h.atom_images):
         return False
-    if not any(h.cont_images) and not any(c or d for c, d in h.disc_images):
-        return True
-    return _span_of(h.cod).contains(h.cont_images, h.disc_images)
+    return _all_die_in(h.cod, h.cont_images, h.disc_images)
 
 
 def compose(g: GroupHom, f: GroupHom) -> GroupHom:
@@ -1218,7 +1225,9 @@ def negate_hom(h: GroupHom) -> GroupHom:
 
 
 def hom_equal(a: GroupHom, b: GroupHom) -> bool:
-    """Whether two homs with the same domain and codomain are equal as maps."""
+    """Whether two homs with the same domain and codomain are equal as maps:
+    whether their differences on the generators die in the codomain, read
+    off its relation span with no difference hom built."""
     if a.dom != b.dom or a.cod != b.cod:
         raise ValueError("hom_equal: domains or codomains differ")
     if a.atom_images != b.atom_images:
@@ -1230,17 +1239,14 @@ def hom_equal(a: GroupHom, b: GroupHom) -> bool:
             _addmul(out, -1, v)
         return out
 
-    diff = GroupHom(
-        a.dom,
+    return _all_die_in(
         a.cod,
         [minus(u, v) for u, v in zip(a.cont_images, b.cont_images)],
         [
             (minus(ca, cb), _mix(1, da, -1, db))
             for (ca, da), (cb, db) in zip(a.disc_images, b.disc_images)
         ],
-        (None,) * len(a.dom.atoms),
     )
-    return hom_is_zero(diff)
 
 
 Offsets = List[Tuple[int, int, int]]
@@ -1731,7 +1737,6 @@ def _normalize_full(
     return ng, t, s, report
 
 
-@dataclass(frozen=True)
 class NormalFormReport:
     """The classification of a presented group into standard factors.
 
@@ -1739,19 +1744,73 @@ class NormalFormReport:
     lattices -- honest quotient tori -- for generic parameter values);
     ``nondiscrete`` holds single-coordinate quotients whose subgroup has
     Q-rank at least 3 and is therefore dense for generic values.  Both store
-    canonical generator tuples.  Equality ignores the underlying
-    presentation, so ``==`` is the "same classification" comparator.
+    canonical generator tuples.  ``group`` is the normalized presentation.
+
+    A report is immutable: assigning or deleting an attribute raises
+    :class:`AttributeError`.  Equality and hash cover the eight
+    classification fields and ignore ``group``, so ``==`` is the "same
+    classification" comparator and ``!=`` its negation.
     """
 
-    free_cont_rank: int
-    cstar_count: int
-    lattices: Tuple[Tuple[Scalar, ...], ...]
-    nondiscrete: Tuple[Tuple[Scalar, ...], ...]
-    nondiscrete_blocks: Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
-    free_disc_rank: int
-    invariant_factors: Tuple[int, ...]
-    atoms: Tuple[AtomFactor, ...]
-    group: PresentedAbelianGroup = field(compare=False)
+    __slots__ = (
+        "free_cont_rank",
+        "cstar_count",
+        "lattices",
+        "nondiscrete",
+        "nondiscrete_blocks",
+        "free_disc_rank",
+        "invariant_factors",
+        "atoms",
+        "group",
+    )
+
+    def __init__(
+        self,
+        free_cont_rank: int,
+        cstar_count: int,
+        lattices: Tuple[Tuple[Scalar, ...], ...],
+        nondiscrete: Tuple[Tuple[Scalar, ...], ...],
+        nondiscrete_blocks: Tuple[Tuple[Tuple[Scalar, ...], ...], ...],
+        free_disc_rank: int,
+        invariant_factors: Tuple[int, ...],
+        atoms: Tuple[AtomFactor, ...],
+        group: PresentedAbelianGroup,
+    ):
+        values = (
+            free_cont_rank,
+            cstar_count,
+            lattices,
+            nondiscrete,
+            nondiscrete_blocks,
+            free_disc_rank,
+            invariant_factors,
+            atoms,
+            group,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a NormalFormReport")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a NormalFormReport")
+
+    def _classification(self) -> tuple:
+        """The eight fields that equality and hash compare: all but ``group``."""
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._classification() == other._classification()
+
+    def __hash__(self) -> int:
+        return hash(self._classification())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"NormalFormReport({fields})"
 
     @property
     def is_trivial(self) -> bool:

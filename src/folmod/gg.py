@@ -42,10 +42,8 @@ orbit count is the number of conjugacy classes:
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -83,6 +81,7 @@ from .abgroup import (
     negate_hom,
     preimage_element,
     zero_hom,
+    _in_order,
 )
 
 __all__ = [
@@ -366,9 +365,11 @@ class _GroupsOnGraph(Generic[_G, _H]):
     def restrict(self, vertices: Iterable[Id], edges: Optional[Iterable[Id]] = None):
         """The group-graph of the same class on a subgraph (induced edges by
         default); its data was checked when ``self`` was built, so it is
-        not checked again."""
+        not checked again.  The copy is made without ``__init__``: a bare
+        instance whose slots are assigned here, sharing the groups and maps
+        of ``self`` (a subclass assigns its own slots on top)."""
         sub = self.graph.subgraph(vertices, edges)
-        out = copy.copy(self)
+        out = object.__new__(type(self))
         out.graph = sub
         out._vgroups = {v: self._vgroups[v] for v in sub.vertices}
         out._egroups = {e: self._egroups[e] for e in sub.edges}
@@ -443,8 +444,10 @@ class GroupGraph(_GroupsOnGraph[PresentedAbelianGroup, GroupHom]):
         check_hom(r)
 
     def restrict(self, vertices: Iterable[Id], edges: Optional[Iterable[Id]] = None):
-        # The copy starts without the cochain sums of the whole graph.
+        # The copy keeps the symbol table and starts without the cochain
+        # sums of the whole graph.
         out = super().restrict(vertices, edges)
+        out.table = self.table
         out._sums = {}
         return out
 
@@ -624,8 +627,7 @@ def coboundary0(G: GroupGraph) -> GroupHom:
     return block_hom(c0.total, c0.offsets, c1.total, c1.offsets, blocks)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """``H^0``/``H^1`` of a group-graph with the maps that witness them.
 
     ``witnesses`` is the assembled degree-0 coboundary; ``h0`` is its
@@ -806,21 +808,22 @@ def _pseudo_section(h: GroupHom) -> GroupHom:
         pre = preimage_element(h, {i: one}, {})
         if pre is None or pre[1]:
             raise ValueError("map has no continuous section on generators")
-        cont.append(pre[0])
+        cont.append(_in_order(pre[0]))
     disc = []
     for j in range(h.cod.disc_rank):
         pre = preimage_element(h, {}, {j: 1})
         if pre is None:
             raise ValueError("map has no discrete section on generators")
-        disc.append(pre)
+        disc.append((_in_order(pre[0]), _in_order(pre[1])))
     atoms: List[Optional[int]] = []
     for j in range(len(h.cod.atoms)):
         k = next((k for k, jj in enumerate(h.atom_images) if jj == j), None)
         if k is None:
             raise ValueError("map has no atom section")
         atoms.append(k)
-    # note the roles swap: this is a map cod -> dom
-    return GroupHom(h.cod, h.dom, cont, disc, tuple(atoms))
+    # note the roles swap: this is a map cod -> dom; the preimages are rows
+    # the solver built, stored once their columns are in order
+    return GroupHom._from_stored(h.cod, h.dom, cont, disc, atoms)
 
 
 def _induced_h0(c: GroupHom, src: CohomologyResult, dst: CohomologyResult) -> GroupHom:
@@ -864,8 +867,7 @@ def _inexact_nodes(nodes: Sequence[str], maps: Sequence[GroupHom]) -> Tuple[str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MayerVietorisResult:
+class MayerVietorisResult(NamedTuple):
     """Six-term sequence of a two-piece cover with its exactness verdict.
 
     ``groups`` runs ``H0(whole), H0(piece0)+H0(piece1), H0(overlap),
@@ -972,8 +974,7 @@ def mayer_vietoris(G: GroupGraph, cover0, cover1) -> MayerVietorisResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LongExactSequenceResult:
+class LongExactSequenceResult(NamedTuple):
     """Six-term sequence of a short exact group-graph triple.
 
     ``groups`` runs ``H0(sub), H0(total), H0(quotient), H1(sub),

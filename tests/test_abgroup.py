@@ -252,6 +252,22 @@ class TestClassify:
         rep = classify(g)
         assert rep.has_atoms and rep.text() == "Diff(C,0)"
 
+    def test_report_is_an_immutable_value_without_its_group(self) -> None:
+        a = classify(make_finite(factors=[2, 4]))
+        fields = {name: getattr(a, name) for name in NormalFormReport.__slots__}
+        b = NormalFormReport(**{**fields, "group": make_finite(factors=[8, 2])})
+        assert b.group != a.group
+        assert a == b and not (a != b) and hash(a) == hash(b)
+        other = NormalFormReport(**{**fields, "invariant_factors": (8,)})
+        assert a != other and not (a == other)
+        assert a != fields["invariant_factors"]
+        for name in ("free_disc_rank", "group"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, fields[name])
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a.invariant_factors == (2, 4) and a.group is fields["group"]
+
     # classification is idempotent: the normal form classifies to itself
     @settings(deadline=None, max_examples=40)
     @given(obscured_finite_presentations())

@@ -212,6 +212,57 @@ def test_both_kinds_store_check_and_restrict_alike(kind, monkeypatch):
             GroupGraphMorphism(whole, bent, *maps)
 
 
+def test_restrict_shares_the_data_keeps_the_table_and_no_sums():
+    whole = identity_rho_graph(Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2)]), z_mod(2))
+    cohomology(whole)
+    assert set(whole._sums) == {0, 1}
+    part = whole.restrict([0, 1])
+    assert part.table is whole.table and part._sums == {}
+    assert part.vertex_group(1) is whole.vertex_group(1)
+    assert part.edge_group("a") is whole.edge_group("a")
+    assert part.rho(0, "a") is whole.rho(0, "a")
+    fresh = GroupGraph(
+        part.graph,
+        {v: part.vertex_group(v) for v in part.graph.vertices},
+        {e: part.edge_group(e) for e in part.graph.edges},
+        {(v, "a"): part.rho(v, "a") for v in (0, 1)},
+    )
+    assert cohomology(part) == cohomology(fresh)
+    assert set(part._sums) == {0, 1} and set(whole._sums) == {0, 1}
+
+
+RESULT_FIELDS = {
+    gg.CohomologyResult: (
+        "h0",
+        "h1",
+        "witnesses",
+        "h0_inclusion",
+        "h1_projection",
+        "h1_section",
+    ),
+    gg.MayerVietorisResult: ("groups", "maps", "exact", "failures", "pieces"),
+    gg.LongExactSequenceResult: ("groups", "maps", "exact", "failures", "middle"),
+}
+
+
+@pytest.mark.parametrize("cls", list(RESULT_FIELDS), ids=lambda cls: cls.__name__)
+def test_results_keep_their_fields_and_compare_every_one(cls):
+    names = RESULT_FIELDS[cls]
+    assert cls._fields == names and cls.__doc__
+    built = cls(**{name: name for name in names})
+    assert [getattr(built, name) for name in names] == list(names)
+    assert built == cls(*names) and hash(built) == hash(cls(*names))
+    for k in range(len(names)):
+        assert built != cls(*names[:k], None, *names[k + 1 :])
+
+
+def test_a_cohomology_result_builds_from_its_keywords():
+    G = identity_rho_graph(Graph([0, 1], [("e", 0, 1)]), z_mod(2))
+    c = cohomology(G)
+    assert gg.CohomologyResult(**c._asdict()) == c
+    assert c.witnesses == coboundary0(G)
+
+
 # ---------------------------------------------------------------------------
 # Degree-0 coboundary and cohomology
 # ---------------------------------------------------------------------------

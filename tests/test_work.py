@@ -29,7 +29,11 @@ and another requires that factoring a map through a kernel's inclusion
 right after the kernel builds no preimage system.  The algebra builds its
 own groups and homs from rows already stored, and each hom keys its images
 once: guards count the rows the oracle stores through the validating
-constructors and the row keys it builds.
+constructors and the row keys it builds.  Map equality and the sections of
+surjections read the algebra's own rows too: a guard counts the homs the
+oracle builds through the validating constructor.  A fresh
+``import folmod.cli`` needs no dataclass machinery and no ``copy``: a guard
+imports it in a new interpreter and lists the modules it loads.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -110,6 +115,16 @@ MAX_INT_SYSTEMS_ORACLE = 400
 MAX_STORED_ROWS_ORACLE = 1500
 MAX_ROW_KEYS_ORACLE = 5000
 
+# One run of each oracle suite (seed 0) built 1,151 homs through the
+# validating GroupHom constructor when `hom_equal` built each difference of
+# two maps as a hom (598) and `gg._pseudo_section` its section (100); read
+# as rows, they leave 453, the oracle's own tables and maps.
+MAX_VALIDATED_HOMS_ORACLE = 500
+
+# A fresh `import folmod.cli` loaded these seven modules, about 13 ms of a
+# 31 ms import, for four frozen dataclasses and one shallow copy.
+NOT_IMPORTED = ("ast", "copy", "dataclasses", "dis", "inspect", "linecache", "tokenize")
+
 # The seed-0 k=33 geodesic built 128 identity homs in `foliation`, one per
 # incidence (32 on 4 group values and 96 on 1); one per value needs 5.
 MAX_FOLIATION_IDENTITY_HOMS_K33 = 5
@@ -136,10 +151,13 @@ def _run_geodesic(k: int, tmp_path, capsys):
     return geo, periods, json.loads(out)
 
 
-def _count_constructions(monkeypatch, cls, run, clear: bool = True) -> int:
+def _count_constructions(
+    monkeypatch, cls, run, clear: bool = True, stored: bool = True
+) -> int:
     """The instances of ``cls`` that ``run()`` constructs, from cold caches
     unless ``clear`` is false: through ``__init__`` and, for a class that
-    has one, through the ``_from_stored`` constructor of stored rows."""
+    has one and unless ``stored`` is false, through the ``_from_stored``
+    constructor of stored rows."""
     count = 0
     init = cls.__init__
 
@@ -151,7 +169,7 @@ def _count_constructions(monkeypatch, cls, run, clear: bool = True) -> int:
     if clear:
         clear_caches()
     monkeypatch.setattr(cls, "__init__", counted)
-    if "_from_stored" in vars(cls):
+    if stored and "_from_stored" in vars(cls):
         from_stored = vars(cls)["_from_stored"].__func__
 
         def counted_from_stored(klass, *args, **kwargs):
@@ -308,6 +326,13 @@ def test_oracle_constructs_few_homs(monkeypatch) -> None:
     assert 0 < count <= MAX_HOMS_ORACLE
 
 
+def test_oracle_validates_few_homs(monkeypatch) -> None:
+    count = _count_constructions(
+        monkeypatch, abgroup.GroupHom, lambda: run_oracle(seed=0), stored=False
+    )
+    assert 0 < count <= MAX_VALIDATED_HOMS_ORACLE
+
+
 def test_oracle_stores_few_rows(monkeypatch) -> None:
     count = sum(
         _count_calls(monkeypatch, func, lambda: run_oracle(seed=0, runs=10))
@@ -415,3 +440,20 @@ def test_discrete_parts_store_their_nonzeros() -> None:
     z2 = abgroup.PresentedAbelianGroup.from_invariant_factors(table, [2])
     total, _ = abgroup.direct_sum([z2] * n)
     assert sum(len(r.disc) for r in total.relations) <= n
+
+
+def test_cli_import_loads_no_dataclass_machinery() -> None:
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import folmod.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = run.stdout.split()
+    assert "folmod.cli" in loaded and "folmod.oracle" in loaded
+    assert sorted(set(loaded) & set(NOT_IMPORTED)) == []
