@@ -876,7 +876,8 @@ def _int_rows_from_scalar_columns(
     :func:`_by_coordinate`).  Each coordinate where some entry is nonzero
     contributes, in coordinate order, one integer row per monomial of
     :func:`~folmod.exactnum.monomial_vectors` over its entries, with
-    denominators cleared row by row.  A row is sparse, ``{j: entry}``, and
+    denominators cleared row by row (a coefficient is an int or a
+    ``Fraction``, and an int's denominator is 1).  A row is sparse, ``{j: entry}``, and
     holds no zero.  A coordinate whose entries are all rational is one
     monomial, keyed ``None``, and skips the expansion.
 
@@ -908,7 +909,7 @@ def _int_rows_from_scalar_columns(
     return rows, index
 
 
-def _coefficients_over(t: Scalar, den: Optional[dict]) -> Optional[Dict[object, Fraction]]:
+def _coefficients_over(t: Scalar, den: Optional[dict]) -> Optional[Dict[object, int | Fraction]]:
     """The coefficients of ``t * den`` in the monomials of a coordinate
     whose entries have the common denominator ``den`` (None: all rational),
     or None when ``t`` cannot be a Q-combination of those entries."""

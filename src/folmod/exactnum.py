@@ -4,9 +4,10 @@ Everything downstream (group presentations, cohomology, moduli reports) is
 computed over the field Q(x_1, ..., x_n) of rational functions in finitely
 many formal symbols, with rational coefficients.  Scalars are kept in a
 canonical normal form -- a reduced ratio of primitive polynomials with
-Python int coefficients, times one ``Fraction`` that holds the rational
-content -- so equality is decidable and serialized output is reproducible
-byte for byte.  No floating point number ever enters a result.
+Python int coefficients, times one rational content, a Python ``int`` when
+it is integral and a ``Fraction`` otherwise -- so equality is decidable and
+serialized output is reproducible byte for byte.  No floating point number
+ever enters a result.
 
 >>> t = SymbolTable(["alpha_t", "beta_t"])
 >>> a = Scalar.symbol(t, "alpha_t")
@@ -114,8 +115,10 @@ class SymbolTable:
 # Coefficients are Python ints.  A Scalar's numerator and denominator are
 # primitive, and every exact division below is by a primitive polynomial (a
 # gcd or a denominator), so by Gauss's lemma its quotient has integer
-# coefficients too.  Only the polynomials read by ``_p_from_json`` carry
-# ``Fraction`` coefficients, until ``_p_primitive`` clears them.
+# coefficients too.  Only a polynomial given to ``Scalar.__init__`` from
+# outside the arithmetic (``_p_from_json`` reads them, and
+# ``folmod.foliation.parse_scalar`` collects sums) may carry ``Fraction``
+# coefficients, until ``_p_primitive`` clears them.
 #
 # The gcd ``_p_gcd`` takes three steps, cheapest first, and each accepts a
 # candidate only when it divides both sides:
@@ -138,7 +141,6 @@ class SymbolTable:
 _Poly = Dict[Tuple[int, ...], int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _UNITS: Dict[int, _Poly] = {}
 
 
@@ -670,6 +672,40 @@ def _p_from_json(data: object, width: int) -> _Poly:
 
 
 # ---------------------------------------------------------------------------
+# Rational contents: an int when integral, otherwise a Fraction whose
+# denominator is greater than 1.  In Python ``int / int`` is a float, so
+# every quotient below is built exactly.
+# ---------------------------------------------------------------------------
+
+
+def _stored_rat(x: int | Fraction) -> int | Fraction:
+    """``x`` in stored form: an integral ``Fraction`` becomes its numerator."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _ratio(n: int, d: int) -> int | Fraction:
+    """``n / d`` in stored form for ints ``n`` and ``d != 0``: ``n // d``
+    when ``d`` divides ``n``, ``Fraction(n, d)`` otherwise."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _times_ratio(x: int | Fraction, a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """``x * a / b`` in stored form for rationals ``x``, ``a`` and ``b != 0``."""
+    return _ratio(
+        x.numerator * a.numerator * b.denominator,
+        x.denominator * a.denominator * b.numerator,
+    )
+
+
+def _check_rational(c: object) -> None:
+    if type(c) is not int and type(c) is not Fraction:
+        raise TypeError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
+
+
+# ---------------------------------------------------------------------------
 # Scalar
 # ---------------------------------------------------------------------------
 
@@ -677,7 +713,7 @@ def _p_from_json(data: object, width: int) -> _Poly:
 class Scalar:
     """An exact element of Q(symbols) in canonical normal form.
 
-    The value is ``rat * num / den`` where ``rat`` is a ``Fraction`` and
+    The value is ``rat * num / den`` where ``rat`` is a nonzero rational and
     ``num``, ``den`` are coprime primitive polynomials with positive
     graded-lex leading coefficients (``num = den = 1`` for plain rationals,
     and ``rat = 0, num = den = 1`` for zero).  Equality is structural.
@@ -691,13 +727,18 @@ class Scalar:
 
     Normalization and arithmetic skip the polynomial work whenever a side is
     constant, rational operands combine their ``rat`` alone, and a zero
-    operand returns at once.  These invariants make that safe and cheap:
+    operand returns at once.  Negation, scaling by a nonzero rational and a
+    product or quotient with a nonzero rational operand keep ``num`` and
+    ``den`` as they are and skip normalization (:meth:`_from_stored`).
+    These invariants make that safe and cheap:
 
     - every coefficient of ``num`` and ``den`` is a Python ``int`` (their
-      content is 1), so ``rat`` is the one ``Fraction`` of a Scalar; an
-      integral ``Fraction`` prints, serializes and hashes like its int, so
-      the stored form does not show in ``str``, ``to_json`` or ``hash``;
-
+      content is 1), so ``rat`` holds all of the rational content;
+    - a nonzero ``rat`` is a Python ``int`` when it is integral and
+      otherwise a ``Fraction`` whose denominator is greater than 1, never a
+      ``float`` or a ``bool``; an int prints, serializes and hashes like the
+      ``Fraction`` of the same value, so the stored form does not show in
+      ``str``, ``to_json`` or ``hash``;
     - every zero Scalar holds the one interned ``Fraction(0)`` as its
       ``rat`` (``__init__`` replaces any zero value by it), so
       :meth:`is_zero` is an identity test;
@@ -725,7 +766,7 @@ class Scalar:
 
     __slots__ = ("table", "rat", "num", "den")
 
-    def __init__(self, table: SymbolTable, rat: Fraction, num: _Poly, den: _Poly):
+    def __init__(self, table: SymbolTable, rat: int | Fraction, num: _Poly, den: _Poly):
         # Normalization happens here so every constructed Scalar is canonical.
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
@@ -733,19 +774,14 @@ class Scalar:
         if not rat or not num:
             rat, num, den = _ZERO, unit, unit
         elif num is unit and den is unit:
-            if type(rat) is not Fraction:
-                rat = Fraction(rat)
+            rat = _stored_rat(rat)
         elif _p_is_const(num) and _p_is_const(den):
-            rat = Fraction(
-                rat.numerator * next(iter(num.values())),
-                rat.denominator * next(iter(den.values())),
-            )
+            rat = _times_ratio(rat, next(iter(num.values())), next(iter(den.values())))
             num = den = unit
         else:
             cn, num = _p_primitive(num)
             cd, den = _p_primitive(den)
-            if cn != 1 or cd != 1 or type(rat) is not Fraction:
-                rat = Fraction(rat.numerator * cn, rat.denominator * cd)
+            rat = _times_ratio(rat, cn, cd) if cn != 1 or cd != 1 else _stored_rat(rat)
             # The gcd of a constant and anything is 1.  The quotients of two
             # primitive, positive-leading polynomials by their gcd are again
             # primitive and positive-leading (Gauss's lemma), so ``rat``
@@ -767,6 +803,27 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_stored(cls, table: SymbolTable, rat: int | Fraction, num: _Poly, den: _Poly) -> "Scalar":
+        """The Scalar ``rat * num / den`` from parts already in stored form,
+        kept as they are: no normalization, no gcd.
+
+        The caller guarantees the invariants of the class: ``rat`` is a
+        nonzero int or a ``Fraction`` with denominator > 1, and ``num`` and
+        ``den`` are coprime, primitive, positive-leading int polynomials
+        over ``table``, a constant one being the shared unit polynomial.
+        They hold for the ``num`` and ``den`` of a nonzero Scalar, and for
+        the two swapped, so negation, scaling by a nonzero rational and a
+        product or quotient with a nonzero rational operand build their
+        results here.
+        """
+        s = object.__new__(cls)
+        s.table = table
+        s.rat = rat
+        s.num = num
+        s.den = den
+        return s
+
+    @classmethod
     def zero(cls, table: SymbolTable) -> "Scalar":
         if table._zero is None:
             table._zero = cls(table, _ZERO, {}, table._unit)
@@ -779,13 +836,25 @@ class Scalar:
         return table._one
 
     @classmethod
-    def rational(cls, table: SymbolTable, p: int | Fraction, q: int = 1) -> "Scalar":
+    def rational(cls, table: SymbolTable, p: int | Fraction, q: int | Fraction = 1) -> "Scalar":
+        """The rational ``p / q``; ``p`` and ``q`` are ints or Fractions.
+
+        >>> t = SymbolTable(["mu"])
+        >>> Scalar.rational(t, 6, 3).rat, Scalar.rational(t, 3, 6).rat
+        (2, Fraction(1, 2))
+        >>> Scalar.rational(t, 0.5)
+        Traceback (most recent call last):
+            ...
+        TypeError: expected an int or a Fraction, got float 0.5
+        """
+        _check_rational(p)
+        _check_rational(q)
         unit = table._unit
-        return cls(table, Fraction(p, q) if q != 1 else Fraction(p), unit, unit)
+        return cls(table, _times_ratio(p, 1, q), unit, unit)
 
     @classmethod
     def symbol(cls, table: SymbolTable, name: str) -> "Scalar":
-        return cls(table, _ONE, _p_sym(len(table), table.index(name)), table._unit)
+        return cls(table, 1, _p_sym(len(table), table.index(name)), table._unit)
 
     # -- predicates and coercions -----------------------------------------
 
@@ -850,7 +919,9 @@ class Scalar:
         return self._combine(other, 1)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.table, -self.rat, self.num, self.den)
+        if self.rat is _ZERO:
+            return self
+        return Scalar._from_stored(self.table, -self.rat, self.num, self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -867,13 +938,13 @@ class Scalar:
         two ``rat`` denominators: the numerators become integer multiples of
         int polynomials."""
         a, b = self.rat, other.rat
-        g = _int_gcd(a.denominator, b.denominator)
+        da, db = a.denominator, b.denominator
+        g = _int_gcd(da, db)
         num = _p_add(
-            _p_scale(_p_mul(self.num, other.den), a.numerator * (b.denominator // g)),
-            _p_scale(_p_mul(other.num, self.den), sign * b.numerator * (a.denominator // g)),
+            _p_scale(_p_mul(self.num, other.den), a.numerator * (db // g)),
+            _p_scale(_p_mul(other.num, self.den), sign * b.numerator * (da // g)),
         )
-        rat = Fraction(1, a.denominator // g * b.denominator)
-        return Scalar(self.table, rat, num, _p_mul(self.den, other.den))
+        return Scalar(self.table, _ratio(1, da // g * db), num, _p_mul(self.den, other.den))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -881,14 +952,12 @@ class Scalar:
             return self
         if other.rat is _ZERO:
             return other
-        if self.num is self.den and other.num is other.den:
-            return Scalar(self.table, self.rat * other.rat, self.num, self.den)
-        return Scalar(
-            self.table,
-            self.rat * other.rat,
-            _p_mul(self.num, other.num),
-            _p_mul(self.den, other.den),
-        )
+        rat = self.rat * other.rat
+        if other.num is other.den:
+            return Scalar._from_stored(self.table, _stored_rat(rat), self.num, self.den)
+        if self.num is self.den:
+            return Scalar._from_stored(self.table, _stored_rat(rat), other.num, other.den)
+        return Scalar(self.table, rat, _p_mul(self.num, other.num), _p_mul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
@@ -896,21 +965,24 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         if self.rat is _ZERO:
             return self
-        if self.num is self.den and other.num is other.den:
-            return Scalar(self.table, self.rat / other.rat, self.num, self.den)
+        rat = _times_ratio(self.rat, 1, other.rat)
+        if other.num is other.den:
+            return Scalar._from_stored(self.table, rat, self.num, self.den)
+        if self.num is self.den:
+            return Scalar._from_stored(self.table, rat, other.den, other.num)
         return Scalar(
-            self.table,
-            self.rat / other.rat,
-            _p_mul(self.num, other.den),
-            _p_mul(self.den, other.num),
+            self.table, rat, _p_mul(self.num, other.den), _p_mul(self.den, other.num)
         )
 
     def scale(self, c: int | Fraction) -> "Scalar":
+        """``c * self`` for an int or Fraction ``c``; anything else, ``bool``
+        and ``float`` included, raises :class:`TypeError`."""
+        _check_rational(c)
         if self.rat is _ZERO:
             return self
         if not c:
             return Scalar.zero(self.table)
-        return Scalar(self.table, self.rat * c, self.num, self.den)
+        return Scalar._from_stored(self.table, _stored_rat(self.rat * c), self.num, self.den)
 
     # -- comparisons, hashing, display --------------------------------------
 
@@ -984,7 +1056,7 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _numerator_over(s: Scalar, den: _Poly) -> Dict[Tuple[int, ...], Fraction]:
+def _numerator_over(s: Scalar, den: _Poly) -> Dict[Tuple[int, ...], int | Fraction]:
     """The coefficients of the polynomial ``s * den``.
 
     Raises :class:`ArithmeticError` when the denominator of ``s`` does not
@@ -1003,10 +1075,11 @@ def _numerator_over(s: Scalar, den: _Poly) -> Dict[Tuple[int, ...], Fraction]:
 
 def monomial_vectors(
     scalars: Sequence[Scalar],
-) -> Tuple[List[List[Fraction]], List[Tuple[int, ...]], _Poly]:
+) -> Tuple[List[List[int | Fraction]], List[Tuple[int, ...]], _Poly]:
     """The coefficient vectors of :func:`monomial_expansion` with the
     monomials and the common denominator in place of its basis Scalars:
-    ``(vectors, monomials, den)``.
+    ``(vectors, monomials, den)``.  A coefficient is an int or a
+    ``Fraction``, as the scalars' ``rat`` are.
 
     ``den`` is the lcm of the scalars' denominators, and ``vectors[i]``
     holds the coefficients of ``scalars[i] * den`` at the sorted
@@ -1028,7 +1101,7 @@ def monomial_vectors(
             den = _p_mul(den, _p_div_exact(s.den, _p_gcd(den, s.den)))
     numerators = [_numerator_over(s, den) for s in scalars]
     monos = sorted({m for v in numerators for m in v})
-    return [[v.get(m, _ZERO) for m in monos] for v in numerators], monos, den
+    return [[v.get(m, 0) for m in monos] for v in numerators], monos, den
 
 
 def monomial_expansion(
@@ -1054,7 +1127,8 @@ def monomial_expansion(
         return [], []
     vectors, monos, den = monomial_vectors(scalars)
     table = scalars[0].table
-    return vectors, [Scalar(table, _ONE, {m: 1}, den) for m in monos]
+    vectors = [[x if type(x) is Fraction else Fraction(x) for x in vec] for vec in vectors]
+    return vectors, [Scalar(table, 1, {m: 1}, den) for m in monos]
 
 
 # ---------------------------------------------------------------------------

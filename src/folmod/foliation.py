@@ -249,6 +249,7 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     """
     tokens = _tokenize(text)
     pos = 0
+    unit = Scalar.one(table).num  # the constant polynomial 1
 
     def bounded(a: Scalar, b: Scalar) -> None:
         terms = max(len(a.num), len(a.den)) * max(len(b.num), len(b.den))
@@ -323,14 +324,38 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
         return value
 
     def parse_sum() -> Scalar:
+        # Consecutive polynomial terms add into one coefficient dict, and the
+        # Scalar is built once, when a non-polynomial term arrives or the sum
+        # ends: normalizing the sum so far after each ``+`` made parsing
+        # quadratic in the length of a sum.
         value = parse_product()
+        poly: Optional[Dict[Tuple[int, ...], object]] = None  # the sum so far
         while peek() is not None and peek()[1] in ("+", "-"):
-            op = take()[1]
+            sign = 1 if take()[1] == "+" else -1
             rhs = parse_product()
-            if not (value.is_polynomial() and rhs.is_polynomial()):
-                bounded(value, rhs)
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            if rhs.is_polynomial() and (poly is not None or value.is_polynomial()):
+                if poly is None:
+                    poly = {}
+                    add_terms(poly, value, 1)
+                add_terms(poly, rhs, sign)
+                continue
+            if poly is not None:
+                value, poly = Scalar(table, 1, poly, unit), None
+            bounded(value, rhs)
+            value = value + rhs if sign == 1 else value - rhs
+        return value if poly is None else Scalar(table, 1, poly, unit)
+
+    def add_terms(poly: Dict[Tuple[int, ...], object], p: Scalar, sign: int) -> None:
+        """``poly += sign * p`` for a polynomial ``p``."""
+        if p.is_zero():
+            return
+        c = sign * p.rat
+        for mono, x in p.num.items():
+            y = poly.get(mono, 0) + c * x
+            if y:
+                poly[mono] = y
+            else:
+                del poly[mono]
 
     if not tokens:
         raise FoliationError("empty scalar expression")

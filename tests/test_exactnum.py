@@ -128,6 +128,18 @@ class TestScalar:
         assert rat(6, 4).rat == Fraction(3, 2)
         assert rat(6, 4).is_rational() and not sym("mu").is_rational()
 
+    @pytest.mark.parametrize("args", [(0.1,), (1, 0.5), (True,), (1, True), (2.0,), ("1",)])
+    def test_rational_refuses_anything_but_ints_and_fractions(self, args: tuple) -> None:
+        # Scalar.rational(t, 0.1) once became 3602879701896397/36028797018963968.
+        with pytest.raises(TypeError):
+            rat(*args)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, True, False, None])
+    def test_scale_refuses_anything_but_ints_and_fractions(self, c: object) -> None:
+        for s in (sym("mu"), rat(3), Scalar.zero(TABLE)):
+            with pytest.raises(TypeError):
+                s.scale(c)
+
     def test_table_mismatch_rejected(self) -> None:
         other = SymbolTable(["mu"])
         with pytest.raises(Exception):
@@ -381,7 +393,12 @@ def _leading(poly: dict) -> tuple:
 
 
 def _assert_stored_form(s: Scalar) -> None:
-    assert type(s.rat) is Fraction
+    # The rational content is an int when integral, otherwise a Fraction
+    # with a denominator above 1, and zero is the one interned Fraction(0).
+    if s.rat == 0:
+        assert s.rat is exactnum._ZERO
+    else:
+        assert type(s.rat) is int or (type(s.rat) is Fraction and s.rat.denominator > 1)
     for poly in (s.num, s.den):
         assert poly and all(type(c) is int for c in poly.values())
         assert math.gcd(*poly.values()) == 1
@@ -453,6 +470,23 @@ class TestStoredForm:
         assert sympy.cancel(_scalar_to_sympy(s) - value) == 0
         back = Scalar.from_json(table, s.to_json())
         assert back == s and str(back) == str(s) and hash(back) == hash(s)
+
+    @settings(deadline=None)
+    @given(computed_scalars(), st.integers(-12, 12), st.integers(-12, 12).filter(bool))
+    def test_no_rat_is_a_float_and_integral_quotients_are_ints(
+        self, pool: list, p: int, q: int
+    ) -> None:
+        for s in pool:
+            assert type(s.rat) in (int, Fraction)
+        table = pool[0].table
+        integral = [s for s in pool if s.is_rational() and type(s.rat) is int]
+        integral += [Scalar.rational(table, p), Scalar.rational(table, q)]
+        for a, b in itertools.product(integral, repeat=2):
+            if b.is_zero() or a.is_zero():
+                continue
+            quotient = a / b
+            assert quotient.rat == Fraction(a.rat, b.rat)
+            assert (type(quotient.rat) is int) == (a.rat % b.rat == 0)
 
     def test_a_product_with_the_unit_shares_the_other_factor(self) -> None:
         table = WIDE_TABLES[2]

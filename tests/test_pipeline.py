@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from folmod import cli, foliation
+from folmod import cli, exactnum, foliation
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.examples import EXAMPLES, example_doc
 from folmod.foliation import (
@@ -366,6 +366,42 @@ def test_a_long_polynomial_round_trips_through_text_quickly() -> None:
     started = time.perf_counter()
     assert foliation.parse_scalar(table, str(p)) == p
     assert time.perf_counter() - started < 4.0
+
+
+def test_parsing_a_long_polynomial_normalizes_each_term_once(monkeypatch) -> None:
+    # A sum is normalized once, not after each +: parsing the text of the
+    # 1,200-monomial sum above passed 764,968 monomials to _p_primitive in
+    # 45,568 calls when each + normalized the whole sum so far.  Now each
+    # product step of a term (at most 18 symbol factors) normalizes two
+    # one-term polynomials, and the sum is normalized once.
+    table = SymbolTable(["a", "b", "c"])
+    monos = sorted(m for m in itertools.product(range(19), repeat=3) if sum(m) <= 18)[:1200]
+    rng = random.Random(0)
+    terms = [[list(m), [rng.choice([-1, 1]) * rng.randint(1, 99), 1]] for m in monos]
+    p = Scalar.from_json(table, {"rat": [1, 1], "num": terms, "den": [[[0, 0, 0], [1, 1]]]})
+    text = str(p)
+    primitive = exactnum._p_primitive
+    seen = 0
+
+    def counted(a: dict):
+        nonlocal seen
+        seen += len(a)
+        return primitive(a)
+
+    monkeypatch.setattr(exactnum, "_p_primitive", counted)
+    assert foliation.parse_scalar(table, text) == p
+    assert seen <= 40 * 1200
+
+
+def test_a_sum_is_bounded_from_its_first_non_polynomial_term() -> None:
+    # The polynomial terms before a fraction add up first; the fraction is
+    # then bounded against their sum, as it was when each + built the sum.
+    table = SymbolTable(["a", "b", "c", "d", "e"])
+    power = "+".join(f"a^{i}*b^{j}" for i in range(40) for j in range(30))
+    with pytest.raises(foliation.FoliationError, match="terms exceed"):
+        foliation.parse_scalar(table, f"{power} + 1/(a+b)")
+    total = foliation.parse_scalar(table, "a + b - a - b + 1/(a+b) - 1/(a+b) + c + d")
+    assert total == Scalar.symbol(table, "c") + Scalar.symbol(table, "d")
 
 
 def test_the_bundled_examples_stay_within_the_term_bound() -> None:

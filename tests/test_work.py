@@ -33,7 +33,11 @@ constructors and the row keys it builds.  Map equality and the sections of
 surjections read the algebra's own rows too: a guard counts the homs the
 oracle builds through the validating constructor.  A fresh
 ``import folmod.cli`` needs no dataclass machinery and no ``copy``: a guard
-imports it in a new interpreter and lists the modules it loads.
+imports it in a new interpreter and lists the modules it loads.  An
+integral Scalar holds its rational content as an int, and negation,
+scaling and products or quotients with a rational keep their operand's
+canonical parts: a guard checks the contents the k=9 geodesic builds, and
+another counts the normalizing constructions of example 1.
 """
 
 from __future__ import annotations
@@ -124,6 +128,12 @@ MAX_VALIDATED_HOMS_ORACLE = 500
 # A fresh `import folmod.cli` loaded these seven modules, about 13 ms of a
 # 31 ms import, for four frozen dataclasses and one shallow copy.
 NOT_IMPORTED = ("ast", "copy", "dataclasses", "dis", "inspect", "linecache", "tokenize")
+
+# `folmod moduli` on example 1 made 874 normalizing Scalar constructions
+# when negation, scaling and every product or quotient with a rational
+# normalized parts that were canonical already; built as they are, about
+# 200 remain.
+MAX_NORMALIZING_SCALARS_EX1 = 230
 
 # The seed-0 k=33 geodesic built 128 identity homs in `foliation`, one per
 # incidence (32 on 4 group values and 96 on 1); one per value needs 5.
@@ -229,6 +239,44 @@ def test_examples_construct_few_scalars(tmp_path, capsys, monkeypatch) -> None:
 
     count = _count_constructions(monkeypatch, exactnum.Scalar, run)
     assert 0 < count <= MAX_SCALARS_EXAMPLES
+
+
+def test_example_1_normalizes_few_scalars(tmp_path, capsys, monkeypatch) -> None:
+    path = tmp_path / "ex1.json"
+    path.write_text(json.dumps(example_doc(1)), encoding="utf-8")
+
+    def run() -> None:
+        assert cli.main(["moduli", str(path), "--format", "json"]) == 0
+        capsys.readouterr()
+
+    count = _count_constructions(monkeypatch, exactnum.Scalar, run, stored=False)
+    assert 0 < count <= MAX_NORMALIZING_SCALARS_EX1
+
+
+def test_k9_geodesic_scalars_hold_int_contents(tmp_path, capsys, monkeypatch) -> None:
+    # Every index of the geodesic is an integer, and so is every nonzero
+    # Scalar a run builds; all 1,380 that __init__ built held a Fraction
+    # when the rational content was always one.
+    built = []
+    init = exactnum.Scalar.__init__
+    from_stored = vars(exactnum.Scalar)["_from_stored"].__func__
+
+    def recorded(self, *args) -> None:
+        init(self, *args)
+        built.append(self)
+
+    def recorded_from_stored(cls, *args):
+        s = from_stored(cls, *args)
+        built.append(s)
+        return s
+
+    clear_caches()
+    monkeypatch.setattr(exactnum.Scalar, "__init__", recorded)
+    monkeypatch.setattr(exactnum.Scalar, "_from_stored", classmethod(recorded_from_stored))
+    _run_geodesic(9, tmp_path, capsys)
+    monkeypatch.undo()
+    nonzero = [s for s in built if s.rat is not exactnum._ZERO]
+    assert nonzero and all(type(s.rat) is int for s in nonzero)
 
 
 def test_k33_geodesic_moduli(tmp_path, capsys) -> None:
