@@ -358,6 +358,11 @@ def _field_inverse(rows: Sequence[Mapping[int, Scalar]], table: SymbolTable) -> 
     return [elim.combos[p] for p in range(len(rows))]
 
 
+# The elimination of no vectors, shared by every preimage system with no
+# continuous data.
+_NO_FIELD = _Elimination((), SymbolTable([]))
+
+
 # ---------------------------------------------------------------------------
 # Integer linear algebra (on top of Smith normal form)
 # ---------------------------------------------------------------------------
@@ -965,12 +970,23 @@ class _PreimageSystem:
     the matrix is the one the per-target expansion of ``ycoords`` and the
     target would build, so the answer is the same.
 
+    A system with no continuous data (no continuous images, no C-rows and
+    an empty continuous column for every integer unknown) is its integer
+    side alone: ``field`` is false, it eliminates nothing (``elim`` is the
+    shared elimination of no vectors, ``_NO_FIELD``) and expands no
+    monomial, a target with a continuous part has no preimage, every
+    integer solution is one with no field part, and :meth:`preimage` and
+    :meth:`kernel_generators` read the Smith form directly.  They give the
+    values the field path would: ``({}, _head(y, gd))`` for each ``y``.
+
     A system depends only on the codomain and the images, so one is built
     per value (see :func:`_system_of`) and shared.  It keeps the kernel of
     the map on the generators as well (:meth:`kernel_generators`).
     """
 
-    __slots__ = ("table", "gc", "gd", "elim", "ycols", "ycoords", "disc_rows", "ints", "kgens")
+    __slots__ = (
+        "table", "gc", "gd", "field", "elim", "ycols", "ycoords", "disc_rows", "ints", "kgens"
+    )
 
     def __init__(
         self,
@@ -982,10 +998,14 @@ class _PreimageSystem:
         self.gc, self.gd = len(cont_images), len(disc_images)
         crows = [r.cont for r in cod.relations if r.span == "C" and r.cont]
         zrows = cod.zrows()
-        self.elim = _Elimination(list(cont_images) + crows, cod.table, track=True)
         self.ycols = [_neg(c) for c, _ in disc_images] + [r.cont for r in zrows]
-        self.ycoords = _by_coordinate([self.elim.reduce(c) for c in self.ycols])
         self.disc_rows = _by_coordinate([d for _, d in disc_images] + [_neg(r.disc) for r in zrows])
+        self.field = bool(cont_images or crows or any(self.ycols))
+        if self.field:
+            self.elim = _Elimination(list(cont_images) + crows, cod.table, track=True)
+            self.ycoords = _by_coordinate([self.elim.reduce(c) for c in self.ycols])
+        else:
+            self.elim, self.ycoords = _NO_FIELD, {}
         self.ints: Optional[Tuple[_IntSystem, Dict[int, tuple], Dict[int, int]]] = None
         self.kgens: Optional[_KernelGenerators] = None
 
@@ -1027,6 +1047,8 @@ class _PreimageSystem:
         none; the target is a row and an int row, neither holding a zero."""
         ints, index, disc_at = self.factored()
         b: Dict[int, int] = {}
+        if target_cont and not self.field:
+            return None
         for coord, t in self.elim.reduce(target_cont).items():
             at = index.get(coord)
             coeffs = None if at is None else _coefficients_over(t, at[0])
@@ -1063,6 +1085,8 @@ class _PreimageSystem:
         y = self.solve(target_cont, target_disc)
         if y is None:
             return None
+        if not self.field:
+            return {}, _head(y, self.gd)
         x = self.field_part(y, target_cont)
         if x is None:
             return None
@@ -1073,18 +1097,25 @@ class _PreimageSystem:
         factored system's integer nullspace with its field parts, and the
         field nullspace projected to the domain's continuous generators."""
         if self.kgens is None:
-            # Integer unknowns y = (n, m) are admissible iff the field system
-            # is solvable for the right side they give.
-            disc: List[Tuple[Row, IntRow]] = []  # (x, n) in the domain
-            for y in self.factored()[0].nullspace():
-                xi = self.field_part(y, {})
-                if xi is None:
-                    raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
-                disc.append((_head(xi, self.gc), _head(y, self.gd)))
-            xparts = [_head(dep, self.gc) for dep in self.elim.dependencies]
-            cont, _ = _Elimination(xparts, self.table).rref()
-            self.kgens = _KernelGenerators(cont, disc)
+            ybasis = self.factored()[0].nullspace()
+            if self.field:
+                self.kgens = self._field_kernel_generators(ybasis)
+            else:
+                self.kgens = _KernelGenerators([], [({}, _head(y, self.gd)) for y in ybasis])
         return self.kgens
+
+    def _field_kernel_generators(self, ybasis: List[IntRow]) -> _KernelGenerators:
+        # Integer unknowns y = (n, m) are admissible iff the field system is
+        # solvable for the right side they give.
+        disc: List[Tuple[Row, IntRow]] = []  # (x, n) in the domain
+        for y in ybasis:
+            xi = self.field_part(y, {})
+            if xi is None:
+                raise NonFiniteTypeKernel("admissible integer solution lost field solvability")
+            disc.append((_head(xi, self.gc), _head(y, self.gd)))
+        xparts = [_head(dep, self.gc) for dep in self.elim.dependencies]
+        cont, _ = _Elimination(xparts, self.table).rref()
+        return _KernelGenerators(cont, disc)
 
 
 class _KernelGenerators(NamedTuple):

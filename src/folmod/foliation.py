@@ -70,7 +70,7 @@ from typing import (
     Union,
 )
 
-from .exactnum import MAX_EXPONENT, Scalar, SymbolTable
+from .exactnum import MAX_EXPONENT, Scalar, SymbolTable, _p_mul, _stored_rat
 from .abgroup import (
     GroupHom,
     HomError,
@@ -251,8 +251,10 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
     pos = 0
     unit = Scalar.one(table).num  # the constant polynomial 1
 
-    def bounded(a: Scalar, b: Scalar) -> None:
-        terms = max(len(a.num), len(a.den)) * max(len(b.num), len(b.den))
+    def size(a: Scalar) -> int:
+        return max(len(a.num), len(a.den))
+
+    def bounded(terms: int) -> None:
         if terms > MAX_TERMS:
             raise FoliationError(f"{terms} terms exceed {MAX_TERMS} in scalar expression")
 
@@ -294,12 +296,36 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
             n = int(value)
             if n > MAX_EXPONENT:
                 raise FoliationError(f"exponent {n} exceeds {MAX_EXPONENT} in scalar expression")
-            out = Scalar.one(table)
-            for _ in range(n):
-                bounded(out, base)
-                out = out * base
-            return out
+            return power(base, n)
         return base
+
+    def power(base: Scalar, n: int) -> Scalar:
+        """``base ^ n``, refused where ``n`` successive products would be.
+
+        The parts of ``base`` are coprime, primitive and positive-leading,
+        and so are their powers, which are the parts of the result: no
+        product is normalized.  Monomial parts stay one term, so their
+        powers scale the exponents and pass every bound.  Otherwise each
+        power comes from the one before, which keeps the bound's check on
+        every step: the term counts of powers need not grow with ``n``, so
+        square-and-multiply could not tell where the steps would stop.
+        """
+        if n == 0:
+            return Scalar.one(table)
+        if base.is_zero():
+            return base
+        num, den, terms = base.num, base.den, size(base)
+        if terms == 1:
+            # A one-term primitive part is a monomial with coefficient 1.
+            num, den = (
+                p if p is unit else {tuple(e * n for e in next(iter(p))): 1} for p in (num, den)
+            )
+        else:
+            num = den = unit
+            for _ in range(n):
+                bounded(max(len(num), len(den)) * terms)
+                num, den = _p_mul(num, base.num), _p_mul(den, base.den)
+        return Scalar._from_stored(table, _stored_rat(base.rat**n), num, den)
 
     def parse_signed() -> Scalar:
         sign = 1
@@ -314,7 +340,7 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
         while peek() is not None and peek()[1] in ("*", "/"):
             op = take()[1]
             rhs = parse_signed()
-            bounded(value, rhs)
+            bounded(size(value) * size(rhs))
             if op == "*":
                 value = value * rhs
             else:
@@ -341,7 +367,7 @@ def parse_scalar(table: SymbolTable, text: str) -> Scalar:
                 continue
             if poly is not None:
                 value, poly = Scalar(table, 1, poly, unit), None
-            bounded(value, rhs)
+            bounded(size(value) * size(rhs))
             value = value + rhs if sign == 1 else value - rhs
         return value if poly is None else Scalar(table, 1, poly, unit)
 

@@ -1263,6 +1263,32 @@ class FiniteGroupGraph(_GroupsOnGraph[FiniteGroup, FiniteHom]):
         )
 
 
+def _generating_set(g: FiniteGroup) -> List[int]:
+    """A generating set of ``g``, chosen greedily: each element, in
+    order, that the ones chosen before it do not generate.
+
+    >>> _generating_set(FiniteGroup.cyclic(6)), _generating_set(FiniteGroup.symmetric(3))
+    ([1], [1, 2])
+    """
+    gens: List[int] = []
+    span = {g.identity}
+    for x in g.elements():
+        if x in span:
+            continue
+        gens.append(x)
+        # Close under products: every word in the generators is reached by
+        # right multiplications from the subgroup generated so far.
+        frontier = list(span)
+        while frontier:
+            a = frontier.pop()
+            for s in gens:
+                b = g.mul(a, s)
+                if b not in span:
+                    span.add(b)
+                    frontier.append(b)
+    return gens
+
+
 class BruteForceResult(NamedTuple):
     orbit_count: int
     representatives: Tuple[Tuple[int, ...], ...]
@@ -1278,6 +1304,14 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
     ``prod |G_e| * prod |G_v|`` exceeds ``bound``.  Representatives are
     the lexicographically smallest tuples of their orbits, reported in
     sorted order.
+
+    The 0-cochains act through a generating set of each vertex group
+    (:func:`_generating_set`): the orbits of a finite group are the
+    components of the action of any set generating it (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, 4.1), so the
+    orbits and their least elements are those of the action of every
+    element.  ``Z/n`` acts through one table, S3 and ``Z2 x Z4`` through
+    two.
 
     The search codes a tuple ``z`` as one mixed-radix int, ``sum z_i w_i``
     with ``w_i`` the product of the orders of the edges after ``i``, so
@@ -1304,11 +1338,8 @@ def brute_force_h1(G: FiniteGroupGraph, bound: int = 10_000_000) -> BruteForceRe
     for i in reversed(range(len(eids) - 1)):
         weights[i] = weights[i + 1] * orders[i + 1]
 
-    # one generator per (vertex, non-identity element)
-    generators: List[Tuple[Id, int]] = []
-    for v in g.vertices:
-        gv = G.vertex_group(v)
-        generators.extend((v, x) for x in gv.elements() if x != gv.identity)
+    # one generator per (vertex, generator of its group)
+    generators = [(v, x) for v in g.vertices for x in _generating_set(G.vertex_group(v))]
 
     # Each generator permutes the values of the edges it touches; tabulate
     # once, per edge it moves, the change of the code for each value.

@@ -20,12 +20,18 @@ On a failure the offending instance is serialized into the report for
 replay.
 
 Instances share their small values: the presented groups ``Z/n`` and
-``Z/a (+) Z/b``, the homs between them that the suites draw, and the
-multiplication tables come from builders memoized per process.  They are
-immutable values (see :class:`~folmod.abgroup.PresentedAbelianGroup`), so
-sharing changes no result; a shared group or hom keeps its relation span
-or preimage system, which is then eliminated once per process.  The keys
-are drawn orders and multipliers of at most 8, which bounds the memos.
+``Z/a (+) Z/b``, the homs between them that the suites draw, the
+multiplication tables and the table homs between them (``x -> k*x`` on
+cyclic tables, identities and trivial maps) come from builders memoized
+per process.  They are immutable values (see
+:class:`~folmod.abgroup.PresentedAbelianGroup`), so sharing changes no
+result; a shared group or hom keeps its relation span or preimage system,
+which is then factored once per process, and a shared table hom is
+checked once, when it is built.  The keys are drawn orders and
+multipliers of at most 8 and the memoized tables, which bounds the memos.
+No group drawn here has a continuous generator, so every preimage system
+is an integer one and does no field work (see
+:class:`~folmod.abgroup._PreimageSystem`).
 
 >>> report = run_oracle(seed=7, runs=2)
 >>> report.ok
@@ -190,6 +196,28 @@ def _cyclic_table(order: int) -> FiniteGroup:
 
 
 @cache
+def _cyclic_table_hom(dom_order: int, cod_order: int, mult: int) -> FiniteHom:
+    """The table hom ``Z/dom -> Z/cod``, ``x -> mult * x``."""
+    return FiniteHom(
+        _cyclic_table(dom_order),
+        _cyclic_table(cod_order),
+        [mult * x % cod_order for x in range(dom_order)],
+    )
+
+
+@cache
+def _identity_table_hom(g: FiniteGroup) -> FiniteHom:
+    """The identity of a table group."""
+    return FiniteHom.identity(g)
+
+
+@cache
+def _trivial_table_hom(dom: FiniteGroup, cod: FiniteGroup) -> FiniteHom:
+    """The trivial hom between table groups."""
+    return FiniteHom.trivial(dom, cod)
+
+
+@cache
 def _table_group(kind: int) -> FiniteGroup:
     """The drawn non-cyclic table: S3, ``Z2 x Z2`` or ``Z2 x Z4``."""
     if kind == 0:
@@ -249,11 +277,7 @@ def _random_cyclic_pair(
         {v: _cyclic_table(n) for v, n in vorders.items()},
         {e: _cyclic_table(n) for e, n in eorders.items()},
         {
-            (v, e): FiniteHom(
-                _cyclic_table(vorders[v]),
-                _cyclic_table(eorders[e]),
-                [k * x % eorders[e] for x in range(vorders[v])],
-            )
+            (v, e): _cyclic_table_hom(vorders[v], eorders[e], k)
             for (v, e), k in mults.items()
         },
     )
@@ -271,8 +295,8 @@ def _easy_hom(rng: random.Random, dom: FiniteGroup, cod: FiniteGroup) -> FiniteH
     """A valid hom between arbitrary table groups: identity when the
     tables coincide (half of the time), otherwise the trivial map."""
     if dom == cod and rng.random() < 0.5:
-        return FiniteHom.identity(dom)
-    return FiniteHom.trivial(dom, cod)
+        return _identity_table_hom(dom)
+    return _trivial_table_hom(dom, cod)
 
 
 def _random_prunable(
@@ -308,7 +332,7 @@ def _random_prunable(
         groups[vid] = egroups[ename]
         vertices.append(vid)
         edges.append((ename, prev, vid))
-        rhos[(vid, ename)] = FiniteHom.identity(egroups[ename])
+        rhos[(vid, ename)] = _identity_table_hom(egroups[ename])
         rhos[(prev, ename)] = _easy_hom(rng, groups[prev], egroups[ename])
         branch_vertices.append(vid)
         prev = vid

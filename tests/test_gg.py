@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 from typing import List, Optional
 
@@ -787,7 +788,103 @@ class TestLongExactSequence:
 # ---------------------------------------------------------------------------
 
 
+def reference_brute_force_h1(G: FiniteGroupGraph) -> BruteForceResult:
+    """Orbits of the action of every element of every vertex group, joined
+    by union-find over all edge tuples, each with its least tuple."""
+    g = G.graph
+    egroups = [G.edge_group(e) for e in g.edges]
+    tuples = list(itertools.product(*(range(ge.order) for ge in egroups)))
+    parent = {z: z for z in tuples}
+
+    def find(z):
+        while parent[z] != z:
+            z = parent[z]
+        return z
+
+    for v in g.vertices:
+        for x in G.vertex_group(v).elements():
+            for z in tuples:
+                w = list(z)
+                for i, e in enumerate(g.edges):
+                    t, h = g.endpoints(e)
+                    ge = egroups[i]
+                    if v == t:
+                        w[i] = ge.mul(ge.inv(G.rho(v, e).apply(x)), w[i])
+                    if v == h:
+                        w[i] = ge.mul(w[i], G.rho(v, e).apply(x))
+                a, b = find(z), find(tuple(w))
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    # itertools.product runs in tuple order: each orbit's first is its least.
+    reps = {}
+    for z in tuples:
+        reps.setdefault(find(z), z)
+    return BruteForceResult(len(reps), tuple(reps.values()))
+
+
+BRUTE_FORCE_GROUPS = (
+    FiniteGroup.symmetric(3),
+    FiniteGroup.from_factors([2, 4]),
+    FiniteGroup.from_factors([2, 2]),
+    *(FiniteGroup.cyclic(n) for n in (1, 2, 3, 4, 6)),
+)
+
+
+def random_table_hom(rng: random.Random, dom: FiniteGroup, cod: FiniteGroup) -> FiniteHom:
+    """A random hom: random images of a generating set, extended over words
+    and kept when it is a hom; the trivial hom when no draw is."""
+    gens = gg._generating_set(dom)
+    for _ in range(10):
+        at = {s: rng.randrange(cod.order) for s in gens}
+        images, frontier, ok = {dom.identity: cod.identity}, [dom.identity], True
+        while frontier and ok:
+            a = frontier.pop()
+            for s in gens:
+                b, ib = dom.mul(a, s), cod.mul(images[a], at[s])
+                if b not in images:
+                    images[b] = ib
+                    frontier.append(b)
+                ok = ok and images[b] == ib
+        if ok:
+            try:
+                return FiniteHom(dom, cod, [images[x] for x in dom.elements()])
+            except ValueError:
+                pass
+    return FiniteHom.trivial(dom, cod)
+
+
+def random_table_graph(rng: random.Random) -> FiniteGroupGraph:
+    n = rng.randint(1, 3)
+    edges = [(f"e{i}", rng.randrange(n), rng.randrange(n)) for i in range(rng.randint(0, 3))]
+    graph = Graph(range(n), edges)
+    groups = {v: rng.choice(BRUTE_FORCE_GROUPS) for v in graph.vertices}
+    egroups = {e: rng.choice(BRUTE_FORCE_GROUPS) for e in graph.edges}
+    rhos = {
+        (v, e): random_table_hom(rng, groups[v], egroups[e])
+        for e in graph.edges
+        for v in graph.endpoints(e)
+    }
+    return FiniteGroupGraph(graph, groups, egroups, rhos)
+
+
 class TestBruteForce:
+    def test_acting_by_generators_keeps_the_orbits(self):
+        rng, acting = random.Random(0), set()
+        for _ in range(150):
+            fgg = random_table_graph(rng)
+            acting.update(
+                fgg.vertex_group(v) for v in fgg.graph.vertices if fgg.graph.incident(v)
+            )
+            assert brute_force_h1(fgg) == reference_brute_force_h1(fgg)
+        s3, z2z4 = BRUTE_FORCE_GROUPS[:2]
+        assert s3 in acting and z2z4 in acting
+
+    def test_generating_sets(self):
+        assert gg._generating_set(FiniteGroup.trivial()) == []
+        assert gg._generating_set(FiniteGroup.cyclic(7)) == [1]
+        assert gg._generating_set(FiniteGroup.symmetric(3)) == [1, 2]
+        assert gg._generating_set(FiniteGroup.from_factors([2, 4])) == [1, 4]
+
     def test_symmetric_loop_counts_conjugacy_classes(self):
         s3 = FiniteGroup.symmetric(3)
         g = Graph(["v"], [("l", "v", "v")])

@@ -373,7 +373,10 @@ def test_parsing_a_long_polynomial_normalizes_each_term_once(monkeypatch) -> Non
     # 1,200-monomial sum above passed 764,968 monomials to _p_primitive in
     # 45,568 calls when each + normalized the whole sum so far.  Now each
     # product step of a term (at most 18 symbol factors) normalizes two
-    # one-term polynomials, and the sum is normalized once.
+    # one-term polynomials, and the sum is normalized once.  Each a^k was
+    # built by k normalized products, 35,486 calls in all; a power built
+    # from its base's parts leaves the symbols and the products between
+    # powers, about 8 calls per term.
     table = SymbolTable(["a", "b", "c"])
     monos = sorted(m for m in itertools.product(range(19), repeat=3) if sum(m) <= 18)[:1200]
     rng = random.Random(0)
@@ -381,16 +384,57 @@ def test_parsing_a_long_polynomial_normalizes_each_term_once(monkeypatch) -> Non
     p = Scalar.from_json(table, {"rat": [1, 1], "num": terms, "den": [[[0, 0, 0], [1, 1]]]})
     text = str(p)
     primitive = exactnum._p_primitive
-    seen = 0
+    seen = calls = 0
 
     def counted(a: dict):
-        nonlocal seen
+        nonlocal seen, calls
         seen += len(a)
+        calls += 1
         return primitive(a)
 
     monkeypatch.setattr(exactnum, "_p_primitive", counted)
     assert foliation.parse_scalar(table, text) == p
     assert seen <= 40 * 1200
+    assert calls <= 10 * 1200
+
+
+POWER_BASES = [
+    "0", "-7/3", "a", "2*a*b^2", "a/b", "(-3/2)*a^2/(b*c)", "a + b", "(a + b)/(a - b)",
+    "a + b + c + d + e", "(a + b + c + d + e + 1)/(a*b + 1)", "(a^2 - b)/c", "1/(a + 2)",
+]
+
+
+def _successive_power(table: SymbolTable, base: Scalar, n: int):
+    """``base^n`` by ``n`` normalized products, or the refusal's message."""
+    out = Scalar.one(table)
+    for _ in range(n):
+        terms = max(len(out.num), len(out.den)) * max(len(base.num), len(base.den))
+        if terms > foliation.MAX_TERMS:
+            return f"{terms} terms exceed {foliation.MAX_TERMS} in scalar expression"
+        out = out * base
+    return out
+
+
+@pytest.mark.parametrize("text", POWER_BASES)
+def test_powers_equal_successive_products(text: str) -> None:
+    # The same stored parts, down to the order of the terms, and the same
+    # refusals at the same exponents.
+    table = SymbolTable(["a", "b", "c", "d", "e"])
+    base = foliation.parse_scalar(table, text)
+    small = max(len(base.num), len(base.den)) == 1
+    for n in [0, 1, 2, 3, 5, 6, 7, 8, 12] + ([foliation.MAX_EXPONENT] if small else []):
+        want = _successive_power(table, base, n)
+        if isinstance(want, str):
+            with pytest.raises(foliation.FoliationError) as refused:
+                foliation.parse_scalar(table, f"({text})^{n}")
+            assert str(refused.value) == want
+            continue
+        got = foliation.parse_scalar(table, f"({text})^{n}")
+        assert type(got.rat) is type(want.rat) and got.rat == want.rat
+        assert list(got.num.items()) == list(want.num.items())
+        assert list(got.den.items()) == list(want.den.items())
+        assert (got.num is table._unit) == (want.num is table._unit)
+        assert (got.den is table._unit) == (want.den is table._unit)
 
 
 def test_a_sum_is_bounded_from_its_first_non_polynomial_term() -> None:

@@ -37,7 +37,11 @@ imports it in a new interpreter and lists the modules it loads.  An
 integral Scalar holds its rational content as an int, and negation,
 scaling and products or quotients with a rational keep their operand's
 canonical parts: a guard checks the contents the k=9 geodesic builds, and
-another counts the normalizing constructions of example 1.
+another counts the normalizing constructions of example 1.  A preimage
+system with no continuous data is its integer side alone: a guard counts
+the field eliminations and field solves of the oracle, whose groups have
+no continuous generator.  The oracle builds each table hom once per value,
+and a guard counts the table homs it validates.
 """
 
 from __future__ import annotations
@@ -124,6 +128,16 @@ MAX_ROW_KEYS_ORACLE = 5000
 # two maps as a hom (598) and `gg._pseudo_section` its section (100); read
 # as rows, they leave 453, the oracle's own tables and maps.
 MAX_VALIDATED_HOMS_ORACLE = 500
+
+# Ten runs of each oracle suite (seed 0) built 569 field eliminations and
+# made 1,003 field solves (`_PreimageSystem.field_part`), all on systems with
+# no continuous data; read off the integer side alone they make none.
+MAX_FIELD_WORK_ORACLE = 0
+
+# Ten runs of each oracle suite (seed 0) validated 115 table homs
+# (`gg.FiniteHom`) when each instance built its own restrictions; one per
+# value leaves 71.
+MAX_TABLE_HOMS_ORACLE = 90
 
 # A fresh `import folmod.cli` loaded these seven modules, about 13 ms of a
 # 31 ms import, for four frozen dataclasses and one shallow copy.
@@ -411,6 +425,28 @@ def test_oracle_checks_each_hom_once(monkeypatch) -> None:
 def test_oracle_makes_few_field_updates(monkeypatch) -> None:
     count = _count_calls(monkeypatch, abgroup._addmul, lambda: run_oracle(seed=0, runs=10))
     assert count <= MAX_ADDMULS_ORACLE
+
+
+def test_oracle_does_no_field_work(monkeypatch) -> None:
+    solves = 0
+    field_part = abgroup._PreimageSystem.field_part
+
+    def counted(self, *args):
+        nonlocal solves
+        solves += 1
+        return field_part(self, *args)
+
+    monkeypatch.setattr(abgroup._PreimageSystem, "field_part", counted)
+    eliminations = _count_constructions(
+        monkeypatch, abgroup._Elimination, lambda: run_oracle(seed=0, runs=10)
+    )
+    assert eliminations <= MAX_FIELD_WORK_ORACLE
+    assert solves <= MAX_FIELD_WORK_ORACLE
+
+
+def test_oracle_builds_each_table_hom_once(monkeypatch) -> None:
+    count = _count_constructions(monkeypatch, gg.FiniteHom, lambda: run_oracle(seed=0, runs=10))
+    assert 0 < count <= MAX_TABLE_HOMS_ORACLE
 
 
 def test_oracle_builds_few_int_systems(monkeypatch) -> None:
