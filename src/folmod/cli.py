@@ -43,12 +43,15 @@ EXIT_PIPELINE = 3
 
 
 def _load_json(path: str) -> dict:
-    """Read a JSON document, mapping I/O and syntax problems to exit 2."""
+    """Read a JSON document, mapping I/O, encoding and syntax problems to
+    exit 2."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as err:
         raise SystemExit(_fail(f"cannot read {path}: {err.strerror}", EXIT_PARSE))
+    except UnicodeDecodeError as err:
+        raise SystemExit(_fail(f"{path}: not UTF-8 text at byte {err.start}", EXIT_PARSE))
     except json.JSONDecodeError as err:
         raise SystemExit(
             _fail(f"{path}: malformed JSON at line {err.lineno}, column {err.colno}", EXIT_PARSE)

@@ -1342,9 +1342,12 @@ def _smith_normal_form(
     while t < size:
         # Rows and columns before t hold only their diagonal entry, so the
         # trailing block is the rows from t on.  Nothing beats a unit, so
-        # the scan stops after the first row that holds one.
+        # the scan stops after the first row that holds one.  An empty row
+        # holds no candidate, so it costs no iterator.
         best, best_abs = None, 0
         for i in range(t, nrows):
+            if not m[i]:
+                continue
             for j, x in m[i].items():
                 mag = -x if x < 0 else x
                 if best is None or mag < best_abs:

@@ -95,6 +95,7 @@ from .gg import (
     Graph,
     GroupGraph,
     GroupGraphMorphism,
+    MayerVietorisResult,
     h1,
     long_exact_sequence,
     mayer_vietoris,
@@ -103,6 +104,7 @@ from .gg import (
     _check_id,
     _cochains,
     _id_key,
+    _symbol_table,
 )
 
 __all__ = [
@@ -1851,12 +1853,45 @@ class _ZoneAnalysis(NamedTuple):
     h1_group: PresentedAbelianGroup
 
 
+def _gluing_key(mod: GroupGraph, cover0, cover1) -> tuple:
+    """``mod`` and its two-piece cover with every vertex and edge id
+    replaced by its rank in graph order: the edge ends, the vertex groups,
+    the edge groups and the restriction maps (tail, then head) in graph
+    order, and each cover piece as ranks.
+
+    :func:`~folmod.gg.mayer_vietoris` reads ids only through their
+    ``_id_key`` order and set membership, which the ranks keep, and its
+    result holds no id; so two covers with equal keys have equal six-term
+    sequences."""
+    g = mod.graph
+    vrank = {v: i for i, v in enumerate(g.vertices)}
+    erank = {e: i for i, e in enumerate(g.edges)}
+    return (
+        tuple(tuple(vrank[x] for x in g.endpoints(e)) for e in g.edges),
+        tuple(map(mod.vertex_group, g.vertices)),
+        tuple(map(mod.edge_group, g.edges)),
+        tuple(mod.rho(v, e) for e in g.edges for v in dict.fromkeys(g.endpoints(e))),
+        tuple(
+            (tuple(vrank[v] for v in vs), tuple(erank[e] for e in es))
+            for vs, es in (cover0, cover1)
+        ),
+    )
+
+
 def _analyze_zone(
-    exp: GroupGraph, zone: _Zone, identity: Callable[[PresentedAbelianGroup], GroupHom]
+    exp: GroupGraph,
+    zone: _Zone,
+    identity: Callable[[PresentedAbelianGroup], GroupHom],
+    gluings: Dict[tuple, MayerVietorisResult],
 ) -> _ZoneAnalysis:
     """Split a blown-up zone into its flow-trivial segments and flow-positive
     core, verify the gluing is exact, and return the active vertices; the
-    blow-up takes its identity maps from ``identity``."""
+    blow-up takes its identity maps from ``identity``.
+
+    The gluing sequence is looked up in ``gluings`` by :func:`_gluing_key`
+    and computed, exactness check included, only for a key not seen
+    before: zones that differ only by their ids share one sequence.  The
+    checks on the zone's own ids and its active vertices run per zone."""
     completion = sorted(set(zone.vertices) | set(zone.boundary), key=_id_key)
     zone_exp = exp.restrict(completion, zone.edges)
     mod = _blow_up_extremities(zone_exp, identity)
@@ -1889,7 +1924,10 @@ def _analyze_zone(
     if trivial_vs:
         cover0 = (tuple(trivial_vs) + tuple(overlap), tuple(segment_edges))
         cover1 = (tuple(z1_vs), tuple(z1_es))
-        mv = mayer_vietoris(mod, cover0, cover1)
+        key = _gluing_key(mod, cover0, cover1)
+        mv = gluings.get(key)
+        if mv is None:
+            mv = gluings[key] = mayer_vietoris(mod, cover0, cover1)
         if not mv.exact:
             raise PipelineError(
                 f"zone gluing sequence not exact at {', '.join(mv.failures)}"
@@ -2009,7 +2047,11 @@ def _four_term(
     sing: SingularityData, coloring: Coloring, ses: _SES, les, t: int
 ) -> Tuple[FourTermSequence, NormalFormReport]:
     """Assemble the four-term sequence data and the moduli normal form from
-    the cohomology long exact sequence, with all theorem-backed checks."""
+    the cohomology long exact sequence, with all theorem-backed checks.
+
+    The zones share one memo of gluing sequences for the length of the
+    zone loop, so each distinct zone shape runs one Mayer–Vietoris check
+    (see :func:`_analyze_zone`); the seed-0 geodesics have one shape."""
     table = sing.table
     chi, gam = les.maps[3], les.maps[4]
     f_nf = classify(kernel(chi).group)
@@ -2024,8 +2066,9 @@ def _four_term(
     actives: List[Tuple[Id, Id]] = []
     zone_h1s: List[PresentedAbelianGroup] = []
     identity = cache(identity_hom)  # one hom per group value, checked once
+    gluings: Dict[tuple, MayerVietorisResult] = {}  # one sequence per zone shape
     for zone in _zones(coloring):
-        analysis = _analyze_zone(ses.inclusion.dom, zone, identity)
+        analysis = _analyze_zone(ses.inclusion.dom, zone, identity, gluings)
         actives.extend(analysis.actives)
         zone_h1s.append(analysis.h1_group)
     if zone_h1s:
@@ -2588,7 +2631,8 @@ def load_input(doc: Mapping) -> FoliationInput:
     The top-level keys and the fields of their entries (optional ones with
     their default):
 
-    - ``schema_version``: must be ``1``; ``symbols``: the symbol names;
+    - ``schema_version``: must be ``1``; ``symbols``: a list of the symbol
+      names;
     - ``components``: ``id``, ``dicritical`` (false), ``self_intersection``
       (none), ``topologically_rigid`` (false);
     - ``corners``: ``id``, ``components`` (the two ids), ``in_sigma`` (true);
@@ -2629,7 +2673,7 @@ def load_input(doc: Mapping) -> FoliationInput:
             f"unsupported schema_version {doc.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION}"
         )
-    table = SymbolTable(doc.get("symbols", ()))
+    table = _symbol_table(doc.get("symbols", []))
     components = [
         Component(
             item["id"],

@@ -107,8 +107,9 @@ Id = Union[int, str]
 #: Largest number of entries in any one list of an input document: the
 #: vertices and edges of a group-graph (``folmod cohomology``) and the
 #: components, corners, attachments, singularities and holonomies of a
-#: foliation (``folmod check`` and ``folmod moduli``).  The seed-0 geodesic
-#: of k=129 rigid joints has 257 components and 512 singularities.
+#: foliation (``folmod check`` and ``folmod moduli``), and the symbols of
+#: either.  The seed-0 geodesic of k=129 rigid joints has 257 components
+#: and 512 singularities.
 MAX_ITEMS = 10_000
 
 
@@ -116,6 +117,16 @@ def _check_count(items: Sized, what: str) -> None:
     """Refuse an input list longer than :data:`MAX_ITEMS` with ValueError."""
     if len(items) > MAX_ITEMS:
         raise ValueError(f"{len(items)} {what} exceed the bound of {MAX_ITEMS}")
+
+
+def _symbol_table(names: object) -> SymbolTable:
+    """The symbol table of an input document's ``symbols``, which must be a
+    list of at most :data:`MAX_ITEMS` names; anything else raises
+    ValueError."""
+    if not isinstance(names, list):
+        raise ValueError(f"symbols must be a list of names, got {type(names).__name__}")
+    _check_count(names, "symbols")
+    return SymbolTable.from_json(names)
 
 
 class NotRepulsive(ValueError):
@@ -463,7 +474,7 @@ class GroupGraph(_GroupsOnGraph[PresentedAbelianGroup, GroupHom]):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupGraph":
-        table = SymbolTable.from_json(data["symbols"])
+        table = _symbol_table(data["symbols"])
         parts = cls._read_json(
             data,
             lambda item: PresentedAbelianGroup.from_json(

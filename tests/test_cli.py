@@ -1,4 +1,6 @@
-"""`folmod cohomology` and `folmod oracle` end in exit codes, not tracebacks."""
+"""`folmod` ends in exit codes, not tracebacks: `cohomology` and `oracle` on
+bad arguments and documents, and `check`, `moduli` and `cohomology` on a
+file that is not UTF-8 or whose ``symbols`` are not a bounded list."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from folmod import cli
 from folmod.abgroup import PresentedAbelianGroup, direct_sum, identity_hom
+from folmod.examples import example_doc
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.gg import MAX_ITEMS, Graph, GroupGraph
 
@@ -165,6 +168,51 @@ def test_a_group_graph_over_the_size_bound_exits_2(key: str, tmp_path, capsys) -
     assert _exit_code(["cohomology", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"{path}: {MAX_ITEMS + 1} {key} exceed")
+
+
+@pytest.mark.parametrize("command", ["check", "moduli", "cohomology"])
+def test_non_utf8_input_exits_2(command: str, tmp_path, capsys) -> None:
+    # A file of the bytes ff fe ended in a UnicodeDecodeError traceback.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    assert _exit_code([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: not UTF-8 text at byte 0\n")
+
+
+def _foliation_doc(symbols) -> dict:
+    """Example 5, whose scalars use no symbol, with ``symbols`` replaced."""
+    return dict(example_doc(5), symbols=symbols)
+
+
+@pytest.mark.parametrize(
+    "symbols, kind",
+    # A string was read as its characters and an object as its keys, and
+    # both documents ran to exit 0.
+    [("ab", "str"), ({"tau_i": 1}, "dict")],
+)
+def test_symbols_that_are_not_a_list_exit_2(symbols, kind, tmp_path, capsys) -> None:
+    message = f"symbols must be a list of names, got {kind}"
+    assert _exit_code(["moduli", _write(tmp_path, _foliation_doc([]))]) == 0
+    capsys.readouterr()
+    path = _write(tmp_path, _foliation_doc(symbols))
+    for command in ("check", "moduli"):
+        assert _exit_code([command, path]) == 2
+        assert capsys.readouterr() == ("", f"{path}: {message}\n")
+    doc = _two_vertex_doc()
+    doc["symbols"] = symbols
+    path = _write(tmp_path, doc)
+    assert _exit_code(["cohomology", path]) == 2
+    assert capsys.readouterr() == ("", f"{path}: {message}\n")
+
+
+def test_symbols_over_the_size_bound_exit_2(tmp_path, capsys) -> None:
+    names = [f"t{i}" for i in range(MAX_ITEMS + 1)]
+    message = f"{MAX_ITEMS + 1} symbols exceed the bound of {MAX_ITEMS}"
+    docs = {"moduli": _foliation_doc(names), "cohomology": dict(_two_vertex_doc(), symbols=names)}
+    for command, doc in docs.items():
+        path = _write(tmp_path, doc)
+        assert _exit_code([command, path]) == 2
+        assert capsys.readouterr() == ("", f"{path}: {message}\n")
 
 
 MALFORMED_SCALARS = {

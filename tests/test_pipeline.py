@@ -28,6 +28,7 @@ import copy
 import importlib.util
 import itertools
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -35,9 +36,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from folmod import cli, exactnum, foliation
+from folmod import cli, exactnum, foliation, gg, oracle
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.examples import EXAMPLES, example_doc
+from folmod.gg import Graph, GroupGraph
 from folmod.foliation import (
     NotFiniteType,
     compute_moduli,
@@ -175,15 +177,102 @@ def test_the_flow_sheaf_is_induced_from_the_symmetry_sheaf(n: int, monkeypatch) 
 
 
 def test_zone_cores_read_their_h1_from_the_gluing_sequence(monkeypatch) -> None:
-    # Every zone of a geodesic has a rigid boundary, so the H^1 of its core
-    # is that of the second Mayer-Vietoris cover piece; the one h1 call left
-    # computes the moduli group.
-    geo = _geodesic_module()
-    inp = load_input(geo.geodesic_doc(geo.chain_periods(5, random.Random("geodesic-0-5"))))
-    calls = _count_calls(monkeypatch, ("h1", "mayer_vietoris"))
-    foliation.compute_moduli(inp.divisor, inp.singularities, inp.holonomies)
-    assert calls["mayer_vietoris"] >= 2
-    assert calls["h1"] == 1
+    # Every zone of these inputs has a rigid boundary, so the H^1 of its
+    # core is that of the second Mayer-Vietoris cover piece; the one h1
+    # call left computes the moduli group.  Zones that are one shape up to
+    # their ids share one gluing sequence: the three zones of the k=5
+    # geodesic are one shape, and the two zones of example 1 are two.
+    for doc, gluings in ((_geodesic_doc(5), 1), (example_doc(1), 2)):
+        inp = load_input(doc)
+        calls = _count_calls(monkeypatch, ("h1", "mayer_vietoris"))
+        foliation.compute_moduli(inp.divisor, inp.singularities, inp.holonomies)
+        assert calls == {"h1": 1, "mayer_vietoris": gluings}
+        monkeypatch.undo()
+
+
+def _renamed_cover(ggraph: GroupGraph, cover0, cover1, new):
+    """``ggraph`` and its cover with every id ``x`` renamed to ``new(x)``."""
+    g = ggraph.graph
+    renamed = GroupGraph(
+        Graph(map(new, g.vertices), [(new(e), *map(new, g.endpoints(e))) for e in g.edges]),
+        {new(v): ggraph.vertex_group(v) for v in g.vertices},
+        {new(e): ggraph.edge_group(e) for e in g.edges},
+        {
+            (new(v), new(e)): ggraph.rho(v, e)
+            for e in g.edges
+            for v in set(g.endpoints(e))
+        },
+        table=ggraph.table,
+    )
+    cover = [(list(map(new, vs)), list(map(new, es))) for vs, es in (cover0, cover1)]
+    return renamed, *cover
+
+
+def _changed(ggraph: GroupGraph, vgroups, rhos) -> GroupGraph:
+    """``ggraph`` with the vertex groups of ``vgroups`` and the restriction
+    maps of ``rhos`` replaced."""
+    g = ggraph.graph
+    return GroupGraph(
+        g,
+        {**{v: ggraph.vertex_group(v) for v in g.vertices}, **vgroups},
+        {e: ggraph.edge_group(e) for e in g.edges},
+        {
+            **{(v, e): ggraph.rho(v, e) for e in g.edges for v in set(g.endpoints(e))},
+            **rhos,
+        },
+        table=ggraph.table,
+    )
+
+
+def _cyclic_order(group) -> int:
+    return next(n for n in oracle._SMALL_ORDERS if oracle._cyclic(n) == group)
+
+
+def test_the_gluing_key_determines_the_gluing_sequence() -> None:
+    # mayer_vietoris reads ids only by their order and set membership, so
+    # an order-preserving renaming keeps the key and the whole sequence; a
+    # renaming to the ranks themselves also lets vertex and edge ids meet.
+    # A different stalk group or restriction multiplier changes the key.
+    rng = random.Random("gluing-key")
+    draws = rho_changes = 0
+    while draws < 50:
+        ggraph, c0, c1 = oracle._random_mv_instance(rng)
+        try:
+            mv = gg.mayer_vietoris(ggraph, c0, c1)
+        except gg.CoverMismatch:
+            continue
+        draws += 1
+        key = foliation._gluing_key(ggraph, c0, c1)
+        g = ggraph.graph
+        vrank = {v: i for i, v in enumerate(g.vertices)}
+        erank = {e: i for i, e in enumerate(g.edges)}
+        for new in (
+            lambda x: 3 * x + 1 if isinstance(x, int) else "z" + x,
+            lambda x: vrank[x] if x in vrank else erank[x],
+        ):
+            renamed = _renamed_cover(ggraph, c0, c1, new)
+            assert foliation._gluing_key(*renamed) == key
+            assert gg.mayer_vietoris(*renamed) == mv
+        v = g.vertices[0]
+        m = 3 if _cyclic_order(ggraph.vertex_group(v)) == 2 else 2
+        zero = {
+            (v, e): oracle._cyclic_hom(m, _cyclic_order(ggraph.edge_group(e)), 0)
+            for e in g.incident(v)
+        }
+        stalk = _changed(ggraph, {v: oracle._cyclic(m)}, zero)
+        assert foliation._gluing_key(stalk, c0, c1) != key
+        for e in g.edges:
+            t = g.tail(e)
+            rho = ggraph.rho(t, e)
+            a, b = _cyclic_order(rho.dom), _cyclic_order(rho.cod)
+            mult = rho.disc_images[0][1].get(0, 0)
+            other = (mult + b // math.gcd(a, b)) % b
+            if other != mult % b:
+                changed = {(t, e): oracle._cyclic_hom(a, b, other)}
+                assert foliation._gluing_key(_changed(ggraph, {}, changed), c0, c1) != key
+                rho_changes += 1
+                break
+    assert rho_changes >= 20
 
 
 def _marked_divisors():

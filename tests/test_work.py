@@ -41,7 +41,10 @@ another counts the normalizing constructions of example 1.  A preimage
 system with no continuous data is its integer side alone: a guard counts
 the field eliminations and field solves of the oracle, whose groups have
 no continuous generator.  The oracle builds each table hom once per value,
-and a guard counts the table homs it validates.
+and a guard counts the table homs it validates.  The zones of one analysis
+that are the same group-graph and cover up to their ids share one
+Mayer-Vietoris gluing sequence: a guard counts the sequences the k=33
+geodesic computes for its 24 zones.
 """
 
 from __future__ import annotations
@@ -312,6 +315,24 @@ def test_k33_geodesic_builds_one_identity_hom_per_group(tmp_path, capsys, monkey
     monkeypatch.setattr(foliation, "identity_hom", counted)
     _run_geodesic(33, tmp_path, capsys)
     assert 0 < count <= MAX_FOLIATION_IDENTITY_HOMS_K33
+
+
+def test_k33_geodesic_glues_one_zone_shape(tmp_path, capsys, monkeypatch) -> None:
+    # The 24 zones of the seed-0 k=33 geodesic ran 24 gluing sequences; up
+    # to their ids they are one group-graph with one cover, so one serves.
+    zones = 0
+    analyze = foliation._analyze_zone
+
+    def counted(*args):
+        nonlocal zones
+        zones += 1
+        return analyze(*args)
+
+    monkeypatch.setattr(foliation, "_analyze_zone", counted)
+    gluings = _count_calls(
+        monkeypatch, gg.mayer_vietoris, lambda: _run_geodesic(33, tmp_path, capsys)
+    )
+    assert (zones, gluings) == (24, 1)
 
 
 def test_k9_geodesic_requests_few_smith_forms(tmp_path, capsys, monkeypatch) -> None:
