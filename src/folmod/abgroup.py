@@ -502,14 +502,19 @@ class PresentedAbelianGroup:
     and generator images.  Two invariants make that safe:
 
     - no code assigns to a group's attributes or mutates a stored row after
-      construction, except that the hash is computed on first use and kept;
-      atoms and Scalars are immutable;
+      construction, except two that are set once: the hash, computed on
+      first use and kept in ``_hash``, and then the report of a group that
+      the normal form returned without a generator display (a lattice
+      display is not a fixed point of normalization), kept in ``_report``
+      as its eight classification fields so that :func:`classify` reads
+      it instead of normalizing the normal form again; atoms and Scalars
+      are immutable;
     - a memoized result is shared by every caller that passes an equal
       group, so its maps may have an equal but not identical domain or
       codomain; nothing compares groups by identity.
     """
 
-    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash")
+    __slots__ = ("table", "cont_rank", "disc_rank", "relations", "atoms", "_hash", "_report")
 
     def __init__(
         self,
@@ -564,6 +569,7 @@ class PresentedAbelianGroup:
         self.relations = relations
         self.atoms = atoms
         self._hash: Optional[int] = None
+        self._report: Optional[tuple] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -1766,6 +1772,13 @@ def _normalize_full(
         ),
         group=ng,
     )
+    # Normalizing ``ng`` again gives this report back when it displays no
+    # generator: counts, invariant factors and atoms are invariants.  A
+    # lattice display depends on the basis it starts from, so a report
+    # with one is not stored, and ``ng`` is normalized again when asked.
+    # ``ng`` keeps the fields without ``group``, which would make a cycle.
+    if not (lattices or nondiscrete or nd_blocks):
+        ng._report = report._classification()
     return ng, t, s, report
 
 
@@ -1923,8 +1936,13 @@ def classify(g: PresentedAbelianGroup) -> NormalFormReport:
     True
     >>> classify(PresentedAbelianGroup.lattice_quotient(t, [a2])).text()
     'C*'
+
+    A group that the normal form returned (a cokernel's, or ``rep.group``)
+    carries the fields of its own report when the report displays no
+    generator, and they are read instead of normalizing the group again.
     """
-    return _normalize_full(g)[3]
+    fields = g._report
+    return _normalize_full(g)[3] if fields is None else NormalFormReport(*fields, g)
 
 
 # ---------------------------------------------------------------------------

@@ -881,7 +881,8 @@ class Scalar:
 
     @classmethod
     def symbol(cls, table: SymbolTable, name: str) -> "Scalar":
-        return cls(table, 1, _p_sym(len(table), table.index(name)), table._unit)
+        # A one-term monomial with coefficient 1 over the unit is canonical.
+        return cls._from_stored(table, 1, _p_sym(len(table), table.index(name)), table._unit)
 
     # -- predicates and coercions -----------------------------------------
 

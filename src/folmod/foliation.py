@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import count
 from math import gcd, lcm
 from typing import (
     Callable,
@@ -72,6 +71,7 @@ from typing import (
 
 from .exactnum import MAX_EXPONENT, Scalar, SymbolTable, _p_mul, _stored_rat
 from .abgroup import (
+    CokernelResult,
     GroupHom,
     HomError,
     PresentedAbelianGroup,
@@ -95,7 +95,6 @@ from .gg import (
     Graph,
     GroupGraph,
     GroupGraphMorphism,
-    MayerVietorisResult,
     h1,
     long_exact_sequence,
     mayer_vietoris,
@@ -1515,8 +1514,9 @@ def build_sym_graph(
     a vertex stored in the chart of its edge ``s1`` restricts to ``s1`` by
     the identity.  Every other restriction from ``v`` to ``e`` is one chart
     map (:func:`_chart_map`) with factor ``gamma(e) / gamma(s1)``, where
-    ``gamma(s1)`` is ``1`` in the vertex's own chart.  Only the kinds with
-    a flow coordinate (L1, R1) read a Camacho-Sad factor.
+    ``gamma(s1)`` is ``1`` in the vertex's own chart, built and checked
+    once per distinct stalks and factor.  Only the kinds with a flow
+    coordinate (L1, R1) read a Camacho-Sad factor.
 
     Reads input without violations (see :func:`validate`); raises
     :class:`UnsupportedSideData` on side data it cannot transport.
@@ -1529,6 +1529,7 @@ def build_sym_graph(
     val = divisor.val_sigma()
     one = Scalar.one(table)
     identity = cache(identity_hom)  # one hom per group value, checked once
+    charts: Dict[Tuple[PresentedAbelianGroup, PresentedAbelianGroup, Scalar], GroupHom] = {}
     for v in red.vertices:
         kind, edges = coloring.vertex_kind[v], red.incident(v)
         if kind == "nonabelian":
@@ -1559,12 +1560,15 @@ def build_sym_graph(
             base = _gamma(sing, s1, v, _other_end(red, s1, v))
         for e in others:
             factor = _gamma(sing, e, v, _other_end(red, e, v)) / base if flows else one
-            what = (
-                f"restriction of component {v!r} into corner {e!r}"
-                if s1 is None
-                else f"component {v!r}: transport from corner {s1!r} to {e!r}"
-            )
-            rhos[(v, e)] = _chart_map(vgroups[v], egroups[e], factor, what)
+            key = (vgroups[v], egroups[e], factor)
+            if key not in charts:
+                what = (
+                    f"restriction of component {v!r} into corner {e!r}"
+                    if s1 is None
+                    else f"component {v!r}: transport from corner {s1!r} to {e!r}"
+                )
+                charts[key] = _chart_map(*key, what)
+            rhos[(v, e)] = charts[key]
     return GroupGraph(red, vgroups, egroups, rhos, table=table)
 
 
@@ -1655,7 +1659,8 @@ def build_exp_graph(
     rigid elements it vanishes.  A vertex stalk lives in the chart that
     ``sym`` stores it in.  ``Exp`` is a subsheaf of ``sym``, so its
     restriction maps are induced: each is the restriction of ``sym`` on
-    the flow part, factored through the flow part of the edge.
+    the flow part, factored through the flow part of the edge, once per
+    distinct triple of those three maps.
     """
     red, table = coloring.red, sym.table
     one = Scalar.one(table)
@@ -1688,15 +1693,19 @@ def build_exp_graph(
             vmaps[v] = GroupHom(PresentedAbelianGroup.free_cont(table, 1), cod, [{0: one}], (), ())
 
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
+    factored: Dict[Tuple[GroupHom, GroupHom, GroupHom], GroupHom] = {}
     for e in red.edges:
         for v in set(red.endpoints(e)):
-            try:
-                rhos[(v, e)] = factor_through(compose(sym.rho(v, e), vmaps[v]), emaps[e])
-            except HomError as err:  # pragma: no cover - theorem-backed
-                raise PipelineError(
-                    f"the restriction at ({v!r}, {e!r}) does not carry flows to "
-                    f"flows: {err}"
-                ) from None
+            rho, flows, edge_flows = key = (sym.rho(v, e), vmaps[v], emaps[e])
+            if key not in factored:
+                try:
+                    factored[key] = factor_through(compose(rho, flows), edge_flows)
+                except HomError as err:  # pragma: no cover - theorem-backed
+                    raise PipelineError(
+                        f"the restriction at ({v!r}, {e!r}) does not carry flows to "
+                        f"flows: {err}"
+                    ) from None
+            rhos[(v, e)] = factored[key]
     vgroups = {v: h.dom for v, h in vmaps.items()}
     egroups = {e: h.dom for e, h in emaps.items()}
     exp = GroupGraph(red, vgroups, egroups, rhos, table=table)
@@ -1706,36 +1715,40 @@ def build_exp_graph(
 def build_dis_graph(sym: GroupGraph, inclusion: GroupGraphMorphism) -> GroupGraphMorphism:
     """The projection of ``sym`` onto the totally discontinuous quotient
     sheaf ``Dis = Sym / Exp``, computed stalkwise as an exact cokernel; its
-    ``cod`` is ``Dis``."""
+    ``cod`` is ``Dis``.  Each distinct stalk inclusion has one cokernel,
+    and each distinct induced restriction is built and checked once."""
     if inclusion.cod is not sym and inclusion.cod != sym:
         raise FoliationError("the inclusion does not land in the given sheaf")
     graph = sym.graph
-    vgroups: Dict[Id, PresentedAbelianGroup] = {}
-    egroups: Dict[Id, PresentedAbelianGroup] = {}
-    vmaps: Dict[Id, GroupHom] = {}
-    emaps: Dict[Id, GroupHom] = {}
-    sections: Dict[Tuple[str, Id], GroupHom] = {}
-    for v in graph.vertices:
-        cok = cokernel(inclusion.vertex_map(v))
-        vgroups[v] = cok.group
-        vmaps[v] = cok.projection
-        sections[("v", v)] = cok.section
-    for e in graph.edges:
-        cok = cokernel(inclusion.edge_map(e))
-        egroups[e] = cok.group
-        emaps[e] = cok.projection
+    cokernels: Dict[GroupHom, CokernelResult] = {}
+
+    def quotient(h: GroupHom) -> CokernelResult:
+        if h not in cokernels:
+            cokernels[h] = cokernel(h)
+        return cokernels[h]
+
+    vcoks = {v: quotient(inclusion.vertex_map(v)) for v in graph.vertices}
+    ecoks = {e: quotient(inclusion.edge_map(e)) for e in graph.edges}
     rhos: Dict[Tuple[Id, Id], GroupHom] = {}
+    induced: Dict[Tuple[GroupHom, GroupHom, GroupHom], GroupHom] = {}
     for e in graph.edges:
         for v in set(graph.endpoints(e)):
-            h = compose(emaps[e], compose(sym.rho(v, e), sections[("v", v)]))
-            try:
-                check_hom(h)
-            except HomError as err:  # pragma: no cover - theorem-backed
-                raise PipelineError(
-                    f"induced quotient restriction at ({v!r}, {e!r}) is not a "
-                    f"homomorphism: {err}"
-                ) from None
-            rhos[(v, e)] = h
+            project, rho, section = key = (ecoks[e].projection, sym.rho(v, e), vcoks[v].section)
+            if key not in induced:
+                h = compose(project, compose(rho, section))
+                try:
+                    check_hom(h)
+                except HomError as err:  # pragma: no cover - theorem-backed
+                    raise PipelineError(
+                        f"induced quotient restriction at ({v!r}, {e!r}) is not a "
+                        f"homomorphism: {err}"
+                    ) from None
+                induced[key] = h
+            rhos[(v, e)] = induced[key]
+    vgroups = {v: cok.group for v, cok in vcoks.items()}
+    egroups = {e: cok.group for e, cok in ecoks.items()}
+    vmaps = {v: cok.projection for v, cok in vcoks.items()}
+    emaps = {e: cok.projection for e, cok in ecoks.items()}
     dis = GroupGraph(graph, vgroups, egroups, rhos, table=sym.table)
     return GroupGraphMorphism(sym, dis, vmaps, emaps)
 
@@ -1810,21 +1823,19 @@ def _blow_up_extremities(
     """Insert one valency-two vertex past every extremity of the zone, with
     the edge stalk as the new vertex stalk and identity restrictions, so
     that extremal stalks become explicit overlap vertices.  ``H^1`` is
-    unchanged.  The new ids are the first ``__blow_<k>_*`` triples that the
-    zone does not use.  ``identity(g)`` is the identity of ``g``; the zones
-    of one sequence share it, so each group value gets one hom."""
-    extremities = [v for v in zone.graph.vertices if zone.graph.valency(v) == 1]
-    taken = set(zone.graph.vertices) | set(zone.graph.edges)
-    fresh = (
-        ids
-        for ids in ((f"__blow_{k}_v", f"__blow_{k}_a", f"__blow_{k}_b") for k in count())
-        if not taken.intersection(ids)
-    )
+    unchanged.  The new ids extend the largest string id of the zone
+    (``""`` if it has none), so they sort after every id of the zone and
+    the blow-up reads the zone's ids only through their order.
+    ``identity(g)`` is the identity of ``g``; the zones of one sequence
+    share it, so each group value gets one hom."""
+    graph = zone.graph
+    extremities = [v for v in graph.vertices if graph.valency(v) == 1]
+    top = max((x for x in graph.vertices + graph.edges if isinstance(x, str)), default="")
     current = zone
-    for v in sorted(extremities, key=_id_key):
+    for k, v in enumerate(extremities):
         (e,) = current.graph.incident(v)
         w = _other_end(current.graph, e, v)
-        u_id, a_id, b_id = next(fresh)
+        u_id, a_id, b_id = (f"{top}__blow_{k}_{x}" for x in "vab")
         ge = current.edge_group(e)
         vertices = list(current.graph.vertices) + [u_id]
         edges = [(f, *current.graph.endpoints(f)) for f in current.graph.edges if f != e]
@@ -1853,8 +1864,8 @@ class _ZoneAnalysis(NamedTuple):
     h1_group: PresentedAbelianGroup
 
 
-def _gluing_key(mod: GroupGraph, cover0, cover1) -> tuple:
-    """``mod`` and its two-piece cover with every vertex and edge id
+def _gluing_key(G: GroupGraph, *cover) -> tuple:
+    """``G`` and the pieces of ``cover`` with every vertex and edge id
     replaced by its rank in graph order: the edge ends, the vertex groups,
     the edge groups and the restriction maps (tail, then head) in graph
     order, and each cover piece as ranks.
@@ -1862,91 +1873,98 @@ def _gluing_key(mod: GroupGraph, cover0, cover1) -> tuple:
     :func:`~folmod.gg.mayer_vietoris` reads ids only through their
     ``_id_key`` order and set membership, which the ranks keep, and its
     result holds no id; so two covers with equal keys have equal six-term
-    sequences."""
-    g = mod.graph
+    sequences.  So do two zones with equal keys (no cover), since
+    :func:`_blow_up_extremities` and :func:`_zone_cover` read ids in the
+    same way."""
+    g = G.graph
     vrank = {v: i for i, v in enumerate(g.vertices)}
     erank = {e: i for i, e in enumerate(g.edges)}
     return (
         tuple(tuple(vrank[x] for x in g.endpoints(e)) for e in g.edges),
-        tuple(map(mod.vertex_group, g.vertices)),
-        tuple(map(mod.edge_group, g.edges)),
-        tuple(mod.rho(v, e) for e in g.edges for v in dict.fromkeys(g.endpoints(e))),
+        tuple(map(G.vertex_group, g.vertices)),
+        tuple(map(G.edge_group, g.edges)),
+        tuple(G.rho(v, e) for e in g.edges for v in dict.fromkeys(g.endpoints(e))),
         tuple(
-            (tuple(vrank[v] for v in vs), tuple(erank[e] for e in es))
-            for vs, es in (cover0, cover1)
+            (tuple(vrank[v] for v in vs), tuple(erank[e] for e in es)) for vs, es in cover
         ),
     )
+
+
+def _zone_cover(mod: GroupGraph) -> Tuple[tuple, tuple]:
+    """The two-piece cover of a blown-up zone: its flow-trivial segments
+    with their overlap vertices, and its flow-positive core."""
+    graph = mod.graph
+    trivial = [v for v in graph.vertices if _is_trivial_presentation(mod.vertex_group(v))]
+    ends = set(trivial)
+    core_es = tuple(e for e in graph.edges if not ends.intersection(graph.endpoints(e)))
+    overlap = tuple(_other_end(graph, graph.incident(v)[0], v) for v in trivial)
+    segments = (tuple(trivial) + overlap, tuple(e for e in graph.edges if e not in core_es))
+    core = (tuple(v for v in graph.vertices if v not in ends), core_es)
+    return segments, core
 
 
 def _analyze_zone(
     exp: GroupGraph,
     zone: _Zone,
     identity: Callable[[PresentedAbelianGroup], GroupHom],
-    gluings: Dict[tuple, MayerVietorisResult],
+    gluings: Dict[tuple, PresentedAbelianGroup],
 ) -> _ZoneAnalysis:
-    """Split a blown-up zone into its flow-trivial segments and flow-positive
-    core, verify the gluing is exact, and return the active vertices; the
-    blow-up takes its identity maps from ``identity``.
+    """Check that the flow-trivial vertices of a zone are its rigid
+    boundary, each a segment end; read the zone's ``H^1`` off the
+    Mayer–Vietoris sequence of its blown-up cover (:func:`_zone_cover`),
+    which must be exact and have a core with trivial ``H^1``; and return
+    its active vertices.  The blow-up takes its identity maps from
+    ``identity``.
 
-    The gluing sequence is looked up in ``gluings`` by :func:`_gluing_key`
-    and computed, exactness check included, only for a key not seen
-    before: zones that differ only by their ids share one sequence.  The
-    checks on the zone's own ids and its active vertices run per zone."""
+    The ``H^1`` is looked up in ``gluings`` by the :func:`_gluing_key` of
+    the zone before its blow-up, and the zone is blown up and glued,
+    exactness check included, only for a key not seen before: zones that
+    differ only by their ids share one sequence.  The checks on the zone's
+    own ids and its active vertices run per zone, on the zone itself: the
+    blow-up keeps the stalks, the flow-trivial vertices and their
+    valencies."""
     completion = sorted(set(zone.vertices) | set(zone.boundary), key=_id_key)
     zone_exp = exp.restrict(completion, zone.edges)
-    mod = _blow_up_extremities(zone_exp, identity)
-    graph = mod.graph
-    trivial_vs = [v for v in graph.vertices if _is_trivial_presentation(mod.vertex_group(v))]
+    graph = zone_exp.graph
     for e in graph.edges:
-        if _is_trivial_presentation(mod.edge_group(e)):  # pragma: no cover
+        if _is_trivial_presentation(zone_exp.edge_group(e)):  # pragma: no cover
             raise PipelineError(f"zone edge {e!r} has a trivial flow stalk")
+    trivial_vs = [v for v in graph.vertices if _is_trivial_presentation(zone_exp.vertex_group(v))]
     if set(trivial_vs) != set(zone.boundary):
         raise PipelineError(
             f"flow-trivial zone vertices {sorted(map(str, trivial_vs))} differ from "
             f"the rigid boundary {sorted(map(str, zone.boundary))}"
         )
-    z1_vs = [v for v in graph.vertices if v not in set(trivial_vs)]
-    z1_es = [
-        e
-        for e in graph.edges
-        if not (set(graph.endpoints(e)) & set(trivial_vs))
-    ]
-    segment_edges = [e for e in graph.edges if e not in set(z1_es)]
-    overlap: List[Id] = []
     for v in trivial_vs:
         if graph.valency(v) != 1:
             raise PipelineError(
-                f"rigid boundary vertex {v!r} has valency {graph.valency(v)} "
-                "after blow-up; expected a segment end"
+                f"rigid boundary vertex {v!r} has valency {graph.valency(v)}; "
+                "expected a segment end"
             )
-        (e,) = graph.incident(v)
-        overlap.append(_other_end(graph, e, v))
     if trivial_vs:
-        cover0 = (tuple(trivial_vs) + tuple(overlap), tuple(segment_edges))
-        cover1 = (tuple(z1_vs), tuple(z1_es))
-        key = _gluing_key(mod, cover0, cover1)
-        mv = gluings.get(key)
-        if mv is None:
-            mv = gluings[key] = mayer_vietoris(mod, cover0, cover1)
-        if not mv.exact:
-            raise PipelineError(
-                f"zone gluing sequence not exact at {', '.join(mv.failures)}"
-            )
-        h1_mod = mv.groups[3]  # H^1 of the whole cover, that is of mod
-        if not classify(mv.pieces[1].h1).is_trivial:  # the core is cover1
-            raise PipelineError(
-                "the flow-positive core of a zone has nontrivial H^1; "
-                "the input is not of finite type after all"
-            )
+        key = _gluing_key(zone_exp)
+        if key not in gluings:
+            mod = _blow_up_extremities(zone_exp, identity)
+            mv = mayer_vietoris(mod, *_zone_cover(mod))
+            if not mv.exact:
+                raise PipelineError(
+                    f"zone gluing sequence not exact at {', '.join(mv.failures)}"
+                )
+            if not classify(mv.pieces[1].h1).is_trivial:  # the core is cover1
+                raise PipelineError(
+                    "the flow-positive core of a zone has nontrivial H^1; "
+                    "the input is not of finite type after all"
+                )
+            gluings[key] = mv.groups[3]  # H^1 of the whole cover, that is of mod
+        h1_zone = gluings[key]
     else:
-        h1_mod = h1(mod)
-        if not classify(h1_mod).is_trivial:
+        h1_zone = h1(zone_exp)
+        if not classify(h1_zone).is_trivial:
             raise PipelineError(
                 "a zone without rigid boundary has nontrivial flow H^1"
             )
-    ordered = sorted(trivial_vs, key=_id_key)
-    actives = tuple((v, zone.boundary[v]) for v in ordered[1:])
-    return _ZoneAnalysis(actives, h1_mod)
+    actives = tuple((v, zone.boundary[v]) for v in trivial_vs[1:])
+    return _ZoneAnalysis(actives, h1_zone)
 
 
 class FourTermSequence:
@@ -2066,7 +2084,7 @@ def _four_term(
     actives: List[Tuple[Id, Id]] = []
     zone_h1s: List[PresentedAbelianGroup] = []
     identity = cache(identity_hom)  # one hom per group value, checked once
-    gluings: Dict[tuple, MayerVietorisResult] = {}  # one sequence per zone shape
+    gluings: Dict[tuple, PresentedAbelianGroup] = {}  # one gluing per zone shape
     for zone in _zones(coloring):
         analysis = _analyze_zone(ses.inclusion.dom, zone, identity, gluings)
         actives.extend(analysis.actives)

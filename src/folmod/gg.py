@@ -63,6 +63,7 @@ from typing import (
 from .exactnum import Scalar, SymbolTable
 from .abgroup import (
     GroupHom,
+    HomError,
     PresentedAbelianGroup,
     UnsupportedAtomMap,
     block_hom,
@@ -331,7 +332,9 @@ class _GroupsOnGraph(Generic[_G, _H]):
 
     The constructor refuses a vertex or edge without a group, an incidence
     without a map and a map whose ends are not the groups of its vertex
-    and edge, and runs :meth:`_check_map` on every map.
+    and edge, and runs :meth:`_check_map` once on every distinct map, at
+    its first incidence in graph order; a :class:`~folmod.abgroup.HomError`
+    it raises is raised again naming that incidence.
     """
 
     __slots__ = ("graph", "_vgroups", "_egroups", "_rhos")
@@ -351,6 +354,7 @@ class _GroupsOnGraph(Generic[_G, _H]):
         missing += [e for e in graph.edges if e not in self._egroups]
         if missing:
             raise ValueError(f"missing group data for {missing!r}")
+        checked = set()
         for e in graph.edges:
             for v in set(graph.endpoints(e)):
                 r = self._rhos.get((v, e))
@@ -358,7 +362,12 @@ class _GroupsOnGraph(Generic[_G, _H]):
                     raise ValueError(f"missing restriction map for incidence ({v!r}, {e!r})")
                 if r.dom != self._vgroups[v] or r.cod != self._egroups[e]:
                     raise ValueError(f"restriction map at ({v!r}, {e!r}) has wrong ends")
-                self._check_map(r)
+                if r not in checked:
+                    try:
+                        self._check_map(r)
+                    except HomError as err:
+                        raise HomError(f"restriction map at ({v!r}, {e!r}): {err}") from None
+                    checked.add(r)
 
     def _check_map(self, r: _H) -> None:
         """Refuse a restriction map that is not a homomorphism; nothing to
@@ -491,6 +500,9 @@ class GroupGraphMorphism:
     ``vertex_maps[v]`` and ``edge_maps[e]`` are verified on construction:
     each is a homomorphism between the stalks, and every square commutes,
     ``edge_map . rho_dom == rho_cod . vertex_map`` at every incidence.
+    Each distinct map is checked once and each distinct square, its four
+    maps as values, is composed and compared once, at its first vertex or
+    incidence in graph order, so an error names the first that fails.
     """
 
     __slots__ = ("dom", "cod", "_vmaps", "_emaps")
@@ -509,21 +521,29 @@ class GroupGraphMorphism:
         self.cod = cod
         self._vmaps = dict(vertex_maps)
         self._emaps = dict(edge_maps)
+        checked = set()
         for v in g.vertices:
             m = self._vmaps.get(v)
             if m is None or m.dom != dom.vertex_group(v) or m.cod != cod.vertex_group(v):
                 raise ValueError(f"bad vertex map at {v!r}")
-            check_hom(m)
+            if m not in checked:
+                check_hom(m)
+                checked.add(m)
         for e in g.edges:
             m = self._emaps.get(e)
             if m is None or m.dom != dom.edge_group(e) or m.cod != cod.edge_group(e):
                 raise ValueError(f"bad edge map at {e!r}")
-            check_hom(m)
+            if m not in checked:
+                check_hom(m)
+                checked.add(m)
             for v in set(g.endpoints(e)):
-                left = compose(m, dom.rho(v, e))
-                right = compose(cod.rho(v, e), self._vmaps[v])
-                if not hom_equal(left, right):
+                rho_dom, rho_cod, vmap = dom.rho(v, e), cod.rho(v, e), self._vmaps[v]
+                square = (m, rho_dom, rho_cod, vmap)
+                if square in checked:
+                    continue
+                if not hom_equal(compose(m, rho_dom), compose(rho_cod, vmap)):
                     raise ValueError(f"morphism does not commute at ({v!r}, {e!r})")
+                checked.add(square)
 
     def vertex_map(self, v: Id) -> GroupHom:
         return self._vmaps[v]
@@ -1009,7 +1029,11 @@ def long_exact_sequence(
     The two morphisms must share the middle group-graph (the same object,
     or the same graph with equal restriction maps at every incidence;
     raises :class:`ValueError` otherwise), and the triple must be short
-    exact at every vertex and edge (checked; raises :class:`NotShortExact`).
+    exact at every vertex and edge (checked, the vertices and then the
+    edges in graph order; raises :class:`NotShortExact` naming the first
+    that fails).  The check runs once per distinct stalk pair, the
+    inclusion and the projection as values: on the seed-0 geodesic of 65
+    joints the 257 stalks carry 6 pairs.
     The connecting map lifts a 0-cocycle of the quotient through ``pi``,
     applies the middle coboundary and pulls the result back through
     ``iota``.
@@ -1022,10 +1046,13 @@ def long_exact_sequence(
     ):
         raise ValueError("the morphisms do not share the middle group-graph")
     g = F.graph
-    for a in list(g.vertices) + list(g.edges):
-        is_vertex = a in set(g.vertices)
-        im = iota.vertex_map(a) if is_vertex else iota.edge_map(a)
-        pm = pi.vertex_map(a) if is_vertex else pi.edge_map(a)
+    stalks = [(v, iota.vertex_map(v), pi.vertex_map(v)) for v in g.vertices]
+    stalks += [(e, iota.edge_map(e), pi.edge_map(e)) for e in g.edges]
+    checked = set()
+    for a, im, pm in stalks:
+        if (im, pm) in checked:
+            continue
+        checked.add((im, pm))
         if im.cod != pm.dom:
             raise NotShortExact(f"maps at {a!r} are not composable")
         if not is_injective(im):

@@ -4,7 +4,9 @@ they replaced.
 The references below are the earlier implementations:
 :func:`ref_is_injective`, :func:`ref_is_surjective` and
 :func:`ref_is_exact_at` classify a whole kernel or cokernel, and
-:func:`ref_brute_force_h1` searches orbits over tuples.  The predicates now
+:func:`ref_brute_force_h1` searches orbits over tuples.  A group that the
+normal form returned is classified by the report stored on it; a fresh
+normalization is its reference.  The predicates now
 test span membership of generators and the search codes tuples as ints;
 on random homs, group-graph coboundaries and kernel/cokernel pairs, and
 on seeded table group-graphs, both must give the same answers and raise
@@ -27,6 +29,7 @@ from folmod.abgroup import (
     PresentedAbelianGroup,
     UnsupportedAtomMap,
     _PreimageSystem,
+    _normalize_full,
     check_hom,
     classify,
     cokernel,
@@ -38,6 +41,7 @@ from folmod.abgroup import (
     kernel,
     zero_hom,
 )
+from folmod.exactnum import Scalar, SymbolTable
 from folmod.gg import (
     BoundExceeded,
     BruteForceResult,
@@ -131,6 +135,36 @@ class TestPredicatesEqualTheReference:
         except UnsupportedAtomMap:
             assume(False)
         _assert_same_verdicts(d)
+
+
+class TestStoredReports:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_normal_form_reads_its_stored_report(self, data) -> None:
+        # classify of a group the normal form returned reads the report
+        # stored on it, which must be the one a fresh normalization gives,
+        # over line and lattice rows of symbols and rational functions too,
+        # and normalizing that group again must give it back
+        group = cokernel(_draw_hom(data)).group
+        normalized, _, _, fresh = _normalize_full.__wrapped__(group)
+        report = classify(group)
+        assert report == fresh and report.text() == fresh.text()
+        if group._report is not None:
+            assert group._report == fresh._classification()
+            assert report.group is group and normalized == group
+        else:
+            assert report.lattices or report.nondiscrete or report.nondiscrete_blocks
+
+    def test_a_lattice_display_is_not_stored(self) -> None:
+        # Normalizing the normal form of this torus again displays the
+        # inverse period, so its report is computed again, as before.
+        t = SymbolTable(["a"])
+        a, one = Scalar.symbol(t, "a"), Scalar.one(t)
+        torus = PresentedAbelianGroup.lattice_quotient(t, [a + one, a / (a - one.scale(2))])
+        report = classify(torus)
+        assert report.text() == "C/(Z + ((-a)/(a^2 - 2))Z)"
+        assert report.group._report is None
+        assert classify(report.group).text() == "C/(Z + ((-a^2 + 2)/(a))Z)"
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,22 @@ class TestStoredForm:
             assert quotient.rat == Fraction(a.rat, b.rat)
             assert (type(quotient.rat) is int) == (a.rat % b.rat == 0)
 
+    def test_a_symbol_is_built_in_stored_form(self) -> None:
+        # Scalar.symbol stores its one-term monomial as it is; the
+        # normalizing constructor must build the same parts from it.
+        for table in [*WIDE_TABLES.values(), TABLE, SymbolTable(["tau_i", "a", "b"])]:
+            for i, name in enumerate(table.names):
+                s = Scalar.symbol(table, name)
+                mono = exactnum._p_sym(len(table), i)
+                normalized = Scalar(table, 1, mono, table._unit)
+                _assert_stored_form(s)
+                assert (s.rat, s.num, s.den) == (normalized.rat, normalized.num, normalized.den)
+                assert type(s.rat) is int and s.den is table._unit
+                assert s == normalized and hash(s) == hash(normalized) and str(s) == name
+                assert parse_scalar(table, name) == s
+        with pytest.raises(KeyError, match="unknown symbol 'nu'"):
+            Scalar.symbol(TABLE, "nu")
+
     def test_a_product_with_the_unit_shares_the_other_factor(self) -> None:
         table = WIDE_TABLES[2]
         x, y = Scalar.symbol(table, "x"), Scalar.symbol(table, "y")

@@ -25,7 +25,7 @@ from folmod.abgroup import (
     is_surjective,
     zero_hom,
 )
-from folmod import gg, oracle
+from folmod import abgroup, gg, oracle
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.gg import (
     BoundExceeded,
@@ -146,6 +146,35 @@ class TestGroupGraph:
                 {(0, "e"): bad, (1, "e"): zero_hom(z_mod(2), z_mod(3))},
             )
 
+    def test_a_repeated_bad_map_is_checked_once_and_names_its_first_incidence(
+        self, monkeypatch
+    ):
+        # Each distinct map is checked once, at its first incidence in graph
+        # order, and a map that is not a homomorphism is named there.
+        g = Graph([0, 1, 2], [("a", 0, 1), ("b", 1, 2)])
+        z2, z3 = z_mod(2), z_mod(3)
+        bad = [GroupHom(z2, z3, [], [({}, {0: 1})], ()) for _ in range(2)]
+        rhos = {
+            (0, "a"): identity_hom(z2),
+            (1, "a"): identity_hom(z2),
+            (1, "b"): bad[0],
+            (2, "b"): bad[1],
+        }
+        checked = []
+        check = abgroup._check_hom
+
+        def counted(h):
+            checked.append(h)
+            check(h)
+
+        monkeypatch.setattr(abgroup, "_check_hom", counted)
+        with pytest.raises(
+            HomError,
+            match=r"^restriction map at \(1, 'b'\): relation 0 maps outside the codomain span$",
+        ):
+            GroupGraph(g, {v: z2 for v in g.vertices}, {"a": z2, "b": z3}, rhos)
+        assert checked == [rhos[(0, "a")], bad[0]]
+
     def test_missing_restriction_rejected(self):
         g = Graph([0, 1], [("e", 0, 1)])
         with pytest.raises(ValueError, match="missing restriction"):
@@ -194,10 +223,12 @@ def test_both_kinds_store_check_and_restrict_alike(kind, monkeypatch):
     with pytest.raises(ValueError, match=r"^restriction map at \(1, 'b'\) has wrong ends$"):
         cls(g, *groups, {**rhos, (1, "b"): trivial(z2, z3)})
 
+    # the four incidences carry four identity objects of one value, and
+    # each distinct map is checked once
     calls = []
     monkeypatch.setattr(gg, "check_hom", calls.append)
     whole = cls(g, *groups, rhos)
-    assert len(calls) == (4 if cls is GroupGraph else 0)
+    assert len(calls) == (1 if cls is GroupGraph else 0)
     calls.clear()
     part = whole.restrict([0, 1])
     assert calls == []
@@ -763,6 +794,67 @@ class TestLongExactSequence:
                 constant_morphism(F, Gm, identity_hom(z2)),
                 constant_morphism(Gm, J, zero),
             )
+
+    def test_a_repeated_non_exact_stalk_is_checked_once_and_names_the_first(
+        self, monkeypatch
+    ):
+        # Vertices 1 and 2 carry one pair of maps, whose inclusion is zero.
+        graph = Graph([0, 1, 2])
+        z2, triv = z_mod(2), PresentedAbelianGroup.trivial(T)
+        F, Gm, J = (
+            GroupGraph(graph, {v: group for v in graph.vertices}, {}, {}, table=T)
+            for group in (z2, z2, triv)
+        )
+        inclusions = {0: identity_hom(z2), 1: zero_hom(z2, z2), 2: zero_hom(z2, z2)}
+        iota = GroupGraphMorphism(F, Gm, inclusions, {})
+        pi = GroupGraphMorphism(Gm, J, {v: zero_hom(z2, triv) for v in graph.vertices}, {})
+        calls = []
+        injective = gg.is_injective
+        monkeypatch.setattr(gg, "is_injective", lambda h: calls.append(h) or injective(h))
+        with pytest.raises(NotShortExact, match=r"^inclusion at 1 is not injective$"):
+            long_exact_sequence(iota, pi)
+        assert calls == [inclusions[0], inclusions[1]]
+
+    def test_an_edge_that_shares_a_vertex_id_is_checked_as_an_edge(self):
+        # Edge 0 has the id of vertex 0; its inclusion is zero, and short
+        # exactness must fail there, not read vertex 0's maps again.
+        graph = Graph([0, 1], [(0, 0, 1)])
+        z2, triv = z_mod(2), PresentedAbelianGroup.trivial(T)
+
+        def flat(group):
+            rhos = {(v, 0): zero_hom(group, group) for v in graph.vertices}
+            return GroupGraph(graph, {0: group, 1: group}, {0: group}, rhos, table=T)
+
+        F, Gm, J = flat(z2), flat(z2), flat(triv)
+        ident = {v: identity_hom(z2) for v in graph.vertices}
+        iota = GroupGraphMorphism(F, Gm, ident, {0: zero_hom(z2, z2)})
+        pi = GroupGraphMorphism(
+            Gm, J, {v: zero_hom(z2, triv) for v in graph.vertices}, {0: zero_hom(z2, triv)}
+        )
+        with pytest.raises(NotShortExact, match=r"^inclusion at 0 is not injective$"):
+            long_exact_sequence(iota, pi)
+
+    def test_squares_are_compared_once_per_value(self, monkeypatch):
+        # Every square of a constant morphism on a path is one value; a
+        # bent restriction at both ends of "c" makes another, which fails
+        # and is named at its first incidence.
+        graph = Graph([0, 1, 2, 3], [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)])
+        z4 = z_mod(4)
+        F = identity_rho_graph(graph, z4)
+        calls = []
+        equal = gg.hom_equal
+        monkeypatch.setattr(gg, "hom_equal", lambda a, b: calls.append(a) or equal(a, b))
+        constant_morphism(F, identity_rho_graph(graph, z4), identity_hom(z4))
+        assert len(calls) == 1
+        calls.clear()
+        rhos = {(v, e): identity_hom(z4) for e in graph.edges for v in graph.endpoints(e)}
+        for v in (2, 3):
+            rhos[(v, "c")] = GroupHom(z4, z4, [], [({}, {0: 3})], ())
+        groups = ({v: z4 for v in graph.vertices}, {e: z4 for e in graph.edges})
+        bent = GroupGraph(graph, *groups, rhos)
+        with pytest.raises(ValueError, match=r"^morphism does not commute at \(2, 'c'\)$"):
+            constant_morphism(F, bent, identity_hom(z4))
+        assert len(calls) == 2
 
     def test_morphism_must_commute_with_restrictions(self):
         graph = Graph([0, 1], [("e", 0, 1)])

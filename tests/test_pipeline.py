@@ -25,6 +25,7 @@ exit code 2 with a message naming the file instead of a traceback.
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.util
 import itertools
 import json
@@ -36,7 +37,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from folmod import cli, exactnum, foliation, gg, oracle
+from folmod import abgroup, cli, exactnum, foliation, gg, oracle
 from folmod.exactnum import Scalar, SymbolTable
 from folmod.examples import EXAMPLES, example_doc
 from folmod.gg import Graph, GroupGraph
@@ -273,6 +274,68 @@ def test_the_gluing_key_determines_the_gluing_sequence() -> None:
                 rho_changes += 1
                 break
     assert rho_changes >= 20
+
+
+def _mixed_case_geodesic(k: int) -> dict:
+    """The seed-0 geodesic of ``k`` joints with string component ids: the
+    joints ``J<n>`` and the chain interiors alternately ``X<n>`` and
+    ``x<n>``, so that every zone orders its ids alike while the ids of
+    every other zone sort on the other side of any id between the two
+    cases, such as ``__blow``."""
+    doc = _geodesic_doc(k)
+
+    def name(n: int) -> str:
+        return f"{'J' if n % 2 == 0 else 'Xx'[n // 2 % 2]}{n:04d}"
+
+    for item in doc["components"]:
+        item["id"] = name(item["id"])
+    for item in doc["corners"]:
+        item["components"] = [name(c) for c in item["components"]]
+    for key in ("attachments", "singularities", "holonomies"):
+        for item in doc[key]:
+            item["component"] = name(item["component"])
+    return doc
+
+
+def test_the_zone_key_determines_the_gluing_key() -> None:
+    # A zone is looked up by its key before the blow-up; zones with equal
+    # keys must blow up to equal group-graphs with equal covers.
+    docs = [example_doc(n) for n in EXAMPLES]
+    docs += [_geodesic_doc(k) for k in (3, 5, 9, 17, 33, 65)]
+    docs += [_mixed_case_geodesic(k) for k in (5, 9)]
+    docs += [
+        _star_doc(center, side, indices)
+        for center in (0, 5)
+        for side, indices in ((R0_SIDE, ()), (L0_SIDE, ()), (R1_SIDE, ("-3", "-5", "-7")))
+    ]
+    zones = shared = 0
+    for doc in docs:
+        inp = load_input(doc)
+        a = foliation._valid(inp.divisor, inp.singularities, inp.holonomies)
+        if not a.ft.ok:
+            assert doc == example_doc(3)
+            continue
+        exp = foliation._build_ses(a.coloring, a.sing, a.vh, a.divisor).inclusion.dom
+        identity = functools.cache(abgroup.identity_hom)
+        gluing_of = {}
+        for zone in foliation._zones(a.coloring):
+            if not zone.boundary:
+                continue
+            completion = sorted(set(zone.vertices) | set(zone.boundary), key=foliation._id_key)
+            zone_exp = exp.restrict(completion, zone.edges)
+            mod = foliation._blow_up_extremities(zone_exp, identity)
+            gluing = foliation._gluing_key(mod, *foliation._zone_cover(mod))
+            key = foliation._gluing_key(zone_exp)
+            zones += 1
+            shared += key in gluing_of
+            assert gluing_of.setdefault(key, gluing) == gluing
+    assert zones > 100 and shared > 90
+
+
+def test_mixed_case_ids_give_the_same_moduli(tmp_path, capsys) -> None:
+    plain = _moduli_view(_geodesic_doc(9), tmp_path, capsys)
+    assert plain[0] == 0
+    assert _moduli_view(_mixed_case_geodesic(9), tmp_path, capsys) == plain
 
 
 def _marked_divisors():

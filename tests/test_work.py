@@ -44,7 +44,16 @@ no continuous generator.  The oracle builds each table hom once per value,
 and a guard counts the table homs it validates.  The zones of one analysis
 that are the same group-graph and cover up to their ids share one
 Mayer-Vietoris gluing sequence: a guard counts the sequences the k=33
-geodesic computes for its 24 zones.
+geodesic computes for its 24 zones.  Every other per-incidence step of
+the moduli pipeline runs once per distinct value too: zones of one shape
+are blown up once, the stalk inclusions have one cokernel each, the flow
+restrictions, the morphism squares, the chart maps and the short
+exactness of the stalks are built or checked once per value, and a group
+the normal form returned is classified by its stored report; a guard
+counts that work on the k=65 geodesic.  Splitting the continuous blocks
+of a normal form and listing the singular chains are linear: guards count
+the rows that the block split visits and the sets that the chain listing
+builds on the k=257 geodesic.
 """
 
 from __future__ import annotations
@@ -155,6 +164,36 @@ MAX_NORMALIZING_SCALARS_EX1 = 230
 # The seed-0 k=33 geodesic built 128 identity homs in `foliation`, one per
 # incidence (32 on 4 group values and 96 on 1); one per value needs 5.
 MAX_FOLIATION_IDENTITY_HOMS_K33 = 5
+
+
+# The seed-0 k=65 geodesic (129 components, 257 stalks, 48 zones of one
+# shape) did this work once per incidence: 48 zone blow-ups, 257 stalk
+# cokernels in build_dis_graph, 256 factorizations in build_exp_graph,
+# 512 commuting squares (hom_equal) and 265 exactness checks (is_exact_at,
+# 257 of them short exactness at a stalk).  Once per distinct value it is
+# 1, 6, 10, 20 and 14.
+WORK_K65 = {
+    "_blow_up_extremities": 1,
+    "cokernel": 6,
+    "factor_through": 10,
+    "hom_equal": 20,
+    "is_exact_at": 14,
+}
+
+# The same run made 1,191 checks behind check_hom, 128 of them on the chart
+# maps of the symmetry sheaf alone, and 22 normalizations, 6 of them of a
+# normal form; once per value they take 63 and 16.
+MAX_HOM_CHECKS_K65 = 80
+MAX_NORMALIZATIONS_K65 = 16
+
+# `_split_cont_blocks` once picked each block's rows out of all rows, and
+# `singular_chains` compared each chain's edge set with every chain kept
+# before it.  On the seed-0 k=257 geodesic that made 222,344 walks over
+# 1,156 rows and built 131,073 sets to list 256 chains; linear, they make
+# two walks per row (1,928 over 964 rows) and two sets per chain, which
+# the walk finds from both ends (514).
+MAX_ROW_VISITS_K257 = 4000
+MAX_CHAIN_SETS_K257 = 600
 
 
 def _geodesic_module():
@@ -333,6 +372,102 @@ def test_k33_geodesic_glues_one_zone_shape(tmp_path, capsys, monkeypatch) -> Non
         monkeypatch, gg.mayer_vietoris, lambda: _run_geodesic(33, tmp_path, capsys)
     )
     assert (zones, gluings) == (24, 1)
+
+
+def test_k65_geodesic_does_per_incidence_work_once_per_value(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    counts = dict.fromkeys([*WORK_K65, "_check_hom"], 0)
+
+    def counted(name, func):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return call
+
+    clear_caches()
+    for module, name in (
+        (foliation, "_blow_up_extremities"),
+        (foliation, "cokernel"),
+        (foliation, "factor_through"),
+        (gg, "hom_equal"),
+        (gg, "is_exact_at"),
+        (abgroup, "_check_hom"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    _, _, payload = _run_geodesic(65, tmp_path, capsys)
+    monkeypatch.undo()
+    normalizations = abgroup._normalize_full.cache_info().misses
+    assert payload["agree"] is True
+    checks = counts.pop("_check_hom")
+    assert counts == WORK_K65
+    assert 0 < checks <= MAX_HOM_CHECKS_K65
+    assert 0 < normalizations <= MAX_NORMALIZATIONS_K65
+
+
+def _k257_analysis():
+    geo = _geodesic_module()
+    periods = geo.chain_periods(257, random.Random("geodesic-0-257"))
+    inp = foliation.load_input(geo.geodesic_doc(periods))
+    return foliation._valid(inp.divisor, inp.singularities, inp.holonomies)
+
+
+class _CountedRow(dict):
+    """A relation row that counts the walks over its columns."""
+
+    visits = 0
+
+    def __iter__(self):
+        _CountedRow.visits += 1
+        return super().__iter__()
+
+
+def test_k257_geodesic_splits_continuous_blocks_in_linear_work(monkeypatch) -> None:
+    # Every row of every block split is walked a bounded number of times:
+    # once to join its columns and once to find its block.
+    split = abgroup._split_cont_blocks
+    rows = 0
+
+    def counted(rows_t, d_c, table):
+        nonlocal rows
+        rows += len(rows_t)
+        return split([_CountedRow(row) for row in rows_t], d_c, table)
+
+    analysis = _k257_analysis()
+    clear_caches()
+    _CountedRow.visits = 0
+    monkeypatch.setattr(abgroup, "_split_cont_blocks", counted)
+    reports = foliation._reports(analysis)
+    monkeypatch.undo()
+    assert reports[0].moduli == reports[1].moduli
+    assert 500 < rows and 0 < _CountedRow.visits <= MAX_ROW_VISITS_K257
+
+
+def test_k257_geodesic_lists_singular_chains_in_linear_work(monkeypatch) -> None:
+    # Deduplicating the chains builds one edge set per chain, not one per
+    # pair of chains.
+    analysis = _k257_analysis()
+    built = 0
+
+    def counting(kind):
+        def make(*args):
+            nonlocal built
+            built += 1
+            return kind(*args)
+
+        return make
+
+    monkeypatch.setattr(foliation, "set", counting(set), raising=False)
+    monkeypatch.setattr(foliation, "frozenset", counting(frozenset), raising=False)
+    chains = foliation.singular_chains(
+        analysis.coloring.cut,
+        analysis.divisor.val_sigma(),
+        lambda e: analysis.coloring.corner_info[e].kind,
+    )
+    monkeypatch.undo()
+    assert chains == analysis.chains and len(chains) == 256
+    assert 0 < built <= MAX_CHAIN_SETS_K257
 
 
 def test_k9_geodesic_requests_few_smith_forms(tmp_path, capsys, monkeypatch) -> None:
